@@ -90,12 +90,46 @@ class TrilevelProblem:
 
             g = finite_diff_grad(restricted, args[block - 1])
         if g.shape != (self.dims.block(block),):
-            raise ValueError(
-                f"gradient block {block} has length {g.shape}, expected {self.dims.block(block)}"
-            )
+            raise self._grad_shape_error(g, block)
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"grad f_{level},{worker} block {block} is non-finite")
         return g
+
+    def grad_all(self, level: int, block: int, X1: Array, X2: Array, X3: Array) -> Array:
+        """Every worker's ``grad(level, j, block, ...)`` stacked into an (N, d) array.
+
+        Each argument is either one block of shape (d_i,), shared by all
+        workers, or per-worker rows of shape (N, d_i).  The stacked result is
+        checked for finiteness once; a non-finite row names its worker.
+        """
+        d = self.dims
+        cols = []
+        for i, (X, di) in enumerate(zip((X1, X2, X3), (d.d1, d.d2, d.d3))):
+            X = np.asarray(X, float)
+            if X.shape == (di,):
+                cols.append((X,) * d.N)
+            elif X.shape == (d.N, di):
+                cols.append(X)
+            else:
+                raise ValueError(f"block {i + 1} argument has shape {X.shape}")
+        if self.grad_fn is None:
+            return np.stack([self.grad(level, j, block, *args) for j, args in enumerate(zip(*cols))])
+        expected = (d.block(block),)
+        G = np.empty((d.N,) + expected)
+        for j, args in enumerate(zip(*cols)):
+            g = np.asarray(self.grad_fn(level, j, block, *args), dtype=float)
+            if g.shape != expected:
+                raise self._grad_shape_error(g, block)
+            G[j] = g
+        if not np.isfinite(G).all():
+            j = int(np.argmin(np.isfinite(G).all(axis=1)))
+            raise NonFiniteError(f"grad f_{level},{j} block {block} is non-finite")
+        return G
+
+    def _grad_shape_error(self, g: Array, block: int) -> ValueError:
+        return ValueError(
+            f"gradient block {block} has length {g.shape}, expected {self.dims.block(block)}"
+        )
 
     def cross_hess(self, level: int, worker: int, block_out: int, block_in: int,
                    x1: Array, x2: Array, x3: Array) -> Array:

@@ -134,7 +134,7 @@ def generate_synthetic_csv(path, seed: int = 0, rows: int = 200, features: int =
         w = csv.writer(fh)
         w.writerow([f"x{k}" for k in range(features)] + ["y"])
         for r in range(rows):
-            w.writerow([repr(v) for v in X[r]] + [repr(y[r])])
+            w.writerow([repr(float(v)) for v in (*X[r], y[r])])
     return path
 
 

@@ -27,7 +27,7 @@ from .cuts import (
     generate_cut_II,
     normalize_cut,
 )
-from .inner import InnerConfig, InnerSolverError, UnrollTrace, solve_level2, solve_level3
+from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
 from .outer import OuterConfig, WorkerView, master_step, stationarity_gap, worker_step
 
 
@@ -172,6 +172,7 @@ class RunLog:
     c1_total: int = 0
     c2_total: int = 0
     final_gap_sq: float = float("nan")
+    abort: Optional[dict] = None  # {"reason": str, "t": iteration in progress}
 
     def refinement_iters(self) -> list[int]:
         return [r.t for r in self.records if r.refined]
@@ -188,6 +189,7 @@ class RunLog:
             "c1_total": self.c1_total,
             "c2_total": self.c2_total,
             "final_gap_sq": self.final_gap_sq,
+            "abort": self.abort,
             "dims": list(self.dims),
             "N": self.N,
             "S": self.S,
@@ -215,7 +217,7 @@ class RunLog:
 
 @dataclass
 class CutEvent:
-    """What one refinement did; kept for validity and monotonicity audits."""
+    """What one refinement did: the cuts it added and dropped per layer."""
 
     t: int
     added_1: int
@@ -224,10 +226,6 @@ class CutEvent:
     dropped_2: list[int]
     pre_ids_1: tuple[int, ...]
     pre_ids_2: tuple[int, ...]
-    trace_1: UnrollTrace
-    trace_2: UnrollTrace
-    point_1: tuple
-    point_2: tuple
 
 
 @dataclass
@@ -271,8 +269,9 @@ def run(
     normal rather than in the raw linearization's units.
 
     Non-finite numerics (``NonFiniteError``, ``InnerSolverError``) end the run
-    with ``status="aborted"`` and the log up to the last good iteration, or
-    raise ``NumericAbort`` carrying that result under ``raise_on_abort``.  Any
+    with ``status="aborted"``, the log up to the last good iteration and the
+    reason and iteration in progress in ``log.abort``, or raise
+    ``NumericAbort`` carrying that result under ``raise_on_abort``.  Any
     other ``FedtriError``, such as a broken staleness bound, propagates.
     """
     if problem.dims.N != sched_cfg.N:
@@ -376,8 +375,6 @@ def run(
             dropped_1=[i for i in dropped if i in kept1],
             dropped_2=[i for i in dropped if i in kept2],
             pre_ids_1=pre1, pre_ids_2=pre2,
-            trace_1=trace1, trace_2=trace2,
-            point_1=point1, point_2=point2,
         ))
         poly1, poly2 = new_poly1, new_poly2
         duals.phi2 = [p.copy() for p in trace2.snapshots[-1].phi]
@@ -402,6 +399,16 @@ def run(
         )
         return [cut1.id, cut2.id], dropped
 
+    def finish(status: str) -> RunResult:
+        log.status = status
+        log.final_gap_sq = log.records[-1].gap_sq if log.records else float("nan")
+        sizes = {r.t: r.p2_size for r in log.records}
+        log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K,
+                                      problem.dims, sizes)
+        return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2,
+                         cut_registry=cut_registry, cut_events=cut_events, clock=clock)
+
+    t_now = 0  # the iteration in progress, for the abort record
     try:
         # Bootstrap refinement before the first master step, so the outer
         # problem never runs on empty polytopes while the horizon is open.
@@ -421,18 +428,12 @@ def run(
         ))
         if gap0 <= outer_cfg.tol:
             log.T_eps = 0
-            log.status = "converged"
-            log.final_gap_sq = gap0
-            sizes0 = {r.t: r.p2_size for r in log.records}
-            log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K,
-                                          problem.dims, sizes0)
-            return RunResult(log=log, state=state, duals=duals, poly1=poly1,
-                             poly2=poly2, cut_registry=cut_registry,
-                             cut_events=cut_events, clock=clock)
+            return finish("converged")
         dispatch(range(N), t=0)
         status = "max_iters"
 
         for t_new in range(1, outer_cfg.max_iters + 1):
+            t_now = t_new
             active, clock = schedule_epoch(pending, staleness, sched_cfg, clock)
             for j in active:
                 if staleness[j] + 1 > sched_cfg.tau:
@@ -475,22 +476,12 @@ def run(
                 status = "converged"
                 break
     except (NonFiniteError, InnerSolverError) as exc:
-        log.status = "aborted"
-        log.final_gap_sq = log.records[-1].gap_sq if log.records else float("nan")
-        result = RunResult(log=log, state=state, duals=duals, poly1=poly1,
-                           poly2=poly2, cut_registry=cut_registry,
-                           cut_events=cut_events, clock=clock)
+        log.abort = {"reason": str(exc), "t": t_now}
+        result = finish("aborted")
         if raise_on_abort:
             raise NumericAbort(str(exc), result) from exc
         return result
-
-    log.status = status
-    log.final_gap_sq = log.records[-1].gap_sq
-    sizes = {r.t: r.p2_size for r in log.records}
-    log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K,
-                                  problem.dims, sizes)
-    return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2,
-                     cut_registry=cut_registry, cut_events=cut_events, clock=clock)
+    return finish(status)
 
 
 def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[str]:
@@ -498,7 +489,8 @@ def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[st
 
     Returns a list of violation descriptions (empty when clean): staleness
     within tau, active sets at least S wide, non-decreasing simulated time,
-    and both communication counters equal to their closed forms.
+    and both communication counters equal to their closed forms (for an
+    aborted run, over the refinements it logged).
     """
     problems: list[str] = []
     prev_time = -np.inf
@@ -520,7 +512,7 @@ def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[st
     K = log.K if inner_K is None else inner_K
     sizes = {r.t: r.p2_size for r in log.records}
     c2 = comm_cost_cuts([r.t for r in log.records if r.refined], log.N, K, dims, sizes)
-    if log.status != "aborted" and c2 != log.c2_total:
+    if c2 != log.c2_total:
         problems.append("C2 total mismatch")
     return problems
 

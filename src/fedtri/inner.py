@@ -10,7 +10,8 @@ derivatives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -55,9 +56,9 @@ class InnerConfig:
 
 @dataclass(frozen=True)
 class InnerSnapshot:
-    x: tuple[Array, ...]  # per-worker local blocks
+    x: Array  # (N, d) per-worker local blocks
     z: Array
-    phi: tuple[Array, ...]
+    phi: Array  # (N, d)
     s: Optional[Array] = None  # layer II only
     gamma: Optional[Array] = None  # layer II only
 
@@ -68,56 +69,91 @@ class UnrollTrace:
 
     ``layer`` "I" traces estimate the third-level argmin (from solve_level3);
     ``layer`` "II" traces estimate the second-level argmin and carry the final
-    inner duals ``gamma`` used for layer-I cut pruning.
+    inner duals ``gamma`` used for layer-I cut pruning.  The path is stored
+    round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d), and
+    ``s`` and ``gamma`` are (K+1, L) for layer II and None for layer I.
     """
 
     layer: str
     problem: TrilevelProblem
     cfg: InnerConfig
     inputs: dict
-    snapshots: tuple[InnerSnapshot, ...]
+    x: Array
+    z: Array
+    phi: Array
+    s: Optional[Array] = None
+    gamma: Optional[Array] = None
     poly1: tuple = ()  # layer-I cuts frozen into a layer-II trace
     poly1_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.snapshots) != self.cfg.K + 1:
-            raise ValueError("trace must hold exactly K+1 snapshots")
+        if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi)):
+            raise ValueError("trace must hold exactly K+1 rounds")
+
+    @cached_property
+    def snapshots(self) -> tuple[InnerSnapshot, ...]:
+        """Per-round views into the recorded arrays."""
+        return tuple(
+            InnerSnapshot(
+                x=self.x[k], z=self.z[k], phi=self.phi[k],
+                s=None if self.s is None else self.s[k],
+                gamma=None if self.gamma is None else self.gamma[k],
+            )
+            for k in range(self.cfg.K + 1)
+        )
 
     @property
-    def estimate(self) -> tuple[tuple[Array, ...], Array]:
-        final = self.snapshots[-1]
-        return final.x, final.z
+    def estimate(self) -> tuple[Array, Array]:
+        return self.x[-1], self.z[-1]
 
     @property
     def gamma_K(self) -> Array:
         if self.layer != "II":
             raise FedtriError("gamma_K is defined for layer-II traces only")
-        return self.snapshots[-1].gamma
+        return self.gamma[-1]
 
     def init_arrays(self):
-        s0 = self.snapshots[0]
-        return [xj.copy() for xj in s0.x], s0.z.copy(), [p.copy() for p in s0.phi], (
-            None if s0.s is None else s0.s.copy()
-        ), (None if s0.gamma is None else s0.gamma.copy())
+        return self.x[0].copy(), self.z[0].copy(), self.phi[0].copy(), (
+            None if self.s is None else self.s[0].copy()
+        ), (None if self.gamma is None else self.gamma[0].copy())
 
 
-def _check_finite(arrs, what: str, k: int) -> None:
-    for a in arrs:
-        if not np.all(np.isfinite(a)):
-            raise InnerSolverError(f"non-finite {what} at round {k}")
+def _path_buffer(K: int, N: int, d: int, L: int = 0):
+    """A (K+1, 2Nd + d + 2L) buffer and its x, z, phi, s, gamma views.
+
+    Each round's iterates share one contiguous row, so one ``isfinite`` call
+    checks them all.
+    """
+    nd = N * d
+    buf = np.empty((K + 1, 2 * nd + d + 2 * L))
+    x = buf[:, :nd].reshape(K + 1, N, d)
+    phi = buf[:, nd:2 * nd].reshape(K + 1, N, d)
+    z = buf[:, 2 * nd:2 * nd + d]
+    s = buf[:, 2 * nd + d:2 * nd + d + L]
+    gamma = buf[:, 2 * nd + d + L:]
+    return buf, x, z, phi, s, gamma
+
+
+def _init_block(value, shape, what: str) -> Array:
+    a = np.asarray(value, float)
+    if a.shape != shape:
+        raise ValueError(f"initial {what} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _check_round(buf: Array, k: int, what: str) -> None:
+    if not np.isfinite(buf[k + 1]).all():
+        raise InnerSolverError(f"non-finite {what} at round {k}")
 
 
 def _level3_round(problem, z1, z2p, x, z, phi, cfg):
     """One Jacobi primal step plus dual ascent on the level-3 Lagrangian."""
-    N = problem.dims.N
-    gx = [
-        problem.grad(3, j, 3, z1, z2p, x[j]) + phi[j] + cfg.kappa3 * (x[j] - z)
-        for j in range(N)
-    ]
-    gz = -sum(phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N))
-    x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
+    pull = cfg.kappa3 * (x - z)
+    gx = (problem.grad_all(3, 3, z1, z2p, x) + phi) + pull
+    gz = -(phi + pull).sum(axis=0)
+    x_new = x - cfg.eta_x * gx
     z_new = z - cfg.eta_z * gz
-    phi_new = [phi[j] + cfg.eta_phi * (x_new[j] - z_new) for j in range(N)]
+    phi_new = phi + cfg.eta_phi * (x_new - z_new)
     return x_new, z_new, phi_new
 
 
@@ -134,25 +170,22 @@ def solve_level3(
     z2p = np.asarray(z2p, float)
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
+    buf, x, z, phi, _, _ = _path_buffer(cfg.K, d.N, d.d3)
     if init is None:
-        x = [np.zeros(d.d3) for _ in range(d.N)]
-        z = np.zeros(d.d3)
-        phi = [np.zeros(d.d3) for _ in range(d.N)]
+        buf[0] = 0.0
     else:
-        x, z, phi = ([np.asarray(a, float).copy() for a in init[0]],
-                     np.asarray(init[1], float).copy(),
-                     [np.asarray(a, float).copy() for a in init[2]])
-    snaps = [InnerSnapshot(x=tuple(a.copy() for a in x), z=z.copy(), phi=tuple(a.copy() for a in phi))]
+        x[0] = _init_block(init[0], (d.N, d.d3), "x")
+        z[0] = _init_block(init[1], (d.d3,), "z")
+        phi[0] = _init_block(init[2], (d.N, d.d3), "phi")
     for k in range(cfg.K):
-        x, z, phi = _level3_round(problem, z1, z2p, x, z, phi, cfg)
-        _check_finite(x + [z] + phi, "level-3 iterate", k)
-        snaps.append(InnerSnapshot(x=tuple(a.copy() for a in x), z=z.copy(), phi=tuple(a.copy() for a in phi)))
+        x[k + 1], z[k + 1], phi[k + 1] = _level3_round(problem, z1, z2p, x[k], z[k], phi[k], cfg)
+        _check_round(buf, k, "level-3 iterate")
     return UnrollTrace(
         layer="I",
         problem=problem,
         cfg=cfg,
         inputs={"z1": z1.copy(), "z2p": z2p.copy()},
-        snapshots=tuple(snaps),
+        x=x, z=z, phi=phi,
     )
 
 
@@ -184,18 +217,15 @@ def level2_steps(cfg: InnerConfig, poly1: Sequence["Cut"], N: int) -> tuple[floa
 def _level2_round(problem, z1, x3, x, z2, s, gamma, phi, consts, a2s, cs, cfg,
                   eta_z, eta_gamma):
     """One primal/slack/dual round of the level-2 Lagrangian with layer-I cuts."""
-    N = problem.dims.N
     L = len(cs)
-    gx = [
-        problem.grad(2, j, 2, z1, x[j], x3[j]) + phi[j] + cfg.kappa2 * (x[j] - z2)
-        for j in range(N)
-    ]
-    gz2 = -sum(phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N))
+    pull = cfg.kappa2 * (x - z2)
+    gx = (problem.grad_all(2, 2, z1, x, x3) + phi) + pull
+    gz2 = -(phi + pull).sum(axis=0)
     if L:
         hhat = consts + a2s @ z2
         resid = hhat - cs + s
         gz2 = gz2 + a2s.T @ (gamma + cfg.rho2 * resid)
-    x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
+    x_new = x - cfg.eta_x * gx
     z2_new = z2 - eta_z * gz2
     if L:
         hhat_new = consts + a2s @ z2_new
@@ -204,7 +234,7 @@ def _level2_round(problem, z1, x3, x, z2, s, gamma, phi, consts, a2s, cs, cfg,
     else:
         s_new = s
         gamma_new = gamma
-    phi_new = [phi[j] + cfg.eta_phi * (x_new[j] - z2_new) for j in range(N)]
+    phi_new = phi + cfg.eta_phi * (x_new - z2_new)
     return x_new, z2_new, s_new, gamma_new, phi_new
 
 
@@ -226,54 +256,38 @@ def solve_level2(
     d = problem.dims
     z1 = np.asarray(z1, float)
     z3 = np.asarray(z3, float)
-    x3 = [np.asarray(a, float) for a in x3]
-    if z1.shape != (d.d1,) or z3.shape != (d.d3,) or len(x3) != d.N:
+    x3 = np.array(x3, dtype=float)
+    if z1.shape != (d.d1,) or z3.shape != (d.d3,) or x3.shape != (d.N, d.d3):
         raise ValueError("frozen input dimensions do not match problem dims")
     poly1 = tuple(poly1)
     L = len(poly1)
+    buf, x, z2, phi, s, gamma = _path_buffer(cfg.K, d.N, d.d2, L)
     if init is None:
-        x = [np.zeros(d.d2) for _ in range(d.N)]
-        z2 = np.zeros(d.d2)
-        phi = [np.zeros(d.d2) for _ in range(d.N)]
-        s = np.zeros(L)
-        gamma = np.zeros(L)
+        buf[0] = 0.0
     else:
-        x = [np.asarray(a, float).copy() for a in init[0]]
-        z2 = np.asarray(init[1], float).copy()
-        phi = [np.asarray(a, float).copy() for a in init[2]]
-        s = np.zeros(L) if init[3] is None else np.asarray(init[3], float).copy()
-        gamma = np.zeros(L) if init[4] is None else np.asarray(init[4], float).copy()
-    if s.shape != (L,) or gamma.shape != (L,):
-        raise ValueError("slack/gamma length must match the layer-I polytope")
+        x[0] = _init_block(init[0], (d.N, d.d2), "x")
+        z2[0] = _init_block(init[1], (d.d2,), "z")
+        phi[0] = _init_block(init[2], (d.N, d.d2), "phi")
+        s[0] = 0.0 if init[3] is None else _init_block(init[3], (L,), "slack")
+        gamma[0] = 0.0 if init[4] is None else _init_block(init[4], (L,), "gamma")
 
     consts = _cut_const_parts(poly1, x3, z1, z3) if L else np.zeros(0)
     a2s = np.stack([c.a2 for c in poly1]) if L else np.zeros((0, d.d2))
     cs = np.array([c.c for c in poly1]) if L else np.zeros(0)
     eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
 
-    snaps = [
-        InnerSnapshot(
-            x=tuple(a.copy() for a in x), z=z2.copy(), phi=tuple(a.copy() for a in phi),
-            s=s.copy(), gamma=gamma.copy(),
-        )
-    ]
     for k in range(cfg.K):
-        x, z2, s, gamma, phi = _level2_round(
-            problem, z1, x3, x, z2, s, gamma, phi, consts, a2s, cs, cfg, eta_z, eta_gamma
+        x[k + 1], z2[k + 1], s[k + 1], gamma[k + 1], phi[k + 1] = _level2_round(
+            problem, z1, x3, x[k], z2[k], s[k], gamma[k], phi[k], consts, a2s, cs, cfg,
+            eta_z, eta_gamma,
         )
-        _check_finite(x + [z2, s, gamma] + phi, "level-2 iterate", k)
-        snaps.append(
-            InnerSnapshot(
-                x=tuple(a.copy() for a in x), z=z2.copy(), phi=tuple(a.copy() for a in phi),
-                s=s.copy(), gamma=gamma.copy(),
-            )
-        )
+        _check_round(buf, k, "level-2 iterate")
     return UnrollTrace(
         layer="II",
         problem=problem,
         cfg=cfg,
-        inputs={"z1": z1.copy(), "z3": z3.copy(), "x3": tuple(a.copy() for a in x3)},
-        snapshots=tuple(snaps),
+        inputs={"z1": z1.copy(), "z3": z3.copy(), "x3": x3},
+        x=x, z=z2, phi=phi, s=s, gamma=gamma,
         poly1=poly1,
         poly1_ids=tuple(c.id for c in poly1),
     )

@@ -187,3 +187,48 @@ class TestProblemGradFallback:
         )
         with pytest.raises(ValueError):
             problem.grad(1, 0, 1, np.zeros(2), np.zeros(1), np.zeros(1))
+
+
+class TestGradAll:
+    def test_wrong_shaped_block_raises_like_grad(self):
+        dims = Dims(d1=2, d2=1, d3=3, N=3)
+        problem = TrilevelProblem(
+            dims=dims,
+            eval_fn=lambda level, j, x1, x2, x3: 0.0,
+            grad_fn=lambda level, j, block, x1, x2, x3: np.zeros(3 if j < 2 else 4),
+        )
+        with pytest.raises(ValueError, match="gradient block 3 has length"):
+            problem.grad_all(3, 3, np.zeros(2), np.zeros(1), np.zeros((3, 3)))
+
+    def test_wrong_shaped_argument_raises(self):
+        problem, _ = build_quadratic_problem(seed=0, dims=(2, 2, 2), N=3)
+        with pytest.raises(ValueError, match="block 3 argument"):
+            problem.grad_all(3, 3, np.zeros(2), np.zeros(2), np.zeros((2, 2)))
+
+    def test_nonfinite_row_names_its_worker(self):
+        dims = Dims(d1=1, d2=1, d3=2, N=3)
+
+        def gr(level, j, block, x1, x2, x3):
+            return np.array([0.0, np.nan]) if j == 1 else np.zeros(2)
+
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda *a: 0.0, grad_fn=gr)
+        with pytest.raises(NonFiniteError, match=r"grad f_3,1 block 3"):
+            problem.grad_all(3, 3, np.zeros(1), np.zeros(1), np.zeros((3, 2)))
+
+    def test_shared_and_stacked_inputs_match_per_worker_grad(self):
+        problem, _ = build_quadratic_problem(seed=2, dims=(2, 3, 4), N=3)
+        rng = np.random.default_rng(0)
+        z1, X2, X3 = rng.standard_normal(2), rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
+        G = problem.grad_all(2, 2, z1, X2, X3)
+        assert G.shape == (3, 3)
+        for j in range(3):
+            assert np.array_equal(G[j], problem.grad(2, j, 2, z1, X2[j], X3[j]))
+
+    def test_without_grad_fn_equals_per_worker_grad(self):
+        quad, _ = build_quadratic_problem(seed=1, dims=(2, 2, 3), N=2)
+        problem = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn)
+        rng = np.random.default_rng(1)
+        z1, z2, X3 = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 3))
+        G = problem.grad_all(3, 3, z1, z2, X3)
+        for j in range(2):
+            assert np.array_equal(G[j], problem.grad(3, j, 3, z1, z2, X3[j]))

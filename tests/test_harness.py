@@ -214,6 +214,13 @@ class TestRunBasics:
         res = run(problem, inner, outer, sched)
         assert res.log.status == "aborted"
         assert len(res.log.records) >= 1
+        # The footer says why and when, and counts the refinements that ran.
+        footer = json.loads(res.log.to_jsonl().splitlines()[-1])
+        assert footer["abort"]["reason"] and footer["abort"]["t"] == res.log.records[-1].t
+        assert res.log.refinement_iters() == [0]
+        sizes = {r.t: r.p2_size for r in res.log.records}
+        assert footer["c2_total"] == comm_cost_cuts([0], 2, inner.K, problem.dims, sizes) > 0
+        assert validate_runlog(res.log, problem.dims) == []
 
     def test_numeric_abort_raises_with_log(self):
         problem, _, inner, outer = quad_setup(eta_x1=1e200, eta_x2=1e200, eta_x3=1e200,
@@ -225,6 +232,7 @@ class TestRunBasics:
         log = info.value.result.log
         assert log.status == "aborted"
         assert [r.t for r in log.records] == [0]
+        assert log.abort == {"reason": str(info.value), "t": 0}
 
     def test_bootstrap_inner_failure_is_logged_abort(self):
         problem, _, inner, outer = quad_setup(max_iters=5)
@@ -234,6 +242,28 @@ class TestRunBasics:
             res = run(problem, inner, outer, sched)
         assert res.log.status == "aborted"
         assert res.log.records == []
+        assert res.log.abort["t"] == 0
+        assert "non-finite level-3 iterate at round" in res.log.abort["reason"]
+        assert res.log.c2_total == 0
+        assert validate_runlog(res.log, problem.dims) == []
+
+    def test_abort_inside_the_loop_names_its_iteration(self, monkeypatch):
+        problem, _, inner, outer = quad_setup(max_iters=20)
+        sched = ScheduleConfig(N=2, S=2, seed=0)
+        calls = []
+
+        def failing_master_step(*args, **kwargs):
+            calls.append(kwargs["t"])
+            if len(calls) == 4:
+                raise NonFiniteError("injected at the fourth master step")
+            return master_step(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "master_step", failing_master_step)
+        res = run(problem, inner, outer, sched)
+        assert res.log.status == "aborted"
+        assert res.log.abort == {"reason": "injected at the fourth master step", "t": 4}
+        assert [r.t for r in res.log.records] == [0, 1, 2, 3]
+        assert validate_runlog(res.log, problem.dims) == []
 
     def test_staleness_violation_is_not_an_abort(self, monkeypatch):
         # A scheduler that never activates worker 2 breaks the staleness
@@ -314,7 +344,8 @@ class TestSerialization:
         for rec in records:
             assert set(rec) == expected
         assert footer["footer"] is True
-        assert {"status", "T_eps", "c1_total", "c2_total", "final_gap_sq"} <= set(footer)
+        assert {"status", "T_eps", "c1_total", "c2_total", "final_gap_sq", "abort"} <= set(footer)
+        assert footer["abort"] is None
 
     def test_csv_columns(self, tmp_path):
         problem, _, inner, outer = quad_setup(max_iters=8)

@@ -1,0 +1,172 @@
+"""The stacked-array unrolls against a per-worker list reference.
+
+``ref_level3_round`` and ``ref_level2_round`` are the list-based round
+functions the array unrolls replaced, kept here as an oracle: one oracle call,
+one Python array per worker, and the same floating-point association.
+``solve_level3`` and ``solve_level2`` must reproduce their path bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from fedtri.cuts import generate_cut_I
+from fedtri.inner import (
+    InnerConfig,
+    _cut_const_parts,
+    level2_steps,
+    solve_level2,
+    solve_level3,
+)
+from fedtri.problems import build_quadratic_problem
+
+
+def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
+    N = problem.dims.N
+    gx = [
+        problem.grad(3, j, 3, z1, z2p, x[j]) + phi[j] + cfg.kappa3 * (x[j] - z)
+        for j in range(N)
+    ]
+    gz = -sum(phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N))
+    x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
+    z_new = z - cfg.eta_z * gz
+    phi_new = [phi[j] + cfg.eta_phi * (x_new[j] - z_new) for j in range(N)]
+    return x_new, z_new, phi_new
+
+
+def ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi, consts, a2s, cs, cfg,
+                     eta_z, eta_gamma):
+    N = problem.dims.N
+    L = len(cs)
+    gx = [
+        problem.grad(2, j, 2, z1, x[j], x3[j]) + phi[j] + cfg.kappa2 * (x[j] - z2)
+        for j in range(N)
+    ]
+    gz2 = -sum(phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N))
+    if L:
+        hhat = consts + a2s @ z2
+        resid = hhat - cs + s
+        gz2 = gz2 + a2s.T @ (gamma + cfg.rho2 * resid)
+    x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
+    z2_new = z2 - eta_z * gz2
+    if L:
+        hhat_new = consts + a2s @ z2_new
+        s_new = np.maximum(0.0, cs - hhat_new - gamma / cfg.rho2)
+        gamma_new = np.maximum(0.0, gamma + eta_gamma * (hhat_new - cs + s_new))
+    else:
+        s_new = s
+        gamma_new = gamma
+    phi_new = [phi[j] + cfg.eta_phi * (x_new[j] - z2_new) for j in range(N)]
+    return x_new, z2_new, s_new, gamma_new, phi_new
+
+
+def ref_path_level3(problem, z1, z2p, x, z, phi, cfg):
+    path = [(x, z, phi)]
+    for _ in range(cfg.K):
+        x, z, phi = ref_level3_round(problem, z1, z2p, x, z, phi, cfg)
+        path.append((x, z, phi))
+    return path
+
+
+def ref_path_level2(problem, z1, z3, x3, poly1, x, z2, phi, s, gamma, cfg):
+    consts = _cut_const_parts(poly1, x3, z1, z3)
+    a2s = np.stack([c.a2 for c in poly1])
+    cs = np.array([c.c for c in poly1])
+    eta_z, eta_gamma = level2_steps(cfg, poly1, problem.dims.N)
+    path = [(x, z2, phi, s, gamma)]
+    for _ in range(cfg.K):
+        x, z2, s, gamma, phi = ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi,
+                                                consts, a2s, cs, cfg, eta_z, eta_gamma)
+        path.append((x, z2, phi, s, gamma))
+    return path
+
+
+def assert_rows_equal(stacked, rows):
+    assert stacked.shape[0] == len(rows)
+    for a, b in zip(stacked, rows):
+        assert np.array_equal(a, b)
+
+
+CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    # Distinct block sizes, so a mixed-up block shows as a shape error.
+    problem, _ = build_quadratic_problem(seed=11, dims=(2, 3, 4), N=3, coupling=0.2)
+    rng = np.random.default_rng(12)
+    d = problem.dims
+    z1, z2, z3 = (rng.standard_normal(k) for k in (d.d1, d.d2, d.d3))
+    x3 = [rng.standard_normal(d.d3) for _ in range(d.N)]
+    return problem, rng, z1, z2, z3, x3
+
+
+def test_level3_matches_reference_from_warm_init(setup):
+    problem, rng, z1, z2, _, _ = setup
+    d = problem.dims
+    x0 = [rng.standard_normal(d.d3) for _ in range(d.N)]
+    z0 = rng.standard_normal(d.d3)
+    phi0 = [rng.standard_normal(d.d3) for _ in range(d.N)]
+    trace = solve_level3(problem, z1, z2, init=(x0, z0, phi0), cfg=CFG)
+    ref = ref_path_level3(problem, z1, z2, x0, z0, phi0, CFG)
+    for snap, (x, z, phi) in zip(trace.snapshots, ref, strict=True):
+        assert_rows_equal(snap.x, x)
+        assert np.array_equal(snap.z, z)
+        assert_rows_equal(snap.phi, phi)
+
+
+def test_level3_matches_reference_from_zero(setup):
+    problem, _, z1, z2, _, _ = setup
+    d = problem.dims
+    trace = solve_level3(problem, z1, z2, cfg=CFG)
+    zeros = [np.zeros(d.d3) for _ in range(d.N)]
+    ref = ref_path_level3(problem, z1, z2, zeros, np.zeros(d.d3), zeros, CFG)
+    assert_rows_equal(trace.x[-1], ref[-1][0])
+    assert np.array_equal(trace.z[-1], ref[-1][1])
+    assert_rows_equal(trace.phi[-1], ref[-1][2])
+
+
+def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
+    problem, rng, z1, z2, z3, x3 = setup
+    d = problem.dims
+    t1 = solve_level3(problem, z1, z2, cfg=CFG)
+    poly1 = tuple(
+        generate_cut_I(t1, (tuple(x3), z1, z2 + shift, z3), 0.0, 1e-2, problem.alphas,
+                       grad_mode="analytic", cut_id=i)
+        for i, shift in enumerate((0.0, 0.5))
+    )
+    x0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
+    z0 = rng.standard_normal(d.d2)
+    phi0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
+    s0 = np.array([0.3, 1.2])
+    g0 = np.array([0.7, 0.1])
+    trace = solve_level2(problem, z1, z3, x3, poly1, init=(x0, z0, phi0, s0, g0), cfg=CFG)
+    ref = ref_path_level2(problem, z1, z3, x3, poly1, x0, z0, phi0, s0, g0, CFG)
+    for snap, (x, z, phi, s, gamma) in zip(trace.snapshots, ref, strict=True):
+        assert_rows_equal(snap.x, x)
+        assert np.array_equal(snap.z, z)
+        assert_rows_equal(snap.phi, phi)
+        assert np.array_equal(snap.s, s)
+        assert np.array_equal(snap.gamma, gamma)
+    # The slack and dual paths are not trivially zero, so the cut branch ran.
+    assert trace.s[1:].any() or trace.gamma[1:].any()
+
+
+def test_snapshots_are_views_of_the_recorded_path(setup):
+    problem, _, z1, z2, z3, x3 = setup
+    trace = solve_level2(problem, z1, z3, x3, (), cfg=CFG)
+    assert trace.x.shape == (CFG.K + 1, problem.dims.N, problem.dims.d2)
+    assert trace.z.shape == (CFG.K + 1, problem.dims.d2)
+    assert trace.s.shape == trace.gamma.shape == (CFG.K + 1, 0)
+    last = trace.snapshots[-1]
+    for view, whole in ((last.x, trace.x), (last.z, trace.z), (last.phi, trace.phi)):
+        assert np.shares_memory(view, whole)
+    x_hat, z_hat = trace.estimate
+    assert np.shares_memory(x_hat, trace.x) and np.shares_memory(z_hat, trace.z)
+
+
+def test_init_shape_is_checked(setup):
+    problem, _, z1, z2, _, _ = setup
+    d = problem.dims
+    short = ([np.zeros(d.d3)] * (d.N - 1), np.zeros(d.d3), [np.zeros(d.d3)] * d.N)
+    with pytest.raises(ValueError, match="initial x"):
+        solve_level3(problem, z1, z2, init=short, cfg=CFG)
