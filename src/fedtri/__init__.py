@@ -1,7 +1,6 @@
 """Asynchronous federated trilevel optimization with cutting-plane relaxation."""
 
 from .core import (
-    ConsensusView,
     Dims,
     DualState,
     FedtriError,
@@ -11,7 +10,6 @@ from .core import (
     estimate_mu,
     finite_diff_grad,
     project_ball_sq,
-    reformulate_consensus,
 )
 from .cuts import (
     Cut,

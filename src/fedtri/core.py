@@ -9,8 +9,6 @@ import numpy as np
 
 Array = np.ndarray
 
-BLOCKS = (1, 2, 3)
-
 
 class FedtriError(Exception):
     """Base class for library errors."""
@@ -218,43 +216,6 @@ class DualState:
             slack=self.slack.copy(),
         )
 
-    def check_bounds(self, alpha4: float, alpha5: float, d1: int, atol: float = 1e-12) -> None:
-        cap = np.sqrt(alpha4)
-        if self.lam.size and (self.lam.min() < -atol or self.lam.max() > cap + atol):
-            raise ValueError("lambda outside [0, sqrt(alpha4)]")
-        box = np.sqrt(alpha5) / d1
-        for th in self.theta:
-            if np.abs(th).max(initial=0.0) > box + atol:
-                raise ValueError("theta outside infinity-norm box")
-        if self.slack.size and self.slack.min() < -atol:
-            raise ValueError("negative slack")
-        if self.gamma.size and self.gamma.min() < -atol:
-            raise ValueError("negative gamma")
-
-
-@dataclass(frozen=True)
-class ConsensusView:
-    """Per-worker local copies tied to consensus blocks by equality descriptors.
-
-    Purely structural: descriptor ``(i, j)`` states ``x[i][j] == z[i]``.  No
-    numerical work happens here; objective evaluation passes straight through.
-    """
-
-    problem: TrilevelProblem
-    descriptors: tuple[tuple[int, int], ...]
-
-    def eval_local(self, level: int, worker: int, x1: Array, x2: Array, x3: Array) -> float:
-        return self.problem.eval(level, worker, x1, x2, x3)
-
-    def descriptors_for_level(self, level: int) -> tuple[tuple[int, int], ...]:
-        return tuple(d for d in self.descriptors if d[0] == level)
-
-
-def reformulate_consensus(problem: TrilevelProblem) -> ConsensusView:
-    """Attach the consensus structure: one local copy per worker and level."""
-    descriptors = tuple((i, j) for i in BLOCKS for j in range(problem.dims.N))
-    return ConsensusView(problem=problem, descriptors=descriptors)
-
 
 def default_fd_step(v: Array) -> float:
     return 1e-5 * (1.0 + float(np.abs(v).max(initial=0.0)))
@@ -290,10 +251,6 @@ def project_ball_sq(v: Array, alpha: float) -> Array:
     if nrm_sq <= alpha or nrm_sq == 0.0:
         return v.copy() if nrm_sq <= alpha else np.zeros_like(v)
     return v * np.sqrt(alpha / nrm_sq)
-
-
-def project_interval(v: Array, lo: float, hi: float) -> Array:
-    return np.clip(v, lo, hi)
 
 
 def project_box_inf(v: Array, bound: float) -> Array:

@@ -88,41 +88,6 @@ class Polytope:
     def contains(self, x3, z1, z2, z3, x2=None, tol: float = 0.0) -> bool:
         return all(cut_violation(c, x3, z1, z2, z3, x2=x2) <= tol for c in self.cuts)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "cuts": [
-                {
-                    "id": c.id,
-                    "born_at": c.born_at,
-                    "a1": c.a1.tolist(),
-                    "a2": c.a2.tolist(),
-                    "a3": c.a3.tolist(),
-                    "b3": [b.tolist() for b in c.b3],
-                    "b2": None if c.b2 is None else [b.tolist() for b in c.b2],
-                    "c": c.c,
-                }
-            for c in self.cuts],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Polytope":
-        cuts = tuple(
-            Cut(
-                layer=data["layer"],
-                a1=np.asarray(d["a1"], float),
-                a2=np.asarray(d["a2"], float),
-                a3=np.asarray(d["a3"], float),
-                b3=tuple(np.asarray(b, float) for b in d["b3"]),
-                b2=None if d["b2"] is None else tuple(np.asarray(b, float) for b in d["b2"]),
-                c=float(d["c"]),
-                id=int(d["id"]),
-                born_at=int(d["born_at"]),
-            )
-            for d in data["cuts"]
-        )
-        return Polytope(layer=data["layer"], cuts=cuts)
-
 
 def _ball_norms_sq(arrays) -> float:
     return sum(float(np.asarray(a) @ np.asarray(a)) for a in arrays)
@@ -185,6 +150,38 @@ def drop_inactive(
     return Polytope(layer=LAYER_I, cuts=keep1), Polytope(layer=LAYER_II, cuts=keep2)
 
 
+def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: float,
+                       ball: float, grad_mode: str, cut_id: int, born_at: int) -> Cut:
+    """First-order expansion of h at ``point``, relaxed by eps plus mu times the inflation.
+
+    ``ball`` is the alpha part of the inflation; the squared norms of the
+    point's blocks are added to it.  The point's per-worker block lists come
+    first and z1, z2, z3 last, in the order of ``trace.point_blocks``.
+    """
+    h0 = (eval_h1 if layer == LAYER_I else eval_h2)(trace, point[0], point[3])
+    grads = [grad_h(trace, w, point, mode=grad_mode) for w in trace.point_blocks]
+    N = trace.problem.dims.N
+    lists = point[:-3]
+    g_lists = [grads[i * N:(i + 1) * N] for i in range(len(lists))]
+    g_z1, g_z2, g_z3 = grads[-3:]
+    z1, z2, z3 = point[-3:]
+    inflation = ball
+    for xs in lists:
+        inflation += _ball_norms_sq(xs)
+    inflation += _ball_norms_sq([z1, z2, z3])
+    anchor_dot = (
+        sum(sum(float(g @ np.asarray(v, float)) for g, v in zip(gs, xs))
+            for gs, xs in zip(g_lists, lists))
+        + float(g_z1 @ z1) + float(g_z2 @ z2) + float(g_z3 @ z3)
+    )
+    c = eps + mu * inflation - h0 + anchor_dot
+    return Cut(
+        layer=layer, a1=g_z1, a2=g_z2, a3=g_z3, b3=tuple(g_lists[-1]),
+        b2=tuple(g_lists[0]) if layer == LAYER_II else None,
+        c=float(c), id=cut_id, born_at=born_at,
+    )
+
+
 def generate_cut_I(
     trace: UnrollTrace,
     point,
@@ -202,27 +199,9 @@ def generate_cut_I(
     ``mu ((N+1) a1 + a2 + a3 + sum_j ||x3_j||^2 + ||z1||^2 + ||z2'||^2 + ||z3||^2)``.
     Rearranged into ``a . z + b . x <= c`` form.
     """
-    x3, z1, z2p, z3 = point
-    N = trace.problem.dims.N
-    h0 = eval_h1(trace, x3, z3)
-    g_x3 = [grad_h(trace, f"x3:{j}", point, mode=grad_mode) for j in range(N)]
-    g_z1 = grad_h(trace, "z1", point, mode=grad_mode)
-    g_z2 = grad_h(trace, "z2", point, mode=grad_mode)
-    g_z3 = grad_h(trace, "z3", point, mode=grad_mode)
     a1, a2, a3 = alphas
-    inflation = (
-        (N + 1) * a1 + a2 + a3
-        + _ball_norms_sq(x3) + _ball_norms_sq([z1, z2p, z3])
-    )
-    anchor_dot = (
-        sum(float(g @ np.asarray(v, float)) for g, v in zip(g_x3, x3))
-        + float(g_z1 @ z1) + float(g_z2 @ z2p) + float(g_z3 @ z3)
-    )
-    c = eps1 + mu * inflation - h0 + anchor_dot
-    return Cut(
-        layer=LAYER_I, a1=g_z1, a2=g_z2, a3=g_z3, b3=tuple(g_x3),
-        c=float(c), id=cut_id, born_at=born_at,
-    )
+    ball = (trace.problem.dims.N + 1) * a1 + a2 + a3
+    return _linearization_cut(trace, LAYER_I, point, mu, eps1, ball, grad_mode, cut_id, born_at)
 
 
 def generate_cut_II(
@@ -240,29 +219,9 @@ def generate_cut_II(
     Same construction as the layer-I cut with inflation
     ``mu (a1 + (N+1)(a2 + a3) + sum_{i=2,3} sum_j ||x_ij||^2 + sum_i ||z_i||^2)``.
     """
-    x2, x3, z1, z2, z3 = point
-    N = trace.problem.dims.N
-    h0 = eval_h2(trace, x2, z2)
-    g_x2 = [grad_h(trace, f"x2:{j}", point, mode=grad_mode) for j in range(N)]
-    g_x3 = [grad_h(trace, f"x3:{j}", point, mode=grad_mode) for j in range(N)]
-    g_z1 = grad_h(trace, "z1", point, mode=grad_mode)
-    g_z2 = grad_h(trace, "z2", point, mode=grad_mode)
-    g_z3 = grad_h(trace, "z3", point, mode=grad_mode)
     a1, a2, a3 = alphas
-    inflation = (
-        a1 + (N + 1) * (a2 + a3)
-        + _ball_norms_sq(x2) + _ball_norms_sq(x3) + _ball_norms_sq([z1, z2, z3])
-    )
-    anchor_dot = (
-        sum(float(g @ np.asarray(v, float)) for g, v in zip(g_x2, x2))
-        + sum(float(g @ np.asarray(v, float)) for g, v in zip(g_x3, x3))
-        + float(g_z1 @ z1) + float(g_z2 @ z2) + float(g_z3 @ z3)
-    )
-    c = eps2 + mu * inflation - h0 + anchor_dot
-    return Cut(
-        layer=LAYER_II, a1=g_z1, a2=g_z2, a3=g_z3, b3=tuple(g_x3), b2=tuple(g_x2),
-        c=float(c), id=cut_id, born_at=born_at,
-    )
+    ball = a1 + (trace.problem.dims.N + 1) * (a2 + a3)
+    return _linearization_cut(trace, LAYER_II, point, mu, eps2, ball, grad_mode, cut_id, born_at)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,29 @@ def _parse_csv(path) -> Array:
     return np.asarray(rows, dtype=float)
 
 
+def _split_standardize(X: Array, y: Array, split_ratios, perm_seed: int,
+                       noise_sigma: float) -> RegressionDataset:
+    """Shuffle rows with ``perm_seed``, split by the ratios, standardize on train stats."""
+    if abs(sum(split_ratios) - 1.0) > 1e-9 or any(r < 0 for r in split_ratios):
+        raise DatasetError("split ratios must be nonnegative and sum to 1")
+    n = X.shape[0]
+    n_tr = int(n * split_ratios[0])
+    n_val = int(n * split_ratios[1])
+    if n_tr < 1 or n_val < 1 or n - n_tr - n_val < 1:
+        raise DatasetError(f"too few rows ({n}) for the requested splits")
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    train_idx = perm[:n_tr]
+    val_idx = perm[n_tr:n_tr + n_val]
+    test_idx = perm[n_tr + n_val:]
+    mean = X[train_idx].mean(axis=0)
+    std = X[train_idx].std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return RegressionDataset(
+        X=(X - mean) / std, y=y, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx,
+        noise_sigma=noise_sigma, feature_mean=mean, feature_std=std,
+    )
+
+
 def load_dataset(
     path,
     split_ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
@@ -85,29 +108,9 @@ def load_dataset(
     Rows are shuffled with the seed, split by the ratios, and features are
     standardized to zero mean and unit variance using train statistics only.
     """
-    if abs(sum(split_ratios) - 1.0) > 1e-9 or any(r < 0 for r in split_ratios):
-        raise DatasetError("split ratios must be nonnegative and sum to 1")
     data = _parse_csv(path)
-    n = data.shape[0]
-    n_tr = int(n * split_ratios[0])
-    n_val = int(n * split_ratios[1])
-    if n_tr < 1 or n_val < 1 or n - n_tr - n_val < 1:
-        raise DatasetError(f"too few rows ({n}) for the requested splits")
-    perm = np.random.default_rng(seed).permutation(n)
-    train_idx = perm[:n_tr]
-    val_idx = perm[n_tr:n_tr + n_val]
-    test_idx = perm[n_tr + n_val:]
-
-    X = data[:, :-1].copy()
-    y = data[:, -1].copy()
-    mean = X[train_idx].mean(axis=0)
-    std = X[train_idx].std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    X = (X - mean) / std
-    return RegressionDataset(
-        X=X, y=y, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx,
-        noise_sigma=noise_sigma, feature_mean=mean, feature_std=std,
-    )
+    return _split_standardize(data[:, :-1].copy(), data[:, -1].copy(), split_ratios, seed,
+                              noise_sigma)
 
 
 def shard_indices(idx: Array, n_workers: int) -> list[Array]:
@@ -146,15 +149,4 @@ def make_synthetic_dataset(seed: int = 0, rows: int = 200, features: int = 5,
     X = rng.standard_normal((rows, features))
     beta = rng.standard_normal(features)
     y = X @ beta + noise * rng.standard_normal(rows)
-    n_tr = int(rows * split_ratios[0])
-    n_val = int(rows * split_ratios[1])
-    perm = np.random.default_rng(seed + 1).permutation(rows)
-    train_idx = perm[:n_tr]
-    val_idx = perm[n_tr:n_tr + n_val]
-    test_idx = perm[n_tr + n_val:]
-    mean = X[train_idx].mean(axis=0)
-    std = np.where(X[train_idx].std(axis=0) > 0, X[train_idx].std(axis=0), 1.0)
-    return RegressionDataset(
-        X=(X - mean) / std, y=y, train_idx=train_idx, val_idx=val_idx,
-        test_idx=test_idx, noise_sigma=noise_sigma, feature_mean=mean, feature_std=std,
-    )
+    return _split_standardize(X, y, split_ratios, seed + 1, noise_sigma)

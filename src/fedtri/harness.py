@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Array, DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
+from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
 from .cuts import (
     Cut,
     Polytope,
@@ -294,8 +294,7 @@ def run(
     next_cut_id = 0
     cut_registry: dict[int, Cut] = {}
     cut_events: list[CutEvent] = []
-    warm3 = None
-    warm2: Optional[dict] = None
+    warm3 = warm2 = None  # (x, z, phi, s, gamma) inits, set only under warm_start
 
     log = RunLog(
         dims=(problem.dims.d1, problem.dims.d2, problem.dims.d3),
@@ -328,9 +327,7 @@ def run(
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2, clock
         pre1, pre2 = poly1.ids(), poly2.ids()
-        trace1 = solve_level3(problem, state.z[0], state.z[1],
-                              init=warm3 if inner_cfg.warm_start else None,
-                              cfg=inner_cfg)
+        trace1 = solve_level3(problem, state.z[0], state.z[1], init=warm3, cfg=inner_cfg)
         point1 = (tuple(state.x[2]), state.z[0], state.z[1], state.z[2])
         cut1 = normalize_cut(generate_cut_I(trace1, point1, mu1, inner_cfg.eps1,
                                             problem.alphas, grad_mode=grad_mode,
@@ -338,13 +335,8 @@ def run(
         next_cut_id += 1
         poly1 = add_cut(poly1, cut1)
 
-        init2 = None
-        if inner_cfg.warm_start and warm2 is not None:
-            s0 = np.array([warm2["s"].get(cid, 0.0) for cid in poly1.ids()])
-            g0 = np.array([warm2["gamma"].get(cid, 0.0) for cid in poly1.ids()])
-            init2 = (warm2["x"], warm2["z"], warm2["phi"], s0, g0)
         trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
-                              poly1.cuts, init=init2, cfg=inner_cfg)
+                              poly1.cuts, init=warm2, cfg=inner_cfg)
         point2 = (tuple(state.x[1]), tuple(state.x[2]),
                   state.z[0], state.z[1], state.z[2])
         cut2 = normalize_cut(generate_cut_II(trace2, point2, mu2, inner_cfg.eps2,
@@ -380,20 +372,14 @@ def run(
         duals.phi2 = [p.copy() for p in trace2.snapshots[-1].phi]
         duals.phi3 = [p.copy() for p in trace1.snapshots[-1].phi]
         if inner_cfg.warm_start:
-            # Warm-start only the inner primal blocks; inner duals restart at
-            # zero every refinement (persisting them integrates the drag of
-            # any still-violated cut across events without bound).
-            d3, d2 = problem.dims.d3, problem.dims.d2
-            warm3 = ([a.copy() for a in trace1.snapshots[-1].x],
-                     trace1.snapshots[-1].z.copy(),
-                     [np.zeros(d3) for _ in range(N)])
-            warm2 = {
-                "x": [a.copy() for a in trace2.snapshots[-1].x],
-                "z": trace2.snapshots[-1].z.copy(),
-                "phi": [np.zeros(d2) for _ in range(N)],
-                "s": {},
-                "gamma": {},
-            }
+            # Warm-start only the inner primal blocks; inner duals, slacks
+            # and cut duals restart at zero every refinement (persisting them
+            # integrates the drag of any still-violated cut across events
+            # without bound).
+            warm3, warm2 = (
+                (t.x[-1].copy(), t.z[-1].copy(), np.zeros_like(t.phi[-1]), None, None)
+                for t in (trace1, trace2)
+            )
         clock += sched_cfg.refine_latency_per_unit * 32 * _cut_event_cost(
             N, inner_cfg.K, problem.dims, poly2.size
         )
@@ -523,43 +509,3 @@ def time_to_gap(log: RunLog, target: float) -> tuple[float, Optional[int]]:
         if r.gap_sq <= target:
             return r.sim_time, r.t
     return float("inf"), None
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-
-def save_checkpoint(result: RunResult, path) -> None:
-    data = {
-        "t": result.log.records[-1].t if result.log.records else 0,
-        "clock": result.clock,
-        "x": [[xj.tolist() for xj in row] for row in result.state.x],
-        "z": [zi.tolist() for zi in result.state.z],
-        "lam": result.duals.lam.tolist(),
-        "theta": [t.tolist() for t in result.duals.theta],
-        "gamma": result.duals.gamma.tolist(),
-        "slack": result.duals.slack.tolist(),
-        "poly1": result.poly1.to_json_dict(),
-        "poly2": result.poly2.to_json_dict(),
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-
-
-def load_checkpoint(path) -> tuple[PrimalState, DualState, Polytope, Polytope, dict]:
-    with open(path) as fh:
-        data = json.load(fh)
-    state = PrimalState(
-        x=[[np.asarray(xj, float) for xj in row] for row in data["x"]],
-        z=[np.asarray(zi, float) for zi in data["z"]],
-    )
-    duals = DualState(
-        lam=np.asarray(data["lam"], float),
-        theta=[np.asarray(t, float) for t in data["theta"]],
-        gamma=np.asarray(data["gamma"], float),
-        slack=np.asarray(data["slack"], float),
-    )
-    poly1 = Polytope.from_json_dict(data["poly1"])
-    poly2 = Polytope.from_json_dict(data["poly2"])
-    meta = {"t": data["t"], "clock": data["clock"]}
-    return state, duals, poly1, poly2, meta

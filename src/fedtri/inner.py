@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Array, FedtriError, NonFiniteError, TrilevelProblem, finite_diff_grad, default_fd_step
+from .core import Array, FedtriError, TrilevelProblem, default_fd_step
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cuts import Cut
@@ -84,11 +84,26 @@ class UnrollTrace:
     s: Optional[Array] = None
     gamma: Optional[Array] = None
     poly1: tuple = ()  # layer-I cuts frozen into a layer-II trace
-    poly1_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi)):
             raise ValueError("trace must hold exactly K+1 rounds")
+
+    @property
+    def level(self) -> int:
+        """The unrolled level: 3 for layer I, 2 for layer II."""
+        return 3 if self.layer == "I" else 2
+
+    @property
+    def point_blocks(self) -> tuple[str, ...]:
+        """``grad_h`` block names in the order of this layer's point.
+
+        The per-worker blocks come first, the unrolled level's own before the
+        frozen x3 of layer II, then z1, z2, z3.
+        """
+        levels = (3,) if self.layer == "I" else (2, 3)
+        N = self.problem.dims.N
+        return tuple(f"x{b}:{j}" for b in levels for j in range(N)) + ("z1", "z2", "z3")
 
     @cached_property
     def snapshots(self) -> tuple[InnerSnapshot, ...]:
@@ -146,15 +161,67 @@ def _check_round(buf: Array, k: int, what: str) -> None:
         raise InnerSolverError(f"non-finite {what} at round {k}")
 
 
-def _level3_round(problem, z1, z2p, x, z, phi, cfg):
-    """One Jacobi primal step plus dual ascent on the level-3 Lagrangian."""
-    pull = cfg.kappa3 * (x - z)
-    gx = (problem.grad_all(3, 3, z1, z2p, x) + phi) + pull
-    gz = -(phi + pull).sum(axis=0)
-    x_new = x - cfg.eta_x * gx
-    z_new = z - cfg.eta_z * gz
-    phi_new = phi + cfg.eta_phi * (x_new - z_new)
-    return x_new, z_new, phi_new
+_NO_CUTS = (np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
+
+
+def _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg):
+    """One primal/slack/dual round of a lower level's consensus Lagrangian.
+
+    Reads row k of the recorded path arrays and writes row k + 1.  ``grad``
+    maps the stacked iterate to the stacked oracle gradient at the frozen
+    inputs.  ``cuts = (consts, a2s, cs, eta_gamma)`` carries the layer-I cuts
+    frozen into a level-2 unroll as slack-equipped penalty terms; level 3
+    runs the same round with none.
+    """
+    consts, a2s, cs, eta_gamma = cuts
+    L = len(cs)
+    xk, zk, phik = x[k], z[k], phi[k]
+    pull = kappa * (xk - zk)
+    gx = (grad(xk) + phik) + pull
+    gz = -(phik + pull).sum(axis=0)
+    if L:
+        sk, gk = s[k], gamma[k]
+        hhat = consts + a2s @ zk
+        resid = hhat - cs + sk
+        gz = gz + a2s.T @ (gk + cfg.rho2 * resid)
+    x[k + 1] = x_new = xk - cfg.eta_x * gx
+    z[k + 1] = z_new = zk - eta_z * gz
+    if L:
+        hhat_new = consts + a2s @ z_new
+        s[k + 1] = s_new = np.maximum(0.0, cs - hhat_new - gk / cfg.rho2)
+        gamma[k + 1] = np.maximum(0.0, gk + eta_gamma * (hhat_new - cs + s_new))
+    phi[k + 1] = phik + cfg.eta_phi * (x_new - z_new)
+
+
+def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1=()):
+    """Run K rounds of ``_round`` from ``init`` (or zeros) and record the path.
+
+    ``init`` is ``(x, z, phi)`` with optional ``(s, gamma)`` after it; a
+    missing or None slack or dual starts at zero.
+    """
+    d = problem.dims
+    dl = d.block(level)
+    L = len(poly1)
+    buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, dl, L)
+    if init is None:
+        buf[0] = 0.0
+    else:
+        x[0] = _init_block(init[0], (d.N, dl), "x")
+        z[0] = _init_block(init[1], (dl,), "z")
+        phi[0] = _init_block(init[2], (d.N, dl), "phi")
+        s0, g0 = init[3:] or (None, None)
+        s[0] = 0.0 if s0 is None else _init_block(s0, (L,), "slack")
+        gamma[0] = 0.0 if g0 is None else _init_block(g0, (L,), "gamma")
+    what = f"level-{level} iterate"
+    for k in range(cfg.K):
+        _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg)
+        _check_round(buf, k, what)
+    layer2 = level == 2
+    return UnrollTrace(
+        layer="II" if layer2 else "I", problem=problem, cfg=cfg, inputs=inputs,
+        x=x, z=z, phi=phi, s=s if layer2 else None, gamma=gamma if layer2 else None,
+        poly1=poly1,
+    )
 
 
 def solve_level3(
@@ -170,23 +237,8 @@ def solve_level3(
     z2p = np.asarray(z2p, float)
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
-    buf, x, z, phi, _, _ = _path_buffer(cfg.K, d.N, d.d3)
-    if init is None:
-        buf[0] = 0.0
-    else:
-        x[0] = _init_block(init[0], (d.N, d.d3), "x")
-        z[0] = _init_block(init[1], (d.d3,), "z")
-        phi[0] = _init_block(init[2], (d.N, d.d3), "phi")
-    for k in range(cfg.K):
-        x[k + 1], z[k + 1], phi[k + 1] = _level3_round(problem, z1, z2p, x[k], z[k], phi[k], cfg)
-        _check_round(buf, k, "level-3 iterate")
-    return UnrollTrace(
-        layer="I",
-        problem=problem,
-        cfg=cfg,
-        inputs={"z1": z1.copy(), "z2p": z2p.copy()},
-        x=x, z=z, phi=phi,
-    )
+    return _unroll(problem, 3, lambda x: problem.grad_all(3, 3, z1, z2p, x), init, cfg,
+                   cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()})
 
 
 def _cut_const_parts(poly1: Sequence["Cut"], x3, z1, z3):
@@ -214,30 +266,6 @@ def level2_steps(cfg: InnerConfig, poly1: Sequence["Cut"], N: int) -> tuple[floa
     return eta_z, eta_gamma
 
 
-def _level2_round(problem, z1, x3, x, z2, s, gamma, phi, consts, a2s, cs, cfg,
-                  eta_z, eta_gamma):
-    """One primal/slack/dual round of the level-2 Lagrangian with layer-I cuts."""
-    L = len(cs)
-    pull = cfg.kappa2 * (x - z2)
-    gx = (problem.grad_all(2, 2, z1, x, x3) + phi) + pull
-    gz2 = -(phi + pull).sum(axis=0)
-    if L:
-        hhat = consts + a2s @ z2
-        resid = hhat - cs + s
-        gz2 = gz2 + a2s.T @ (gamma + cfg.rho2 * resid)
-    x_new = x - cfg.eta_x * gx
-    z2_new = z2 - eta_z * gz2
-    if L:
-        hhat_new = consts + a2s @ z2_new
-        s_new = np.maximum(0.0, cs - hhat_new - gamma / cfg.rho2)
-        gamma_new = np.maximum(0.0, gamma + eta_gamma * (hhat_new - cs + s_new))
-    else:
-        s_new = s
-        gamma_new = gamma
-    phi_new = phi + cfg.eta_phi * (x_new - z2_new)
-    return x_new, z2_new, s_new, gamma_new, phi_new
-
-
 def solve_level2(
     problem: TrilevelProblem,
     z1: Array,
@@ -261,78 +289,57 @@ def solve_level2(
         raise ValueError("frozen input dimensions do not match problem dims")
     poly1 = tuple(poly1)
     L = len(poly1)
-    buf, x, z2, phi, s, gamma = _path_buffer(cfg.K, d.N, d.d2, L)
-    if init is None:
-        buf[0] = 0.0
-    else:
-        x[0] = _init_block(init[0], (d.N, d.d2), "x")
-        z2[0] = _init_block(init[1], (d.d2,), "z")
-        phi[0] = _init_block(init[2], (d.N, d.d2), "phi")
-        s[0] = 0.0 if init[3] is None else _init_block(init[3], (L,), "slack")
-        gamma[0] = 0.0 if init[4] is None else _init_block(init[4], (L,), "gamma")
-
     consts = _cut_const_parts(poly1, x3, z1, z3) if L else np.zeros(0)
     a2s = np.stack([c.a2 for c in poly1]) if L else np.zeros((0, d.d2))
     cs = np.array([c.c for c in poly1]) if L else np.zeros(0)
     eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
+    return _unroll(problem, 2, lambda x: problem.grad_all(2, 2, z1, x, x3), init, cfg,
+                   cfg.kappa2, eta_z, (consts, a2s, cs, eta_gamma),
+                   {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1)
 
-    for k in range(cfg.K):
-        x[k + 1], z2[k + 1], s[k + 1], gamma[k + 1], phi[k + 1] = _level2_round(
-            problem, z1, x3, x[k], z2[k], s[k], gamma[k], phi[k], consts, a2s, cs, cfg,
-            eta_z, eta_gamma,
-        )
-        _check_round(buf, k, "level-2 iterate")
-    return UnrollTrace(
-        layer="II",
-        problem=problem,
-        cfg=cfg,
-        inputs={"z1": z1.copy(), "z3": z3.copy(), "x3": x3},
-        x=x, z=z2, phi=phi, s=s, gamma=gamma,
-        poly1=poly1,
-        poly1_ids=tuple(c.id for c in poly1),
-    )
+
+def _sq_deviation(x, z, x_hat, z_hat) -> float:
+    """``sum_j ||x_j - x_hat_j||^2 + ||z - z_hat||^2``, without shape checks."""
+    total = 0.0
+    for a, b in zip(x, x_hat):
+        v = np.asarray(a, float) - b
+        total += float(v @ v)
+    dz = np.asarray(z, float) - z_hat
+    return total + float(dz @ dz)
+
+
+def _eval_h(trace: UnrollTrace, layer: str, x, z) -> float:
+    if trace.layer != layer:
+        raise FedtriError(f"eval_h{1 if layer == 'I' else 2} needs a layer-{layer} trace")
+    x_hat, z_hat = trace.estimate
+    if len(x) != len(x_hat):
+        raise ValueError("worker count mismatch")
+    lv = trace.level
+    if any(np.shape(xj) != xh.shape for xj, xh in zip(x, x_hat)):
+        raise ValueError(f"x{lv} block dimension mismatch")
+    if np.shape(z) != z_hat.shape:
+        raise ValueError(f"z{lv} dimension mismatch")
+    return _sq_deviation(x, z, x_hat, z_hat)
 
 
 def eval_h1(trace: UnrollTrace, x3: Sequence[Array], z3: Array) -> float:
     """Squared deviation of ({x3_j}, z3) from the trace's final level-3 estimate."""
-    if trace.layer != "I":
-        raise FedtriError("eval_h1 needs a layer-I trace")
-    x_hat, z_hat = trace.estimate
-    if len(x3) != len(x_hat):
-        raise ValueError("worker count mismatch")
-    total = 0.0
-    for xj, xh in zip(x3, x_hat):
-        xj = np.asarray(xj, float)
-        if xj.shape != xh.shape:
-            raise ValueError("x3 block dimension mismatch")
-        dv = xj - xh
-        total += float(dv @ dv)
-    z3 = np.asarray(z3, float)
-    if z3.shape != z_hat.shape:
-        raise ValueError("z3 dimension mismatch")
-    dz = z3 - z_hat
-    return total + float(dz @ dz)
+    return _eval_h(trace, "I", x3, z3)
 
 
 def eval_h2(trace: UnrollTrace, x2: Sequence[Array], z2: Array) -> float:
     """Squared deviation of ({x2_j}, z2) from the trace's final level-2 estimate."""
-    if trace.layer != "II":
-        raise FedtriError("eval_h2 needs a layer-II trace")
-    x_hat, z_hat = trace.estimate
-    if len(x2) != len(x_hat):
-        raise ValueError("worker count mismatch")
-    total = 0.0
-    for xj, xh in zip(x2, x_hat):
-        xj = np.asarray(xj, float)
-        if xj.shape != xh.shape:
-            raise ValueError("x2 block dimension mismatch")
-        dv = xj - xh
-        total += float(dv @ dv)
-    z2 = np.asarray(z2, float)
-    if z2.shape != z_hat.shape:
-        raise ValueError("z2 dimension mismatch")
-    dz = z2 - z_hat
-    return total + float(dz @ dz)
+    return _eval_h(trace, "II", x2, z2)
+
+
+def _rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
+    inputs = dict(trace.inputs)
+    inputs.update(overrides)
+    init = trace.init_arrays()
+    if trace.layer == "I":
+        return solve_level3(trace.problem, inputs["z1"], inputs["z2p"], init=init, cfg=trace.cfg)
+    return solve_level2(trace.problem, inputs["z1"], inputs["z3"], inputs["x3"],
+                        trace.poly1, init=init, cfg=trace.cfg)
 
 
 def rerun_estimate(trace: UnrollTrace, **overrides) -> tuple[tuple[Array, ...], Array]:
@@ -342,146 +349,99 @@ def rerun_estimate(trace: UnrollTrace, **overrides) -> tuple[tuple[Array, ...], 
     the trace, so the result is the trace's own estimate map evaluated at the
     new inputs.
     """
-    inputs = dict(trace.inputs)
-    inputs.update(overrides)
-    init = trace.init_arrays()
-    if trace.layer == "I":
-        t = solve_level3(trace.problem, inputs["z1"], inputs["z2p"],
-                         init=(init[0], init[1], init[2]), cfg=trace.cfg)
-    else:
-        t = solve_level2(trace.problem, inputs["z1"], inputs["z3"], inputs["x3"],
-                         trace.poly1, init=init, cfg=trace.cfg)
-    return t.estimate
+    return _rerun(trace, **overrides).estimate
 
 
 # ---------------------------------------------------------------------------
 # Gradients of h through the unroll
 
-
-def _deviation(trace, point):
-    if trace.layer == "I":
-        x3, _, _, z3 = point
-        x_hat, z_hat = trace.estimate
-        return [np.asarray(a, float) - b for a, b in zip(x3, x_hat)], np.asarray(z3, float) - z_hat
-    x2 = point[0]
-    z2 = point[3]
-    x_hat, z_hat = trace.estimate
-    return [np.asarray(a, float) - b for a, b in zip(x2, x_hat)], np.asarray(z2, float) - z_hat
-
-
-def _h_at_inputs(trace, point, **overrides):
-    x_hat, z_hat = rerun_estimate(trace, **overrides)
-    if trace.layer == "I":
-        x3, _, _, z3 = point
-        dev = sum(float((np.asarray(a) - b) @ (np.asarray(a) - b)) for a, b in zip(x3, x_hat))
-        dz = np.asarray(z3, float) - z_hat
-        return dev + float(dz @ dz)
-    x2, _, _, z2, _ = point
-    dev = sum(float((np.asarray(a) - b) @ (np.asarray(a) - b)) for a, b in zip(x2, x_hat))
-    dz = np.asarray(z2, float) - z_hat
-    return dev + float(dz @ dz)
+# The oracle block each frozen input occupies; z3 reaches the level-2 unroll
+# only through the layer-I cuts.
+_ORACLE_BLOCK = {"z1": 1, "z2p": 2, "x3": 3, "z3": None}
+# grad_h block names of each layer's frozen inputs.
+_FROZEN = {"I": {"z1": "z1", "z2": "z2p"}, "II": {"z1": "z1", "z3": "z3", "x3": "x3"}}
 
 
 def _fd_through_unroll(trace, point, key, base: Array, worker: Optional[int] = None) -> Array:
     base = np.asarray(base, float)
     h = default_fd_step(base)
     g = np.zeros_like(base)
+
+    def h_at(value) -> float:
+        if worker is None:
+            x_hat, z_hat = rerun_estimate(trace, **{key: value})
+        else:
+            x3 = list(trace.inputs["x3"])
+            x3[worker] = value
+            x_hat, z_hat = rerun_estimate(trace, x3=tuple(x3))
+        return _sq_deviation(point[0], point[3], x_hat, z_hat)
+
     for k in range(base.size):
         e = np.zeros_like(base)
         e[k] = h
-        if worker is None:
-            hp = _h_at_inputs(trace, point, **{key: base + e})
-            hm = _h_at_inputs(trace, point, **{key: base - e})
-        else:
-            x3 = list(trace.inputs["x3"])
-            x3[worker] = base + e
-            hp = _h_at_inputs(trace, point, x3=tuple(x3))
-            x3[worker] = base - e
-            hm = _h_at_inputs(trace, point, x3=tuple(x3))
-        g[k] = (hp - hm) / (2.0 * h)
+        g[k] = (h_at(base + e) - h_at(base - e)) / (2.0 * h)
     return g
 
 
-def _analytic_level3_jacobians(trace, wblock: int) -> tuple[list[Array], Array]:
-    """Jacobians of the level-3 estimate w.r.t. frozen block 1 (z1) or 2 (z2')."""
+def _analytic_jacobians(trace, key: str, worker: Optional[int] = None):
+    """Jacobians of the estimate w.r.t. one frozen input, forward through the rounds.
+
+    ``key`` is "z1" or "z2p" for a layer-I trace and "z1", "z3" or "x3" (the
+    block of ``worker``) for a layer-II trace.  At the slack/dual clamp kinks
+    the subgradient follows the branch the recorded forward pass took.
+    """
     p = trace.problem
     cfg = trace.cfg
     d = p.dims
-    z1, z2p = trace.inputs["z1"], trace.inputs["z2p"]
-    dw = d.block(wblock)
     N = d.N
-    Dx = [np.zeros((d.d3, dw)) for _ in range(N)]
-    Dz = np.zeros((d.d3, dw))
-    Dphi = [np.zeros((d.d3, dw)) for _ in range(N)]
-    for k in range(cfg.K):
-        snap = trace.snapshots[k]
-        Dgx = []
-        for j in range(N):
-            Hxx = p.cross_hess(3, j, 3, 3, z1, z2p, snap.x[j])
-            Hxw = p.cross_hess(3, j, 3, wblock, z1, z2p, snap.x[j])
-            Dgx.append(Hxw + Hxx @ Dx[j] + Dphi[j] + cfg.kappa3 * (Dx[j] - Dz))
-        Dgz = -sum(Dphi[j] + cfg.kappa3 * (Dx[j] - Dz) for j in range(N))
-        Dx = [Dx[j] - cfg.eta_x * Dgx[j] for j in range(N)]
-        Dz = Dz - cfg.eta_z * Dgz
-        Dphi = [Dphi[j] + cfg.eta_phi * (Dx[j] - Dz) for j in range(N)]
-    return Dx, Dz
-
-
-def _analytic_level2_jacobians(trace, key: str, worker: Optional[int] = None):
-    """Jacobians of the level-2 estimate w.r.t. z1, z3 or one frozen x3 block."""
-    p = trace.problem
-    cfg = trace.cfg
-    d = p.dims
+    level = trace.level
+    dl = d.block(level)
     z1 = trace.inputs["z1"]
-    x3 = trace.inputs["x3"]
-    N = d.N
+    z2p = trace.inputs.get("z2p")
+    x3 = trace.inputs.get("x3")
+    wblock = _ORACLE_BLOCK[key]
+    dw = d.block(int(key[1]))
     poly1 = trace.poly1
     L = len(poly1)
-    if key == "z1":
-        dw, wblock = d.d1, 1
-        dconst = np.stack([c.a1 for c in poly1]) if L else np.zeros((0, d.d1))
-    elif key == "z3":
-        dw, wblock = d.d3, None
-        dconst = np.stack([c.a3 for c in poly1]) if L else np.zeros((0, d.d3))
-    elif key == "x3":
-        dw, wblock = d.d3, 3
-        dconst = np.stack([c.b3[worker] for c in poly1]) if L else np.zeros((0, d.d3))
-    else:  # pragma: no cover
-        raise ValueError(key)
-    a2s = np.stack([c.a2 for c in poly1]) if L else np.zeros((0, d.d2))
-    eta_z, eta_gamma = level2_steps(cfg, poly1, N)
+    if level == 3:
+        kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
+    else:
+        kappa = cfg.kappa2
+        eta_z, eta_gamma = level2_steps(cfg, poly1, N)
+    if L:
+        dconst = np.stack([c.b3[worker] if key == "x3" else getattr(c, "a" + key[1])
+                           for c in poly1])
+        a2s = np.stack([c.a2 for c in poly1])
 
-    Dx = [np.zeros((d.d2, dw)) for _ in range(N)]
-    Dz2 = np.zeros((d.d2, dw))
-    Dphi = [np.zeros((d.d2, dw)) for _ in range(N)]
+    Dx = [np.zeros((dl, dw)) for _ in range(N)]
+    Dz = np.zeros((dl, dw))
+    Dphi = [np.zeros((dl, dw)) for _ in range(N)]
     Ds = np.zeros((L, dw))
     Dgam = np.zeros((L, dw))
     for k in range(cfg.K):
-        snap = trace.snapshots[k]
-        nxt = trace.snapshots[k + 1]
+        xk = trace.x[k]
         Dgx = []
         for j in range(N):
-            Hxx = p.cross_hess(2, j, 2, 2, z1, snap.x[j], x3[j])
-            if wblock is None or (key == "x3" and j != worker):
-                Hxw = np.zeros((d.d2, dw))
+            args = (z1, z2p, xk[j]) if level == 3 else (z1, xk[j], x3[j])
+            Hxx = p.cross_hess(level, j, level, level, *args)
+            if wblock is None or (worker is not None and j != worker):
+                Hxw = np.zeros((dl, dw))
             else:
-                Hxw = p.cross_hess(2, j, 2, wblock, z1, snap.x[j], x3[j])
-            Dgx.append(Hxw + Hxx @ Dx[j] + Dphi[j] + cfg.kappa2 * (Dx[j] - Dz2))
-        Dgz2 = -sum(Dphi[j] + cfg.kappa2 * (Dx[j] - Dz2) for j in range(N))
+                Hxw = p.cross_hess(level, j, level, wblock, *args)
+            Dgx.append(Hxw + Hxx @ Dx[j] + Dphi[j] + kappa * (Dx[j] - Dz))
+        Dgz = -sum(Dphi[j] + kappa * (Dx[j] - Dz) for j in range(N))
         if L:
-            Dr = dconst + a2s @ Dz2 + Ds
-            Dgz2 = Dgz2 + a2s.T @ (Dgam + cfg.rho2 * Dr)
+            Dr = dconst + a2s @ Dz + Ds
+            Dgz = Dgz + a2s.T @ (Dgam + cfg.rho2 * Dr)
         Dx = [Dx[j] - cfg.eta_x * Dgx[j] for j in range(N)]
-        Dz2 = Dz2 - eta_z * Dgz2
+        Dz = Dz - eta_z * Dgz
         if L:
-            # Subgradient choice at the slack/dual clamp kinks follows the
-            # branch the recorded forward pass took.
-            s_active = (nxt.s > 0.0).astype(float)[:, None]
-            Ds = s_active * (-(dconst + a2s @ Dz2) - Dgam / cfg.rho2)
-            g_active = (nxt.gamma > 0.0).astype(float)[:, None]
-            Dgam = g_active * (Dgam + eta_gamma * (dconst + a2s @ Dz2 + Ds))
-        Dphi = [Dphi[j] + cfg.eta_phi * (Dx[j] - Dz2) for j in range(N)]
-    return Dx, Dz2
+            s_active = (trace.s[k + 1] > 0.0).astype(float)[:, None]
+            Ds = s_active * (-(dconst + a2s @ Dz) - Dgam / cfg.rho2)
+            g_active = (trace.gamma[k + 1] > 0.0).astype(float)[:, None]
+            Dgam = g_active * (Dgam + eta_gamma * (dconst + a2s @ Dz + Ds))
+        Dphi = [Dphi[j] + cfg.eta_phi * (Dx[j] - Dz) for j in range(N)]
+    return Dx, Dz
 
 
 def grad_h(trace: UnrollTrace, wrt: str, point, mode: str = "finite-diff") -> Array:
@@ -505,43 +465,21 @@ def grad_h(trace: UnrollTrace, wrt: str, point, mode: str = "finite-diff") -> Ar
         )
     name, _, idx = wrt.partition(":")
     j = int(idx) if idx else None
-    dev_x, dev_z = _deviation(trace, point)
-
-    if trace.layer == "I":
-        x3, z1, z2p, z3 = point
-        if name == "x3":
-            return 2.0 * dev_x[j]
-        if name == "z3":
-            return 2.0 * dev_z
-        if name not in ("z1", "z2"):
-            raise ValueError(f"unknown block {wrt!r} for a layer-I trace")
-        key = "z1" if name == "z1" else "z2p"
-        if mode == "finite-diff":
-            return _fd_through_unroll(trace, point, key, trace.inputs[key])
-        Dx, Dz = _analytic_level3_jacobians(trace, 1 if name == "z1" else 2)
-        g = -2.0 * Dz.T @ dev_z
-        for dj, Dj in zip(dev_x, Dx):
-            g = g - 2.0 * Dj.T @ dj
-        return g
-
-    x2, x3, z1, z2, z3 = point
-    if name == "x2":
-        return 2.0 * dev_x[j]
-    if name == "z2":
-        return 2.0 * dev_z
-    if name == "x3":
-        if mode == "finite-diff":
-            return _fd_through_unroll(trace, point, "x3", trace.inputs["x3"][j], worker=j)
-        Dx, Dz2 = _analytic_level2_jacobians(trace, "x3", worker=j)
-    elif name in ("z1", "z3"):
-        if mode == "finite-diff":
-            return _fd_through_unroll(trace, point, name, trace.inputs[name])
-        Dx, Dz2 = _analytic_level2_jacobians(trace, name)
-    else:
-        raise ValueError(f"unknown block {wrt!r} for a layer-II trace")
-    g = -2.0 * Dz2.T @ dev_z
-    for dj, Dj in zip(dev_x, Dx):
-        g = g - 2.0 * Dj.T @ dj
+    x_hat, z_hat = trace.estimate
+    if name == f"x{trace.level}":
+        return 2.0 * (np.asarray(point[0][j], float) - x_hat[j])
+    if name == f"z{trace.level}":
+        return 2.0 * (np.asarray(point[3], float) - z_hat)
+    key = _FROZEN[trace.layer].get(name)
+    if key is None:
+        raise ValueError(f"unknown block {wrt!r} for a layer-{trace.layer} trace")
+    if mode == "finite-diff":
+        base = trace.inputs[key] if j is None else trace.inputs[key][j]
+        return _fd_through_unroll(trace, point, key, base, worker=j)
+    Dx, Dz = _analytic_jacobians(trace, key, worker=j)
+    g = -2.0 * Dz.T @ (np.asarray(point[3], float) - z_hat)
+    for xj, xh, Dj in zip(point[0], x_hat, Dx):
+        g = g - 2.0 * Dj.T @ (np.asarray(xj, float) - xh)
     return g
 
 
@@ -561,80 +499,47 @@ class FlatH:
     unpack: Callable[[Array], tuple]
 
 
-def h1_flat(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
-    """h_I over the flat vector [x3_1 .. x3_N, z1, z2', z3]."""
+def _flat(trace: UnrollTrace, grad_mode: str) -> FlatH:
+    """h of the trace's layer over the flat concatenation of its point's blocks."""
     d = trace.problem.dims
     N = d.N
-    dim = N * d.d3 + d.d1 + d.d2 + d.d3
+    sizes = (d.d3,) if trace.layer == "I" else (d.d2, d.d3)  # per-worker blocks
+    dim = N * sum(sizes) + d.d1 + d.d2 + d.d3
 
     def unpack(v: Array):
         v = np.asarray(v, float)
-        x3 = [v[j * d.d3:(j + 1) * d.d3] for j in range(N)]
-        off = N * d.d3
-        z1 = v[off: off + d.d1]
-        z2p = v[off + d.d1: off + d.d1 + d.d2]
-        z3 = v[off + d.d1 + d.d2:]
-        return x3, z1, z2p, z3
+        point, off = [], 0
+        for db in sizes:
+            point.append([v[off + j * db: off + (j + 1) * db] for j in range(N)])
+            off += N * db
+        return (*point, v[off: off + d.d1], v[off + d.d1: off + d.d1 + d.d2],
+                v[off + d.d1 + d.d2:])
 
-    def pack(x3, z1, z2p, z3) -> Array:
-        return np.concatenate([*x3, z1, z2p, z3])
+    def pack(*point) -> Array:
+        return np.concatenate([*(a for blocks in point[:-3] for a in blocks), *point[-3:]])
+
+    def frozen(point) -> dict:
+        if trace.layer == "I":
+            return {"z1": point[1], "z2p": point[2]}
+        return {"z1": point[2], "z3": point[4], "x3": tuple(point[1])}
 
     def fn(v: Array) -> float:
-        x3, z1, z2p, z3 = unpack(v)
-        x_hat, z_hat = rerun_estimate(trace, z1=z1, z2p=z2p)
-        dev = sum(float((a - b) @ (a - b)) for a, b in zip(x3, x_hat))
-        dz = z3 - z_hat
-        return dev + float(dz @ dz)
+        point = unpack(v)
+        return _sq_deviation(point[0], point[3], *rerun_estimate(trace, **frozen(point)))
 
     def grad(v: Array) -> Array:
         point = unpack(v)
-        sub = solve_level3(trace.problem, point[1], point[2],
-                           init=trace.init_arrays()[:3], cfg=trace.cfg)
-        parts = [grad_h(sub, f"x3:{j}", point, mode=grad_mode) for j in range(N)]
-        parts.append(grad_h(sub, "z1", point, mode=grad_mode))
-        parts.append(grad_h(sub, "z2", point, mode=grad_mode))
-        parts.append(grad_h(sub, "z3", point, mode=grad_mode))
-        return np.concatenate(parts)
+        sub = _rerun(trace, **frozen(point))
+        return np.concatenate([grad_h(sub, w, point, mode=grad_mode) for w in sub.point_blocks])
 
     return FlatH(trace=trace, dim=dim, fn=fn, grad=grad, pack=pack, unpack=unpack)
+
+
+def h1_flat(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
+    """h_I over the flat vector [x3_1 .. x3_N, z1, z2', z3]."""
+    return _flat(trace, grad_mode)
 
 
 def h2_flat(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
     """h_II over the flat vector [x2_1 .. x2_N, x3_1 .. x3_N, z1, z2, z3]."""
-    d = trace.problem.dims
-    N = d.N
-    dim = N * d.d2 + N * d.d3 + d.d1 + d.d2 + d.d3
-
-    def unpack(v: Array):
-        v = np.asarray(v, float)
-        x2 = [v[j * d.d2:(j + 1) * d.d2] for j in range(N)]
-        off = N * d.d2
-        x3 = [v[off + j * d.d3: off + (j + 1) * d.d3] for j in range(N)]
-        off += N * d.d3
-        z1 = v[off: off + d.d1]
-        z2 = v[off + d.d1: off + d.d1 + d.d2]
-        z3 = v[off + d.d1 + d.d2:]
-        return x2, x3, z1, z2, z3
-
-    def pack(x2, x3, z1, z2, z3) -> Array:
-        return np.concatenate([*x2, *x3, z1, z2, z3])
-
-    def fn(v: Array) -> float:
-        x2, x3, z1, z2, z3 = unpack(v)
-        x_hat, z_hat = rerun_estimate(trace, z1=z1, z3=z3, x3=tuple(x3))
-        dev = sum(float((a - b) @ (a - b)) for a, b in zip(x2, x_hat))
-        dz = z2 - z_hat
-        return dev + float(dz @ dz)
-
-    def grad(v: Array) -> Array:
-        point = unpack(v)
-        sub = solve_level2(trace.problem, point[2], point[4], tuple(point[1]),
-                           trace.poly1, init=trace.init_arrays(), cfg=trace.cfg)
-        parts = [grad_h(sub, f"x2:{j}", point, mode=grad_mode) for j in range(N)]
-        parts += [grad_h(sub, f"x3:{j}", point, mode=grad_mode) for j in range(N)]
-        parts.append(grad_h(sub, "z1", point, mode=grad_mode))
-        parts.append(grad_h(sub, "z2", point, mode=grad_mode))
-        parts.append(grad_h(sub, "z3", point, mode=grad_mode))
-        return np.concatenate(parts)
-
-    return FlatH(trace=trace, dim=dim, fn=fn, grad=grad, pack=pack, unpack=unpack)
+    return _flat(trace, grad_mode)

@@ -11,7 +11,6 @@ from fedtri.core import (
     estimate_mu,
     finite_diff_grad,
     project_ball_sq,
-    reformulate_consensus,
 )
 from fedtri.problems import build_quadratic_problem
 
@@ -36,35 +35,6 @@ class TestDims:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             Dims(**kwargs)
-
-
-class TestReformulateConsensus:
-    def test_single_worker_degenerate(self):
-        view = reformulate_consensus(make_problem((1, 1, 1), N=1))
-        assert len(view.descriptors) == 3
-        for level in (1, 2, 3):
-            assert view.descriptors_for_level(level) == ((level, 0),)
-
-    def test_descriptor_counting(self):
-        view = reformulate_consensus(make_problem((2, 3, 5), N=4))
-        assert len(view.descriptors) == 12
-        for level in (1, 2, 3):
-            assert len(view.descriptors_for_level(level)) == 4
-
-    def test_diabetes_protocol_worker_count(self):
-        # Four workers, matching the diabetes benchmark protocol row.
-        view = reformulate_consensus(make_problem((1, 2, 3), N=4))
-        assert len(view.descriptors_for_level(1)) == 4
-
-    def test_objective_passthrough_exact(self):
-        problem = make_problem((2, 2, 2), N=2)
-        view = reformulate_consensus(problem)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            args = [rng.standard_normal(2) for _ in range(3)]
-            for level in (1, 2, 3):
-                for j in range(2):
-                    assert view.eval_local(level, j, *args) == problem.eval(level, j, *args)
 
 
 class TestFiniteDiffGrad:

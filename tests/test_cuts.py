@@ -226,13 +226,6 @@ class TestPolytopeOps:
         with pytest.raises(ValueError):
             Polytope(layer="I", cuts=(toy_cut(cut_id=0), toy_cut(cut_id=0, seed=1)))
 
-    def test_json_roundtrip(self):
-        poly = Polytope(layer="II", cuts=(toy_cut("II", cut_id=3),))
-        back = Polytope.from_json_dict(poly.to_json_dict())
-        assert back.size == 1
-        assert np.array_equal(back.cuts[0].a1, poly.cuts[0].a1)
-        assert back.cuts[0].c == poly.cuts[0].c
-
 
 class TestDropInactive:
     def make_polys(self, n1=3, n2=2):

@@ -13,9 +13,7 @@ from fedtri.harness import (
     ScheduleConfig,
     comm_cost_cuts,
     comm_cost_iter,
-    load_checkpoint,
     run,
-    save_checkpoint,
     schedule_epoch,
     time_to_gap,
     validate_runlog,
@@ -355,16 +353,3 @@ class TestSerialization:
         res.log.write_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,gap_sq,f1,f2,f3,sim_time,p1,p2,c1"
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        problem, _, inner, outer = quad_setup(max_iters=25)
-        sched = ScheduleConfig(N=2, S=2, seed=0)
-        res = run(problem, inner, outer, sched)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(res, path)
-        state, duals, poly1, poly2, meta = load_checkpoint(path)
-        for i in range(3):
-            assert np.allclose(state.z[i], res.state.z[i])
-        assert np.allclose(duals.lam, res.duals.lam)
-        assert poly2.size == res.poly2.size
-        assert meta["t"] == res.log.records[-1].t
