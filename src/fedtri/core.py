@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -154,7 +154,7 @@ class TrilevelProblem:
 class PrimalState:
     """Per-worker local blocks plus master-held consensus blocks."""
 
-    x: list[list[Array]]  # x[i-1][j], block i in {1,2,3}, worker j in 0..N-1
+    x: list[Array]  # x[i-1] is (N, d_i): row j is worker j's block i
     z: list[Array]  # z[i-1]
 
     @staticmethod
@@ -163,58 +163,136 @@ class PrimalState:
         for i, b in enumerate(blocks):
             if b.shape != (dims.block(i + 1),):
                 raise ValueError(f"block {i + 1} has shape {b.shape}")
-        x = [[blocks[i].copy() for _ in range(dims.N)] for i in range(3)]
-        z = [blocks[i].copy() for i in range(3)]
-        return PrimalState(x=x, z=z)
+        return PrimalState(x=[np.tile(b, (dims.N, 1)) for b in blocks],
+                           z=[b.copy() for b in blocks])
 
     def copy(self) -> "PrimalState":
-        return PrimalState(
-            x=[[xj.copy() for xj in row] for row in self.x],
-            z=[zi.copy() for zi in self.z],
-        )
+        return PrimalState(x=[a.copy() for a in self.x], z=[a.copy() for a in self.z])
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(xj)) for row in self.x for xj in row) and all(
-            np.all(np.isfinite(zi)) for zi in self.z
-        )
+        return all(np.isfinite(a).all() for a in (*self.x, *self.z))
 
 
 @dataclass
 class DualState:
-    """Outer duals plus the latest inner duals and slacks.
+    """Outer duals: ``lam`` (L,) in the layer-II polytope's cut order, ``theta`` (N, d1)."""
 
-    ``lam`` is aligned with the layer-II polytope's cut order, ``gamma`` and
-    ``slack`` with the layer-I polytope's.  ``theta`` holds one vector of
-    length d1 per worker.
-    """
-
-    lam: Array = field(default_factory=lambda: np.zeros(0))
-    theta: list[Array] = field(default_factory=list)
-    phi2: list[Array] = field(default_factory=list)
-    phi3: list[Array] = field(default_factory=list)
-    gamma: Array = field(default_factory=lambda: np.zeros(0))
-    slack: Array = field(default_factory=lambda: np.zeros(0))
+    lam: Array
+    theta: Array
 
     @staticmethod
-    def zeros(dims: Dims, n_cuts2: int = 0, n_cuts1: int = 0) -> "DualState":
-        return DualState(
-            lam=np.zeros(n_cuts2),
-            theta=[np.zeros(dims.d1) for _ in range(dims.N)],
-            phi2=[np.zeros(dims.d2) for _ in range(dims.N)],
-            phi3=[np.zeros(dims.d3) for _ in range(dims.N)],
-            gamma=np.zeros(n_cuts1),
-            slack=np.zeros(n_cuts1),
-        )
+    def zeros(dims: Dims, n_cuts2: int = 0) -> "DualState":
+        return DualState(lam=np.zeros(n_cuts2), theta=np.zeros((dims.N, dims.d1)))
 
     def copy(self) -> "DualState":
-        return DualState(
-            lam=self.lam.copy(),
-            theta=[t.copy() for t in self.theta],
-            phi2=[p.copy() for p in self.phi2],
-            phi3=[p.copy() for p in self.phi3],
-            gamma=self.gamma.copy(),
-            slack=self.slack.copy(),
-        )
+        return DualState(lam=self.lam.copy(), theta=self.theta.copy())
+
+
+LAYER_I = "I"
+LAYER_II = "II"
+
+
+@dataclass(frozen=True)
+class Cut:
+    """One linear inequality ``a . z + b . x <= c``.
+
+    Layer-I cuts carry coefficients for (z1, z2', z3) and the per-worker x3
+    blocks, ``b3`` of shape (N, d3); layer-II cuts additionally carry the
+    per-worker x2 blocks, ``b2`` of shape (N, d2).  A sequence of per-worker
+    vectors is stacked on construction.  The generators return the raw
+    linearization of h; ``run`` stores each cut rescaled by ``normalize_cut``
+    to ``||(a, b)|| = 1``.  That is a reformulation of the raw cut: the
+    half-space is the same, a stored cut's residual is a signed distance along
+    its unit normal, and its dual is measured per unit of that distance.
+    """
+
+    layer: str
+    a1: Array
+    a2: Array
+    a3: Array
+    b3: Array
+    c: float
+    id: int
+    born_at: int
+    b2: Optional[Array] = None
+
+    def __post_init__(self):
+        if self.layer not in (LAYER_I, LAYER_II):
+            raise ValueError(f"unknown layer {self.layer!r}")
+        if self.layer == LAYER_II and self.b2 is None:
+            raise ValueError("layer-II cuts need x2 coefficients")
+        for name in ("b3", "b2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        arrays = [self.a1, self.a2, self.a3, self.b3] + ([] if self.b2 is None else [self.b2])
+        if not all(np.isfinite(a).all() for a in arrays) or not np.isfinite(self.c):
+            raise NonFiniteError("cut coefficients must be finite")
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """An immutable, ordered set of same-layer cuts and their stacked coefficients.
+
+    ``W`` has one row per cut over the flat point ``[z1, z2, z3, x3_1 .. x3_N]``,
+    followed by ``x2_1 .. x2_N`` for layer II.  ``A1``, ``A2``, ``A3`` (L, d_i)
+    and ``B3``, ``B2`` (L, N, d_i) are views into it, and ``c`` is (L,).  They
+    are built once; a refinement builds a new polytope.
+    """
+
+    layer: str
+    cuts: tuple[Cut, ...] = ()
+
+    def __post_init__(self):
+        ids = [c.id for c in self.cuts]
+        if len(set(ids)) != len(ids):
+            raise ValueError("cut ids must be unique")
+        if any(c.layer != self.layer for c in self.cuts):
+            raise ValueError("all cuts must share the polytope's layer")
+        L = len(self.cuts)
+        if L:
+            shapes = [p.shape for p in self._coefficients(self.cuts[0])]
+        else:
+            shapes = [(0,)] * 3 + [(0, 0)] * (2 if self.layer == LAYER_II else 1)
+        widths = [int(np.prod(shape)) for shape in shapes]
+        W = np.array([np.concatenate([p.ravel() for p in self._coefficients(c)])
+                      for c in self.cuts]).reshape(L, sum(widths))
+        views = np.split(W, np.cumsum(widths)[:-1], axis=1)
+        A1, A2, A3, B3, *B2 = (v.reshape((L,) + shape) for v, shape in zip(views, shapes))
+        for name, value in (("W", W), ("A1", A1), ("A2", A2), ("A3", A3), ("B3", B3),
+                            ("B2", B2[0] if B2 else None),
+                            ("c", np.array([c.c for c in self.cuts], float))):
+            object.__setattr__(self, name, value)
+
+    def _coefficients(self, cut: Cut) -> list[Array]:
+        """A cut's coefficient blocks in the column order of ``W``."""
+        return [cut.a1, cut.a2, cut.a3, cut.b3] + ([cut.b2] if self.layer == LAYER_II else [])
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    @property
+    def size(self) -> int:
+        return len(self.cuts)
+
+    def ids(self) -> tuple[int, ...]:
+        return tuple(c.id for c in self.cuts)
+
+    def residuals(self, x3, z1, z2, z3, x2=None) -> Array:
+        """Every cut's ``(a . z + b . x) - c``, shape (L,); nonpositive means satisfied.
+
+        ``x3`` and ``x2`` hold one row per worker.  One cut is the one-row case.
+        """
+        if not self.cuts:
+            return np.zeros(0)
+        blocks = [z1, z2, z3, np.ravel(x3)]
+        if self.layer == LAYER_II:
+            if x2 is None:
+                raise ValueError("layer-II cuts need the x2 blocks")
+            blocks.append(np.ravel(x2))
+        return self.W @ np.concatenate(blocks) - self.c
+
+    def contains(self, x3, z1, z2, z3, x2=None, tol: float = 0.0) -> bool:
+        return bool((self.residuals(x3, z1, z2, z3, x2=x2) <= tol).all())
 
 
 def default_fd_step(v: Array) -> float:
@@ -248,8 +326,8 @@ def project_ball_sq(v: Array, alpha: float) -> Array:
     nrm_sq = float(v @ v)
     if not np.isfinite(nrm_sq):
         raise NonFiniteError("cannot project a non-finite vector")
-    if nrm_sq <= alpha or nrm_sq == 0.0:
-        return v.copy() if nrm_sq <= alpha else np.zeros_like(v)
+    if nrm_sq <= alpha:
+        return v.copy()
     return v * np.sqrt(alpha / nrm_sq)
 
 

@@ -1,92 +1,22 @@
-"""Generation, storage, validity checking and pruning of the two cut layers."""
+"""Generation, normalization, validity checking and pruning of the two cut layers.
+
+``Cut`` and ``Polytope`` are defined in ``core``, where the unrolls can read them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Array, FedtriError, NonFiniteError
+from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope
 from .inner import FlatH, UnrollTrace, eval_h1, eval_h2, grad_h, rerun_estimate
 
-LAYER_I = "I"
-LAYER_II = "II"
 
-
-@dataclass(frozen=True)
-class Cut:
-    """One linear inequality ``a . z + b . x <= c``.
-
-    Layer-I cuts carry coefficients for (z1, z2', z3) and the per-worker x3
-    blocks; layer-II cuts additionally carry per-worker x2 blocks.  The
-    generators return the raw linearization of h; ``run`` stores each cut
-    rescaled by ``normalize_cut`` to ``||(a, b)|| = 1``.  That is a
-    reformulation of the raw cut: the half-space is the same,
-    a stored cut's residual is a signed distance along its unit normal, and
-    its dual is measured per unit of that distance.
-    """
-
-    layer: str
-    a1: Array
-    a2: Array
-    a3: Array
-    b3: tuple[Array, ...]
-    c: float
-    id: int
-    born_at: int
-    b2: Optional[tuple[Array, ...]] = None
-
-    def __post_init__(self):
-        if self.layer not in (LAYER_I, LAYER_II):
-            raise ValueError(f"unknown layer {self.layer!r}")
-        if self.layer == LAYER_II and self.b2 is None:
-            raise ValueError("layer-II cuts need x2 coefficients")
-        arrays = [self.a1, self.a2, self.a3, *self.b3, *(self.b2 or ())]
-        if not all(np.all(np.isfinite(a)) for a in arrays) or not np.isfinite(self.c):
-            raise NonFiniteError("cut coefficients must be finite")
-
-    def lhs(self, x3: Sequence[Array], z1: Array, z2: Array, z3: Array,
-            x2: Optional[Sequence[Array]] = None) -> float:
-        val = float(self.a1 @ z1) + float(self.a2 @ z2) + float(self.a3 @ z3)
-        val += sum(float(bj @ xj) for bj, xj in zip(self.b3, x3))
-        if self.layer == LAYER_II:
-            if x2 is None:
-                raise ValueError("layer-II cuts need the x2 blocks")
-            val += sum(float(bj @ xj) for bj, xj in zip(self.b2, x2))
-        return val
-
-
-def cut_violation(cut: Cut, x3: Sequence[Array], z1: Array, z2: Array, z3: Array,
-                  x2: Optional[Sequence[Array]] = None) -> float:
-    """Constraint residual ``(a . z + b . x) - c``; nonpositive means satisfied."""
-    return cut.lhs(x3, z1, z2, z3, x2=x2) - cut.c
-
-
-@dataclass(frozen=True)
-class Polytope:
-    layer: str
-    cuts: tuple[Cut, ...] = ()
-
-    def __post_init__(self):
-        ids = [c.id for c in self.cuts]
-        if len(set(ids)) != len(ids):
-            raise ValueError("cut ids must be unique")
-        if any(c.layer != self.layer for c in self.cuts):
-            raise ValueError("all cuts must share the polytope's layer")
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    @property
-    def size(self) -> int:
-        return len(self.cuts)
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.cuts)
-
-    def contains(self, x3, z1, z2, z3, x2=None, tol: float = 0.0) -> bool:
-        return all(cut_violation(c, x3, z1, z2, z3, x2=x2) <= tol for c in self.cuts)
+def cut_violation(cut: Cut, x3, z1: Array, z2: Array, z3: Array, x2=None) -> float:
+    """One cut's residual ``(a . z + b . x) - c``; nonpositive means satisfied."""
+    return float(Polytope(cut.layer, (cut,)).residuals(x3, z1, z2, z3, x2=x2)[0])
 
 
 def _ball_norms_sq(arrays) -> float:
@@ -100,15 +30,14 @@ def normalize_cut(cut: Cut) -> Cut:
     is and only rescales the cut's dual: a residual becomes a distance along
     the unit normal.  A cut with all-zero coefficients is returned unchanged.
     """
-    arrays = [cut.a1, cut.a2, cut.a3, *cut.b3, *(cut.b2 or ())]
-    nrm = np.sqrt(_ball_norms_sq(arrays))
+    rows = [cut.a1, cut.a2, cut.a3, *cut.b3, *(() if cut.b2 is None else cut.b2)]
+    nrm = np.sqrt(_ball_norms_sq(rows))
     if nrm == 0.0:
         return cut
     return Cut(
-        layer=cut.layer, a1=cut.a1 / nrm, a2=cut.a2 / nrm, a3=cut.a3 / nrm,
-        b3=tuple(b / nrm for b in cut.b3),
-        b2=None if cut.b2 is None else tuple(b / nrm for b in cut.b2),
-        c=cut.c / nrm, id=cut.id, born_at=cut.born_at,
+        layer=cut.layer, a1=cut.a1 / nrm, a2=cut.a2 / nrm, a3=cut.a3 / nrm, b3=cut.b3 / nrm,
+        b2=None if cut.b2 is None else cut.b2 / nrm, c=cut.c / nrm, id=cut.id,
+        born_at=cut.born_at,
     )
 
 
@@ -126,7 +55,7 @@ def drop_inactive(
     tol: float = 1e-10,
     protect2: Sequence[int] = (),
 ) -> tuple[Polytope, Polytope]:
-    """Remove cuts whose associated duals are (numerically) zero.
+    """Keep the cuts whose associated duals are not (numerically) zero.
 
     Layer-I cuts are judged by the final inner duals of the latest level-2
     unroll, layer-II cuts by the current outer duals.  ``protect2`` lists
@@ -142,12 +71,12 @@ def drop_inactive(
         raise ValueError("gamma_K length must match the layer-I polytope")
     if lambdas.shape != (poly2.size,):
         raise ValueError("lambdas length must match the layer-II polytope")
-    keep1 = tuple(c for c, g in zip(poly1.cuts, gamma_K) if abs(g) > tol)
-    protected = set(protect2)
-    keep2 = tuple(
-        c for c, l in zip(poly2.cuts, lambdas) if abs(l) > tol or c.id in protected
+    keep1 = np.abs(gamma_K) > tol
+    keep2 = (np.abs(lambdas) > tol) | np.isin(poly2.ids(), protect2)
+    return tuple(
+        Polytope(poly.layer, tuple(c for c, kept in zip(poly.cuts, keep) if kept))
+        for poly, keep in ((poly1, keep1), (poly2, keep2))
     )
-    return Polytope(layer=LAYER_I, cuts=keep1), Polytope(layer=LAYER_II, cuts=keep2)
 
 
 def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: float,
@@ -176,8 +105,8 @@ def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: fl
     )
     c = eps + mu * inflation - h0 + anchor_dot
     return Cut(
-        layer=layer, a1=g_z1, a2=g_z2, a3=g_z3, b3=tuple(g_lists[-1]),
-        b2=tuple(g_lists[0]) if layer == LAYER_II else None,
+        layer=layer, a1=g_z1, a2=g_z2, a3=g_z3, b3=g_lists[-1],
+        b2=g_lists[0] if layer == LAYER_II else None,
         c=float(c), id=cut_id, born_at=born_at,
     )
 
@@ -262,6 +191,7 @@ def validate_cut(
     the per-block bounds.  A valid cut admits zero violations.
     """
     rng = np.random.default_rng(seed)
+    one_row = Polytope(cut.layer, (cut,))
     d = h.trace.problem.dims
     N = d.N
     a1, a2, a3 = alphas
@@ -298,9 +228,9 @@ def validate_cut(
             continue
         accepted += 1
         if layer1:
-            resid = cut_violation(cut, x3, z1, z2p, z3)
+            resid = one_row.residuals(x3, z1, z2p, z3)[0]
         else:
-            resid = cut_violation(cut, x3, z1, z2, z3, x2=x2)
+            resid = one_row.residuals(x3, z1, z2, z3, x2=x2)[0]
         max_violation = max(max_violation, resid)
         if resid > tol:
             violations += 1

@@ -18,17 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
-from .cuts import (
-    Cut,
-    Polytope,
-    add_cut,
-    drop_inactive,
-    generate_cut_I,
-    generate_cut_II,
-    normalize_cut,
-)
+from .cuts import Polytope, add_cut, drop_inactive, generate_cut_I, generate_cut_II, normalize_cut
 from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
-from .outer import OuterConfig, WorkerView, master_step, stationarity_gap, worker_step
+from .outer import OuterConfig, master_step, stationarity_gap, worker_step
 
 
 class NumericAbort(FedtriError):
@@ -82,7 +74,6 @@ class ScheduleConfig:
     delay: DelayModel = field(default_factory=DelayModel)
     seed: int = 0
     sync_mode: bool = False
-    refine_latency_per_unit: float = 0.0
 
     def __post_init__(self):
         if self.N < 1:
@@ -216,27 +207,12 @@ class RunLog:
 
 
 @dataclass
-class CutEvent:
-    """What one refinement did: the cuts it added and dropped per layer."""
-
-    t: int
-    added_1: int
-    added_2: int
-    dropped_1: list[int]
-    dropped_2: list[int]
-    pre_ids_1: tuple[int, ...]
-    pre_ids_2: tuple[int, ...]
-
-
-@dataclass
 class RunResult:
     log: RunLog
     state: PrimalState
     duals: DualState
     poly1: Polytope
     poly2: Polytope
-    cut_registry: dict[int, Cut]
-    cut_events: list[CutEvent]
     clock: float
 
 
@@ -253,20 +229,20 @@ def run(
     inner_cfg: InnerConfig,
     outer_cfg: OuterConfig,
     sched_cfg: ScheduleConfig,
-    mu1: Optional[float] = None,
-    mu2: Optional[float] = None,
     grad_mode: str = "auto",
     raise_on_abort: bool = False,
 ) -> RunResult:
     """Execute the asynchronous loop until the gap target or max_iters.
 
-    Worker updates are computed against the snapshot from each worker's last
-    activation; every T_pre iterations (while the refinement horizon T1 is
-    open) the two inner unrolls run, one cut per layer is generated at the
-    current point, and inactive cuts are pruned.  Both layers' cuts are stored
+    Each iteration's stationarity gap is also the gradient sweep of the
+    workers dispatched after it: a worker's update is the projected step on
+    the gap's rows at its last activation.  Every T_pre iterations (while the
+    refinement horizon T1 is open) the two inner unrolls run, one cut per
+    layer is generated at the current point, and inactive cuts are pruned.  Both layers' cuts are stored
     at unit coefficient norm (``normalize_cut``), so the cut duals, their cap
     sqrt(alpha4) and the pruning tolerance are per unit distance along a cut
-    normal rather than in the raw linearization's units.
+    normal rather than in the raw linearization's units.  The cuts' weak-
+    convexity modulus is ``problem.weak_convexity_mu``.
 
     Non-finite numerics (``NonFiniteError``, ``InnerSolverError``) end the run
     with ``status="aborted"``, the log up to the last good iteration and the
@@ -278,10 +254,7 @@ def run(
         raise ValueError("problem and schedule disagree on the worker count")
     if grad_mode == "auto":
         grad_mode = "analytic" if problem.has_second_derivatives else "finite-diff"
-    if mu1 is None:
-        mu1 = problem.weak_convexity_mu
-    if mu2 is None:
-        mu2 = problem.weak_convexity_mu
+    mu = problem.weak_convexity_mu
     outer_cfg.check_floors(N=sched_cfg.N, M=1)
 
     N = problem.dims.N
@@ -292,8 +265,6 @@ def run(
     poly1 = Polytope(layer="I")
     poly2 = Polytope(layer="II")
     next_cut_id = 0
-    cut_registry: dict[int, Cut] = {}
-    cut_events: list[CutEvent] = []
     warm3 = warm2 = None  # (x, z, phi, s, gamma) inits, set only under warm_start
 
     log = RunLog(
@@ -305,18 +276,17 @@ def run(
     clock = 0.0
     staleness = [0] * N  # t - t_hat_j, the age of each worker's snapshot
 
-    def make_view(t: int) -> WorkerView:
-        c1, c2 = outer_cfg.reg_coeffs(t)
-        return WorkerView(t=t, state=state.copy(), duals=duals.copy(), poly2=poly2, c1=c1, c2=c2)
+    # Each worker's in-flight update, one (N, d_i) array per block.
+    results = [np.zeros_like(X) for X in state.x]
+    pending = [0.0] * N
 
-    def dispatch(indices, t: int):
-        view = make_view(t)
-        for j in indices:
-            results[j] = worker_step(problem, j, view, outer_cfg)
+    def dispatch(workers, gap):
+        """Start the workers' next updates from ``gap``, taken at the current state."""
+        rows = list(workers)
+        for R, U in zip(results, worker_step(problem, state, gap, outer_cfg, rows)):
+            R[rows] = U
+        for j in rows:
             pending[j] = clock + sched_cfg.delay.draw(rng, j)
-
-    results: list = [None] * N
-    pending: list = [0.0] * N
 
     def refine(t_at: int) -> tuple[list[int], list[int]]:
         """Generate one unit-normalized cut per layer at the current point, then prune.
@@ -325,52 +295,28 @@ def run(
         on the quadratic problems); unscaled, a fresh cut's violation drives
         its dual to the cap and the primal steps blow up.
         """
-        nonlocal poly1, poly2, next_cut_id, warm3, warm2, clock
-        pre1, pre2 = poly1.ids(), poly2.ids()
+        nonlocal poly1, poly2, next_cut_id, warm3, warm2
         trace1 = solve_level3(problem, state.z[0], state.z[1], init=warm3, cfg=inner_cfg)
-        point1 = (tuple(state.x[2]), state.z[0], state.z[1], state.z[2])
-        cut1 = normalize_cut(generate_cut_I(trace1, point1, mu1, inner_cfg.eps1,
+        cut1 = normalize_cut(generate_cut_I(trace1, (state.x[2], *state.z), mu, inner_cfg.eps1,
                                             problem.alphas, grad_mode=grad_mode,
                                             cut_id=next_cut_id, born_at=t_at))
-        next_cut_id += 1
         poly1 = add_cut(poly1, cut1)
 
         trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
-                              poly1.cuts, init=warm2, cfg=inner_cfg)
-        point2 = (tuple(state.x[1]), tuple(state.x[2]),
-                  state.z[0], state.z[1], state.z[2])
-        cut2 = normalize_cut(generate_cut_II(trace2, point2, mu2, inner_cfg.eps2,
-                                             problem.alphas, grad_mode=grad_mode,
-                                             cut_id=next_cut_id, born_at=t_at))
-        next_cut_id += 1
+                              poly1, init=warm2, cfg=inner_cfg)
+        cut2 = normalize_cut(generate_cut_II(trace2, (state.x[1], state.x[2], *state.z), mu,
+                                             inner_cfg.eps2, problem.alphas, grad_mode=grad_mode,
+                                             cut_id=next_cut_id + 1, born_at=t_at))
+        next_cut_id += 2
         poly2 = add_cut(poly2, cut2)
-        lam = np.concatenate([duals.lam, [0.0]])
+        lam = np.append(duals.lam, 0.0)
 
-        gamma_k = trace2.gamma_K
-        new_poly1, new_poly2 = drop_inactive(
-            poly1, gamma_k, poly2, lam, protect2=(cut2.id,)
+        kept1, kept2 = drop_inactive(poly1, trace2.gamma_K, poly2, lam, protect2=(cut2.id,))
+        duals.lam = lam[np.isin(poly2.ids(), kept2.ids())]
+        dropped = sorted(set(poly1.ids()) - set(kept1.ids())) + sorted(
+            set(poly2.ids()) - set(kept2.ids())
         )
-        kept1 = {cid: i for i, cid in enumerate(poly1.ids())}
-        kept2 = {cid: i for i, cid in enumerate(poly2.ids())}
-        duals.gamma = np.array([gamma_k[kept1[cid]] for cid in new_poly1.ids()])
-        duals.slack = np.array(
-            [trace2.snapshots[-1].s[kept1[cid]] for cid in new_poly1.ids()]
-        )
-        duals.lam = np.array([lam[kept2[cid]] for cid in new_poly2.ids()])
-        dropped = sorted(set(pre1 + (cut1.id,)) - set(new_poly1.ids())) + sorted(
-            set(pre2 + (cut2.id,)) - set(new_poly2.ids())
-        )
-        cut_registry[cut1.id] = cut1
-        cut_registry[cut2.id] = cut2
-        cut_events.append(CutEvent(
-            t=t_at, added_1=cut1.id, added_2=cut2.id,
-            dropped_1=[i for i in dropped if i in kept1],
-            dropped_2=[i for i in dropped if i in kept2],
-            pre_ids_1=pre1, pre_ids_2=pre2,
-        ))
-        poly1, poly2 = new_poly1, new_poly2
-        duals.phi2 = [p.copy() for p in trace2.snapshots[-1].phi]
-        duals.phi3 = [p.copy() for p in trace1.snapshots[-1].phi]
+        poly1, poly2 = kept1, kept2
         if inner_cfg.warm_start:
             # Warm-start only the inner primal blocks; inner duals, slacks
             # and cut duals restart at zero every refinement (persisting them
@@ -380,9 +326,6 @@ def run(
                 (t.x[-1].copy(), t.z[-1].copy(), np.zeros_like(t.phi[-1]), None, None)
                 for t in (trace1, trace2)
             )
-        clock += sched_cfg.refine_latency_per_unit * 32 * _cut_event_cost(
-            N, inner_cfg.K, problem.dims, poly2.size
-        )
         return [cut1.id, cut2.id], dropped
 
     def finish(status: str) -> RunResult:
@@ -392,7 +335,7 @@ def run(
         log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K,
                                       problem.dims, sizes)
         return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2,
-                         cut_registry=cut_registry, cut_events=cut_events, clock=clock)
+                         clock=clock)
 
     t_now = 0  # the iteration in progress, for the abort record
     try:
@@ -405,29 +348,28 @@ def run(
             boot_added, boot_dropped = refine(0)
             boot_refined = True
 
-        gap0 = stationarity_gap(state, duals, poly2, problem, outer_cfg).sq_norm
+        gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
+        gap_sq = gap.sq_norm
         f1v, f2v, f3v = _objectives(problem, state)
         log.records.append(IterRecord(
-            t=0, sim_time=clock, active=[], staleness=list(staleness), gap_sq=gap0,
+            t=0, sim_time=clock, active=[], staleness=list(staleness), gap_sq=gap_sq,
             f1=f1v, f2=f2v, f3=f3v, p1_size=poly1.size, p2_size=poly2.size, c1=0,
             refined=boot_refined, cuts_added=boot_added, cuts_dropped=boot_dropped,
         ))
-        if gap0 <= outer_cfg.tol:
+        if gap_sq <= outer_cfg.tol:
             log.T_eps = 0
             return finish("converged")
-        dispatch(range(N), t=0)
+        dispatch(range(N), gap)
         status = "max_iters"
 
         for t_new in range(1, outer_cfg.max_iters + 1):
             t_now = t_new
             active, clock = schedule_epoch(pending, staleness, sched_cfg, clock)
-            for j in active:
-                if staleness[j] + 1 > sched_cfg.tau:
-                    raise FedtriError("staleness bound violated at delivery")
-                x1u, x2u, x3u = results[j]
-                state.x[0][j] = x1u
-                state.x[1][j] = x2u
-                state.x[2][j] = x3u
+            if any(staleness[j] + 1 > sched_cfg.tau for j in active):
+                raise FedtriError("staleness bound violated at delivery")
+            rows = list(active)
+            for X, R in zip(state.x, results):
+                X[rows] = R[rows]
             state, duals = master_step(state, duals, poly2, problem, outer_cfg, t=t_new - 1)
 
             refined = False
@@ -443,20 +385,21 @@ def run(
                 if staleness[j] > sched_cfg.tau:
                     raise FedtriError("staleness bound violated")
 
-            gap = stationarity_gap(state, duals, poly2, problem, outer_cfg).sq_norm
+            gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
+            gap_sq = gap.sq_norm
             f1v, f2v, f3v = _objectives(problem, state)
             c1_cost = comm_cost_iter(t_new, sched_cfg.S, problem.dims, poly2.size)
             log.c1_total += c1_cost
             log.records.append(IterRecord(
                 t=t_new, sim_time=clock, active=[j + 1 for j in active],
-                staleness=list(staleness), gap_sq=gap, f1=f1v, f2=f2v, f3=f3v,
+                staleness=list(staleness), gap_sq=gap_sq, f1=f1v, f2=f2v, f3=f3v,
                 p1_size=poly1.size, p2_size=poly2.size, c1=c1_cost,
                 refined=refined, cuts_added=added, cuts_dropped=dropped,
             ))
 
-            dispatch(active, t=t_new)
+            dispatch(active, gap)
 
-            if gap <= outer_cfg.tol:
+            if gap_sq <= outer_cfg.tol:
                 if log.T_eps is None:
                     log.T_eps = t_new
                 status = "converged"

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Array, FedtriError, TrilevelProblem, default_fd_step
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .cuts import Cut
+from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem, default_fd_step
 
 
 class InnerSolverError(FedtriError):
     pass
+
+
+_NO_POLY1 = Polytope(LAYER_I)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class UnrollTrace:
     phi: Array
     s: Optional[Array] = None
     gamma: Optional[Array] = None
-    poly1: tuple = ()  # layer-I cuts frozen into a layer-II trace
+    poly1: Polytope = _NO_POLY1  # layer-I cuts frozen into a layer-II trace
 
     def __post_init__(self):
         if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi)):
@@ -161,7 +161,7 @@ def _check_round(buf: Array, k: int, what: str) -> None:
         raise InnerSolverError(f"non-finite {what} at round {k}")
 
 
-_NO_CUTS = (np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
+_NO_CUTS = (np.zeros(0), np.zeros((0, 0)), 0.0)
 
 
 def _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg):
@@ -169,31 +169,30 @@ def _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg):
 
     Reads row k of the recorded path arrays and writes row k + 1.  ``grad``
     maps the stacked iterate to the stacked oracle gradient at the frozen
-    inputs.  ``cuts = (consts, a2s, cs, eta_gamma)`` carries the layer-I cuts
-    frozen into a level-2 unroll as slack-equipped penalty terms; level 3
-    runs the same round with none.
+    inputs.  ``cuts = (r0, A2, eta_gamma)`` carries the layer-I cuts frozen
+    into a level-2 unroll as slack-equipped penalty terms: their residual at
+    z2 is ``r0 + A2 @ z2``.  Level 3 runs the same round with none.
     """
-    consts, a2s, cs, eta_gamma = cuts
-    L = len(cs)
+    r0, a2s, eta_gamma = cuts
+    L = len(r0)
     xk, zk, phik = x[k], z[k], phi[k]
     pull = kappa * (xk - zk)
     gx = (grad(xk) + phik) + pull
     gz = -(phik + pull).sum(axis=0)
     if L:
         sk, gk = s[k], gamma[k]
-        hhat = consts + a2s @ zk
-        resid = hhat - cs + sk
+        resid = (r0 + a2s @ zk) + sk
         gz = gz + a2s.T @ (gk + cfg.rho2 * resid)
     x[k + 1] = x_new = xk - cfg.eta_x * gx
     z[k + 1] = z_new = zk - eta_z * gz
     if L:
-        hhat_new = consts + a2s @ z_new
-        s[k + 1] = s_new = np.maximum(0.0, cs - hhat_new - gk / cfg.rho2)
-        gamma[k + 1] = np.maximum(0.0, gk + eta_gamma * (hhat_new - cs + s_new))
+        r_new = r0 + a2s @ z_new
+        s[k + 1] = s_new = np.maximum(0.0, -r_new - gk / cfg.rho2)
+        gamma[k + 1] = np.maximum(0.0, gk + eta_gamma * (r_new + s_new))
     phi[k + 1] = phik + cfg.eta_phi * (x_new - z_new)
 
 
-def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1=()):
+def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1=_NO_POLY1):
     """Run K rounds of ``_round`` from ``init`` (or zeros) and record the path.
 
     ``init`` is ``(x, z, phi)`` with optional ``(s, gamma)`` after it; a
@@ -241,17 +240,7 @@ def solve_level3(
                    cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()})
 
 
-def _cut_const_parts(poly1: Sequence["Cut"], x3, z1, z3):
-    """Per-cut linear value with the z2' contribution left out."""
-    return np.array(
-        [
-            float(c.a1 @ z1) + float(c.a3 @ z3) + sum(float(c.b3[j] @ x3[j]) for j in range(len(x3)))
-            for c in poly1
-        ]
-    )
-
-
-def level2_steps(cfg: InnerConfig, poly1: Sequence["Cut"], N: int) -> tuple[float, float]:
+def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, float]:
     """Effective (eta_z, gamma step) for the level-2 unroll.
 
     The z2-curvature of the penalized Lagrangian grows with the cut
@@ -259,7 +248,7 @@ def level2_steps(cfg: InnerConfig, poly1: Sequence["Cut"], N: int) -> tuple[floa
     so the unroll stays stable for any polytope.  Both values are a pure
     function of (cfg, poly1), so re-runs of a trace reproduce them.
     """
-    steep = sum(float(c.a2 @ c.a2) for c in poly1)
+    steep = float((poly1.A2 * poly1.A2).sum())
     curv_z = N * cfg.kappa2 + cfg.rho2 * steep
     eta_z = min(cfg.eta_z, 1.5 / curv_z) if curv_z > 0 else cfg.eta_z
     eta_gamma = min(cfg.eta_phi, 1.5 / (1.0 + cfg.rho2 * steep))
@@ -271,7 +260,7 @@ def solve_level2(
     z1: Array,
     z3: Array,
     x3: Sequence[Array],
-    poly1: Sequence["Cut"],
+    poly1: Union[Polytope, Sequence[Cut]],
     init=None,
     cfg: InnerConfig = InnerConfig(),
 ) -> UnrollTrace:
@@ -279,7 +268,8 @@ def solve_level2(
 
     The layer-I cuts enter through slack-equipped inequality penalty terms;
     their inner duals ``gamma`` are clamped nonnegative every round and the
-    final values are reported for cut pruning.
+    final values are reported for cut pruning.  A plain sequence of cuts is
+    wrapped in a ``Polytope`` once; re-runs reuse the trace's polytope.
     """
     d = problem.dims
     z1 = np.asarray(z1, float)
@@ -287,14 +277,12 @@ def solve_level2(
     x3 = np.array(x3, dtype=float)
     if z1.shape != (d.d1,) or z3.shape != (d.d3,) or x3.shape != (d.N, d.d3):
         raise ValueError("frozen input dimensions do not match problem dims")
-    poly1 = tuple(poly1)
-    L = len(poly1)
-    consts = _cut_const_parts(poly1, x3, z1, z3) if L else np.zeros(0)
-    a2s = np.stack([c.a2 for c in poly1]) if L else np.zeros((0, d.d2))
-    cs = np.array([c.c for c in poly1]) if L else np.zeros(0)
+    if not isinstance(poly1, Polytope):
+        poly1 = Polytope(LAYER_I, tuple(poly1))
+    r0 = poly1.residuals(x3, z1, np.zeros(d.d2), z3)
     eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
     return _unroll(problem, 2, lambda x: problem.grad_all(2, 2, z1, x, x3), init, cfg,
-                   cfg.kappa2, eta_z, (consts, a2s, cs, eta_gamma),
+                   cfg.kappa2, eta_z, (r0, poly1.A2, eta_gamma),
                    {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1)
 
 
@@ -409,9 +397,8 @@ def _analytic_jacobians(trace, key: str, worker: Optional[int] = None):
         kappa = cfg.kappa2
         eta_z, eta_gamma = level2_steps(cfg, poly1, N)
     if L:
-        dconst = np.stack([c.b3[worker] if key == "x3" else getattr(c, "a" + key[1])
-                           for c in poly1])
-        a2s = np.stack([c.a2 for c in poly1])
+        dconst = poly1.B3[:, worker] if key == "x3" else getattr(poly1, "A" + key[1])
+        a2s = poly1.A2
 
     Dx = [np.zeros((dl, dw)) for _ in range(N)]
     Dz = np.zeros((dl, dw))

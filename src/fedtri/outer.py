@@ -9,7 +9,7 @@ regularized Lagrangian; the stationarity gap uses the unregularized one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .core import (
     project_ball_sq,
     project_box_inf,
 )
-from .cuts import Polytope, cut_violation
+from .cuts import Polytope
 
 
 class StepSizeError(FedtriError):
@@ -101,30 +101,13 @@ class OuterConfig:
             raise ValueError("c2_floor outside the admissible range for the configured tol")
 
 
-@dataclass(frozen=True)
-class WorkerView:
-    """Value snapshot a worker computes against; taken at iteration ``t``."""
-
-    t: int
-    state: PrimalState
-    duals: DualState
-    poly2: Polytope
-    c1: float
-    c2: float
-
-
 def lagrangian(state: PrimalState, duals: DualState, poly2: Polytope,
                problem: TrilevelProblem) -> float:
     """Outer Lagrangian: objective sum, consensus duals, layer-II cut duals."""
-    N = problem.dims.N
-    total = 0.0
-    for j in range(N):
-        total += problem.eval(1, j, state.x[0][j], state.x[1][j], state.x[2][j])
-        total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
-    for lam, cut in zip(duals.lam, poly2.cuts):
-        total += float(lam) * cut_violation(
-            cut, state.x[2], state.z[0], state.z[1], state.z[2], x2=state.x[1]
-        )
+    X1, X2, X3 = state.x
+    total = sum(problem.eval(1, j, X1[j], X2[j], X3[j]) for j in range(problem.dims.N))
+    total += float((duals.theta * (X1 - state.z[0])).sum())
+    total += float(duals.lam @ poly2.residuals(X3, *state.z, x2=X2))
     if not np.isfinite(total):
         raise NonFiniteError("non-finite Lagrangian value")
     return total
@@ -135,60 +118,54 @@ def regularized_lagrangian(state: PrimalState, duals: DualState, poly2: Polytope
     c1, c2 = cfg.reg_coeffs(t)
     val = lagrangian(state, duals, poly2, problem)
     val -= 0.5 * c1 * float(duals.lam @ duals.lam)
-    val -= 0.5 * c2 * sum(float(th @ th) for th in duals.theta)
+    val -= 0.5 * c2 * float((duals.theta * duals.theta).sum())
     return val
 
 
-def _cut_dual_pull(duals: DualState, poly2: Polytope, j: int, which: str) -> Array:
-    """sum_l lambda_l * b_{i,j,l} for worker j's x2 or x3 block."""
-    acc = None
-    for lam, cut in zip(duals.lam, poly2.cuts):
-        b = cut.b2[j] if which == "x2" else cut.b3[j]
-        acc = lam * b if acc is None else acc + lam * b
-    return acc
-
-
-def grad_x_blocks(problem: TrilevelProblem, j: int, state: PrimalState,
-                  duals: DualState, poly2: Polytope) -> tuple[Array, Array, Array]:
-    """Gradients of L_p w.r.t. worker j's three local blocks.
+def grad_x_blocks(problem: TrilevelProblem, state: PrimalState, duals: DualState,
+                  poly2: Polytope) -> tuple[Array, Array, Array]:
+    """Gradients of L_p w.r.t. every worker's three local blocks, each (N, d_i).
 
     The dual regularizer does not touch primal blocks, so these also serve
     the regularized Lagrangian.
     """
-    x1, x2, x3 = state.x[0][j], state.x[1][j], state.x[2][j]
-    g1 = problem.grad(1, j, 1, x1, x2, x3) + duals.theta[j]
-    g2 = problem.grad(1, j, 2, x1, x2, x3)
-    g3 = problem.grad(1, j, 3, x1, x2, x3)
+    X = state.x
+    G1 = problem.grad_all(1, 1, *X) + duals.theta
+    G2 = problem.grad_all(1, 2, *X)
+    G3 = problem.grad_all(1, 3, *X)
     if poly2.size:
-        g2 = g2 + _cut_dual_pull(duals, poly2, j, "x2")
-        g3 = g3 + _cut_dual_pull(duals, poly2, j, "x3")
-    return g1, g2, g3
+        lam = duals.lam[:, None, None]
+        G2 = G2 + (lam * poly2.B2).sum(axis=0)
+        G3 = G3 + (lam * poly2.B3).sum(axis=0)
+    return G1, G2, G3
 
 
-def grad_z_blocks(state: PrimalState, duals: DualState, poly2: Polytope,
-                  N: int) -> tuple[Array, Array, Array]:
-    g1 = -sum(duals.theta[j] for j in range(N))
-    g2 = np.zeros_like(state.z[1])
-    g3 = np.zeros_like(state.z[2])
-    for lam, cut in zip(duals.lam, poly2.cuts):
-        g1 = g1 + lam * cut.a1
-        g2 = g2 + lam * cut.a2
-        g3 = g3 + lam * cut.a3
-    return g1, g2, g3
+def grad_z_blocks(state: PrimalState, duals: DualState,
+                  poly2: Polytope) -> tuple[Array, Array, Array]:
+    """Gradients of L_p w.r.t. z1, z2, z3; L_p is affine in z, so they do not depend on it."""
+    g1 = -duals.theta.sum(axis=0)
+    if not poly2.size:
+        return g1, np.zeros_like(state.z[1]), np.zeros_like(state.z[2])
+    lam = duals.lam[:, None]
+    return (g1 + (lam * poly2.A1).sum(axis=0), (lam * poly2.A2).sum(axis=0),
+            (lam * poly2.A3).sum(axis=0))
 
 
-def worker_step(problem: TrilevelProblem, j: int, view: WorkerView,
-                cfg: OuterConfig) -> tuple[Array, Array, Array]:
-    """One local gradient step on the stale regularized Lagrangian view."""
-    g1, g2, g3 = grad_x_blocks(problem, j, view.state, view.duals, view.poly2)
-    a1, a2, a3 = problem.alphas
-    x1 = project_ball_sq(view.state.x[0][j] - cfg.eta_x1 * g1, a1)
-    x2 = project_ball_sq(view.state.x[1][j] - cfg.eta_x2 * g2, a2)
-    x3 = project_ball_sq(view.state.x[2][j] - cfg.eta_x3 * g3, a3)
-    for g in (x1, x2, x3):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite worker update for worker {j}")
-    return x1, x2, x3
+def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
+                cfg: OuterConfig, workers: Sequence[int]) -> tuple[Array, Array, Array]:
+    """The dispatched workers' projected gradient steps on their blocks.
+
+    ``gap`` must be ``stationarity_gap`` at ``state`` and at the duals and
+    P_II the workers compute against: its primal rows are then the gradients
+    of the (regularized) Lagrangian there.  Returns each block's new rows for
+    ``workers``, in their order, as a (len(workers), d_i) array.  A non-finite
+    step raises ``NonFiniteError`` from the ball projection.
+    """
+    rows = list(workers)
+    return tuple(
+        np.array([project_ball_sq(v, alpha) for v in X[rows] - cfg.eta_x(i + 1) * G[rows]])
+        for i, (X, G, alpha) in enumerate(zip(state.x, gap.gx, problem.alphas))
+    )
 
 
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
@@ -196,92 +173,56 @@ def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
     """Consensus and dual updates in the printed order.
 
     ``state.x`` must already hold the freshly applied worker blocks.  Returns
-    updated copies; inner duals carry over untouched.
+    a new state and new duals; the inputs are not modified.
     """
-    N = problem.dims.N
     c1, c2 = cfg.reg_coeffs(t)
-    new_state = state.copy()
-    new_duals = duals.copy()
-    ez1, ez2, ez3 = cfg.eta_z1, cfg.eta_z2, cfg.eta_z3
+    gz = grad_z_blocks(state, duals, poly2)
+    z = [project_ball_sq(zi - eta * g, alpha)
+         for zi, eta, g, alpha in zip(state.z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gz,
+                                      problem.alphas)]
+    new_state = PrimalState(x=[X.copy() for X in state.x], z=z)
 
-    gz1, _, _ = grad_z_blocks(state, duals, poly2, N)
-    new_state.z[0] = project_ball_sq(state.z[0] - ez1 * gz1, problem.alphas[0])
-    _, gz2, _ = grad_z_blocks(new_state, duals, poly2, N)
-    new_state.z[1] = project_ball_sq(state.z[1] - ez2 * gz2, problem.alphas[1])
-    _, _, gz3 = grad_z_blocks(new_state, duals, poly2, N)
-    new_state.z[2] = project_ball_sq(state.z[2] - ez3 * gz3, problem.alphas[2])
-
-    lam_cap = np.sqrt(cfg.alpha4)
-    lam = np.array(duals.lam, float)
-    for l, cut in enumerate(poly2.cuts):
-        resid = cut_violation(cut, new_state.x[2], new_state.z[0], new_state.z[1],
-                              new_state.z[2], x2=new_state.x[1])
-        lam[l] = np.clip(lam[l] + cfg.eta_lambda * (resid - c1 * lam[l]), 0.0, lam_cap)
-    new_duals.lam = lam
-
+    resid = poly2.residuals(state.x[2], *z, x2=state.x[1])
+    lam = np.clip(duals.lam + cfg.eta_lambda * (resid - c1 * duals.lam), 0.0, np.sqrt(cfg.alpha4))
     theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
-    new_duals.theta = [
-        project_box_inf(
-            duals.theta[j]
-            + cfg.eta_theta * (new_state.x[0][j] - new_state.z[0] - c2 * duals.theta[j]),
-            theta_box,
-        )
-        for j in range(N)
-    ]
+    theta = project_box_inf(
+        duals.theta + cfg.eta_theta * (state.x[0] - z[0] - c2 * duals.theta), theta_box
+    )
     if not new_state.is_finite():
         raise NonFiniteError("non-finite master update")
-    return new_state, new_duals
+    return new_state, DualState(lam=lam, theta=theta)
 
 
 @dataclass
 class GapVector:
-    """Blocks of the stationarity gap; squared norm drives the stopping rule."""
+    """Blocks of the stationarity gap; squared norm drives the stopping rule.
 
-    gx: list[list[Array]]
+    ``gx[i-1]`` is (N, d_i) and ``gtheta`` is (N, d1).
+    """
+
+    gx: list[Array]
     gz: list[Array]
     glam: Array
-    gtheta: list[Array]
+    gtheta: Array
 
     @property
     def sq_norm(self) -> float:
-        total = 0.0
-        for row in self.gx:
-            for g in row:
-                total += float(g @ g)
-        for g in self.gz:
-            total += float(g @ g)
-        total += float(self.glam @ self.glam)
-        for g in self.gtheta:
-            total += float(g @ g)
-        return total
+        return float(sum(np.vdot(g, g) for g in (*self.gx, *self.gz, self.glam, self.gtheta)))
 
 
 def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
                      problem: TrilevelProblem, cfg: OuterConfig) -> GapVector:
     """Primal gradients plus projected dual residuals of the unregularized L_p."""
-    N = problem.dims.N
-    gx: list[list[Array]] = [[], [], []]
-    for j in range(N):
-        g1, g2, g3 = grad_x_blocks(problem, j, state, duals, poly2)
-        gx[0].append(g1)
-        gx[1].append(g2)
-        gx[2].append(g3)
-    gz = list(grad_z_blocks(state, duals, poly2, N))
-
-    lam_cap = np.sqrt(cfg.alpha4)
-    glam = np.zeros(poly2.size)
-    for l, cut in enumerate(poly2.cuts):
-        resid = cut_violation(cut, state.x[2], state.z[0], state.z[1], state.z[2],
-                              x2=state.x[1])
-        proj = np.clip(duals.lam[l] + cfg.eta_lambda * resid, 0.0, lam_cap)
-        glam[l] = (duals.lam[l] - proj) / cfg.eta_lambda
-
+    resid = poly2.residuals(state.x[2], *state.z, x2=state.x[1])
+    proj = np.clip(duals.lam + cfg.eta_lambda * resid, 0.0, np.sqrt(cfg.alpha4))
     theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
-    gtheta = []
-    for j in range(N):
-        step = duals.theta[j] + cfg.eta_theta * (state.x[0][j] - state.z[0])
-        gtheta.append((duals.theta[j] - project_box_inf(step, theta_box)) / cfg.eta_theta)
-    return GapVector(gx=gx, gz=gz, glam=glam, gtheta=gtheta)
+    step = duals.theta + cfg.eta_theta * (state.x[0] - state.z[0])
+    return GapVector(
+        gx=list(grad_x_blocks(problem, state, duals, poly2)),
+        gz=list(grad_z_blocks(state, duals, poly2)),
+        glam=(duals.lam - proj) / cfg.eta_lambda,
+        gtheta=(duals.theta - project_box_inf(step, theta_box)) / cfg.eta_theta,
+    )
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ class TestGenerateCutII:
         from fedtri.inner import eval_h2
 
         h0 = eval_h2(trace, x2, z2)
-        slack = cut.c - cut.lhs(x3, z1, z2, z3, x2=x2)
+        slack = -cut_violation(cut, x3, z1, z2, z3, x2=x2)
         assert slack == pytest.approx(eps2 + mu * cut_inflation_ii(point) - h0, rel=1e-9)
         assert slack >= eps2 - h0
 

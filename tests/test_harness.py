@@ -19,7 +19,7 @@ from fedtri.harness import (
     validate_runlog,
 )
 from fedtri.inner import InnerConfig
-from fedtri.outer import OuterConfig, WorkerView, master_step, worker_step
+from fedtri.outer import OuterConfig, master_step, stationarity_gap, worker_step
 from fedtri.problems import build_quadratic_problem
 
 
@@ -282,25 +282,85 @@ class TestSyncEquivalence:
                                delay=DelayModel(kind="constant", value=0.0))
         res = run(problem, inner, outer, sched)
 
-        # Independent synchronous reference: fresh views every iteration.
+        # Independent synchronous reference: every worker steps on the fresh state.
         rng = np.random.default_rng(11)
         x1, x2, x3 = problem.initial_point(rng)
         state = PrimalState.from_point(problem.dims, x1, x2, x3)
         duals = DualState.zeros(problem.dims)
         poly2 = Polytope(layer="II")
         for t_new in range(1, 26):
-            view_t = t_new - 1
-            c1, c2 = outer.reg_coeffs(view_t)
-            view = WorkerView(t=view_t, state=state.copy(), duals=duals.copy(),
-                              poly2=poly2, c1=c1, c2=c2)
-            for j in range(2):
-                u1, u2, u3 = worker_step(problem, j, view, outer)
-                state.x[0][j], state.x[1][j], state.x[2][j] = u1, u2, u3
+            gap = stationarity_gap(state, duals, poly2, problem, outer)
+            state.x = list(worker_step(problem, state, gap, outer, range(2)))
             state, duals = master_step(state, duals, poly2, problem, outer, t=t_new - 1)
         for i in range(3):
             assert np.array_equal(res.state.z[i], state.z[i])
             for j in range(2):
                 assert np.array_equal(res.state.x[i][j], state.x[i][j])
+
+
+class TestRefinement:
+    def test_pruning_keeps_each_cut_dual_with_its_cut(self, monkeypatch):
+        # Pruning that drops the oldest layer-II cut (once there are two)
+        # must drop that cut's dual and keep the others in cut order.
+        seen = []
+
+        def drop_oldest(poly1, gamma_K, poly2, lambdas, **kwargs):
+            seen.append(lambdas.copy())
+            if poly2.size < 2:
+                return poly1, poly2
+            return poly1, Polytope(layer="II", cuts=poly2.cuts[1:])
+
+        monkeypatch.setattr(harness, "drop_inactive", drop_oldest)
+        problem, _, inner, outer = quad_setup(T_pre=5, max_iters=10)
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0))
+        assert res.log.refinement_iters() == [0, 5, 10]
+        lam = seen[-1]
+        assert lam.size == 2 and lam[0] > 0.0
+        assert np.array_equal(res.duals.lam, lam[1:])
+        assert res.poly2.size == 1
+
+
+class TestGradientSweep:
+    def test_level1_gradients_once_per_iteration(self):
+        # Each iteration's stationarity gap supplies the dispatched workers'
+        # gradients, so without refinements the only level-1 calls are the
+        # gap's three blocks per worker at t = 0..T.
+        T = 20
+        problem, _, inner, outer = quad_setup(T1=0, max_iters=T)
+        grad_fn = problem.grad_fn
+        levels = []
+
+        def counting_grad(level, *args):
+            levels.append(level)
+            return grad_fn(level, *args)
+
+        problem.grad_fn = counting_grad
+        sched = ScheduleConfig(N=2, S=1, tau=5, seed=0,
+                               delay=DelayModel(kind="uniform", lo=0.5, hi=1.5))
+        res = run(problem, inner, outer, sched)
+        assert res.log.status == "max_iters" and len(res.log.records) == T + 1
+        assert levels.count(1) == 3 * 2 * (T + 1)
+
+
+class TestOracleRegression:
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_deeper_unrolls_approach_the_nested_argmin(self, seed):
+        # On the quadratic oracle the consensus blocks end near the nested
+        # argmin (y1, y2, y3) with K=30 unroll rounds and far from it with
+        # K=1.  The distance is not monotone in K or eps (at seed 4, K=3
+        # gives 0.30 and K=10 gives 0.54), so only the two ends are pinned.
+        dist = {}
+        for K in (1, 30):
+            problem, oracle, inner, outer = quad_setup(seed=seed, T_pre=15, T1=400,
+                                                       max_iters=600)
+            inner = dataclasses.replace(inner, K=K, eps1=1e-2, eps2=1e-2)
+            sched = ScheduleConfig(N=2, S=2, sync_mode=True, seed=seed)
+            res = run(problem, inner, outer, sched)
+            assert res.log.status == "max_iters"
+            y = np.concatenate([oracle.y1, oracle.y2, oracle.y3])
+            dist[K] = float(np.linalg.norm(np.concatenate(res.state.z) - y))
+        assert dist[30] < 0.25
+        assert dist[30] * 5.0 <= dist[1]
 
 
 class TestAsyncBehavior:

@@ -6,7 +6,6 @@ from fedtri.cuts import Cut, Polytope, cut_violation
 from fedtri.outer import (
     OuterConfig,
     StepSizeError,
-    WorkerView,
     grad_x_blocks,
     grad_z_blocks,
     lagrangian,
@@ -40,15 +39,13 @@ def setting():
     rng = np.random.default_rng(7)
     d = problem.dims
     state = PrimalState(
-        x=[[rng.standard_normal(d.block(i + 1)) for _ in range(d.N)] for i in range(3)],
+        x=[np.array([rng.standard_normal(d.block(i + 1)) for _ in range(d.N)]) for i in range(3)],
         z=[rng.standard_normal(d.block(i + 1)) for i in range(3)],
     )
     poly2 = Polytope(layer="II", cuts=tuple(random_cut(rng, (2, 3, 2), 3, cut_id=i) for i in range(2)))
     duals = DualState(
         lam=np.array([0.4, 1.1]),
-        theta=[rng.standard_normal(2) for _ in range(3)],
-        phi2=[np.zeros(3)] * 3,
-        phi3=[np.zeros(2)] * 3,
+        theta=np.array([rng.standard_normal(2) for _ in range(3)]),
     )
     cfg = OuterConfig(eta_lambda=0.1, eta_theta=0.2, alpha4=9.0, alpha5=400.0)
     return problem, state, duals, poly2, cfg
@@ -121,8 +118,9 @@ class TestRegularizedLagrangian:
 def flat_lagrangian_grad_check(problem, state, duals, poly2, rel_tol=1e-5):
     """Central finite differences of L_p across every primal block."""
     N = problem.dims.N
+    G = grad_x_blocks(problem, state, duals, poly2)
     for j in range(N):
-        g = grad_x_blocks(problem, j, state, duals, poly2)
+        g = [G[i][j] for i in range(3)]
         for i in range(3):
             def f(v, i=i, j=j):
                 s = state.copy()
@@ -132,7 +130,7 @@ def flat_lagrangian_grad_check(problem, state, duals, poly2, rel_tol=1e-5):
             num = finite_diff_grad(f, state.x[i][j])
             denom = max(np.linalg.norm(g[i]), 1.0)
             assert np.linalg.norm(num - g[i]) / denom <= rel_tol
-    gz = grad_z_blocks(state, duals, poly2, N)
+    gz = grad_z_blocks(state, duals, poly2)
     for i in range(3):
         def f(v, i=i):
             s = state.copy()
@@ -158,25 +156,24 @@ class TestWorkerStep:
             problem.dims, oracle.y1, oracle.y2, oracle.y3
         )
         zero = DualState.zeros(problem.dims)
-        view = WorkerView(t=0, state=st, duals=zero, poly2=Polytope(layer="II"),
-                          c1=1.0, c2=1.0)
-        x1, x2, x3 = worker_step(problem, 0, view, cfg)
-        assert np.allclose(x1, st.x[0][0], atol=1e-12)
-        assert np.allclose(x2, st.x[1][0], atol=1e-12)
-        assert np.allclose(x3, st.x[2][0], atol=1e-12)
+        gap = stationarity_gap(st, zero, Polytope(layer="II"), problem, cfg)
+        x1, x2, x3 = worker_step(problem, st, gap, cfg, [0])
+        assert np.allclose(x1[0], st.x[0][0], atol=1e-12)
+        assert np.allclose(x2[0], st.x[1][0], atol=1e-12)
+        assert np.allclose(x3[0], st.x[2][0], atol=1e-12)
 
     def test_fresh_view_equals_synchronous_step(self, setting):
         problem, state, duals, poly2, cfg = setting
-        view = WorkerView(t=3, state=state.copy(), duals=duals.copy(), poly2=poly2,
-                          c1=1.0, c2=1.0)
-        got = worker_step(problem, 1, view, cfg)
-        g1, g2, g3 = grad_x_blocks(problem, 1, state, duals, poly2)
-        assert np.allclose(got[0], project_ball_sq(state.x[0][1] - cfg.eta_x1 * g1,
-                                                   problem.alphas[0]), atol=1e-14)
-        assert np.allclose(got[1], project_ball_sq(state.x[1][1] - cfg.eta_x2 * g2,
-                                                   problem.alphas[1]), atol=1e-14)
-        assert np.allclose(got[2], project_ball_sq(state.x[2][1] - cfg.eta_x3 * g3,
-                                                   problem.alphas[2]), atol=1e-14)
+        gap = stationarity_gap(state, duals, poly2, problem, cfg)
+        got = worker_step(problem, state, gap, cfg, [1])
+        G1, G2, G3 = grad_x_blocks(problem, state, duals, poly2)
+        g1, g2, g3 = G1[1], G2[1], G3[1]
+        assert np.allclose(got[0][0], project_ball_sq(state.x[0][1] - cfg.eta_x1 * g1,
+                                                      problem.alphas[0]), atol=1e-14)
+        assert np.allclose(got[1][0], project_ball_sq(state.x[1][1] - cfg.eta_x2 * g2,
+                                                      problem.alphas[1]), atol=1e-14)
+        assert np.allclose(got[2][0], project_ball_sq(state.x[2][1] - cfg.eta_x3 * g3,
+                                                      problem.alphas[2]), atol=1e-14)
 
     def test_small_step_decreases_regularized_lagrangian(self):
         problem, _ = build_quadratic_problem(seed=9, dims=(2, 2, 2), N=1, coupling=0.1)
@@ -185,11 +182,11 @@ class TestWorkerStep:
         duals = DualState.zeros(problem.dims)
         poly2 = Polytope(layer="II")
         cfg = OuterConfig(eta_x1=0.01, eta_x2=0.01, eta_x3=0.01)
-        view = WorkerView(t=0, state=state, duals=duals, poly2=poly2, c1=1.0, c2=1.0)
+        gap = stationarity_gap(state, duals, poly2, problem, cfg)
         before = regularized_lagrangian(state, duals, poly2, problem, 0, cfg)
-        x1, x2, x3 = worker_step(problem, 0, view, cfg)
+        x1, x2, x3 = worker_step(problem, state, gap, cfg, [0])
         after_state = state.copy()
-        after_state.x[0][0], after_state.x[1][0], after_state.x[2][0] = x1, x2, x3
+        after_state.x[0][0], after_state.x[1][0], after_state.x[2][0] = x1[0], x2[0], x3[0]
         after = regularized_lagrangian(after_state, duals, poly2, problem, 0, cfg)
         assert after < before
 
@@ -233,7 +230,7 @@ class TestMasterStep:
         problem, state, duals, poly2, cfg = setting
         box = np.sqrt(cfg.alpha5) / problem.dims.d1
         spiked = duals.copy()
-        spiked.theta = [np.array([3.0 * box, 0.1]) for _ in range(3)]
+        spiked.theta = np.array([[3.0 * box, 0.1] for _ in range(3)])
         _, nd = master_step(state, spiked, poly2, problem, cfg, t=0)
         for th in nd.theta:
             assert np.abs(th).max() <= box + 1e-12

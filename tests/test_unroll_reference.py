@@ -9,10 +9,9 @@ one Python array per worker, and the same floating-point association.
 import numpy as np
 import pytest
 
-from fedtri.cuts import generate_cut_I
+from fedtri.cuts import Polytope, generate_cut_I
 from fedtri.inner import (
     InnerConfig,
-    _cut_const_parts,
     level2_steps,
     solve_level2,
     solve_level3,
@@ -33,25 +32,23 @@ def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
     return x_new, z_new, phi_new
 
 
-def ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi, consts, a2s, cs, cfg,
-                     eta_z, eta_gamma):
+def ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi, r0, a2s, cfg, eta_z, eta_gamma):
     N = problem.dims.N
-    L = len(cs)
+    L = len(r0)
     gx = [
         problem.grad(2, j, 2, z1, x[j], x3[j]) + phi[j] + cfg.kappa2 * (x[j] - z2)
         for j in range(N)
     ]
     gz2 = -sum(phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N))
     if L:
-        hhat = consts + a2s @ z2
-        resid = hhat - cs + s
+        resid = (r0 + a2s @ z2) + s
         gz2 = gz2 + a2s.T @ (gamma + cfg.rho2 * resid)
     x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
     z2_new = z2 - eta_z * gz2
     if L:
-        hhat_new = consts + a2s @ z2_new
-        s_new = np.maximum(0.0, cs - hhat_new - gamma / cfg.rho2)
-        gamma_new = np.maximum(0.0, gamma + eta_gamma * (hhat_new - cs + s_new))
+        r_new = r0 + a2s @ z2_new
+        s_new = np.maximum(0.0, -r_new - gamma / cfg.rho2)
+        gamma_new = np.maximum(0.0, gamma + eta_gamma * (r_new + s_new))
     else:
         s_new = s
         gamma_new = gamma
@@ -68,14 +65,13 @@ def ref_path_level3(problem, z1, z2p, x, z, phi, cfg):
 
 
 def ref_path_level2(problem, z1, z3, x3, poly1, x, z2, phi, s, gamma, cfg):
-    consts = _cut_const_parts(poly1, x3, z1, z3)
-    a2s = np.stack([c.a2 for c in poly1])
-    cs = np.array([c.c for c in poly1])
-    eta_z, eta_gamma = level2_steps(cfg, poly1, problem.dims.N)
+    poly = Polytope(layer="I", cuts=poly1)
+    r0 = poly.residuals(x3, z1, np.zeros(problem.dims.d2), z3)  # the cuts' residuals at z2 = 0
+    eta_z, eta_gamma = level2_steps(cfg, poly, problem.dims.N)
     path = [(x, z2, phi, s, gamma)]
     for _ in range(cfg.K):
         x, z2, s, gamma, phi = ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi,
-                                                consts, a2s, cs, cfg, eta_z, eta_gamma)
+                                                r0, poly.A2, cfg, eta_z, eta_gamma)
         path.append((x, z2, phi, s, gamma))
     return path
 
