@@ -53,7 +53,6 @@ from .outer import (
     master_step,
     regularized_lagrangian,
     stationarity_gap,
-    theorem1_step_sizes,
     worker_step,
 )
 from .problems import (

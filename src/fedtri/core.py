@@ -192,7 +192,7 @@ LAYER_I = "I"
 LAYER_II = "II"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
     """One linear inequality ``a . z + b . x <= c``.
 
@@ -229,7 +229,7 @@ class Cut:
             raise NonFiniteError("cut coefficients must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """An immutable, ordered set of same-layer cuts and their stacked coefficients.
 

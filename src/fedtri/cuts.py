@@ -84,14 +84,13 @@ def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: fl
     """First-order expansion of h at ``point``, relaxed by eps plus mu times the inflation.
 
     ``ball`` is the alpha part of the inflation; the squared norms of the
-    point's blocks are added to it.  The point's per-worker block lists come
-    first and z1, z2, z3 last, in the order of ``trace.point_blocks``.
+    point's blocks are added to it.  The point's per-worker blocks come first
+    and z1, z2, z3 last; ``grad_h`` returns its gradient in the same order.
     """
     h0 = (eval_h1 if layer == LAYER_I else eval_h2)(trace, point[0], point[3])
-    grads = [grad_h(trace, w, point, mode=grad_mode) for w in trace.point_blocks]
-    N = trace.problem.dims.N
+    grads = grad_h(trace, point, mode=grad_mode)
     lists = point[:-3]
-    g_lists = [grads[i * N:(i + 1) * N] for i in range(len(lists))]
+    g_lists = grads[:-3]
     g_z1, g_z2, g_z3 = grads[-3:]
     z1, z2, z3 = point[-3:]
     inflation = ball

@@ -1,17 +1,16 @@
 """K-round distributed augmented-Lagrangian unrolls for the two lower levels.
 
 Each solver runs K master/worker exchange rounds in process and records the
-full update path.  The final snapshot is the argmin estimate; the constraint
+full update path.  The final round is the argmin estimate; the constraint
 functions measure squared deviation from it and are differentiated either by
 re-running the unroll at perturbed frozen inputs (finite differences) or by
-propagating Jacobians through the recorded rounds (analytic, needs second
+one backward (adjoint) sweep over the recorded rounds (analytic, needs second
 derivatives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -54,16 +53,7 @@ class InnerConfig:
                 raise ValueError(f"{name} must be strictly positive")
 
 
-@dataclass(frozen=True)
-class InnerSnapshot:
-    x: Array  # (N, d) per-worker local blocks
-    z: Array
-    phi: Array  # (N, d)
-    s: Optional[Array] = None  # layer II only
-    gamma: Optional[Array] = None  # layer II only
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnrollTrace:
     """Recorded K-round update path; immutable once returned.
 
@@ -93,29 +83,6 @@ class UnrollTrace:
     def level(self) -> int:
         """The unrolled level: 3 for layer I, 2 for layer II."""
         return 3 if self.layer == "I" else 2
-
-    @property
-    def point_blocks(self) -> tuple[str, ...]:
-        """``grad_h`` block names in the order of this layer's point.
-
-        The per-worker blocks come first, the unrolled level's own before the
-        frozen x3 of layer II, then z1, z2, z3.
-        """
-        levels = (3,) if self.layer == "I" else (2, 3)
-        N = self.problem.dims.N
-        return tuple(f"x{b}:{j}" for b in levels for j in range(N)) + ("z1", "z2", "z3")
-
-    @cached_property
-    def snapshots(self) -> tuple[InnerSnapshot, ...]:
-        """Per-round views into the recorded arrays."""
-        return tuple(
-            InnerSnapshot(
-                x=self.x[k], z=self.z[k], phi=self.phi[k],
-                s=None if self.s is None else self.s[k],
-                gamma=None if self.gamma is None else self.gamma[k],
-            )
-            for k in range(self.cfg.K + 1)
-        )
 
     @property
     def estimate(self) -> tuple[Array, Array]:
@@ -343,106 +310,106 @@ def rerun_estimate(trace: UnrollTrace, **overrides) -> tuple[tuple[Array, ...], 
 # ---------------------------------------------------------------------------
 # Gradients of h through the unroll
 
-# The oracle block each frozen input occupies; z3 reaches the level-2 unroll
-# only through the layer-I cuts.
-_ORACLE_BLOCK = {"z1": 1, "z2p": 2, "x3": 3, "z3": None}
-# grad_h block names of each layer's frozen inputs.
-_FROZEN = {"I": {"z1": "z1", "z2": "z2p"}, "II": {"z1": "z1", "z3": "z3", "x3": "x3"}}
+# Where each block of a layer's point comes from: "x" and "z" are the
+# unrolled level's own blocks, the rest name the trace's frozen inputs.
+_POINT_BLOCKS = {"I": ("x", "z1", "z2p", "z"), "II": ("x", "x3", "z1", "z", "z3")}
 
 
-def _fd_through_unroll(trace, point, key, base: Array, worker: Optional[int] = None) -> Array:
-    base = np.asarray(base, float)
-    h = default_fd_step(base)
-    g = np.zeros_like(base)
+def _fd_through_unroll(trace, point, key: str) -> Array:
+    """Central differences of h in one frozen input, re-running the unroll twice per coordinate.
 
-    def h_at(value) -> float:
-        if worker is None:
-            x_hat, z_hat = rerun_estimate(trace, **{key: value})
-        else:
-            x3 = list(trace.inputs["x3"])
-            x3[worker] = value
-            x_hat, z_hat = rerun_estimate(trace, x3=tuple(x3))
+    A per-worker input (N, d) takes each row's own step.
+    """
+    base = trace.inputs[key]
+    rows = base.reshape(-1, base.shape[-1])
+    g = np.zeros_like(rows)
+
+    def h_at(j: int, value) -> float:
+        pert = rows.copy()
+        pert[j] = value
+        x_hat, z_hat = rerun_estimate(trace, **{key: pert.reshape(base.shape)})
         return _sq_deviation(point[0], point[3], x_hat, z_hat)
 
-    for k in range(base.size):
-        e = np.zeros_like(base)
-        e[k] = h
-        g[k] = (h_at(base + e) - h_at(base - e)) / (2.0 * h)
-    return g
+    for j, row in enumerate(rows):
+        h = default_fd_step(row)
+        for k in range(row.size):
+            e = np.zeros_like(row)
+            e[k] = h
+            g[j, k] = (h_at(j, row + e) - h_at(j, row - e)) / (2.0 * h)
+    return g.reshape(base.shape)
 
 
-def _analytic_jacobians(trace, key: str, worker: Optional[int] = None):
-    """Jacobians of the estimate w.r.t. one frozen input, forward through the rounds.
+def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
+    """Gradients in every frozen input from one backward sweep over the recorded rounds.
 
-    ``key`` is "z1" or "z2p" for a layer-I trace and "z1", "z3" or "x3" (the
-    block of ``worker``) for a layer-II trace.  At the slack/dual clamp kinks
-    the subgradient follows the branch the recorded forward pass took.
+    ``xbar`` and ``zbar`` are the gradients of h in the final iterates.  Each
+    round is run backwards through ``cross_hess(...).T @ v``; at the
+    slack/dual clamp kinks the sweep follows the branch the forward pass took.
+    Returns one gradient per key of ``trace.inputs``.
     """
     p = trace.problem
     cfg = trace.cfg
-    d = p.dims
-    N = d.N
-    level = trace.level
-    dl = d.block(level)
-    z1 = trace.inputs["z1"]
-    z2p = trace.inputs.get("z2p")
-    x3 = trace.inputs.get("x3")
-    wblock = _ORACLE_BLOCK[key]
-    dw = d.block(int(key[1]))
+    N = p.dims.N
+    lv = trace.level
+    inputs = trace.inputs
     poly1 = trace.poly1
     L = len(poly1)
-    if level == 3:
+    z1, z2p, x3 = inputs["z1"], inputs.get("z2p"), inputs.get("x3")
+    if lv == 3:
         kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
+        blocks = {"z1": 1, "z2p": 2}  # the oracle block of each frozen input
     else:
         kappa = cfg.kappa2
         eta_z, eta_gamma = level2_steps(cfg, poly1, N)
+        blocks = {"z1": 1, "x3": 3}  # z3 reaches the unroll only through the cuts
+    wbar = {key: np.zeros_like(v) for key, v in inputs.items()}
+    A2 = poly1.A2
+    phibar = np.zeros_like(xbar)
+    sbar = gbar = rbar = np.zeros(L)  # rbar: the cuts' constant residual r0
+    for k in reversed(range(cfg.K)):  # ``_round`` backwards, its last update first
+        xbar = xbar + cfg.eta_phi * phibar
+        zbar = zbar - cfg.eta_phi * phibar.sum(axis=0)
+        if L:  # the clamped dual, then the clamped slack
+            u = (trace.gamma[k + 1] > 0.0) * gbar
+            v = (trace.s[k + 1] > 0.0) * (sbar + eta_gamma * u)
+            rnew = eta_gamma * u - v
+            gbar = u - v / cfg.rho2
+            rbar = rbar + rnew
+            zbar = zbar + A2.T @ rnew
+        gxbar = -cfg.eta_x * xbar  # through x[k+1] = x[k] - eta_x gx
+        gzbar = -eta_z * zbar
+        zbar = zbar + N * kappa * gzbar - kappa * gxbar.sum(axis=0)
+        if L:
+            q = A2 @ gzbar
+            gbar = gbar + q
+            sbar = cfg.rho2 * q
+            rbar = rbar + sbar
+            zbar = zbar + A2.T @ sbar
+        phibar = phibar + gxbar - gzbar
+        xbar = xbar + kappa * (gxbar - gzbar)
+        for j, xj in enumerate(trace.x[k]):
+            a = (z1, z2p, xj) if lv == 3 else (z1, xj, x3[j])
+            g = gxbar[j]
+            xbar[j] += p.cross_hess(lv, j, lv, lv, *a).T @ g
+            for key, b in blocks.items():
+                w = wbar[key][j] if key == "x3" else wbar[key]
+                w += p.cross_hess(lv, j, lv, b, *a).T @ g
     if L:
-        dconst = poly1.B3[:, worker] if key == "x3" else getattr(poly1, "A" + key[1])
-        a2s = poly1.A2
-
-    Dx = [np.zeros((dl, dw)) for _ in range(N)]
-    Dz = np.zeros((dl, dw))
-    Dphi = [np.zeros((dl, dw)) for _ in range(N)]
-    Ds = np.zeros((L, dw))
-    Dgam = np.zeros((L, dw))
-    for k in range(cfg.K):
-        xk = trace.x[k]
-        Dgx = []
-        for j in range(N):
-            args = (z1, z2p, xk[j]) if level == 3 else (z1, xk[j], x3[j])
-            Hxx = p.cross_hess(level, j, level, level, *args)
-            if wblock is None or (worker is not None and j != worker):
-                Hxw = np.zeros((dl, dw))
-            else:
-                Hxw = p.cross_hess(level, j, level, wblock, *args)
-            Dgx.append(Hxw + Hxx @ Dx[j] + Dphi[j] + kappa * (Dx[j] - Dz))
-        Dgz = -sum(Dphi[j] + kappa * (Dx[j] - Dz) for j in range(N))
-        if L:
-            Dr = dconst + a2s @ Dz + Ds
-            Dgz = Dgz + a2s.T @ (Dgam + cfg.rho2 * Dr)
-        Dx = [Dx[j] - cfg.eta_x * Dgx[j] for j in range(N)]
-        Dz = Dz - eta_z * Dgz
-        if L:
-            s_active = (trace.s[k + 1] > 0.0).astype(float)[:, None]
-            Ds = s_active * (-(dconst + a2s @ Dz) - Dgam / cfg.rho2)
-            g_active = (trace.gamma[k + 1] > 0.0).astype(float)[:, None]
-            Dgam = g_active * (Dgam + eta_gamma * (dconst + a2s @ Dz + Ds))
-        Dphi = [Dphi[j] + cfg.eta_phi * (Dx[j] - Dz) for j in range(N)]
-    return Dx, Dz
+        wbar["z1"] += poly1.A1.T @ rbar
+        wbar["z3"] += poly1.A3.T @ rbar
+        wbar["x3"] += np.einsum("l,lnd->nd", rbar, poly1.B3)
+    return wbar
 
 
-def grad_h(trace: UnrollTrace, wrt: str, point, mode: str = "finite-diff") -> Array:
-    """Gradient of h at ``point`` with respect to one argument block.
-
-    ``wrt`` selects the block: for layer I one of "x3:<j>", "z1", "z2", "z3";
-    for layer II one of "x2:<j>", "x3:<j>", "z1", "z2", "z3".  Blocks the
-    estimate does not depend on differentiate directly to twice the deviation;
-    the remaining blocks go through the unroll in the requested ``mode``
-    ("finite-diff" re-runs it, "analytic" propagates the chain rule and needs
-    second-derivative support).
+def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array, ...]:
+    """Gradient of h at ``point``: one array per block, in the point's order and shapes.
 
     Layer-I points are ``({x3_j}, z1, z2p, z3)``; layer-II points are
-    ``({x2_j}, {x3_j}, z1, z2, z3)``.
+    ``({x2_j}, {x3_j}, z1, z2, z3)``.  Per-worker blocks come back as (N, d)
+    arrays.  The unrolled level's own blocks differentiate directly to twice
+    the deviation; the frozen inputs go through the unroll in the requested
+    ``mode``: "finite-diff" re-runs it twice per coordinate, "analytic" makes
+    one backward sweep over the recorded rounds and needs second derivatives.
     """
     if mode not in ("finite-diff", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -450,24 +417,14 @@ def grad_h(trace: UnrollTrace, wrt: str, point, mode: str = "finite-diff") -> Ar
         raise FedtriError(
             "analytic unroll gradients requested but the problem has no second derivatives"
         )
-    name, _, idx = wrt.partition(":")
-    j = int(idx) if idx else None
     x_hat, z_hat = trace.estimate
-    if name == f"x{trace.level}":
-        return 2.0 * (np.asarray(point[0][j], float) - x_hat[j])
-    if name == f"z{trace.level}":
-        return 2.0 * (np.asarray(point[3], float) - z_hat)
-    key = _FROZEN[trace.layer].get(name)
-    if key is None:
-        raise ValueError(f"unknown block {wrt!r} for a layer-{trace.layer} trace")
-    if mode == "finite-diff":
-        base = trace.inputs[key] if j is None else trace.inputs[key][j]
-        return _fd_through_unroll(trace, point, key, base, worker=j)
-    Dx, Dz = _analytic_jacobians(trace, key, worker=j)
-    g = -2.0 * Dz.T @ (np.asarray(point[3], float) - z_hat)
-    for xj, xh, Dj in zip(point[0], x_hat, Dx):
-        g = g - 2.0 * Dj.T @ (np.asarray(xj, float) - xh)
-    return g
+    grads = {"x": 2.0 * (np.asarray(point[0], float) - x_hat),
+             "z": 2.0 * (np.asarray(point[3], float) - z_hat)}
+    if mode == "analytic":
+        grads.update(_adjoint(trace, -grads["x"], -grads["z"]))
+    else:
+        grads.update((key, _fd_through_unroll(trace, point, key)) for key in trace.inputs)
+    return tuple(grads[key] for key in _POINT_BLOCKS[trace.layer])
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +474,7 @@ def _flat(trace: UnrollTrace, grad_mode: str) -> FlatH:
     def grad(v: Array) -> Array:
         point = unpack(v)
         sub = _rerun(trace, **frozen(point))
-        return np.concatenate([grad_h(sub, w, point, mode=grad_mode) for w in sub.point_blocks])
+        return np.concatenate([g.ravel() for g in grad_h(sub, point, mode=grad_mode)])
 
     return FlatH(trace=trace, dim=dim, fn=fn, grad=grad, pack=pack, unpack=unpack)
 

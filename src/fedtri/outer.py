@@ -10,14 +10,13 @@ regularized Lagrangian; the stationarity gap uses the unregularized one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     Array,
     DualState,
-    FedtriError,
     NonFiniteError,
     PrimalState,
     TrilevelProblem,
@@ -25,10 +24,6 @@ from .core import (
     project_box_inf,
 )
 from .cuts import Polytope
-
-
-class StepSizeError(FedtriError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,6 @@ class OuterConfig:
 
     def eta_x(self, i: int) -> float:
         return (self.eta_x1, self.eta_x2, self.eta_x3)[i - 1]
-
-    def eta_z(self, i: int) -> float:
-        return (self.eta_z1, self.eta_z2, self.eta_z3)[i - 1]
 
     def reg_coeffs(self, t: int) -> tuple[float, float]:
         """Non-increasing regularization pair (c1^t, c2^t) with configured floors."""
@@ -223,124 +215,3 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
         glam=(duals.lam - proj) / cfg.eta_lambda,
         gtheta=(duals.theta - project_box_inf(step, theta_box)) / cfg.eta_theta,
     )
-
-
-@dataclass(frozen=True)
-class StepSizeCheck:
-    name: str
-    value: float
-    bound: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class StepSizePlan:
-    eta_x: float  # shared by all x and z blocks
-    checks: tuple[StepSizeCheck, ...]
-    binding: str  # name of the tightest check
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def theorem1_step_sizes(
-    L_est: float,
-    eta_lambda: float,
-    eta_theta: float,
-    c1_floor: float,
-    c2_floor: float,
-    M: int = 1,
-    N: int = 1,
-    gamma_const: float = 1.0,
-    k1: Optional[float] = None,
-    tau: Optional[int] = None,
-    strict: bool = False,
-) -> StepSizePlan:
-    """Primal step size prescription plus the dual step-size cap checks.
-
-    The shared primal step is ``2 / (L + eta_lambda M L^2 + eta_theta N L^2 +
-    8 (M gamma L^2 / (eta_lambda c1_floor^2) + N gamma L^2 / (eta_theta
-    c2_floor^2)))``.  The cap checks on eta_theta and eta_lambda use the
-    t = 0 regularizers; they are reported (and the tightest named), and only
-    raised as errors under ``strict`` since the printed caps are mutually
-    unsatisfiable for any positive step whenever the schedule start exceeds
-    the floor.
-    """
-    if L_est <= 0:
-        raise StepSizeError("Lipschitz estimate must be positive")
-    L2 = L_est * L_est
-    denom = (
-        L_est
-        + eta_lambda * M * L2
-        + eta_theta * N * L2
-        + 8.0 * (M * gamma_const * L2 / (eta_lambda * c1_floor ** 2)
-                 + N * gamma_const * L2 / (eta_theta * c2_floor ** 2))
-    )
-    if denom <= 0 or not np.isfinite(denom):
-        raise StepSizeError("no positive feasible step: denominator is not positive")
-    eta = 2.0 / denom
-
-    c1_0 = max(c1_floor, 1.0 / eta_lambda)
-    c2_0 = max(c2_floor, 1.0 / eta_theta)
-    checks = [
-        StepSizeCheck(
-            name="eta_theta <= 2/(L+2c2_0)",
-            value=eta_theta,
-            bound=2.0 / (L_est + 2.0 * c2_0),
-            ok=eta_theta <= 2.0 / (L_est + 2.0 * c2_0),
-        ),
-        StepSizeCheck(
-            name="eta_lambda < 2/(L+2c1_0)",
-            value=eta_lambda,
-            bound=2.0 / (L_est + 2.0 * c1_0),
-            ok=eta_lambda < 2.0 / (L_est + 2.0 * c1_0),
-        ),
-    ]
-    if tau is not None and k1 is not None:
-        cap = 1.0 / (30.0 * tau * k1 * N * L2)
-        checks.append(
-            StepSizeCheck(
-                name="eta_lambda < 1/(30 tau k1 N L^2)",
-                value=eta_lambda,
-                bound=cap,
-                ok=eta_lambda < cap,
-            )
-        )
-    binding = min(checks, key=lambda c: c.bound - c.value).name
-    if strict:
-        for c in checks:
-            if not c.ok:
-                raise StepSizeError(f"violated: {c.name} (value {c.value}, bound {c.bound})")
-    return StepSizePlan(eta_x=eta, checks=tuple(checks), binding=binding)
-
-
-def probe_lipschitz(problem: TrilevelProblem, n_pairs: int = 100, seed: int = 0,
-                    scale: float = 1.0) -> float:
-    """Max gradient-difference ratio of the objective sum over random pairs."""
-    rng = np.random.default_rng(seed)
-    d = problem.dims
-
-    def full_grad(x1, x2, x3):
-        parts = []
-        for block in (1, 2, 3):
-            g = None
-            for j in range(d.N):
-                gj = problem.grad(1, j, block, x1, x2, x3)
-                g = gj if g is None else g + gj
-            parts.append(g)
-        return np.concatenate(parts)
-
-    best = 0.0
-    for _ in range(n_pairs):
-        a = [scale * rng.standard_normal(d.block(i)) for i in (1, 2, 3)]
-        b = [scale * rng.standard_normal(d.block(i)) for i in (1, 2, 3)]
-        diff = np.concatenate([u - v for u, v in zip(a, b)])
-        nd = float(np.linalg.norm(diff))
-        if nd == 0.0:
-            continue
-        gd = float(np.linalg.norm(full_grad(*a) - full_grad(*b)))
-        best = max(best, gd / nd)
-    if best == 0.0:
-        best = 1.0
-    return best

@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtri.core import (
+    LAYER_I,
+    Cut,
     Dims,
     FedtriError,
     NonFiniteError,
+    Polytope,
     TrilevelProblem,
     estimate_mu,
     finite_diff_grad,
     project_ball_sq,
 )
+from fedtri.inner import InnerConfig, solve_level3
 from fedtri.problems import build_quadratic_problem
 
 
@@ -202,3 +206,19 @@ class TestGradAll:
         G = problem.grad_all(3, 3, z1, z2, X3)
         for j in range(2):
             assert np.array_equal(G[j], problem.grad(3, j, 3, z1, z2, X3[j]))
+
+
+def test_cuts_polytopes_and_traces_compare_by_identity():
+    # Their ndarray fields make field-wise == ambiguous and hash() impossible.
+    problem, _ = build_quadratic_problem(seed=1, dims=(2, 2, 2), N=2)
+
+    def cut():
+        return Cut(layer=LAYER_I, a1=np.ones(2), a2=np.ones(2), a3=np.ones(2),
+                   b3=np.ones((2, 2)), c=1.0, id=0, born_at=0)
+
+    for build in (cut, lambda: Polytope(LAYER_I, (cut(),)),
+                  lambda: solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=2))):
+        a, b = build(), build()
+        assert a != b and not a == b
+        assert a == a and b == b
+        assert len({a, b, a}) == 2

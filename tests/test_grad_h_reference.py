@@ -1,0 +1,193 @@
+"""The analytic ``grad_h`` (one backward sweep) against a forward-mode reference.
+
+``ref_jacobians`` is the forward Jacobian sweep the backward sweep replaced,
+kept here as an oracle: one full K-round sweep per frozen input (and per
+worker for x3), following the recorded slack/dual clamp branches.
+``ref_grad_h`` contracts its Jacobians with the deviation at the point.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import fedtri.inner
+from fedtri.cuts import generate_cut_I, normalize_cut
+from fedtri.inner import InnerConfig, grad_h, level2_steps, solve_level2, solve_level3
+from fedtri.problems import build_quadratic_problem
+
+# The oracle block each frozen input occupies; z3 reaches the level-2 unroll
+# only through the layer-I cuts.
+ORACLE_BLOCK = {"z1": 1, "z2p": 2, "x3": 3, "z3": None}
+
+
+def ref_jacobians(trace, key, worker=None):
+    """Jacobians of the estimate w.r.t. one frozen input, forward through the rounds."""
+    p = trace.problem
+    cfg = trace.cfg
+    d = p.dims
+    N = d.N
+    level = trace.level
+    dl = d.block(level)
+    z1 = trace.inputs["z1"]
+    z2p = trace.inputs.get("z2p")
+    x3 = trace.inputs.get("x3")
+    wblock = ORACLE_BLOCK[key]
+    dw = d.block(int(key[1]))
+    poly1 = trace.poly1
+    L = len(poly1)
+    if level == 3:
+        kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
+    else:
+        kappa = cfg.kappa2
+        eta_z, eta_gamma = level2_steps(cfg, poly1, N)
+    if L:
+        dconst = poly1.B3[:, worker] if key == "x3" else getattr(poly1, "A" + key[1])
+        a2s = poly1.A2
+
+    Dx = [np.zeros((dl, dw)) for _ in range(N)]
+    Dz = np.zeros((dl, dw))
+    Dphi = [np.zeros((dl, dw)) for _ in range(N)]
+    Ds = np.zeros((L, dw))
+    Dgam = np.zeros((L, dw))
+    for k in range(cfg.K):
+        xk = trace.x[k]
+        Dgx = []
+        for j in range(N):
+            args = (z1, z2p, xk[j]) if level == 3 else (z1, xk[j], x3[j])
+            Hxx = p.cross_hess(level, j, level, level, *args)
+            if wblock is None or (worker is not None and j != worker):
+                Hxw = np.zeros((dl, dw))
+            else:
+                Hxw = p.cross_hess(level, j, level, wblock, *args)
+            Dgx.append(Hxw + Hxx @ Dx[j] + Dphi[j] + kappa * (Dx[j] - Dz))
+        Dgz = -sum(Dphi[j] + kappa * (Dx[j] - Dz) for j in range(N))
+        if L:
+            Dr = dconst + a2s @ Dz + Ds
+            Dgz = Dgz + a2s.T @ (Dgam + cfg.rho2 * Dr)
+        Dx = [Dx[j] - cfg.eta_x * Dgx[j] for j in range(N)]
+        Dz = Dz - eta_z * Dgz
+        if L:
+            s_active = (trace.s[k + 1] > 0.0).astype(float)[:, None]
+            Ds = s_active * (-(dconst + a2s @ Dz) - Dgam / cfg.rho2)
+            g_active = (trace.gamma[k + 1] > 0.0).astype(float)[:, None]
+            Dgam = g_active * (Dgam + eta_gamma * (dconst + a2s @ Dz + Ds))
+        Dphi = [Dphi[j] + cfg.eta_phi * (Dx[j] - Dz) for j in range(N)]
+    return Dx, Dz
+
+
+def ref_grad_h(trace, point, key, worker=None):
+    """The gradient of h at ``point`` in one frozen input, from its forward Jacobians."""
+    x_hat, z_hat = trace.estimate
+    Dx, Dz = ref_jacobians(trace, key, worker)
+    g = -2.0 * Dz.T @ (np.asarray(point[3], float) - z_hat)
+    for xj, xh, Dj in zip(point[0], x_hat, Dx):
+        g = g - 2.0 * Dj.T @ (np.asarray(xj, float) - xh)
+    return g
+
+
+CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
+
+
+def t1_cut(problem, t1, p2):
+    """The unit layer-I cut of ``t1`` at the layer-II point's x3, z1, z2, z3."""
+    _, x3, z1, z2, z3 = p2
+    return normalize_cut(generate_cut_I(t1, (x3, z1, z2, z3), 0.0, 1e-2, problem.alphas,
+                                        grad_mode="analytic"))
+
+
+@pytest.fixture(scope="module")
+def setup():
+    # Distinct block sizes, so a mixed-up block shows as a shape error.
+    problem, _ = build_quadratic_problem(seed=11, dims=(2, 3, 4), N=3, coupling=0.2)
+    rng = np.random.default_rng(12)
+    d = problem.dims
+    z1, z2, z3 = (rng.standard_normal(k) for k in (d.d1, d.d2, d.d3))
+    x3 = rng.standard_normal((d.N, d.d3))
+    x2 = rng.standard_normal((d.N, d.d2))
+    t1 = solve_level3(problem, z1, z2, cfg=CFG)
+    # One unit cut shifted three ways: slack clamp inactive on the first
+    # (s > 0), dual clamp inactive on the other two (gamma > 0).
+    cut = t1_cut(problem, t1, (x2, x3, z1, z2, z3))
+    cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
+                 for i, dc in enumerate((3.0, -0.5, 0.05)))
+    t2 = solve_level2(problem, z1, z3, x3, cuts, cfg=CFG)
+    return problem, t1, t2, (x3, z1, z2, z3), (x2, x3, z1, z2, z3)
+
+
+def assert_close(g, ref):
+    assert g.shape == ref.shape
+    assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_layer_I_matches_forward_reference(setup):
+    _, t1, _, p1, _ = setup
+    g = grad_h(t1, p1, mode="analytic")
+    assert_close(g[1], ref_grad_h(t1, p1, "z1"))
+    assert_close(g[2], ref_grad_h(t1, p1, "z2p"))
+
+
+def assert_matches_reference_on_every_frozen_input(problem, trace, point):
+    g = grad_h(trace, point, mode="analytic")
+    assert_close(g[2], ref_grad_h(trace, point, "z1"))
+    assert_close(g[4], ref_grad_h(trace, point, "z3"))
+    ref_x3 = np.array([ref_grad_h(trace, point, "x3", j) for j in range(problem.dims.N)])
+    assert_close(g[1], ref_x3)
+
+
+def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
+    problem, _, t2, _, p2 = setup
+    s_on, g_on = (t2.s[1:] > 0.0).any(axis=0), (t2.gamma[1:] > 0.0).any(axis=0)
+    assert s_on.any() and not s_on.all()
+    assert g_on.any() and not g_on.all()
+    assert_matches_reference_on_every_frozen_input(problem, t2, p2)
+
+
+def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
+    # With a dual step above rho2, a decaying gamma is clamped to zero, and a
+    # warm gamma gives slack and dual positive in the same round.
+    problem, t1, _, (x3, z1, _, z3), p2 = setup
+    d = problem.dims
+    cut = t1_cut(problem, t1, p2)
+    cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
+                 for i, dc in enumerate((2.5, 3.5)))
+    cfg = dataclasses.replace(CFG, rho2=0.1)
+    zeros = np.zeros((d.N, d.d2))
+    init = (zeros, np.zeros(d.d2), zeros, None, np.full(2, 0.3))
+    trace = solve_level2(problem, z1, z3, x3, cuts, init=init, cfg=cfg)
+    s, gamma = trace.s, trace.gamma
+    assert ((s[1:] > 0.0) & (gamma[:-1] > 0.0)).any()
+    assert ((gamma[:-1] > 0.0) & (gamma[1:] == 0.0)).any()
+    assert_matches_reference_on_every_frozen_input(problem, trace, p2)
+
+
+def count_calls(monkeypatch, obj, name):
+    calls = []
+    fn = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("layer", [1, 2])
+def test_one_sweep_makes_three_cross_hessians_per_worker_and_round(setup, monkeypatch, layer):
+    problem, t1, t2, p1, p2 = setup
+    trace, point = (t1, p1) if layer == 1 else (t2, p2)
+    calls = count_calls(monkeypatch, problem, "cross_hess_fn")
+    grad_h(trace, point, mode="analytic")
+    assert len(calls) == 3 * CFG.K * problem.dims.N
+
+
+def test_finite_diff_reruns_twice_per_frozen_coordinate(setup, monkeypatch):
+    problem, t1, t2, p1, p2 = setup
+    d = problem.dims
+    calls3 = count_calls(monkeypatch, fedtri.inner, "solve_level3")
+    calls2 = count_calls(monkeypatch, fedtri.inner, "solve_level2")
+    grad_h(t1, p1, mode="finite-diff")
+    assert (len(calls3), len(calls2)) == (2 * (d.d1 + d.d2), 0)
+    grad_h(t2, p2, mode="finite-diff")
+    assert (len(calls3), len(calls2)) == (2 * (d.d1 + d.d2), 2 * (d.d1 + d.d3 + d.N * d.d3))

@@ -88,22 +88,22 @@ class TestSolveLevel3:
 
     def test_fixed_point_snapshots_identical(self):
         # Start exactly at the constrained optimum with zero duals: every
-        # snapshot reproduces the initialization bit for bit.
+        # recorded round reproduces the initialization bit for bit.
         t = np.array([0.7, -0.2])
         problem = separable_problem([t, t])
         cfg = InnerConfig(K=5, eta_x=0.2, eta_z=0.2, eta_phi=0.2)
         init = ([t.copy(), t.copy()], t.copy(), [np.zeros(2), np.zeros(2)])
         trace = solve_level3(problem, np.zeros(1), np.zeros(2), init=init, cfg=cfg)
-        for snap in trace.snapshots:
-            assert np.array_equal(snap.z, t)
-            for xj in snap.x:
+        for k in range(cfg.K + 1):
+            assert np.array_equal(trace.z[k], t)
+            for xj in trace.x[k]:
                 assert np.array_equal(xj, t)
 
     def test_snapshot_count(self, quad):
         problem, _ = quad
         cfg = InnerConfig(K=7)
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
-        assert len(trace.snapshots) == 8
+        assert len(trace.x) == len(trace.z) == len(trace.phi) == 8
 
     def test_nonfinite_reports_round(self):
         dims = Dims(d1=1, d2=1, d3=1, N=1)
@@ -206,8 +206,8 @@ class TestSolveLevel2:
                 [np.zeros(2)] * 2, np.zeros(1), np.zeros(1))
         trace = solve_level2(problem, np.zeros(1), np.zeros(2), x3, (cut,),
                              init=init, cfg=cfg)
-        viol0 = float(np.ones(2) @ trace.snapshots[0].z) - cut.c
-        violK = float(np.ones(2) @ trace.snapshots[-1].z) - cut.c
+        viol0 = float(np.ones(2) @ trace.z[0]) - cut.c
+        violK = float(np.ones(2) @ trace.z[-1]) - cut.c
         assert viol0 > 0.0
         assert violK < viol0
         assert trace.gamma_K[0] > 0.0
@@ -219,8 +219,8 @@ class TestSolveLevel2:
         cfg = InnerConfig(K=200, eta_x=0.02, eta_z=0.02, eta_phi=0.02)
         trace = solve_level2(problem, np.zeros(1), np.zeros(2), [np.zeros(2)] * 2, (), cfg=cfg)
         resid = [
-            sum(float((snap.x[j] - snap.z) @ (snap.x[j] - snap.z)) for j in range(2))
-            for snap in trace.snapshots
+            sum(float((x[j] - z) @ (x[j] - z)) for j in range(2))
+            for x, z in zip(trace.x, trace.z)
         ]
         tail = resid[len(resid) // 2:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -271,30 +271,34 @@ class TestGradH:
     def test_direct_blocks_are_twice_deviation(self, quad):
         t1, _, p1, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
-        g = grad_h(t1, "x3:0", p1, mode="finite-diff")
-        assert np.allclose(g, 2.0 * (p1[0][0] - x_hat[0]), atol=1e-12)
-        g = grad_h(t1, "z3", p1, mode="finite-diff")
-        assert np.allclose(g, 2.0 * (p1[3] - z_hat), atol=1e-12)
+        g = grad_h(t1, p1, mode="finite-diff")
+        assert np.allclose(g[0][0], 2.0 * (p1[0][0] - x_hat[0]), atol=1e-12)
+        assert np.allclose(g[3], 2.0 * (p1[3] - z_hat), atol=1e-12)
 
     def test_zero_at_minimizer(self, quad):
         t1, _, _, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
         point = (list(x_hat), t1.inputs["z1"], t1.inputs["z2p"], z_hat)
-        for wrt in ("x3:0", "x3:1", "z3"):
-            assert np.linalg.norm(grad_h(t1, wrt, point)) <= 1e-12
+        g = grad_h(t1, point)
+        for block in (g[0][0], g[0][1], g[3]):  # x3_0, x3_1, z3
+            assert np.linalg.norm(block) <= 1e-12
         # Deviation is zero, so the chain-rule terms vanish too.
-        for wrt in ("z1", "z2"):
-            assert np.linalg.norm(grad_h(t1, wrt, point, mode="analytic")) <= 1e-12
+        g = grad_h(t1, point, mode="analytic")
+        for block in (g[1], g[2]):  # z1, z2
+            assert np.linalg.norm(block) <= 1e-12
 
     def test_finite_diff_vs_analytic_cross_mode(self, quad):
         t1, t2, p1, p2 = self.setup_traces(quad)
+        # Each block is (position in the point, worker row or none).
         for trace, point, blocks in (
-            (t1, p1, ("z1", "z2")),
-            (t2, p2, ("z1", "z3", "x3:0", "x3:1")),
+            (t1, p1, ((1,), (2,))),  # z1, z2
+            (t2, p2, ((2,), (4,), (1, 0), (1, 1))),  # z1, z3, x3_0, x3_1
         ):
-            for wrt in blocks:
-                g_fd = grad_h(trace, wrt, point, mode="finite-diff")
-                g_an = grad_h(trace, wrt, point, mode="analytic")
+            fd = grad_h(trace, point, mode="finite-diff")
+            an = grad_h(trace, point, mode="analytic")
+            for i, *row in blocks:
+                g_fd = fd[i][tuple(row)]
+                g_an = an[i][tuple(row)]
                 denom = max(np.linalg.norm(g_an), 1e-9)
                 assert np.linalg.norm(g_fd - g_an) / denom <= 1e-4
 
@@ -304,7 +308,7 @@ class TestGradH:
         trace = solve_level3(problem, np.zeros(1), np.zeros(2), cfg=InnerConfig(K=2))
         point = ([np.zeros(2)], np.zeros(1), np.zeros(2), np.zeros(2))
         with pytest.raises(FedtriError):
-            grad_h(trace, "z1", point, mode="analytic")
+            grad_h(trace, point, mode="analytic")
 
 
 class TestFlatAdapters:

@@ -5,15 +5,12 @@ from fedtri.core import DualState, PrimalState, finite_diff_grad, project_ball_s
 from fedtri.cuts import Cut, Polytope, cut_violation
 from fedtri.outer import (
     OuterConfig,
-    StepSizeError,
     grad_x_blocks,
     grad_z_blocks,
     lagrangian,
     master_step,
-    probe_lipschitz,
     regularized_lagrangian,
     stationarity_gap,
-    theorem1_step_sizes,
     worker_step,
 )
 from fedtri.problems import build_quadratic_problem
@@ -302,38 +299,6 @@ class TestStationarityGap:
         a = stationarity_gap(state, duals, poly2, problem, cfg).sq_norm
         b = stationarity_gap(state, duals, poly2, problem, cfg).sq_norm
         assert a == b
-
-
-class TestTheorem1StepSizes:
-    def test_golden_all_ones(self):
-        # All constants one, unit Lipschitz estimate: one deterministic value.
-        plan = theorem1_step_sizes(1.0, eta_lambda=1.0, eta_theta=1.0,
-                                   c1_floor=1.0, c2_floor=1.0, M=1, N=1,
-                                   gamma_const=1.0)
-        assert plan.eta_x == pytest.approx(2.0 / 19.0, rel=1e-15)
-
-    def test_cap_violation_named_in_strict_mode(self):
-        with pytest.raises(StepSizeError, match=r"eta_theta <= 2/\(L\+2c2_0\)"):
-            theorem1_step_sizes(1.0, eta_lambda=1.0, eta_theta=1.0,
-                                c1_floor=1.0, c2_floor=1.0, strict=True)
-
-    def test_monotone_decreasing_in_L(self):
-        kwargs = dict(eta_lambda=0.5, eta_theta=0.5, c1_floor=0.5, c2_floor=0.5,
-                      M=2, N=3)
-        small = theorem1_step_sizes(1.0, **kwargs)
-        large = theorem1_step_sizes(4.0, **kwargs)
-        assert large.eta_x < small.eta_x
-
-    def test_tau_bound_reported(self):
-        plan = theorem1_step_sizes(1.0, eta_lambda=0.01, eta_theta=0.5,
-                                   c1_floor=0.5, c2_floor=0.5, N=2, k1=1.0, tau=5)
-        names = [c.name for c in plan.checks]
-        assert "eta_lambda < 1/(30 tau k1 N L^2)" in names
-
-    def test_probe_lipschitz_positive(self):
-        problem, _ = build_quadratic_problem(seed=2, dims=(2, 2, 2), N=2)
-        L = probe_lipschitz(problem, n_pairs=30, seed=0)
-        assert L > 0.0
 
 
 class TestConfigValidation:

@@ -104,10 +104,11 @@ def test_level3_matches_reference_from_warm_init(setup):
     phi0 = [rng.standard_normal(d.d3) for _ in range(d.N)]
     trace = solve_level3(problem, z1, z2, init=(x0, z0, phi0), cfg=CFG)
     ref = ref_path_level3(problem, z1, z2, x0, z0, phi0, CFG)
-    for snap, (x, z, phi) in zip(trace.snapshots, ref, strict=True):
-        assert_rows_equal(snap.x, x)
-        assert np.array_equal(snap.z, z)
-        assert_rows_equal(snap.phi, phi)
+    assert len(trace.x) == len(ref)
+    for k, (x, z, phi) in enumerate(ref):
+        assert_rows_equal(trace.x[k], x)
+        assert np.array_equal(trace.z[k], z)
+        assert_rows_equal(trace.phi[k], phi)
 
 
 def test_level3_matches_reference_from_zero(setup):
@@ -137,12 +138,13 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     g0 = np.array([0.7, 0.1])
     trace = solve_level2(problem, z1, z3, x3, poly1, init=(x0, z0, phi0, s0, g0), cfg=CFG)
     ref = ref_path_level2(problem, z1, z3, x3, poly1, x0, z0, phi0, s0, g0, CFG)
-    for snap, (x, z, phi, s, gamma) in zip(trace.snapshots, ref, strict=True):
-        assert_rows_equal(snap.x, x)
-        assert np.array_equal(snap.z, z)
-        assert_rows_equal(snap.phi, phi)
-        assert np.array_equal(snap.s, s)
-        assert np.array_equal(snap.gamma, gamma)
+    assert len(trace.x) == len(ref)
+    for k, (x, z, phi, s, gamma) in enumerate(ref):
+        assert_rows_equal(trace.x[k], x)
+        assert np.array_equal(trace.z[k], z)
+        assert_rows_equal(trace.phi[k], phi)
+        assert np.array_equal(trace.s[k], s)
+        assert np.array_equal(trace.gamma[k], gamma)
     # The slack and dual paths are not trivially zero, so the cut branch ran.
     assert trace.s[1:].any() or trace.gamma[1:].any()
 
@@ -153,9 +155,6 @@ def test_snapshots_are_views_of_the_recorded_path(setup):
     assert trace.x.shape == (CFG.K + 1, problem.dims.N, problem.dims.d2)
     assert trace.z.shape == (CFG.K + 1, problem.dims.d2)
     assert trace.s.shape == trace.gamma.shape == (CFG.K + 1, 0)
-    last = trace.snapshots[-1]
-    for view, whole in ((last.x, trace.x), (last.z, trace.z), (last.phi, trace.phi)):
-        assert np.shares_memory(view, whole)
     x_hat, z_hat = trace.estimate
     assert np.shares_memory(x_hat, trace.x) and np.shares_memory(z_hat, trace.z)
 
