@@ -9,6 +9,7 @@ from .core import (
     TrilevelProblem,
     estimate_mu,
     finite_diff_grad,
+    flat_point,
     project_ball_sq,
 )
 from .cuts import (
@@ -38,11 +39,9 @@ from .harness import (
 from .inner import (
     InnerConfig,
     UnrollTrace,
-    eval_h1,
-    eval_h2,
+    eval_h,
+    flat_h,
     grad_h,
-    h1_flat,
-    h2_flat,
     solve_level2,
     solve_level3,
 )

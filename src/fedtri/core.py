@@ -192,54 +192,64 @@ LAYER_I = "I"
 LAYER_II = "II"
 
 
+def point_shapes(layer: str, dims: Dims) -> tuple[tuple[int, ...], ...]:
+    """Block shapes of a layer's points, h-gradients and cut rows, in their one order.
+
+    Layer I is ``(z1, z2', z3, x3)``, layer II ``(z1, z2, z3, x3, x2)``; x3 and x2 are (N, d).
+    """
+    shapes = ((dims.d1,), (dims.d2,), (dims.d3,), (dims.N, dims.d3))
+    return shapes + ((dims.N, dims.d2),) if layer == LAYER_II else shapes
+
+
+def flat_point(*blocks) -> Array:
+    """A point or gradient, given block by block, as one flat vector."""
+    return np.concatenate([np.ravel(b) for b in blocks])
+
+
+def split_point(layer: str, dims: Dims, v: Array) -> tuple[Array, ...]:
+    """The blocks of the flat vectors ``v`` (..., width) in point order; undoes ``flat_point``."""
+    shapes = point_shapes(layer, dims)
+    ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    return tuple(b.reshape(v.shape[:-1] + s) for b, s in zip(np.split(v, ends, axis=-1), shapes))
+
+
 @dataclass(frozen=True, eq=False)
 class Cut:
-    """One linear inequality ``a . z + b . x <= c``.
+    """One linear inequality ``w . p <= c`` over its layer's flat point p.
 
-    Layer-I cuts carry coefficients for (z1, z2', z3) and the per-worker x3
-    blocks, ``b3`` of shape (N, d3); layer-II cuts additionally carry the
-    per-worker x2 blocks, ``b2`` of shape (N, d2).  A sequence of per-worker
-    vectors is stacked on construction.  The generators return the raw
-    linearization of h; ``run`` stores each cut rescaled by ``normalize_cut``
-    to ``||(a, b)|| = 1``.  That is a reformulation of the raw cut: the
-    half-space is the same, a stored cut's residual is a signed distance along
-    its unit normal, and its dual is measured per unit of that distance.
+    ``w`` is one row in the block order of ``point_shapes``; for a cut of h it
+    is ``flat_point`` of h's gradient at the anchor point.  ``run`` stores each
+    generated cut rescaled by ``normalize_cut`` to ``||w|| = 1``: the half-space
+    is the same, a residual is a signed distance along the unit normal, and the
+    cut's dual is measured per unit of that distance.
     """
 
     layer: str
-    a1: Array
-    a2: Array
-    a3: Array
-    b3: Array
+    w: Array
     c: float
     id: int
     born_at: int
-    b2: Optional[Array] = None
 
     def __post_init__(self):
         if self.layer not in (LAYER_I, LAYER_II):
             raise ValueError(f"unknown layer {self.layer!r}")
-        if self.layer == LAYER_II and self.b2 is None:
-            raise ValueError("layer-II cuts need x2 coefficients")
-        for name in ("b3", "b2"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        arrays = [self.a1, self.a2, self.a3, self.b3] + ([] if self.b2 is None else [self.b2])
-        if not all(np.isfinite(a).all() for a in arrays) or not np.isfinite(self.c):
+        object.__setattr__(self, "w", np.asarray(self.w, float))
+        if not np.isfinite(self.w).all() or not np.isfinite(self.c):
             raise NonFiniteError("cut coefficients must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """An immutable, ordered set of same-layer cuts and their stacked coefficients.
+    """An immutable, ordered set of same-layer cuts and their stacked rows.
 
-    ``W`` has one row per cut over the flat point ``[z1, z2, z3, x3_1 .. x3_N]``,
-    followed by ``x2_1 .. x2_N`` for layer II.  ``A1``, ``A2``, ``A3`` (L, d_i)
-    and ``B3``, ``B2`` (L, N, d_i) are views into it, and ``c`` is (L,).  They
-    are built once; a refinement builds a new polytope.
+    ``W`` (L, width) stacks the cuts' rows in the order of ``point_shapes``;
+    ``A1``, ``A2``, ``A3`` (L, d_i) and ``B3``, ``B2`` (L, N, d_i) are views
+    into it (``B2`` is None for layer I), and ``c`` is (L,).  They are built
+    once; a refinement builds a new polytope.
     """
 
     layer: str
+    dims: Dims
     cuts: tuple[Cut, ...] = ()
 
     def __post_init__(self):
@@ -248,27 +258,15 @@ class Polytope:
             raise ValueError("cut ids must be unique")
         if any(c.layer != self.layer for c in self.cuts):
             raise ValueError("all cuts must share the polytope's layer")
-        L = len(self.cuts)
-        if L:
-            shapes = [p.shape for p in self._coefficients(self.cuts[0])]
-        else:
-            shapes = [(0,)] * 3 + [(0, 0)] * (2 if self.layer == LAYER_II else 1)
-        widths = [int(np.prod(shape)) for shape in shapes]
-        W = np.array([np.concatenate([p.ravel() for p in self._coefficients(c)])
-                      for c in self.cuts]).reshape(L, sum(widths))
-        views = np.split(W, np.cumsum(widths)[:-1], axis=1)
-        A1, A2, A3, B3, *B2 = (v.reshape((L,) + shape) for v, shape in zip(views, shapes))
+        width = sum(int(np.prod(s)) for s in point_shapes(self.layer, self.dims))
+        if any(c.w.shape != (width,) for c in self.cuts):
+            raise ValueError(f"a layer-{self.layer} cut row must have width {width}")
+        W = np.array([c.w for c in self.cuts]).reshape(len(self.cuts), width)
+        A1, A2, A3, B3, *B2 = split_point(self.layer, self.dims, W)
         for name, value in (("W", W), ("A1", A1), ("A2", A2), ("A3", A3), ("B3", B3),
                             ("B2", B2[0] if B2 else None),
                             ("c", np.array([c.c for c in self.cuts], float))):
             object.__setattr__(self, name, value)
-
-    def _coefficients(self, cut: Cut) -> list[Array]:
-        """A cut's coefficient blocks in the column order of ``W``."""
-        return [cut.a1, cut.a2, cut.a3, cut.b3] + ([cut.b2] if self.layer == LAYER_II else [])
-
-    def __len__(self) -> int:
-        return len(self.cuts)
 
     @property
     def size(self) -> int:
@@ -277,22 +275,15 @@ class Polytope:
     def ids(self) -> tuple[int, ...]:
         return tuple(c.id for c in self.cuts)
 
-    def residuals(self, x3, z1, z2, z3, x2=None) -> Array:
-        """Every cut's ``(a . z + b . x) - c``, shape (L,); nonpositive means satisfied.
+    def residuals(self, z1, z2, z3, x3, x2=None) -> Array:
+        """Every cut's ``w . p - c``, shape (L,), <= 0 if satisfied; x3 and x2 are (N, d) rows."""
+        if self.layer == LAYER_II and x2 is None:
+            raise ValueError("layer-II cuts need the x2 blocks")
+        blocks = (z1, z2, z3, x3) if self.layer == LAYER_I else (z1, z2, z3, x3, x2)
+        return self.W @ flat_point(*blocks) - self.c
 
-        ``x3`` and ``x2`` hold one row per worker.  One cut is the one-row case.
-        """
-        if not self.cuts:
-            return np.zeros(0)
-        blocks = [z1, z2, z3, np.ravel(x3)]
-        if self.layer == LAYER_II:
-            if x2 is None:
-                raise ValueError("layer-II cuts need the x2 blocks")
-            blocks.append(np.ravel(x2))
-        return self.W @ np.concatenate(blocks) - self.c
-
-    def contains(self, x3, z1, z2, z3, x2=None, tol: float = 0.0) -> bool:
-        return bool((self.residuals(x3, z1, z2, z3, x2=x2) <= tol).all())
+    def contains(self, z1, z2, z3, x3, x2=None, tol: float = 0.0) -> bool:
+        return bool((self.residuals(z1, z2, z3, x3, x2=x2) <= tol).all())
 
 
 def default_fd_step(v: Array) -> float:

@@ -108,7 +108,7 @@ def schedule_epoch(
     return tuple(sorted(active)), new_clock
 
 
-def comm_cost_iter(t: int, S: int, dims, poly2_size: int) -> int:
+def comm_cost_iter(S: int, dims, poly2_size: int) -> int:
     """Per-iteration scalar traffic: 32 S (2 sum(d_i) + d1 + |P_II|)."""
     if S < 0 or poly2_size < 0:
         raise ValueError("inputs must be nonnegative")
@@ -179,7 +179,7 @@ class RunLog:
             "T_eps": self.T_eps,
             "c1_total": self.c1_total,
             "c2_total": self.c2_total,
-            "final_gap_sq": self.final_gap_sq,
+            "final_gap_sq": self.final_gap_sq if self.records else None,
             "abort": self.abort,
             "dims": list(self.dims),
             "N": self.N,
@@ -262,8 +262,8 @@ def run(
     x1, x2, x3 = problem.initial_point(rng)
     state = PrimalState.from_point(problem.dims, x1, x2, x3)
     duals = DualState.zeros(problem.dims)
-    poly1 = Polytope(layer="I")
-    poly2 = Polytope(layer="II")
+    poly1 = Polytope("I", problem.dims)
+    poly2 = Polytope("II", problem.dims)
     next_cut_id = 0
     warm3 = warm2 = None  # (x, z, phi, s, gamma) inits, set only under warm_start
 
@@ -297,14 +297,14 @@ def run(
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2
         trace1 = solve_level3(problem, state.z[0], state.z[1], init=warm3, cfg=inner_cfg)
-        cut1 = normalize_cut(generate_cut_I(trace1, (state.x[2], *state.z), mu, inner_cfg.eps1,
+        cut1 = normalize_cut(generate_cut_I(trace1, (*state.z, state.x[2]), mu, inner_cfg.eps1,
                                             problem.alphas, grad_mode=grad_mode,
                                             cut_id=next_cut_id, born_at=t_at))
         poly1 = add_cut(poly1, cut1)
 
         trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
                               poly1, init=warm2, cfg=inner_cfg)
-        cut2 = normalize_cut(generate_cut_II(trace2, (state.x[1], state.x[2], *state.z), mu,
+        cut2 = normalize_cut(generate_cut_II(trace2, (*state.z, state.x[2], state.x[1]), mu,
                                              inner_cfg.eps2, problem.alphas, grad_mode=grad_mode,
                                              cut_id=next_cut_id + 1, born_at=t_at))
         next_cut_id += 2
@@ -388,7 +388,7 @@ def run(
             gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
             gap_sq = gap.sq_norm
             f1v, f2v, f3v = _objectives(problem, state)
-            c1_cost = comm_cost_iter(t_new, sched_cfg.S, problem.dims, poly2.size)
+            c1_cost = comm_cost_iter(sched_cfg.S, problem.dims, poly2.size)
             log.c1_total += c1_cost
             log.records.append(IterRecord(
                 t=t_new, sim_time=clock, active=[j + 1 for j in active],
@@ -432,7 +432,7 @@ def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[st
         if r.sim_time < prev_time:
             problems.append(f"t={r.t}: simulated time went backwards")
         prev_time = r.sim_time
-        expect = 0 if r.t == 0 else comm_cost_iter(r.t, log.S, dims, r.p2_size)
+        expect = 0 if r.t == 0 else comm_cost_iter(log.S, dims, r.p2_size)
         if r.c1 != expect:
             problems.append(f"t={r.t}: C1 mismatch ({r.c1} != {expect})")
         c1_sum += r.c1

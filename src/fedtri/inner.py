@@ -15,14 +15,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem, default_fd_step
+from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem, finite_diff_grad
+from .core import flat_point, point_shapes, split_point
 
 
 class InnerSolverError(FedtriError):
     pass
-
-
-_NO_POLY1 = Polytope(LAYER_I)
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,7 @@ class UnrollTrace:
     inner duals ``gamma`` used for layer-I cut pruning.  The path is stored
     round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d), and
     ``s`` and ``gamma`` are (K+1, L) for layer II and None for layer I.
+    ``poly1`` holds the layer-I cuts frozen into the unroll (none for layer I).
     """
 
     layer: str
@@ -71,9 +70,9 @@ class UnrollTrace:
     x: Array
     z: Array
     phi: Array
+    poly1: Polytope
     s: Optional[Array] = None
     gamma: Optional[Array] = None
-    poly1: Polytope = _NO_POLY1  # layer-I cuts frozen into a layer-II trace
 
     def __post_init__(self):
         if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi)):
@@ -159,7 +158,7 @@ def _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg):
     phi[k + 1] = phik + cfg.eta_phi * (x_new - z_new)
 
 
-def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1=_NO_POLY1):
+def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1):
     """Run K rounds of ``_round`` from ``init`` (or zeros) and record the path.
 
     ``init`` is ``(x, z, phi)`` with optional ``(s, gamma)`` after it; a
@@ -167,7 +166,7 @@ def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1=_
     """
     d = problem.dims
     dl = d.block(level)
-    L = len(poly1)
+    L = poly1.size
     buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, dl, L)
     if init is None:
         buf[0] = 0.0
@@ -204,7 +203,8 @@ def solve_level3(
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
     return _unroll(problem, 3, lambda x: problem.grad_all(3, 3, z1, z2p, x), init, cfg,
-                   cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()})
+                   cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()},
+                   Polytope(LAYER_I, d))
 
 
 def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, float]:
@@ -245,12 +245,17 @@ def solve_level2(
     if z1.shape != (d.d1,) or z3.shape != (d.d3,) or x3.shape != (d.N, d.d3):
         raise ValueError("frozen input dimensions do not match problem dims")
     if not isinstance(poly1, Polytope):
-        poly1 = Polytope(LAYER_I, tuple(poly1))
-    r0 = poly1.residuals(x3, z1, np.zeros(d.d2), z3)
+        poly1 = Polytope(LAYER_I, d, tuple(poly1))
+    r0 = poly1.residuals(z1, np.zeros(d.d2), z3, x3)
     eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
     return _unroll(problem, 2, lambda x: problem.grad_all(2, 2, z1, x, x3), init, cfg,
                    cfg.kappa2, eta_z, (r0, poly1.A2, eta_gamma),
                    {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1)
+
+
+# Where each block of a layer's point comes from: "x" and "z" are the
+# unrolled level's own blocks, the rest name the trace's frozen inputs.
+_POINT_BLOCKS = {"I": ("z1", "z2p", "z", "x"), "II": ("z1", "z", "z3", "x3", "x")}
 
 
 def _sq_deviation(x, z, x_hat, z_hat) -> float:
@@ -263,28 +268,24 @@ def _sq_deviation(x, z, x_hat, z_hat) -> float:
     return total + float(dz @ dz)
 
 
-def _eval_h(trace: UnrollTrace, layer: str, x, z) -> float:
-    if trace.layer != layer:
-        raise FedtriError(f"eval_h{1 if layer == 'I' else 2} needs a layer-{layer} trace")
-    x_hat, z_hat = trace.estimate
-    if len(x) != len(x_hat):
-        raise ValueError("worker count mismatch")
-    lv = trace.level
-    if any(np.shape(xj) != xh.shape for xj, xh in zip(x, x_hat)):
-        raise ValueError(f"x{lv} block dimension mismatch")
-    if np.shape(z) != z_hat.shape:
-        raise ValueError(f"z{lv} dimension mismatch")
-    return _sq_deviation(x, z, x_hat, z_hat)
+def _own_blocks(trace: UnrollTrace, point) -> tuple:
+    """The unrolled level's own blocks (x, z) of a point in its layer's block order."""
+    keys = _POINT_BLOCKS[trace.layer]
+    return point[keys.index("x")], point[keys.index("z")]
 
 
-def eval_h1(trace: UnrollTrace, x3: Sequence[Array], z3: Array) -> float:
-    """Squared deviation of ({x3_j}, z3) from the trace's final level-3 estimate."""
-    return _eval_h(trace, "I", x3, z3)
+def eval_h(trace: UnrollTrace, point) -> float:
+    """Squared deviation of the point's own blocks from the trace's final estimate.
 
-
-def eval_h2(trace: UnrollTrace, x2: Sequence[Array], z2: Array) -> float:
-    """Squared deviation of ({x2_j}, z2) from the trace's final level-2 estimate."""
-    return _eval_h(trace, "II", x2, z2)
+    ``point`` is ``(z1, z2', z3, x3)`` for a layer-I trace, whose own blocks are
+    (x3, z3), and ``(z1, z2, z3, x3, x2)`` for a layer-II trace, owning (x2, z2).
+    """
+    shapes = point_shapes(trace.layer, trace.problem.dims)
+    if len(point) != len(shapes):
+        raise FedtriError(f"a layer-{trace.layer} point has {len(shapes)} blocks")
+    if any(np.shape(b) != shape for b, shape in zip(point, shapes)):
+        raise ValueError(f"point blocks must have the shapes {shapes}")
+    return _sq_deviation(*_own_blocks(trace, point), *trace.estimate)
 
 
 def _rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
@@ -310,33 +311,21 @@ def rerun_estimate(trace: UnrollTrace, **overrides) -> tuple[tuple[Array, ...], 
 # ---------------------------------------------------------------------------
 # Gradients of h through the unroll
 
-# Where each block of a layer's point comes from: "x" and "z" are the
-# unrolled level's own blocks, the rest name the trace's frozen inputs.
-_POINT_BLOCKS = {"I": ("x", "z1", "z2p", "z"), "II": ("x", "x3", "z1", "z", "z3")}
-
-
-def _fd_through_unroll(trace, point, key: str) -> Array:
+def _fd_through_unroll(trace, x, z, key: str) -> Array:
     """Central differences of h in one frozen input, re-running the unroll twice per coordinate.
 
-    A per-worker input (N, d) takes each row's own step.
+    ``x`` and ``z`` are the point's own blocks; a per-worker input (N, d) steps row by row.
     """
     base = trace.inputs[key]
     rows = base.reshape(-1, base.shape[-1])
-    g = np.zeros_like(rows)
 
     def h_at(j: int, value) -> float:
         pert = rows.copy()
         pert[j] = value
-        x_hat, z_hat = rerun_estimate(trace, **{key: pert.reshape(base.shape)})
-        return _sq_deviation(point[0], point[3], x_hat, z_hat)
+        return _sq_deviation(x, z, *rerun_estimate(trace, **{key: pert.reshape(base.shape)}))
 
-    for j, row in enumerate(rows):
-        h = default_fd_step(row)
-        for k in range(row.size):
-            e = np.zeros_like(row)
-            e[k] = h
-            g[j, k] = (h_at(j, row + e) - h_at(j, row - e)) / (2.0 * h)
-    return g.reshape(base.shape)
+    g = [finite_diff_grad(lambda v: h_at(j, v), row) for j, row in enumerate(rows)]
+    return np.array(g).reshape(base.shape)
 
 
 def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
@@ -353,7 +342,7 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
     lv = trace.level
     inputs = trace.inputs
     poly1 = trace.poly1
-    L = len(poly1)
+    L = poly1.size
     z1, z2p, x3 = inputs["z1"], inputs.get("z2p"), inputs.get("x3")
     if lv == 3:
         kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
@@ -402,14 +391,15 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
 
 
 def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array, ...]:
-    """Gradient of h at ``point``: one array per block, in the point's order and shapes.
+    """Gradient of h at ``point``: one array per block, in the order and shapes of the point.
 
-    Layer-I points are ``({x3_j}, z1, z2p, z3)``; layer-II points are
-    ``({x2_j}, {x3_j}, z1, z2, z3)``.  Per-worker blocks come back as (N, d)
-    arrays.  The unrolled level's own blocks differentiate directly to twice
-    the deviation; the frozen inputs go through the unroll in the requested
-    ``mode``: "finite-diff" re-runs it twice per coordinate, "analytic" makes
-    one backward sweep over the recorded rounds and needs second derivatives.
+    Layer-I points are ``(z1, z2', z3, x3)``; layer-II points are
+    ``(z1, z2, z3, x3, x2)``.  Per-worker blocks come back as (N, d) arrays,
+    so ``flat_point(*grad_h(...))`` is a cut row.  The unrolled level's own
+    blocks differentiate directly to twice the deviation; the frozen inputs
+    go through the unroll in the requested ``mode``: "finite-diff" re-runs it
+    twice per coordinate, "analytic" makes one backward sweep over the
+    recorded rounds and needs second derivatives.
     """
     if mode not in ("finite-diff", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -417,18 +407,18 @@ def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array,
         raise FedtriError(
             "analytic unroll gradients requested but the problem has no second derivatives"
         )
+    x, z = _own_blocks(trace, point)
     x_hat, z_hat = trace.estimate
-    grads = {"x": 2.0 * (np.asarray(point[0], float) - x_hat),
-             "z": 2.0 * (np.asarray(point[3], float) - z_hat)}
+    grads = {"x": 2.0 * (np.asarray(x, float) - x_hat), "z": 2.0 * (np.asarray(z, float) - z_hat)}
     if mode == "analytic":
         grads.update(_adjoint(trace, -grads["x"], -grads["z"]))
     else:
-        grads.update((key, _fd_through_unroll(trace, point, key)) for key in trace.inputs)
+        grads.update((key, _fd_through_unroll(trace, x, z, key)) for key in trace.inputs)
     return tuple(grads[key] for key in _POINT_BLOCKS[trace.layer])
 
 
 # ---------------------------------------------------------------------------
-# Flat-vector adapters (sampling, mu estimation, cut validation)
+# Flat-vector adapter (sampling, mu estimation, cut validation)
 
 
 @dataclass(frozen=True)
@@ -443,47 +433,25 @@ class FlatH:
     unpack: Callable[[Array], tuple]
 
 
-def _flat(trace: UnrollTrace, grad_mode: str) -> FlatH:
-    """h of the trace's layer over the flat concatenation of its point's blocks."""
+def flat_h(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
+    """h of the trace's layer over ``flat_point`` of its point, re-running the unroll per call."""
     d = trace.problem.dims
-    N = d.N
-    sizes = (d.d3,) if trace.layer == "I" else (d.d2, d.d3)  # per-worker blocks
-    dim = N * sum(sizes) + d.d1 + d.d2 + d.d3
+    layer = trace.layer
 
-    def unpack(v: Array):
-        v = np.asarray(v, float)
-        point, off = [], 0
-        for db in sizes:
-            point.append([v[off + j * db: off + (j + 1) * db] for j in range(N)])
-            off += N * db
-        return (*point, v[off: off + d.d1], v[off + d.d1: off + d.d1 + d.d2],
-                v[off + d.d1 + d.d2:])
+    def unpack(v: Array) -> tuple[Array, ...]:
+        return split_point(layer, d, np.asarray(v, float))
 
-    def pack(*point) -> Array:
-        return np.concatenate([*(a for blocks in point[:-3] for a in blocks), *point[-3:]])
-
-    def frozen(point) -> dict:
-        if trace.layer == "I":
-            return {"z1": point[1], "z2p": point[2]}
-        return {"z1": point[2], "z3": point[4], "x3": tuple(point[1])}
+    def rerun_at(point) -> UnrollTrace:
+        return _rerun(trace, **{k: b for k, b in zip(_POINT_BLOCKS[layer], point)
+                                if k in trace.inputs})
 
     def fn(v: Array) -> float:
         point = unpack(v)
-        return _sq_deviation(point[0], point[3], *rerun_estimate(trace, **frozen(point)))
+        return eval_h(rerun_at(point), point)
 
     def grad(v: Array) -> Array:
         point = unpack(v)
-        sub = _rerun(trace, **frozen(point))
-        return np.concatenate([g.ravel() for g in grad_h(sub, point, mode=grad_mode)])
+        return flat_point(*grad_h(rerun_at(point), point, mode=grad_mode))
 
-    return FlatH(trace=trace, dim=dim, fn=fn, grad=grad, pack=pack, unpack=unpack)
-
-
-def h1_flat(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
-    """h_I over the flat vector [x3_1 .. x3_N, z1, z2', z3]."""
-    return _flat(trace, grad_mode)
-
-
-def h2_flat(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
-    """h_II over the flat vector [x2_1 .. x2_N, x3_1 .. x3_N, z1, z2, z3]."""
-    return _flat(trace, grad_mode)
+    dim = sum(int(np.prod(s)) for s in point_shapes(layer, d))
+    return FlatH(trace=trace, dim=dim, fn=fn, grad=grad, pack=flat_point, unpack=unpack)

@@ -33,7 +33,7 @@ class OuterConfig:
     The cut duals lambda live in [0, sqrt(alpha4)].  ``run`` stores its cuts
     at unit coefficient norm, so lambda is measured per unit distance along a
     cut's normal and the cap bounds the pull of one cut on the primal blocks,
-    ``||lambda (a, b)||``, by sqrt(alpha4).
+    ``||lambda w||``, by sqrt(alpha4).
     """
 
     eta_x1: float = 0.05
@@ -99,7 +99,7 @@ def lagrangian(state: PrimalState, duals: DualState, poly2: Polytope,
     X1, X2, X3 = state.x
     total = sum(problem.eval(1, j, X1[j], X2[j], X3[j]) for j in range(problem.dims.N))
     total += float((duals.theta * (X1 - state.z[0])).sum())
-    total += float(duals.lam @ poly2.residuals(X3, *state.z, x2=X2))
+    total += float(duals.lam @ poly2.residuals(*state.z, X3, X2))
     if not np.isfinite(total):
         raise NonFiniteError("non-finite Lagrangian value")
     return total
@@ -174,7 +174,7 @@ def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
                                       problem.alphas)]
     new_state = PrimalState(x=[X.copy() for X in state.x], z=z)
 
-    resid = poly2.residuals(state.x[2], *z, x2=state.x[1])
+    resid = poly2.residuals(*z, state.x[2], state.x[1])
     lam = np.clip(duals.lam + cfg.eta_lambda * (resid - c1 * duals.lam), 0.0, np.sqrt(cfg.alpha4))
     theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
     theta = project_box_inf(
@@ -205,7 +205,7 @@ class GapVector:
 def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
                      problem: TrilevelProblem, cfg: OuterConfig) -> GapVector:
     """Primal gradients plus projected dual residuals of the unregularized L_p."""
-    resid = poly2.residuals(state.x[2], *state.z, x2=state.x[1])
+    resid = poly2.residuals(*state.z, state.x[2], state.x[1])
     proj = np.clip(duals.lam + cfg.eta_lambda * resid, 0.0, np.sqrt(cfg.alpha4))
     theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
     step = duals.theta + cfg.eta_theta * (state.x[0] - state.z[0])

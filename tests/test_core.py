@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedtri.core import (
     LAYER_I,
+    LAYER_II,
     Cut,
     Dims,
     FedtriError,
@@ -13,6 +14,7 @@ from fedtri.core import (
     TrilevelProblem,
     estimate_mu,
     finite_diff_grad,
+    flat_point,
     project_ball_sq,
 )
 from fedtri.inner import InnerConfig, solve_level3
@@ -213,12 +215,32 @@ def test_cuts_polytopes_and_traces_compare_by_identity():
     problem, _ = build_quadratic_problem(seed=1, dims=(2, 2, 2), N=2)
 
     def cut():
-        return Cut(layer=LAYER_I, a1=np.ones(2), a2=np.ones(2), a3=np.ones(2),
-                   b3=np.ones((2, 2)), c=1.0, id=0, born_at=0)
+        return Cut(layer=LAYER_I, w=np.ones(10), c=1.0, id=0, born_at=0)
 
-    for build in (cut, lambda: Polytope(LAYER_I, (cut(),)),
+    for build in (cut, lambda: Polytope(LAYER_I, problem.dims, (cut(),)),
                   lambda: solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=2))):
         a, b = build(), build()
         assert a != b and not a == b
         assert a == a and b == b
         assert len({a, b, a}) == 2
+
+
+class TestPolytopeRows:
+    DIMS = Dims(d1=1, d2=2, d3=3, N=2)  # layer-I rows are 12 wide, layer-II rows 16
+
+    def test_rejects_a_row_of_the_wrong_width(self):
+        for layer, width in ((LAYER_I, 16), (LAYER_II, 12), (LAYER_I, 11)):
+            with pytest.raises(ValueError, match="width"):
+                Polytope(layer, self.DIMS, (Cut(layer=layer, w=np.ones(width), c=0.0, id=0,
+                                                born_at=0),))
+
+    def test_views_split_the_rows_in_point_order(self):
+        d = self.DIMS
+        blocks = (np.full(d.d1, 1.0), np.full(d.d2, 2.0), np.full(d.d3, 3.0),
+                  np.full((d.N, d.d3), 4.0), np.full((d.N, d.d2), 5.0))
+        poly = Polytope(LAYER_II, d, (Cut(layer=LAYER_II, w=flat_point(*blocks), c=0.0, id=0,
+                                          born_at=0),))
+        views = (poly.A1, poly.A2, poly.A3, poly.B3, poly.B2)
+        for view, block in zip(views, blocks):
+            assert np.array_equal(view[0], block)
+        assert Polytope(LAYER_I, d).B2 is None and Polytope(LAYER_I, d).W.shape == (0, 12)

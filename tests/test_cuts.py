@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem, estimate_mu
+from fedtri.core import Dims, FedtriError, TrilevelProblem, estimate_mu, split_point
 from fedtri.cuts import (
     Cut,
     Polytope,
@@ -13,24 +13,17 @@ from fedtri.cuts import (
     normalize_cut,
     validate_cut,
 )
-from fedtri.inner import InnerConfig, eval_h1, h1_flat, h2_flat, solve_level2, solve_level3
+from fedtri.inner import InnerConfig, eval_h, flat_h, solve_level2, solve_level3
 from fedtri.problems import build_quadratic_problem
 
 
 def toy_cut(layer="I", d=2, N=2, c=1.0, cut_id=0, seed=0):
     rng = np.random.default_rng(seed)
-    b2 = tuple(rng.standard_normal(d) for _ in range(N)) if layer == "II" else None
-    return Cut(
-        layer=layer,
-        a1=rng.standard_normal(d),
-        a2=rng.standard_normal(d),
-        a3=rng.standard_normal(d),
-        b3=tuple(rng.standard_normal(d) for _ in range(N)),
-        b2=b2,
-        c=c,
-        id=cut_id,
-        born_at=0,
-    )
+    width = 3 * d + N * d * (2 if layer == "II" else 1)
+    return Cut(layer=layer, w=rng.standard_normal(width), c=c, id=cut_id, born_at=0)
+
+
+TOY_DIMS = Dims(d1=2, d2=2, d3=2, N=2)  # the dims of toy_cut's defaults
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +49,13 @@ class TestGenerateCutI:
         problem = scalar_problem()
         cfg = InnerConfig(K=1, eta_x=0.0, eta_z=0.0, eta_phi=0.0)
         trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
-        point = ([np.zeros(1)], np.zeros(1), np.zeros(1), np.array([1.0]))
+        point = (np.zeros(1), np.zeros(1), np.array([1.0]), [np.zeros(1)])
         cut = generate_cut_I(trace, point, mu=0.0, eps1=0.1, alphas=problem.alphas)
-        assert np.allclose(cut.a3, [2.0], atol=1e-9)
-        assert np.allclose(cut.a1, [0.0], atol=1e-9)
-        assert np.allclose(cut.a2, [0.0], atol=1e-9)
-        assert np.allclose(cut.b3[0], [0.0], atol=1e-9)
+        a1, a2, a3, b3 = split_point("I", problem.dims, cut.w)
+        assert np.allclose(a3, [2.0], atol=1e-9)
+        assert np.allclose(a1, [0.0], atol=1e-9)
+        assert np.allclose(a2, [0.0], atol=1e-9)
+        assert np.allclose(b3[0], [0.0], atol=1e-9)
         assert cut.c == pytest.approx(1.1, abs=1e-9)
 
     def test_mu_zero_matches_classic_convex_cut(self, quad):
@@ -73,16 +67,15 @@ class TestGenerateCutI:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level3(problem, z1, z2, cfg=cfg)
-        point = (x3, z1, z2, z3)
+        point = (z1, z2, z3, x3)
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
                              alphas=problem.alphas, grad_mode="analytic")
-        flat = h1_flat(trace, grad_mode="analytic")
+        flat = flat_h(trace, grad_mode="analytic")
         v0 = flat.pack(*point)
         g = flat.grad(v0)
         h0 = flat.fn(v0)
         c_classic = 1e-2 - h0 + float(g @ v0)
-        packed_coeffs = np.concatenate([*cut.b3, cut.a1, cut.a2, cut.a3])
-        assert np.allclose(packed_coeffs, g, rtol=1e-12, atol=1e-12)
+        assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
         assert cut.c == pytest.approx(c_classic, rel=1e-12)
 
     def test_rhs_inflation_term_by_term(self, quad):
@@ -90,7 +83,7 @@ class TestGenerateCutI:
         problem, _ = quad
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
-        zero_pt = ([np.zeros(2)] * 2, np.zeros(2), np.zeros(2), np.zeros(2))
+        zero_pt = (np.zeros(2), np.zeros(2), np.zeros(2), [np.zeros(2)] * 2)
         eps1, mu = 0.05, 2.0
         cut0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
                               alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
@@ -110,14 +103,13 @@ class TestGenerateCutII:
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
-        point = (x2, x3, z1, z2, z3)
+        point = (z1, z2, z3, x3, x2)
         cut = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
                               alphas=problem.alphas, grad_mode="analytic")
-        flat = h2_flat(trace, grad_mode="analytic")
+        flat = flat_h(trace, grad_mode="analytic")
         v0 = flat.pack(*point)
         g = flat.grad(v0)
-        packed = np.concatenate([*cut.b2, *cut.b3, cut.a1, cut.a2, cut.a3])
-        assert np.allclose(packed, g, rtol=1e-12, atol=1e-12)
+        assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
         assert cut.c == pytest.approx(1e-2 - flat.fn(v0) + float(g @ v0), rel=1e-12)
 
     def test_inflation_origin_n2(self, quad):
@@ -126,8 +118,8 @@ class TestGenerateCutII:
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level2(problem, np.zeros(2), np.zeros(2),
                              [np.zeros(2)] * 2, (), cfg=cfg)
-        pt = ([np.zeros(2)] * 2, [np.zeros(2)] * 2,
-              np.zeros(2), np.zeros(2), np.zeros(2))
+        pt = (np.zeros(2), np.zeros(2), np.zeros(2),
+              [np.zeros(2)] * 2, [np.zeros(2)] * 2)
         eps2 = 0.3
         cut0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
                                alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
@@ -145,14 +137,12 @@ class TestGenerateCutII:
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
-        point = (x2, x3, z1, z2, z3)
+        point = (z1, z2, z3, x3, x2)
         eps2, mu = 1e-2, 0.5
         cut = generate_cut_II(trace, point, mu=mu, eps2=eps2,
                               alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
-        from fedtri.inner import eval_h2
-
-        h0 = eval_h2(trace, x2, z2)
-        slack = -cut_violation(cut, x3, z1, z2, z3, x2=x2)
+        h0 = eval_h(trace, point)
+        slack = -cut_violation(cut, *point)
         assert slack == pytest.approx(eps2 + mu * cut_inflation_ii(point) - h0, rel=1e-9)
         assert slack >= eps2 - h0
 
@@ -166,37 +156,33 @@ class TestNormalizeCut:
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
-        raw = generate_cut_II(trace, (x2, x3, z1, z2, z3), mu=0.5, eps2=1e-2,
+        raw = generate_cut_II(trace, (z1, z2, z3, x3, x2), mu=0.5, eps2=1e-2,
                               alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
         unit = normalize_cut(raw)
-        packed = np.concatenate([*unit.b2, *unit.b3, unit.a1, unit.a2, unit.a3])
-        assert np.linalg.norm(packed) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(unit.w) == pytest.approx(1.0, rel=1e-12)
         assert (unit.id, unit.born_at, unit.layer) == (raw.id, raw.born_at, raw.layer)
 
         # Points spread around the cut's boundary land on both sides of it.
-        scale = abs(raw.c) / np.linalg.norm(
-            np.concatenate([*raw.b2, *raw.b3, raw.a1, raw.a2, raw.a3]))
+        scale = abs(raw.c) / np.linalg.norm(raw.w)
         accepted = rejected = 0
         for _ in range(400):
             pz = [scale * rng.standard_normal(2) for _ in range(3)]
             px3 = [scale * rng.standard_normal(2) for _ in range(2)]
             px2 = [scale * rng.standard_normal(2) for _ in range(2)]
-            inside_raw = cut_violation(raw, px3, *pz, x2=px2) <= 0.0
-            inside_unit = cut_violation(unit, px3, *pz, x2=px2) <= 0.0
+            inside_raw = cut_violation(raw, *pz, px3, px2) <= 0.0
+            inside_unit = cut_violation(unit, *pz, px3, px2) <= 0.0
             assert inside_raw == inside_unit
             accepted += inside_raw
             rejected += not inside_raw
         assert accepted and rejected
 
     def test_zero_norm_cut_unchanged(self):
-        z = np.zeros(2)
-        cut = Cut(layer="II", a1=z, a2=z, a3=z, b3=(z, z), b2=(z, z), c=0.5,
-                  id=3, born_at=1)
+        cut = Cut(layer="II", w=np.zeros(14), c=0.5, id=3, born_at=1)
         assert normalize_cut(cut) is cut
 
 
 def cut_inflation_ii(point, alphas=(1.0, 1.0, 1.0)):
-    x2, x3, z1, z2, z3 = point
+    z1, z2, z3, x3, x2 = point
     n = len(x2)
     a1, a2, a3 = alphas
     total = a1 + (n + 1) * (a2 + a3)
@@ -207,30 +193,30 @@ def cut_inflation_ii(point, alphas=(1.0, 1.0, 1.0)):
 
 class TestPolytopeOps:
     def test_add_increments(self):
-        poly = Polytope(layer="I")
+        poly = Polytope("I", TOY_DIMS)
         poly = add_cut(poly, toy_cut(cut_id=0))
         assert poly.size == 1
 
     def test_duplicate_coefficients_allowed(self):
-        poly = Polytope(layer="I")
+        poly = Polytope("I", TOY_DIMS)
         poly = add_cut(poly, toy_cut(cut_id=0, seed=9))
         poly = add_cut(poly, toy_cut(cut_id=1, seed=9))
         assert poly.size == 2
 
     def test_layer_mismatch(self):
-        poly = Polytope(layer="I")
+        poly = Polytope("I", TOY_DIMS)
         with pytest.raises(FedtriError):
             add_cut(poly, toy_cut(layer="II", cut_id=0))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            Polytope(layer="I", cuts=(toy_cut(cut_id=0), toy_cut(cut_id=0, seed=1)))
+            Polytope("I", TOY_DIMS, (toy_cut(cut_id=0), toy_cut(cut_id=0, seed=1)))
 
 
 class TestDropInactive:
     def make_polys(self, n1=3, n2=2):
-        p1 = Polytope(layer="I", cuts=tuple(toy_cut("I", cut_id=i, seed=i) for i in range(n1)))
-        p2 = Polytope(layer="II", cuts=tuple(toy_cut("II", cut_id=10 + i, seed=i) for i in range(n2)))
+        p1 = Polytope("I", TOY_DIMS, tuple(toy_cut("I", cut_id=i, seed=i) for i in range(n1)))
+        p2 = Polytope("II", TOY_DIMS, tuple(toy_cut("II", cut_id=10 + i, seed=i) for i in range(n2)))
         return p1, p2
 
     def test_all_positive_keeps_everything(self):
@@ -268,11 +254,10 @@ class TestDropInactive:
         p1, p2 = self.make_polys()
         cut = p1.cuts[0]
         q1, _ = drop_inactive(p1, np.array([0.0, 1.0, 1.0]), p2, np.ones(2))
-        readded = add_cut(q1, Cut(layer="I", a1=cut.a1, a2=cut.a2, a3=cut.a3,
-                                  b3=cut.b3, c=cut.c, id=99, born_at=5))
+        readded = add_cut(q1, Cut(layer="I", w=cut.w, c=cut.c, id=99, born_at=5))
         assert readded.size == p1.size
-        got = sorted((tuple(c.a1), c.c) for c in readded.cuts)
-        want = sorted((tuple(c.a1), c.c) for c in p1.cuts)
+        got = sorted((tuple(c.w), c.c) for c in readded.cuts)
+        want = sorted((tuple(c.w), c.c) for c in p1.cuts)
         assert got == want
 
 
@@ -282,26 +267,40 @@ class TestCutViolation:
         cut = toy_cut("I", d=d, N=N, c=0.0, seed=7)
         rng = np.random.default_rng(8)
         # Construct a point on the hyperplane by solving for the last z3 coord.
+        a1, a2, a3, b3 = split_point("I", Dims(d1=d, d2=d, d3=d, N=N), cut.w)
         x3 = [rng.standard_normal(d) for _ in range(N)]
         z1, z2 = rng.standard_normal(d), rng.standard_normal(d)
-        partial = (float(cut.a1 @ z1) + float(cut.a2 @ z2)
-                   + sum(float(b @ x) for b, x in zip(cut.b3, x3)))
+        partial = (float(a1 @ z1) + float(a2 @ z2)
+                   + sum(float(b @ x) for b, x in zip(b3, x3)))
         z3 = np.zeros(d)
-        z3[-1] = -partial / cut.a3[-1]
-        assert cut_violation(cut, x3, z1, z2, z3) == pytest.approx(0.0, abs=1e-12)
+        z3[-1] = -partial / a3[-1]
+        assert cut_violation(cut, z1, z2, z3, x3) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_dot_products(self):
         rng = np.random.default_rng(9)
         cut = toy_cut("II", d=3, N=2, c=0.7, seed=10)
+        a1, a2, a3, b3, b2 = split_point("II", Dims(d1=3, d2=3, d3=3, N=2), cut.w)
         for _ in range(20):
             x3 = [rng.standard_normal(3) for _ in range(2)]
             x2 = [rng.standard_normal(3) for _ in range(2)]
             z1, z2, z3 = (rng.standard_normal(3) for _ in range(3))
-            expected = (cut.a1 @ z1 + cut.a2 @ z2 + cut.a3 @ z3
-                        + sum(b @ x for b, x in zip(cut.b3, x3))
-                        + sum(b @ x for b, x in zip(cut.b2, x2)) - cut.c)
-            got = cut_violation(cut, x3, z1, z2, z3, x2=x2)
+            expected = (a1 @ z1 + a2 @ z2 + a3 @ z3
+                        + sum(b @ x for b, x in zip(b3, x3))
+                        + sum(b @ x for b, x in zip(b2, x2)) - cut.c)
+            got = cut_violation(cut, z1, z2, z3, x3, x2)
             assert got == pytest.approx(float(expected), abs=1e-12)
+
+    def test_polytope_residuals_are_the_cut_violations(self):
+        rng = np.random.default_rng(15)
+        for layer in ("I", "II"):
+            poly = Polytope(layer, TOY_DIMS, tuple(toy_cut(layer, cut_id=i, seed=20 + i)
+                                                   for i in range(3)))
+            n_per_worker = 1 if layer == "I" else 2  # x3, then x2 for layer II
+            point = (*(rng.standard_normal(2) for _ in range(3)),
+                     *(rng.standard_normal((2, 2)) for _ in range(n_per_worker)))
+            got = poly.residuals(*point)
+            want = [cut_violation(cut, *point) for cut in poly.cuts]
+            assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_anchor_point_of_valid_cut_satisfied(self, quad):
         problem, _ = quad
@@ -311,10 +310,10 @@ class TestCutViolation:
         trace = solve_level3(problem, z1, z2, cfg=cfg)
         x_hat, z_hat = trace.estimate
         # Anchor with h(point) = 0 <= eps: the cut is satisfied there.
-        point = (list(x_hat), z1, z2, z_hat)
+        point = (z1, z2, z_hat, list(x_hat))
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
                              alphas=problem.alphas, grad_mode="analytic")
-        assert cut_violation(cut, point[0], z1, z2, point[3]) <= 0.0
+        assert cut_violation(cut, z1, z2, point[2], point[3]) <= 0.0
 
 
 class TestValidateCut:
@@ -325,9 +324,9 @@ class TestValidateCut:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level3(problem, z1, z2, cfg=cfg)
-        cut = generate_cut_I(trace, (x3, z1, z2, z3), mu=0.0, eps1=1e-2,
+        cut = generate_cut_I(trace, (z1, z2, z3, x3), mu=0.0, eps1=1e-2,
                              alphas=(9.0, 9.0, 9.0), grad_mode="analytic")
-        flat = h1_flat(trace)
+        flat = flat_h(trace)
         report = validate_cut(cut, flat, eps=1e-2, n_samples=1000, seed=0,
                               alphas=(9.0, 9.0, 9.0))
         assert not report.inconclusive
@@ -352,19 +351,19 @@ class TestValidateCut:
         )
         cfg = InnerConfig(K=1, eta_x=1.0, eta_z=1.0, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
-        flat = h1_flat(trace)
+        flat = flat_h(trace)
         r3 = amp + np.sqrt(eps) + 0.05
         alphas = (1e-4, 1.0, r3 * r3)
-        anchor = ([np.array([amp])], np.zeros(1), np.zeros(1), np.zeros(1))
+        anchor = (np.zeros(1), np.zeros(1), np.zeros(1), [np.array([amp])])
         rng = np.random.default_rng(13)
         pts = [flat.pack(*anchor)]
         for _ in range(80):  # tube samples along the estimate manifold
             z2 = rng.uniform(-1, 1)
             x3 = -amp * np.sin(freq * z2) + rng.uniform(-np.sqrt(eps), np.sqrt(eps))
-            pts.append(np.array([x3, 0.0, z2, rng.uniform(-0.1, 0.1)]))
+            pts.append(np.array([0.0, z2, rng.uniform(-0.1, 0.1), x3]))
         for _ in range(40):
-            pts.append(np.array([rng.uniform(-r3, r3), 0.0,
-                                 rng.uniform(-1, 1), rng.uniform(-r3, r3)]))
+            x3 = rng.uniform(-r3, r3)
+            pts.append(np.array([0.0, rng.uniform(-1, 1), rng.uniform(-r3, r3), x3]))
         mu_hat = estimate_mu(flat.fn, pts, pair_samples=10**7, grad=flat.grad)
         assert mu_hat > 1.0
         good = generate_cut_I(trace, anchor, mu=mu_hat, eps1=eps, alphas=alphas)
@@ -379,12 +378,13 @@ class TestValidateCut:
         rng = np.random.default_rng(14)
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
-        poly = Polytope(layer="I")
-        samples = [
-            ([rng.standard_normal(2) for _ in range(2)],
-             rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2))
-            for _ in range(400)
-        ]
+        poly = Polytope("I", problem.dims)
+
+        def draw_point():  # x3 is drawn first, then z1, z2, z3
+            x3 = [rng.standard_normal(2) for _ in range(2)]
+            return (rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2), x3)
+
+        samples = [draw_point() for _ in range(400)]
 
         def membership(p):
             return sum(
@@ -393,9 +393,7 @@ class TestValidateCut:
 
         counts = [membership(poly)]
         for k in range(4):
-            anchor = ([rng.standard_normal(2) for _ in range(2)],
-                      rng.standard_normal(2), rng.standard_normal(2),
-                      rng.standard_normal(2))
+            anchor = draw_point()
             cut = generate_cut_I(trace, anchor, mu=0.0, eps1=1e-2,
                                  alphas=problem.alphas, grad_mode="analytic",
                                  cut_id=k)

@@ -35,7 +35,7 @@ def ref_jacobians(trace, key, worker=None):
     wblock = ORACLE_BLOCK[key]
     dw = d.block(int(key[1]))
     poly1 = trace.poly1
-    L = len(poly1)
+    L = poly1.size
     if level == 3:
         kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
     else:
@@ -80,8 +80,9 @@ def ref_grad_h(trace, point, key, worker=None):
     """The gradient of h at ``point`` in one frozen input, from its forward Jacobians."""
     x_hat, z_hat = trace.estimate
     Dx, Dz = ref_jacobians(trace, key, worker)
-    g = -2.0 * Dz.T @ (np.asarray(point[3], float) - z_hat)
-    for xj, xh, Dj in zip(point[0], x_hat, Dx):
+    own_x, own_z = (point[3], point[2]) if trace.layer == "I" else (point[4], point[1])
+    g = -2.0 * Dz.T @ (np.asarray(own_z, float) - z_hat)
+    for xj, xh, Dj in zip(own_x, x_hat, Dx):
         g = g - 2.0 * Dj.T @ (np.asarray(xj, float) - xh)
     return g
 
@@ -90,9 +91,8 @@ CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
 
 
 def t1_cut(problem, t1, p2):
-    """The unit layer-I cut of ``t1`` at the layer-II point's x3, z1, z2, z3."""
-    _, x3, z1, z2, z3 = p2
-    return normalize_cut(generate_cut_I(t1, (x3, z1, z2, z3), 0.0, 1e-2, problem.alphas,
+    """The unit layer-I cut of ``t1`` at the layer-II point's z1, z2, z3, x3."""
+    return normalize_cut(generate_cut_I(t1, p2[:4], 0.0, 1e-2, problem.alphas,
                                         grad_mode="analytic"))
 
 
@@ -108,11 +108,11 @@ def setup():
     t1 = solve_level3(problem, z1, z2, cfg=CFG)
     # One unit cut shifted three ways: slack clamp inactive on the first
     # (s > 0), dual clamp inactive on the other two (gamma > 0).
-    cut = t1_cut(problem, t1, (x2, x3, z1, z2, z3))
+    cut = t1_cut(problem, t1, (z1, z2, z3, x3, x2))
     cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
                  for i, dc in enumerate((3.0, -0.5, 0.05)))
     t2 = solve_level2(problem, z1, z3, x3, cuts, cfg=CFG)
-    return problem, t1, t2, (x3, z1, z2, z3), (x2, x3, z1, z2, z3)
+    return problem, t1, t2, (z1, z2, z3, x3), (z1, z2, z3, x3, x2)
 
 
 def assert_close(g, ref):
@@ -123,16 +123,16 @@ def assert_close(g, ref):
 def test_layer_I_matches_forward_reference(setup):
     _, t1, _, p1, _ = setup
     g = grad_h(t1, p1, mode="analytic")
-    assert_close(g[1], ref_grad_h(t1, p1, "z1"))
-    assert_close(g[2], ref_grad_h(t1, p1, "z2p"))
+    assert_close(g[0], ref_grad_h(t1, p1, "z1"))
+    assert_close(g[1], ref_grad_h(t1, p1, "z2p"))
 
 
 def assert_matches_reference_on_every_frozen_input(problem, trace, point):
     g = grad_h(trace, point, mode="analytic")
-    assert_close(g[2], ref_grad_h(trace, point, "z1"))
-    assert_close(g[4], ref_grad_h(trace, point, "z3"))
+    assert_close(g[0], ref_grad_h(trace, point, "z1"))
+    assert_close(g[2], ref_grad_h(trace, point, "z3"))
     ref_x3 = np.array([ref_grad_h(trace, point, "x3", j) for j in range(problem.dims.N)])
-    assert_close(g[1], ref_x3)
+    assert_close(g[3], ref_x3)
 
 
 def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
@@ -146,7 +146,7 @@ def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
 def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
     # With a dual step above rho2, a decaying gamma is clamped to zero, and a
     # warm gamma gives slack and dual positive in the same round.
-    problem, t1, _, (x3, z1, _, z3), p2 = setup
+    problem, t1, _, (z1, _, z3, x3), p2 = setup
     d = problem.dims
     cut = t1_cut(problem, t1, p2)
     cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)

@@ -129,10 +129,10 @@ class TestCommCosts:
             self.d1, self.d2, self.d3 = d1, d2, d3
 
     def test_iter_formula(self):
-        assert comm_cost_iter(5, 3, self.Dims(2, 2, 2), 5) == 1824
+        assert comm_cost_iter(3, self.Dims(2, 2, 2), 5) == 1824
 
     def test_iter_zero_s(self):
-        assert comm_cost_iter(5, 0, self.Dims(2, 2, 2), 5) == 0
+        assert comm_cost_iter(0, self.Dims(2, 2, 2), 5) == 0
 
     def test_cuts_empty(self):
         assert comm_cost_cuts([], 2, 3, self.Dims(1, 1, 1), {}) == 0
@@ -194,7 +194,7 @@ class TestRunBasics:
         log = res.log
         for r in log.records:
             if r.t:
-                assert r.c1 == comm_cost_iter(r.t, log.S, problem.dims, r.p2_size)
+                assert r.c1 == comm_cost_iter(log.S, problem.dims, r.p2_size)
         sizes = {r.t: r.p2_size for r in log.records}
         assert log.c2_total == comm_cost_cuts(log.refinement_iters(), log.N,
                                               inner.K, problem.dims, sizes)
@@ -245,6 +245,13 @@ class TestRunBasics:
         assert res.log.c2_total == 0
         assert validate_runlog(res.log, problem.dims) == []
 
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = res.log.to_jsonl().splitlines()
+        footer = [json.loads(line, parse_constant=reject) for line in lines][-1]
+        assert footer["final_gap_sq"] is None
+
     def test_abort_inside_the_loop_names_its_iteration(self, monkeypatch):
         problem, _, inner, outer = quad_setup(max_iters=20)
         sched = ScheduleConfig(N=2, S=2, seed=0)
@@ -287,7 +294,7 @@ class TestSyncEquivalence:
         x1, x2, x3 = problem.initial_point(rng)
         state = PrimalState.from_point(problem.dims, x1, x2, x3)
         duals = DualState.zeros(problem.dims)
-        poly2 = Polytope(layer="II")
+        poly2 = Polytope("II", problem.dims)
         for t_new in range(1, 26):
             gap = stationarity_gap(state, duals, poly2, problem, outer)
             state.x = list(worker_step(problem, state, gap, outer, range(2)))
@@ -308,7 +315,7 @@ class TestRefinement:
             seen.append(lambdas.copy())
             if poly2.size < 2:
                 return poly1, poly2
-            return poly1, Polytope(layer="II", cuts=poly2.cuts[1:])
+            return poly1, Polytope("II", poly2.dims, poly2.cuts[1:])
 
         monkeypatch.setattr(harness, "drop_inactive", drop_oldest)
         problem, _, inner, outer = quad_setup(T_pre=5, max_iters=10)

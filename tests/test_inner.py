@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem, finite_diff_grad
+from fedtri.core import Dims, FedtriError, TrilevelProblem, finite_diff_grad, flat_point
 from fedtri.cuts import Cut, generate_cut_I
 from fedtri.inner import (
     InnerConfig,
     InnerSolverError,
-    eval_h1,
-    eval_h2,
+    eval_h,
+    flat_h,
     grad_h,
-    h1_flat,
-    h2_flat,
     solve_level2,
     solve_level3,
 )
@@ -117,12 +115,22 @@ class TestSolveLevel3:
             solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
 
 
+def h1_point(trace, x3, z3):
+    """The layer-I point of ``trace``'s frozen (z1, z2') with own blocks (x3, z3)."""
+    return (trace.inputs["z1"], trace.inputs["z2p"], z3, x3)
+
+
+def h2_point(trace, x2, z2):
+    """The layer-II point of ``trace``'s frozen (z1, z3, x3) with own blocks (x2, z2)."""
+    return (trace.inputs["z1"], z2, trace.inputs["z3"], trace.inputs["x3"], x2)
+
+
 class TestEvalH1:
     def test_zero_at_own_estimate(self, quad):
         problem, _ = quad
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=3))
         x_hat, z_hat = trace.estimate
-        assert eval_h1(trace, list(x_hat), z_hat) == 0.0
+        assert eval_h(trace, h1_point(trace, list(x_hat), z_hat)) == 0.0
 
     def test_unit_perturbation_adds_one(self, quad):
         problem, _ = quad
@@ -130,7 +138,7 @@ class TestEvalH1:
         x_hat, z_hat = trace.estimate
         z3 = z_hat.copy()
         z3[0] += 1.0
-        assert eval_h1(trace, list(x_hat), z3) == pytest.approx(1.0, abs=1e-12)
+        assert eval_h(trace, h1_point(trace, list(x_hat), z3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_bruteforce_stack_norm(self, quad):
         problem, _ = quad
@@ -139,29 +147,23 @@ class TestEvalH1:
                              cfg=InnerConfig(K=4))
         x_hat, z_hat = trace.estimate
         offs = [rng.standard_normal(2) for _ in range(3)]
-        val = eval_h1(trace, [x_hat[0] + offs[0], x_hat[1] + offs[1]], z_hat + offs[2])
+        val = eval_h(trace, h1_point(trace, [x_hat[0] + offs[0], x_hat[1] + offs[1]],
+                                     z_hat + offs[2]))
         brute = sum(float(o @ o) for o in offs)
         assert val == pytest.approx(brute, rel=1e-12)
 
     def test_layer_check(self, quad):
         problem, _ = quad
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=2))
-        with pytest.raises(FedtriError):
-            eval_h2(trace, [np.zeros(2)] * 2, np.zeros(2))
+        with pytest.raises(FedtriError):  # a layer-II point
+            eval_h(trace, (np.zeros(2),) * 3 + ([np.zeros(2)] * 2,) * 2)
 
 
-def make_cut_for(problem, c_value, a2=None):
+def make_cut_for(problem, c_value):
+    """The layer-I cut ``1 . z2 <= c_value``."""
     d = problem.dims
-    return Cut(
-        layer="I",
-        a1=np.zeros(d.d1),
-        a2=np.ones(d.d2) if a2 is None else a2,
-        a3=np.zeros(d.d3),
-        b3=tuple(np.zeros(d.d3) for _ in range(d.N)),
-        c=c_value,
-        id=0,
-        born_at=0,
-    )
+    w = flat_point(np.zeros(d.d1), np.ones(d.d2), np.zeros(d.d3), np.zeros((d.N, d.d3)))
+    return Cut(layer="I", w=w, c=c_value, id=0, born_at=0)
 
 
 class TestSolveLevel2:
@@ -232,10 +234,10 @@ class TestEvalH2:
         trace = solve_level2(problem, np.zeros(2), np.zeros(2), [np.zeros(2)] * 2, (),
                              cfg=InnerConfig(K=3))
         x_hat, z_hat = trace.estimate
-        assert eval_h2(trace, list(x_hat), z_hat) == 0.0
+        assert eval_h(trace, h2_point(trace, list(x_hat), z_hat)) == 0.0
         x2 = [x_hat[0].copy(), x_hat[1].copy()]
         x2[1][0] += 1.0
-        assert eval_h2(trace, x2, z_hat) == pytest.approx(1.0, abs=1e-12)
+        assert eval_h(trace, h2_point(trace, x2, z_hat)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_independent_recompute(self, quad):
         problem, _ = quad
@@ -248,7 +250,7 @@ class TestEvalH2:
         x_hat, z_hat = trace.estimate
         brute = sum(float((a - b) @ (a - b)) for a, b in zip(x2, x_hat))
         brute += float((z2 - z_hat) @ (z2 - z_hat))
-        assert eval_h2(trace, x2, z2) == pytest.approx(brute, rel=1e-12)
+        assert eval_h(trace, h2_point(trace, x2, z2)) == pytest.approx(brute, rel=1e-12)
 
 
 class TestGradH:
@@ -262,37 +264,37 @@ class TestGradH:
         t1 = solve_level3(problem, z1, z2, cfg=cfg)
         poly = ()
         if with_cut:
-            p1 = (tuple(x3), z1, z2, z3)
+            p1 = (z1, z2, z3, tuple(x3))
             poly = (generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas,
                                    grad_mode="analytic"),)
         t2 = solve_level2(problem, z1, z3, x3, poly, cfg=cfg)
-        return t1, t2, (x3, z1, z2, z3), (x2, x3, z1, z2, z3)
+        return t1, t2, (z1, z2, z3, x3), (z1, z2, z3, x3, x2)
 
     def test_direct_blocks_are_twice_deviation(self, quad):
         t1, _, p1, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
         g = grad_h(t1, p1, mode="finite-diff")
-        assert np.allclose(g[0][0], 2.0 * (p1[0][0] - x_hat[0]), atol=1e-12)
-        assert np.allclose(g[3], 2.0 * (p1[3] - z_hat), atol=1e-12)
+        assert np.allclose(g[3][0], 2.0 * (p1[3][0] - x_hat[0]), atol=1e-12)
+        assert np.allclose(g[2], 2.0 * (p1[2] - z_hat), atol=1e-12)
 
     def test_zero_at_minimizer(self, quad):
         t1, _, _, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
-        point = (list(x_hat), t1.inputs["z1"], t1.inputs["z2p"], z_hat)
+        point = h1_point(t1, list(x_hat), z_hat)
         g = grad_h(t1, point)
-        for block in (g[0][0], g[0][1], g[3]):  # x3_0, x3_1, z3
+        for block in (g[3][0], g[3][1], g[2]):  # x3_0, x3_1, z3
             assert np.linalg.norm(block) <= 1e-12
         # Deviation is zero, so the chain-rule terms vanish too.
         g = grad_h(t1, point, mode="analytic")
-        for block in (g[1], g[2]):  # z1, z2
+        for block in (g[0], g[1]):  # z1, z2
             assert np.linalg.norm(block) <= 1e-12
 
     def test_finite_diff_vs_analytic_cross_mode(self, quad):
         t1, t2, p1, p2 = self.setup_traces(quad)
         # Each block is (position in the point, worker row or none).
         for trace, point, blocks in (
-            (t1, p1, ((1,), (2,))),  # z1, z2
-            (t2, p2, ((2,), (4,), (1, 0), (1, 1))),  # z1, z3, x3_0, x3_1
+            (t1, p1, ((0,), (1,))),  # z1, z2
+            (t2, p2, ((0,), (2,), (3, 0), (3, 1))),  # z1, z3, x3_0, x3_1
         ):
             fd = grad_h(trace, point, mode="finite-diff")
             an = grad_h(trace, point, mode="analytic")
@@ -306,7 +308,7 @@ class TestGradH:
         problem = separable_problem([np.zeros(2)])
         problem.cross_hess_fn = None
         trace = solve_level3(problem, np.zeros(1), np.zeros(2), cfg=InnerConfig(K=2))
-        point = ([np.zeros(2)], np.zeros(1), np.zeros(2), np.zeros(2))
+        point = (np.zeros(1), np.zeros(2), np.zeros(2), [np.zeros(2)])
         with pytest.raises(FedtriError):
             grad_h(trace, point, mode="analytic")
 
@@ -317,17 +319,30 @@ class TestFlatAdapters:
         rng = np.random.default_rng(8)
         trace = solve_level3(problem, rng.standard_normal(2), rng.standard_normal(2),
                              cfg=InnerConfig(K=3))
-        flat = h1_flat(trace, grad_mode="analytic")
+        flat = flat_h(trace, grad_mode="analytic")
         x3 = [rng.standard_normal(2) for _ in range(2)]
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
-        v = flat.pack(x3, z1, z2, z3)
+        v = flat.pack(z1, z2, z3, x3)
         assert flat.dim == v.size
         # The flat function re-runs the unroll at the packed (z1, z2').
         sub = solve_level3(problem, z1, z2, cfg=trace.cfg)
-        assert flat.fn(v) == pytest.approx(eval_h1(sub, x3, z3), rel=1e-12)
+        assert flat.fn(v) == pytest.approx(eval_h(sub, (z1, z2, z3, x3)), rel=1e-12)
         g_num = finite_diff_grad(flat.fn, v)
         g = flat.grad(v)
         assert np.linalg.norm(g_num - g) / np.linalg.norm(g) <= 1e-6
+
+    def test_unpack_returns_the_packed_point_on_both_layers(self, quad):
+        problem, _ = quad
+        rng = np.random.default_rng(10)
+        z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
+        x3, x2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        t1 = solve_level3(problem, z1, z2, cfg=InnerConfig(K=2))
+        t2 = solve_level2(problem, z1, z3, x3, (), cfg=InnerConfig(K=2))
+        for trace, point in ((t1, (z1, z2, z3, x3)), (t2, (z1, z2, z3, x3, x2))):
+            got = flat_h(trace).unpack(flat_point(*point))
+            assert len(got) == len(point)
+            for block, want in zip(got, point):
+                assert np.array_equal(block, want)
 
     def test_h2_flat_grad(self, quad):
         problem, _ = quad
@@ -335,7 +350,7 @@ class TestFlatAdapters:
         trace = solve_level2(problem, rng.standard_normal(2), rng.standard_normal(2),
                              [rng.standard_normal(2) for _ in range(2)], (),
                              cfg=InnerConfig(K=3))
-        flat = h2_flat(trace, grad_mode="analytic")
+        flat = flat_h(trace, grad_mode="analytic")
         v = rng.standard_normal(flat.dim)
         g_num = finite_diff_grad(flat.fn, v)
         g = flat.grad(v)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fedtri.core import DualState, PrimalState, finite_diff_grad, project_ball_sq, project_box_inf
+from fedtri.core import (
+    DualState,
+    PrimalState,
+    finite_diff_grad,
+    project_ball_sq,
+    project_box_inf,
+    split_point,
+)
 from fedtri.cuts import Cut, Polytope, cut_violation
 from fedtri.outer import (
     OuterConfig,
@@ -17,17 +24,9 @@ from fedtri.problems import build_quadratic_problem
 
 
 def random_cut(rng, d, N, layer="II", cut_id=0):
-    return Cut(
-        layer=layer,
-        a1=rng.standard_normal(d[0]),
-        a2=rng.standard_normal(d[1]),
-        a3=rng.standard_normal(d[2]),
-        b3=tuple(rng.standard_normal(d[2]) for _ in range(N)),
-        b2=tuple(rng.standard_normal(d[1]) for _ in range(N)) if layer == "II" else None,
-        c=float(rng.standard_normal()),
-        id=cut_id,
-        born_at=0,
-    )
+    width = sum(d) + N * d[2] + (N * d[1] if layer == "II" else 0)
+    w = rng.standard_normal(width)
+    return Cut(layer=layer, w=w, c=float(rng.standard_normal()), id=cut_id, born_at=0)
 
 
 @pytest.fixture()
@@ -39,7 +38,7 @@ def setting():
         x=[np.array([rng.standard_normal(d.block(i + 1)) for _ in range(d.N)]) for i in range(3)],
         z=[rng.standard_normal(d.block(i + 1)) for i in range(3)],
     )
-    poly2 = Polytope(layer="II", cuts=tuple(random_cut(rng, (2, 3, 2), 3, cut_id=i) for i in range(2)))
+    poly2 = Polytope("II", d, tuple(random_cut(rng, (2, 3, 2), 3, cut_id=i) for i in range(2)))
     duals = DualState(
         lam=np.array([0.4, 1.1]),
         theta=np.array([rng.standard_normal(2) for _ in range(3)]),
@@ -76,8 +75,8 @@ class TestLagrangian:
             total += problem.eval(1, j, state.x[0][j], state.x[1][j], state.x[2][j])
             total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
         for lam, cut in zip(duals.lam, poly2.cuts):
-            total += lam * cut_violation(cut, state.x[2], state.z[0], state.z[1],
-                                         state.z[2], x2=state.x[1])
+            total += lam * cut_violation(cut, state.z[0], state.z[1], state.z[2],
+                                         state.x[2], state.x[1])
         assert lagrangian(state, duals, poly2, problem) == pytest.approx(total, rel=1e-12)
 
 
@@ -153,7 +152,7 @@ class TestWorkerStep:
             problem.dims, oracle.y1, oracle.y2, oracle.y3
         )
         zero = DualState.zeros(problem.dims)
-        gap = stationarity_gap(st, zero, Polytope(layer="II"), problem, cfg)
+        gap = stationarity_gap(st, zero, Polytope("II", problem.dims), problem, cfg)
         x1, x2, x3 = worker_step(problem, st, gap, cfg, [0])
         assert np.allclose(x1[0], st.x[0][0], atol=1e-12)
         assert np.allclose(x2[0], st.x[1][0], atol=1e-12)
@@ -177,7 +176,7 @@ class TestWorkerStep:
         rng = np.random.default_rng(3)
         state = PrimalState.from_point(problem.dims, *(rng.standard_normal(2) for _ in range(3)))
         duals = DualState.zeros(problem.dims)
-        poly2 = Polytope(layer="II")
+        poly2 = Polytope("II", problem.dims)
         cfg = OuterConfig(eta_x1=0.01, eta_x2=0.01, eta_x3=0.01)
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         before = regularized_lagrangian(state, duals, poly2, problem, 0, cfg)
@@ -194,15 +193,16 @@ def reference_master_step(state, duals, poly2, problem, cfg, t):
     c1, c2 = cfg.reg_coeffs(t)
     z = [zi.copy() for zi in state.z]
     th_sum = sum(duals.theta)
-    gz1 = -th_sum + sum(l * c.a1 for l, c in zip(duals.lam, poly2.cuts)) if poly2.size else -th_sum
+    a = [split_point("II", problem.dims, c.w) for c in poly2.cuts]  # (a1, a2, a3, b3, b2) per cut
+    gz1 = -th_sum + sum(l * c[0] for l, c in zip(duals.lam, a)) if poly2.size else -th_sum
     z[0] = project_ball_sq(z[0] - cfg.eta_z1 * gz1, problem.alphas[0])
-    gz2 = sum((l * c.a2 for l, c in zip(duals.lam, poly2.cuts)), np.zeros_like(z[1]))
+    gz2 = sum((l * c[1] for l, c in zip(duals.lam, a)), np.zeros_like(z[1]))
     z[1] = project_ball_sq(z[1] - cfg.eta_z2 * gz2, problem.alphas[1])
-    gz3 = sum((l * c.a3 for l, c in zip(duals.lam, poly2.cuts)), np.zeros_like(z[2]))
+    gz3 = sum((l * c[2] for l, c in zip(duals.lam, a)), np.zeros_like(z[2]))
     z[2] = project_ball_sq(z[2] - cfg.eta_z3 * gz3, problem.alphas[2])
     lam = duals.lam.copy()
     for l, cut in enumerate(poly2.cuts):
-        r = cut_violation(cut, state.x[2], z[0], z[1], z[2], x2=state.x[1])
+        r = cut_violation(cut, z[0], z[1], z[2], state.x[2], state.x[1])
         lam[l] = min(max(lam[l] + cfg.eta_lambda * (r - c1 * lam[l]), 0.0), np.sqrt(cfg.alpha4))
     box = np.sqrt(cfg.alpha5) / problem.dims.d1
     theta = [
@@ -252,8 +252,8 @@ class TestMasterStep:
         c1, _ = cfg.reg_coeffs(2)
         lam_stale = duals.lam.copy()
         for l, cut in enumerate(poly2.cuts):
-            r = cut_violation(cut, state.x[2], state.z[0], state.z[1], state.z[2],
-                              x2=state.x[1])
+            r = cut_violation(cut, state.z[0], state.z[1], state.z[2], state.x[2],
+                              state.x[1])
             lam_stale[l] = min(max(lam_stale[l] + cfg.eta_lambda * (r - c1 * lam_stale[l]), 0.0),
                                np.sqrt(cfg.alpha4))
         assert not np.allclose(nd.lam, lam_stale)
@@ -265,7 +265,7 @@ class TestStationarityGap:
         state = PrimalState.from_point(problem.dims, oracle.y1, oracle.y2, oracle.y3)
         duals = DualState.zeros(problem.dims)
         cfg = OuterConfig()
-        gap = stationarity_gap(state, duals, Polytope(layer="II"), problem, cfg)
+        gap = stationarity_gap(state, duals, Polytope("II", problem.dims), problem, cfg)
         assert gap.sq_norm <= 1e-12
 
     def test_lambda_boundary_absorbs_negative_gradient(self, setting):
@@ -274,8 +274,8 @@ class TestStationarityGap:
         at_zero.lam = np.zeros(poly2.size)
         gap = stationarity_gap(state, at_zero, poly2, problem, cfg)
         for l, cut in enumerate(poly2.cuts):
-            r = cut_violation(cut, state.x[2], state.z[0], state.z[1], state.z[2],
-                              x2=state.x[1])
+            r = cut_violation(cut, state.z[0], state.z[1], state.z[2], state.x[2],
+                              state.x[1])
             if r < 0:
                 assert gap.glam[l] == 0.0
 
@@ -284,8 +284,8 @@ class TestStationarityGap:
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         # lambda residuals recomputed directly from the projection form
         for l, cut in enumerate(poly2.cuts):
-            r = cut_violation(cut, state.x[2], state.z[0], state.z[1], state.z[2],
-                              x2=state.x[1])
+            r = cut_violation(cut, state.z[0], state.z[1], state.z[2], state.x[2],
+                              state.x[1])
             proj = min(max(duals.lam[l] + cfg.eta_lambda * r, 0.0), np.sqrt(cfg.alpha4))
             assert gap.glam[l] == pytest.approx((duals.lam[l] - proj) / cfg.eta_lambda, rel=1e-12)
         box = np.sqrt(cfg.alpha5) / problem.dims.d1

@@ -65,8 +65,8 @@ def ref_path_level3(problem, z1, z2p, x, z, phi, cfg):
 
 
 def ref_path_level2(problem, z1, z3, x3, poly1, x, z2, phi, s, gamma, cfg):
-    poly = Polytope(layer="I", cuts=poly1)
-    r0 = poly.residuals(x3, z1, np.zeros(problem.dims.d2), z3)  # the cuts' residuals at z2 = 0
+    poly = Polytope("I", problem.dims, poly1)
+    r0 = poly.residuals(z1, np.zeros(problem.dims.d2), z3, x3)  # the cuts' residuals at z2 = 0
     eta_z, eta_gamma = level2_steps(cfg, poly, problem.dims.N)
     path = [(x, z2, phi, s, gamma)]
     for _ in range(cfg.K):
@@ -127,7 +127,7 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     d = problem.dims
     t1 = solve_level3(problem, z1, z2, cfg=CFG)
     poly1 = tuple(
-        generate_cut_I(t1, (tuple(x3), z1, z2 + shift, z3), 0.0, 1e-2, problem.alphas,
+        generate_cut_I(t1, (z1, z2 + shift, z3, tuple(x3)), 0.0, 1e-2, problem.alphas,
                        grad_mode="analytic", cut_id=i)
         for i, shift in enumerate((0.0, 0.5))
     )
