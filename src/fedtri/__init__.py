@@ -48,9 +48,7 @@ from .inner import (
 from .outer import (
     GapVector,
     OuterConfig,
-    lagrangian,
     master_step,
-    regularized_lagrangian,
     stationarity_gap,
     worker_step,
 )

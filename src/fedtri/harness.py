@@ -23,14 +23,6 @@ from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
 from .outer import OuterConfig, master_step, stationarity_gap, worker_step
 
 
-class NumericAbort(FedtriError):
-    """The run hit non-finite state; the last good log is attached."""
-
-    def __init__(self, message: str, result: "RunResult"):
-        super().__init__(message)
-        self.result = result
-
-
 @dataclass(frozen=True)
 class DelayModel:
     """Per-worker round-trip delay: compute plus two link legs, in sim units.
@@ -230,25 +222,28 @@ def run(
     outer_cfg: OuterConfig,
     sched_cfg: ScheduleConfig,
     grad_mode: str = "auto",
-    raise_on_abort: bool = False,
 ) -> RunResult:
     """Execute the asynchronous loop until the gap target or max_iters.
 
-    Each iteration's stationarity gap is also the gradient sweep of the
-    workers dispatched after it: a worker's update is the projected step on
-    the gap's rows at its last activation.  Every T_pre iterations (while the
-    refinement horizon T1 is open) the two inner unrolls run, one cut per
-    layer is generated at the current point, and inactive cuts are pruned.  Both layers' cuts are stored
-    at unit coefficient norm (``normalize_cut``), so the cut duals, their cap
+    Iteration 0 starts from the initial point; every later iteration t first
+    delivers the active workers' updates and takes the master step.  Every
+    T_pre iterations, from t = 0 and while the refinement horizon T1 is open,
+    the two inner unrolls run, one cut per layer is generated at the current
+    point, and inactive cuts are pruned.  Both layers' cuts are stored at unit
+    coefficient norm (``normalize_cut``), so the cut duals, their cap
     sqrt(alpha4) and the pruning tolerance are per unit distance along a cut
     normal rather than in the raw linearization's units.  The cuts' weak-
     convexity modulus is ``problem.weak_convexity_mu``.
 
+    Each iteration's stationarity gap is the one gradient sweep of L_p: it
+    decides the stopping rule, its primal rows are the projected steps of the
+    workers dispatched after it (all N at t = 0), and its z rows are the next
+    master step's.
+
     Non-finite numerics (``NonFiniteError``, ``InnerSolverError``) end the run
     with ``status="aborted"``, the log up to the last good iteration and the
-    reason and iteration in progress in ``log.abort``, or raise
-    ``NumericAbort`` carrying that result under ``raise_on_abort``.  Any
-    other ``FedtriError``, such as a broken staleness bound, propagates.
+    reason and iteration in progress in ``log.abort``.  Any other
+    ``FedtriError``, such as a broken staleness bound, propagates.
     """
     if problem.dims.N != sched_cfg.N:
         raise ValueError("problem and schedule disagree on the worker count")
@@ -337,79 +332,47 @@ def run(
         return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2,
                          clock=clock)
 
-    t_now = 0  # the iteration in progress, for the abort record
+    active: tuple[int, ...] = ()  # no worker is delivered at t = 0
+    status = "max_iters"
     try:
-        # Bootstrap refinement before the first master step, so the outer
-        # problem never runs on empty polytopes while the horizon is open.
-        boot_added: list[int] = []
-        boot_dropped: list[int] = []
-        boot_refined = False
-        if 0 < outer_cfg.T1:
-            boot_added, boot_dropped = refine(0)
-            boot_refined = True
+        for t in range(outer_cfg.max_iters + 1):
+            if t:
+                active, clock = schedule_epoch(pending, staleness, sched_cfg, clock)
+                if any(staleness[j] + 1 > sched_cfg.tau for j in active):
+                    raise FedtriError("staleness bound violated at delivery")
+                rows = list(active)
+                for X, R in zip(state.x, results):
+                    X[rows] = R[rows]
+                state, duals = master_step(state, duals, poly2, problem, outer_cfg, gap, t=t - 1)
+                for j in range(N):
+                    staleness[j] = 0 if j in active else staleness[j] + 1
+                    if staleness[j] > sched_cfg.tau:
+                        raise FedtriError("staleness bound violated")
 
-        gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
-        gap_sq = gap.sq_norm
-        f1v, f2v, f3v = _objectives(problem, state)
-        log.records.append(IterRecord(
-            t=0, sim_time=clock, active=[], staleness=list(staleness), gap_sq=gap_sq,
-            f1=f1v, f2=f2v, f3=f3v, p1_size=poly1.size, p2_size=poly2.size, c1=0,
-            refined=boot_refined, cuts_added=boot_added, cuts_dropped=boot_dropped,
-        ))
-        if gap_sq <= outer_cfg.tol:
-            log.T_eps = 0
-            return finish("converged")
-        dispatch(range(N), gap)
-        status = "max_iters"
-
-        for t_new in range(1, outer_cfg.max_iters + 1):
-            t_now = t_new
-            active, clock = schedule_epoch(pending, staleness, sched_cfg, clock)
-            if any(staleness[j] + 1 > sched_cfg.tau for j in active):
-                raise FedtriError("staleness bound violated at delivery")
-            rows = list(active)
-            for X, R in zip(state.x, results):
-                X[rows] = R[rows]
-            state, duals = master_step(state, duals, poly2, problem, outer_cfg, t=t_new - 1)
-
-            refined = False
-            added: list[int] = []
-            dropped: list[int] = []
-            if t_new % outer_cfg.T_pre == 0 and (t_new - 1) < outer_cfg.T1:
-                refined = True
-                added, dropped = refine(t_new)
-
-            active_set = set(active)
-            for j in range(N):
-                staleness[j] = 0 if j in active_set else staleness[j] + 1
-                if staleness[j] > sched_cfg.tau:
-                    raise FedtriError("staleness bound violated")
+            # At t = 0 this is the bootstrap refinement: while the horizon is
+            # open the master never steps on empty polytopes.
+            refined = t % outer_cfg.T_pre == 0 and max(t - 1, 0) < outer_cfg.T1
+            added, dropped = refine(t) if refined else ([], [])
 
             gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
             gap_sq = gap.sq_norm
             f1v, f2v, f3v = _objectives(problem, state)
-            c1_cost = comm_cost_iter(sched_cfg.S, problem.dims, poly2.size)
+            c1_cost = comm_cost_iter(sched_cfg.S, problem.dims, poly2.size) if t else 0
             log.c1_total += c1_cost
             log.records.append(IterRecord(
-                t=t_new, sim_time=clock, active=[j + 1 for j in active],
+                t=t, sim_time=clock, active=[j + 1 for j in active],
                 staleness=list(staleness), gap_sq=gap_sq, f1=f1v, f2=f2v, f3=f3v,
                 p1_size=poly1.size, p2_size=poly2.size, c1=c1_cost,
                 refined=refined, cuts_added=added, cuts_dropped=dropped,
             ))
-
-            dispatch(active, gap)
-
             if gap_sq <= outer_cfg.tol:
-                if log.T_eps is None:
-                    log.T_eps = t_new
+                log.T_eps = t
                 status = "converged"
                 break
+            dispatch(active if t else range(N), gap)
     except (NonFiniteError, InnerSolverError) as exc:
-        log.abort = {"reason": str(exc), "t": t_now}
-        result = finish("aborted")
-        if raise_on_abort:
-            raise NumericAbort(str(exc), result) from exc
-        return result
+        log.abort = {"reason": str(exc), "t": t}
+        return finish("aborted")
     return finish(status)
 
 

@@ -1,4 +1,4 @@
-"""Outer Lagrangian, primal/dual update rules, dual projections and the gap.
+"""The outer Lagrangian's gradient and gap, primal/dual updates and dual projections.
 
 The master's consensus blocks and duals follow the printed update order:
 z1, z2, z3 with the previous duals, then the cut duals (projected onto
@@ -93,56 +93,6 @@ class OuterConfig:
             raise ValueError("c2_floor outside the admissible range for the configured tol")
 
 
-def lagrangian(state: PrimalState, duals: DualState, poly2: Polytope,
-               problem: TrilevelProblem) -> float:
-    """Outer Lagrangian: objective sum, consensus duals, layer-II cut duals."""
-    X1, X2, X3 = state.x
-    total = sum(problem.eval(1, j, X1[j], X2[j], X3[j]) for j in range(problem.dims.N))
-    total += float((duals.theta * (X1 - state.z[0])).sum())
-    total += float(duals.lam @ poly2.residuals(*state.z, X3, X2))
-    if not np.isfinite(total):
-        raise NonFiniteError("non-finite Lagrangian value")
-    return total
-
-
-def regularized_lagrangian(state: PrimalState, duals: DualState, poly2: Polytope,
-                           problem: TrilevelProblem, t: int, cfg: OuterConfig) -> float:
-    c1, c2 = cfg.reg_coeffs(t)
-    val = lagrangian(state, duals, poly2, problem)
-    val -= 0.5 * c1 * float(duals.lam @ duals.lam)
-    val -= 0.5 * c2 * float((duals.theta * duals.theta).sum())
-    return val
-
-
-def grad_x_blocks(problem: TrilevelProblem, state: PrimalState, duals: DualState,
-                  poly2: Polytope) -> tuple[Array, Array, Array]:
-    """Gradients of L_p w.r.t. every worker's three local blocks, each (N, d_i).
-
-    The dual regularizer does not touch primal blocks, so these also serve
-    the regularized Lagrangian.
-    """
-    X = state.x
-    G1 = problem.grad_all(1, 1, *X) + duals.theta
-    G2 = problem.grad_all(1, 2, *X)
-    G3 = problem.grad_all(1, 3, *X)
-    if poly2.size:
-        lam = duals.lam[:, None, None]
-        G2 = G2 + (lam * poly2.B2).sum(axis=0)
-        G3 = G3 + (lam * poly2.B3).sum(axis=0)
-    return G1, G2, G3
-
-
-def grad_z_blocks(state: PrimalState, duals: DualState,
-                  poly2: Polytope) -> tuple[Array, Array, Array]:
-    """Gradients of L_p w.r.t. z1, z2, z3; L_p is affine in z, so they do not depend on it."""
-    g1 = -duals.theta.sum(axis=0)
-    if not poly2.size:
-        return g1, np.zeros_like(state.z[1]), np.zeros_like(state.z[2])
-    lam = duals.lam[:, None]
-    return (g1 + (lam * poly2.A1).sum(axis=0), (lam * poly2.A2).sum(axis=0),
-            (lam * poly2.A3).sum(axis=0))
-
-
 def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
                 cfg: OuterConfig, workers: Sequence[int]) -> tuple[Array, Array, Array]:
     """The dispatched workers' projected gradient steps on their blocks.
@@ -161,16 +111,19 @@ def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
 
 
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
-                problem: TrilevelProblem, cfg: OuterConfig, t: int) -> tuple[PrimalState, DualState]:
+                problem: TrilevelProblem, cfg: OuterConfig, gap: GapVector,
+                t: int) -> tuple[PrimalState, DualState]:
     """Consensus and dual updates in the printed order.
 
-    ``state.x`` must already hold the freshly applied worker blocks.  Returns
-    a new state and new duals; the inputs are not modified.
+    ``state.x`` must already hold the freshly applied worker blocks.  ``gap``
+    must be ``stationarity_gap`` at ``duals`` and ``poly2``, taken at any
+    primal point: L_p is affine in z, so its z rows ``gap.gz`` are the same
+    everywhere.  Returns a new state and new duals; the inputs are not
+    modified.
     """
     c1, c2 = cfg.reg_coeffs(t)
-    gz = grad_z_blocks(state, duals, poly2)
     z = [project_ball_sq(zi - eta * g, alpha)
-         for zi, eta, g, alpha in zip(state.z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gz,
+         for zi, eta, g, alpha in zip(state.z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz,
                                       problem.alphas)]
     new_state = PrimalState(x=[X.copy() for X in state.x], z=z)
 
@@ -204,14 +157,31 @@ class GapVector:
 
 def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
                      problem: TrilevelProblem, cfg: OuterConfig) -> GapVector:
-    """Primal gradients plus projected dual residuals of the unregularized L_p."""
-    resid = poly2.residuals(*state.z, state.x[2], state.x[1])
-    proj = np.clip(duals.lam + cfg.eta_lambda * resid, 0.0, np.sqrt(cfg.alpha4))
+    """The gradient of the unregularized L_p plus its projected dual residuals.
+
+    This is the one place L_p's gradient is formed.  The dual regularizer does
+    not touch primal blocks, so the rows ``gx`` are also the regularized
+    Lagrangian's, which ``worker_step`` steps on.  L_p is affine in z, so
+    ``gz`` depends only on the duals and P_II, not on the primal point, which
+    lets ``master_step`` reuse it.
+    """
+    X, lam = state.x, duals.lam
+    gx = [problem.grad_all(1, 1, *X) + duals.theta, problem.grad_all(1, 2, *X),
+          problem.grad_all(1, 3, *X)]
+    gz = [-duals.theta.sum(axis=0), np.zeros_like(state.z[1]), np.zeros_like(state.z[2])]
+    if poly2.size:
+        gx[1] = gx[1] + (lam[:, None, None] * poly2.B2).sum(axis=0)
+        gx[2] = gx[2] + (lam[:, None, None] * poly2.B3).sum(axis=0)
+        gz = [gz[0] + (lam[:, None] * poly2.A1).sum(axis=0),
+              (lam[:, None] * poly2.A2).sum(axis=0),
+              (lam[:, None] * poly2.A3).sum(axis=0)]
+    resid = poly2.residuals(*state.z, X[2], X[1])
+    proj = np.clip(lam + cfg.eta_lambda * resid, 0.0, np.sqrt(cfg.alpha4))
     theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
-    step = duals.theta + cfg.eta_theta * (state.x[0] - state.z[0])
+    step = duals.theta + cfg.eta_theta * (X[0] - state.z[0])
     return GapVector(
-        gx=list(grad_x_blocks(problem, state, duals, poly2)),
-        gz=list(grad_z_blocks(state, duals, poly2)),
-        glam=(duals.lam - proj) / cfg.eta_lambda,
+        gx=gx,
+        gz=gz,
+        glam=(lam - proj) / cfg.eta_lambda,
         gtheta=(duals.theta - project_box_inf(step, theta_box)) / cfg.eta_theta,
     )

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,19 +25,6 @@ class QuadraticOracle:
     y1: Array
     y2: Array
     y3: Array
-    phi3_star: list[Array]  # optimal level-3 consensus duals
-    P3: Array  # y3(z1, z2) = P3 z1 + R3 z2 + s3
-    R3: Array
-    s3: Array
-    P2: Array  # y2(z1) = P2 z1 + s2
-    s2: Array
-    regenerations: int = 0
-
-    def level3_argmin(self, z1: Array, z2: Array) -> Array:
-        return self.P3 @ z1 + self.R3 @ z2 + self.s3
-
-    def level2_argmin(self, z1: Array) -> Array:
-        return self.P2 @ z1 + self.s2
 
 
 def _random_spd(rng: np.random.Generator, d: int, conditioning: float) -> Array:
@@ -68,12 +55,12 @@ def _build_quadratic_data(rng, dims: Dims, conditioning: float, coupling: float,
     return data
 
 
-def _solve_oracle(data, dims: Dims) -> QuadraticOracle:
+def _solve_oracle(data) -> QuadraticOracle:
     A_bar = sum(data["A"])
     B_bar = sum(data["B"])
     C_bar = sum(data["C"])
     g_bar = sum(data["g"])
-    P3 = -np.linalg.solve(A_bar, B_bar)
+    P3 = -np.linalg.solve(A_bar, B_bar)  # y3(z1, z2) = P3 z1 + R3 z2 + s3
     R3 = -np.linalg.solve(A_bar, C_bar)
     s3 = -np.linalg.solve(A_bar, g_bar)
 
@@ -85,18 +72,12 @@ def _solve_oracle(data, dims: Dims) -> QuadraticOracle:
     eigs = np.linalg.eigvalsh(0.5 * (H2 + H2.T))
     if eigs.min() < 1e-6:
         raise np.linalg.LinAlgError("level-2 reduced Hessian not positive definite")
-    P2 = -np.linalg.solve(H2, E_bar + F_bar @ P3)
+    P2 = -np.linalg.solve(H2, E_bar + F_bar @ P3)  # y2(z1) = P2 z1 + s2
     s2 = -np.linalg.solve(H2, F_bar @ s3 + h_bar)
 
     y1 = data["y1"]
     y2 = P2 @ y1 + s2
-    y3 = P3 @ y1 + R3 @ y2 + s3
-    phi3_star = [
-        -(data["A"][j] @ y3 + data["B"][j] @ y1 + data["C"][j] @ y2 + data["g"][j])
-        for j in range(dims.N)
-    ]
-    return QuadraticOracle(y1=y1, y2=y2, y3=y3, phi3_star=phi3_star,
-                           P3=P3, R3=R3, s3=s3, P2=P2, s2=s2)
+    return QuadraticOracle(y1=y1, y2=y2, y3=P3 @ y1 + R3 @ y2 + s3)
 
 
 def build_quadratic_problem(
@@ -123,19 +104,16 @@ def build_quadratic_problem(
     dd = Dims(d1=dims[0], d2=dims[1], d3=dims[2], N=N)
 
     oracle: Optional[QuadraticOracle] = None
-    regenerations = 0
     for attempt in range(20):
         rng = np.random.default_rng(seed + 1000 * attempt)
         data = _build_quadratic_data(rng, dd, conditioning, coupling, center_scale)
         try:
-            oracle = _solve_oracle(data, dd)
+            oracle = _solve_oracle(data)
             break
         except np.linalg.LinAlgError:
-            regenerations += 1
             logger.warning("quadratic generation %d was singular, regenerating", attempt)
     if oracle is None:
         raise FedtriError("could not generate a well-posed quadratic problem")
-    oracle.regenerations = regenerations
     v_star = np.concatenate([oracle.y1, oracle.y2, oracle.y3])
     slices = {
         1: slice(0, dd.d1),

@@ -9,7 +9,6 @@ from fedtri.cuts import Polytope
 import fedtri.harness as harness
 from fedtri.harness import (
     DelayModel,
-    NumericAbort,
     ScheduleConfig,
     comm_cost_cuts,
     comm_cost_iter,
@@ -220,17 +219,14 @@ class TestRunBasics:
         assert footer["c2_total"] == comm_cost_cuts([0], 2, inner.K, problem.dims, sizes) > 0
         assert validate_runlog(res.log, problem.dims) == []
 
-    def test_numeric_abort_raises_with_log(self):
+    def test_numeric_abort_is_returned_not_raised(self):
         problem, _, inner, outer = quad_setup(eta_x1=1e200, eta_x2=1e200, eta_x3=1e200,
                                               eta_z2=1e200, eta_z3=1e200, max_iters=50)
         sched = ScheduleConfig(N=2, S=2, seed=0)
-        with pytest.raises(NumericAbort) as info:
-            run(problem, inner, outer, sched, raise_on_abort=True)
-        assert isinstance(info.value.__cause__, NonFiniteError)
-        log = info.value.result.log
+        log = run(problem, inner, outer, sched).log
         assert log.status == "aborted"
         assert [r.t for r in log.records] == [0]
-        assert log.abort == {"reason": str(info.value), "t": 0}
+        assert log.abort["t"] == 0 and "non-finite" in log.abort["reason"]
 
     def test_bootstrap_inner_failure_is_logged_abort(self):
         problem, _, inner, outer = quad_setup(max_iters=5)
@@ -277,9 +273,29 @@ class TestRunBasics:
                             lambda pending, staleness, cfg, clock: ((0,), clock + 1.0))
         problem, _, inner, outer = quad_setup(max_iters=20)
         sched = ScheduleConfig(N=2, S=1, tau=3, seed=0)
-        with pytest.raises(FedtriError, match="staleness") as info:
+        with pytest.raises(FedtriError, match="staleness"):
             run(problem, inner, outer, sched)
-        assert not isinstance(info.value, NumericAbort)
+
+
+class TestStopping:
+    def test_start_at_the_optimum_converges_at_zero(self):
+        # At the quadratic oracle with no cuts every gap block is exactly
+        # zero, so iteration 0 meets the target and nothing is dispatched.
+        problem, oracle, inner, outer = quad_setup(T1=0, tol=1e-12)
+        problem = dataclasses.replace(
+            problem, initial_point_fn=lambda rng: (oracle.y1, oracle.y2, oracle.y3))
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0))
+        assert res.log.status == "converged" and res.log.T_eps == 0
+        assert len(res.log.records) == 1
+        assert validate_runlog(res.log, problem.dims) == []
+
+    def test_converged_run_stops_at_its_first_crossing(self):
+        problem, _, inner, outer = quad_setup(max_iters=3600, tol=1e-3, T_pre=15, T1=400)
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=1, seed=4))
+        log = res.log
+        assert log.status == "converged"
+        assert log.T_eps == log.records[-1].t == time_to_gap(log, outer.tol)[1]
+        assert validate_runlog(log, problem.dims) == []
 
 
 class TestSyncEquivalence:
@@ -298,7 +314,7 @@ class TestSyncEquivalence:
         for t_new in range(1, 26):
             gap = stationarity_gap(state, duals, poly2, problem, outer)
             state.x = list(worker_step(problem, state, gap, outer, range(2)))
-            state, duals = master_step(state, duals, poly2, problem, outer, t=t_new - 1)
+            state, duals = master_step(state, duals, poly2, problem, outer, gap, t=t_new - 1)
         for i in range(3):
             assert np.array_equal(res.state.z[i], state.z[i])
             for j in range(2):

@@ -3,6 +3,7 @@ import pytest
 
 from fedtri.core import (
     DualState,
+    NonFiniteError,
     PrimalState,
     finite_diff_grad,
     project_ball_sq,
@@ -12,15 +13,30 @@ from fedtri.core import (
 from fedtri.cuts import Cut, Polytope, cut_violation
 from fedtri.outer import (
     OuterConfig,
-    grad_x_blocks,
-    grad_z_blocks,
-    lagrangian,
     master_step,
-    regularized_lagrangian,
     stationarity_gap,
     worker_step,
 )
 from fedtri.problems import build_quadratic_problem
+
+
+def lagrangian(state, duals, poly2, problem):
+    """Outer Lagrangian: objective sum, consensus duals, layer-II cut duals."""
+    X1, X2, X3 = state.x
+    total = sum(problem.eval(1, j, X1[j], X2[j], X3[j]) for j in range(problem.dims.N))
+    total += float((duals.theta * (X1 - state.z[0])).sum())
+    total += float(duals.lam @ poly2.residuals(*state.z, X3, X2))
+    if not np.isfinite(total):
+        raise NonFiniteError("non-finite Lagrangian value")
+    return total
+
+
+def regularized_lagrangian(state, duals, poly2, problem, t, cfg):
+    c1, c2 = cfg.reg_coeffs(t)
+    val = lagrangian(state, duals, poly2, problem)
+    val -= 0.5 * c1 * float(duals.lam @ duals.lam)
+    val -= 0.5 * c2 * float((duals.theta * duals.theta).sum())
+    return val
 
 
 def random_cut(rng, d, N, layer="II", cut_id=0):
@@ -111,10 +127,11 @@ class TestRegularizedLagrangian:
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-def flat_lagrangian_grad_check(problem, state, duals, poly2, rel_tol=1e-5):
+def flat_lagrangian_grad_check(problem, state, duals, poly2, cfg, rel_tol=1e-5):
     """Central finite differences of L_p across every primal block."""
     N = problem.dims.N
-    G = grad_x_blocks(problem, state, duals, poly2)
+    gap = stationarity_gap(state, duals, poly2, problem, cfg)
+    G = gap.gx
     for j in range(N):
         g = [G[i][j] for i in range(3)]
         for i in range(3):
@@ -126,7 +143,7 @@ def flat_lagrangian_grad_check(problem, state, duals, poly2, rel_tol=1e-5):
             num = finite_diff_grad(f, state.x[i][j])
             denom = max(np.linalg.norm(g[i]), 1.0)
             assert np.linalg.norm(num - g[i]) / denom <= rel_tol
-    gz = grad_z_blocks(state, duals, poly2)
+    gz = gap.gz
     for i in range(3):
         def f(v, i=i):
             s = state.copy()
@@ -141,7 +158,7 @@ def flat_lagrangian_grad_check(problem, state, duals, poly2, rel_tol=1e-5):
 class TestGradients:
     def test_analytic_blocks_match_fd(self, setting):
         problem, state, duals, poly2, cfg = setting
-        flat_lagrangian_grad_check(problem, state, duals, poly2)
+        flat_lagrangian_grad_check(problem, state, duals, poly2, cfg)
 
 
 class TestWorkerStep:
@@ -162,7 +179,7 @@ class TestWorkerStep:
         problem, state, duals, poly2, cfg = setting
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         got = worker_step(problem, state, gap, cfg, [1])
-        G1, G2, G3 = grad_x_blocks(problem, state, duals, poly2)
+        G1, G2, G3 = gap.gx
         g1, g2, g3 = G1[1], G2[1], G3[1]
         assert np.allclose(got[0][0], project_ball_sq(state.x[0][1] - cfg.eta_x1 * g1,
                                                       problem.alphas[0]), atol=1e-14)
@@ -219,7 +236,8 @@ class TestMasterStep:
         big.lam = np.array([-0.5, 2 * np.sqrt(cfg.alpha4)])
         # One plain update from a state with huge +/- residual pressure: the
         # projection clamps into [0, sqrt(alpha4)].
-        _, nd = master_step(state, big, poly2, problem, cfg, t=0)
+        gap = stationarity_gap(state, big, poly2, problem, cfg)
+        _, nd = master_step(state, big, poly2, problem, cfg, gap, t=0)
         assert np.all(nd.lam >= 0.0)
         assert np.all(nd.lam <= np.sqrt(cfg.alpha4) + 1e-12)
 
@@ -228,13 +246,15 @@ class TestMasterStep:
         box = np.sqrt(cfg.alpha5) / problem.dims.d1
         spiked = duals.copy()
         spiked.theta = np.array([[3.0 * box, 0.1] for _ in range(3)])
-        _, nd = master_step(state, spiked, poly2, problem, cfg, t=0)
+        gap = stationarity_gap(state, spiked, poly2, problem, cfg)
+        _, nd = master_step(state, spiked, poly2, problem, cfg, gap, t=0)
         for th in nd.theta:
             assert np.abs(th).max() <= box + 1e-12
 
     def test_matches_handrolled_reference(self, setting):
         problem, state, duals, poly2, cfg = setting
-        ns, nd = master_step(state, duals, poly2, problem, cfg, t=2)
+        gap = stationarity_gap(state, duals, poly2, problem, cfg)
+        ns, nd = master_step(state, duals, poly2, problem, cfg, gap, t=2)
         z_ref, lam_ref, theta_ref = reference_master_step(state, duals, poly2, problem, cfg, 2)
         for i in range(3):
             assert np.allclose(ns.z[i], z_ref[i], atol=1e-12)
@@ -248,7 +268,8 @@ class TestMasterStep:
         # Lagrangian is affine in z, so the meaningful order pin is
         # primal-then-dual.)
         problem, state, duals, poly2, cfg = setting
-        _, nd = master_step(state, duals, poly2, problem, cfg, t=2)
+        gap = stationarity_gap(state, duals, poly2, problem, cfg)
+        _, nd = master_step(state, duals, poly2, problem, cfg, gap, t=2)
         c1, _ = cfg.reg_coeffs(2)
         lam_stale = duals.lam.copy()
         for l, cut in enumerate(poly2.cuts):
@@ -293,6 +314,18 @@ class TestStationarityGap:
             step = duals.theta[j] + cfg.eta_theta * (state.x[0][j] - state.z[0])
             expect = (duals.theta[j] - project_box_inf(step, box)) / cfg.eta_theta
             assert np.allclose(gap.gtheta[j], expect, atol=1e-12)
+
+    def test_z_rows_do_not_depend_on_the_primal_point(self, setting):
+        # L_p is affine in z, so the gap's z rows are a function of the duals
+        # and P_II alone; master_step steps on a gap taken at another point.
+        problem, state, duals, poly2, cfg = setting
+        rng = np.random.default_rng(11)
+        other = PrimalState(x=[rng.standard_normal(X.shape) for X in state.x],
+                            z=[rng.standard_normal(z.shape) for z in state.z])
+        a = stationarity_gap(state, duals, poly2, problem, cfg).gz
+        b = stationarity_gap(other, duals, poly2, problem, cfg).gz
+        for ga, gb in zip(a, b):
+            assert np.array_equal(ga, gb)
 
     def test_pure_function_of_state(self, setting):
         problem, state, duals, poly2, cfg = setting
