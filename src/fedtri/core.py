@@ -37,21 +37,32 @@ class Dims:
         return (self.d1, self.d2, self.d3)[i - 1]
 
 
-GradFn = Callable[[int, int, int, Array, Array, Array], Array]
-EvalFn = Callable[[int, int, Array, Array, Array], float]
+# Stacked oracles, one call for all N workers (see ``TrilevelProblem``):
+# grad_fn(level, block, X1, X2, X3) -> (N, d_block); eval_fn(level, X1, X2, X3) -> (N,).
+GradFn = Callable[[int, int, Array, Array, Array], Array]
+EvalFn = Callable[[int, Array, Array, Array], Array]
+# Per worker: cross_hess_fn(level, worker, block_out, block_in, x1, x2, x3) -> (d_out, d_in).
 CrossHessFn = Callable[[int, int, int, int, Array, Array, Array], Array]
 
 
 @dataclass
 class TrilevelProblem:
-    """Three per-worker objective families with gradient access.
+    """Three per-worker objective families with gradient access, evaluated for all workers at once.
 
-    ``eval_fn(level, worker, x1, x2, x3)`` returns the scalar objective of
-    worker ``worker`` (0-based) at level ``level`` in {1, 2, 3}.  ``grad_fn``
-    returns the gradient with respect to one of the three argument blocks;
-    when it is None, central finite differences are used.  ``cross_hess_fn``
-    optionally exposes second derivatives ``d^2 f / d(block_out) d(block_in)``
-    and enables the analytic unrolled-gradient path.
+    The oracles are stacked: ``eval_fn(level, X1, X2, X3)`` returns the (N,)
+    objective values of level ``level`` in {1, 2, 3}, and
+    ``grad_fn(level, block, X1, X2, X3)`` the (N, d_block) gradients with
+    respect to argument block ``block``.  Each ``Xi`` is (N, d_i) and row j
+    is worker j's (0-based) argument; a block shared by all workers may
+    arrive as a read-only broadcast view.  Row j of a result may depend only
+    on row j of the arguments.  When ``grad_fn`` is None, central finite
+    differences of ``eval_fn`` are used.
+
+    ``cross_hess_fn(level, worker, block_out, block_in, x1, x2, x3)`` stays
+    per worker: it optionally exposes one worker's second derivatives
+    ``d^2 f / d(block_out) d(block_in)`` at (d_i,) arguments and enables the
+    analytic unrolled-gradient path, whose backward sweep asks for one
+    worker's matrix at one recorded round at a time.
     """
 
     dims: Dims
@@ -69,65 +80,74 @@ class TrilevelProblem:
         if self.weak_convexity_mu < 0:
             raise ValueError("weak_convexity_mu must be nonnegative")
 
-    def eval(self, level: int, worker: int, x1: Array, x2: Array, x3: Array) -> float:
-        val = float(self.eval_fn(level, worker, x1, x2, x3))
-        if not np.isfinite(val):
-            raise NonFiniteError(f"f_{level},{worker} is non-finite")
-        return val
+    def _rows(self, X1, X2, X3) -> tuple[Array, Array, Array]:
+        """The three argument blocks as (N, d_i) rows.
 
-    def grad(self, level: int, worker: int, block: int, x1: Array, x2: Array, x3: Array) -> Array:
-        if self.grad_fn is not None:
-            g = np.asarray(self.grad_fn(level, worker, block, x1, x2, x3), dtype=float)
-        else:
-            args = [np.asarray(x1, float), np.asarray(x2, float), np.asarray(x3, float)]
-
-            def restricted(v: Array) -> float:
-                pert = list(args)
-                pert[block - 1] = v
-                return self.eval(level, worker, *pert)
-
-            g = finite_diff_grad(restricted, args[block - 1])
-        if g.shape != (self.dims.block(block),):
-            raise self._grad_shape_error(g, block)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"grad f_{level},{worker} block {block} is non-finite")
-        return g
-
-    def grad_all(self, level: int, block: int, X1: Array, X2: Array, X3: Array) -> Array:
-        """Every worker's ``grad(level, j, block, ...)`` stacked into an (N, d) array.
-
-        Each argument is either one block of shape (d_i,), shared by all
-        workers, or per-worker rows of shape (N, d_i).  The stacked result is
-        checked for finiteness once; a non-finite row names its worker.
+        A (d_i,) block is shared by all workers and becomes a read-only
+        broadcast view; any other shape but (N, d_i) raises ``ValueError``.
         """
         d = self.dims
-        cols = []
-        for i, (X, di) in enumerate(zip((X1, X2, X3), (d.d1, d.d2, d.d3))):
+        out = []
+        for i, X in enumerate((X1, X2, X3)):
             X = np.asarray(X, float)
+            di = d.block(i + 1)
             if X.shape == (di,):
-                cols.append((X,) * d.N)
-            elif X.shape == (d.N, di):
-                cols.append(X)
-            else:
+                X = np.broadcast_to(X, (d.N, di))
+            elif X.shape != (d.N, di):
                 raise ValueError(f"block {i + 1} argument has shape {X.shape}")
+            out.append(X)
+        return tuple(out)
+
+    def eval_all(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
+        """Every worker's level-``level`` objective as an (N,) array: one ``eval_fn`` call.
+
+        Each argument is one block of shape (d_i,), shared by all workers, or
+        per-worker rows of shape (N, d_i).  A non-finite value names its worker.
+        """
+        F = np.asarray(self.eval_fn(level, *self._rows(X1, X2, X3)), dtype=float)
+        if F.shape != (self.dims.N,):
+            raise ValueError(f"f_{level} values have shape {F.shape}, expected {(self.dims.N,)}")
+        if not np.isfinite(F).all():
+            raise NonFiniteError(f"f_{level},{int(np.argmin(np.isfinite(F)))} is non-finite")
+        return F
+
+    def grad_all(self, level: int, block: int, X1: Array, X2: Array, X3: Array) -> Array:
+        """Every worker's gradient in block ``block`` as an (N, d) array: one ``grad_fn`` call.
+
+        Arguments are as for ``eval_all``.  The result's shape is checked, and
+        its finiteness once; a non-finite row names its worker.
+        """
+        args = self._rows(X1, X2, X3)
         if self.grad_fn is None:
-            return np.stack([self.grad(level, j, block, *args) for j, args in enumerate(zip(*cols))])
-        expected = (d.block(block),)
-        G = np.empty((d.N,) + expected)
-        for j, args in enumerate(zip(*cols)):
-            g = np.asarray(self.grad_fn(level, j, block, *args), dtype=float)
-            if g.shape != expected:
-                raise self._grad_shape_error(g, block)
-            G[j] = g
+            G = self._fd_grad(level, block, args)
+        else:
+            G = np.asarray(self.grad_fn(level, block, *args), dtype=float)
+        expected = (self.dims.N, self.dims.block(block))
+        if G.shape != expected:
+            raise ValueError(f"gradient block {block} has length {G.shape}, expected {expected}")
         if not np.isfinite(G).all():
             j = int(np.argmin(np.isfinite(G).all(axis=1)))
             raise NonFiniteError(f"grad f_{level},{j} block {block} is non-finite")
         return G
 
-    def _grad_shape_error(self, g: Array, block: int) -> ValueError:
-        return ValueError(
-            f"gradient block {block} has length {g.shape}, expected {self.dims.block(block)}"
-        )
+    def _fd_grad(self, level: int, block: int, args) -> Array:
+        """Central differences of ``eval_all``, one coordinate of all N rows per pair of calls.
+
+        Row j steps by ``default_fd_step`` of its own block, as
+        ``finite_diff_grad`` would on worker j alone.
+        """
+        X = args[block - 1]
+        h = np.array([default_fd_step(row) for row in X])
+        pert = list(args)
+        G = np.empty(X.shape)
+        for k in range(X.shape[1]):
+            f = []
+            for step in (h, -h):
+                pert[block - 1] = P = X.copy()
+                P[:, k] += step
+                f.append(self.eval_all(level, *pert))
+            G[:, k] = (f[0] - f[1]) / (2.0 * h)
+        return G
 
     def cross_hess(self, level: int, worker: int, block_out: int, block_in: int,
                    x1: Array, x2: Array, x3: Array) -> Array:

@@ -31,8 +31,8 @@ class RegressionDataset:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise DatasetError("dataset contains non-finite entries")
-        n = self.X.shape[0]
-        if len(self.train_idx) + len(self.val_idx) + len(self.test_idx) != n:
+        joined = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
+        if not np.array_equal(np.sort(joined), np.arange(self.X.shape[0])):
             raise DatasetError("split indices must cover every row exactly once")
 
     @property

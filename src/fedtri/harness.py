@@ -209,11 +209,11 @@ class RunResult:
 
 
 def _objectives(problem: TrilevelProblem, state: PrimalState) -> tuple[float, float, float]:
-    N = problem.dims.N
-    f1 = sum(problem.eval(1, j, state.x[0][j], state.x[1][j], state.x[2][j]) for j in range(N))
-    f2 = sum(problem.eval(2, j, state.z[0], state.x[1][j], state.x[2][j]) for j in range(N))
-    f3 = sum(problem.eval(3, j, state.z[0], state.z[1], state.x[2][j]) for j in range(N))
-    return f1, f2, f3
+    """The three levels' objectives summed over the workers, in worker order."""
+    (x1, x2, x3), (z1, z2, _) = state.x, state.z
+    return (float(sum(problem.eval_all(1, x1, x2, x3))),
+            float(sum(problem.eval_all(2, z1, x2, x3))),
+            float(sum(problem.eval_all(3, z1, z2, x3))))
 
 
 def run(

@@ -202,7 +202,8 @@ def solve_level3(
     z2p = np.asarray(z2p, float)
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
-    return _unroll(problem, 3, lambda x: problem.grad_all(3, 3, z1, z2p, x), init, cfg,
+    Z1, Z2 = np.broadcast_to(z1, (d.N, d.d1)), np.broadcast_to(z2p, (d.N, d.d2))
+    return _unroll(problem, 3, lambda x: problem.grad_all(3, 3, Z1, Z2, x), init, cfg,
                    cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()},
                    Polytope(LAYER_I, d))
 
@@ -248,7 +249,8 @@ def solve_level2(
         poly1 = Polytope(LAYER_I, d, tuple(poly1))
     r0 = poly1.residuals(z1, np.zeros(d.d2), z3, x3)
     eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
-    return _unroll(problem, 2, lambda x: problem.grad_all(2, 2, z1, x, x3), init, cfg,
+    Z1 = np.broadcast_to(z1, (d.N, d.d1))
+    return _unroll(problem, 2, lambda x: problem.grad_all(2, 2, Z1, x, x3), init, cfg,
                    cfg.kappa2, eta_z, (r0, poly1.A2, eta_gamma),
                    {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1)
 

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Array, Dims, FedtriError, TrilevelProblem
-from .data import DatasetError, RegressionDataset, shard_indices
+from .data import RegressionDataset, shard_indices
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,7 @@ def _random_spd(rng: np.random.Generator, d: int, conditioning: float) -> Array:
 
 def _build_quadratic_data(rng, dims: Dims, conditioning: float, coupling: float,
                           center_scale: float):
+    """Every worker's matrices and centres, stacked once: (N, a, b) and (N, a) arrays."""
     d1, d2, d3, N = dims.d1, dims.d2, dims.d3, dims.N
     cscale = coupling / np.sqrt(max(d1, d2, d3))
     data = {
@@ -51,8 +52,19 @@ def _build_quadratic_data(rng, dims: Dims, conditioning: float, coupling: float,
         "h": [center_scale * rng.standard_normal(d2) for _ in range(N)],
         "Q1": [_random_spd(rng, d1 + d2 + d3, conditioning) for _ in range(N)],
     }
+    data = {key: np.array(blocks) for key, blocks in data.items()}
     data["y1"] = center_scale * rng.standard_normal(d1)
     return data
+
+
+def _mv(M: Array, x: Array) -> Array:
+    """Row-wise mat-vecs: (N, a, b) matrices times (N, b) rows give (N, a)."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _dot(a: Array, b: Array) -> Array:
+    """Row-wise dot products of two (..., d) arrays, shape (...)."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _solve_oracle(data) -> QuadraticOracle:
@@ -96,6 +108,10 @@ def build_quadratic_problem(
     level-1 objective is an SPD quadratic centered at the nested argmin, so
     the oracle is also the trilevel optimum.  A singular level-2 reduction
     triggers regeneration under a derived seed.
+
+    The workers' matrices are stacked once as (N, a, b) arrays, so the
+    stacked ``eval_fn`` and ``grad_fn`` are batched mat-vecs over all N rows;
+    ``cross_hess_fn`` returns one worker's matrix.
     """
     if any(d > 20 for d in dims) or any(d < 1 for d in dims):
         raise ValueError("quadratic builder is desk-scale: dims must be in 1..20")
@@ -121,41 +137,42 @@ def build_quadratic_problem(
         3: slice(dd.d1 + dd.d2, dd.d1 + dd.d2 + dd.d3),
     }
 
-    def eval_fn(level, j, x1, x2, x3):
-        if level == 1:
-            v = np.concatenate([x1, x2, x3]) - v_star
-            return 0.5 * float(v @ (data["Q1"][j] @ v))
-        if level == 2:
-            lin = data["E"][j] @ x1 + data["F"][j] @ x3 + data["h"][j]
-            return 0.5 * float(x2 @ (data["D"][j] @ x2)) + float(x2 @ lin)
-        lin = data["B"][j] @ x1 + data["C"][j] @ x2 + data["g"][j]
-        return 0.5 * float(x3 @ (data["A"][j] @ x3)) + float(x3 @ lin)
+    Q1, A, B, C, g = data["Q1"], data["A"], data["B"], data["C"], data["g"]
+    D, E, F, h = data["D"], data["E"], data["F"], data["h"]
+    BT, CT, ET, FT = (M.transpose(0, 2, 1) for M in (B, C, E, F))
 
-    def grad_fn(level, j, block, x1, x2, x3):
+    def deviation(X1, X2, X3):
+        # C order even for broadcast blocks, so each row takes the same BLAS path
+        return np.ascontiguousarray(np.concatenate([X1, X2, X3], axis=1)) - v_star
+
+    def eval_fn(level, X1, X2, X3):
         if level == 1:
-            v = np.concatenate([x1, x2, x3]) - v_star
-            return (data["Q1"][j] @ v)[slices[block]]
+            v = deviation(X1, X2, X3)
+            return 0.5 * _dot(v, _mv(Q1, v))
+        if level == 2:
+            lin = _mv(E, X1) + _mv(F, X3) + h
+            return 0.5 * _dot(X2, _mv(D, X2)) + _dot(X2, lin)
+        lin = _mv(B, X1) + _mv(C, X2) + g
+        return 0.5 * _dot(X3, _mv(A, X3)) + _dot(X3, lin)
+
+    def grad_fn(level, block, X1, X2, X3):
+        if level == 1:
+            return _mv(Q1, deviation(X1, X2, X3))[:, slices[block]]
         if level == 2:
             if block == 2:
-                return data["D"][j] @ x2 + data["E"][j] @ x1 + data["F"][j] @ x3 + data["h"][j]
-            if block == 1:
-                return data["E"][j].T @ x2
-            return data["F"][j].T @ x2
+                return _mv(D, X2) + _mv(E, X1) + _mv(F, X3) + h
+            return _mv(ET if block == 1 else FT, X2)
         if block == 3:
-            return data["A"][j] @ x3 + data["B"][j] @ x1 + data["C"][j] @ x2 + data["g"][j]
-        if block == 1:
-            return data["B"][j].T @ x3
-        return data["C"][j].T @ x3
+            return _mv(A, X3) + _mv(B, X1) + _mv(C, X2) + g
+        return _mv(BT if block == 1 else CT, X3)
 
     def cross_hess_fn(level, j, out, inn, x1, x2, x3):
         if level == 1:
-            return data["Q1"][j][slices[out], slices[inn]]
+            return Q1[j][slices[out], slices[inn]]
         if level == 2:
-            mats = {(2, 2): data["D"][j], (2, 1): data["E"][j], (2, 3): data["F"][j],
-                    (1, 2): data["E"][j].T, (3, 2): data["F"][j].T}
+            mats = {(2, 2): D[j], (2, 1): E[j], (2, 3): F[j], (1, 2): ET[j], (3, 2): FT[j]}
         else:
-            mats = {(3, 3): data["A"][j], (3, 1): data["B"][j], (3, 2): data["C"][j],
-                    (1, 3): data["B"][j].T, (2, 3): data["C"][j].T}
+            mats = {(3, 3): A[j], (3, 1): B[j], (3, 2): C[j], (1, 3): BT[j], (2, 3): CT[j]}
         dd_out, dd_inn = (dd.d1, dd.d2, dd.d3)[out - 1], (dd.d1, dd.d2, dd.d3)[inn - 1]
         return mats.get((out, inn), np.zeros((dd_out, dd_inn)))
 
@@ -188,12 +205,14 @@ class MlpShape:
         return total
 
     def unpack(self, w: Array) -> list[tuple[Array, Array]]:
+        """Each layer's (W, b) as views of ``w`` (..., P): W is (..., fan_out, fan_in)."""
+        lead = w.shape[:-1]
         params = []
         off = 0
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            W = w[off:off + fan_out * fan_in].reshape(fan_out, fan_in)
+            W = w[..., off:off + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
             off += fan_out * fan_in
-            b = w[off:off + fan_out]
+            b = w[..., off:off + fan_out]
             off += fan_out
             params.append((W, b))
         return params
@@ -206,45 +225,64 @@ class MlpShape:
         return np.concatenate(chunks)
 
 
+def _T(M: Array) -> Array:
+    """Transpose of the last two axes."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _layer(h: Array, W: Array, b: Array) -> Array:
+    """``h @ W.T + b`` for rows h (..., m, fan_in) and a layer's (W, b) with h's leading axes."""
+    return h @ _T(W) + b[..., None, :]
+
+
+def _weighted_sq_error(pred: Array, y: Array, weights: Array) -> Array:
+    """``sum_i weights_i (pred_i - y_i)^2`` over the last axis."""
+    err = pred - y
+    return (weights * err * err).sum(axis=-1)
+
+
 def mlp_forward(shape: MlpShape, w: Array, X: Array) -> Array:
-    """tanh hidden layers, linear scalar output."""
+    """tanh hidden layers, linear scalar output: weights (..., P), inputs (..., m, f) -> (..., m).
+
+    Leading axes batch independent models, each with its own weights and rows.
+    """
     h = X
     params = shape.unpack(w)
     for W, b in params[:-1]:
-        h = np.tanh(h @ W.T + b)
-    W, b = params[-1]
-    return (h @ W.T + b).ravel()
+        h = np.tanh(_layer(h, W, b))
+    return _layer(h, *params[-1])[..., 0]
 
 
-def mlp_loss_grads(shape: MlpShape, w: Array, X: Array, y: Array):
-    """Mean squared error with gradients w.r.t. the weights and the inputs."""
+def mlp_loss_grads(shape: MlpShape, w: Array, X: Array, y: Array,
+                   weights: Optional[Array] = None):
+    """Weighted squared error with gradients w.r.t. the weights and the inputs.
+
+    Shapes as in ``mlp_forward``; ``y`` and the row ``weights`` are (..., m),
+    and the weights default to 1/m, the mean squared error.  Returns the loss
+    (...), ``dw`` (..., P) and ``dX`` (..., m, f).  Each model along the
+    leading axes gets the numbers a call on that model alone would give.
+    """
+    if weights is None:
+        weights = np.full(y.shape, 1.0 / y.shape[-1])
     params = shape.unpack(w)
     acts = [X]
-    pre: list[Array] = []
-    h = X
     for W, b in params[:-1]:
-        z = h @ W.T + b
-        pre.append(z)
-        h = np.tanh(z)
-        acts.append(h)
+        acts.append(np.tanh(_layer(acts[-1], W, b)))
     W_out, b_out = params[-1]
-    pred = (h @ W_out.T + b_out).ravel()
-    m = X.shape[0]
-    err = pred - y
-    loss = float(err @ err) / m
+    pred = _layer(acts[-1], W_out, b_out)[..., 0]
+    loss = _weighted_sq_error(pred, y, weights)
 
-    dpred = (2.0 / m) * err
+    dpred = (2.0 * weights) * (pred - y)
     grads = [None] * len(params)
-    grads[-1] = ((dpred @ h).reshape(W_out.shape), np.array([dpred.sum()]))
-    dh = dpred[:, None] @ W_out  # (m, last_hidden)
+    grads[-1] = (dpred[..., None, :] @ acts[-1], dpred.sum(axis=-1, keepdims=True))
+    dh = dpred[..., :, None] @ W_out  # (..., m, last_hidden)
     for li in range(len(params) - 2, -1, -1):
-        dz = dh * (1.0 - np.tanh(pre[li]) ** 2)
-        W, _ = params[li]
-        grads[li] = (dz.T @ acts[li], dz.sum(axis=0))
-        dh = dz @ W
-    dX = dh  # (m, features)
-    dw = np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
-    return loss, dw, dX
+        dz = dh * (1.0 - acts[li + 1] ** 2)
+        grads[li] = (_T(dz) @ acts[li], dz.sum(axis=-2))
+        dh = dz @ params[li][0]
+    lead = w.shape[:-1]
+    dw = np.concatenate([g for gW, gb in grads for g in (gW.reshape(lead + (-1,)), gb)], axis=-1)
+    return loss, dw, dh
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +307,30 @@ class RobustHpoSpec:
             raise ValueError("hidden widths must be positive")
 
 
-def smoothed_l1(w: Array, delta: float) -> float:
-    return float(np.sum(np.sqrt(w * w + delta * delta) - delta))
+def smoothed_l1(w: Array, delta: float) -> Array:
+    """``sum_k sqrt(w_k^2 + delta^2) - delta`` over the last axis."""
+    return np.sum(np.sqrt(w * w + delta * delta) - delta, axis=-1)
 
 
 def smoothed_l1_grad(w: Array, delta: float) -> Array:
     return w / np.sqrt(w * w + delta * delta)
+
+
+def _stack_shards(data: RegressionDataset, shards: list[Array]) -> tuple[Array, Array, Array]:
+    """Shards as (N, m, f) rows, (N, m) targets and (N, m) row weights, m the largest shard.
+
+    Shorter shards are padded with zero rows.  A real row of shard j weighs
+    1/m_j and a padding row 0, so a weighted sum over rows is shard j's mean.
+    """
+    m = max(len(s) for s in shards)
+    X = np.zeros((len(shards), m, data.n_features))
+    y = np.zeros((len(shards), m))
+    weights = np.zeros((len(shards), m))
+    for j, s in enumerate(shards):
+        X[j, :len(s)] = data.X[s]
+        y[j, :len(s)] = data.y[s]
+        weights[j, :len(s)] = 1.0 / len(s)
+    return X, y, weights
 
 
 @dataclass
@@ -308,66 +364,46 @@ def build_robust_hpo_problem(
     loss under that perturbation plus ``exp(phi)`` times the smoothed l1 norm
     of the weights.  Blocks: x1 = phi (scalar), x2 = per-worker noise (one
     vector added to every local training row), x3 = MLP weights.
+
+    The shards are stacked once (``_stack_shards``), so each oracle call runs
+    one batched forward (and backward) pass of all N workers' models; ragged
+    shards take the same path through their zero-weighted padding rows.
     """
     shape = MlpShape(layer_sizes=(data.n_features, *spec.mlp_layers, 1))
     train_shards = shard_indices(data.train_idx, N)
     val_shards = shard_indices(data.val_idx, N)
-    if any(len(s) == 0 for s in train_shards + val_shards):
-        raise DatasetError("empty worker partition")
     dims = Dims(d1=1, d2=data.n_features, d3=shape.n_params, N=N)
-    Xtr = [data.X[s] for s in train_shards]
-    ytr = [data.y[s] for s in train_shards]
-    Xval = [data.X[s] for s in val_shards]
-    yval = [data.y[s] for s in val_shards]
+    Xtr, ytr, wtr = _stack_shards(data, train_shards)
+    Xval, yval, wval = _stack_shards(data, val_shards)
     delta = spec.smoothing
     c_pen = spec.c
 
-    def _train_loss(j, p, w, want_grads=False):
-        Xp = Xtr[j] + p  # one shared noise row added to every sample
-        if want_grads:
-            loss, dw, dX = mlp_loss_grads(shape, w, Xp, ytr[j])
-            return loss, dw, dX.sum(axis=0)
-        return float(np.mean((mlp_forward(shape, w, Xp) - ytr[j]) ** 2))
+    def noisy(X2):  # worker j's one noise row added to each of its training rows
+        return Xtr + X2[:, None, :]
 
-    def eval_fn(level, j, x1, x2, x3):
+    def eval_fn(level, X1, X2, X3):
         if level == 1:
-            pred = mlp_forward(shape, x3, Xval[j])
-            return float(np.mean((pred - yval[j]) ** 2))
+            return _weighted_sq_error(mlp_forward(shape, X3, Xval), yval, wval)
+        if level == 2 and not spec.adversary:
+            return c_pen * _dot(X2, X2)
+        train = _weighted_sq_error(mlp_forward(shape, X3, noisy(X2)), ytr, wtr)
         if level == 2:
-            pen = c_pen * float(x2 @ x2)
-            if not spec.adversary:
-                return pen
-            return -(_train_loss(j, x2, x3) - pen)
-        reg = float(np.exp(x1[0])) * smoothed_l1(x3, delta)
-        return _train_loss(j, x2, x3) + reg
+            return -(train - c_pen * _dot(X2, X2))
+        return train + np.exp(X1[:, 0]) * smoothed_l1(X3, delta)
 
-    def grad_fn(level, j, block, x1, x2, x3):
+    def grad_fn(level, block, X1, X2, X3):
+        zeros = np.zeros((N, dims.block(block)))
         if level == 1:
-            if block == 1:
-                return np.zeros(1)
-            if block == 2:
-                return np.zeros(dims.d2)
-            _, dw, _ = mlp_loss_grads(shape, x3, Xval[j], yval[j])
-            return dw
+            return mlp_loss_grads(shape, X3, Xval, yval, wval)[1] if block == 3 else zeros
+        if level == 2 and (block == 1 or not spec.adversary):
+            return 2.0 * c_pen * X2 if block == 2 else zeros
+        if block == 1:  # level 3
+            return np.exp(X1) * smoothed_l1(X3, delta)[:, None]
+        _, dw, dX = mlp_loss_grads(shape, X3, noisy(X2), ytr, wtr)
+        dp = dX.sum(axis=-2)
         if level == 2:
-            if block == 1:
-                return np.zeros(1)
-            if not spec.adversary:
-                if block == 2:
-                    return 2.0 * c_pen * x2
-                return np.zeros(dims.d3)
-            _, dw, dp = _train_loss(j, x2, x3, want_grads=True)
-            if block == 2:
-                return -(dp - 2.0 * c_pen * x2)
-            return -dw
-        # level 3
-        e_phi = float(np.exp(x1[0]))
-        if block == 1:
-            return np.array([e_phi * smoothed_l1(x3, delta)])
-        _, dw, dp = _train_loss(j, x2, x3, want_grads=True)
-        if block == 2:
-            return dp
-        return dw + e_phi * smoothed_l1_grad(x3, delta)
+            return -(dp - 2.0 * c_pen * X2) if block == 2 else -dw
+        return dp if block == 2 else dw + np.exp(X1) * smoothed_l1_grad(X3, delta)
 
     def initial_point_fn(rng):
         return (np.array([phi_init]), np.zeros(dims.d2), shape.init(rng))

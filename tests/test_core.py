@@ -18,14 +18,15 @@ from fedtri.core import (
     project_ball_sq,
 )
 from fedtri.inner import InnerConfig, solve_level3
-from fedtri.problems import build_quadratic_problem
+from fedtri.data import make_synthetic_dataset
+from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
 
 
 def make_problem(d=(1, 1, 1), N=1):
     dims = Dims(d1=d[0], d2=d[1], d3=d[2], N=N)
 
-    def ev(level, j, x1, x2, x3):
-        return float(x1 @ x1 + x2 @ x2 + x3 @ x3)
+    def ev(level, X1, X2, X3):
+        return (X1 * X1).sum(axis=1) + (X2 * X2).sum(axis=1) + (X3 * X3).sum(axis=1)
 
     return TrilevelProblem(dims=dims, eval_fn=ev)
 
@@ -58,10 +59,10 @@ class TestFiniteDiffGrad:
         x1, x2, x3 = (rng.standard_normal(d) for d in (3, 2, 4))
 
         def f3(v):
-            return problem.eval(3, 1, x1, x2, v)
+            return problem.eval_all(3, x1, x2, v)[1]
 
         numeric = finite_diff_grad(f3, x3)
-        analytic = problem.grad(3, 1, 3, x1, x2, x3)
+        analytic = problem.grad_all(3, 3, x1, x2, x3)[1]
         rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-6
 
@@ -151,18 +152,18 @@ class TestEstimateMu:
 class TestProblemGradFallback:
     def test_fd_fallback_used_when_no_grad(self):
         problem = make_problem((2, 2, 2), N=1)
-        g = problem.grad(1, 0, 2, np.zeros(2), np.array([1.0, -1.0]), np.zeros(2))
-        assert np.allclose(g, [2.0, -2.0], atol=1e-7)
+        g = problem.grad_all(1, 2, np.zeros(2), np.array([1.0, -1.0]), np.zeros(2))
+        assert np.allclose(g, [[2.0, -2.0]], atol=1e-7)
 
     def test_grad_shape_enforced(self):
         dims = Dims(d1=2, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, j, x1, x2, x3: 0.0,
-            grad_fn=lambda level, j, block, x1, x2, x3: np.zeros(5),
+            eval_fn=lambda level, X1, X2, X3: np.zeros(1),
+            grad_fn=lambda level, block, X1, X2, X3: np.zeros((1, 5)),
         )
         with pytest.raises(ValueError):
-            problem.grad(1, 0, 1, np.zeros(2), np.zeros(1), np.zeros(1))
+            problem.grad_all(1, 1, np.zeros(2), np.zeros(1), np.zeros(1))
 
 
 class TestGradAll:
@@ -170,8 +171,8 @@ class TestGradAll:
         dims = Dims(d1=2, d2=1, d3=3, N=3)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, j, x1, x2, x3: 0.0,
-            grad_fn=lambda level, j, block, x1, x2, x3: np.zeros(3 if j < 2 else 4),
+            eval_fn=lambda level, X1, X2, X3: np.zeros(3),
+            grad_fn=lambda level, block, X1, X2, X3: np.zeros((3, 4)),
         )
         with pytest.raises(ValueError, match="gradient block 3 has length"):
             problem.grad_all(3, 3, np.zeros(2), np.zeros(1), np.zeros((3, 3)))
@@ -184,30 +185,96 @@ class TestGradAll:
     def test_nonfinite_row_names_its_worker(self):
         dims = Dims(d1=1, d2=1, d3=2, N=3)
 
-        def gr(level, j, block, x1, x2, x3):
-            return np.array([0.0, np.nan]) if j == 1 else np.zeros(2)
+        def gr(level, block, X1, X2, X3):
+            G = np.zeros((3, 2))
+            G[1, 1] = G[2, 0] = np.nan
+            return G
 
-        problem = TrilevelProblem(dims=dims, eval_fn=lambda *a: 0.0, grad_fn=gr)
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(3),
+                                  grad_fn=gr)
         with pytest.raises(NonFiniteError, match=r"grad f_3,1 block 3"):
             problem.grad_all(3, 3, np.zeros(1), np.zeros(1), np.zeros((3, 2)))
 
-    def test_shared_and_stacked_inputs_match_per_worker_grad(self):
-        problem, _ = build_quadratic_problem(seed=2, dims=(2, 3, 4), N=3)
-        rng = np.random.default_rng(0)
-        z1, X2, X3 = rng.standard_normal(2), rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
-        G = problem.grad_all(2, 2, z1, X2, X3)
-        assert G.shape == (3, 3)
-        for j in range(3):
-            assert np.array_equal(G[j], problem.grad(2, j, 2, z1, X2[j], X3[j]))
-
     def test_without_grad_fn_equals_per_worker_grad(self):
+        # The fallback steps all rows at once; row j is worker j's own
+        # central difference, with its own step (the rows' steps differ here).
         quad, _ = build_quadratic_problem(seed=1, dims=(2, 2, 3), N=2)
         problem = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn)
         rng = np.random.default_rng(1)
         z1, z2, X3 = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 3))
         G = problem.grad_all(3, 3, z1, z2, X3)
         for j in range(2):
-            assert np.array_equal(G[j], problem.grad(3, j, 3, z1, z2, X3[j]))
+            def f(v):  # v is shared by both rows; row j is worker j's value
+                return problem.eval_all(3, z1, z2, v)[j]
+
+            assert np.array_equal(G[j], finite_diff_grad(f, X3[j]))
+
+
+def _robust_hpo_problem():
+    data = make_synthetic_dataset(seed=1, rows=80, features=3)
+    return build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=5).problem
+
+
+def _quadratic_problem():
+    return build_quadratic_problem(seed=2, dims=(2, 3, 4), N=3)[0]
+
+
+class TestStackedContract:
+    @pytest.mark.parametrize("build", [_quadratic_problem, _robust_hpo_problem],
+                             ids=["quadratic", "robust_hpo"])
+    def test_stacked_call_matches_calls_on_each_row_broadcast(self, build):
+        problem = build()
+        d = problem.dims
+        rng = np.random.default_rng(0)
+        X = [rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)]
+        for level in (1, 2, 3):
+            F = problem.eval_all(level, *X)
+            rows = [problem.eval_all(level, *(Xi[j] for Xi in X)) for j in range(d.N)]
+            assert all(F[j] == r[j] for j, r in enumerate(rows)), level
+            for block in (1, 2, 3):
+                G = problem.grad_all(level, block, *X)
+                for j in range(d.N):
+                    row = problem.grad_all(level, block, *(Xi[j] for Xi in X))[j]
+                    assert np.array_equal(G[j], row), (level, block, j)
+
+    def test_quadratic_grad_matches_the_finite_difference_fallback(self):
+        quad = build_quadratic_problem(seed=4, dims=(2, 3, 4), N=3)[0]
+        fallback = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn)
+        rng = np.random.default_rng(3)
+        X = [rng.standard_normal((3, k)) for k in (2, 3, 4)]
+        for level in (1, 2, 3):
+            for block in (1, 2, 3):
+                G = quad.grad_all(level, block, *X)
+                G_fd = fallback.grad_all(level, block, *X)
+                assert np.abs(G - G_fd).max() <= 1e-6, (level, block)
+
+    def test_eval_all_names_the_first_non_finite_worker(self):
+        dims = Dims(d1=1, d2=1, d3=1, N=4)
+        values = np.array([0.0, 1.0, np.inf, np.nan])
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: values)
+        with pytest.raises(NonFiniteError, match=r"f_2,2 is non-finite"):
+            problem.eval_all(2, np.zeros(1), np.zeros(1), np.zeros((4, 1)))
+
+    def test_eval_all_checks_the_shape_of_its_values(self):
+        dims = Dims(d1=1, d2=1, d3=1, N=3)
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(2))
+        with pytest.raises(ValueError, match="f_1 values have shape"):
+            problem.eval_all(1, np.zeros(1), np.zeros(1), np.zeros(1))
+
+    def test_eval_fn_receives_rows_and_read_only_broadcast_blocks(self):
+        dims = Dims(d1=1, d2=2, d3=3, N=2)
+        seen = []
+
+        def ev(level, X1, X2, X3):
+            seen.append((X1, X2, X3))
+            return np.zeros(2)
+
+        problem = TrilevelProblem(dims=dims, eval_fn=ev)
+        X3 = np.ones((2, 3))
+        problem.eval_all(1, np.zeros(1), np.zeros(2), X3)
+        X1, X2, got3 = seen[0]
+        assert X1.shape == (2, 1) and X2.shape == (2, 2) and got3 is X3
+        assert not X1.flags.writeable and not X2.flags.writeable
 
 
 def test_cuts_polytopes_and_traces_compare_by_identity():

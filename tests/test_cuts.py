@@ -36,8 +36,8 @@ def scalar_problem():
     dims = Dims(d1=1, d2=1, d3=1, N=1)
     return TrilevelProblem(
         dims=dims,
-        eval_fn=lambda level, j, x1, x2, x3: 0.0,
-        grad_fn=lambda level, j, block, x1, x2, x3: np.zeros(1),
+        eval_fn=lambda level, X1, X2, X3: np.zeros(1),
+        grad_fn=lambda level, block, X1, X2, X3: np.zeros((1, 1)),
         cross_hess_fn=lambda level, j, o, i, x1, x2, x3: np.zeros((1, 1)),
     )
 
@@ -342,11 +342,10 @@ class TestValidateCut:
         dims = Dims(d1=1, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, j, x1, x2, x3: amp * float(np.sin(freq * x2[0])) * x3[0],
-            grad_fn=lambda level, j, block, x1, x2, x3: (
-                np.array([amp * np.sin(freq * x2[0])]) if block == 3
-                else (np.array([amp * freq * np.cos(freq * x2[0]) * x3[0]])
-                      if block == 2 else np.zeros(1))
+            eval_fn=lambda level, X1, X2, X3: amp * np.sin(freq * X2[:, 0]) * X3[:, 0],
+            grad_fn=lambda level, block, X1, X2, X3: (
+                amp * np.sin(freq * X2) if block == 3
+                else (amp * freq * np.cos(freq * X2) * X3 if block == 2 else np.zeros((1, 1)))
             ),
         )
         cfg = InnerConfig(K=1, eta_x=1.0, eta_z=1.0, eta_phi=0.1)

@@ -3,6 +3,7 @@ import pytest
 
 from fedtri.data import (
     DatasetError,
+    RegressionDataset,
     _parse_csv,
     generate_synthetic_csv,
     load_dataset,
@@ -67,3 +68,16 @@ def test_synthetic_training_features_are_standardized():
     assert np.allclose(X_train.std(axis=0), 1.0)
     sizes = (len(data.train_idx), len(data.val_idx), len(data.test_idx))
     assert sizes == (60, 20, 20)
+
+
+@pytest.mark.parametrize("train, val, test", [
+    ([0, 0], [1], [1]),  # right count, rows 2 and 3 unused
+    ([0, 1], [2], [4]),  # an index past the last row
+    ([0, 1], [2], []),   # row 3 unused
+])
+def test_splits_must_be_a_permutation_of_the_rows(train, val, test):
+    X, y = np.zeros((4, 2)), np.zeros(4)
+    with pytest.raises(DatasetError, match="exactly once"):
+        RegressionDataset(X=X, y=y, train_idx=np.array(train), val_idx=np.array(val),
+                          test_idx=np.array(test, dtype=int), noise_sigma=0.0,
+                          feature_mean=np.zeros(2), feature_std=np.ones(2))

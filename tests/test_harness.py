@@ -347,7 +347,7 @@ class TestGradientSweep:
     def test_level1_gradients_once_per_iteration(self):
         # Each iteration's stationarity gap supplies the dispatched workers'
         # gradients, so without refinements the only level-1 calls are the
-        # gap's three blocks per worker at t = 0..T.
+        # gap's three blocks at t = 0..T, each one stacked call for both workers.
         T = 20
         problem, _, inner, outer = quad_setup(T1=0, max_iters=T)
         grad_fn = problem.grad_fn
@@ -362,7 +362,7 @@ class TestGradientSweep:
                                delay=DelayModel(kind="uniform", lo=0.5, hi=1.5))
         res = run(problem, inner, outer, sched)
         assert res.log.status == "max_iters" and len(res.log.records) == T + 1
-        assert levels.count(1) == 3 * 2 * (T + 1)
+        assert levels.count(1) == 3 * (T + 1)
 
 
 class TestOracleRegression:

@@ -20,21 +20,23 @@ def separable_problem(targets, d=(1, 1, None)):
     d3 = len(targets[0])
     dims = Dims(d1=1, d2=d3, d3=d3, N=len(targets))
 
-    def ev(level, j, x1, x2, x3):
-        if level == 3:
-            dv = x3 - targets[j]
-            return 0.5 * float(dv @ dv)
-        if level == 2:
-            dv = x2 - targets[j]
-            return 0.5 * float(dv @ dv)
-        return 0.0
+    T = np.array(targets, float)
 
-    def gr(level, j, block, x1, x2, x3):
+    def ev(level, X1, X2, X3):
+        if level == 3:
+            dv = X3 - T
+            return 0.5 * (dv * dv).sum(axis=1)
+        if level == 2:
+            dv = X2 - T
+            return 0.5 * (dv * dv).sum(axis=1)
+        return np.zeros(dims.N)
+
+    def gr(level, block, X1, X2, X3):
         if level == 3 and block == 3:
-            return x3 - targets[j]
+            return X3 - T
         if level == 2 and block == 2:
-            return x2 - targets[j]
-        return np.zeros(dims.block(block))
+            return X2 - T
+        return np.zeros((dims.N, dims.block(block)))
 
     def ch(level, j, out, inn, x1, x2, x3):
         if level in (2, 3) and out == inn == level:
@@ -107,8 +109,8 @@ class TestSolveLevel3:
         dims = Dims(d1=1, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda *a: 0.0,
-            grad_fn=lambda level, j, block, x1, x2, x3: np.array([1e200]),
+            eval_fn=lambda level, X1, X2, X3: np.zeros(1),
+            grad_fn=lambda level, block, X1, X2, X3: np.array([[1e200]]),
         )
         cfg = InnerConfig(K=3, eta_x=1e200, eta_z=1.0, eta_phi=1.0)
         with pytest.raises((InnerSolverError, FedtriError), match="round"):

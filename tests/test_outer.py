@@ -23,7 +23,7 @@ from fedtri.problems import build_quadratic_problem
 def lagrangian(state, duals, poly2, problem):
     """Outer Lagrangian: objective sum, consensus duals, layer-II cut duals."""
     X1, X2, X3 = state.x
-    total = sum(problem.eval(1, j, X1[j], X2[j], X3[j]) for j in range(problem.dims.N))
+    total = sum(problem.eval_all(1, X1, X2, X3))
     total += float((duals.theta * (X1 - state.z[0])).sum())
     total += float(duals.lam @ poly2.residuals(*state.z, X3, X2))
     if not np.isfinite(total):
@@ -67,10 +67,8 @@ class TestLagrangian:
     def test_zero_duals_equals_objective_sum(self, setting):
         problem, state, duals, poly2, cfg = setting
         zero = DualState.zeros(problem.dims, n_cuts2=poly2.size)
-        expect = sum(
-            problem.eval(1, j, state.x[0][j], state.x[1][j], state.x[2][j])
-            for j in range(problem.dims.N)
-        )
+        f1 = problem.eval_all(1, *state.x)
+        expect = sum(f1[j] for j in range(problem.dims.N))
         assert lagrangian(state, zero, poly2, problem) == pytest.approx(expect, rel=1e-12)
 
     def test_consensus_feasible_kills_theta_terms(self, setting):
@@ -87,8 +85,9 @@ class TestLagrangian:
     def test_matches_term_by_term_sum(self, setting):
         problem, state, duals, poly2, cfg = setting
         total = 0.0
+        f1 = problem.eval_all(1, *state.x)
         for j in range(problem.dims.N):
-            total += problem.eval(1, j, state.x[0][j], state.x[1][j], state.x[2][j])
+            total += f1[j]
             total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
         for lam, cut in zip(duals.lam, poly2.cuts):
             total += lam * cut_violation(cut, state.z[0], state.z[1], state.z[2],

@@ -13,6 +13,7 @@ from fedtri.problems import (
     RobustHpoSpec,
     build_robust_hpo_problem,
     evaluate_model,
+    mlp_forward,
     mlp_loss_grads,
 )
 
@@ -47,28 +48,69 @@ class TestMlpLossGrads:
         assert dX.shape == X.shape
         assert np.abs(dX.ravel() - g_fd).max() <= 1e-8
 
+    def test_stacked_models_equal_single_model_calls(self, setup):
+        shape, _, _, _ = setup
+        rng = np.random.default_rng(1)
+        N = 3
+        W = np.array([shape.init(rng) for _ in range(N)])
+        X = rng.standard_normal((N, 6, 3))
+        y = rng.standard_normal((N, 6))
+        loss, dw, dX = mlp_loss_grads(shape, W, X, y)
+        assert loss.shape == (N,) and dw.shape == (N, shape.n_params) and dX.shape == X.shape
+        for j in range(N):
+            loss_j, dw_j, dX_j = mlp_loss_grads(shape, W[j], X[j], y[j])
+            assert loss[j] == loss_j
+            assert np.array_equal(dw[j], dw_j) and np.array_equal(dX[j], dX_j)
+            assert np.array_equal(mlp_forward(shape, W, X)[j], mlp_forward(shape, W[j], X[j]))
 
-@pytest.mark.parametrize("adversary", [True, False])
-def test_oracle_gradients_match_finite_differences(adversary):
-    data = make_synthetic_dataset(seed=1, rows=40, features=3)
+
+def check_oracle_gradients(adversary, rows, N):
+    data = make_synthetic_dataset(seed=1, rows=rows, features=3)
     hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,), adversary=adversary),
-                                   N=2)
+                                   N=N)
     problem = hpo.problem
     rng = np.random.default_rng(2)
     point = [np.array([-1.0]), 0.3 * rng.standard_normal(3), hpo.shape.init(rng)]
     for level in (1, 2, 3):
         for j in range(problem.dims.N):
             for block in (1, 2, 3):
-                def f(v):
+                def f(v):  # every worker at the shared point; row j is worker j's value
                     args = list(point)
                     args[block - 1] = v
-                    return problem.eval(level, j, *args)
+                    return problem.eval_all(level, *args)[j]
 
-                g = problem.grad(level, j, block, *point)
+                g = problem.grad_all(level, block, *point)[j]
                 g_fd = finite_diff_grad(f, point[block - 1])
                 assert g.shape == g_fd.shape
                 assert np.linalg.norm(g - g_fd) <= 1e-6 * np.linalg.norm(g_fd), (
                     level, j, block)
+
+
+@pytest.mark.parametrize("adversary", [True, False])
+def test_oracle_gradients_match_finite_differences(adversary):
+    check_oracle_gradients(adversary, rows=40, N=2)  # train shards 12+12, val 4+4
+
+
+@pytest.mark.parametrize("adversary", [True, False])
+def test_oracle_gradients_match_finite_differences_on_ragged_shards(adversary):
+    # Train shards 10, 10, 10, 9, 9 and val shards 4, 3, 3, 3, 3: the oracle
+    # pads the shorter ones with zero-weighted rows.
+    check_oracle_gradients(adversary, rows=80, N=5)
+
+
+def test_padded_shards_give_each_workers_mean_loss():
+    data = make_synthetic_dataset(seed=1, rows=80, features=3)
+    hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=5)
+    rng = np.random.default_rng(3)
+    w, noise = hpo.shape.init(rng), 0.3 * rng.standard_normal(3)
+    f1 = hpo.problem.eval_all(1, np.zeros(1), noise, w)
+    f3 = hpo.problem.eval_all(3, np.array([-50.0]), noise, w)  # exp(-50): no weight penalty
+    for j, (val, train) in enumerate(zip(hpo.val_shards, hpo.train_shards)):
+        mse_val = np.mean((mlp_forward(hpo.shape, w, data.X[val]) - data.y[val]) ** 2)
+        mse_train = np.mean((mlp_forward(hpo.shape, w, data.X[train] + noise)
+                             - data.y[train]) ** 2)
+        assert f1[j] == pytest.approx(mse_val, rel=1e-12)
+        assert f3[j] == pytest.approx(mse_train, rel=1e-12)
 
 
 def test_short_run_refines_and_logs_cleanly():

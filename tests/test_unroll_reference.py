@@ -1,8 +1,9 @@
 """The stacked-array unrolls against a per-worker list reference.
 
 ``ref_level3_round`` and ``ref_level2_round`` are the list-based round
-functions the array unrolls replaced, kept here as an oracle: one oracle call,
-one Python array per worker, and the same floating-point association.
+functions the array unrolls replaced, kept here as an oracle: one stacked
+oracle call per round, then one Python array per worker, and the same
+floating-point association.
 ``solve_level3`` and ``solve_level2`` must reproduce their path bit for bit.
 """
 
@@ -21,10 +22,8 @@ from fedtri.problems import build_quadratic_problem
 
 def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
     N = problem.dims.N
-    gx = [
-        problem.grad(3, j, 3, z1, z2p, x[j]) + phi[j] + cfg.kappa3 * (x[j] - z)
-        for j in range(N)
-    ]
+    G = problem.grad_all(3, 3, z1, z2p, np.array(x))
+    gx = [G[j] + phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N)]
     gz = -sum(phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N))
     x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
     z_new = z - cfg.eta_z * gz
@@ -35,10 +34,8 @@ def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
 def ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi, r0, a2s, cfg, eta_z, eta_gamma):
     N = problem.dims.N
     L = len(r0)
-    gx = [
-        problem.grad(2, j, 2, z1, x[j], x3[j]) + phi[j] + cfg.kappa2 * (x[j] - z2)
-        for j in range(N)
-    ]
+    G = problem.grad_all(2, 2, z1, np.array(x), np.array(x3))
+    gx = [G[j] + phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N)]
     gz2 = -sum(phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N))
     if L:
         resid = (r0 + a2s @ z2) + s
