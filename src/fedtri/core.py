@@ -38,11 +38,11 @@ class Dims:
 
 
 # Stacked oracles, one call for all N workers (see ``TrilevelProblem``):
-# grad_fn(level, block, X1, X2, X3) -> (N, d_block); eval_fn(level, X1, X2, X3) -> (N,).
+# grad_fn(level, block, X1, X2, X3) -> (N, d_block); eval_fn(level, X1, X2, X3) -> (N,);
+# cross_hess_fn(level, block_out, block_in, X1, X2, X3) -> (N, d_out, d_in).
 GradFn = Callable[[int, int, Array, Array, Array], Array]
 EvalFn = Callable[[int, Array, Array, Array], Array]
-# Per worker: cross_hess_fn(level, worker, block_out, block_in, x1, x2, x3) -> (d_out, d_in).
-CrossHessFn = Callable[[int, int, int, int, Array, Array, Array], Array]
+CrossHessFn = Callable[[int, int, int, Array, Array, Array], Array]
 
 
 @dataclass
@@ -52,17 +52,14 @@ class TrilevelProblem:
     The oracles are stacked: ``eval_fn(level, X1, X2, X3)`` returns the (N,)
     objective values of level ``level`` in {1, 2, 3}, and
     ``grad_fn(level, block, X1, X2, X3)`` the (N, d_block) gradients with
-    respect to argument block ``block``.  Each ``Xi`` is (N, d_i) and row j
-    is worker j's (0-based) argument; a block shared by all workers may
-    arrive as a read-only broadcast view.  Row j of a result may depend only
-    on row j of the arguments.  When ``grad_fn`` is None, central finite
+    respect to argument block ``block``.  The optional
+    ``cross_hess_fn(level, block_out, block_in, X1, X2, X3)`` returns the
+    (N, d_out, d_in) second derivatives ``d^2 f / d(block_out) d(block_in)``
+    and enables the analytic unrolled-gradient path.  Each ``Xi`` is (N, d_i)
+    and row j is worker j's (0-based) argument; a block shared by all workers
+    may arrive as a read-only broadcast view.  Row j of a result may depend
+    only on row j of the arguments.  When ``grad_fn`` is None, central finite
     differences of ``eval_fn`` are used.
-
-    ``cross_hess_fn(level, worker, block_out, block_in, x1, x2, x3)`` stays
-    per worker: it optionally exposes one worker's second derivatives
-    ``d^2 f / d(block_out) d(block_in)`` at (d_i,) arguments and enables the
-    analytic unrolled-gradient path, whose backward sweep asks for one
-    worker's matrix at one recorded round at a time.
     """
 
     dims: Dims
@@ -137,7 +134,7 @@ class TrilevelProblem:
         ``finite_diff_grad`` would on worker j alone.
         """
         X = args[block - 1]
-        h = np.array([default_fd_step(row) for row in X])
+        h = default_fd_step(X)
         pert = list(args)
         G = np.empty(X.shape)
         for k in range(X.shape[1]):
@@ -149,14 +146,20 @@ class TrilevelProblem:
             G[:, k] = (f[0] - f[1]) / (2.0 * h)
         return G
 
-    def cross_hess(self, level: int, worker: int, block_out: int, block_in: int,
-                   x1: Array, x2: Array, x3: Array) -> Array:
+    def cross_hess(self, level: int, block_out: int, block_in: int,
+                   X1: Array, X2: Array, X3: Array) -> Array:
+        """Every worker's ``d^2 f / d(block_out) d(block_in)``, shape-checked: (N, d_out, d_in)."""
         if self.cross_hess_fn is None:
             raise FedtriError(
                 "analytic unrolled gradients need second derivatives, "
                 f"but problem {self.name!r} does not expose them"
             )
-        return np.asarray(self.cross_hess_fn(level, worker, block_out, block_in, x1, x2, x3), float)
+        H = np.asarray(self.cross_hess_fn(level, block_out, block_in, *self._rows(X1, X2, X3)),
+                       float)
+        expected = (self.dims.N, self.dims.block(block_out), self.dims.block(block_in))
+        if H.shape != expected:
+            raise ValueError(f"f_{level} cross Hessian has shape {H.shape}, expected {expected}")
+        return H
 
     @property
     def has_second_derivatives(self) -> bool:
@@ -306,8 +309,9 @@ class Polytope:
         return bool((self.residuals(z1, z2, z3, x3, x2=x2) <= tol).all())
 
 
-def default_fd_step(v: Array) -> float:
-    return 1e-5 * (1.0 + float(np.abs(v).max(initial=0.0)))
+def default_fd_step(v: Array):
+    """``1e-5 (1 + max |v|)`` over the last axis: one step per row of a (..., d) array."""
+    return 1e-5 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))
 
 
 def finite_diff_grad(f: Callable[[Array], float], v: Array, h: Optional[float] = None) -> Array:
@@ -330,16 +334,20 @@ def finite_diff_grad(f: Callable[[Array], float], v: Array, h: Optional[float] =
 
 
 def project_ball_sq(v: Array, alpha: float) -> Array:
-    """Project onto the ball ``||v||^2 <= alpha`` (radial scaling)."""
+    """Project each row of ``v`` (..., d) onto the ball ``||row||^2 <= alpha`` (radial scaling).
+
+    A (d,) vector is one row.  Rows inside the ball come back unchanged.
+    """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     v = np.asarray(v, dtype=float)
-    nrm_sq = float(v @ v)
-    if not np.isfinite(nrm_sq):
+    nrm_sq = (v * v).sum(axis=-1, keepdims=True)
+    top = float(nrm_sq.max(initial=0.0))
+    if not np.isfinite(top):
         raise NonFiniteError("cannot project a non-finite vector")
-    if nrm_sq <= alpha:
+    if top <= alpha:
         return v.copy()
-    return v * np.sqrt(alpha / nrm_sq)
+    return v * np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
 
 
 def project_box_inf(v: Array, bound: float) -> Array:

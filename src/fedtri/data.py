@@ -125,13 +125,17 @@ def shard_indices(idx: Array, n_workers: int) -> list[Array]:
     return shards
 
 
+def _synthetic_linear(seed: int, rows: int, features: int, noise: float) -> tuple[Array, Array]:
+    """X and ``y = X beta + noise``, drawn in that order (X, beta, noise) from ``seed``."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, features))
+    return X, X @ rng.standard_normal(features) + noise * rng.standard_normal(rows)
+
+
 def generate_synthetic_csv(path, seed: int = 0, rows: int = 200, features: int = 5,
                            noise: float = 0.05) -> Path:
     """Write a linear-regression CSV (y = X beta + noise) for offline tests."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((rows, features))
-    beta = rng.standard_normal(features)
-    y = X @ beta + noise * rng.standard_normal(rows)
+    X, y = _synthetic_linear(seed, rows, features, noise)
     path = Path(path)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -145,8 +149,5 @@ def make_synthetic_dataset(seed: int = 0, rows: int = 200, features: int = 5,
                            noise: float = 0.05, noise_sigma: float = 0.1,
                            split_ratios=(0.6, 0.2, 0.2)) -> RegressionDataset:
     """In-memory synthetic linear dataset, standardized like load_dataset."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((rows, features))
-    beta = rng.standard_normal(features)
-    y = X @ beta + noise * rng.standard_normal(rows)
+    X, y = _synthetic_linear(seed, rows, features, noise)
     return _split_standardize(X, y, split_ratios, seed + 1, noise_sigma)

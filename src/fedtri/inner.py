@@ -262,12 +262,8 @@ _POINT_BLOCKS = {"I": ("z1", "z2p", "z", "x"), "II": ("z1", "z", "z3", "x3", "x"
 
 def _sq_deviation(x, z, x_hat, z_hat) -> float:
     """``sum_j ||x_j - x_hat_j||^2 + ||z - z_hat||^2``, without shape checks."""
-    total = 0.0
-    for a, b in zip(x, x_hat):
-        v = np.asarray(a, float) - b
-        total += float(v @ v)
-    dz = np.asarray(z, float) - z_hat
-    return total + float(dz @ dz)
+    dx, dz = np.asarray(x, float) - x_hat, np.asarray(z, float) - z_hat
+    return float(np.vdot(dx, dx) + np.vdot(dz, dz))
 
 
 def _own_blocks(trace: UnrollTrace, point) -> tuple:
@@ -334,18 +330,14 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
     """Gradients in every frozen input from one backward sweep over the recorded rounds.
 
     ``xbar`` and ``zbar`` are the gradients of h in the final iterates.  Each
-    round is run backwards through ``cross_hess(...).T @ v``; at the
-    slack/dual clamp kinks the sweep follows the branch the forward pass took.
-    Returns one gradient per key of ``trace.inputs``.
+    round is run backwards through three stacked ``cross_hess`` calls, each
+    worker's row ``g_j`` contracted as ``H_j^T g_j``; at the slack/dual clamp
+    kinks the sweep follows the branch the forward pass took.  Returns one
+    gradient per key of ``trace.inputs``.
     """
-    p = trace.problem
-    cfg = trace.cfg
-    N = p.dims.N
-    lv = trace.level
-    inputs = trace.inputs
-    poly1 = trace.poly1
-    L = poly1.size
-    z1, z2p, x3 = inputs["z1"], inputs.get("z2p"), inputs.get("x3")
+    p, cfg, lv, poly1 = trace.problem, trace.cfg, trace.level, trace.poly1
+    N, L, A2 = p.dims.N, poly1.size, poly1.A2
+    z1, z2p, x3 = (trace.inputs.get(key) for key in ("z1", "z2p", "x3"))
     if lv == 3:
         kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
         blocks = {"z1": 1, "z2p": 2}  # the oracle block of each frozen input
@@ -353,8 +345,7 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
         kappa = cfg.kappa2
         eta_z, eta_gamma = level2_steps(cfg, poly1, N)
         blocks = {"z1": 1, "x3": 3}  # z3 reaches the unroll only through the cuts
-    wbar = {key: np.zeros_like(v) for key, v in inputs.items()}
-    A2 = poly1.A2
+    wbar = {key: np.zeros_like(v) for key, v in trace.inputs.items()}
     phibar = np.zeros_like(xbar)
     sbar = gbar = rbar = np.zeros(L)  # rbar: the cuts' constant residual r0
     for k in reversed(range(cfg.K)):  # ``_round`` backwards, its last update first
@@ -378,13 +369,12 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
             zbar = zbar + A2.T @ sbar
         phibar = phibar + gxbar - gzbar
         xbar = xbar + kappa * (gxbar - gzbar)
-        for j, xj in enumerate(trace.x[k]):
-            a = (z1, z2p, xj) if lv == 3 else (z1, xj, x3[j])
-            g = gxbar[j]
-            xbar[j] += p.cross_hess(lv, j, lv, lv, *a).T @ g
-            for key, b in blocks.items():
-                w = wbar[key][j] if key == "x3" else wbar[key]
-                w += p.cross_hess(lv, j, lv, b, *a).T @ g
+        args = (z1, z2p, trace.x[k]) if lv == 3 else (z1, trace.x[k], x3)
+        g = gxbar[:, None, :]
+        xbar = xbar + (g @ p.cross_hess(lv, lv, lv, *args))[:, 0]
+        for key, b in blocks.items():  # x3 keeps its rows; a shared input sums them
+            w = (g @ p.cross_hess(lv, lv, b, *args))[:, 0]
+            wbar[key] += w if key == "x3" else w.sum(axis=0)
     if L:
         wbar["z1"] += poly1.A1.T @ rbar
         wbar["z3"] += poly1.A3.T @ rbar

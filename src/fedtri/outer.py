@@ -105,7 +105,7 @@ def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
     """
     rows = list(workers)
     return tuple(
-        np.array([project_ball_sq(v, alpha) for v in X[rows] - cfg.eta_x(i + 1) * G[rows]])
+        project_ball_sq(X[rows] - cfg.eta_x(i + 1) * G[rows], alpha)
         for i, (X, G, alpha) in enumerate(zip(state.x, gap.gx, problem.alphas))
     )
 

@@ -110,8 +110,8 @@ def build_quadratic_problem(
     triggers regeneration under a derived seed.
 
     The workers' matrices are stacked once as (N, a, b) arrays, so the
-    stacked ``eval_fn`` and ``grad_fn`` are batched mat-vecs over all N rows;
-    ``cross_hess_fn`` returns one worker's matrix.
+    stacked ``eval_fn`` and ``grad_fn`` are batched mat-vecs over all N rows
+    and ``cross_hess_fn`` returns the stacked matrices themselves.
     """
     if any(d > 20 for d in dims) or any(d < 1 for d in dims):
         raise ValueError("quadratic builder is desk-scale: dims must be in 1..20")
@@ -140,6 +140,10 @@ def build_quadratic_problem(
     Q1, A, B, C, g = data["Q1"], data["A"], data["B"], data["C"], data["g"]
     D, E, F, h = data["D"], data["E"], data["F"], data["h"]
     BT, CT, ET, FT = (M.transpose(0, 2, 1) for M in (B, C, E, F))
+    Q1_rows = {b: Q1[:, sl] for b, sl in slices.items()}  # gradient block b is Q1_rows[b] v
+    hess = {1: {(o, i): Q1_rows[o][:, :, slices[i]] for o in slices for i in slices},
+            2: {(2, 2): D, (2, 1): E, (2, 3): F, (1, 2): ET, (3, 2): FT},
+            3: {(3, 3): A, (3, 1): B, (3, 2): C, (1, 3): BT, (2, 3): CT}}
 
     def deviation(X1, X2, X3):
         # C order even for broadcast blocks, so each row takes the same BLAS path
@@ -157,7 +161,7 @@ def build_quadratic_problem(
 
     def grad_fn(level, block, X1, X2, X3):
         if level == 1:
-            return _mv(Q1, deviation(X1, X2, X3))[:, slices[block]]
+            return _mv(Q1_rows[block], deviation(X1, X2, X3))
         if level == 2:
             if block == 2:
                 return _mv(D, X2) + _mv(E, X1) + _mv(F, X3) + h
@@ -166,15 +170,9 @@ def build_quadratic_problem(
             return _mv(A, X3) + _mv(B, X1) + _mv(C, X2) + g
         return _mv(BT if block == 1 else CT, X3)
 
-    def cross_hess_fn(level, j, out, inn, x1, x2, x3):
-        if level == 1:
-            return Q1[j][slices[out], slices[inn]]
-        if level == 2:
-            mats = {(2, 2): D[j], (2, 1): E[j], (2, 3): F[j], (1, 2): ET[j], (3, 2): FT[j]}
-        else:
-            mats = {(3, 3): A[j], (3, 1): B[j], (3, 2): C[j], (1, 3): BT[j], (2, 3): CT[j]}
-        dd_out, dd_inn = (dd.d1, dd.d2, dd.d3)[out - 1], (dd.d1, dd.d2, dd.d3)[inn - 1]
-        return mats.get((out, inn), np.zeros((dd_out, dd_inn)))
+    def cross_hess_fn(level, out, inn, X1, X2, X3):
+        H = hess[level].get((out, inn))  # None: the level does not couple the two blocks
+        return np.zeros((dd.N, dd.block(out), dd.block(inn))) if H is None else H
 
     def initial_point_fn(rng):
         return (init_scale * rng.standard_normal(dd.d1),

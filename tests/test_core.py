@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,28 @@ class TestProjectBallSq:
             v = 3.0 * rng.standard_normal(4)
             p = project_ball_sq(v, 2.0)
             assert np.allclose(project_ball_sq(p, 2.0), p)
+
+    def test_rows_inside_unchanged_and_rows_outside_scaled(self):
+        V = np.array([[0.3, -0.1, 0.2], [3.0, 4.0, 12.0], [1.0, 2.0, 2.0]])
+        P = project_ball_sq(V, 9.0)
+        assert np.array_equal(P[2], V[2])  # on the boundary, bit for bit
+        assert np.array_equal(P[0], V[0])
+        assert P[1] @ P[1] == pytest.approx(9.0, rel=1e-14)
+        assert np.allclose(P[1], V[1] * 3.0 / 13.0, rtol=1e-14, atol=0)
+
+    def test_zero_rows_with_zero_radius_stay_zero_without_warning(self):
+        V = np.array([[0.0, 0.0], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = project_ball_sq(V, 0.0)
+        assert np.array_equal(P, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_non_finite_row_raises(self, bad):
+        V = np.ones((3, 2))
+        V[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            project_ball_sq(V, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),
@@ -247,6 +271,33 @@ class TestStackedContract:
                 G = quad.grad_all(level, block, *X)
                 G_fd = fallback.grad_all(level, block, *X)
                 assert np.abs(G - G_fd).max() <= 1e-6, (level, block)
+
+    def test_quadratic_cross_hess_is_the_derivative_of_its_gradient(self):
+        quad = _quadratic_problem()
+        d = quad.dims
+        rng = np.random.default_rng(5)
+        X = [rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)]
+        for level in (1, 2, 3):
+            for out in (1, 2, 3):
+                for inn in (1, 2, 3):
+                    H = quad.cross_hess(level, out, inn, *X)
+                    assert H.shape == (d.N, d.block(out), d.block(inn))
+                    for k in range(d.block(inn)):  # the gradient is affine: exact differences
+                        P, M = list(X), list(X)
+                        P[inn - 1] = X[inn - 1] + np.eye(d.block(inn))[k]
+                        M[inn - 1] = X[inn - 1] - np.eye(d.block(inn))[k]
+                        dG = (quad.grad_all(level, out, *P) - quad.grad_all(level, out, *M)) / 2
+                        assert np.allclose(H[:, :, k], dG, rtol=0, atol=1e-12), (level, out, inn)
+
+    def test_cross_hess_rejects_a_per_worker_shaped_matrix(self):
+        dims = Dims(d1=2, d2=3, d3=3, N=3)
+        problem = TrilevelProblem(
+            dims=dims,
+            eval_fn=lambda level, X1, X2, X3: np.zeros(3),
+            cross_hess_fn=lambda level, out, inn, X1, X2, X3: np.eye(3),
+        )
+        with pytest.raises(ValueError, match="cross Hessian has shape"):
+            problem.cross_hess(3, 3, 2, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
 
     def test_eval_all_names_the_first_non_finite_worker(self):
         dims = Dims(d1=1, d2=1, d3=1, N=4)

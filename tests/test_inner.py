@@ -38,10 +38,10 @@ def separable_problem(targets, d=(1, 1, None)):
             return X2 - T
         return np.zeros((dims.N, dims.block(block)))
 
-    def ch(level, j, out, inn, x1, x2, x3):
+    def ch(level, out, inn, X1, X2, X3):
         if level in (2, 3) and out == inn == level:
-            return np.eye(dims.block(out))
-        return np.zeros((dims.block(out), dims.block(inn)))
+            return np.tile(np.eye(dims.block(out)), (dims.N, 1, 1))
+        return np.zeros((dims.N, dims.block(out), dims.block(inn)))
 
     return TrilevelProblem(dims=dims, eval_fn=ev, grad_fn=gr, cross_hess_fn=ch)
 
