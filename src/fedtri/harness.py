@@ -291,14 +291,17 @@ def run(
         its dual to the cap and the primal steps blow up.
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2
-        trace1 = solve_level3(problem, state.z[0], state.z[1], init=warm3, cfg=inner_cfg)
+        # No stored warm start: begin at the outer iterate (zeros are an MLP saddle).
+        init3, init2 = (warm or (state.x[i], state.z[i], np.zeros_like(state.x[i]))
+                        for warm, i in ((warm3, 2), (warm2, 1)))
+        trace1 = solve_level3(problem, state.z[0], state.z[1], init=init3, cfg=inner_cfg)
         cut1 = normalize_cut(generate_cut_I(trace1, (*state.z, state.x[2]), mu, inner_cfg.eps1,
                                             problem.alphas, grad_mode=grad_mode,
                                             cut_id=next_cut_id, born_at=t_at))
         poly1 = add_cut(poly1, cut1)
 
         trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
-                              poly1, init=warm2, cfg=inner_cfg)
+                              poly1, init=init2, cfg=inner_cfg)
         cut2 = normalize_cut(generate_cut_II(trace2, (*state.z, state.x[2], state.x[1]), mu,
                                              inner_cfg.eps2, problem.alphas, grad_mode=grad_mode,
                                              cut_id=next_cut_id + 1, born_at=t_at))

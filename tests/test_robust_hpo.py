@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from fedtri.core import finite_diff_grad
+import fedtri.harness
+from fedtri.core import LAYER_I, finite_diff_grad, split_point
 from fedtri.data import make_synthetic_dataset
 from fedtri.harness import ScheduleConfig, run, validate_runlog
 from fedtri.inner import InnerConfig
 from fedtri.outer import OuterConfig
+from fedtri.cuts import generate_cut_I
 from fedtri.problems import (
     MlpShape,
     RobustHpoSpec,
@@ -124,3 +126,24 @@ def test_short_run_refines_and_logs_cleanly():
     assert res.log.refinement_iters() == [0, 2, 4]
     mse = evaluate_model(hpo, res.state.z[2])
     assert np.isfinite(mse["mse_clean"]) and np.isfinite(mse["mse_noisy"])
+
+
+def test_layer_I_cuts_depend_on_the_level_2_block(monkeypatch):
+    # An unroll started at zeros sits on the MLP's saddle (tanh(0) = 0), where
+    # the level-3 estimate ignores z2' and every layer-I cut has a2 = 0.
+    data = make_synthetic_dataset(seed=0, rows=80, features=3)
+    hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=2)
+    cuts = []
+
+    def recorded(*args, **kwargs):
+        cuts.append(generate_cut_I(*args, **kwargs))
+        return cuts[-1]
+
+    monkeypatch.setattr(fedtri.harness, "generate_cut_I", recorded)
+    inner = InnerConfig(K=3, warm_start=True)
+    run(hpo.problem, inner, OuterConfig(T_pre=2, max_iters=2), ScheduleConfig(N=2, S=2, seed=0))
+    d = hpo.problem.dims
+    assert len(cuts) == 2
+    for cut in cuts:
+        a2 = split_point(LAYER_I, d, cut.w)[1]
+        assert np.abs(a2).max() > 1e-8
