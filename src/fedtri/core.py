@@ -36,13 +36,18 @@ class Dims:
     def block(self, i: int) -> int:
         return (self.d1, self.d2, self.d3)[i - 1]
 
+    def columns(self, i: int) -> slice:
+        """Block i's columns in a worker's flat point ``[x1 | x2 | x3]`` of width d1 + d2 + d3."""
+        start = (0, self.d1, self.d1 + self.d2)[i - 1]
+        return slice(start, start + self.block(i))
+
 
 # Stacked oracles, one call for all N workers (see ``TrilevelProblem``):
 # grad_fn(level, block, X1, X2, X3) -> (N, d_block); eval_fn(level, X1, X2, X3) -> (N,);
-# cross_hess_fn(level, block_out, block_in, X1, X2, X3) -> (N, d_out, d_in).
+# cross_hess_fn(level, block, X1, X2, X3) -> (N, d_block, d1 + d2 + d3), grad_fn's Jacobian.
 GradFn = Callable[[int, int, Array, Array, Array], Array]
 EvalFn = Callable[[int, Array, Array, Array], Array]
-CrossHessFn = Callable[[int, int, int, Array, Array, Array], Array]
+CrossHessFn = GradFn
 
 
 @dataclass
@@ -52,10 +57,11 @@ class TrilevelProblem:
     The oracles are stacked: ``eval_fn(level, X1, X2, X3)`` returns the (N,)
     objective values of level ``level`` in {1, 2, 3}, and
     ``grad_fn(level, block, X1, X2, X3)`` the (N, d_block) gradients with
-    respect to argument block ``block``.  The optional
-    ``cross_hess_fn(level, block_out, block_in, X1, X2, X3)`` returns the
-    (N, d_out, d_in) second derivatives ``d^2 f / d(block_out) d(block_in)``
-    and enables the analytic unrolled-gradient path.  Each ``Xi`` is (N, d_i)
+    respect to argument block ``block``.  The optional ``cross_hess_fn`` takes
+    ``grad_fn``'s arguments and returns its Jacobian over each worker's flat
+    point ``[x1 | x2 | x3]``: (N, d_block, D) rows with D = d1 + d2 + d3, the
+    columns of block i at ``dims.columns(i)``.  It enables the analytic
+    unrolled-gradient path.  Each ``Xi`` is (N, d_i)
     and row j is worker j's (0-based) argument; a block shared by all workers
     may arrive as a read-only broadcast view.  Row j of a result may depend
     only on row j of the arguments.  When ``grad_fn`` is None, central finite
@@ -146,17 +152,16 @@ class TrilevelProblem:
             G[:, k] = (f[0] - f[1]) / (2.0 * h)
         return G
 
-    def cross_hess(self, level: int, block_out: int, block_in: int,
-                   X1: Array, X2: Array, X3: Array) -> Array:
-        """Every worker's ``d^2 f / d(block_out) d(block_in)``, shape-checked: (N, d_out, d_in)."""
+    def cross_hess(self, level: int, block: int, X1: Array, X2: Array, X3: Array) -> Array:
+        """The Jacobian of ``grad_all(level, block, ...)``, shape-checked: (N, d_block, D)."""
         if self.cross_hess_fn is None:
             raise FedtriError(
                 "analytic unrolled gradients need second derivatives, "
                 f"but problem {self.name!r} does not expose them"
             )
-        H = np.asarray(self.cross_hess_fn(level, block_out, block_in, *self._rows(X1, X2, X3)),
-                       float)
-        expected = (self.dims.N, self.dims.block(block_out), self.dims.block(block_in))
+        d = self.dims
+        H = np.asarray(self.cross_hess_fn(level, block, *self._rows(X1, X2, X3)), float)
+        expected = (d.N, d.block(block), d.d1 + d.d2 + d.d3)
         if H.shape != expected:
             raise ValueError(f"f_{level} cross Hessian has shape {H.shape}, expected {expected}")
         return H

@@ -330,13 +330,15 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
     """Gradients in every frozen input from one backward sweep over the recorded rounds.
 
     ``xbar`` and ``zbar`` are the gradients of h in the final iterates.  Each
-    round is run backwards through three stacked ``cross_hess`` calls, each
-    worker's row ``g_j`` contracted as ``H_j^T g_j``; at the slack/dual clamp
-    kinks the sweep follows the branch the forward pass took.  Returns one
-    gradient per key of ``trace.inputs``.
+    round is run backwards through one stacked ``cross_hess`` call: worker j's
+    row ``g_j`` times its own-level Hessian rows ``R_j`` gives ``g_j^T R_j``
+    over its whole flat point, sliced by ``dims.columns`` into the unrolled
+    block and each frozen input.  At the slack/dual clamp kinks the sweep
+    follows the branch the forward pass took.  Returns one gradient per key of
+    ``trace.inputs``.
     """
     p, cfg, lv, poly1 = trace.problem, trace.cfg, trace.level, trace.poly1
-    N, L, A2 = p.dims.N, poly1.size, poly1.A2
+    N, L, A2, cols = p.dims.N, poly1.size, poly1.A2, p.dims.columns
     z1, z2p, x3 = (trace.inputs.get(key) for key in ("z1", "z2p", "x3"))
     if lv == 3:
         kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
@@ -370,11 +372,11 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
         phibar = phibar + gxbar - gzbar
         xbar = xbar + kappa * (gxbar - gzbar)
         args = (z1, z2p, trace.x[k]) if lv == 3 else (z1, trace.x[k], x3)
-        g = gxbar[:, None, :]
-        xbar = xbar + (g @ p.cross_hess(lv, lv, lv, *args))[:, 0]
+        w = (gxbar[:, None, :] @ p.cross_hess(lv, lv, *args))[:, 0]
+        xbar = xbar + w[:, cols(lv)]
         for key, b in blocks.items():  # x3 keeps its rows; a shared input sums them
-            w = (g @ p.cross_hess(lv, lv, b, *args))[:, 0]
-            wbar[key] += w if key == "x3" else w.sum(axis=0)
+            wb = w[:, cols(b)]
+            wbar[key] += wb if key == "x3" else wb.sum(axis=0)
     if L:
         wbar["z1"] += poly1.A1.T @ rbar
         wbar["z3"] += poly1.A3.T @ rbar

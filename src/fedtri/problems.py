@@ -109,9 +109,12 @@ def build_quadratic_problem(
     the oracle is also the trilevel optimum.  A singular level-2 reduction
     triggers regeneration under a derived seed.
 
-    The workers' matrices are stacked once as (N, a, b) arrays, so the
-    stacked ``eval_fn`` and ``grad_fn`` are batched mat-vecs over all N rows
-    and ``cross_hess_fn`` returns the stacked matrices themselves.
+    Every level is one quadratic form over a worker's flat point
+    v = [x1 | x2 | x3], ``f_l(v) = 1/2 (v - m_l)^T H_l (v - m_l) + b_l^T (v - m_l)``,
+    stacked once for all N workers.  Level 1 is Q1 centred at the oracle point;
+    levels 2 and 3 have m = 0, their own block's matrix and couplings (with
+    transposes) in H, and h or g in b.  ``cross_hess_fn`` returns the rows of
+    H that ``grad_fn`` multiplies.
     """
     if any(d > 20 for d in dims) or any(d < 1 for d in dims):
         raise ValueError("quadratic builder is desk-scale: dims must be in 1..20")
@@ -130,49 +133,30 @@ def build_quadratic_problem(
             logger.warning("quadratic generation %d was singular, regenerating", attempt)
     if oracle is None:
         raise FedtriError("could not generate a well-posed quadratic problem")
-    v_star = np.concatenate([oracle.y1, oracle.y2, oracle.y3])
-    slices = {
-        1: slice(0, dd.d1),
-        2: slice(dd.d1, dd.d1 + dd.d2),
-        3: slice(dd.d1 + dd.d2, dd.d1 + dd.d2 + dd.d3),
-    }
+    # Stored as G_l = [[H_l, b_l], [b_l^T, 0]] over u = [v - m_l, 1]: f_l = u^T G_l u / 2,
+    # and block i's gradient is one mat-vec, G_l's rows at block i's columns times u.
+    D, cols = dd.d1 + dd.d2 + dd.d3, (None, *(dd.columns(i) for i in (1, 2, 3)))
+    G, m, one = np.zeros((3, N, D + 1, D + 1)), np.zeros((3, D + 1)), np.ones((N, 1))
+    G[0, :, :D, :D], m[0, :D] = data["Q1"], np.concatenate([oracle.y1, oracle.y2, oracle.y3])
+    for level, blocks, lin in ((2, "EDF", "h"), (3, "BCA", "g")):
+        for i, key in enumerate(blocks, start=1):  # transpose first: the own block stays as given
+            G[level - 1][:, cols[i], cols[level]] = data[key].transpose(0, 2, 1)
+            G[level - 1][:, cols[level], cols[i]] = data[key]
+        G[level - 1][:, cols[level], D] = G[level - 1][:, D, cols[level]] = data[lin]
 
-    Q1, A, B, C, g = data["Q1"], data["A"], data["B"], data["C"], data["g"]
-    D, E, F, h = data["D"], data["E"], data["F"], data["h"]
-    BT, CT, ET, FT = (M.transpose(0, 2, 1) for M in (B, C, E, F))
-    Q1_rows = {b: Q1[:, sl] for b, sl in slices.items()}  # gradient block b is Q1_rows[b] v
-    hess = {1: {(o, i): Q1_rows[o][:, :, slices[i]] for o in slices for i in slices},
-            2: {(2, 2): D, (2, 1): E, (2, 3): F, (1, 2): ET, (3, 2): FT},
-            3: {(3, 3): A, (3, 1): B, (3, 2): C, (1, 3): BT, (2, 3): CT}}
-
-    def deviation(X1, X2, X3):
+    def deviation(level, X1, X2, X3):
         # C order even for broadcast blocks, so each row takes the same BLAS path
-        return np.ascontiguousarray(np.concatenate([X1, X2, X3], axis=1)) - v_star
+        return np.ascontiguousarray(np.concatenate([X1, X2, X3, one], axis=1)) - m[level - 1]
 
     def eval_fn(level, X1, X2, X3):
-        if level == 1:
-            v = deviation(X1, X2, X3)
-            return 0.5 * _dot(v, _mv(Q1, v))
-        if level == 2:
-            lin = _mv(E, X1) + _mv(F, X3) + h
-            return 0.5 * _dot(X2, _mv(D, X2)) + _dot(X2, lin)
-        lin = _mv(B, X1) + _mv(C, X2) + g
-        return 0.5 * _dot(X3, _mv(A, X3)) + _dot(X3, lin)
+        u = deviation(level, X1, X2, X3)
+        return 0.5 * _dot(u, _mv(G[level - 1], u))
 
     def grad_fn(level, block, X1, X2, X3):
-        if level == 1:
-            return _mv(Q1_rows[block], deviation(X1, X2, X3))
-        if level == 2:
-            if block == 2:
-                return _mv(D, X2) + _mv(E, X1) + _mv(F, X3) + h
-            return _mv(ET if block == 1 else FT, X2)
-        if block == 3:
-            return _mv(A, X3) + _mv(B, X1) + _mv(C, X2) + g
-        return _mv(BT if block == 1 else CT, X3)
+        return _mv(G[level - 1, :, cols[block]], deviation(level, X1, X2, X3))
 
-    def cross_hess_fn(level, out, inn, X1, X2, X3):
-        H = hess[level].get((out, inn))  # None: the level does not couple the two blocks
-        return np.zeros((dd.N, dd.block(out), dd.block(inn))) if H is None else H
+    def cross_hess_fn(level, block, X1, X2, X3):
+        return G[level - 1, :, cols[block], :D]
 
     def initial_point_fn(rng):
         return (init_scale * rng.standard_normal(dd.d1),

@@ -279,25 +279,27 @@ class TestStackedContract:
         X = [rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)]
         for level in (1, 2, 3):
             for out in (1, 2, 3):
+                H = quad.cross_hess(level, out, *X)
+                assert H.shape == (d.N, d.block(out), d.d1 + d.d2 + d.d3)
                 for inn in (1, 2, 3):
-                    H = quad.cross_hess(level, out, inn, *X)
-                    assert H.shape == (d.N, d.block(out), d.block(inn))
+                    H_in = H[:, :, d.columns(inn)]
                     for k in range(d.block(inn)):  # the gradient is affine: exact differences
                         P, M = list(X), list(X)
                         P[inn - 1] = X[inn - 1] + np.eye(d.block(inn))[k]
                         M[inn - 1] = X[inn - 1] - np.eye(d.block(inn))[k]
                         dG = (quad.grad_all(level, out, *P) - quad.grad_all(level, out, *M)) / 2
-                        assert np.allclose(H[:, :, k], dG, rtol=0, atol=1e-12), (level, out, inn)
+                        assert np.allclose(H_in[:, :, k], dG, rtol=0, atol=1e-12), \
+                            (level, out, inn)
 
     def test_cross_hess_rejects_a_per_worker_shaped_matrix(self):
         dims = Dims(d1=2, d2=3, d3=3, N=3)
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: np.zeros(3),
-            cross_hess_fn=lambda level, out, inn, X1, X2, X3: np.eye(3),
+            cross_hess_fn=lambda level, block, X1, X2, X3: np.eye(3),
         )
         with pytest.raises(ValueError, match="cross Hessian has shape"):
-            problem.cross_hess(3, 3, 2, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
+            problem.cross_hess(3, 3, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
 
     def test_eval_all_names_the_first_non_finite_worker(self):
         dims = Dims(d1=1, d2=1, d3=1, N=4)

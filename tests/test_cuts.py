@@ -38,7 +38,7 @@ def scalar_problem():
         dims=dims,
         eval_fn=lambda level, X1, X2, X3: np.zeros(1),
         grad_fn=lambda level, block, X1, X2, X3: np.zeros((1, 1)),
-        cross_hess_fn=lambda level, o, i, X1, X2, X3: np.zeros((1, 1, 1)),
+        cross_hess_fn=lambda level, block, X1, X2, X3: np.zeros((1, 1, 3)),
     )
 
 

@@ -53,8 +53,9 @@ def ref_jacobians(trace, key, worker=None):
     for k in range(cfg.K):
         xk = trace.x[k]
         args = (z1, z2p, xk) if level == 3 else (z1, xk, x3)
-        Hxx_all = p.cross_hess(level, level, level, *args)
-        Hxw_all = None if wblock is None else p.cross_hess(level, level, wblock, *args)
+        rows = p.cross_hess(level, level, *args)  # the level's Hessian rows, sliced by column
+        Hxx_all = rows[:, :, d.columns(level)]
+        Hxw_all = None if wblock is None else rows[:, :, d.columns(wblock)]
         Dgx = []
         for j in range(N):
             Hxx = Hxx_all[j]
@@ -176,12 +177,12 @@ def count_calls(monkeypatch, obj, name):
 
 
 @pytest.mark.parametrize("layer", [1, 2])
-def test_one_sweep_makes_three_stacked_cross_hessians_per_round(setup, monkeypatch, layer):
+def test_one_sweep_makes_one_stacked_cross_hessian_per_round(setup, monkeypatch, layer):
     problem, t1, t2, p1, p2 = setup
     trace, point = (t1, p1) if layer == 1 else (t2, p2)
     calls = count_calls(monkeypatch, problem, "cross_hess_fn")
     grad_h(trace, point, mode="analytic")
-    assert len(calls) == 3 * CFG.K
+    assert len(calls) == CFG.K
 
 
 def test_finite_diff_reruns_twice_per_frozen_coordinate(setup, monkeypatch):

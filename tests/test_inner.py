@@ -38,10 +38,11 @@ def separable_problem(targets, d=(1, 1, None)):
             return X2 - T
         return np.zeros((dims.N, dims.block(block)))
 
-    def ch(level, out, inn, X1, X2, X3):
-        if level in (2, 3) and out == inn == level:
-            return np.tile(np.eye(dims.block(out)), (dims.N, 1, 1))
-        return np.zeros((dims.N, dims.block(out), dims.block(inn)))
+    def ch(level, block, X1, X2, X3):
+        H = np.zeros((dims.N, dims.block(block), dims.d1 + dims.d2 + dims.d3))
+        if level in (2, 3) and block == level:
+            H[:, :, dims.columns(level)] = np.eye(dims.block(level))
+        return H
 
     return TrilevelProblem(dims=dims, eval_fn=ev, grad_fn=gr, cross_hess_fn=ch)
 
