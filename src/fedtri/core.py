@@ -166,10 +166,6 @@ class TrilevelProblem:
             raise ValueError(f"f_{level} cross Hessian has shape {H.shape}, expected {expected}")
         return H
 
-    @property
-    def has_second_derivatives(self) -> bool:
-        return self.cross_hess_fn is not None
-
     def initial_point(self, rng: np.random.Generator) -> tuple[Array, Array, Array]:
         if self.initial_point_fn is not None:
             x1, x2, x3 = self.initial_point_fn(rng)

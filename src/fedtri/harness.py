@@ -248,7 +248,7 @@ def run(
     if problem.dims.N != sched_cfg.N:
         raise ValueError("problem and schedule disagree on the worker count")
     if grad_mode == "auto":
-        grad_mode = "analytic" if problem.has_second_derivatives else "finite-diff"
+        grad_mode = "analytic" if problem.cross_hess_fn is not None else "finite-diff"
     mu = problem.weak_convexity_mu
     outer_cfg.check_floors(N=sched_cfg.N, M=1)
 

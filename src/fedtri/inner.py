@@ -397,10 +397,6 @@ def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array,
     """
     if mode not in ("finite-diff", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "analytic" and not trace.problem.has_second_derivatives:
-        raise FedtriError(
-            "analytic unroll gradients requested but the problem has no second derivatives"
-        )
     x, z = _own_blocks(trace, point)
     x_hat, z_hat = trace.estimate
     grads = {"x": 2.0 * (np.asarray(x, float) - x_hat), "z": 2.0 * (np.asarray(z, float) - z_hat)}
