@@ -99,11 +99,12 @@ def generate_cut_I(
 
     The left side is the first-order expansion of h_I around the point; the
     right side relaxes by eps1 plus the weak-convexity inflation
-    ``mu ((N+1) a1 + a2 + a3 + ||z1||^2 + ||z2'||^2 + ||z3||^2 + sum_j ||x3_j||^2)``.
+    ``mu (a1 + a2 + (N+1) a3 + ||z1||^2 + ||z2'||^2 + ||z3||^2 + sum_j ||x3_j||^2)``,
+    one alpha for each row of each block, as for the layer-II cut.
     Rearranged into ``w . p <= c`` form, w being ``grad_h`` at the point.
     """
     a1, a2, a3 = alphas
-    ball = (trace.problem.dims.N + 1) * a1 + a2 + a3
+    ball = a1 + a2 + (trace.problem.dims.N + 1) * a3
     return _linearization_cut(trace, LAYER_I, point, mu, eps1, ball, grad_mode, cut_id, born_at)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem, estimate_mu, split_point
+from fedtri.core import Dims, FedtriError, TrilevelProblem, estimate_mu, point_shapes, split_point
 from fedtri.cuts import (
     Cut,
     Polytope,
@@ -24,6 +24,17 @@ def toy_cut(layer="I", d=2, N=2, c=1.0, cut_id=0, seed=0):
 
 
 TOY_DIMS = Dims(d1=2, d2=2, d3=2, N=2)  # the dims of toy_cut's defaults
+
+# Unit alphas, and unequal ones under which a block given the wrong alpha shows.
+INFLATION_ALPHAS = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
+
+
+def inflation_ball(layer, dims, alphas):
+    """The alpha part of a cut's inflation: each row of each block brings its block's alpha."""
+    a1, a2, a3 = alphas
+    block_alphas = (a1, a2, a3, a3, a2)  # z1, z2, z3, x3 rows, x2 rows: point_shapes' order
+    return sum(a * int(np.prod(shape[:-1])) for a, shape in
+               zip(block_alphas, point_shapes(layer, dims)))
 
 
 @pytest.fixture(scope="module")
@@ -79,19 +90,19 @@ class TestGenerateCutI:
         assert cut.c == pytest.approx(c_classic, rel=1e-12)
 
     def test_rhs_inflation_term_by_term(self, quad):
-        # mu = 2, unit alphas, origin anchor: inflation = (N+1) a1 + a2 + a3.
+        # mu = 2, origin anchor: the inflation is its alpha part alone.
         problem, _ = quad
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
         zero_pt = (np.zeros(2), np.zeros(2), np.zeros(2), [np.zeros(2)] * 2)
         eps1, mu = 0.05, 2.0
-        cut0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
-                              alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
-        cut = generate_cut_I(trace, zero_pt, mu=mu, eps1=eps1,
-                             alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
-        n_workers = problem.dims.N
-        inflation = (n_workers + 1) * 1.0 + 1.0 + 1.0  # anchor norms all zero
-        assert cut.c - cut0.c == pytest.approx(mu * inflation, rel=1e-12)
+        for alphas in INFLATION_ALPHAS:
+            cut0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
+                                  alphas=alphas, grad_mode="analytic")
+            cut = generate_cut_I(trace, zero_pt, mu=mu, eps1=eps1,
+                                 alphas=alphas, grad_mode="analytic")
+            inflation = inflation_ball("I", problem.dims, alphas)
+            assert cut.c - cut0.c == pytest.approx(mu * inflation, rel=1e-12), alphas
 
 
 class TestGenerateCutII:
@@ -113,7 +124,7 @@ class TestGenerateCutII:
         assert cut.c == pytest.approx(1e-2 - flat.fn(v0) + float(g @ v0), rel=1e-12)
 
     def test_inflation_origin_n2(self, quad):
-        # mu = 1, unit alphas, N = 2 workers: inflation = 1 + 3 (1 + 1) = 7.
+        # mu = 1, N = 2 workers, origin anchor: 7 with unit alphas, 1 + 3 (2 + 3) = 16 unequal.
         problem, _ = quad
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level2(problem, np.zeros(2), np.zeros(2),
@@ -121,11 +132,13 @@ class TestGenerateCutII:
         pt = (np.zeros(2), np.zeros(2), np.zeros(2),
               [np.zeros(2)] * 2, [np.zeros(2)] * 2)
         eps2 = 0.3
-        cut0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
-                               alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
-        cut = generate_cut_II(trace, pt, mu=1.0, eps2=eps2,
-                              alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
-        assert cut.c - cut0.c == pytest.approx(7.0, rel=1e-12)
+        for alphas in INFLATION_ALPHAS:
+            cut0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
+                                   alphas=alphas, grad_mode="analytic")
+            cut = generate_cut_II(trace, pt, mu=1.0, eps2=eps2,
+                                  alphas=alphas, grad_mode="analytic")
+            inflation = inflation_ball("II", problem.dims, alphas)
+            assert cut.c - cut0.c == pytest.approx(inflation, rel=1e-12), alphas
 
     def test_slack_at_own_anchor(self, quad):
         # Substituting the anchor kills the linear term: slack = c - lhs
