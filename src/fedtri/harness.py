@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,23 +165,8 @@ class RunLog:
             json.dumps(asdict(r), sort_keys=True, separators=(",", ":"))
             for r in self.records
         ]
-        footer = {
-            "footer": True,
-            "status": self.status,
-            "T_eps": self.T_eps,
-            "c1_total": self.c1_total,
-            "c2_total": self.c2_total,
-            "final_gap_sq": self.final_gap_sq if self.records else None,
-            "abort": self.abort,
-            "dims": list(self.dims),
-            "N": self.N,
-            "S": self.S,
-            "tau": self.tau,
-            "K": self.K,
-            "T_pre": self.T_pre,
-            "T1": self.T1,
-            "seed": self.seed,
-        }
+        footer = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        footer.update(footer=True, final_gap_sq=self.final_gap_sq if self.records else None)
         lines.append(json.dumps(footer, sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 
