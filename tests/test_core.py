@@ -38,6 +38,10 @@ class TestDims:
         d = Dims(d1=2, d2=3, d3=5, N=4)
         assert d.block(1) == 2 and d.block(2) == 3 and d.block(3) == 5
 
+    def test_columns_tile_the_flat_worker_point_in_block_order(self):
+        d = Dims(d1=2, d2=3, d3=5, N=4)
+        assert [d.columns(i) for i in (1, 2, 3)] == [slice(0, 2), slice(2, 5), slice(5, 10)]
+
     @pytest.mark.parametrize("bad", [dict(d1=0), dict(d2=-1), dict(N=0), dict(d3=0)])
     def test_invalid(self, bad):
         kwargs = dict(d1=1, d2=1, d3=1, N=1)

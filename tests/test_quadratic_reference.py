@@ -1,0 +1,67 @@
+"""The quadratic's one table of quadratic forms against its written-out levels.
+
+``ref_eval`` and ``ref_grad`` are the per-level formulas the table replaced,
+kept here as an oracle: worker by worker, from the builder's own matrices
+rebuilt with ``_build_quadratic_data`` at the builder's seed.
+"""
+
+import numpy as np
+import pytest
+
+from fedtri.core import Dims
+from fedtri.problems import _build_quadratic_data, _solve_oracle, build_quadratic_problem
+
+SEED, DIMS, N = 7, (2, 3, 4), 3
+DD = Dims(*DIMS, N=N)
+BUILD = dict(conditioning=10.0, coupling=0.2, center_scale=0.5)  # the builder's defaults
+
+
+def ref_eval(data, v_star, level, x1, x2, x3, j):
+    """Worker j's f_level, written out."""
+    A, B, C, g, D, E, F, h = (data[key][j] for key in "ABCgDEFh")
+    if level == 1:
+        v = np.concatenate([x1, x2, x3]) - v_star
+        return 0.5 * v @ data["Q1"][j] @ v
+    if level == 2:
+        return 0.5 * x2 @ D @ x2 + x2 @ (E @ x1 + F @ x3 + h)
+    return 0.5 * x3 @ A @ x3 + x3 @ (B @ x1 + C @ x2 + g)
+
+
+def ref_grad(data, v_star, level, block, x1, x2, x3, j):
+    """Worker j's gradient of f_level in block ``block``, written out."""
+    A, B, C, g, D, E, F, h = (data[key][j] for key in "ABCgDEFh")
+    if level == 1:
+        v = np.concatenate([x1, x2, x3]) - v_star
+        return data["Q1"][j][DD.columns(block)] @ v
+    if level == 2:
+        return {1: E.T @ x2, 2: D @ x2 + E @ x1 + F @ x3 + h, 3: F.T @ x2}[block]
+    return {1: B.T @ x3, 2: C.T @ x3, 3: A @ x3 + B @ x1 + C @ x2 + g}[block]
+
+
+@pytest.fixture(scope="module")
+def built():
+    problem, oracle = build_quadratic_problem(SEED, DIMS, N, **BUILD)
+    data = _build_quadratic_data(np.random.default_rng(SEED), DD, **BUILD)
+    # The builder kept its first draw, so these are its matrices.
+    assert np.array_equal(_solve_oracle(data).y1, oracle.y1)
+    v_star = np.concatenate([oracle.y1, oracle.y2, oracle.y3])
+    rng = np.random.default_rng(SEED + 1)
+    X = [rng.standard_normal((N, d)) for d in DIMS]
+    return problem, data, v_star, X
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_eval_matches_the_written_out_levels(built, level):
+    problem, data, v_star, X = built
+    F = problem.eval_all(level, *X)
+    ref = [ref_eval(data, v_star, level, *(Xi[j] for Xi in X), j) for j in range(N)]
+    np.testing.assert_allclose(F, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_grad_matches_the_written_out_levels(built, level, block):
+    problem, data, v_star, X = built
+    G = problem.grad_all(level, block, *X)
+    ref = [ref_grad(data, v_star, level, block, *(Xi[j] for Xi in X), j) for j in range(N)]
+    np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12)
