@@ -61,11 +61,11 @@ class TrilevelProblem:
     ``grad_fn``'s arguments and returns its Jacobian over each worker's flat
     point ``[x1 | x2 | x3]``: (N, d_block, D) rows with D = d1 + d2 + d3, the
     columns of block i at ``dims.columns(i)``.  It enables the analytic
-    unrolled-gradient path.  Each ``Xi`` is (N, d_i)
-    and row j is worker j's (0-based) argument; a block shared by all workers
-    may arrive as a read-only broadcast view.  Row j of a result may depend
-    only on row j of the arguments.  When ``grad_fn`` is None, central finite
-    differences of ``eval_fn`` are used.
+    unrolled-gradient path.  Each ``Xi`` is (N, d_i) and row j is worker j's
+    (0-based) argument; a block shared by all workers may arrive as a
+    read-only broadcast view.  Row j of a result may depend only on row j of
+    the arguments.  When ``grad_fn`` is None, central finite differences of
+    ``eval_fn`` are used.
     """
 
     dims: Dims
