@@ -36,42 +36,42 @@ class Dims:
     def block(self, i: int) -> int:
         return (self.d1, self.d2, self.d3)[i - 1]
 
+    @property
+    def width(self) -> int:
+        """D = d1 + d2 + d3, the width of a worker's flat point ``[x1 | x2 | x3]``."""
+        return self.d1 + self.d2 + self.d3
+
     def columns(self, i: int) -> slice:
-        """Block i's columns in a worker's flat point ``[x1 | x2 | x3]`` of width d1 + d2 + d3."""
+        """Block i's columns in a worker's flat point."""
         start = (0, self.d1, self.d1 + self.d2)[i - 1]
         return slice(start, start + self.block(i))
 
 
-# Stacked oracles, one call for all N workers (see ``TrilevelProblem``):
-# grad_fn(level, block, X1, X2, X3) -> (N, d_block); eval_fn(level, X1, X2, X3) -> (N,);
-# cross_hess_fn(level, block, X1, X2, X3) -> (N, d_block, d1 + d2 + d3), grad_fn's Jacobian.
-GradFn = Callable[[int, int, Array, Array, Array], Array]
-EvalFn = Callable[[int, Array, Array, Array], Array]
-CrossHessFn = GradFn
+# A stacked oracle, one call for all N workers (see ``TrilevelProblem``):
+# eval_fn -> (N,), grad_fn -> (N, D) and cross_hess_fn -> (N, D, D), D = d1 + d2 + d3.
+Oracle = Callable[[int, Array, Array, Array], Array]
 
 
 @dataclass
 class TrilevelProblem:
     """Three per-worker objective families with gradient access, evaluated for all workers at once.
 
-    The oracles are stacked: ``eval_fn(level, X1, X2, X3)`` returns the (N,)
-    objective values of level ``level`` in {1, 2, 3}, and
-    ``grad_fn(level, block, X1, X2, X3)`` the (N, d_block) gradients with
-    respect to argument block ``block``.  The optional ``cross_hess_fn`` takes
-    ``grad_fn``'s arguments and returns its Jacobian over each worker's flat
-    point ``[x1 | x2 | x3]``: (N, d_block, D) rows with D = d1 + d2 + d3, the
-    columns of block i at ``dims.columns(i)``.  It enables the analytic
-    unrolled-gradient path.  Each ``Xi`` is (N, d_i) and row j is worker j's
-    (0-based) argument; a block shared by all workers may arrive as a
-    read-only broadcast view.  Row j of a result may depend only on row j of
-    the arguments.  When ``grad_fn`` is None, central finite differences of
-    ``eval_fn`` are used.
+    Every oracle is stacked and takes ``(level, X1, X2, X3)``, ``level`` in
+    {1, 2, 3}.  ``eval_fn`` returns the (N,) objective values, ``grad_fn``
+    the (N, D) gradients over each worker's flat point ``[x1 | x2 | x3]``,
+    D = d1 + d2 + d3, block i at ``dims.columns(i)``, and the optional
+    ``cross_hess_fn`` the (N, D, D) Jacobian of ``grad_fn``, which enables
+    the analytic unrolled-gradient path.  Each ``Xi`` is (N, d_i) and row j
+    is worker j's (0-based) argument; a block shared by all workers may
+    arrive as a read-only broadcast view.  Row j of a result may depend only
+    on row j of the arguments.  When ``grad_fn`` is None, central finite
+    differences of ``eval_fn`` are used.
     """
 
     dims: Dims
-    eval_fn: EvalFn
-    grad_fn: Optional[GradFn] = None
-    cross_hess_fn: Optional[CrossHessFn] = None
+    eval_fn: Oracle
+    grad_fn: Optional[Oracle] = None
+    cross_hess_fn: Optional[Oracle] = None
     alphas: tuple[float, float, float] = (1e6, 1e6, 1e6)
     weak_convexity_mu: float = 0.0
     name: str = "problem"
@@ -114,54 +114,54 @@ class TrilevelProblem:
             raise NonFiniteError(f"f_{level},{int(np.argmin(np.isfinite(F)))} is non-finite")
         return F
 
-    def grad_all(self, level: int, block: int, X1: Array, X2: Array, X3: Array) -> Array:
-        """Every worker's gradient in block ``block`` as an (N, d) array: one ``grad_fn`` call.
+    def grad_all(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
+        """Every worker's gradient over its flat point as an (N, D) array: one ``grad_fn`` call.
 
         Arguments are as for ``eval_all``.  The result's shape is checked, and
         its finiteness once; a non-finite row names its worker.
         """
         args = self._rows(X1, X2, X3)
         if self.grad_fn is None:
-            G = self._fd_grad(level, block, args)
+            G = self._fd_grad(level, args)
         else:
-            G = np.asarray(self.grad_fn(level, block, *args), dtype=float)
-        expected = (self.dims.N, self.dims.block(block))
+            G = np.asarray(self.grad_fn(level, *args), dtype=float)
+        expected = (self.dims.N, self.dims.width)
         if G.shape != expected:
-            raise ValueError(f"gradient block {block} has length {G.shape}, expected {expected}")
+            raise ValueError(f"f_{level} gradient has shape {G.shape}, expected {expected}")
         if not np.isfinite(G).all():
             j = int(np.argmin(np.isfinite(G).all(axis=1)))
-            raise NonFiniteError(f"grad f_{level},{j} block {block} is non-finite")
+            raise NonFiniteError(f"grad f_{level},{j} is non-finite")
         return G
 
-    def _fd_grad(self, level: int, block: int, args) -> Array:
+    def _fd_grad(self, level: int, args) -> Array:
         """Central differences of ``eval_all``, one coordinate of all N rows per pair of calls.
 
         Row j steps by ``default_fd_step`` of its own block, as
-        ``finite_diff_grad`` would on worker j alone.
+        ``finite_diff_grad`` would on worker j's block alone.
         """
-        X = args[block - 1]
-        h = default_fd_step(X)
+        G = np.empty((self.dims.N, self.dims.width))
         pert = list(args)
-        G = np.empty(X.shape)
-        for k in range(X.shape[1]):
-            f = []
-            for step in (h, -h):
-                pert[block - 1] = P = X.copy()
-                P[:, k] += step
-                f.append(self.eval_all(level, *pert))
-            G[:, k] = (f[0] - f[1]) / (2.0 * h)
+        for i, X in enumerate(args):
+            h = default_fd_step(X)
+            for k in range(X.shape[1]):
+                f = []
+                for step in (h, -h):
+                    pert[i] = P = X.copy()
+                    P[:, k] += step
+                    f.append(self.eval_all(level, *pert))
+                G[:, self.dims.columns(i + 1).start + k] = (f[0] - f[1]) / (2.0 * h)
+            pert[i] = X
         return G
 
-    def cross_hess(self, level: int, block: int, X1: Array, X2: Array, X3: Array) -> Array:
-        """The Jacobian of ``grad_all(level, block, ...)``, shape-checked: (N, d_block, D)."""
+    def cross_hess(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
+        """The Jacobian of ``grad_all(level, ...)``, shape-checked: (N, D, D)."""
         if self.cross_hess_fn is None:
             raise FedtriError(
                 "analytic unrolled gradients need second derivatives, "
                 f"but problem {self.name!r} does not expose them"
             )
-        d = self.dims
-        H = np.asarray(self.cross_hess_fn(level, block, *self._rows(X1, X2, X3)), float)
-        expected = (d.N, d.block(block), d.d1 + d.d2 + d.d3)
+        H = np.asarray(self.cross_hess_fn(level, *self._rows(X1, X2, X3)), float)
+        expected = (self.dims.N, self.dims.width, self.dims.width)
         if H.shape != expected:
             raise ValueError(f"f_{level} cross Hessian has shape {H.shape}, expected {expected}")
         return H
@@ -252,7 +252,6 @@ class Cut:
     w: Array
     c: float
     id: int
-    born_at: int
 
     def __post_init__(self):
         if self.layer not in (LAYER_I, LAYER_II):

@@ -73,7 +73,7 @@ def drop_inactive(
 
 
 def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: float,
-                       ball: float, grad_mode: str, cut_id: int, born_at: int) -> Cut:
+                       ball: float, grad_mode: str, cut_id: int) -> Cut:
     """First-order expansion of h at ``point``, relaxed by eps plus mu times the inflation.
 
     ``ball`` is the alpha part of the inflation; the squared norm of the point
@@ -82,7 +82,7 @@ def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: fl
     p = flat_point(*point)
     w = flat_point(*grad_h(trace, point, mode=grad_mode))
     c = eps + mu * (ball + p @ p) - eval_h(trace, point) + w @ p
-    return Cut(layer=layer, w=w, c=float(c), id=cut_id, born_at=born_at)
+    return Cut(layer=layer, w=w, c=float(c), id=cut_id)
 
 
 def generate_cut_I(
@@ -93,7 +93,6 @@ def generate_cut_I(
     alphas: tuple[float, float, float],
     grad_mode: str = "finite-diff",
     cut_id: int = 0,
-    born_at: int = 0,
 ) -> Cut:
     """Linearization cut of h_I at ``point = (z1, z2', z3, x3)``, x3 one row per worker.
 
@@ -105,7 +104,7 @@ def generate_cut_I(
     """
     a1, a2, a3 = alphas
     ball = a1 + a2 + (trace.problem.dims.N + 1) * a3
-    return _linearization_cut(trace, LAYER_I, point, mu, eps1, ball, grad_mode, cut_id, born_at)
+    return _linearization_cut(trace, LAYER_I, point, mu, eps1, ball, grad_mode, cut_id)
 
 
 def generate_cut_II(
@@ -116,7 +115,6 @@ def generate_cut_II(
     alphas: tuple[float, float, float],
     grad_mode: str = "finite-diff",
     cut_id: int = 0,
-    born_at: int = 0,
 ) -> Cut:
     """Linearization cut of h_II at ``point = (z1, z2, z3, x3, x2)``, x3 and x2 one row per worker.
 
@@ -125,7 +123,7 @@ def generate_cut_II(
     """
     a1, a2, a3 = alphas
     ball = a1 + (trace.problem.dims.N + 1) * (a2 + a3)
-    return _linearization_cut(trace, LAYER_II, point, mu, eps2, ball, grad_mode, cut_id, born_at)
+    return _linearization_cut(trace, LAYER_II, point, mu, eps2, ball, grad_mode, cut_id)
 
 
 @dataclass(frozen=True)

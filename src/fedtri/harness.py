@@ -10,7 +10,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
@@ -174,14 +173,6 @@ class RunLog:
         with open(path, "w") as fh:
             fh.write(self.to_jsonl())
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "gap_sq", "f1", "f2", "f3", "sim_time", "p1", "p2", "c1"])
-            for r in self.records:
-                w.writerow([r.t, repr(r.gap_sq), repr(r.f1), repr(r.f2), repr(r.f3),
-                            repr(r.sim_time), r.p1_size, r.p2_size, r.c1])
-
 
 @dataclass
 class RunResult:
@@ -190,7 +181,6 @@ class RunResult:
     duals: DualState
     poly1: Polytope
     poly2: Polytope
-    clock: float
 
 
 def _objectives(problem: TrilevelProblem, state: PrimalState) -> tuple[float, float, float]:
@@ -268,7 +258,7 @@ def run(
         for j in rows:
             pending[j] = clock + sched_cfg.delay.draw(rng, j)
 
-    def refine(t_at: int) -> tuple[list[int], list[int]]:
+    def refine() -> tuple[list[int], list[int]]:
         """Generate one unit-normalized cut per layer at the current point, then prune.
 
         The raw linearizations have coefficient norms far from one (about 100
@@ -282,14 +272,14 @@ def run(
         trace1 = solve_level3(problem, state.z[0], state.z[1], init=init3, cfg=inner_cfg)
         cut1 = normalize_cut(generate_cut_I(trace1, (*state.z, state.x[2]), mu, inner_cfg.eps1,
                                             problem.alphas, grad_mode=grad_mode,
-                                            cut_id=next_cut_id, born_at=t_at))
+                                            cut_id=next_cut_id))
         poly1 = add_cut(poly1, cut1)
 
         trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
                               poly1, init=init2, cfg=inner_cfg)
         cut2 = normalize_cut(generate_cut_II(trace2, (*state.z, state.x[2], state.x[1]), mu,
                                              inner_cfg.eps2, problem.alphas, grad_mode=grad_mode,
-                                             cut_id=next_cut_id + 1, born_at=t_at))
+                                             cut_id=next_cut_id + 1))
         next_cut_id += 2
         poly2 = add_cut(poly2, cut2)
         lam = np.append(duals.lam, 0.0)
@@ -317,8 +307,7 @@ def run(
         sizes = {r.t: r.p2_size for r in log.records}
         log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K,
                                       problem.dims, sizes)
-        return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2,
-                         clock=clock)
+        return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
     active: tuple[int, ...] = ()  # no worker is delivered at t = 0
     status = "max_iters"
@@ -340,7 +329,7 @@ def run(
             # At t = 0 this is the bootstrap refinement: while the horizon is
             # open the master never steps on empty polytopes.
             refined = t % outer_cfg.T_pre == 0 and max(t - 1, 0) < outer_cfg.T1
-            added, dropped = refine(t) if refined else ([], [])
+            added, dropped = refine() if refined else ([], [])
 
             gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
             gap_sq = gap.sq_norm

@@ -202,8 +202,8 @@ def solve_level3(
     z2p = np.asarray(z2p, float)
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
-    Z1, Z2 = np.broadcast_to(z1, (d.N, d.d1)), np.broadcast_to(z2p, (d.N, d.d2))
-    return _unroll(problem, 3, lambda x: problem.grad_all(3, 3, Z1, Z2, x), init, cfg,
+    Z1, Z2, own = np.broadcast_to(z1, (d.N, d.d1)), np.broadcast_to(z2p, (d.N, d.d2)), d.columns(3)
+    return _unroll(problem, 3, lambda x: problem.grad_all(3, Z1, Z2, x)[:, own], init, cfg,
                    cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()},
                    Polytope(LAYER_I, d))
 
@@ -249,8 +249,8 @@ def solve_level2(
         poly1 = Polytope(LAYER_I, d, tuple(poly1))
     r0 = poly1.residuals(z1, np.zeros(d.d2), z3, x3)
     eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
-    Z1 = np.broadcast_to(z1, (d.N, d.d1))
-    return _unroll(problem, 2, lambda x: problem.grad_all(2, 2, Z1, x, x3), init, cfg,
+    Z1, own = np.broadcast_to(z1, (d.N, d.d1)), d.columns(2)
+    return _unroll(problem, 2, lambda x: problem.grad_all(2, Z1, x, x3)[:, own], init, cfg,
                    cfg.kappa2, eta_z, (r0, poly1.A2, eta_gamma),
                    {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1)
 
@@ -331,11 +331,11 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
 
     ``xbar`` and ``zbar`` are the gradients of h in the final iterates.  Each
     round is run backwards through one stacked ``cross_hess`` call: worker j's
-    row ``g_j`` times its own-level Hessian rows ``R_j`` gives ``g_j^T R_j``
-    over its whole flat point, sliced by ``dims.columns`` into the unrolled
-    block and each frozen input.  At the slack/dual clamp kinks the sweep
-    follows the branch the forward pass took.  Returns one gradient per key of
-    ``trace.inputs``.
+    row ``g_j`` times ``R_j``, the unrolled level's rows of its Hessian, gives
+    ``g_j^T R_j`` over its whole flat point, sliced by ``dims.columns`` into
+    the unrolled block and each frozen input.  At the slack/dual clamp kinks
+    the sweep follows the branch the forward pass took.  Returns one gradient
+    per key of ``trace.inputs``.
     """
     p, cfg, lv, poly1 = trace.problem, trace.cfg, trace.level, trace.poly1
     N, L, A2, cols = p.dims.N, poly1.size, poly1.A2, p.dims.columns
@@ -372,7 +372,7 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
         phibar = phibar + gxbar - gzbar
         xbar = xbar + kappa * (gxbar - gzbar)
         args = (z1, z2p, trace.x[k]) if lv == 3 else (z1, trace.x[k], x3)
-        w = (gxbar[:, None, :] @ p.cross_hess(lv, lv, *args))[:, 0]
+        w = (gxbar[:, None, :] @ p.cross_hess(lv, *args)[:, cols(lv)])[:, 0]
         xbar = xbar + w[:, cols(lv)]
         for key, b in blocks.items():  # x3 keeps its rows; a shared input sums them
             wb = w[:, cols(b)]

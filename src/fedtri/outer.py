@@ -165,9 +165,9 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
     ``gz`` depends only on the duals and P_II, not on the primal point, which
     lets ``master_step`` reuse it.
     """
-    X, lam = state.x, duals.lam
-    gx = [problem.grad_all(1, 1, *X) + duals.theta, problem.grad_all(1, 2, *X),
-          problem.grad_all(1, 3, *X)]
+    X, lam, cols = state.x, duals.lam, problem.dims.columns
+    G = problem.grad_all(1, *X)
+    gx = [G[:, cols(1)] + duals.theta, G[:, cols(2)], G[:, cols(3)]]
     gz = [-duals.theta.sum(axis=0), np.zeros_like(state.z[1]), np.zeros_like(state.z[2])]
     if poly2.size:
         gx[1] = gx[1] + (lam[:, None, None] * poly2.B2).sum(axis=0)

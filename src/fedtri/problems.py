@@ -113,8 +113,8 @@ def build_quadratic_problem(
     v = [x1 | x2 | x3], ``f_l(v) = 1/2 (v - m_l)^T H_l (v - m_l) + b_l^T (v - m_l)``,
     stacked once for all N workers.  Level 1 is Q1 centred at the oracle point;
     levels 2 and 3 have m = 0, their own block's matrix and couplings (with
-    transposes) in H, and h or g in b.  ``cross_hess_fn`` returns the rows of
-    H that ``grad_fn`` multiplies.
+    transposes) in H, and h or g in b.  ``grad_fn`` is ``H_l (v - m_l) + b_l``
+    and ``cross_hess_fn`` is H_l itself.
     """
     if any(d > 20 for d in dims) or any(d < 1 for d in dims):
         raise ValueError("quadratic builder is desk-scale: dims must be in 1..20")
@@ -134,8 +134,8 @@ def build_quadratic_problem(
     if oracle is None:
         raise FedtriError("could not generate a well-posed quadratic problem")
     # Stored as G_l = [[H_l, b_l], [b_l^T, 0]] over u = [v - m_l, 1]: f_l = u^T G_l u / 2,
-    # and block i's gradient is one mat-vec, G_l's rows at block i's columns times u.
-    D, cols = dd.d1 + dd.d2 + dd.d3, (None, *(dd.columns(i) for i in (1, 2, 3)))
+    # and the gradient is one mat-vec, G_l's first D rows times u.
+    D, cols = dd.width, (None, *(dd.columns(i) for i in (1, 2, 3)))
     G, m, one = np.zeros((3, N, D + 1, D + 1)), np.zeros((3, D + 1)), np.ones((N, 1))
     G[0, :, :D, :D], m[0, :D] = data["Q1"], np.concatenate([oracle.y1, oracle.y2, oracle.y3])
     for level, blocks, lin in ((2, "EDF", "h"), (3, "BCA", "g")):
@@ -152,11 +152,11 @@ def build_quadratic_problem(
         u = deviation(level, X1, X2, X3)
         return 0.5 * _dot(u, _mv(G[level - 1], u))
 
-    def grad_fn(level, block, X1, X2, X3):
-        return _mv(G[level - 1, :, cols[block]], deviation(level, X1, X2, X3))
+    def grad_fn(level, X1, X2, X3):
+        return _mv(G[level - 1, :, :D], deviation(level, X1, X2, X3))
 
-    def cross_hess_fn(level, block, X1, X2, X3):
-        return G[level - 1, :, cols[block], :D]
+    def cross_hess_fn(level, X1, X2, X3):
+        return G[level - 1, :, :D, :D]
 
     def initial_point_fn(rng):
         return (init_scale * rng.standard_normal(dd.d1),
@@ -373,19 +373,24 @@ def build_robust_hpo_problem(
             return -(train - c_pen * _dot(X2, X2))
         return train + np.exp(X1[:, 0]) * smoothed_l1(X3, delta)
 
-    def grad_fn(level, block, X1, X2, X3):
-        zeros = np.zeros((N, dims.block(block)))
+    c1, c2, c3 = (dims.columns(i) for i in (1, 2, 3))
+
+    def grad_fn(level, X1, X2, X3):  # one backward pass; the columns f_level ignores stay 0
+        G = np.zeros((N, dims.width))
         if level == 1:
-            return mlp_loss_grads(shape, X3, Xval, yval, wval)[1] if block == 3 else zeros
-        if level == 2 and (block == 1 or not spec.adversary):
-            return 2.0 * c_pen * X2 if block == 2 else zeros
-        if block == 1:  # level 3
-            return np.exp(X1) * smoothed_l1(X3, delta)[:, None]
-        _, dw, dX = mlp_loss_grads(shape, X3, noisy(X2), ytr, wtr)
-        dp = dX.sum(axis=-2)
-        if level == 2:
-            return -(dp - 2.0 * c_pen * X2) if block == 2 else -dw
-        return dp if block == 2 else dw + np.exp(X1) * smoothed_l1_grad(X3, delta)
+            G[:, c3] = mlp_loss_grads(shape, X3, Xval, yval, wval)[1]
+        elif level == 2 and not spec.adversary:
+            G[:, c2] = 2.0 * c_pen * X2
+        else:
+            _, dw, dX = mlp_loss_grads(shape, X3, noisy(X2), ytr, wtr)
+            dp = dX.sum(axis=-2)
+            if level == 2:
+                G[:, c2], G[:, c3] = -(dp - 2.0 * c_pen * X2), -dw
+            else:
+                pen = np.exp(X1)
+                G[:, c1] = pen * smoothed_l1(X3, delta)[:, None]
+                G[:, c2], G[:, c3] = dp, dw + pen * smoothed_l1_grad(X3, delta)
+        return G
 
     def initial_point_fn(rng):
         return (np.array([phi_init]), np.zeros(dims.d2), shape.init(rng))

@@ -68,7 +68,7 @@ class TestFiniteDiffGrad:
             return problem.eval_all(3, x1, x2, v)[1]
 
         numeric = finite_diff_grad(f3, x3)
-        analytic = problem.grad_all(3, 3, x1, x2, x3)[1]
+        analytic = problem.grad_all(3, x1, x2, x3)[1, problem.dims.columns(3)]
         rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-6
 
@@ -180,18 +180,18 @@ class TestEstimateMu:
 class TestProblemGradFallback:
     def test_fd_fallback_used_when_no_grad(self):
         problem = make_problem((2, 2, 2), N=1)
-        g = problem.grad_all(1, 2, np.zeros(2), np.array([1.0, -1.0]), np.zeros(2))
-        assert np.allclose(g, [[2.0, -2.0]], atol=1e-7)
+        g = problem.grad_all(1, np.zeros(2), np.array([1.0, -1.0]), np.zeros(2))
+        assert np.allclose(g[:, problem.dims.columns(2)], [[2.0, -2.0]], atol=1e-7)
 
     def test_grad_shape_enforced(self):
         dims = Dims(d1=2, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: np.zeros(1),
-            grad_fn=lambda level, block, X1, X2, X3: np.zeros((1, 5)),
+            grad_fn=lambda level, X1, X2, X3: np.zeros((1, 5)),
         )
         with pytest.raises(ValueError):
-            problem.grad_all(1, 1, np.zeros(2), np.zeros(1), np.zeros(1))
+            problem.grad_all(1, np.zeros(2), np.zeros(1), np.zeros(1))
 
 
 class TestGradAll:
@@ -200,42 +200,47 @@ class TestGradAll:
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: np.zeros(3),
-            grad_fn=lambda level, block, X1, X2, X3: np.zeros((3, 4)),
+            grad_fn=lambda level, X1, X2, X3: np.zeros((3, 4)),  # D = 6
         )
-        with pytest.raises(ValueError, match="gradient block 3 has length"):
-            problem.grad_all(3, 3, np.zeros(2), np.zeros(1), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="f_3 gradient has shape"):
+            problem.grad_all(3, np.zeros(2), np.zeros(1), np.zeros((3, 3)))
 
     def test_wrong_shaped_argument_raises(self):
         problem, _ = build_quadratic_problem(seed=0, dims=(2, 2, 2), N=3)
         with pytest.raises(ValueError, match="block 3 argument"):
-            problem.grad_all(3, 3, np.zeros(2), np.zeros(2), np.zeros((2, 2)))
+            problem.grad_all(3, np.zeros(2), np.zeros(2), np.zeros((2, 2)))
 
     def test_nonfinite_row_names_its_worker(self):
         dims = Dims(d1=1, d2=1, d3=2, N=3)
 
-        def gr(level, block, X1, X2, X3):
-            G = np.zeros((3, 2))
-            G[1, 1] = G[2, 0] = np.nan
+        def gr(level, X1, X2, X3):
+            G = np.zeros((3, 4))
+            G[1, 3] = G[2, 2] = np.nan
             return G
 
         problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(3),
                                   grad_fn=gr)
-        with pytest.raises(NonFiniteError, match=r"grad f_3,1 block 3"):
-            problem.grad_all(3, 3, np.zeros(1), np.zeros(1), np.zeros((3, 2)))
+        with pytest.raises(NonFiniteError, match=r"grad f_3,1 is non-finite"):
+            problem.grad_all(3, np.zeros(1), np.zeros(1), np.zeros((3, 2)))
 
     def test_without_grad_fn_equals_per_worker_grad(self):
-        # The fallback steps all rows at once; row j is worker j's own
-        # central difference, with its own step (the rows' steps differ here).
+        # The fallback steps all rows of one block at once; row j's block i is
+        # worker j's own central difference in that block, with the step of
+        # its own block (the rows' x3 steps differ here).
         quad, _ = build_quadratic_problem(seed=1, dims=(2, 2, 3), N=2)
         problem = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn)
         rng = np.random.default_rng(1)
-        z1, z2, X3 = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 3))
-        G = problem.grad_all(3, 3, z1, z2, X3)
-        for j in range(2):
-            def f(v):  # v is shared by both rows; row j is worker j's value
-                return problem.eval_all(3, z1, z2, v)[j]
+        X = [rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 3))]
+        G = problem.grad_all(3, *X)
+        for i in (1, 2, 3):
+            for j in range(2):
+                def f(v):  # v is shared by both rows; row j is worker j's value
+                    args = list(X)
+                    args[i - 1] = v
+                    return problem.eval_all(3, *args)[j]
 
-            assert np.array_equal(G[j], finite_diff_grad(f, X3[j]))
+                block = X[i - 1][j] if i == 3 else X[i - 1]
+                assert np.array_equal(G[j, quad.dims.columns(i)], finite_diff_grad(f, block))
 
 
 def _robust_hpo_problem():
@@ -259,11 +264,10 @@ class TestStackedContract:
             F = problem.eval_all(level, *X)
             rows = [problem.eval_all(level, *(Xi[j] for Xi in X)) for j in range(d.N)]
             assert all(F[j] == r[j] for j, r in enumerate(rows)), level
-            for block in (1, 2, 3):
-                G = problem.grad_all(level, block, *X)
-                for j in range(d.N):
-                    row = problem.grad_all(level, block, *(Xi[j] for Xi in X))[j]
-                    assert np.array_equal(G[j], row), (level, block, j)
+            G = problem.grad_all(level, *X)
+            for j in range(d.N):
+                row = problem.grad_all(level, *(Xi[j] for Xi in X))[j]
+                assert np.array_equal(G[j], row), (level, j)
 
     def test_quadratic_grad_matches_the_finite_difference_fallback(self):
         quad = build_quadratic_problem(seed=4, dims=(2, 3, 4), N=3)[0]
@@ -271,10 +275,11 @@ class TestStackedContract:
         rng = np.random.default_rng(3)
         X = [rng.standard_normal((3, k)) for k in (2, 3, 4)]
         for level in (1, 2, 3):
+            G = quad.grad_all(level, *X)
+            G_fd = fallback.grad_all(level, *X)
             for block in (1, 2, 3):
-                G = quad.grad_all(level, block, *X)
-                G_fd = fallback.grad_all(level, block, *X)
-                assert np.abs(G - G_fd).max() <= 1e-6, (level, block)
+                cols = quad.dims.columns(block)
+                assert np.abs(G[:, cols] - G_fd[:, cols]).max() <= 1e-6, (level, block)
 
     def test_quadratic_cross_hess_is_the_derivative_of_its_gradient(self):
         quad = _quadratic_problem()
@@ -282,28 +287,26 @@ class TestStackedContract:
         rng = np.random.default_rng(5)
         X = [rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)]
         for level in (1, 2, 3):
-            for out in (1, 2, 3):
-                H = quad.cross_hess(level, out, *X)
-                assert H.shape == (d.N, d.block(out), d.d1 + d.d2 + d.d3)
-                for inn in (1, 2, 3):
-                    H_in = H[:, :, d.columns(inn)]
-                    for k in range(d.block(inn)):  # the gradient is affine: exact differences
-                        P, M = list(X), list(X)
-                        P[inn - 1] = X[inn - 1] + np.eye(d.block(inn))[k]
-                        M[inn - 1] = X[inn - 1] - np.eye(d.block(inn))[k]
-                        dG = (quad.grad_all(level, out, *P) - quad.grad_all(level, out, *M)) / 2
-                        assert np.allclose(H_in[:, :, k], dG, rtol=0, atol=1e-12), \
-                            (level, out, inn)
+            H = quad.cross_hess(level, *X)
+            assert H.shape == (d.N, d.width, d.width)
+            for inn in (1, 2, 3):
+                H_in = H[:, :, d.columns(inn)]
+                for k in range(d.block(inn)):  # the gradient is affine: exact differences
+                    P, M = list(X), list(X)
+                    P[inn - 1] = X[inn - 1] + np.eye(d.block(inn))[k]
+                    M[inn - 1] = X[inn - 1] - np.eye(d.block(inn))[k]
+                    dG = (quad.grad_all(level, *P) - quad.grad_all(level, *M)) / 2
+                    assert np.allclose(H_in[:, :, k], dG, rtol=0, atol=1e-12), (level, inn)
 
     def test_cross_hess_rejects_a_per_worker_shaped_matrix(self):
         dims = Dims(d1=2, d2=3, d3=3, N=3)
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: np.zeros(3),
-            cross_hess_fn=lambda level, block, X1, X2, X3: np.eye(3),
+            cross_hess_fn=lambda level, X1, X2, X3: np.eye(3),
         )
         with pytest.raises(ValueError, match="cross Hessian has shape"):
-            problem.cross_hess(3, 3, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
+            problem.cross_hess(3, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
 
     def test_eval_all_names_the_first_non_finite_worker(self):
         dims = Dims(d1=1, d2=1, d3=1, N=4)
@@ -339,7 +342,7 @@ def test_cuts_polytopes_and_traces_compare_by_identity():
     problem, _ = build_quadratic_problem(seed=1, dims=(2, 2, 2), N=2)
 
     def cut():
-        return Cut(layer=LAYER_I, w=np.ones(10), c=1.0, id=0, born_at=0)
+        return Cut(layer=LAYER_I, w=np.ones(10), c=1.0, id=0)
 
     for build in (cut, lambda: Polytope(LAYER_I, problem.dims, (cut(),)),
                   lambda: solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=2))):
@@ -355,15 +358,13 @@ class TestPolytopeRows:
     def test_rejects_a_row_of_the_wrong_width(self):
         for layer, width in ((LAYER_I, 16), (LAYER_II, 12), (LAYER_I, 11)):
             with pytest.raises(ValueError, match="width"):
-                Polytope(layer, self.DIMS, (Cut(layer=layer, w=np.ones(width), c=0.0, id=0,
-                                                born_at=0),))
+                Polytope(layer, self.DIMS, (Cut(layer=layer, w=np.ones(width), c=0.0, id=0),))
 
     def test_views_split_the_rows_in_point_order(self):
         d = self.DIMS
         blocks = (np.full(d.d1, 1.0), np.full(d.d2, 2.0), np.full(d.d3, 3.0),
                   np.full((d.N, d.d3), 4.0), np.full((d.N, d.d2), 5.0))
-        poly = Polytope(LAYER_II, d, (Cut(layer=LAYER_II, w=flat_point(*blocks), c=0.0, id=0,
-                                          born_at=0),))
+        poly = Polytope(LAYER_II, d, (Cut(layer=LAYER_II, w=flat_point(*blocks), c=0.0, id=0),))
         views = (poly.A1, poly.A2, poly.A3, poly.B3, poly.B2)
         for view, block in zip(views, blocks):
             assert np.array_equal(view[0], block)

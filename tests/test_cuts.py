@@ -20,7 +20,7 @@ from fedtri.problems import build_quadratic_problem
 def toy_cut(layer="I", d=2, N=2, c=1.0, cut_id=0, seed=0):
     rng = np.random.default_rng(seed)
     width = 3 * d + N * d * (2 if layer == "II" else 1)
-    return Cut(layer=layer, w=rng.standard_normal(width), c=c, id=cut_id, born_at=0)
+    return Cut(layer=layer, w=rng.standard_normal(width), c=c, id=cut_id)
 
 
 TOY_DIMS = Dims(d1=2, d2=2, d3=2, N=2)  # the dims of toy_cut's defaults
@@ -48,8 +48,8 @@ def scalar_problem():
     return TrilevelProblem(
         dims=dims,
         eval_fn=lambda level, X1, X2, X3: np.zeros(1),
-        grad_fn=lambda level, block, X1, X2, X3: np.zeros((1, 1)),
-        cross_hess_fn=lambda level, block, X1, X2, X3: np.zeros((1, 1, 3)),
+        grad_fn=lambda level, X1, X2, X3: np.zeros((1, 3)),
+        cross_hess_fn=lambda level, X1, X2, X3: np.zeros((1, 3, 3)),
     )
 
 
@@ -173,7 +173,7 @@ class TestNormalizeCut:
                               alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
         unit = normalize_cut(raw)
         assert np.linalg.norm(unit.w) == pytest.approx(1.0, rel=1e-12)
-        assert (unit.id, unit.born_at, unit.layer) == (raw.id, raw.born_at, raw.layer)
+        assert (unit.id, unit.layer) == (raw.id, raw.layer)
 
         # Points spread around the cut's boundary land on both sides of it.
         scale = abs(raw.c) / np.linalg.norm(raw.w)
@@ -190,7 +190,7 @@ class TestNormalizeCut:
         assert accepted and rejected
 
     def test_zero_norm_cut_unchanged(self):
-        cut = Cut(layer="II", w=np.zeros(14), c=0.5, id=3, born_at=1)
+        cut = Cut(layer="II", w=np.zeros(14), c=0.5, id=3)
         assert normalize_cut(cut) is cut
 
 
@@ -267,7 +267,7 @@ class TestDropInactive:
         p1, p2 = self.make_polys()
         cut = p1.cuts[0]
         q1, _ = drop_inactive(p1, np.array([0.0, 1.0, 1.0]), p2, np.ones(2))
-        readded = add_cut(q1, Cut(layer="I", w=cut.w, c=cut.c, id=99, born_at=5))
+        readded = add_cut(q1, Cut(layer="I", w=cut.w, c=cut.c, id=99))
         assert readded.size == p1.size
         got = sorted((tuple(c.w), c.c) for c in readded.cuts)
         want = sorted((tuple(c.w), c.c) for c in p1.cuts)
@@ -356,10 +356,9 @@ class TestValidateCut:
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: amp * np.sin(freq * X2[:, 0]) * X3[:, 0],
-            grad_fn=lambda level, block, X1, X2, X3: (
-                amp * np.sin(freq * X2) if block == 3
-                else (amp * freq * np.cos(freq * X2) * X3 if block == 2 else np.zeros((1, 1)))
-            ),
+            grad_fn=lambda level, X1, X2, X3: np.concatenate(
+                [np.zeros((1, 1)), amp * freq * np.cos(freq * X2) * X3, amp * np.sin(freq * X2)],
+                axis=1),
         )
         cfg = InnerConfig(K=1, eta_x=1.0, eta_z=1.0, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)

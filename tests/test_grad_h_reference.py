@@ -53,7 +53,7 @@ def ref_jacobians(trace, key, worker=None):
     for k in range(cfg.K):
         xk = trace.x[k]
         args = (z1, z2p, xk) if level == 3 else (z1, xk, x3)
-        rows = p.cross_hess(level, level, *args)  # the level's Hessian rows, sliced by column
+        rows = p.cross_hess(level, *args)[:, d.columns(level)]  # the level's rows, by column
         Hxx_all = rows[:, :, d.columns(level)]
         Hxw_all = None if wblock is None else rows[:, :, d.columns(wblock)]
         Dgx = []

@@ -31,17 +31,16 @@ def separable_problem(targets, d=(1, 1, None)):
             return 0.5 * (dv * dv).sum(axis=1)
         return np.zeros(dims.N)
 
-    def gr(level, block, X1, X2, X3):
-        if level == 3 and block == 3:
-            return X3 - T
-        if level == 2 and block == 2:
-            return X2 - T
-        return np.zeros((dims.N, dims.block(block)))
+    def gr(level, X1, X2, X3):
+        G = np.zeros((dims.N, dims.width))
+        if level in (2, 3):
+            G[:, dims.columns(level)] = (X3 if level == 3 else X2) - T
+        return G
 
-    def ch(level, block, X1, X2, X3):
-        H = np.zeros((dims.N, dims.block(block), dims.d1 + dims.d2 + dims.d3))
-        if level in (2, 3) and block == level:
-            H[:, :, dims.columns(level)] = np.eye(dims.block(level))
+    def ch(level, X1, X2, X3):
+        H = np.zeros((dims.N, dims.width, dims.width))
+        if level in (2, 3):
+            H[:, dims.columns(level), dims.columns(level)] = np.eye(dims.block(level))
         return H
 
     return TrilevelProblem(dims=dims, eval_fn=ev, grad_fn=gr, cross_hess_fn=ch)
@@ -111,7 +110,7 @@ class TestSolveLevel3:
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: np.zeros(1),
-            grad_fn=lambda level, block, X1, X2, X3: np.array([[1e200]]),
+            grad_fn=lambda level, X1, X2, X3: np.full((1, 3), 1e200),
         )
         cfg = InnerConfig(K=3, eta_x=1e200, eta_z=1.0, eta_phi=1.0)
         with pytest.raises((InnerSolverError, FedtriError), match="round"):
@@ -166,7 +165,7 @@ def make_cut_for(problem, c_value):
     """The layer-I cut ``1 . z2 <= c_value``."""
     d = problem.dims
     w = flat_point(np.zeros(d.d1), np.ones(d.d2), np.zeros(d.d3), np.zeros((d.N, d.d3)))
-    return Cut(layer="I", w=w, c=c_value, id=0, born_at=0)
+    return Cut(layer="I", w=w, c=c_value, id=0)
 
 
 class TestSolveLevel2:

@@ -42,7 +42,7 @@ def regularized_lagrangian(state, duals, poly2, problem, t, cfg):
 def random_cut(rng, d, N, layer="II", cut_id=0):
     width = sum(d) + N * d[2] + (N * d[1] if layer == "II" else 0)
     w = rng.standard_normal(width)
-    return Cut(layer=layer, w=w, c=float(rng.standard_normal()), id=cut_id, born_at=0)
+    return Cut(layer=layer, w=w, c=float(rng.standard_normal()), id=cut_id)
 
 
 @pytest.fixture()

@@ -74,14 +74,16 @@ def check_oracle_gradients(adversary, rows, N):
     rng = np.random.default_rng(2)
     point = [np.array([-1.0]), 0.3 * rng.standard_normal(3), hpo.shape.init(rng)]
     for level in (1, 2, 3):
+        G = problem.grad_all(level, *point)
+        assert G.shape == (problem.dims.N, problem.dims.width)
         for j in range(problem.dims.N):
-            for block in (1, 2, 3):
+            for block in (1, 2, 3):  # every column, f_1's zero x1 and x2 columns too
                 def f(v):  # every worker at the shared point; row j is worker j's value
                     args = list(point)
                     args[block - 1] = v
                     return problem.eval_all(level, *args)[j]
 
-                g = problem.grad_all(level, block, *point)[j]
+                g = G[j, problem.dims.columns(block)]
                 g_fd = finite_diff_grad(f, point[block - 1])
                 assert g.shape == g_fd.shape
                 assert np.linalg.norm(g - g_fd) <= 1e-6 * np.linalg.norm(g_fd), (
