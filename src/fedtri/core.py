@@ -64,8 +64,9 @@ class TrilevelProblem:
     the analytic unrolled-gradient path.  Each ``Xi`` is (N, d_i) and row j
     is worker j's (0-based) argument; a block shared by all workers may
     arrive as a read-only broadcast view.  Row j of a result may depend only
-    on row j of the arguments.  When ``grad_fn`` is None, central finite
-    differences of ``eval_fn`` are used.
+    on row j of the arguments.  Every result is checked for its shape and
+    finiteness.  When ``grad_fn`` is None, ``grad_all`` differences
+    ``eval_fn`` with one ``finite_diff_grad`` call per block.
     """
 
     dims: Dims
@@ -101,70 +102,58 @@ class TrilevelProblem:
             out.append(X)
         return tuple(out)
 
+    def _checked(self, level: int, what: str, prefix: str, value, shape) -> Array:
+        """An oracle result as a float array of ``shape``, or the error naming the bad worker.
+
+        A wrong shape raises ``ValueError``; a non-finite entry raises
+        ``NonFiniteError`` naming the first worker whose row holds one.
+        """
+        A = np.asarray(value, dtype=float)
+        if A.shape != shape:
+            raise ValueError(f"f_{level} {what} shape {A.shape}, expected {shape}")
+        if not np.isfinite(A).all():
+            j = int(np.argmin(np.isfinite(A.reshape(len(A), -1)).all(axis=1)))
+            raise NonFiniteError(f"{prefix}f_{level},{j} is non-finite")
+        return A
+
     def eval_all(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
         """Every worker's level-``level`` objective as an (N,) array: one ``eval_fn`` call.
 
         Each argument is one block of shape (d_i,), shared by all workers, or
         per-worker rows of shape (N, d_i).  A non-finite value names its worker.
         """
-        F = np.asarray(self.eval_fn(level, *self._rows(X1, X2, X3)), dtype=float)
-        if F.shape != (self.dims.N,):
-            raise ValueError(f"f_{level} values have shape {F.shape}, expected {(self.dims.N,)}")
-        if not np.isfinite(F).all():
-            raise NonFiniteError(f"f_{level},{int(np.argmin(np.isfinite(F)))} is non-finite")
-        return F
+        F = self.eval_fn(level, *self._rows(X1, X2, X3))
+        return self._checked(level, "values have", "", F, (self.dims.N,))
 
     def grad_all(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
         """Every worker's gradient over its flat point as an (N, D) array: one ``grad_fn`` call.
 
         Arguments are as for ``eval_all``.  The result's shape is checked, and
-        its finiteness once; a non-finite row names its worker.
+        its finiteness once; a non-finite row names its worker.  Without
+        ``grad_fn``, each block is one ``finite_diff_grad`` of ``eval_all`` over
+        all N rows: a pair of calls per column, each row stepping by
+        ``default_fd_step`` of its own block.
         """
         args = self._rows(X1, X2, X3)
         if self.grad_fn is None:
-            G = self._fd_grad(level, args)
+            G = np.hstack([finite_diff_grad(
+                lambda P, i=i: self.eval_all(level, *args[:i], P, *args[i + 1:]), X)
+                for i, X in enumerate(args)])
         else:
-            G = np.asarray(self.grad_fn(level, *args), dtype=float)
-        expected = (self.dims.N, self.dims.width)
-        if G.shape != expected:
-            raise ValueError(f"f_{level} gradient has shape {G.shape}, expected {expected}")
-        if not np.isfinite(G).all():
-            j = int(np.argmin(np.isfinite(G).all(axis=1)))
-            raise NonFiniteError(f"grad f_{level},{j} is non-finite")
-        return G
-
-    def _fd_grad(self, level: int, args) -> Array:
-        """Central differences of ``eval_all``, one coordinate of all N rows per pair of calls.
-
-        Row j steps by ``default_fd_step`` of its own block, as
-        ``finite_diff_grad`` would on worker j's block alone.
-        """
-        G = np.empty((self.dims.N, self.dims.width))
-        pert = list(args)
-        for i, X in enumerate(args):
-            h = default_fd_step(X)
-            for k in range(X.shape[1]):
-                f = []
-                for step in (h, -h):
-                    pert[i] = P = X.copy()
-                    P[:, k] += step
-                    f.append(self.eval_all(level, *pert))
-                G[:, self.dims.columns(i + 1).start + k] = (f[0] - f[1]) / (2.0 * h)
-            pert[i] = X
-        return G
+            G = self.grad_fn(level, *args)
+        return self._checked(level, "gradient has", "grad ", G, (self.dims.N, self.dims.width))
 
     def cross_hess(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
-        """The Jacobian of ``grad_all(level, ...)``, shape-checked: (N, D, D)."""
+        """The Jacobian of ``grad_all(level, ...)``, checked like it: (N, D, D)."""
         if self.cross_hess_fn is None:
             raise FedtriError(
                 "analytic unrolled gradients need second derivatives, "
                 f"but problem {self.name!r} does not expose them"
             )
-        H = np.asarray(self.cross_hess_fn(level, *self._rows(X1, X2, X3)), float)
-        expected = (self.dims.N, self.dims.width, self.dims.width)
-        if H.shape != expected:
-            raise ValueError(f"f_{level} cross Hessian has shape {H.shape}, expected {expected}")
-        return H
+        H = self.cross_hess_fn(level, *self._rows(X1, X2, X3))
+        D = self.dims.width
+        return self._checked(level, "cross Hessian has", "cross Hessian of ", H,
+                             (self.dims.N, D, D))
 
     def initial_point(self, rng: np.random.Generator) -> tuple[Array, Array, Array]:
         if self.initial_point_fn is not None:
@@ -223,6 +212,15 @@ def point_shapes(layer: str, dims: Dims) -> tuple[tuple[int, ...], ...]:
     """
     shapes = ((dims.d1,), (dims.d2,), (dims.d3,), (dims.N, dims.d3))
     return shapes + ((dims.N, dims.d2),) if layer == LAYER_II else shapes
+
+
+def point_alphas(layer: str, alphas: tuple[float, float, float]) -> tuple[float, ...]:
+    """Each block's ball ``||row||^2 <= alpha`` in ``point_shapes`` order.
+
+    z_i and every worker's row of x_i share alpha_i.
+    """
+    a1, a2, a3 = alphas
+    return (a1, a2, a3, a3, a2) if layer == LAYER_II else (a1, a2, a3, a3)
 
 
 def flat_point(*blocks) -> Array:
@@ -314,22 +312,28 @@ def default_fd_step(v: Array):
     return 1e-5 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))
 
 
-def finite_diff_grad(f: Callable[[Array], float], v: Array, h: Optional[float] = None) -> Array:
-    """Central-difference gradient of a scalar function, coordinate by coordinate."""
+def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] = None) -> Array:
+    """Central differences in every row of ``v`` (..., d): one pair of ``f`` calls per column.
+
+    ``f`` maps an array shaped like ``v`` to its rows' values (...); a (d,)
+    array is one row and ``f`` a scalar function.  Each row steps by ``h`` or
+    by its own ``default_fd_step``.
+    """
     v = np.asarray(v, dtype=float)
     if h is None:
         h = default_fd_step(v)
-    if h <= 0:
+    if np.any(h <= 0):
         raise ValueError("finite-difference step must be positive")
-    g = np.zeros_like(v)
-    for k in range(v.size):
-        e = np.zeros_like(v)
-        e[k] = h
-        fp = float(f(v + e))
-        fm = float(f(v - e))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+    g = np.empty_like(v)
+    for k in range(v.shape[-1]):
+        f_pm = []
+        for step in (h, -h):
+            p = v.copy()
+            p[..., k] += step
+            f_pm.append(np.asarray(f(p), dtype=float))
+        if not (np.isfinite(f_pm[0]).all() and np.isfinite(f_pm[1]).all()):
             raise NonFiniteError(f"non-finite function value at coordinate {k}")
-        g[k] = (fp - fm) / (2.0 * h)
+        g[..., k] = (f_pm[0] - f_pm[1]) / (2.0 * h)
     return g
 
 

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, flat_point
-from .inner import FlatH, UnrollTrace, eval_h, grad_h, rerun_estimate
+from .core import point_alphas, point_shapes
+from .inner import _POINT_BLOCKS, FlatH, UnrollTrace, eval_h, grad_h, rerun
 
 
 def cut_violation(cut: Cut, *point) -> float:
@@ -73,12 +74,15 @@ def drop_inactive(
 
 
 def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: float,
-                       ball: float, grad_mode: str, cut_id: int) -> Cut:
+                       alphas: tuple[float, float, float], grad_mode: str, cut_id: int) -> Cut:
     """First-order expansion of h at ``point``, relaxed by eps plus mu times the inflation.
 
-    ``ball`` is the alpha part of the inflation; the squared norm of the point
-    is added to it.  The row is ``grad_h`` at the point, in the point's order.
+    The inflation is the point's squared norm plus its alpha ball: every row
+    of every block brings that block's alpha (``point_alphas``).  The row is
+    ``grad_h`` at the point, in the point's order.
     """
+    ball = sum(a * int(np.prod(shape[:-1])) for a, shape in
+               zip(point_alphas(layer, alphas), point_shapes(layer, trace.problem.dims)))
     p = flat_point(*point)
     w = flat_point(*grad_h(trace, point, mode=grad_mode))
     c = eps + mu * (ball + p @ p) - eval_h(trace, point) + w @ p
@@ -99,12 +103,10 @@ def generate_cut_I(
     The left side is the first-order expansion of h_I around the point; the
     right side relaxes by eps1 plus the weak-convexity inflation
     ``mu (a1 + a2 + (N+1) a3 + ||z1||^2 + ||z2'||^2 + ||z3||^2 + sum_j ||x3_j||^2)``,
-    one alpha for each row of each block, as for the layer-II cut.
+    one alpha for each row of each block (see ``_linearization_cut``).
     Rearranged into ``w . p <= c`` form, w being ``grad_h`` at the point.
     """
-    a1, a2, a3 = alphas
-    ball = a1 + a2 + (trace.problem.dims.N + 1) * a3
-    return _linearization_cut(trace, LAYER_I, point, mu, eps1, ball, grad_mode, cut_id)
+    return _linearization_cut(trace, LAYER_I, point, mu, eps1, alphas, grad_mode, cut_id)
 
 
 def generate_cut_II(
@@ -118,12 +120,10 @@ def generate_cut_II(
 ) -> Cut:
     """Linearization cut of h_II at ``point = (z1, z2, z3, x3, x2)``, x3 and x2 one row per worker.
 
-    Same construction as the layer-I cut with inflation
+    Same construction as the layer-I cut, whose alpha rule gives the inflation
     ``mu (a1 + (N+1)(a2 + a3) + sum_i ||z_i||^2 + sum_{i=2,3} sum_j ||x_ij||^2)``.
     """
-    a1, a2, a3 = alphas
-    ball = a1 + (trace.problem.dims.N + 1) * (a2 + a3)
-    return _linearization_cut(trace, LAYER_II, point, mu, eps2, ball, grad_mode, cut_id)
+    return _linearization_cut(trace, LAYER_II, point, mu, eps2, alphas, grad_mode, cut_id)
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,19 @@ def validate_cut(
 ) -> CutValidationReport:
     """Sample points with ``h <= eps`` inside the bound balls and count cut violations.
 
-    Proposals put the free blocks uniformly in their balls and the dependent
-    blocks inside the sqrt(eps)-tube around the re-run estimate; every
+    The same sampler serves both layers.  Each proposal first puts the
+    trace's frozen inputs uniformly in their balls, row by row, then its own
+    (x, z) blocks inside the sqrt(eps)-tube around the re-run estimate; every
     proposal is still rejected unless it actually satisfies ``h <= eps`` and
-    the per-block bounds.  A valid cut admits zero violations.
+    the own blocks' bounds.  A valid cut admits zero violations.
     """
     rng = np.random.default_rng(seed)
-    d = h.trace.problem.dims
-    N = d.N
-    a1, a2, a3 = alphas
-    layer1 = h.trace.layer == LAYER_I
+    trace = h.trace
+    keys = _POINT_BLOCKS[trace.layer]
+    balls = dict(zip(keys, zip(point_shapes(trace.layer, trace.problem.dims),
+                               point_alphas(trace.layer, alphas))))
+    (x_shape, own_alpha), (z_shape, _) = balls["x"], balls["z"]
+    nx = int(np.prod(x_shape))
 
     accepted = 0
     draws = 0
@@ -175,27 +178,18 @@ def validate_cut(
     max_violation = -np.inf
     while accepted < n_samples and draws < max_draws:
         draws += 1
-        if layer1:
-            z1 = _sample_ball(rng, d.d1, a1)
-            z2 = _sample_ball(rng, d.d2, a2)
-            x_hat, z_hat = rerun_estimate(h.trace, z1=z1, z2p=z2)
-            dev = _sample_ball(rng, N * d.d3 + d.d3, eps)
-            x3 = x_hat + dev[:N * d.d3].reshape(N, d.d3)
-            z3 = z_hat + dev[N * d.d3:]
-            if any(float(x @ x) > a3 for x in x3) or float(z3 @ z3) > a3:
-                continue
-            v = flat_point(z1, z2, z3, x3)
-        else:
-            z1 = _sample_ball(rng, d.d1, a1)
-            z3 = _sample_ball(rng, d.d3, a3)
-            x3 = np.array([_sample_ball(rng, d.d3, a3) for _ in range(N)])
-            x_hat, z_hat = rerun_estimate(h.trace, z1=z1, z3=z3, x3=x3)
-            dev = _sample_ball(rng, N * d.d2 + d.d2, eps)
-            x2 = x_hat + dev[:N * d.d2].reshape(N, d.d2)
-            z2 = z_hat + dev[N * d.d2:]
-            if any(float(x @ x) > a2 for x in x2) or float(z2 @ z2) > a2:
-                continue
-            v = flat_point(z1, z2, z3, x3, x2)
+        point = {}
+        for key in trace.inputs:
+            shape, a = balls[key]
+            rows = [_sample_ball(rng, shape[-1], a) for _ in range(int(np.prod(shape[:-1])))]
+            point[key] = np.reshape(rows, shape)
+        x_hat, z_hat = rerun(trace, **point).estimate
+        dev = _sample_ball(rng, nx + z_shape[0], eps)
+        point["x"] = x_hat + dev[:nx].reshape(x_shape)
+        point["z"] = z_hat + dev[nx:]
+        if any(float(r @ r) > own_alpha for r in (*point["x"], point["z"])):
+            continue
+        v = flat_point(*(point[key] for key in keys))
         if h.fn(v) > eps:
             continue
         accepted += 1

@@ -315,16 +315,15 @@ def run(
         for t in range(outer_cfg.max_iters + 1):
             if t:
                 active, clock = schedule_epoch(pending, staleness, sched_cfg, clock)
-                if any(staleness[j] + 1 > sched_cfg.tau for j in active):
-                    raise FedtriError("staleness bound violated at delivery")
+                # Every snapshot, delivered now or still waiting, is one iteration older.
+                if max(staleness) + 1 > sched_cfg.tau:
+                    raise FedtriError("staleness bound violated")
                 rows = list(active)
                 for X, R in zip(state.x, results):
                     X[rows] = R[rows]
                 state, duals = master_step(state, duals, poly2, problem, outer_cfg, gap, t=t - 1)
                 for j in range(N):
                     staleness[j] = 0 if j in active else staleness[j] + 1
-                    if staleness[j] > sched_cfg.tau:
-                        raise FedtriError("staleness bound violated")
 
             # At t = 0 this is the bootstrap refinement: while the horizon is
             # open the master never steps on empty polytopes.

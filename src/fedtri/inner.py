@@ -286,7 +286,13 @@ def eval_h(trace: UnrollTrace, point) -> float:
     return _sq_deviation(*_own_blocks(trace, point), *trace.estimate)
 
 
-def _rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
+def rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
+    """Re-run the trace's unroll with some frozen inputs replaced.
+
+    The initialization, rounds and (for layer II) layer-I cuts are taken from
+    the trace, so the new trace's estimate is the trace's own estimate map
+    evaluated at the new inputs.
+    """
     inputs = dict(trace.inputs)
     inputs.update(overrides)
     init = trace.init_arrays()
@@ -294,16 +300,6 @@ def _rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
         return solve_level3(trace.problem, inputs["z1"], inputs["z2p"], init=init, cfg=trace.cfg)
     return solve_level2(trace.problem, inputs["z1"], inputs["z3"], inputs["x3"],
                         trace.poly1, init=init, cfg=trace.cfg)
-
-
-def rerun_estimate(trace: UnrollTrace, **overrides) -> tuple[tuple[Array, ...], Array]:
-    """Re-run the trace's unroll with some frozen inputs replaced.
-
-    The initialization, rounds and (for layer II) layer-I cuts are taken from
-    the trace, so the result is the trace's own estimate map evaluated at the
-    new inputs.
-    """
-    return _rerun(trace, **overrides).estimate
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +316,7 @@ def _fd_through_unroll(trace, x, z, key: str) -> Array:
     def h_at(j: int, value) -> float:
         pert = rows.copy()
         pert[j] = value
-        return _sq_deviation(x, z, *rerun_estimate(trace, **{key: pert.reshape(base.shape)}))
+        return _sq_deviation(x, z, *rerun(trace, **{key: pert.reshape(base.shape)}).estimate)
 
     g = [finite_diff_grad(lambda v: h_at(j, v), row) for j, row in enumerate(rows)]
     return np.array(g).reshape(base.shape)
@@ -413,35 +409,28 @@ def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array,
 
 @dataclass(frozen=True)
 class FlatH:
-    """A constraint function h with flat-vector packing of its arguments."""
+    """A constraint function h over ``flat_point`` of its layer's point."""
 
     trace: UnrollTrace
-    dim: int
     fn: Callable[[Array], float]
     grad: Callable[[Array], Array]
-    pack: Callable[..., Array]
-    unpack: Callable[[Array], tuple]
 
 
 def flat_h(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
     """h of the trace's layer over ``flat_point`` of its point, re-running the unroll per call."""
-    d = trace.problem.dims
     layer = trace.layer
 
-    def unpack(v: Array) -> tuple[Array, ...]:
-        return split_point(layer, d, np.asarray(v, float))
-
-    def rerun_at(point) -> UnrollTrace:
-        return _rerun(trace, **{k: b for k, b in zip(_POINT_BLOCKS[layer], point)
-                                if k in trace.inputs})
+    def point_and_trace(v: Array) -> tuple[tuple, UnrollTrace]:
+        point = split_point(layer, trace.problem.dims, np.asarray(v, float))
+        return point, rerun(trace, **{k: b for k, b in zip(_POINT_BLOCKS[layer], point)
+                                      if k in trace.inputs})
 
     def fn(v: Array) -> float:
-        point = unpack(v)
-        return eval_h(rerun_at(point), point)
+        point, sub = point_and_trace(v)
+        return eval_h(sub, point)
 
     def grad(v: Array) -> Array:
-        point = unpack(v)
-        return flat_point(*grad_h(rerun_at(point), point, mode=grad_mode))
+        point, sub = point_and_trace(v)
+        return flat_point(*grad_h(sub, point, mode=grad_mode))
 
-    dim = sum(int(np.prod(s)) for s in point_shapes(layer, d))
-    return FlatH(trace=trace, dim=dim, fn=fn, grad=grad, pack=flat_point, unpack=unpack)
+    return FlatH(trace=trace, fn=fn, grad=grad)

@@ -110,6 +110,22 @@ def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
     )
 
 
+def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: TrilevelProblem,
+               cfg: OuterConfig, c1: float = 0.0, c2: float = 0.0) -> DualState:
+    """One projected ascent step on the duals at ``state``, regularized by (c1, c2).
+
+    lambda steps on the cut residuals and is projected onto [0, sqrt(alpha4)];
+    theta steps on the x1 consensus residuals and is projected onto the box
+    ``||theta||_inf <= sqrt(alpha5) / d1``.
+    """
+    X, z = state.x, state.z
+    resid = poly2.residuals(*z, X[2], X[1])
+    lam = np.clip(duals.lam + cfg.eta_lambda * (resid - c1 * duals.lam), 0.0, np.sqrt(cfg.alpha4))
+    theta = project_box_inf(duals.theta + cfg.eta_theta * (X[0] - z[0] - c2 * duals.theta),
+                            np.sqrt(cfg.alpha5) / problem.dims.d1)
+    return DualState(lam=lam, theta=theta)
+
+
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
                 problem: TrilevelProblem, cfg: OuterConfig, gap: GapVector,
                 t: int) -> tuple[PrimalState, DualState]:
@@ -121,21 +137,14 @@ def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
     everywhere.  Returns a new state and new duals; the inputs are not
     modified.
     """
-    c1, c2 = cfg.reg_coeffs(t)
     z = [project_ball_sq(zi - eta * g, alpha)
          for zi, eta, g, alpha in zip(state.z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz,
                                       problem.alphas)]
     new_state = PrimalState(x=[X.copy() for X in state.x], z=z)
-
-    resid = poly2.residuals(*z, state.x[2], state.x[1])
-    lam = np.clip(duals.lam + cfg.eta_lambda * (resid - c1 * duals.lam), 0.0, np.sqrt(cfg.alpha4))
-    theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
-    theta = project_box_inf(
-        duals.theta + cfg.eta_theta * (state.x[0] - z[0] - c2 * duals.theta), theta_box
-    )
+    new_duals = _dual_step(new_state, duals, poly2, problem, cfg, *cfg.reg_coeffs(t))
     if not new_state.is_finite():
         raise NonFiniteError("non-finite master update")
-    return new_state, DualState(lam=lam, theta=theta)
+    return new_state, new_duals
 
 
 @dataclass
@@ -175,13 +184,10 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
         gz = [gz[0] + (lam[:, None] * poly2.A1).sum(axis=0),
               (lam[:, None] * poly2.A2).sum(axis=0),
               (lam[:, None] * poly2.A3).sum(axis=0)]
-    resid = poly2.residuals(*state.z, X[2], X[1])
-    proj = np.clip(lam + cfg.eta_lambda * resid, 0.0, np.sqrt(cfg.alpha4))
-    theta_box = np.sqrt(cfg.alpha5) / problem.dims.d1
-    step = duals.theta + cfg.eta_theta * (X[0] - state.z[0])
+    proj = _dual_step(state, duals, poly2, problem, cfg)
     return GapVector(
         gx=gx,
         gz=gz,
-        glam=(lam - proj) / cfg.eta_lambda,
-        gtheta=(duals.theta - project_box_inf(step, theta_box)) / cfg.eta_theta,
+        glam=(lam - proj.lam) / cfg.eta_lambda,
+        gtheta=(duals.theta - proj.theta) / cfg.eta_theta,
     )

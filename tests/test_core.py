@@ -17,6 +17,7 @@ from fedtri.core import (
     estimate_mu,
     finite_diff_grad,
     flat_point,
+    point_alphas,
     project_ball_sq,
 )
 from fedtri.inner import InnerConfig, solve_level3
@@ -71,6 +72,14 @@ class TestFiniteDiffGrad:
         analytic = problem.grad_all(3, x1, x2, x3)[1, problem.dims.columns(3)]
         rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-6
+
+    def test_rows_difference_with_their_own_steps(self):
+        # Each row of a stacked argument is differenced as on its own, step included.
+        f = lambda V: (V ** 3).sum(axis=-1)
+        V = np.array([[0.5, -2.0, 1.0], [30.0, 0.1, -4.0]])
+        G = finite_diff_grad(f, V)
+        for row, g in zip(V, G):
+            assert np.array_equal(g, finite_diff_grad(f, row))
 
     def test_nonfinite_names_coordinate(self):
         def f(v):
@@ -308,6 +317,22 @@ class TestStackedContract:
         with pytest.raises(ValueError, match="cross Hessian has shape"):
             problem.cross_hess(3, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
 
+    def test_cross_hess_names_the_first_non_finite_worker(self):
+        # NaN in worker 1's Hessian row 0, a row of block 1 that no adjoint
+        # sweep reads: the check still names the level and the worker.
+        quad = _quadratic_problem()
+
+        def cross_hess_fn(level, X1, X2, X3):
+            H = quad.cross_hess_fn(level, X1, X2, X3).copy()
+            H[1, 0] = np.nan
+            return H
+
+        problem = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn, grad_fn=quad.grad_fn,
+                                  cross_hess_fn=cross_hess_fn)
+        d = quad.dims
+        with pytest.raises(NonFiniteError, match=r"cross Hessian of f_2,1 is non-finite"):
+            problem.cross_hess(2, np.zeros(d.d1), np.zeros((d.N, d.d2)), np.zeros((d.N, d.d3)))
+
     def test_eval_all_names_the_first_non_finite_worker(self):
         dims = Dims(d1=1, d2=1, d3=1, N=4)
         values = np.array([0.0, 1.0, np.inf, np.nan])
@@ -369,3 +394,8 @@ class TestPolytopeRows:
         for view, block in zip(views, blocks):
             assert np.array_equal(view[0], block)
         assert Polytope(LAYER_I, d).B2 is None and Polytope(LAYER_I, d).W.shape == (0, 12)
+
+    def test_point_alphas_give_each_block_its_level_alpha(self):
+        # z_i and the rows of x_i share alpha_i, in the order of point_shapes.
+        assert point_alphas(LAYER_I, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0)
+        assert point_alphas(LAYER_II, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0, 2.0)

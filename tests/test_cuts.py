@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem, estimate_mu, point_shapes, split_point
+from fedtri.core import (Dims, FedtriError, TrilevelProblem, estimate_mu, flat_point, point_shapes,
+                         split_point)
 from fedtri.cuts import (
     Cut,
     Polytope,
@@ -82,7 +83,7 @@ class TestGenerateCutI:
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
                              alphas=problem.alphas, grad_mode="analytic")
         flat = flat_h(trace, grad_mode="analytic")
-        v0 = flat.pack(*point)
+        v0 = flat_point(*point)
         g = flat.grad(v0)
         h0 = flat.fn(v0)
         c_classic = 1e-2 - h0 + float(g @ v0)
@@ -118,7 +119,7 @@ class TestGenerateCutII:
         cut = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
                               alphas=problem.alphas, grad_mode="analytic")
         flat = flat_h(trace, grad_mode="analytic")
-        v0 = flat.pack(*point)
+        v0 = flat_point(*point)
         g = flat.grad(v0)
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
         assert cut.c == pytest.approx(1e-2 - flat.fn(v0) + float(g @ v0), rel=1e-12)
@@ -367,7 +368,7 @@ class TestValidateCut:
         alphas = (1e-4, 1.0, r3 * r3)
         anchor = (np.zeros(1), np.zeros(1), np.zeros(1), [np.array([amp])])
         rng = np.random.default_rng(13)
-        pts = [flat.pack(*anchor)]
+        pts = [flat_point(*anchor)]
         for _ in range(80):  # tube samples along the estimate manifold
             z2 = rng.uniform(-1, 1)
             x3 = -amp * np.sin(freq * z2) + rng.uniform(-np.sqrt(eps), np.sqrt(eps))

@@ -266,6 +266,24 @@ class TestRunBasics:
         assert [r.t for r in res.log.records] == [0, 1, 2, 3]
         assert validate_runlog(res.log, problem.dims) == []
 
+    @pytest.mark.parametrize("row", [0, 4], ids=["row_no_sweep_reads", "row_the_sweep_reads"])
+    def test_non_finite_cross_hessian_aborts_naming_level_and_worker(self, row):
+        # NaN in worker 1's Hessian row: row 0 (block 1) is read by no
+        # adjoint sweep, row 4 (block 3) by the layer-I one.  Either way the
+        # first layer-I sweep, at t = 0, ends the run with the oracle's name.
+        problem, _, inner, outer = quad_setup(max_iters=5)
+        exact = problem.cross_hess_fn
+
+        def cross_hess_fn(level, X1, X2, X3):
+            H = exact(level, X1, X2, X3).copy()
+            H[1, row] = np.nan
+            return H
+
+        problem = dataclasses.replace(problem, cross_hess_fn=cross_hess_fn)
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0))
+        assert res.log.status == "aborted"
+        assert res.log.abort == {"reason": "cross Hessian of f_3,1 is non-finite", "t": 0}
+
     def test_staleness_violation_is_not_an_abort(self, monkeypatch):
         # A scheduler that never activates worker 2 breaks the staleness
         # invariant; that must raise, not end as a numeric abort.

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem, finite_diff_grad, flat_point
+from fedtri import inner
+from fedtri.core import (Dims, FedtriError, Polytope, TrilevelProblem, finite_diff_grad,
+                         flat_point, point_shapes, split_point)
 from fedtri.cuts import Cut, generate_cut_I
 from fedtri.inner import (
     InnerConfig,
@@ -216,6 +218,30 @@ class TestSolveLevel2:
         assert violK < viol0
         assert trace.gamma_K[0] > 0.0
 
+    def test_steepness_damping_settles_many_parallel_cuts(self, quad, monkeypatch):
+        # 20 identical unit-norm layer-I cuts along z2's first axis, violated
+        # by 1 at the start: the z2-curvature is N kappa2 + rho2 * 20 = 22, so
+        # the configured step 0.15 overshoots, and the damped steps
+        # (1.5 / 22 for z2, 1.5 / 21 for the cut duals) do not.
+        problem, _ = quad
+        d = problem.dims
+        w = np.zeros(d.d1 + d.d2 + d.d3 + d.N * d.d3)
+        w[d.d1] = 1.0
+        poly = Polytope("I", d, tuple(Cut("I", w, -1.0, i) for i in range(20)))
+        cfg = InnerConfig(K=200, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
+        z1, z3, x3 = np.zeros(2), np.zeros(2), np.zeros((2, 2))
+        assert np.all(poly.residuals(z1, np.zeros(2), z3, x3) == 1.0)
+
+        def final_residual_and_peak():
+            trace = solve_level2(problem, z1, z3, x3, poly, cfg=cfg)
+            return poly.residuals(z1, trace.z[-1], z3, x3)[0], np.abs(trace.z).max()
+
+        resid, peak = final_residual_and_peak()
+        assert abs(resid) <= 6e-9 and peak < 1.5
+        monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1, N: (cfg.eta_z, cfg.eta_phi))
+        resid, peak = final_residual_and_peak()
+        assert resid > 0.09 and peak > 2.9
+
     def test_consensus_residual_nonincreasing_late(self):
         rng = np.random.default_rng(4)
         targets = [rng.standard_normal(2) for _ in range(2)]
@@ -324,8 +350,8 @@ class TestFlatAdapters:
         flat = flat_h(trace, grad_mode="analytic")
         x3 = [rng.standard_normal(2) for _ in range(2)]
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
-        v = flat.pack(z1, z2, z3, x3)
-        assert flat.dim == v.size
+        v = flat_point(z1, z2, z3, x3)
+        assert v.size == sum(np.prod(shape) for shape in point_shapes("I", problem.dims))
         # The flat function re-runs the unroll at the packed (z1, z2').
         sub = solve_level3(problem, z1, z2, cfg=trace.cfg)
         assert flat.fn(v) == pytest.approx(eval_h(sub, (z1, z2, z3, x3)), rel=1e-12)
@@ -338,10 +364,8 @@ class TestFlatAdapters:
         rng = np.random.default_rng(10)
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3, x2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        t1 = solve_level3(problem, z1, z2, cfg=InnerConfig(K=2))
-        t2 = solve_level2(problem, z1, z3, x3, (), cfg=InnerConfig(K=2))
-        for trace, point in ((t1, (z1, z2, z3, x3)), (t2, (z1, z2, z3, x3, x2))):
-            got = flat_h(trace).unpack(flat_point(*point))
+        for layer, point in (("I", (z1, z2, z3, x3)), ("II", (z1, z2, z3, x3, x2))):
+            got = split_point(layer, problem.dims, flat_point(*point))
             assert len(got) == len(point)
             for block, want in zip(got, point):
                 assert np.array_equal(block, want)
@@ -353,7 +377,7 @@ class TestFlatAdapters:
                              [rng.standard_normal(2) for _ in range(2)], (),
                              cfg=InnerConfig(K=3))
         flat = flat_h(trace, grad_mode="analytic")
-        v = rng.standard_normal(flat.dim)
+        v = rng.standard_normal(sum(np.prod(shape) for shape in point_shapes("II", problem.dims)))
         g_num = finite_diff_grad(flat.fn, v)
         g = flat.grad(v)
         assert np.linalg.norm(g_num - g) / np.linalg.norm(g) <= 1e-6
