@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -205,13 +206,25 @@ LAYER_I = "I"
 LAYER_II = "II"
 
 
-def point_shapes(layer: str, dims: Dims) -> tuple[tuple[int, ...], ...]:
-    """Block shapes of a layer's points, h-gradients and cut rows, in their one order.
+# Each layer's point, block by block: (name, level, one row per worker).  "z"
+# and "x" are the unrolled level's own blocks; the other names are the frozen
+# inputs of its unroll.  Layer I is (z1, z2', z3, x3), layer II (z1, z2, z3, x3, x2).
+POINT_BLOCKS = {
+    LAYER_I: (("z1", 1, False), ("z2p", 2, False), ("z", 3, False), ("x", 3, True)),
+    LAYER_II: (("z1", 1, False), ("z", 2, False), ("z3", 3, False), ("x3", 3, True),
+               ("x", 2, True)),
+}
 
-    Layer I is ``(z1, z2', z3, x3)``, layer II ``(z1, z2, z3, x3, x2)``; x3 and x2 are (N, d).
-    """
-    shapes = ((dims.d1,), (dims.d2,), (dims.d3,), (dims.N, dims.d3))
-    return shapes + ((dims.N, dims.d2),) if layer == LAYER_II else shapes
+
+def point_names(layer: str) -> tuple[str, ...]:
+    """The block names of a layer's points, in ``point_shapes`` order."""
+    return tuple(name for name, _, _ in POINT_BLOCKS[layer])
+
+
+def point_shapes(layer: str, dims: Dims) -> tuple[tuple[int, ...], ...]:
+    """Block shapes of a layer's points, h-gradients and cut rows, in their one order."""
+    return tuple((dims.N, dims.block(i)) if rows else (dims.block(i),)
+                 for _, i, rows in POINT_BLOCKS[layer])
 
 
 def point_alphas(layer: str, alphas: tuple[float, float, float]) -> tuple[float, ...]:
@@ -219,8 +232,7 @@ def point_alphas(layer: str, alphas: tuple[float, float, float]) -> tuple[float,
 
     z_i and every worker's row of x_i share alpha_i.
     """
-    a1, a2, a3 = alphas
-    return (a1, a2, a3, a3, a2) if layer == LAYER_II else (a1, a2, a3, a3)
+    return tuple(alphas[i - 1] for _, i, _ in POINT_BLOCKS[layer])
 
 
 def flat_point(*blocks) -> Array:
@@ -231,7 +243,7 @@ def flat_point(*blocks) -> Array:
 def split_point(layer: str, dims: Dims, v: Array) -> tuple[Array, ...]:
     """The blocks of the flat vectors ``v`` (..., width) in point order; undoes ``flat_point``."""
     shapes = point_shapes(layer, dims)
-    ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    ends = np.cumsum([prod(s) for s in shapes])[:-1]
     return tuple(b.reshape(v.shape[:-1] + s) for b, s in zip(np.split(v, ends, axis=-1), shapes))
 
 
@@ -279,7 +291,7 @@ class Polytope:
             raise ValueError("cut ids must be unique")
         if any(c.layer != self.layer for c in self.cuts):
             raise ValueError("all cuts must share the polytope's layer")
-        width = sum(int(np.prod(s)) for s in point_shapes(self.layer, self.dims))
+        width = sum(prod(s) for s in point_shapes(self.layer, self.dims))
         if any(c.w.shape != (width,) for c in self.cuts):
             raise ValueError(f"a layer-{self.layer} cut row must have width {width}")
         W = np.array([c.w for c in self.cuts]).reshape(len(self.cuts), width)
@@ -296,15 +308,15 @@ class Polytope:
     def ids(self) -> tuple[int, ...]:
         return tuple(c.id for c in self.cuts)
 
-    def residuals(self, z1, z2, z3, x3, x2=None) -> Array:
-        """Every cut's ``w . p - c``, shape (L,), <= 0 if satisfied; x3 and x2 are (N, d) rows."""
-        if self.layer == LAYER_II and x2 is None:
-            raise ValueError("layer-II cuts need the x2 blocks")
-        blocks = (z1, z2, z3, x3) if self.layer == LAYER_I else (z1, z2, z3, x3, x2)
-        return self.W @ flat_point(*blocks) - self.c
+    def residuals(self, *point) -> Array:
+        """Every cut's ``w . p - c`` (L,) at a point in its layer's block order; <= 0 if satisfied."""
+        n = len(POINT_BLOCKS[self.layer])
+        if len(point) != n:
+            raise ValueError(f"a layer-{self.layer} point has {n} blocks")
+        return self.W @ flat_point(*point) - self.c
 
-    def contains(self, z1, z2, z3, x3, x2=None, tol: float = 0.0) -> bool:
-        return bool((self.residuals(z1, z2, z3, x3, x2=x2) <= tol).all())
+    def contains(self, *point, tol: float = 0.0) -> bool:
+        return bool((self.residuals(*point) <= tol).all())
 
 
 def default_fd_step(v: Array):

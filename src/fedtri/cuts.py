@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, flat_point
-from .core import point_alphas, point_shapes
-from .inner import _POINT_BLOCKS, FlatH, UnrollTrace, eval_h, grad_h, rerun
+from .core import point_alphas, point_names, point_shapes
+from .inner import FlatH, UnrollTrace, eval_h, grad_h, rerun
 
 
 def cut_violation(cut: Cut, *point) -> float:
@@ -166,7 +166,7 @@ def validate_cut(
     """
     rng = np.random.default_rng(seed)
     trace = h.trace
-    keys = _POINT_BLOCKS[trace.layer]
+    keys = point_names(trace.layer)
     balls = dict(zip(keys, zip(point_shapes(trace.layer, trace.problem.dims),
                                point_alphas(trace.layer, alphas))))
     (x_shape, own_alpha), (z_shape, _) = balls["x"], balls["z"]
@@ -183,17 +183,18 @@ def validate_cut(
             shape, a = balls[key]
             rows = [_sample_ball(rng, shape[-1], a) for _ in range(int(np.prod(shape[:-1])))]
             point[key] = np.reshape(rows, shape)
-        x_hat, z_hat = rerun(trace, **point).estimate
+        sub = rerun(trace, **point)
+        x_hat, z_hat = sub.estimate
         dev = _sample_ball(rng, nx + z_shape[0], eps)
         point["x"] = x_hat + dev[:nx].reshape(x_shape)
         point["z"] = z_hat + dev[nx:]
         if any(float(r @ r) > own_alpha for r in (*point["x"], point["z"])):
             continue
-        v = flat_point(*(point[key] for key in keys))
-        if h.fn(v) > eps:
+        blocks = tuple(point[key] for key in keys)
+        if eval_h(sub, blocks) > eps:
             continue
         accepted += 1
-        resid = float(cut.w @ v - cut.c)
+        resid = float(cut.w @ flat_point(*blocks) - cut.c)
         max_violation = max(max_violation, resid)
         if resid > tol:
             violations += 1

@@ -267,8 +267,7 @@ def run(
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2
         # No stored warm start: begin at the outer iterate (zeros are an MLP saddle).
-        init3, init2 = (warm or (state.x[i], state.z[i], np.zeros_like(state.x[i]))
-                        for warm, i in ((warm3, 2), (warm2, 1)))
+        init3, init2 = (warm or (state.x[i], state.z[i]) for warm, i in ((warm3, 2), (warm2, 1)))
         trace1 = solve_level3(problem, state.z[0], state.z[1], init=init3, cfg=inner_cfg)
         cut1 = normalize_cut(generate_cut_I(trace1, (*state.z, state.x[2]), mu, inner_cfg.eps1,
                                             problem.alphas, grad_mode=grad_mode,
@@ -295,10 +294,7 @@ def run(
             # and cut duals restart at zero every refinement (persisting them
             # integrates the drag of any still-violated cut across events
             # without bound).
-            warm3, warm2 = (
-                (t.x[-1].copy(), t.z[-1].copy(), np.zeros_like(t.phi[-1]), None, None)
-                for t in (trace1, trace2)
-            )
+            warm3, warm2 = ((t.x[-1].copy(), t.z[-1].copy()) for t in (trace1, trace2))
         return [cut1.id, cut2.id], dropped
 
     def finish(status: str) -> RunResult:

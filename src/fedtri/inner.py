@@ -11,12 +11,12 @@ derivatives).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem, finite_diff_grad
-from .core import flat_point, point_shapes, split_point
+from .core import flat_point, point_names, point_shapes, split_point
 
 
 class InnerSolverError(FedtriError):
@@ -53,29 +53,32 @@ class InnerConfig:
 
 @dataclass(frozen=True, eq=False)
 class UnrollTrace:
-    """Recorded K-round update path; immutable once returned.
+    """Recorded K-round update path and the constants it ran with; immutable once returned.
 
     ``layer`` "I" traces estimate the third-level argmin (from solve_level3);
-    ``layer`` "II" traces estimate the second-level argmin and carry the final
-    inner duals ``gamma`` used for layer-I cut pruning.  The path is stored
-    round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d), and
-    ``s`` and ``gamma`` are (K+1, L) for layer II and None for layer I.
-    ``poly1`` holds the layer-I cuts frozen into the unroll (none for layer I).
+    ``layer`` "II" traces estimate the second-level argmin.  The path is
+    stored round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d),
+    and the slacks ``s`` and inner duals ``gamma`` of the layer-I cuts frozen
+    into the unroll are (K+1, L).  ``poly1`` holds those cuts, ``r0`` (L,)
+    their residuals at a zero unrolled z, and ``steps`` the unroll's
+    ``(kappa, eta_z, eta_gamma)``.  A layer-I trace freezes no cuts: L = 0.
     """
 
     layer: str
     problem: TrilevelProblem
     cfg: InnerConfig
     inputs: dict
+    poly1: Polytope
+    r0: Array
+    steps: tuple[float, float, float]
     x: Array
     z: Array
     phi: Array
-    poly1: Polytope
-    s: Optional[Array] = None
-    gamma: Optional[Array] = None
+    s: Array
+    gamma: Array
 
     def __post_init__(self):
-        if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi)):
+        if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi, self.s, self.gamma)):
             raise ValueError("trace must hold exactly K+1 rounds")
 
     @property
@@ -89,24 +92,21 @@ class UnrollTrace:
 
     @property
     def gamma_K(self) -> Array:
-        if self.layer != "II":
-            raise FedtriError("gamma_K is defined for layer-II traces only")
+        """The final inner duals, one per frozen layer-I cut."""
         return self.gamma[-1]
 
     def init_arrays(self):
-        return self.x[0].copy(), self.z[0].copy(), self.phi[0].copy(), (
-            None if self.s is None else self.s[0].copy()
-        ), (None if self.gamma is None else self.gamma[0].copy())
+        return [a[0].copy() for a in (self.x, self.z, self.phi, self.s, self.gamma)]
 
 
-def _path_buffer(K: int, N: int, d: int, L: int = 0):
-    """A (K+1, 2Nd + d + 2L) buffer and its x, z, phi, s, gamma views.
+def _path_buffer(K: int, N: int, d: int, L: int):
+    """A zeroed (K+1, 2Nd + d + 2L) buffer and its x, z, phi, s, gamma views.
 
     Each round's iterates share one contiguous row, so one ``isfinite`` call
     checks them all.
     """
     nd = N * d
-    buf = np.empty((K + 1, 2 * nd + d + 2 * L))
+    buf = np.zeros((K + 1, 2 * nd + d + 2 * L))
     x = buf[:, :nd].reshape(K + 1, N, d)
     phi = buf[:, nd:2 * nd].reshape(K + 1, N, d)
     z = buf[:, 2 * nd:2 * nd + d]
@@ -122,24 +122,21 @@ def _init_block(value, shape, what: str) -> Array:
     return a
 
 
-def _check_round(buf: Array, k: int, what: str) -> None:
+def _check_round(buf: Array, k: int, level: int) -> None:
     if not np.isfinite(buf[k + 1]).all():
-        raise InnerSolverError(f"non-finite {what} at round {k}")
+        raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
 
 
-_NO_CUTS = (np.zeros(0), np.zeros((0, 0)), 0.0)
-
-
-def _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg):
+def _round(grad, x, z, phi, s, gamma, k, steps, r0, a2s, cfg):
     """One primal/slack/dual round of a lower level's consensus Lagrangian.
 
     Reads row k of the recorded path arrays and writes row k + 1.  ``grad``
     maps the stacked iterate to the stacked oracle gradient at the frozen
-    inputs.  ``cuts = (r0, A2, eta_gamma)`` carries the layer-I cuts frozen
-    into a level-2 unroll as slack-equipped penalty terms: their residual at
-    z2 is ``r0 + A2 @ z2``.  Level 3 runs the same round with none.
+    inputs.  The L layer-I cuts frozen into a level-2 unroll enter as
+    slack-equipped penalty terms: their residual at z2 is ``r0 + a2s @ z2``.
+    Level 3 runs the same round with L = 0.
     """
-    r0, a2s, eta_gamma = cuts
+    kappa, eta_z, eta_gamma = steps
     L = len(r0)
     xk, zk, phik = x[k], z[k], phi[k]
     pull = kappa * (xk - zk)
@@ -158,35 +155,43 @@ def _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg):
     phi[k + 1] = phik + cfg.eta_phi * (x_new - z_new)
 
 
-def _unroll(problem, level, grad, init, cfg, kappa, eta_z, cuts, inputs, poly1):
-    """Run K rounds of ``_round`` from ``init`` (or zeros) and record the path.
+# What fills oracle blocks 1-3 at each unrolled level: the unrolled iterate
+# "x" or a frozen input.  z3 reaches the level-2 unroll only through the cuts.
+_ORACLE_ARGS = {3: ("z1", "z2p", "x"), 2: ("z1", "x", "x3")}
 
-    ``init`` is ``(x, z, phi)`` with optional ``(s, gamma)`` after it; a
-    missing or None slack or dual starts at zero.
+
+def _level_rows(oracle, level: int, inputs: dict, dims):
+    """The unrolled level's rows of ``oracle(level, ...)`` as a function of the iterate alone.
+
+    The frozen inputs fill the other blocks as ``_ORACLE_ARGS`` says, bound
+    once; a shared one is broadcast to (N, d) rows.
+    """
+    keys, own = _ORACLE_ARGS[level], dims.columns(level)
+    a, b = [v if v.ndim == 2 else np.broadcast_to(v, (dims.N, v.size))
+            for v in [inputs[k] for k in keys if k != "x"]]
+    if keys[1] == "x":  # the iterate is oracle block 2 or 3
+        return lambda x: oracle(level, a, x, b)[:, own]
+    return lambda x: oracle(level, a, b, x)[:, own]
+
+
+def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
+    """Run K rounds of ``_round`` from ``init`` and record the path with its constants.
+
+    ``init`` is ``(x, z, phi, s, gamma)`` or a prefix of it; a missing or
+    None block starts at zero.
     """
     d = problem.dims
-    dl = d.block(level)
-    L = poly1.size
-    buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, dl, L)
-    if init is None:
-        buf[0] = 0.0
-    else:
-        x[0] = _init_block(init[0], (d.N, dl), "x")
-        z[0] = _init_block(init[1], (dl,), "z")
-        phi[0] = _init_block(init[2], (d.N, dl), "phi")
-        s0, g0 = init[3:] or (None, None)
-        s[0] = 0.0 if s0 is None else _init_block(s0, (L,), "slack")
-        gamma[0] = 0.0 if g0 is None else _init_block(g0, (L,), "gamma")
-    what = f"level-{level} iterate"
+    buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, d.block(level), len(r0))
+    for path, value, what in zip((x, z, phi, s, gamma), init or (),
+                                 ("x", "z", "phi", "slack", "gamma")):
+        if value is not None:
+            path[0] = _init_block(value, path.shape[1:], what)
+    grad, a2s = _level_rows(problem.grad_all, level, inputs, d), poly1.A2
     for k in range(cfg.K):
-        _round(grad, x, z, phi, s, gamma, k, kappa, eta_z, cuts, cfg)
-        _check_round(buf, k, what)
-    layer2 = level == 2
-    return UnrollTrace(
-        layer="II" if layer2 else "I", problem=problem, cfg=cfg, inputs=inputs,
-        x=x, z=z, phi=phi, s=s if layer2 else None, gamma=gamma if layer2 else None,
-        poly1=poly1,
-    )
+        _round(grad, x, z, phi, s, gamma, k, steps, r0, a2s, cfg)
+        _check_round(buf, k, level)
+    return UnrollTrace("I" if level == 3 else "II", problem, cfg, inputs, poly1, r0, steps,
+                       x, z, phi, s, gamma)
 
 
 def solve_level3(
@@ -202,10 +207,8 @@ def solve_level3(
     z2p = np.asarray(z2p, float)
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
-    Z1, Z2, own = np.broadcast_to(z1, (d.N, d.d1)), np.broadcast_to(z2p, (d.N, d.d2)), d.columns(3)
-    return _unroll(problem, 3, lambda x: problem.grad_all(3, Z1, Z2, x)[:, own], init, cfg,
-                   cfg.kappa3, cfg.eta_z, _NO_CUTS, {"z1": z1.copy(), "z2p": z2p.copy()},
-                   Polytope(LAYER_I, d))
+    return _unroll(problem, 3, {"z1": z1.copy(), "z2p": z2p.copy()}, Polytope(LAYER_I, d),
+                   np.zeros(0), (cfg.kappa3, cfg.eta_z, 0.0), init, cfg)
 
 
 def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, float]:
@@ -213,13 +216,14 @@ def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, floa
 
     The z2-curvature of the penalized Lagrangian grows with the cut
     steepness ``rho2 * sum_l ||a2_l||^2``; the configured steps are damped
-    so the unroll stays stable for any polytope.  Both values are a pure
-    function of (cfg, poly1), so re-runs of a trace reproduce them.
+    so the unroll stays stable for any polytope.  The gamma step is at most
+    rho2, the method-of-multipliers step, so a dual cannot overshoot below
+    zero.  Both values are a pure function of (cfg, poly1).
     """
     steep = float((poly1.A2 * poly1.A2).sum())
     curv_z = N * cfg.kappa2 + cfg.rho2 * steep
     eta_z = min(cfg.eta_z, 1.5 / curv_z) if curv_z > 0 else cfg.eta_z
-    eta_gamma = min(cfg.eta_phi, 1.5 / (1.0 + cfg.rho2 * steep))
+    eta_gamma = min(cfg.eta_phi, cfg.rho2, 1.5 / (1.0 + cfg.rho2 * steep))
     return eta_z, eta_gamma
 
 
@@ -247,17 +251,9 @@ def solve_level2(
         raise ValueError("frozen input dimensions do not match problem dims")
     if not isinstance(poly1, Polytope):
         poly1 = Polytope(LAYER_I, d, tuple(poly1))
-    r0 = poly1.residuals(z1, np.zeros(d.d2), z3, x3)
-    eta_z, eta_gamma = level2_steps(cfg, poly1, d.N)
-    Z1, own = np.broadcast_to(z1, (d.N, d.d1)), d.columns(2)
-    return _unroll(problem, 2, lambda x: problem.grad_all(2, Z1, x, x3)[:, own], init, cfg,
-                   cfg.kappa2, eta_z, (r0, poly1.A2, eta_gamma),
-                   {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1)
-
-
-# Where each block of a layer's point comes from: "x" and "z" are the
-# unrolled level's own blocks, the rest name the trace's frozen inputs.
-_POINT_BLOCKS = {"I": ("z1", "z2p", "z", "x"), "II": ("z1", "z", "z3", "x3", "x")}
+    return _unroll(problem, 2, {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1,
+                   poly1.residuals(z1, np.zeros(d.d2), z3, x3),
+                   (cfg.kappa2, *level2_steps(cfg, poly1, d.N)), init, cfg)
 
 
 def _sq_deviation(x, z, x_hat, z_hat) -> float:
@@ -268,7 +264,7 @@ def _sq_deviation(x, z, x_hat, z_hat) -> float:
 
 def _own_blocks(trace: UnrollTrace, point) -> tuple:
     """The unrolled level's own blocks (x, z) of a point in its layer's block order."""
-    keys = _POINT_BLOCKS[trace.layer]
+    keys = point_names(trace.layer)
     return point[keys.index("x")], point[keys.index("z")]
 
 
@@ -335,14 +331,9 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
     """
     p, cfg, lv, poly1 = trace.problem, trace.cfg, trace.level, trace.poly1
     N, L, A2, cols = p.dims.N, poly1.size, poly1.A2, p.dims.columns
-    z1, z2p, x3 = (trace.inputs.get(key) for key in ("z1", "z2p", "x3"))
-    if lv == 3:
-        kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
-        blocks = {"z1": 1, "z2p": 2}  # the oracle block of each frozen input
-    else:
-        kappa = cfg.kappa2
-        eta_z, eta_gamma = level2_steps(cfg, poly1, N)
-        blocks = {"z1": 1, "x3": 3}  # z3 reaches the unroll only through the cuts
+    kappa, eta_z, eta_gamma = trace.steps
+    hess = _level_rows(p.cross_hess, lv, trace.inputs, p.dims)
+    frozen = [(key, cols(i)) for i, key in enumerate(_ORACLE_ARGS[lv], 1) if key != "x"]
     wbar = {key: np.zeros_like(v) for key, v in trace.inputs.items()}
     phibar = np.zeros_like(xbar)
     sbar = gbar = rbar = np.zeros(L)  # rbar: the cuts' constant residual r0
@@ -367,12 +358,10 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
             zbar = zbar + A2.T @ sbar
         phibar = phibar + gxbar - gzbar
         xbar = xbar + kappa * (gxbar - gzbar)
-        args = (z1, z2p, trace.x[k]) if lv == 3 else (z1, trace.x[k], x3)
-        w = (gxbar[:, None, :] @ p.cross_hess(lv, *args)[:, cols(lv)])[:, 0]
+        w = (gxbar[:, None, :] @ hess(trace.x[k]))[:, 0]
         xbar = xbar + w[:, cols(lv)]
-        for key, b in blocks.items():  # x3 keeps its rows; a shared input sums them
-            wb = w[:, cols(b)]
-            wbar[key] += wb if key == "x3" else wb.sum(axis=0)
+        for key, c in frozen:  # a per-worker input keeps its rows; a shared input sums them
+            wbar[key] += w[:, c] if wbar[key].ndim == 2 else w[:, c].sum(axis=0)
     if L:
         wbar["z1"] += poly1.A1.T @ rbar
         wbar["z3"] += poly1.A3.T @ rbar
@@ -400,7 +389,7 @@ def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array,
         grads.update(_adjoint(trace, -grads["x"], -grads["z"]))
     else:
         grads.update((key, _fd_through_unroll(trace, x, z, key)) for key in trace.inputs)
-    return tuple(grads[key] for key in _POINT_BLOCKS[trace.layer])
+    return tuple(grads[key] for key in point_names(trace.layer))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +411,7 @@ def flat_h(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
 
     def point_and_trace(v: Array) -> tuple[tuple, UnrollTrace]:
         point = split_point(layer, trace.problem.dims, np.asarray(v, float))
-        return point, rerun(trace, **{k: b for k, b in zip(_POINT_BLOCKS[layer], point)
+        return point, rerun(trace, **{k: b for k, b in zip(point_names(layer), point)
                                       if k in trace.inputs})
 
     def fn(v: Array) -> float:

@@ -176,14 +176,12 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
     """
     X, lam, cols = state.x, duals.lam, problem.dims.columns
     G = problem.grad_all(1, *X)
-    gx = [G[:, cols(1)] + duals.theta, G[:, cols(2)], G[:, cols(3)]]
-    gz = [-duals.theta.sum(axis=0), np.zeros_like(state.z[1]), np.zeros_like(state.z[2])]
-    if poly2.size:
-        gx[1] = gx[1] + (lam[:, None, None] * poly2.B2).sum(axis=0)
-        gx[2] = gx[2] + (lam[:, None, None] * poly2.B3).sum(axis=0)
-        gz = [gz[0] + (lam[:, None] * poly2.A1).sum(axis=0),
-              (lam[:, None] * poly2.A2).sum(axis=0),
-              (lam[:, None] * poly2.A3).sum(axis=0)]
+    gx = [G[:, cols(1)] + duals.theta,
+          G[:, cols(2)] + (lam[:, None, None] * poly2.B2).sum(axis=0),
+          G[:, cols(3)] + (lam[:, None, None] * poly2.B3).sum(axis=0)]
+    gz = [-duals.theta.sum(axis=0) + (lam[:, None] * poly2.A1).sum(axis=0),
+          (lam[:, None] * poly2.A2).sum(axis=0),
+          (lam[:, None] * poly2.A3).sum(axis=0)]
     proj = _dual_step(state, duals, poly2, problem, cfg)
     return GapVector(
         gx=gx,

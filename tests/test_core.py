@@ -395,6 +395,21 @@ class TestPolytopeRows:
             assert np.array_equal(view[0], block)
         assert Polytope(LAYER_I, d).B2 is None and Polytope(LAYER_I, d).W.shape == (0, 12)
 
+    def test_residuals_and_contains_take_exactly_a_point_of_the_layer(self):
+        d = self.DIMS
+        blocks = (np.ones(d.d1), np.ones(d.d2), np.ones(d.d3), np.ones((d.N, d.d3)),
+                  np.ones((d.N, d.d2)))
+        for layer, n in ((LAYER_I, 4), (LAYER_II, 5)):
+            point = blocks[:n]
+            w = flat_point(*point)  # w . p = w . w, so the residual is 0.5
+            poly = Polytope(layer, d, (Cut(layer=layer, w=w, c=w @ w - 0.5, id=0),))
+            assert np.array_equal(poly.residuals(*point), [0.5])
+            assert not poly.contains(*point) and poly.contains(*point, tol=0.5)
+            for other in (blocks[:3], blocks[:9 - n]):  # too short, and the other layer's
+                for p in (poly, Polytope(layer, d)):
+                    with pytest.raises(ValueError, match="blocks"):
+                        p.residuals(*other)
+
     def test_point_alphas_give_each_block_its_level_alpha(self):
         # z_i and the rows of x_i share alpha_i, in the order of point_shapes.
         assert point_alphas(LAYER_I, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0)

@@ -14,6 +14,7 @@ from fedtri.cuts import (
     normalize_cut,
     validate_cut,
 )
+from fedtri import inner
 from fedtri.inner import InnerConfig, eval_h, flat_h, solve_level2, solve_level3
 from fedtri.problems import build_quadratic_problem
 
@@ -346,6 +347,26 @@ class TestValidateCut:
         assert not report.inconclusive
         assert report.violations == 0
         assert report.max_violation <= 0.0
+
+    @pytest.mark.parametrize("layer", ["I", "II"])
+    def test_each_draw_reruns_the_unroll_once(self, quad, monkeypatch, layer):
+        problem, _ = quad
+        rng = np.random.default_rng(16)
+        cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
+        z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
+        x3, x2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        trace = solve_level3(problem, z1, z2, cfg=cfg)
+        point, generate, solve = (z1, z2, z3, x3), generate_cut_I, "solve_level3"
+        if layer == "II":
+            trace = solve_level2(problem, z1, z3, x3, (generate_cut_I(trace, point, 0.0, 1e-2,
+                                                                     problem.alphas),), cfg=cfg)
+            point, generate, solve = (z1, z2, z3, x3, x2), generate_cut_II, "solve_level2"
+        cut = generate(trace, point, 0.0, 1e-2, (9.0, 9.0, 9.0))
+        calls, unroll = [], getattr(inner, solve)
+        monkeypatch.setattr(inner, solve, lambda *a, **kw: calls.append(1) or unroll(*a, **kw))
+        report = validate_cut(cut, flat_h(trace), eps=1e-2, n_samples=20, seed=0,
+                              alphas=(9.0, 9.0, 9.0))
+        assert report.samples_checked == 20 and len(calls) == report.draws
 
     def test_estimated_mu_cut_valid_and_under_mu_detected(self):
         # Constructed nonconvex h: a one-round unroll whose estimate is

@@ -147,7 +147,7 @@ def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
 
 
 def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
-    # With a dual step above rho2, a decaying gamma is clamped to zero, and a
+    # With a dual step equal to rho2, a decaying gamma is clamped to zero, and a
     # warm gamma gives slack and dual positive in the same round.
     problem, t1, _, (z1, _, z3, x3), p2 = setup
     d = problem.dims

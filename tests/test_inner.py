@@ -107,6 +107,12 @@ class TestSolveLevel3:
         trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
         assert len(trace.x) == len(trace.z) == len(trace.phi) == 8
 
+    def test_a_layer_I_trace_records_empty_slack_and_dual_paths(self, quad):
+        problem, _ = quad
+        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=3))
+        assert trace.s.shape == trace.gamma.shape == (4, 0)
+        assert trace.gamma_K.shape == (0,) and trace.r0.shape == (0,)
+
     def test_nonfinite_reports_round(self):
         dims = Dims(d1=1, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
@@ -242,6 +248,14 @@ class TestSolveLevel2:
         resid, peak = final_residual_and_peak()
         assert resid > 0.09 and peak > 2.9
 
+    def test_the_cut_dual_step_is_at_most_rho2(self, quad):
+        # gamma + rho2 * r is the method-of-multipliers step; a larger one
+        # overshoots a decaying dual below zero before the clamp.
+        problem, _ = quad
+        cfg = InnerConfig(eta_phi=0.15, rho2=0.1)
+        _, eta_gamma = inner.level2_steps(cfg, Polytope("I", problem.dims), problem.dims.N)
+        assert eta_gamma <= 0.1
+
     def test_consensus_residual_nonincreasing_late(self):
         rng = np.random.default_rng(4)
         targets = [rng.standard_normal(2) for _ in range(2)]
@@ -331,6 +345,13 @@ class TestGradH:
                 g_an = an[i][tuple(row)]
                 denom = max(np.linalg.norm(g_an), 1e-9)
                 assert np.linalg.norm(g_fd - g_an) / denom <= 1e-4
+
+    def test_the_analytic_gradient_reads_its_steps_from_the_trace(self, quad, monkeypatch):
+        _, t2, _, p2 = self.setup_traces(quad)
+        before = grad_h(t2, p2, mode="analytic")
+        monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1, N: (0.5 * cfg.eta_z, 0.0))
+        for a, b in zip(before, grad_h(t2, p2, mode="analytic")):
+            assert np.array_equal(a, b)
 
     def test_analytic_requires_second_derivatives(self):
         problem = separable_problem([np.zeros(2)])
