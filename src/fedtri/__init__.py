@@ -17,7 +17,6 @@ from .cuts import (
     CutValidationReport,
     Polytope,
     add_cut,
-    cut_violation,
     drop_inactive,
     generate_cut_I,
     generate_cut_II,

@@ -61,18 +61,18 @@ class TrilevelProblem:
     {1, 2, 3}.  ``eval_fn`` returns the (N,) objective values, ``grad_fn``
     the (N, D) gradients over each worker's flat point ``[x1 | x2 | x3]``,
     D = d1 + d2 + d3, block i at ``dims.columns(i)``, and the optional
-    ``cross_hess_fn`` the (N, D, D) Jacobian of ``grad_fn``, which enables
-    the analytic unrolled-gradient path.  Each ``Xi`` is (N, d_i) and row j
-    is worker j's (0-based) argument; a block shared by all workers may
-    arrive as a read-only broadcast view.  Row j of a result may depend only
-    on row j of the arguments.  Every result is checked for its shape and
-    finiteness.  When ``grad_fn`` is None, ``grad_all`` differences
-    ``eval_fn`` with one ``finite_diff_grad`` call per block.
+    ``cross_hess_fn`` the (N, D, D) Jacobian of ``grad_fn``.  ``grad_fn`` is
+    required; ``cross_hess_fn``, when set, makes ``inner.grad_h`` take the
+    backward sweep through an unroll instead of finite differences.  Each
+    ``Xi`` is (N, d_i) and row j is worker j's (0-based) argument; a block
+    shared by all workers may arrive as a read-only broadcast view.  Row j of
+    a result may depend only on row j of the arguments.  Every result is
+    checked for its shape and finiteness.
     """
 
     dims: Dims
     eval_fn: Oracle
-    grad_fn: Optional[Oracle] = None
+    grad_fn: Oracle
     cross_hess_fn: Optional[Oracle] = None
     alphas: tuple[float, float, float] = (1e6, 1e6, 1e6)
     weak_convexity_mu: float = 0.0
@@ -130,18 +130,9 @@ class TrilevelProblem:
         """Every worker's gradient over its flat point as an (N, D) array: one ``grad_fn`` call.
 
         Arguments are as for ``eval_all``.  The result's shape is checked, and
-        its finiteness once; a non-finite row names its worker.  Without
-        ``grad_fn``, each block is one ``finite_diff_grad`` of ``eval_all`` over
-        all N rows: a pair of calls per column, each row stepping by
-        ``default_fd_step`` of its own block.
+        its finiteness once; a non-finite row names its worker.
         """
-        args = self._rows(X1, X2, X3)
-        if self.grad_fn is None:
-            G = np.hstack([finite_diff_grad(
-                lambda P, i=i: self.eval_all(level, *args[:i], P, *args[i + 1:]), X)
-                for i, X in enumerate(args)])
-        else:
-            G = self.grad_fn(level, *args)
+        G = self.grad_fn(level, *self._rows(X1, X2, X3))
         return self._checked(level, "gradient has", "grad ", G, (self.dims.N, self.dims.width))
 
     def cross_hess(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
@@ -314,9 +305,6 @@ class Polytope:
         if len(point) != n:
             raise ValueError(f"a layer-{self.layer} point has {n} blocks")
         return self.W @ flat_point(*point) - self.c
-
-    def contains(self, *point, tol: float = 0.0) -> bool:
-        return bool((self.residuals(*point) <= tol).all())
 
 
 def default_fd_step(v: Array):

@@ -14,12 +14,7 @@ import numpy as np
 
 from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, flat_point
 from .core import point_alphas, point_names, point_shapes
-from .inner import FlatH, UnrollTrace, eval_h, grad_h, rerun
-
-
-def cut_violation(cut: Cut, *point) -> float:
-    """A cut's residual ``w . p - c`` at a point in its layer's block order; <= 0 is satisfied."""
-    return float(cut.w @ flat_point(*point) - cut.c)
+from .inner import UnrollTrace, eval_h, grad_h, rerun
 
 
 def normalize_cut(cut: Cut) -> Cut:
@@ -74,7 +69,7 @@ def drop_inactive(
 
 
 def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: float,
-                       alphas: tuple[float, float, float], grad_mode: str, cut_id: int) -> Cut:
+                       alphas: tuple[float, float, float], cut_id: int) -> Cut:
     """First-order expansion of h at ``point``, relaxed by eps plus mu times the inflation.
 
     The inflation is the point's squared norm plus its alpha ball: every row
@@ -84,7 +79,7 @@ def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: fl
     ball = sum(a * int(np.prod(shape[:-1])) for a, shape in
                zip(point_alphas(layer, alphas), point_shapes(layer, trace.problem.dims)))
     p = flat_point(*point)
-    w = flat_point(*grad_h(trace, point, mode=grad_mode))
+    w = flat_point(*grad_h(trace, point))
     c = eps + mu * (ball + p @ p) - eval_h(trace, point) + w @ p
     return Cut(layer=layer, w=w, c=float(c), id=cut_id)
 
@@ -95,7 +90,6 @@ def generate_cut_I(
     mu: float,
     eps1: float,
     alphas: tuple[float, float, float],
-    grad_mode: str = "finite-diff",
     cut_id: int = 0,
 ) -> Cut:
     """Linearization cut of h_I at ``point = (z1, z2', z3, x3)``, x3 one row per worker.
@@ -106,7 +100,7 @@ def generate_cut_I(
     one alpha for each row of each block (see ``_linearization_cut``).
     Rearranged into ``w . p <= c`` form, w being ``grad_h`` at the point.
     """
-    return _linearization_cut(trace, LAYER_I, point, mu, eps1, alphas, grad_mode, cut_id)
+    return _linearization_cut(trace, LAYER_I, point, mu, eps1, alphas, cut_id)
 
 
 def generate_cut_II(
@@ -115,7 +109,6 @@ def generate_cut_II(
     mu: float,
     eps2: float,
     alphas: tuple[float, float, float],
-    grad_mode: str = "finite-diff",
     cut_id: int = 0,
 ) -> Cut:
     """Linearization cut of h_II at ``point = (z1, z2, z3, x3, x2)``, x3 and x2 one row per worker.
@@ -123,7 +116,7 @@ def generate_cut_II(
     Same construction as the layer-I cut, whose alpha rule gives the inflation
     ``mu (a1 + (N+1)(a2 + a3) + sum_i ||z_i||^2 + sum_{i=2,3} sum_j ||x_ij||^2)``.
     """
-    return _linearization_cut(trace, LAYER_II, point, mu, eps2, alphas, grad_mode, cut_id)
+    return _linearization_cut(trace, LAYER_II, point, mu, eps2, alphas, cut_id)
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,7 @@ def _sample_ball(rng: np.random.Generator, dim: int, radius_sq: float) -> Array:
 
 def validate_cut(
     cut: Cut,
-    h: FlatH,
+    trace: UnrollTrace,
     eps: float,
     n_samples: int,
     seed: int,
@@ -156,7 +149,7 @@ def validate_cut(
     tol: float = 1e-9,
     max_draws: int = 10**6,
 ) -> CutValidationReport:
-    """Sample points with ``h <= eps`` inside the bound balls and count cut violations.
+    """Sample points with the trace's ``h <= eps`` inside the bound balls and count cut violations.
 
     The same sampler serves both layers.  Each proposal first puts the
     trace's frozen inputs uniformly in their balls, row by row, then its own
@@ -165,7 +158,7 @@ def validate_cut(
     the own blocks' bounds.  A valid cut admits zero violations.
     """
     rng = np.random.default_rng(seed)
-    trace = h.trace
+    poly = Polytope(cut.layer, trace.problem.dims, (cut,))
     keys = point_names(trace.layer)
     balls = dict(zip(keys, zip(point_shapes(trace.layer, trace.problem.dims),
                                point_alphas(trace.layer, alphas))))
@@ -194,7 +187,7 @@ def validate_cut(
         if eval_h(sub, blocks) > eps:
             continue
         accepted += 1
-        resid = float(cut.w @ flat_point(*blocks) - cut.c)
+        resid = float(poly.residuals(*blocks)[0])
         max_violation = max(max_violation, resid)
         if resid > tol:
             violations += 1

@@ -11,7 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,6 +210,11 @@ def run(
     normal rather than in the raw linearization's units.  The cuts' weak-
     convexity modulus is ``problem.weak_convexity_mu``.
 
+    ``inner.grad_h`` takes the backward sweep through the unrolls when
+    ``problem.cross_hess_fn`` is set and finite differences otherwise.
+    ``grad_mode="auto"`` runs the problem as given; ``"finite-diff"`` runs a
+    copy without ``cross_hess_fn``.  Other values raise ``ValueError``.
+
     Each iteration's stationarity gap is the one gradient sweep of L_p: it
     decides the stopping rule, its primal rows are the projected steps of the
     workers dispatched after it (all N at t = 0), and its z rows are the next
@@ -222,8 +227,10 @@ def run(
     """
     if problem.dims.N != sched_cfg.N:
         raise ValueError("problem and schedule disagree on the worker count")
-    if grad_mode == "auto":
-        grad_mode = "analytic" if problem.cross_hess_fn is not None else "finite-diff"
+    if grad_mode == "finite-diff":
+        problem = replace(problem, cross_hess_fn=None)
+    elif grad_mode != "auto":
+        raise ValueError(f"unknown grad_mode {grad_mode!r}")
     mu = problem.weak_convexity_mu
     outer_cfg.check_floors(N=sched_cfg.N, M=1)
 
@@ -270,14 +277,13 @@ def run(
         init3, init2 = (warm or (state.x[i], state.z[i]) for warm, i in ((warm3, 2), (warm2, 1)))
         trace1 = solve_level3(problem, state.z[0], state.z[1], init=init3, cfg=inner_cfg)
         cut1 = normalize_cut(generate_cut_I(trace1, (*state.z, state.x[2]), mu, inner_cfg.eps1,
-                                            problem.alphas, grad_mode=grad_mode,
-                                            cut_id=next_cut_id))
+                                            problem.alphas, cut_id=next_cut_id))
         poly1 = add_cut(poly1, cut1)
 
         trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
                               poly1, init=init2, cfg=inner_cfg)
         cut2 = normalize_cut(generate_cut_II(trace2, (*state.z, state.x[2], state.x[1]), mu,
-                                             inner_cfg.eps2, problem.alphas, grad_mode=grad_mode,
+                                             inner_cfg.eps2, problem.alphas,
                                              cut_id=next_cut_id + 1))
         next_cut_id += 2
         poly2 = add_cut(poly2, cut2)

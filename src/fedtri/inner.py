@@ -2,10 +2,10 @@
 
 Each solver runs K master/worker exchange rounds in process and records the
 full update path.  The final round is the argmin estimate; the constraint
-functions measure squared deviation from it and are differentiated either by
-re-running the unroll at perturbed frozen inputs (finite differences) or by
-one backward (adjoint) sweep over the recorded rounds (analytic, needs second
-derivatives).
+functions measure squared deviation from it and are differentiated by one
+backward (adjoint) sweep over the recorded rounds when the problem has second
+derivatives, and otherwise by re-running the unroll at perturbed frozen inputs
+(finite differences).
 """
 
 from __future__ import annotations
@@ -369,23 +369,21 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
     return wbar
 
 
-def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array, ...]:
+def grad_h(trace: UnrollTrace, point) -> tuple[Array, ...]:
     """Gradient of h at ``point``: one array per block, in the order and shapes of the point.
 
     Layer-I points are ``(z1, z2', z3, x3)``; layer-II points are
     ``(z1, z2, z3, x3, x2)``.  Per-worker blocks come back as (N, d) arrays,
     so ``flat_point(*grad_h(...))`` is a cut row.  The unrolled level's own
     blocks differentiate directly to twice the deviation; the frozen inputs
-    go through the unroll in the requested ``mode``: "finite-diff" re-runs it
-    twice per coordinate, "analytic" makes one backward sweep over the
-    recorded rounds and needs second derivatives.
+    go through the unroll by the path ``trace.problem`` picks: one backward
+    sweep over the recorded rounds when it has ``cross_hess_fn``, otherwise
+    central differences that re-run the unroll twice per coordinate.
     """
-    if mode not in ("finite-diff", "analytic"):
-        raise ValueError(f"unknown mode {mode!r}")
     x, z = _own_blocks(trace, point)
     x_hat, z_hat = trace.estimate
     grads = {"x": 2.0 * (np.asarray(x, float) - x_hat), "z": 2.0 * (np.asarray(z, float) - z_hat)}
-    if mode == "analytic":
+    if trace.problem.cross_hess_fn is not None:
         grads.update(_adjoint(trace, -grads["x"], -grads["z"]))
     else:
         grads.update((key, _fd_through_unroll(trace, x, z, key)) for key in trace.inputs)
@@ -393,20 +391,11 @@ def grad_h(trace: UnrollTrace, point, mode: str = "finite-diff") -> tuple[Array,
 
 
 # ---------------------------------------------------------------------------
-# Flat-vector adapter (sampling, mu estimation, cut validation)
+# Flat-vector adapter (sampling, mu estimation)
 
 
-@dataclass(frozen=True)
-class FlatH:
-    """A constraint function h over ``flat_point`` of its layer's point."""
-
-    trace: UnrollTrace
-    fn: Callable[[Array], float]
-    grad: Callable[[Array], Array]
-
-
-def flat_h(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
-    """h of the trace's layer over ``flat_point`` of its point, re-running the unroll per call."""
+def flat_h(trace: UnrollTrace) -> tuple[Callable[[Array], float], Callable[[Array], Array]]:
+    """(h, grad h) over ``flat_point`` of the trace layer's point; each call re-runs the unroll."""
     layer = trace.layer
 
     def point_and_trace(v: Array) -> tuple[tuple, UnrollTrace]:
@@ -420,6 +409,6 @@ def flat_h(trace: UnrollTrace, grad_mode: str = "finite-diff") -> FlatH:
 
     def grad(v: Array) -> Array:
         point, sub = point_and_trace(v)
-        return flat_point(*grad_h(sub, point, mode=grad_mode))
+        return flat_point(*grad_h(sub, point))
 
-    return FlatH(trace=trace, fn=fn, grad=grad)
+    return fn, grad

@@ -25,15 +25,6 @@ from fedtri.data import make_synthetic_dataset
 from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
 
 
-def make_problem(d=(1, 1, 1), N=1):
-    dims = Dims(d1=d[0], d2=d[1], d3=d[2], N=N)
-
-    def ev(level, X1, X2, X3):
-        return (X1 * X1).sum(axis=1) + (X2 * X2).sum(axis=1) + (X3 * X3).sum(axis=1)
-
-    return TrilevelProblem(dims=dims, eval_fn=ev)
-
-
 class TestDims:
     def test_valid(self):
         d = Dims(d1=2, d2=3, d3=5, N=4)
@@ -186,12 +177,7 @@ class TestEstimateMu:
             estimate_mu(lambda v: 0.0, [np.zeros(2)], pair_samples=10)
 
 
-class TestProblemGradFallback:
-    def test_fd_fallback_used_when_no_grad(self):
-        problem = make_problem((2, 2, 2), N=1)
-        g = problem.grad_all(1, np.zeros(2), np.array([1.0, -1.0]), np.zeros(2))
-        assert np.allclose(g[:, problem.dims.columns(2)], [[2.0, -2.0]], atol=1e-7)
-
+class TestGradAll:
     def test_grad_shape_enforced(self):
         dims = Dims(d1=2, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
@@ -202,8 +188,6 @@ class TestProblemGradFallback:
         with pytest.raises(ValueError):
             problem.grad_all(1, np.zeros(2), np.zeros(1), np.zeros(1))
 
-
-class TestGradAll:
     def test_wrong_shaped_block_raises_like_grad(self):
         dims = Dims(d1=2, d2=1, d3=3, N=3)
         problem = TrilevelProblem(
@@ -232,25 +216,6 @@ class TestGradAll:
         with pytest.raises(NonFiniteError, match=r"grad f_3,1 is non-finite"):
             problem.grad_all(3, np.zeros(1), np.zeros(1), np.zeros((3, 2)))
 
-    def test_without_grad_fn_equals_per_worker_grad(self):
-        # The fallback steps all rows of one block at once; row j's block i is
-        # worker j's own central difference in that block, with the step of
-        # its own block (the rows' x3 steps differ here).
-        quad, _ = build_quadratic_problem(seed=1, dims=(2, 2, 3), N=2)
-        problem = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn)
-        rng = np.random.default_rng(1)
-        X = [rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 3))]
-        G = problem.grad_all(3, *X)
-        for i in (1, 2, 3):
-            for j in range(2):
-                def f(v):  # v is shared by both rows; row j is worker j's value
-                    args = list(X)
-                    args[i - 1] = v
-                    return problem.eval_all(3, *args)[j]
-
-                block = X[i - 1][j] if i == 3 else X[i - 1]
-                assert np.array_equal(G[j, quad.dims.columns(i)], finite_diff_grad(f, block))
-
 
 def _robust_hpo_problem():
     data = make_synthetic_dataset(seed=1, rows=80, features=3)
@@ -278,17 +243,19 @@ class TestStackedContract:
                 row = problem.grad_all(level, *(Xi[j] for Xi in X))[j]
                 assert np.array_equal(G[j], row), (level, j)
 
-    def test_quadratic_grad_matches_the_finite_difference_fallback(self):
+    def test_quadratic_grad_matches_central_differences_of_its_values(self):
+        # Each block is one finite_diff_grad over all N rows: row j steps only
+        # worker j's block, and row j's value depends only on row j.
         quad = build_quadratic_problem(seed=4, dims=(2, 3, 4), N=3)[0]
-        fallback = TrilevelProblem(dims=quad.dims, eval_fn=quad.eval_fn)
         rng = np.random.default_rng(3)
         X = [rng.standard_normal((3, k)) for k in (2, 3, 4)]
         for level in (1, 2, 3):
             G = quad.grad_all(level, *X)
-            G_fd = fallback.grad_all(level, *X)
-            for block in (1, 2, 3):
-                cols = quad.dims.columns(block)
-                assert np.abs(G[:, cols] - G_fd[:, cols]).max() <= 1e-6, (level, block)
+            for i in range(3):
+                G_fd = finite_diff_grad(
+                    lambda P: quad.eval_all(level, *X[:i], P, *X[i + 1:]), X[i])
+                cols = quad.dims.columns(i + 1)
+                assert np.abs(G[:, cols] - G_fd).max() <= 1e-6, (level, i + 1)
 
     def test_quadratic_cross_hess_is_the_derivative_of_its_gradient(self):
         quad = _quadratic_problem()
@@ -312,6 +279,7 @@ class TestStackedContract:
         problem = TrilevelProblem(
             dims=dims,
             eval_fn=lambda level, X1, X2, X3: np.zeros(3),
+            grad_fn=lambda level, X1, X2, X3: np.zeros((3, 8)),
             cross_hess_fn=lambda level, X1, X2, X3: np.eye(3),
         )
         with pytest.raises(ValueError, match="cross Hessian has shape"):
@@ -336,13 +304,15 @@ class TestStackedContract:
     def test_eval_all_names_the_first_non_finite_worker(self):
         dims = Dims(d1=1, d2=1, d3=1, N=4)
         values = np.array([0.0, 1.0, np.inf, np.nan])
-        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: values)
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: values,
+                                  grad_fn=lambda level, X1, X2, X3: np.zeros((4, 3)))
         with pytest.raises(NonFiniteError, match=r"f_2,2 is non-finite"):
             problem.eval_all(2, np.zeros(1), np.zeros(1), np.zeros((4, 1)))
 
     def test_eval_all_checks_the_shape_of_its_values(self):
         dims = Dims(d1=1, d2=1, d3=1, N=3)
-        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(2))
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(2),
+                                  grad_fn=lambda level, X1, X2, X3: np.zeros((3, 3)))
         with pytest.raises(ValueError, match="f_1 values have shape"):
             problem.eval_all(1, np.zeros(1), np.zeros(1), np.zeros(1))
 
@@ -354,7 +324,8 @@ class TestStackedContract:
             seen.append((X1, X2, X3))
             return np.zeros(2)
 
-        problem = TrilevelProblem(dims=dims, eval_fn=ev)
+        problem = TrilevelProblem(dims=dims, eval_fn=ev,
+                                  grad_fn=lambda level, X1, X2, X3: np.zeros((2, 6)))
         X3 = np.ones((2, 3))
         problem.eval_all(1, np.zeros(1), np.zeros(2), X3)
         X1, X2, got3 = seen[0]
@@ -395,7 +366,7 @@ class TestPolytopeRows:
             assert np.array_equal(view[0], block)
         assert Polytope(LAYER_I, d).B2 is None and Polytope(LAYER_I, d).W.shape == (0, 12)
 
-    def test_residuals_and_contains_take_exactly_a_point_of_the_layer(self):
+    def test_residuals_take_exactly_a_point_of_the_layer(self):
         d = self.DIMS
         blocks = (np.ones(d.d1), np.ones(d.d2), np.ones(d.d3), np.ones((d.N, d.d3)),
                   np.ones((d.N, d.d2)))
@@ -404,7 +375,6 @@ class TestPolytopeRows:
             w = flat_point(*point)  # w . p = w . w, so the residual is 0.5
             poly = Polytope(layer, d, (Cut(layer=layer, w=w, c=w @ w - 0.5, id=0),))
             assert np.array_equal(poly.residuals(*point), [0.5])
-            assert not poly.contains(*point) and poly.contains(*point, tol=0.5)
             for other in (blocks[:3], blocks[:9 - n]):  # too short, and the other layer's
                 for p in (poly, Polytope(layer, d)):
                     with pytest.raises(ValueError, match="blocks"):

@@ -7,7 +7,6 @@ from fedtri.cuts import (
     Cut,
     Polytope,
     add_cut,
-    cut_violation,
     drop_inactive,
     generate_cut_I,
     generate_cut_II,
@@ -82,11 +81,11 @@ class TestGenerateCutI:
         trace = solve_level3(problem, z1, z2, cfg=cfg)
         point = (z1, z2, z3, x3)
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
-                             alphas=problem.alphas, grad_mode="analytic")
-        flat = flat_h(trace, grad_mode="analytic")
+                             alphas=problem.alphas)
+        fn, grad = flat_h(trace)
         v0 = flat_point(*point)
-        g = flat.grad(v0)
-        h0 = flat.fn(v0)
+        g = grad(v0)
+        h0 = fn(v0)
         c_classic = 1e-2 - h0 + float(g @ v0)
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
         assert cut.c == pytest.approx(c_classic, rel=1e-12)
@@ -100,9 +99,9 @@ class TestGenerateCutI:
         eps1, mu = 0.05, 2.0
         for alphas in INFLATION_ALPHAS:
             cut0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
-                                  alphas=alphas, grad_mode="analytic")
+                                  alphas=alphas)
             cut = generate_cut_I(trace, zero_pt, mu=mu, eps1=eps1,
-                                 alphas=alphas, grad_mode="analytic")
+                                 alphas=alphas)
             inflation = inflation_ball("I", problem.dims, alphas)
             assert cut.c - cut0.c == pytest.approx(mu * inflation, rel=1e-12), alphas
 
@@ -118,12 +117,12 @@ class TestGenerateCutII:
         trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
         point = (z1, z2, z3, x3, x2)
         cut = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
-                              alphas=problem.alphas, grad_mode="analytic")
-        flat = flat_h(trace, grad_mode="analytic")
+                              alphas=problem.alphas)
+        fn, grad = flat_h(trace)
         v0 = flat_point(*point)
-        g = flat.grad(v0)
+        g = grad(v0)
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
-        assert cut.c == pytest.approx(1e-2 - flat.fn(v0) + float(g @ v0), rel=1e-12)
+        assert cut.c == pytest.approx(1e-2 - fn(v0) + float(g @ v0), rel=1e-12)
 
     def test_inflation_origin_n2(self, quad):
         # mu = 1, N = 2 workers, origin anchor: 7 with unit alphas, 1 + 3 (2 + 3) = 16 unequal.
@@ -136,9 +135,9 @@ class TestGenerateCutII:
         eps2 = 0.3
         for alphas in INFLATION_ALPHAS:
             cut0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
-                                   alphas=alphas, grad_mode="analytic")
+                                   alphas=alphas)
             cut = generate_cut_II(trace, pt, mu=1.0, eps2=eps2,
-                                  alphas=alphas, grad_mode="analytic")
+                                  alphas=alphas)
             inflation = inflation_ball("II", problem.dims, alphas)
             assert cut.c - cut0.c == pytest.approx(inflation, rel=1e-12), alphas
 
@@ -155,9 +154,9 @@ class TestGenerateCutII:
         point = (z1, z2, z3, x3, x2)
         eps2, mu = 1e-2, 0.5
         cut = generate_cut_II(trace, point, mu=mu, eps2=eps2,
-                              alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
+                              alphas=(1.0, 1.0, 1.0))
         h0 = eval_h(trace, point)
-        slack = -cut_violation(cut, *point)
+        slack = -residual(cut, *point)
         assert slack == pytest.approx(eps2 + mu * cut_inflation_ii(point) - h0, rel=1e-9)
         assert slack >= eps2 - h0
 
@@ -172,7 +171,7 @@ class TestNormalizeCut:
         x2 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
         raw = generate_cut_II(trace, (z1, z2, z3, x3, x2), mu=0.5, eps2=1e-2,
-                              alphas=(1.0, 1.0, 1.0), grad_mode="analytic")
+                              alphas=(1.0, 1.0, 1.0))
         unit = normalize_cut(raw)
         assert np.linalg.norm(unit.w) == pytest.approx(1.0, rel=1e-12)
         assert (unit.id, unit.layer) == (raw.id, raw.layer)
@@ -184,8 +183,8 @@ class TestNormalizeCut:
             pz = [scale * rng.standard_normal(2) for _ in range(3)]
             px3 = [scale * rng.standard_normal(2) for _ in range(2)]
             px2 = [scale * rng.standard_normal(2) for _ in range(2)]
-            inside_raw = cut_violation(raw, *pz, px3, px2) <= 0.0
-            inside_unit = cut_violation(unit, *pz, px3, px2) <= 0.0
+            inside_raw = residual(raw, *pz, px3, px2) <= 0.0
+            inside_unit = residual(unit, *pz, px3, px2) <= 0.0
             assert inside_raw == inside_unit
             accepted += inside_raw
             rejected += not inside_raw
@@ -194,6 +193,11 @@ class TestNormalizeCut:
     def test_zero_norm_cut_unchanged(self):
         cut = Cut(layer="II", w=np.zeros(14), c=0.5, id=3)
         assert normalize_cut(cut) is cut
+
+
+def residual(cut, *point):
+    """A cut's ``w . p - c``, computed apart from ``Polytope.residuals``."""
+    return float(cut.w @ flat_point(*point) - cut.c)
 
 
 def cut_inflation_ii(point, alphas=(1.0, 1.0, 1.0)):
@@ -289,12 +293,15 @@ class TestCutViolation:
                    + sum(float(b @ x) for b, x in zip(b3, x3)))
         z3 = np.zeros(d)
         z3[-1] = -partial / a3[-1]
-        assert cut_violation(cut, z1, z2, z3, x3) == pytest.approx(0.0, abs=1e-12)
+        got = Polytope("I", Dims(d1=d, d2=d, d3=d, N=N), (cut,)).residuals(z1, z2, z3, x3)
+        assert got[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_dot_products(self):
         rng = np.random.default_rng(9)
         cut = toy_cut("II", d=3, N=2, c=0.7, seed=10)
-        a1, a2, a3, b3, b2 = split_point("II", Dims(d1=3, d2=3, d3=3, N=2), cut.w)
+        dims = Dims(d1=3, d2=3, d3=3, N=2)
+        a1, a2, a3, b3, b2 = split_point("II", dims, cut.w)
+        poly = Polytope("II", dims, (cut,))
         for _ in range(20):
             x3 = [rng.standard_normal(3) for _ in range(2)]
             x2 = [rng.standard_normal(3) for _ in range(2)]
@@ -302,8 +309,8 @@ class TestCutViolation:
             expected = (a1 @ z1 + a2 @ z2 + a3 @ z3
                         + sum(b @ x for b, x in zip(b3, x3))
                         + sum(b @ x for b, x in zip(b2, x2)) - cut.c)
-            got = cut_violation(cut, z1, z2, z3, x3, x2)
-            assert got == pytest.approx(float(expected), abs=1e-12)
+            got = poly.residuals(z1, z2, z3, x3, x2)
+            assert got[0] == pytest.approx(float(expected), abs=1e-12)
 
     def test_polytope_residuals_are_the_cut_violations(self):
         rng = np.random.default_rng(15)
@@ -314,7 +321,7 @@ class TestCutViolation:
             point = (*(rng.standard_normal(2) for _ in range(3)),
                      *(rng.standard_normal((2, 2)) for _ in range(n_per_worker)))
             got = poly.residuals(*point)
-            want = [cut_violation(cut, *point) for cut in poly.cuts]
+            want = [residual(cut, *point) for cut in poly.cuts]
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_anchor_point_of_valid_cut_satisfied(self, quad):
@@ -327,8 +334,8 @@ class TestCutViolation:
         # Anchor with h(point) = 0 <= eps: the cut is satisfied there.
         point = (z1, z2, z_hat, list(x_hat))
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
-                             alphas=problem.alphas, grad_mode="analytic")
-        assert cut_violation(cut, z1, z2, point[2], point[3]) <= 0.0
+                             alphas=problem.alphas)
+        assert residual(cut, z1, z2, point[2], point[3]) <= 0.0
 
 
 class TestValidateCut:
@@ -340,9 +347,8 @@ class TestValidateCut:
         x3 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level3(problem, z1, z2, cfg=cfg)
         cut = generate_cut_I(trace, (z1, z2, z3, x3), mu=0.0, eps1=1e-2,
-                             alphas=(9.0, 9.0, 9.0), grad_mode="analytic")
-        flat = flat_h(trace)
-        report = validate_cut(cut, flat, eps=1e-2, n_samples=1000, seed=0,
+                             alphas=(9.0, 9.0, 9.0))
+        report = validate_cut(cut, trace, eps=1e-2, n_samples=1000, seed=0,
                               alphas=(9.0, 9.0, 9.0))
         assert not report.inconclusive
         assert report.violations == 0
@@ -364,7 +370,7 @@ class TestValidateCut:
         cut = generate(trace, point, 0.0, 1e-2, (9.0, 9.0, 9.0))
         calls, unroll = [], getattr(inner, solve)
         monkeypatch.setattr(inner, solve, lambda *a, **kw: calls.append(1) or unroll(*a, **kw))
-        report = validate_cut(cut, flat_h(trace), eps=1e-2, n_samples=20, seed=0,
+        report = validate_cut(cut, trace, eps=1e-2, n_samples=20, seed=0,
                               alphas=(9.0, 9.0, 9.0))
         assert report.samples_checked == 20 and len(calls) == report.draws
 
@@ -384,7 +390,7 @@ class TestValidateCut:
         )
         cfg = InnerConfig(K=1, eta_x=1.0, eta_z=1.0, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
-        flat = flat_h(trace)
+        fn, grad = flat_h(trace)
         r3 = amp + np.sqrt(eps) + 0.05
         alphas = (1e-4, 1.0, r3 * r3)
         anchor = (np.zeros(1), np.zeros(1), np.zeros(1), [np.array([amp])])
@@ -397,13 +403,13 @@ class TestValidateCut:
         for _ in range(40):
             x3 = rng.uniform(-r3, r3)
             pts.append(np.array([0.0, rng.uniform(-1, 1), rng.uniform(-r3, r3), x3]))
-        mu_hat = estimate_mu(flat.fn, pts, pair_samples=10**7, grad=flat.grad)
+        mu_hat = estimate_mu(fn, pts, pair_samples=10**7, grad=grad)
         assert mu_hat > 1.0
         good = generate_cut_I(trace, anchor, mu=mu_hat, eps1=eps, alphas=alphas)
-        rep_good = validate_cut(good, flat, eps=eps, n_samples=400, seed=1, alphas=alphas)
+        rep_good = validate_cut(good, trace, eps=eps, n_samples=400, seed=1, alphas=alphas)
         assert rep_good.violations == 0
         bad = generate_cut_I(trace, anchor, mu=mu_hat / 10.0, eps1=eps, alphas=alphas)
-        rep_bad = validate_cut(bad, flat, eps=eps, n_samples=400, seed=1, alphas=alphas)
+        rep_bad = validate_cut(bad, trace, eps=eps, n_samples=400, seed=1, alphas=alphas)
         assert rep_bad.violations > 0
 
     def test_membership_monotone_under_added_cuts(self, quad):
@@ -420,15 +426,13 @@ class TestValidateCut:
         samples = [draw_point() for _ in range(400)]
 
         def membership(p):
-            return sum(
-                p.contains(pt[0], pt[1], pt[2], pt[3]) for pt in samples
-            )
+            return sum(bool((p.residuals(*pt) <= 0.0).all()) for pt in samples)
 
         counts = [membership(poly)]
         for k in range(4):
             anchor = draw_point()
             cut = generate_cut_I(trace, anchor, mu=0.0, eps1=1e-2,
-                                 alphas=problem.alphas, grad_mode="analytic",
+                                 alphas=problem.alphas,
                                  cut_id=k)
             poly = add_cut(poly, cut)
             counts.append(membership(poly))

@@ -95,8 +95,7 @@ CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
 
 def t1_cut(problem, t1, p2):
     """The unit layer-I cut of ``t1`` at the layer-II point's z1, z2, z3, x3."""
-    return normalize_cut(generate_cut_I(t1, p2[:4], 0.0, 1e-2, problem.alphas,
-                                        grad_mode="analytic"))
+    return normalize_cut(generate_cut_I(t1, p2[:4], 0.0, 1e-2, problem.alphas))
 
 
 @pytest.fixture(scope="module")
@@ -125,13 +124,13 @@ def assert_close(g, ref):
 
 def test_layer_I_matches_forward_reference(setup):
     _, t1, _, p1, _ = setup
-    g = grad_h(t1, p1, mode="analytic")
+    g = grad_h(t1, p1)
     assert_close(g[0], ref_grad_h(t1, p1, "z1"))
     assert_close(g[1], ref_grad_h(t1, p1, "z2p"))
 
 
 def assert_matches_reference_on_every_frozen_input(problem, trace, point):
-    g = grad_h(trace, point, mode="analytic")
+    g = grad_h(trace, point)
     assert_close(g[0], ref_grad_h(trace, point, "z1"))
     assert_close(g[2], ref_grad_h(trace, point, "z3"))
     ref_x3 = np.array([ref_grad_h(trace, point, "x3", j) for j in range(problem.dims.N)])
@@ -181,16 +180,20 @@ def test_one_sweep_makes_one_stacked_cross_hessian_per_round(setup, monkeypatch,
     problem, t1, t2, p1, p2 = setup
     trace, point = (t1, p1) if layer == 1 else (t2, p2)
     calls = count_calls(monkeypatch, problem, "cross_hess_fn")
-    grad_h(trace, point, mode="analytic")
+    grad_h(trace, point)
     assert len(calls) == CFG.K
 
 
 def test_finite_diff_reruns_twice_per_frozen_coordinate(setup, monkeypatch):
-    problem, t1, t2, p1, p2 = setup
+    problem, _, t2, p1, p2 = setup
     d = problem.dims
+    fd = dataclasses.replace(problem, cross_hess_fn=None)  # no second derivatives
+    z1, z2, z3, x3 = p1
+    t1 = solve_level3(fd, z1, z2, cfg=CFG)
+    t2 = solve_level2(fd, z1, z3, x3, t2.poly1, cfg=CFG)
     calls3 = count_calls(monkeypatch, fedtri.inner, "solve_level3")
     calls2 = count_calls(monkeypatch, fedtri.inner, "solve_level2")
-    grad_h(t1, p1, mode="finite-diff")
+    grad_h(t1, p1)
     assert (len(calls3), len(calls2)) == (2 * (d.d1 + d.d2), 0)
-    grad_h(t2, p2, mode="finite-diff")
+    grad_h(t2, p2)
     assert (len(calls3), len(calls2)) == (2 * (d.d1 + d.d2), 2 * (d.d1 + d.d3 + d.N * d.d3))

@@ -295,6 +295,38 @@ class TestRunBasics:
             run(problem, inner, outer, sched)
 
 
+class TestGradMode:
+    def counted_problem(self):
+        """A quadratic run whose cross_hess_fn counts its calls."""
+        problem, _, inner, outer = quad_setup(max_iters=5)
+        calls, exact = [], problem.cross_hess_fn
+
+        def cross_hess_fn(*args):
+            calls.append(1)
+            return exact(*args)
+
+        return dataclasses.replace(problem, cross_hess_fn=cross_hess_fn), inner, outer, calls
+
+    @pytest.mark.parametrize("mode", ["bogus", "analytic"])
+    def test_unknown_value_raises_even_without_refinement(self, mode):
+        problem, _, inner, outer = quad_setup(T1=0, max_iters=5)
+        with pytest.raises(ValueError, match="grad_mode"):
+            run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0), grad_mode=mode)
+
+    def test_finite_diff_drops_second_derivatives_from_a_copy(self):
+        problem, inner, outer, calls = self.counted_problem()
+        hess = problem.cross_hess_fn
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0), grad_mode="finite-diff")
+        assert res.log.refinement_iters() == [0]
+        assert calls == [] and problem.cross_hess_fn is hess
+
+    def test_default_uses_the_problem_s_second_derivatives(self):
+        problem, inner, outer, calls = self.counted_problem()
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0))
+        assert res.log.refinement_iters() == [0]
+        assert len(calls) > 0
+
+
 class TestStopping:
     def test_start_at_the_optimum_converges_at_zero(self):
         # At the quadratic oracle with no cuts every gap block is exactly

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,11 @@ def separable_problem(targets, d=(1, 1, None)):
         return H
 
     return TrilevelProblem(dims=dims, eval_fn=ev, grad_fn=gr, cross_hess_fn=ch)
+
+
+def finite_diff_trace(trace):
+    """The trace on a copy of its problem without second derivatives: grad_h takes differences."""
+    return replace(trace, problem=replace(trace.problem, cross_hess_fn=None))
 
 
 @pytest.fixture(scope="module")
@@ -307,15 +314,14 @@ class TestGradH:
         poly = ()
         if with_cut:
             p1 = (z1, z2, z3, tuple(x3))
-            poly = (generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas,
-                                   grad_mode="analytic"),)
+            poly = (generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas),)
         t2 = solve_level2(problem, z1, z3, x3, poly, cfg=cfg)
         return t1, t2, (z1, z2, z3, x3), (z1, z2, z3, x3, x2)
 
     def test_direct_blocks_are_twice_deviation(self, quad):
         t1, _, p1, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
-        g = grad_h(t1, p1, mode="finite-diff")
+        g = grad_h(t1, p1)
         assert np.allclose(g[3][0], 2.0 * (p1[3][0] - x_hat[0]), atol=1e-12)
         assert np.allclose(g[2], 2.0 * (p1[2] - z_hat), atol=1e-12)
 
@@ -327,7 +333,6 @@ class TestGradH:
         for block in (g[3][0], g[3][1], g[2]):  # x3_0, x3_1, z3
             assert np.linalg.norm(block) <= 1e-12
         # Deviation is zero, so the chain-rule terms vanish too.
-        g = grad_h(t1, point, mode="analytic")
         for block in (g[0], g[1]):  # z1, z2
             assert np.linalg.norm(block) <= 1e-12
 
@@ -338,8 +343,8 @@ class TestGradH:
             (t1, p1, ((0,), (1,))),  # z1, z2
             (t2, p2, ((0,), (2,), (3, 0), (3, 1))),  # z1, z3, x3_0, x3_1
         ):
-            fd = grad_h(trace, point, mode="finite-diff")
-            an = grad_h(trace, point, mode="analytic")
+            fd = grad_h(finite_diff_trace(trace), point)
+            an = grad_h(trace, point)
             for i, *row in blocks:
                 g_fd = fd[i][tuple(row)]
                 g_an = an[i][tuple(row)]
@@ -348,18 +353,19 @@ class TestGradH:
 
     def test_the_analytic_gradient_reads_its_steps_from_the_trace(self, quad, monkeypatch):
         _, t2, _, p2 = self.setup_traces(quad)
-        before = grad_h(t2, p2, mode="analytic")
+        before = grad_h(t2, p2)
         monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1, N: (0.5 * cfg.eta_z, 0.0))
-        for a, b in zip(before, grad_h(t2, p2, mode="analytic")):
+        for a, b in zip(before, grad_h(t2, p2)):
             assert np.array_equal(a, b)
 
     def test_analytic_requires_second_derivatives(self):
-        problem = separable_problem([np.zeros(2)])
-        problem.cross_hess_fn = None
+        # Without them grad_h takes finite differences; a direct call raises.
+        problem = replace(separable_problem([np.zeros(2)]), cross_hess_fn=None)
         trace = solve_level3(problem, np.zeros(1), np.zeros(2), cfg=InnerConfig(K=2))
         point = (np.zeros(1), np.zeros(2), np.zeros(2), [np.zeros(2)])
-        with pytest.raises(FedtriError):
-            grad_h(trace, point, mode="analytic")
+        assert all(np.isfinite(g).all() for g in grad_h(trace, point))
+        with pytest.raises(FedtriError, match="second derivatives"):
+            problem.cross_hess(3, np.zeros(1), np.zeros(2), np.zeros((1, 2)))
 
 
 class TestFlatAdapters:
@@ -368,16 +374,16 @@ class TestFlatAdapters:
         rng = np.random.default_rng(8)
         trace = solve_level3(problem, rng.standard_normal(2), rng.standard_normal(2),
                              cfg=InnerConfig(K=3))
-        flat = flat_h(trace, grad_mode="analytic")
+        fn, grad = flat_h(trace)
         x3 = [rng.standard_normal(2) for _ in range(2)]
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         v = flat_point(z1, z2, z3, x3)
         assert v.size == sum(np.prod(shape) for shape in point_shapes("I", problem.dims))
         # The flat function re-runs the unroll at the packed (z1, z2').
         sub = solve_level3(problem, z1, z2, cfg=trace.cfg)
-        assert flat.fn(v) == pytest.approx(eval_h(sub, (z1, z2, z3, x3)), rel=1e-12)
-        g_num = finite_diff_grad(flat.fn, v)
-        g = flat.grad(v)
+        assert fn(v) == pytest.approx(eval_h(sub, (z1, z2, z3, x3)), rel=1e-12)
+        g_num = finite_diff_grad(fn, v)
+        g = grad(v)
         assert np.linalg.norm(g_num - g) / np.linalg.norm(g) <= 1e-6
 
     def test_unpack_returns_the_packed_point_on_both_layers(self, quad):
@@ -397,8 +403,8 @@ class TestFlatAdapters:
         trace = solve_level2(problem, rng.standard_normal(2), rng.standard_normal(2),
                              [rng.standard_normal(2) for _ in range(2)], (),
                              cfg=InnerConfig(K=3))
-        flat = flat_h(trace, grad_mode="analytic")
+        fn, grad = flat_h(trace)
         v = rng.standard_normal(sum(np.prod(shape) for shape in point_shapes("II", problem.dims)))
-        g_num = finite_diff_grad(flat.fn, v)
-        g = flat.grad(v)
+        g_num = finite_diff_grad(fn, v)
+        g = grad(v)
         assert np.linalg.norm(g_num - g) / np.linalg.norm(g) <= 1e-6

@@ -6,11 +6,12 @@ from fedtri.core import (
     NonFiniteError,
     PrimalState,
     finite_diff_grad,
+    flat_point,
     project_ball_sq,
     project_box_inf,
     split_point,
 )
-from fedtri.cuts import Cut, Polytope, cut_violation
+from fedtri.cuts import Cut, Polytope
 from fedtri.outer import (
     OuterConfig,
     master_step,
@@ -18,6 +19,11 @@ from fedtri.outer import (
     worker_step,
 )
 from fedtri.problems import build_quadratic_problem
+
+
+def residual(cut, *point):
+    """A cut's ``w . p - c``, computed apart from ``Polytope.residuals``."""
+    return float(cut.w @ flat_point(*point) - cut.c)
 
 
 def lagrangian(state, duals, poly2, problem):
@@ -90,8 +96,8 @@ class TestLagrangian:
             total += f1[j]
             total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
         for lam, cut in zip(duals.lam, poly2.cuts):
-            total += lam * cut_violation(cut, state.z[0], state.z[1], state.z[2],
-                                         state.x[2], state.x[1])
+            total += lam * residual(cut, state.z[0], state.z[1], state.z[2],
+                                    state.x[2], state.x[1])
         assert lagrangian(state, duals, poly2, problem) == pytest.approx(total, rel=1e-12)
 
 
@@ -218,7 +224,7 @@ def reference_master_step(state, duals, poly2, problem, cfg, t):
     z[2] = project_ball_sq(z[2] - cfg.eta_z3 * gz3, problem.alphas[2])
     lam = duals.lam.copy()
     for l, cut in enumerate(poly2.cuts):
-        r = cut_violation(cut, z[0], z[1], z[2], state.x[2], state.x[1])
+        r = residual(cut, z[0], z[1], z[2], state.x[2], state.x[1])
         lam[l] = min(max(lam[l] + cfg.eta_lambda * (r - c1 * lam[l]), 0.0), np.sqrt(cfg.alpha4))
     box = np.sqrt(cfg.alpha5) / problem.dims.d1
     theta = [
@@ -272,8 +278,7 @@ class TestMasterStep:
         c1, _ = cfg.reg_coeffs(2)
         lam_stale = duals.lam.copy()
         for l, cut in enumerate(poly2.cuts):
-            r = cut_violation(cut, state.z[0], state.z[1], state.z[2], state.x[2],
-                              state.x[1])
+            r = residual(cut, state.z[0], state.z[1], state.z[2], state.x[2], state.x[1])
             lam_stale[l] = min(max(lam_stale[l] + cfg.eta_lambda * (r - c1 * lam_stale[l]), 0.0),
                                np.sqrt(cfg.alpha4))
         assert not np.allclose(nd.lam, lam_stale)
@@ -294,8 +299,7 @@ class TestStationarityGap:
         at_zero.lam = np.zeros(poly2.size)
         gap = stationarity_gap(state, at_zero, poly2, problem, cfg)
         for l, cut in enumerate(poly2.cuts):
-            r = cut_violation(cut, state.z[0], state.z[1], state.z[2], state.x[2],
-                              state.x[1])
+            r = residual(cut, state.z[0], state.z[1], state.z[2], state.x[2], state.x[1])
             if r < 0:
                 assert gap.glam[l] == 0.0
 
@@ -304,8 +308,7 @@ class TestStationarityGap:
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         # lambda residuals recomputed directly from the projection form
         for l, cut in enumerate(poly2.cuts):
-            r = cut_violation(cut, state.z[0], state.z[1], state.z[2], state.x[2],
-                              state.x[1])
+            r = residual(cut, state.z[0], state.z[1], state.z[2], state.x[2], state.x[1])
             proj = min(max(duals.lam[l] + cfg.eta_lambda * r, 0.0), np.sqrt(cfg.alpha4))
             assert gap.glam[l] == pytest.approx((duals.lam[l] - proj) / cfg.eta_lambda, rel=1e-12)
         box = np.sqrt(cfg.alpha5) / problem.dims.d1

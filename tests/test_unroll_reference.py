@@ -124,8 +124,7 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     d = problem.dims
     t1 = solve_level3(problem, z1, z2, cfg=CFG)
     poly1 = tuple(
-        generate_cut_I(t1, (z1, z2 + shift, z3, tuple(x3)), 0.0, 1e-2, problem.alphas,
-                       grad_mode="analytic", cut_id=i)
+        generate_cut_I(t1, (z1, z2 + shift, z3, tuple(x3)), 0.0, 1e-2, problem.alphas, cut_id=i)
         for i, shift in enumerate((0.0, 0.5))
     )
     x0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
