@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Callable, Optional, Sequence
 
@@ -33,9 +34,15 @@ class Dims:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        a, b = self.d1, self.d1 + self.d2  # block i's columns in a flat point, for ``columns``
+        object.__setattr__(self, "_columns", (slice(0, a), slice(a, b), slice(b, b + self.d3)))
+
+    @property
+    def sizes(self) -> tuple[int, int, int]:
+        return (self.d1, self.d2, self.d3)
 
     def block(self, i: int) -> int:
-        return (self.d1, self.d2, self.d3)[i - 1]
+        return self.sizes[i - 1]
 
     @property
     def width(self) -> int:
@@ -44,8 +51,12 @@ class Dims:
 
     def columns(self, i: int) -> slice:
         """Block i's columns in a worker's flat point."""
-        start = (0, self.d1, self.d1 + self.d2)[i - 1]
-        return slice(start, start + self.block(i))
+        return self._columns[i - 1]
+
+    def split(self, A: Array) -> tuple[Array, Array, Array]:
+        """The three blocks of flat points ``A`` (..., D), as views at ``columns``."""
+        c1, c2, c3 = self._columns
+        return A[..., c1], A[..., c2], A[..., c3]
 
 
 # A stacked oracle, one call for all N workers (see ``TrilevelProblem``):
@@ -64,10 +75,10 @@ class TrilevelProblem:
     ``cross_hess_fn`` the (N, D, D) Jacobian of ``grad_fn``.  ``grad_fn`` is
     required; ``cross_hess_fn``, when set, makes ``inner.grad_h`` take the
     backward sweep through an unroll instead of finite differences.  Each
-    ``Xi`` is (N, d_i) and row j is worker j's (0-based) argument; a block
-    shared by all workers may arrive as a read-only broadcast view.  Row j of
-    a result may depend only on row j of the arguments.  Every result is
-    checked for its shape and finiteness.
+    ``Xi`` is (N, d_i) and row j is worker j's (0-based) argument; it may be
+    a view with strided rows, and a block shared by all workers arrives as
+    read-only ``repeat_rows``.  Row j of a result may depend only on row j
+    of the arguments.  Every result is checked for its shape and finiteness.
     """
 
     dims: Dims
@@ -88,18 +99,17 @@ class TrilevelProblem:
     def _rows(self, X1, X2, X3) -> tuple[Array, Array, Array]:
         """The three argument blocks as (N, d_i) rows.
 
-        A (d_i,) block is shared by all workers and becomes a read-only
-        broadcast view; any other shape but (N, d_i) raises ``ValueError``.
+        A (d_i,) block is shared by all workers and becomes read-only
+        ``repeat_rows``; any other shape but (N, d_i) raises ``ValueError``.
         """
         d = self.dims
         out = []
-        for i, X in enumerate((X1, X2, X3)):
+        for i, (X, di) in enumerate(zip((X1, X2, X3), d.sizes), 1):
             X = np.asarray(X, float)
-            di = d.block(i + 1)
             if X.shape == (di,):
-                X = np.broadcast_to(X, (d.N, di))
+                X = repeat_rows(X, d.N)
             elif X.shape != (d.N, di):
-                raise ValueError(f"block {i + 1} argument has shape {X.shape}")
+                raise ValueError(f"block {i} argument has shape {X.shape}")
             out.append(X)
         return tuple(out)
 
@@ -148,34 +158,35 @@ class TrilevelProblem:
                              (self.dims.N, D, D))
 
     def initial_point(self, rng: np.random.Generator) -> tuple[Array, Array, Array]:
-        if self.initial_point_fn is not None:
-            x1, x2, x3 = self.initial_point_fn(rng)
-            return np.asarray(x1, float), np.asarray(x2, float), np.asarray(x3, float)
-        d = self.dims
-        return np.zeros(d.d1), np.zeros(d.d2), np.zeros(d.d3)
+        if self.initial_point_fn is None:
+            return tuple(np.zeros(di) for di in self.dims.sizes)
+        return tuple(np.asarray(b, float) for b in self.initial_point_fn(rng))
 
 
 @dataclass
 class PrimalState:
-    """Per-worker local blocks plus master-held consensus blocks."""
+    """Worker j's flat point ``[x1 | x2 | x3]`` as row j of ``X`` (N, D), the master's as ``Z``.
 
-    x: list[Array]  # x[i-1] is (N, d_i): row j is worker j's block i
-    z: list[Array]  # z[i-1]
+    ``x[i-1]`` (N, d_i) and ``z[i-1]`` (d_i,) are views of block i's columns,
+    ``dims.columns(i)``: writing through them writes ``X`` and ``Z`` (D,).
+    """
+
+    dims: Dims
+    X: Array
+    Z: Array
+    x = property(lambda self: self.dims.split(self.X))
+    z = property(lambda self: self.dims.split(self.Z))
 
     @staticmethod
     def from_point(dims: Dims, x1: Array, x2: Array, x3: Array) -> "PrimalState":
-        blocks = (np.asarray(x1, float), np.asarray(x2, float), np.asarray(x3, float))
-        for i, b in enumerate(blocks):
-            if b.shape != (dims.block(i + 1),):
-                raise ValueError(f"block {i + 1} has shape {b.shape}")
-        return PrimalState(x=[np.tile(b, (dims.N, 1)) for b in blocks],
-                           z=[b.copy() for b in blocks])
+        """Every worker and the master at the one point ``(x1, x2, x3)``."""
+        if tuple(map(np.shape, (x1, x2, x3))) != tuple((di,) for di in dims.sizes):
+            raise ValueError(f"blocks must have the shapes {[(di,) for di in dims.sizes]}")
+        Z = np.concatenate((x1, x2, x3)).astype(float)
+        return PrimalState(dims, np.tile(Z, (dims.N, 1)), Z)
 
     def copy(self) -> "PrimalState":
-        return PrimalState(x=[a.copy() for a in self.x], z=[a.copy() for a in self.z])
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in (*self.x, *self.z))
+        return PrimalState(self.dims, self.X.copy(), self.Z.copy())
 
 
 @dataclass
@@ -228,7 +239,7 @@ def point_alphas(layer: str, alphas: tuple[float, float, float]) -> tuple[float,
 
 def flat_point(*blocks) -> Array:
     """A point or gradient, given block by block, as one flat vector."""
-    return np.concatenate([np.ravel(b) for b in blocks])
+    return np.concatenate(blocks, axis=None)
 
 
 def split_point(layer: str, dims: Dims, v: Array) -> tuple[Array, ...]:
@@ -307,21 +318,16 @@ class Polytope:
         return self.W @ flat_point(*point) - self.c
 
 
-def default_fd_step(v: Array):
-    """``1e-5 (1 + max |v|)`` over the last axis: one step per row of a (..., d) array."""
-    return 1e-5 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))
-
-
 def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] = None) -> Array:
     """Central differences in every row of ``v`` (..., d): one pair of ``f`` calls per column.
 
     ``f`` maps an array shaped like ``v`` to its rows' values (...); a (d,)
     array is one row and ``f`` a scalar function.  Each row steps by ``h`` or
-    by its own ``default_fd_step``.
+    by its own ``1e-5 (1 + max |row|)``.
     """
     v = np.asarray(v, dtype=float)
     if h is None:
-        h = default_fd_step(v)
+        h = 1e-5 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))
     if np.any(h <= 0):
         raise ValueError("finite-difference step must be positive")
     g = np.empty_like(v)
@@ -337,26 +343,43 @@ def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] =
     return g
 
 
-def project_ball_sq(v: Array, alpha: float) -> Array:
-    """Project each row of ``v`` (..., d) onto the ball ``||row||^2 <= alpha`` (radial scaling).
+def repeat_rows(v: Array, n: int) -> Array:
+    """A (d,) block shared by n rows as a read-only (n, d) array."""
+    R = v[None].repeat(n, 0)
+    R.flags.writeable = False
+    return R
 
-    A (d,) vector is one row.  Rows inside the ball come back unchanged.
-    """
-    if alpha < 0:
+
+@lru_cache(maxsize=None)
+def _ball_layout(sizes: tuple[int, ...], alphas: tuple[float, ...]):
+    """A row's columns once a zero precedes each block, those zeros' columns, and the alphas."""
+    if any(a < 0 for a in alphas):
         raise ValueError("alpha must be nonnegative")
+    pos = np.arange(sum(sizes)) + np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    heads = np.cumsum((0, *sizes[:-1])) + np.arange(len(sizes))
+    return pos, heads, np.array(alphas, float)
+
+
+def project_ball_sq(v: Array, alpha, sizes: Optional[tuple[int, ...]] = None) -> Array:
+    """Project each block of each row of ``v`` (..., D) onto its ball ``||block||^2 <= alpha_b``.
+
+    The blocks are consecutive columns of widths ``sizes`` (default: one of
+    width D), with one ``alpha`` each (a number for one block).  A block
+    outside its ball is scaled radially onto it; the others come back as
+    they are.  Each block's sum of squares starts at a zero, as ``sum``'s does.
+    """
     v = np.asarray(v, dtype=float)
-    nrm_sq = (v * v).sum(axis=-1, keepdims=True)
-    top = float(nrm_sq.max(initial=0.0))
-    if not np.isfinite(top):
-        raise NonFiniteError("cannot project a non-finite vector")
-    if top <= alpha:
+    sizes = (v.shape[-1],) if sizes is None else tuple(sizes)
+    pos, heads, alpha = _ball_layout(sizes, tuple(alpha) if np.ndim(alpha) else (alpha,))
+    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + len(sizes),))
+    padded[..., pos] = v * v
+    nrm_sq = np.add.reduceat(padded, heads, axis=-1)
+    if (nrm_sq <= alpha).all():
         return v.copy()
-    return v * np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
-
-
-def project_box_inf(v: Array, bound: float) -> Array:
-    """Project onto the infinity-norm box ``||v||_inf <= bound``."""
-    return np.clip(v, -bound, bound)
+    if not np.isfinite(nrm_sq).all():
+        raise NonFiniteError("cannot project a non-finite vector")
+    scale = np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
+    return v * np.repeat(scale, sizes, axis=-1)
 
 
 def estimate_mu(

@@ -47,14 +47,12 @@ class DelayModel:
         if self.straggler_factor <= 0:
             raise ValueError("straggler factor must be positive")
 
-    def draw(self, rng: np.random.Generator, worker_idx: int) -> float:
+    def draw(self, rng: np.random.Generator, workers: Sequence[int]) -> np.ndarray:
+        """The delays of ``workers`` (0-based), in their order; uniform ones from one draw."""
+        factor = [self.straggler_factor if j + 1 in self.straggler_ids else 1.0 for j in workers]
         if self.kind == "constant":
-            base = self.value
-        else:
-            base = float(rng.uniform(self.lo, self.hi))
-        if (worker_idx + 1) in self.straggler_ids:
-            base *= self.straggler_factor
-        return base
+            return np.full(len(factor), float(self.value)) * factor
+        return rng.uniform(self.lo, self.hi, size=len(factor)) * factor
 
 
 @dataclass(frozen=True)
@@ -107,17 +105,12 @@ def comm_cost_iter(S: int, dims, poly2_size: int) -> int:
     return 32 * S * (2 * d_sum + dims.d1 + poly2_size)
 
 
-def _cut_event_cost(N: int, K: int, dims, poly2_size: int) -> int:
-    d23 = dims.d2 + dims.d3
-    return N * K * (3 * d23 + 2 * poly2_size) + N * poly2_size * (2 * d23 + dims.d1 + 1)
-
-
 def comm_cost_cuts(refinement_iters: Sequence[int], N: int, K: int, dims,
                    poly2_sizes: dict[int, int]) -> int:
     """Refinement traffic summed over the refinement iterations."""
-    return 32 * sum(
-        _cut_event_cost(N, K, dims, poly2_sizes[t]) for t in refinement_iters
-    )
+    d23 = dims.d2 + dims.d3
+    return 32 * sum(N * K * (3 * d23 + 2 * poly2_sizes[t])
+                    + N * poly2_sizes[t] * (2 * d23 + dims.d1 + 1) for t in refinement_iters)
 
 
 @dataclass
@@ -236,8 +229,7 @@ def run(
 
     N = problem.dims.N
     rng = np.random.default_rng(sched_cfg.seed)
-    x1, x2, x3 = problem.initial_point(rng)
-    state = PrimalState.from_point(problem.dims, x1, x2, x3)
+    state = PrimalState.from_point(problem.dims, *problem.initial_point(rng))
     duals = DualState.zeros(problem.dims)
     poly1 = Polytope("I", problem.dims)
     poly2 = Polytope("II", problem.dims)
@@ -245,7 +237,7 @@ def run(
     warm3 = warm2 = None  # (x, z, phi, s, gamma) inits, set only under warm_start
 
     log = RunLog(
-        dims=(problem.dims.d1, problem.dims.d2, problem.dims.d3),
+        dims=problem.dims.sizes,
         N=N, S=sched_cfg.S, tau=sched_cfg.tau, K=inner_cfg.K,
         T_pre=outer_cfg.T_pre, T1=outer_cfg.T1, seed=sched_cfg.seed,
     )
@@ -253,17 +245,15 @@ def run(
     clock = 0.0
     staleness = [0] * N  # t - t_hat_j, the age of each worker's snapshot
 
-    # Each worker's in-flight update, one (N, d_i) array per block.
-    results = [np.zeros_like(X) for X in state.x]
+    results = np.zeros_like(state.X)  # row j: worker j's in-flight flat point
     pending = [0.0] * N
 
     def dispatch(workers, gap):
         """Start the workers' next updates from ``gap``, taken at the current state."""
         rows = list(workers)
-        for R, U in zip(results, worker_step(problem, state, gap, outer_cfg, rows)):
-            R[rows] = U
-        for j in rows:
-            pending[j] = clock + sched_cfg.delay.draw(rng, j)
+        results[rows] = worker_step(problem, state, gap, outer_cfg, rows)
+        for j, delay in zip(rows, sched_cfg.delay.draw(rng, rows).tolist()):
+            pending[j] = clock + delay
 
     def refine() -> tuple[list[int], list[int]]:
         """Generate one unit-normalized cut per layer at the current point, then prune.
@@ -273,18 +263,16 @@ def run(
         its dual to the cap and the primal steps blow up.
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2
+        (_, x2, x3), (z1, z2, z3) = state.x, state.z
         # No stored warm start: begin at the outer iterate (zeros are an MLP saddle).
-        init3, init2 = (warm or (state.x[i], state.z[i]) for warm, i in ((warm3, 2), (warm2, 1)))
-        trace1 = solve_level3(problem, state.z[0], state.z[1], init=init3, cfg=inner_cfg)
-        cut1 = normalize_cut(generate_cut_I(trace1, (*state.z, state.x[2]), mu, inner_cfg.eps1,
+        trace1 = solve_level3(problem, z1, z2, init=warm3 or (x3, z3), cfg=inner_cfg)
+        cut1 = normalize_cut(generate_cut_I(trace1, (z1, z2, z3, x3), mu, inner_cfg.eps1,
                                             problem.alphas, cut_id=next_cut_id))
         poly1 = add_cut(poly1, cut1)
 
-        trace2 = solve_level2(problem, state.z[0], state.z[2], state.x[2],
-                              poly1, init=init2, cfg=inner_cfg)
-        cut2 = normalize_cut(generate_cut_II(trace2, (*state.z, state.x[2], state.x[1]), mu,
-                                             inner_cfg.eps2, problem.alphas,
-                                             cut_id=next_cut_id + 1))
+        trace2 = solve_level2(problem, z1, z3, x3, poly1, init=warm2 or (x2, z2), cfg=inner_cfg)
+        cut2 = normalize_cut(generate_cut_II(trace2, (z1, z2, z3, x3, x2), mu, inner_cfg.eps2,
+                                             problem.alphas, cut_id=next_cut_id + 1))
         next_cut_id += 2
         poly2 = add_cut(poly2, cut2)
         lam = np.append(duals.lam, 0.0)
@@ -321,8 +309,7 @@ def run(
                 if max(staleness) + 1 > sched_cfg.tau:
                     raise FedtriError("staleness bound violated")
                 rows = list(active)
-                for X, R in zip(state.x, results):
-                    X[rows] = R[rows]
+                state.X[rows] = results[rows]
                 state, duals = master_step(state, duals, poly2, problem, outer_cfg, gap, t=t - 1)
                 for j in range(N):
                     staleness[j] = 0 if j in active else staleness[j] + 1

@@ -11,12 +11,13 @@ derivatives, and otherwise by re-running the unroll at perturbed frozen inputs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem, finite_diff_grad
-from .core import flat_point, point_names, point_shapes, split_point
+from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem
+from .core import finite_diff_grad, flat_point, point_names, point_shapes, repeat_rows, split_point
 
 
 class InnerSolverError(FedtriError):
@@ -95,9 +96,6 @@ class UnrollTrace:
         """The final inner duals, one per frozen layer-I cut."""
         return self.gamma[-1]
 
-    def init_arrays(self):
-        return [a[0].copy() for a in (self.x, self.z, self.phi, self.s, self.gamma)]
-
 
 def _path_buffer(K: int, N: int, d: int, L: int):
     """A zeroed (K+1, 2Nd + d + 2L) buffer and its x, z, phi, s, gamma views.
@@ -113,18 +111,6 @@ def _path_buffer(K: int, N: int, d: int, L: int):
     s = buf[:, 2 * nd + d:2 * nd + d + L]
     gamma = buf[:, 2 * nd + d + L:]
     return buf, x, z, phi, s, gamma
-
-
-def _init_block(value, shape, what: str) -> Array:
-    a = np.asarray(value, float)
-    if a.shape != shape:
-        raise ValueError(f"initial {what} has shape {a.shape}, expected {shape}")
-    return a
-
-
-def _check_round(buf: Array, k: int, level: int) -> None:
-    if not np.isfinite(buf[k + 1]).all():
-        raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
 
 
 def _round(grad, x, z, phi, s, gamma, k, steps, r0, a2s, cfg):
@@ -164,10 +150,10 @@ def _level_rows(oracle, level: int, inputs: dict, dims):
     """The unrolled level's rows of ``oracle(level, ...)`` as a function of the iterate alone.
 
     The frozen inputs fill the other blocks as ``_ORACLE_ARGS`` says, bound
-    once; a shared one is broadcast to (N, d) rows.
+    once; a shared one becomes ``repeat_rows``.
     """
     keys, own = _ORACLE_ARGS[level], dims.columns(level)
-    a, b = [v if v.ndim == 2 else np.broadcast_to(v, (dims.N, v.size))
+    a, b = [v if v.ndim == 2 else repeat_rows(v, dims.N)
             for v in [inputs[k] for k in keys if k != "x"]]
     if keys[1] == "x":  # the iterate is oracle block 2 or 3
         return lambda x: oracle(level, a, x, b)[:, own]
@@ -184,14 +170,23 @@ def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
     buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, d.block(level), len(r0))
     for path, value, what in zip((x, z, phi, s, gamma), init or (),
                                  ("x", "z", "phi", "slack", "gamma")):
-        if value is not None:
-            path[0] = _init_block(value, path.shape[1:], what)
+        if value is None:
+            continue
+        if np.shape(value) != path.shape[1:]:
+            raise ValueError(f"initial {what} has shape {np.shape(value)}, "
+                             f"expected {path.shape[1:]}")
+        path[0] = value
     grad, a2s = _level_rows(problem.grad_all, level, inputs, d), poly1.A2
     for k in range(cfg.K):
         _round(grad, x, z, phi, s, gamma, k, steps, r0, a2s, cfg)
-        _check_round(buf, k, level)
+        if not np.isfinite(buf[k + 1]).all():
+            raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
     return UnrollTrace("I" if level == 3 else "II", problem, cfg, inputs, poly1, r0, steps,
                        x, z, phi, s, gamma)
+
+
+# The empty layer-I polytope a level-3 unroll freezes, built once per ``Dims``.
+_no_cuts = lru_cache(maxsize=None)(partial(Polytope, LAYER_I))
 
 
 def solve_level3(
@@ -207,7 +202,7 @@ def solve_level3(
     z2p = np.asarray(z2p, float)
     if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
         raise ValueError("frozen input dimensions do not match problem dims")
-    return _unroll(problem, 3, {"z1": z1.copy(), "z2p": z2p.copy()}, Polytope(LAYER_I, d),
+    return _unroll(problem, 3, {"z1": z1.copy(), "z2p": z2p.copy()}, _no_cuts(d),
                    np.zeros(0), (cfg.kappa3, cfg.eta_z, 0.0), init, cfg)
 
 
@@ -289,9 +284,8 @@ def rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
     the trace, so the new trace's estimate is the trace's own estimate map
     evaluated at the new inputs.
     """
-    inputs = dict(trace.inputs)
-    inputs.update(overrides)
-    init = trace.init_arrays()
+    inputs = {**trace.inputs, **overrides}
+    init = [a[0] for a in (trace.x, trace.z, trace.phi, trace.s, trace.gamma)]
     if trace.layer == "I":
         return solve_level3(trace.problem, inputs["z1"], inputs["z2p"], init=init, cfg=trace.cfg)
     return solve_level2(trace.problem, inputs["z1"], inputs["z3"], inputs["x3"],

@@ -1,7 +1,7 @@
 """The outer Lagrangian's gradient and gap, primal/dual updates and dual projections.
 
-The master's consensus blocks and duals follow the printed update order:
-z1, z2, z3 with the previous duals, then the cut duals (projected onto
+The master's point and duals follow the printed update order: z = (z1, z2,
+z3) in one step with the previous duals, then the cut duals (projected onto
 [0, sqrt(alpha4)]) using the fresh primals, then the consensus duals
 (projected onto the infinity-norm box).  Dual updates differentiate the
 regularized Lagrangian; the stationarity gap uses the unregularized one.
@@ -10,19 +10,13 @@ regularized Lagrangian; the stationarity gap uses the unregularized one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Array,
-    DualState,
-    NonFiniteError,
-    PrimalState,
-    TrilevelProblem,
-    project_ball_sq,
-    project_box_inf,
-)
+from .core import Array, Dims, DualState, NonFiniteError, PrimalState, TrilevelProblem
+from .core import project_ball_sq
 from .cuts import Polytope
 
 
@@ -64,9 +58,6 @@ class OuterConfig:
         if self.T_pre < 1 or self.T1 < 0 or self.max_iters < 1:
             raise ValueError("T_pre >= 1, T1 >= 0 and max_iters >= 1 required")
 
-    def eta_x(self, i: int) -> float:
-        return (self.eta_x1, self.eta_x2, self.eta_x3)[i - 1]
-
     def reg_coeffs(self, t: int) -> tuple[float, float]:
         """Non-increasing regularization pair (c1^t, c2^t) with configured floors."""
         if t < 0:
@@ -93,21 +84,26 @@ class OuterConfig:
             raise ValueError("c2_floor outside the admissible range for the configured tol")
 
 
+_per_column = lru_cache(maxsize=None)(np.repeat)  # (eta, sizes): each block's step per column
+
+
+def _step(P: Array, eta: tuple[float, float, float], G: Array, problem: TrilevelProblem) -> Array:
+    """``P - eta G`` on flat points, block i stepping by ``eta[i-1]``, projected onto the balls."""
+    sizes = problem.dims.sizes
+    return project_ball_sq(P - _per_column(eta, sizes) * G, problem.alphas, sizes)
+
+
 def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
-                cfg: OuterConfig, workers: Sequence[int]) -> tuple[Array, Array, Array]:
-    """The dispatched workers' projected gradient steps on their blocks.
+                cfg: OuterConfig, workers: Sequence[int]) -> Array:
+    """The dispatched workers' new rows of ``state.X``, in their order: (len(workers), D).
 
     ``gap`` must be ``stationarity_gap`` at ``state`` and at the duals and
-    P_II the workers compute against: its primal rows are then the gradients
-    of the (regularized) Lagrangian there.  Returns each block's new rows for
-    ``workers``, in their order, as a (len(workers), d_i) array.  A non-finite
-    step raises ``NonFiniteError`` from the ball projection.
+    P_II the workers compute against, so that ``gap.gx`` holds the gradients
+    of the (regularized) Lagrangian there.  Each row takes one step, block i
+    by ``eta_xi``, and one projection, which raises ``NonFiniteError`` if not finite.
     """
     rows = list(workers)
-    return tuple(
-        project_ball_sq(X[rows] - cfg.eta_x(i + 1) * G[rows], alpha)
-        for i, (X, G, alpha) in enumerate(zip(state.x, gap.gx, problem.alphas))
-    )
+    return _step(state.X[rows], (cfg.eta_x1, cfg.eta_x2, cfg.eta_x3), gap.gx[rows], problem)
 
 
 def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: TrilevelProblem,
@@ -115,77 +111,76 @@ def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: T
     """One projected ascent step on the duals at ``state``, regularized by (c1, c2).
 
     lambda steps on the cut residuals and is projected onto [0, sqrt(alpha4)];
-    theta steps on the x1 consensus residuals and is projected onto the box
+    theta steps on the x1 consensus residuals and is clipped to the box
     ``||theta||_inf <= sqrt(alpha5) / d1``.
     """
     X, z = state.x, state.z
     resid = poly2.residuals(*z, X[2], X[1])
     lam = np.clip(duals.lam + cfg.eta_lambda * (resid - c1 * duals.lam), 0.0, np.sqrt(cfg.alpha4))
-    theta = project_box_inf(duals.theta + cfg.eta_theta * (X[0] - z[0] - c2 * duals.theta),
-                            np.sqrt(cfg.alpha5) / problem.dims.d1)
+    box = np.sqrt(cfg.alpha5) / problem.dims.d1
+    theta = np.clip(duals.theta + cfg.eta_theta * (X[0] - z[0] - c2 * duals.theta), -box, box)
     return DualState(lam=lam, theta=theta)
 
 
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
                 problem: TrilevelProblem, cfg: OuterConfig, gap: GapVector,
                 t: int) -> tuple[PrimalState, DualState]:
-    """Consensus and dual updates in the printed order.
+    """Consensus and dual updates in the printed order; the inputs are not modified.
 
-    ``state.x`` must already hold the freshly applied worker blocks.  ``gap``
+    ``state.X`` must already hold the freshly applied worker rows.  ``gap``
     must be ``stationarity_gap`` at ``duals`` and ``poly2``, taken at any
-    primal point: L_p is affine in z, so its z rows ``gap.gz`` are the same
-    everywhere.  Returns a new state and new duals; the inputs are not
-    modified.
+    primal point: L_p is affine in z, so ``gap.gz`` is the same everywhere.
+    ``Z`` takes one step, block i by ``eta_zi``, and one projection.
     """
-    z = [project_ball_sq(zi - eta * g, alpha)
-         for zi, eta, g, alpha in zip(state.z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz,
-                                      problem.alphas)]
-    new_state = PrimalState(x=[X.copy() for X in state.x], z=z)
+    Z = _step(state.Z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz, problem)
+    new_state = PrimalState(state.dims, state.X.copy(), Z)
     new_duals = _dual_step(new_state, duals, poly2, problem, cfg, *cfg.reg_coeffs(t))
-    if not new_state.is_finite():
+    if not (np.isfinite(new_state.X).all() and np.isfinite(Z).all()):
         raise NonFiniteError("non-finite master update")
     return new_state, new_duals
 
 
 @dataclass
 class GapVector:
-    """Blocks of the stationarity gap; squared norm drives the stopping rule.
+    """The stationarity gap; its squared norm drives the stopping rule.
 
-    ``gx[i-1]`` is (N, d_i) and ``gtheta`` is (N, d1).
+    Its primal rows are laid out like ``PrimalState``'s ``X`` and ``Z``:
+    ``gx`` (N, D) and ``gz`` (D,).  ``glam`` is (L,) and ``gtheta`` (N, d1).
     """
 
-    gx: list[Array]
-    gz: list[Array]
+    dims: Dims
+    gx: Array
+    gz: Array
     glam: Array
     gtheta: Array
 
     @property
     def sq_norm(self) -> float:
-        return float(sum(np.vdot(g, g) for g in (*self.gx, *self.gz, self.glam, self.gtheta)))
+        blocks = (*self.dims.split(self.gx), *self.dims.split(self.gz), self.glam, self.gtheta)
+        return float(sum(np.vdot(g, g) for g in blocks))
 
 
 def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
                      problem: TrilevelProblem, cfg: OuterConfig) -> GapVector:
     """The gradient of the unregularized L_p plus its projected dual residuals.
 
-    This is the one place L_p's gradient is formed.  The dual regularizer does
-    not touch primal blocks, so the rows ``gx`` are also the regularized
-    Lagrangian's, which ``worker_step`` steps on.  L_p is affine in z, so
-    ``gz`` depends only on the duals and P_II, not on the primal point, which
-    lets ``master_step`` reuse it.
+    This is the one place L_p's gradient is formed.  The cut duals pull on
+    the layer-II point ``[z1 z2 z3 | x3 rows | x2 rows]`` through one sum of
+    P_II's weighted rows, whose z part is ``gz`` but for theta.  The rows
+    ``gx`` are also the regularized Lagrangian's, which ``worker_step`` steps
+    on.  L_p is affine in z, so ``gz`` depends only on the duals and P_II,
+    which lets ``master_step`` reuse it.
     """
-    X, lam, cols = state.x, duals.lam, problem.dims.columns
-    G = problem.grad_all(1, *X)
-    gx = [G[:, cols(1)] + duals.theta,
-          G[:, cols(2)] + (lam[:, None, None] * poly2.B2).sum(axis=0),
-          G[:, cols(3)] + (lam[:, None, None] * poly2.B3).sum(axis=0)]
-    gz = [-duals.theta.sum(axis=0) + (lam[:, None] * poly2.A1).sum(axis=0),
-          (lam[:, None] * poly2.A2).sum(axis=0),
-          (lam[:, None] * poly2.A3).sum(axis=0)]
+    d, lam = problem.dims, duals.lam
+    D, n3 = d.width, d.N * d.d3
+    pull = (lam[:, None] * poly2.W).sum(axis=0)  # not lam @ W: keep each column's sum order
+    gx = problem.grad_all(1, *state.x).copy()  # the oracle's array is not ours to write
+    gx1, gx2, gx3 = d.split(gx)
+    gx1 += duals.theta
+    gx2 += pull[D + n3:].reshape(d.N, d.d2)
+    gx3 += pull[D:D + n3].reshape(d.N, d.d3)
+    gz = pull[:D]
+    gz[d.columns(1)] -= duals.theta.sum(axis=0)
     proj = _dual_step(state, duals, poly2, problem, cfg)
-    return GapVector(
-        gx=gx,
-        gz=gz,
-        glam=(lam - proj.lam) / cfg.eta_lambda,
-        gtheta=(duals.theta - proj.theta) / cfg.eta_theta,
-    )
+    return GapVector(d, gx, gz, glam=(lam - proj.lam) / cfg.eta_lambda,
+                     gtheta=(duals.theta - proj.theta) / cfg.eta_theta)

@@ -13,6 +13,7 @@ from fedtri.core import (
     FedtriError,
     NonFiniteError,
     Polytope,
+    PrimalState,
     TrilevelProblem,
     estimate_mu,
     finite_diff_grad,
@@ -132,6 +133,78 @@ class TestProjectBallSq:
         va, vb = np.array(a), np.array(b)
         pa, pb = project_ball_sq(va, alpha), project_ball_sq(vb, alpha)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(va - vb) + 1e-12
+
+
+def one_ball_reference(v, alpha):
+    """The single-ball projection as it was before blocks: one ``sum`` per row."""
+    nrm_sq = (v * v).sum(axis=-1, keepdims=True)
+    if float(nrm_sq.max(initial=0.0)) <= alpha:
+        return v.copy()
+    return v * np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
+
+
+class TestBlockProjection:
+    SIZES = (2, 9, 17)  # 9 and 17 take numpy's pairwise sum, 2 the plain one
+    ALPHAS = (25.0, 4.0, 30.0)
+
+    def rows(self):
+        rng = np.random.default_rng(12)
+        V = rng.standard_normal((6, sum(self.SIZES)))
+        V[:, 2:11] *= np.array([0.2, 0.5, 0.7, 0.8, 1.5, 3.0])[:, None]  # around the ball of 4
+        V[:, 11:] *= np.linspace(0.3, 3.0, 6)[:, None]
+        V[0, :2] = V[3, :2] = (3.0, 4.0)  # exactly on the ball of 25
+        V[1, :2] = (30.0, -40.0)
+        return V
+
+    def test_each_block_equals_its_own_projection_bit_for_bit(self):
+        V = self.rows()
+        P = project_ball_sq(V, self.ALPHAS, self.SIZES)
+        starts = np.cumsum((0,) + self.SIZES)
+        outside = 0
+        for a, b, alpha in zip(starts, starts[1:], self.ALPHAS):
+            block = np.ascontiguousarray(V[:, a:b])
+            norms = (block * block).sum(axis=-1)
+            outside += int((norms > alpha).sum())
+            assert np.array_equal(P[:, a:b], one_ball_reference(block, alpha))
+            for row in range(len(V)):  # one row at a time is one (d,) point
+                assert np.array_equal(project_ball_sq(V[row], self.ALPHAS, self.SIZES)[a:b],
+                                      one_ball_reference(block[row], alpha))
+        assert 0 < outside < 3 * len(V)
+        assert np.array_equal(P[0, :2], (3.0, 4.0)) and np.array_equal(P[1, :2], (3.0, -4.0))
+
+    def test_one_block_is_the_whole_row(self):
+        V = self.rows()
+        for alpha in (1.0, 40.0, 1e6):
+            assert np.array_equal(project_ball_sq(V, alpha), one_ball_reference(V, alpha))
+
+    def test_a_non_finite_block_raises(self):
+        V = self.rows()
+        V[4, 20] = np.inf
+        with pytest.raises(NonFiniteError):
+            project_ball_sq(V, self.ALPHAS, self.SIZES)
+
+
+class TestPrimalState:
+    def test_block_views_write_the_flat_arrays(self):
+        d = Dims(d1=2, d2=3, d3=1, N=2)
+        state = PrimalState.from_point(d, np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]),
+                                       np.array([6.0]))
+        assert np.array_equal(state.Z, np.arange(1.0, 7.0))
+        assert np.array_equal(state.X, np.tile(state.Z, (2, 1)))
+        state.x[1][1] = (-1.0, -2.0, -3.0)
+        state.z[2][:] = 9.0
+        assert np.array_equal(state.X[1], (1.0, 2.0, -1.0, -2.0, -3.0, 6.0))
+        assert np.array_equal(state.X[0], np.arange(1.0, 7.0))
+        assert state.Z[5] == 9.0 and state.X[0, 5] == 6.0
+
+    def test_a_copy_has_its_own_arrays_behind_its_views(self):
+        d = Dims(d1=1, d2=1, d3=2, N=3)
+        state = PrimalState.from_point(d, np.zeros(1), np.zeros(1), np.zeros(2))
+        twin = state.copy()
+        twin.x[2][0, 1] = 7.0
+        twin.z[0][0] = 8.0
+        assert twin.X[0, 3] == 7.0 and twin.Z[0] == 8.0
+        assert not state.X.any() and not state.Z.any()
 
 
 class TestEstimateMu:

@@ -40,19 +40,31 @@ class TestDelayModel:
     def test_constant(self):
         dm = DelayModel(kind="constant", value=2.0)
         rng = np.random.default_rng(0)
-        assert dm.draw(rng, 0) == 2.0
+        assert dm.draw(rng, [0]).tolist() == [2.0]
 
     def test_straggler_factor(self):
         dm = DelayModel(kind="constant", value=2.0, straggler_ids=(2,), straggler_factor=5.0)
         rng = np.random.default_rng(0)
-        assert dm.draw(rng, 0) == 2.0
-        assert dm.draw(rng, 1) == 10.0  # worker label 2 is index 1
+        assert dm.draw(rng, [0]).tolist() == [2.0]
+        assert dm.draw(rng, [1]).tolist() == [10.0]  # worker label 2 is index 1
+        assert dm.draw(rng, [1, 0]).tolist() == [10.0, 2.0]
 
     def test_uniform_range(self):
         dm = DelayModel(kind="uniform", lo=1.0, hi=3.0)
         rng = np.random.default_rng(0)
-        draws = [dm.draw(rng, 0) for _ in range(100)]
+        draws = dm.draw(rng, list(range(100)))
+        assert draws.shape == (100,)
         assert all(1.0 <= d <= 3.0 for d in draws)
+
+    def test_one_batched_draw_equals_a_scalar_draw_per_worker(self):
+        # The simulated clock, and so every log, depends on this equality.
+        dm = DelayModel(kind="uniform", lo=0.5, hi=1.5, straggler_ids=(2, 5),
+                        straggler_factor=5.0)
+        batched, scalar = np.random.default_rng(17), np.random.default_rng(17)
+        for workers in ([0, 1, 2, 3, 4], [4], [1, 3], [2, 0, 4]):
+            expect = [float(scalar.uniform(0.5, 1.5)) * (5.0 if j + 1 in (2, 5) else 1.0)
+                      for j in workers]
+            assert dm.draw(batched, workers).tolist() == expect
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +120,7 @@ class TestScheduleEpoch:
                              delay=DelayModel(kind="constant", value=1.0,
                                               straggler_ids=(4,), straggler_factor=5.0))
         rng = np.random.default_rng(0)
-        pending = [cfg.delay.draw(rng, j) for j in range(4)]
+        pending = cfg.delay.draw(rng, range(4)).tolist()
         staleness = [0, 0, 0, 0]
         clock = 0.0
         worst = 0
@@ -117,8 +129,8 @@ class TestScheduleEpoch:
             for j in range(4):
                 staleness[j] = 0 if j in active else staleness[j] + 1
             worst = max(worst, max(staleness))
-            for j in active:
-                pending[j] = clock + cfg.delay.draw(rng, j)
+            for j, delay in zip(active, cfg.delay.draw(rng, active).tolist()):
+                pending[j] = clock + delay
         assert worst <= 10
 
 
@@ -363,7 +375,7 @@ class TestSyncEquivalence:
         poly2 = Polytope("II", problem.dims)
         for t_new in range(1, 26):
             gap = stationarity_gap(state, duals, poly2, problem, outer)
-            state.x = list(worker_step(problem, state, gap, outer, range(2)))
+            state.X = worker_step(problem, state, gap, outer, range(2))
             state, duals = master_step(state, duals, poly2, problem, outer, gap, t=t_new - 1)
         for i in range(3):
             assert np.array_equal(res.state.z[i], state.z[i])

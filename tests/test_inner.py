@@ -85,6 +85,13 @@ class TestSolveLevel3:
         for v in list(x_hat) + [z_hat]:
             assert np.linalg.norm(v - mean_t) <= 1e-3
 
+    def test_every_unroll_freezes_the_one_empty_polytope_of_its_dims(self):
+        problem = separable_problem([np.array([1.0, 2.0])])
+        cfg = InnerConfig(K=2)
+        a = solve_level3(problem, np.zeros(1), np.zeros(2), cfg=cfg)
+        b = solve_level3(problem, np.ones(1), np.ones(2), cfg=cfg)
+        assert a.poly1 is b.poly1 and a.poly1.size == 0 and a.poly1.dims == problem.dims
+
     def test_zero_step_returns_initialization(self):
         targets = [np.array([1.0, 2.0])]
         problem = separable_problem(targets)

@@ -8,7 +8,6 @@ from fedtri.core import (
     finite_diff_grad,
     flat_point,
     project_ball_sq,
-    project_box_inf,
     split_point,
 )
 from fedtri.cuts import Cut, Polytope
@@ -19,6 +18,11 @@ from fedtri.outer import (
     worker_step,
 )
 from fedtri.problems import build_quadratic_problem
+
+
+def project_box_inf(v, bound):
+    """The infinity-norm box projection, kept apart from ``outer._dual_step``'s clip."""
+    return np.minimum(np.maximum(v, -bound), bound)
 
 
 def residual(cut, *point):
@@ -56,10 +60,9 @@ def setting():
     problem, oracle = build_quadratic_problem(seed=5, dims=(2, 3, 2), N=3, coupling=0.2)
     rng = np.random.default_rng(7)
     d = problem.dims
-    state = PrimalState(
-        x=[np.array([rng.standard_normal(d.block(i + 1)) for _ in range(d.N)]) for i in range(3)],
-        z=[rng.standard_normal(d.block(i + 1)) for i in range(3)],
-    )
+    x = [np.array([rng.standard_normal(d.block(i + 1)) for _ in range(d.N)]) for i in range(3)]
+    z = [rng.standard_normal(d.block(i + 1)) for i in range(3)]
+    state = PrimalState(d, np.hstack(x), np.concatenate(z))
     poly2 = Polytope("II", d, tuple(random_cut(rng, (2, 3, 2), 3, cut_id=i) for i in range(2)))
     duals = DualState(
         lam=np.array([0.4, 1.1]),
@@ -136,7 +139,7 @@ def flat_lagrangian_grad_check(problem, state, duals, poly2, cfg, rel_tol=1e-5):
     """Central finite differences of L_p across every primal block."""
     N = problem.dims.N
     gap = stationarity_gap(state, duals, poly2, problem, cfg)
-    G = gap.gx
+    G = [gap.gx[:, problem.dims.columns(i)] for i in (1, 2, 3)]
     for j in range(N):
         g = [G[i][j] for i in range(3)]
         for i in range(3):
@@ -148,11 +151,11 @@ def flat_lagrangian_grad_check(problem, state, duals, poly2, cfg, rel_tol=1e-5):
             num = finite_diff_grad(f, state.x[i][j])
             denom = max(np.linalg.norm(g[i]), 1.0)
             assert np.linalg.norm(num - g[i]) / denom <= rel_tol
-    gz = gap.gz
+    gz = [gap.gz[problem.dims.columns(i)] for i in (1, 2, 3)]
     for i in range(3):
         def f(v, i=i):
             s = state.copy()
-            s.z[i] = v
+            s.z[i][:] = v
             return lagrangian(s, duals, poly2, problem)
 
         num = finite_diff_grad(f, state.z[i])
@@ -175,7 +178,8 @@ class TestWorkerStep:
         )
         zero = DualState.zeros(problem.dims)
         gap = stationarity_gap(st, zero, Polytope("II", problem.dims), problem, cfg)
-        x1, x2, x3 = worker_step(problem, st, gap, cfg, [0])
+        step = worker_step(problem, st, gap, cfg, [0])
+        x1, x2, x3 = (step[:, problem.dims.columns(i)] for i in (1, 2, 3))
         assert np.allclose(x1[0], st.x[0][0], atol=1e-12)
         assert np.allclose(x2[0], st.x[1][0], atol=1e-12)
         assert np.allclose(x3[0], st.x[2][0], atol=1e-12)
@@ -183,8 +187,9 @@ class TestWorkerStep:
     def test_fresh_view_equals_synchronous_step(self, setting):
         problem, state, duals, poly2, cfg = setting
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
-        got = worker_step(problem, state, gap, cfg, [1])
-        G1, G2, G3 = gap.gx
+        step = worker_step(problem, state, gap, cfg, [1])
+        got = [step[:, problem.dims.columns(i)] for i in (1, 2, 3)]
+        G1, G2, G3 = (gap.gx[:, problem.dims.columns(i)] for i in (1, 2, 3))
         g1, g2, g3 = G1[1], G2[1], G3[1]
         assert np.allclose(got[0][0], project_ball_sq(state.x[0][1] - cfg.eta_x1 * g1,
                                                       problem.alphas[0]), atol=1e-14)
@@ -202,7 +207,8 @@ class TestWorkerStep:
         cfg = OuterConfig(eta_x1=0.01, eta_x2=0.01, eta_x3=0.01)
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         before = regularized_lagrangian(state, duals, poly2, problem, 0, cfg)
-        x1, x2, x3 = worker_step(problem, state, gap, cfg, [0])
+        step = worker_step(problem, state, gap, cfg, [0])
+        x1, x2, x3 = (step[:, problem.dims.columns(i)] for i in (1, 2, 3))
         after_state = state.copy()
         after_state.x[0][0], after_state.x[1][0], after_state.x[2][0] = x1[0], x2[0], x3[0]
         after = regularized_lagrangian(after_state, duals, poly2, problem, 0, cfg)
@@ -322,12 +328,14 @@ class TestStationarityGap:
         # and P_II alone; master_step steps on a gap taken at another point.
         problem, state, duals, poly2, cfg = setting
         rng = np.random.default_rng(11)
-        other = PrimalState(x=[rng.standard_normal(X.shape) for X in state.x],
-                            z=[rng.standard_normal(z.shape) for z in state.z])
+        other = PrimalState(problem.dims,
+                            np.hstack([rng.standard_normal(X.shape) for X in state.x]),
+                            np.concatenate([rng.standard_normal(z.shape) for z in state.z]))
         a = stationarity_gap(state, duals, poly2, problem, cfg).gz
         b = stationarity_gap(other, duals, poly2, problem, cfg).gz
-        for ga, gb in zip(a, b):
-            assert np.array_equal(ga, gb)
+        for i in (1, 2, 3):
+            cols = problem.dims.columns(i)
+            assert np.array_equal(a[cols], b[cols])
 
     def test_pure_function_of_state(self, setting):
         problem, state, duals, poly2, cfg = setting
