@@ -59,26 +59,26 @@ class Dims:
         return A[..., c1], A[..., c2], A[..., c3]
 
 
-# A stacked oracle, one call for all N workers (see ``TrilevelProblem``):
-# eval_fn -> (N,), grad_fn -> (N, D) and cross_hess_fn -> (N, D, D), D = d1 + d2 + d3.
-Oracle = Callable[[int, Array, Array, Array], Array]
+# A stacked oracle, one call for all N workers (see ``TrilevelProblem``): (level, V), V the
+# (N, D) flat points, D = d1 + d2 + d3 -> eval_fn (N,), grad_fn (N, D), cross_hess_fn
+# (N, D, D).  It reads V, which may be the live ``PrimalState.X``, and must not write to it.
+Oracle = Callable[[int, Array], Array]
 
 
 @dataclass
 class TrilevelProblem:
     """Three per-worker objective families with gradient access, evaluated for all workers at once.
 
-    Every oracle is stacked and takes ``(level, X1, X2, X3)``, ``level`` in
-    {1, 2, 3}.  ``eval_fn`` returns the (N,) objective values, ``grad_fn``
-    the (N, D) gradients over each worker's flat point ``[x1 | x2 | x3]``,
-    D = d1 + d2 + d3, block i at ``dims.columns(i)``, and the optional
-    ``cross_hess_fn`` the (N, D, D) Jacobian of ``grad_fn``.  ``grad_fn`` is
-    required; ``cross_hess_fn``, when set, makes ``inner.grad_h`` take the
-    backward sweep through an unroll instead of finite differences.  Each
-    ``Xi`` is (N, d_i) and row j is worker j's (0-based) argument; it may be
-    a view with strided rows, and a block shared by all workers arrives as
-    read-only ``repeat_rows``.  Row j of a result may depend only on row j
-    of the arguments.  Every result is checked for its shape and finiteness.
+    Every oracle is stacked and takes ``(level, V)``, ``level`` in {1, 2, 3}.
+    ``V`` is (N, D), D = d1 + d2 + d3, and row j is worker j's (0-based) flat
+    point ``[x1 | x2 | x3]``, block i at ``dims.columns(i)``.  ``eval_fn``
+    returns the (N,) objective values, ``grad_fn`` the (N, D) gradients over
+    the flat point, and the optional ``cross_hess_fn`` the (N, D, D) Jacobian
+    of ``grad_fn``.  ``grad_fn`` is required; ``cross_hess_fn``, when set,
+    makes ``inner.grad_h`` take the backward sweep through an unroll instead
+    of finite differences.  ``V`` may be the live ``PrimalState.X``: an
+    oracle reads it and must not write to it.  Row j of a result may depend
+    only on row j of ``V``.  Every result is checked for its shape and finiteness.
     """
 
     dims: Dims
@@ -96,22 +96,13 @@ class TrilevelProblem:
         if self.weak_convexity_mu < 0:
             raise ValueError("weak_convexity_mu must be nonnegative")
 
-    def _rows(self, X1, X2, X3) -> tuple[Array, Array, Array]:
-        """The three argument blocks as (N, d_i) rows.
-
-        A (d_i,) block is shared by all workers and becomes read-only
-        ``repeat_rows``; any other shape but (N, d_i) raises ``ValueError``.
-        """
-        d = self.dims
-        out = []
-        for i, (X, di) in enumerate(zip((X1, X2, X3), d.sizes), 1):
-            X = np.asarray(X, float)
-            if X.shape == (di,):
-                X = repeat_rows(X, d.N)
-            elif X.shape != (d.N, di):
-                raise ValueError(f"block {i} argument has shape {X.shape}")
-            out.append(X)
-        return tuple(out)
+    def _rows(self, V) -> Array:
+        """The (N, D) flat points an oracle takes; any other shape raises ``ValueError``."""
+        V = np.asarray(V, float)
+        if V.shape != (self.dims.N, self.dims.width):
+            raise ValueError(f"oracle argument has shape {V.shape}, "
+                             f"expected {(self.dims.N, self.dims.width)}")
+        return V
 
     def _checked(self, level: int, what: str, prefix: str, value, shape) -> Array:
         """An oracle result as a float array of ``shape``, or the error naming the bad worker.
@@ -127,32 +118,31 @@ class TrilevelProblem:
             raise NonFiniteError(f"{prefix}f_{level},{j} is non-finite")
         return A
 
-    def eval_all(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
+    def eval_all(self, level: int, V: Array) -> Array:
         """Every worker's level-``level`` objective as an (N,) array: one ``eval_fn`` call.
 
-        Each argument is one block of shape (d_i,), shared by all workers, or
-        per-worker rows of shape (N, d_i).  A non-finite value names its worker.
+        ``V`` is (N, D), row j worker j's flat point.  A non-finite value names its worker.
         """
-        F = self.eval_fn(level, *self._rows(X1, X2, X3))
+        F = self.eval_fn(level, self._rows(V))
         return self._checked(level, "values have", "", F, (self.dims.N,))
 
-    def grad_all(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
+    def grad_all(self, level: int, V: Array) -> Array:
         """Every worker's gradient over its flat point as an (N, D) array: one ``grad_fn`` call.
 
-        Arguments are as for ``eval_all``.  The result's shape is checked, and
-        its finiteness once; a non-finite row names its worker.
+        ``V`` is as for ``eval_all``.  The result's shape is checked, and its
+        finiteness once; a non-finite row names its worker.
         """
-        G = self.grad_fn(level, *self._rows(X1, X2, X3))
+        G = self.grad_fn(level, self._rows(V))
         return self._checked(level, "gradient has", "grad ", G, (self.dims.N, self.dims.width))
 
-    def cross_hess(self, level: int, X1: Array, X2: Array, X3: Array) -> Array:
+    def cross_hess(self, level: int, V: Array) -> Array:
         """The Jacobian of ``grad_all(level, ...)``, checked like it: (N, D, D)."""
         if self.cross_hess_fn is None:
             raise FedtriError(
                 "analytic unrolled gradients need second derivatives, "
                 f"but problem {self.name!r} does not expose them"
             )
-        H = self.cross_hess_fn(level, *self._rows(X1, X2, X3))
+        H = self.cross_hess_fn(level, self._rows(V))
         D = self.dims.width
         return self._checked(level, "cross Hessian has", "cross Hessian of ", H,
                              (self.dims.N, D, D))
@@ -341,13 +331,6 @@ def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] =
             raise NonFiniteError(f"non-finite function value at coordinate {k}")
         g[..., k] = (f_pm[0] - f_pm[1]) / (2.0 * h)
     return g
-
-
-def repeat_rows(v: Array, n: int) -> Array:
-    """A (d,) block shared by n rows as a read-only (n, d) array."""
-    R = v[None].repeat(n, 0)
-    R.flags.writeable = False
-    return R
 
 
 @lru_cache(maxsize=None)

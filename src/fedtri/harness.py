@@ -177,11 +177,16 @@ class RunResult:
 
 
 def _objectives(problem: TrilevelProblem, state: PrimalState) -> tuple[float, float, float]:
-    """The three levels' objectives summed over the workers, in worker order."""
-    (x1, x2, x3), (z1, z2, _) = state.x, state.z
-    return (float(sum(problem.eval_all(1, x1, x2, x3))),
-            float(sum(problem.eval_all(2, z1, x2, x3))),
-            float(sum(problem.eval_all(3, z1, z2, x3))))
+    """The three levels' objectives summed over the workers, in worker order.
+
+    f1 is taken at the workers' points, f2 at (z1, x2, x3) and f3 at (z1, z2, x3).
+    """
+    c, V = problem.dims.columns, state.X.copy()
+    f1 = problem.eval_all(1, state.X)
+    V[:, c(1)] = state.Z[c(1)]
+    f2 = problem.eval_all(2, V)
+    V[:, c(2)] = state.Z[c(2)]
+    return float(sum(f1)), float(sum(f2)), float(sum(problem.eval_all(3, V)))
 
 
 def run(
@@ -225,7 +230,7 @@ def run(
     elif grad_mode != "auto":
         raise ValueError(f"unknown grad_mode {grad_mode!r}")
     mu = problem.weak_convexity_mu
-    outer_cfg.check_floors(N=sched_cfg.N, M=1)
+    outer_cfg.check_floors(N=sched_cfg.N)
 
     N = problem.dims.N
     rng = np.random.default_rng(sched_cfg.seed)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem
-from .core import finite_diff_grad, flat_point, point_names, point_shapes, repeat_rows, split_point
+from .core import finite_diff_grad, flat_point, point_names, point_shapes, split_point
 
 
 class InnerSolverError(FedtriError):
@@ -147,17 +147,21 @@ _ORACLE_ARGS = {3: ("z1", "z2p", "x"), 2: ("z1", "x", "x3")}
 
 
 def _level_rows(oracle, level: int, inputs: dict, dims):
-    """The unrolled level's rows of ``oracle(level, ...)`` as a function of the iterate alone.
+    """The unrolled level's rows of ``oracle(level, V)`` as a function of the iterate alone.
 
-    The frozen inputs fill the other blocks as ``_ORACLE_ARGS`` says, bound
-    once; a shared one becomes ``repeat_rows``.
+    The frozen inputs fill their columns of one (N, D) array once, as
+    ``_ORACLE_ARGS`` says; each call writes the iterate into a copy of it.
     """
-    keys, own = _ORACLE_ARGS[level], dims.columns(level)
-    a, b = [v if v.ndim == 2 else repeat_rows(v, dims.N)
-            for v in [inputs[k] for k in keys if k != "x"]]
-    if keys[1] == "x":  # the iterate is oracle block 2 or 3
-        return lambda x: oracle(level, a, x, b)[:, own]
-    return lambda x: oracle(level, a, b, x)[:, own]
+    base, own = np.zeros((dims.N, dims.width)), dims.columns(level)
+    for i, key in enumerate(_ORACLE_ARGS[level], 1):
+        if key != "x":
+            base[:, dims.columns(i)] = inputs[key]
+
+    def rows(x):
+        V = base.copy()
+        V[:, own] = x
+        return oracle(level, V)[:, own]
+    return rows
 
 
 def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:

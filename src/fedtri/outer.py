@@ -67,7 +67,7 @@ class OuterConfig:
         c2 = max(self.c2_floor, 1.0 / (self.eta_theta * decay))
         return c1, c2
 
-    def check_floors(self, N: int, M: int = 1) -> None:
+    def check_floors(self, N: int) -> None:
         """Floor range check against the configured tolerance.
 
         The admissible range ties the floors to the dual bounds through
@@ -75,7 +75,7 @@ class OuterConfig:
         number of layer-II cuts M is read as 1 at configuration time.
         """
         bound = np.sqrt(
-            (4.0 * M * self.alpha4 / self.eta_lambda ** 2
+            (4.0 * 1 * self.alpha4 / self.eta_lambda ** 2
              + 4.0 * N * self.alpha5 / self.eta_theta ** 2) / self.tol
         )
         if not self.c1_floor < bound / self.eta_lambda:
@@ -174,7 +174,7 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
     d, lam = problem.dims, duals.lam
     D, n3 = d.width, d.N * d.d3
     pull = (lam[:, None] * poly2.W).sum(axis=0)  # not lam @ W: keep each column's sum order
-    gx = problem.grad_all(1, *state.x).copy()  # the oracle's array is not ours to write
+    gx = problem.grad_all(1, state.X).copy()  # the oracle's array is not ours to write
     gx1, gx2, gx3 = d.split(gx)
     gx1 += duals.theta
     gx2 += pull[D + n3:].reshape(d.N, d.d2)

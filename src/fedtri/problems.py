@@ -144,18 +144,17 @@ def build_quadratic_problem(
             G[level - 1][:, cols[level], cols[i]] = data[key]
         G[level - 1][:, cols[level], D] = G[level - 1][:, D, cols[level]] = data[lin]
 
-    def deviation(level, X1, X2, X3):
-        # C order even for broadcast blocks, so each row takes the same BLAS path
-        return np.ascontiguousarray(np.concatenate([X1, X2, X3, one], axis=1)) - m[level - 1]
+    def deviation(level, V):
+        return np.concatenate([V, one], axis=1) - m[level - 1]
 
-    def eval_fn(level, X1, X2, X3):
-        u = deviation(level, X1, X2, X3)
+    def eval_fn(level, V):
+        u = deviation(level, V)
         return 0.5 * _dot(u, _mv(G[level - 1], u))
 
-    def grad_fn(level, X1, X2, X3):
-        return _mv(G[level - 1, :, :D], deviation(level, X1, X2, X3))
+    def grad_fn(level, V):
+        return _mv(G[level - 1, :, :D], deviation(level, V))
 
-    def cross_hess_fn(level, X1, X2, X3):
+    def cross_hess_fn(level, V):
         return G[level - 1, :, :D, :D]
 
     def initial_point_fn(rng):
@@ -363,7 +362,8 @@ def build_robust_hpo_problem(
     def noisy(X2):  # worker j's one noise row added to each of its training rows
         return Xtr + X2[:, None, :]
 
-    def eval_fn(level, X1, X2, X3):
+    def eval_fn(level, V):
+        X1, X2, X3 = dims.split(V)
         if level == 1:
             return _weighted_sq_error(mlp_forward(shape, X3, Xval), yval, wval)
         if level == 2 and not spec.adversary:
@@ -375,7 +375,8 @@ def build_robust_hpo_problem(
 
     c1, c2, c3 = (dims.columns(i) for i in (1, 2, 3))
 
-    def grad_fn(level, X1, X2, X3):  # one backward pass; the columns f_level ignores stay 0
+    def grad_fn(level, V):  # one backward pass; the columns f_level ignores stay 0
+        X1, X2, X3 = dims.split(V)
         G = np.zeros((N, dims.width))
         if level == 1:
             G[:, c3] = mlp_loss_grads(shape, X3, Xval, yval, wval)[1]

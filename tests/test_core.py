@@ -24,6 +24,7 @@ from fedtri.core import (
 from fedtri.inner import InnerConfig, solve_level3
 from fedtri.data import make_synthetic_dataset
 from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
+from oracle_rows import stack_rows
 
 
 class TestDims:
@@ -58,10 +59,11 @@ class TestFiniteDiffGrad:
         x1, x2, x3 = (rng.standard_normal(d) for d in (3, 2, 4))
 
         def f3(v):
-            return problem.eval_all(3, x1, x2, v)[1]
+            return problem.eval_all(3, stack_rows(problem.dims, x1, x2, v))[1]
 
         numeric = finite_diff_grad(f3, x3)
-        analytic = problem.grad_all(3, x1, x2, x3)[1, problem.dims.columns(3)]
+        G = problem.grad_all(3, stack_rows(problem.dims, x1, x2, x3))
+        analytic = G[1, problem.dims.columns(3)]
         rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-6
 
@@ -255,39 +257,41 @@ class TestGradAll:
         dims = Dims(d1=2, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, X1, X2, X3: np.zeros(1),
-            grad_fn=lambda level, X1, X2, X3: np.zeros((1, 5)),
+            eval_fn=lambda level, V: np.zeros(1),
+            grad_fn=lambda level, V: np.zeros((1, 5)),
         )
         with pytest.raises(ValueError):
-            problem.grad_all(1, np.zeros(2), np.zeros(1), np.zeros(1))
+            problem.grad_all(1, stack_rows(dims, np.zeros(2), np.zeros(1), np.zeros(1)))
 
     def test_wrong_shaped_block_raises_like_grad(self):
         dims = Dims(d1=2, d2=1, d3=3, N=3)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, X1, X2, X3: np.zeros(3),
-            grad_fn=lambda level, X1, X2, X3: np.zeros((3, 4)),  # D = 6
+            eval_fn=lambda level, V: np.zeros(3),
+            grad_fn=lambda level, V: np.zeros((3, 4)),  # D = 6
         )
         with pytest.raises(ValueError, match="f_3 gradient has shape"):
-            problem.grad_all(3, np.zeros(2), np.zeros(1), np.zeros((3, 3)))
+            problem.grad_all(3, stack_rows(dims, np.zeros(2), np.zeros(1), np.zeros((3, 3))))
 
     def test_wrong_shaped_argument_raises(self):
         problem, _ = build_quadratic_problem(seed=0, dims=(2, 2, 2), N=3)
-        with pytest.raises(ValueError, match="block 3 argument"):
-            problem.grad_all(3, np.zeros(2), np.zeros(2), np.zeros((2, 2)))
+        # one (D,) point, one (N, d3) block, and three blocks passed as one argument
+        for bad in (np.zeros(6), np.zeros((3, 2)), (np.zeros((3, 2)),) * 3):
+            with pytest.raises(ValueError, match="oracle argument has shape"):
+                problem.grad_all(3, bad)
 
     def test_nonfinite_row_names_its_worker(self):
         dims = Dims(d1=1, d2=1, d3=2, N=3)
 
-        def gr(level, X1, X2, X3):
+        def gr(level, V):
             G = np.zeros((3, 4))
             G[1, 3] = G[2, 2] = np.nan
             return G
 
-        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(3),
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, V: np.zeros(3),
                                   grad_fn=gr)
         with pytest.raises(NonFiniteError, match=r"grad f_3,1 is non-finite"):
-            problem.grad_all(3, np.zeros(1), np.zeros(1), np.zeros((3, 2)))
+            problem.grad_all(3, stack_rows(dims, np.zeros(1), np.zeros(1), np.zeros((3, 2))))
 
 
 def _robust_hpo_problem():
@@ -306,14 +310,14 @@ class TestStackedContract:
         problem = build()
         d = problem.dims
         rng = np.random.default_rng(0)
-        X = [rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)]
+        V = stack_rows(d, *(rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)))
         for level in (1, 2, 3):
-            F = problem.eval_all(level, *X)
-            rows = [problem.eval_all(level, *(Xi[j] for Xi in X)) for j in range(d.N)]
+            F = problem.eval_all(level, V)
+            rows = [problem.eval_all(level, np.tile(V[j], (d.N, 1))) for j in range(d.N)]
             assert all(F[j] == r[j] for j, r in enumerate(rows)), level
-            G = problem.grad_all(level, *X)
+            G = problem.grad_all(level, V)
             for j in range(d.N):
-                row = problem.grad_all(level, *(Xi[j] for Xi in X))[j]
+                row = problem.grad_all(level, np.tile(V[j], (d.N, 1)))[j]
                 assert np.array_equal(G[j], row), (level, j)
 
     def test_quadratic_grad_matches_central_differences_of_its_values(self):
@@ -323,10 +327,11 @@ class TestStackedContract:
         rng = np.random.default_rng(3)
         X = [rng.standard_normal((3, k)) for k in (2, 3, 4)]
         for level in (1, 2, 3):
-            G = quad.grad_all(level, *X)
+            G = quad.grad_all(level, stack_rows(quad.dims, *X))
             for i in range(3):
                 G_fd = finite_diff_grad(
-                    lambda P: quad.eval_all(level, *X[:i], P, *X[i + 1:]), X[i])
+                    lambda P: quad.eval_all(level, stack_rows(quad.dims, *X[:i], P, *X[i + 1:])),
+                    X[i])
                 cols = quad.dims.columns(i + 1)
                 assert np.abs(G[:, cols] - G_fd).max() <= 1e-6, (level, i + 1)
 
@@ -336,7 +341,7 @@ class TestStackedContract:
         rng = np.random.default_rng(5)
         X = [rng.standard_normal((d.N, d.block(i))) for i in (1, 2, 3)]
         for level in (1, 2, 3):
-            H = quad.cross_hess(level, *X)
+            H = quad.cross_hess(level, stack_rows(d, *X))
             assert H.shape == (d.N, d.width, d.width)
             for inn in (1, 2, 3):
                 H_in = H[:, :, d.columns(inn)]
@@ -344,27 +349,28 @@ class TestStackedContract:
                     P, M = list(X), list(X)
                     P[inn - 1] = X[inn - 1] + np.eye(d.block(inn))[k]
                     M[inn - 1] = X[inn - 1] - np.eye(d.block(inn))[k]
-                    dG = (quad.grad_all(level, *P) - quad.grad_all(level, *M)) / 2
+                    dG = (quad.grad_all(level, stack_rows(d, *P))
+                          - quad.grad_all(level, stack_rows(d, *M))) / 2
                     assert np.allclose(H_in[:, :, k], dG, rtol=0, atol=1e-12), (level, inn)
 
     def test_cross_hess_rejects_a_per_worker_shaped_matrix(self):
         dims = Dims(d1=2, d2=3, d3=3, N=3)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, X1, X2, X3: np.zeros(3),
-            grad_fn=lambda level, X1, X2, X3: np.zeros((3, 8)),
-            cross_hess_fn=lambda level, X1, X2, X3: np.eye(3),
+            eval_fn=lambda level, V: np.zeros(3),
+            grad_fn=lambda level, V: np.zeros((3, 8)),
+            cross_hess_fn=lambda level, V: np.eye(3),
         )
         with pytest.raises(ValueError, match="cross Hessian has shape"):
-            problem.cross_hess(3, np.zeros(2), np.zeros(3), np.zeros((3, 3)))
+            problem.cross_hess(3, stack_rows(dims, np.zeros(2), np.zeros(3), np.zeros((3, 3))))
 
     def test_cross_hess_names_the_first_non_finite_worker(self):
         # NaN in worker 1's Hessian row 0, a row of block 1 that no adjoint
         # sweep reads: the check still names the level and the worker.
         quad = _quadratic_problem()
 
-        def cross_hess_fn(level, X1, X2, X3):
-            H = quad.cross_hess_fn(level, X1, X2, X3).copy()
+        def cross_hess_fn(level, V):
+            H = quad.cross_hess_fn(level, V).copy()
             H[1, 0] = np.nan
             return H
 
@@ -372,38 +378,37 @@ class TestStackedContract:
                                   cross_hess_fn=cross_hess_fn)
         d = quad.dims
         with pytest.raises(NonFiniteError, match=r"cross Hessian of f_2,1 is non-finite"):
-            problem.cross_hess(2, np.zeros(d.d1), np.zeros((d.N, d.d2)), np.zeros((d.N, d.d3)))
+            problem.cross_hess(2, stack_rows(d, np.zeros(d.d1), np.zeros((d.N, d.d2)),
+                                              np.zeros((d.N, d.d3))))
 
     def test_eval_all_names_the_first_non_finite_worker(self):
         dims = Dims(d1=1, d2=1, d3=1, N=4)
         values = np.array([0.0, 1.0, np.inf, np.nan])
-        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: values,
-                                  grad_fn=lambda level, X1, X2, X3: np.zeros((4, 3)))
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, V: values,
+                                  grad_fn=lambda level, V: np.zeros((4, 3)))
         with pytest.raises(NonFiniteError, match=r"f_2,2 is non-finite"):
-            problem.eval_all(2, np.zeros(1), np.zeros(1), np.zeros((4, 1)))
+            problem.eval_all(2, stack_rows(dims, np.zeros(1), np.zeros(1), np.zeros((4, 1))))
 
     def test_eval_all_checks_the_shape_of_its_values(self):
         dims = Dims(d1=1, d2=1, d3=1, N=3)
-        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, X1, X2, X3: np.zeros(2),
-                                  grad_fn=lambda level, X1, X2, X3: np.zeros((3, 3)))
+        problem = TrilevelProblem(dims=dims, eval_fn=lambda level, V: np.zeros(2),
+                                  grad_fn=lambda level, V: np.zeros((3, 3)))
         with pytest.raises(ValueError, match="f_1 values have shape"):
-            problem.eval_all(1, np.zeros(1), np.zeros(1), np.zeros(1))
+            problem.eval_all(1, stack_rows(dims, np.zeros(1), np.zeros(1), np.zeros(1)))
 
-    def test_eval_fn_receives_rows_and_read_only_broadcast_blocks(self):
+    def test_eval_fn_receives_the_callers_rows(self):
         dims = Dims(d1=1, d2=2, d3=3, N=2)
         seen = []
 
-        def ev(level, X1, X2, X3):
-            seen.append((X1, X2, X3))
+        def ev(level, V):
+            seen.append(V)
             return np.zeros(2)
 
         problem = TrilevelProblem(dims=dims, eval_fn=ev,
-                                  grad_fn=lambda level, X1, X2, X3: np.zeros((2, 6)))
-        X3 = np.ones((2, 3))
-        problem.eval_all(1, np.zeros(1), np.zeros(2), X3)
-        X1, X2, got3 = seen[0]
-        assert X1.shape == (2, 1) and X2.shape == (2, 2) and got3 is X3
-        assert not X1.flags.writeable and not X2.flags.writeable
+                                  grad_fn=lambda level, V: np.zeros((2, 6)))
+        V = np.ones((2, 6))
+        problem.eval_all(1, V)
+        assert seen[0] is V
 
 
 def test_cuts_polytopes_and_traces_compare_by_identity():

@@ -48,9 +48,9 @@ def scalar_problem():
     dims = Dims(d1=1, d2=1, d3=1, N=1)
     return TrilevelProblem(
         dims=dims,
-        eval_fn=lambda level, X1, X2, X3: np.zeros(1),
-        grad_fn=lambda level, X1, X2, X3: np.zeros((1, 3)),
-        cross_hess_fn=lambda level, X1, X2, X3: np.zeros((1, 3, 3)),
+        eval_fn=lambda level, V: np.zeros(1),
+        grad_fn=lambda level, V: np.zeros((1, 3)),
+        cross_hess_fn=lambda level, V: np.zeros((1, 3, 3)),
     )
 
 
@@ -383,10 +383,10 @@ class TestValidateCut:
         dims = Dims(d1=1, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, X1, X2, X3: amp * np.sin(freq * X2[:, 0]) * X3[:, 0],
-            grad_fn=lambda level, X1, X2, X3: np.concatenate(
-                [np.zeros((1, 1)), amp * freq * np.cos(freq * X2) * X3, amp * np.sin(freq * X2)],
-                axis=1),
+            eval_fn=lambda level, V: amp * np.sin(freq * V[:, 1]) * V[:, 2],
+            grad_fn=lambda level, V: np.concatenate(
+                [np.zeros((1, 1)), amp * freq * np.cos(freq * V[:, 1:2]) * V[:, 2:3],
+                 amp * np.sin(freq * V[:, 1:2])], axis=1),
         )
         cfg = InnerConfig(K=1, eta_x=1.0, eta_z=1.0, eta_phi=0.1)
         trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)

@@ -15,6 +15,7 @@ import fedtri.inner
 from fedtri.cuts import generate_cut_I, normalize_cut
 from fedtri.inner import InnerConfig, grad_h, level2_steps, solve_level2, solve_level3
 from fedtri.problems import build_quadratic_problem
+from oracle_rows import stack_rows
 
 # The oracle block each frozen input occupies; z3 reaches the level-2 unroll
 # only through the layer-I cuts.
@@ -53,7 +54,7 @@ def ref_jacobians(trace, key, worker=None):
     for k in range(cfg.K):
         xk = trace.x[k]
         args = (z1, z2p, xk) if level == 3 else (z1, xk, x3)
-        rows = p.cross_hess(level, *args)[:, d.columns(level)]  # the level's rows, by column
+        rows = p.cross_hess(level, stack_rows(d, *args))[:, d.columns(level)]  # the level's rows
         Hxx_all = rows[:, :, d.columns(level)]
         Hxw_all = None if wblock is None else rows[:, :, d.columns(wblock)]
         Dgx = []

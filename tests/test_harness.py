@@ -286,8 +286,8 @@ class TestRunBasics:
         problem, _, inner, outer = quad_setup(max_iters=5)
         exact = problem.cross_hess_fn
 
-        def cross_hess_fn(level, X1, X2, X3):
-            H = exact(level, X1, X2, X3).copy()
+        def cross_hess_fn(level, V):
+            H = exact(level, V).copy()
             H[1, row] = np.nan
             return H
 

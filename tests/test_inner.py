@@ -17,6 +17,7 @@ from fedtri.inner import (
     solve_level3,
 )
 from fedtri.problems import build_quadratic_problem
+from oracle_rows import stack_rows
 
 
 def separable_problem(targets, d=(1, 1, None)):
@@ -26,7 +27,8 @@ def separable_problem(targets, d=(1, 1, None)):
 
     T = np.array(targets, float)
 
-    def ev(level, X1, X2, X3):
+    def ev(level, V):
+        X1, X2, X3 = dims.split(V)
         if level == 3:
             dv = X3 - T
             return 0.5 * (dv * dv).sum(axis=1)
@@ -35,13 +37,14 @@ def separable_problem(targets, d=(1, 1, None)):
             return 0.5 * (dv * dv).sum(axis=1)
         return np.zeros(dims.N)
 
-    def gr(level, X1, X2, X3):
+    def gr(level, V):
+        X1, X2, X3 = dims.split(V)
         G = np.zeros((dims.N, dims.width))
         if level in (2, 3):
             G[:, dims.columns(level)] = (X3 if level == 3 else X2) - T
         return G
 
-    def ch(level, X1, X2, X3):
+    def ch(level, V):
         H = np.zeros((dims.N, dims.width, dims.width))
         if level in (2, 3):
             H[:, dims.columns(level), dims.columns(level)] = np.eye(dims.block(level))
@@ -131,8 +134,8 @@ class TestSolveLevel3:
         dims = Dims(d1=1, d2=1, d3=1, N=1)
         problem = TrilevelProblem(
             dims=dims,
-            eval_fn=lambda level, X1, X2, X3: np.zeros(1),
-            grad_fn=lambda level, X1, X2, X3: np.full((1, 3), 1e200),
+            eval_fn=lambda level, V: np.zeros(1),
+            grad_fn=lambda level, V: np.full((1, 3), 1e200),
         )
         cfg = InnerConfig(K=3, eta_x=1e200, eta_z=1.0, eta_phi=1.0)
         with pytest.raises((InnerSolverError, FedtriError), match="round"):
@@ -372,7 +375,58 @@ class TestGradH:
         point = (np.zeros(1), np.zeros(2), np.zeros(2), [np.zeros(2)])
         assert all(np.isfinite(g).all() for g in grad_h(trace, point))
         with pytest.raises(FedtriError, match="second derivatives"):
-            problem.cross_hess(3, np.zeros(1), np.zeros(2), np.zeros((1, 2)))
+            problem.cross_hess(3, stack_rows(problem.dims, np.zeros(1), np.zeros(2),
+                                             np.zeros((1, 2))))
+
+
+class TestOracleRows:
+    """Each unroll hands its oracle (N, D) rows: the frozen inputs in their
+    columns and the iterate in the unrolled level's, forward and backward."""
+
+    @staticmethod
+    def recording(problem):
+        calls = {"grad": [], "hess": []}
+
+        def grad_fn(level, V):
+            calls["grad"].append((level, V))
+            return problem.grad_fn(level, V)
+
+        def cross_hess_fn(level, V):
+            calls["hess"].append((level, V))
+            return problem.cross_hess_fn(level, V)
+
+        return replace(problem, grad_fn=grad_fn, cross_hess_fn=cross_hess_fn), calls
+
+    @staticmethod
+    def assert_rows(calls, level, expected, dims):
+        """Call k reads ``expected[k]``'s blocks; every call has its own array."""
+        assert [lv for lv, _ in calls] == [level] * len(expected)
+        for (_, V), blocks in zip(calls, expected):
+            assert V.shape == (dims.N, dims.width)
+            assert np.array_equal(V, stack_rows(dims, *blocks))
+
+    def test_level3_rows_hold_z1_z2p_and_the_iterate(self):
+        base = build_quadratic_problem(seed=1, dims=(2, 3, 4), N=3)[0]
+        problem, calls = self.recording(base)
+        d, rng = problem.dims, np.random.default_rng(0)
+        z1, z2p, z3 = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(4)
+        trace = solve_level3(problem, z1, z2p, init=(rng.standard_normal((3, 4)),),
+                             cfg=InnerConfig(K=3))
+        self.assert_rows(calls["grad"], 3, [(z1, z2p, x) for x in trace.x[:-1]], d)
+        grad_h(trace, (z1, z2p, z3, rng.standard_normal((3, 4))))
+        self.assert_rows(calls["hess"], 3, [(z1, z2p, x) for x in trace.x[-2::-1]], d)
+
+    def test_level2_rows_hold_z1_the_iterate_and_each_workers_x3(self):
+        base = build_quadratic_problem(seed=1, dims=(2, 3, 4), N=3)[0]
+        problem, calls = self.recording(base)
+        d, rng = problem.dims, np.random.default_rng(1)
+        z1, z3, x3 = rng.standard_normal(2), rng.standard_normal(4), rng.standard_normal((3, 4))
+        trace = solve_level2(problem, z1, z3, x3, (), init=(rng.standard_normal((3, 3)),),
+                             cfg=InnerConfig(K=3))
+        self.assert_rows(calls["grad"], 2, [(z1, x, x3) for x in trace.x[:-1]], d)
+        point = (z1, rng.standard_normal(3), z3, x3, rng.standard_normal((3, 3)))
+        grad_h(trace, point)
+        self.assert_rows(calls["hess"], 2, [(z1, x, x3) for x in trace.x[-2::-1]], d)
 
 
 class TestFlatAdapters:

@@ -33,7 +33,7 @@ def residual(cut, *point):
 def lagrangian(state, duals, poly2, problem):
     """Outer Lagrangian: objective sum, consensus duals, layer-II cut duals."""
     X1, X2, X3 = state.x
-    total = sum(problem.eval_all(1, X1, X2, X3))
+    total = sum(problem.eval_all(1, state.X))
     total += float((duals.theta * (X1 - state.z[0])).sum())
     total += float(duals.lam @ poly2.residuals(*state.z, X3, X2))
     if not np.isfinite(total):
@@ -76,7 +76,7 @@ class TestLagrangian:
     def test_zero_duals_equals_objective_sum(self, setting):
         problem, state, duals, poly2, cfg = setting
         zero = DualState.zeros(problem.dims, n_cuts2=poly2.size)
-        f1 = problem.eval_all(1, *state.x)
+        f1 = problem.eval_all(1, state.X)
         expect = sum(f1[j] for j in range(problem.dims.N))
         assert lagrangian(state, zero, poly2, problem) == pytest.approx(expect, rel=1e-12)
 
@@ -94,7 +94,7 @@ class TestLagrangian:
     def test_matches_term_by_term_sum(self, setting):
         problem, state, duals, poly2, cfg = setting
         total = 0.0
-        f1 = problem.eval_all(1, *state.x)
+        f1 = problem.eval_all(1, state.X)
         for j in range(problem.dims.N):
             total += f1[j]
             total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
@@ -347,11 +347,11 @@ class TestStationarityGap:
 class TestConfigValidation:
     def test_floor_range_check(self):
         cfg = OuterConfig(eta_lambda=0.1, eta_theta=0.1, tol=1e-4)
-        cfg.check_floors(N=4, M=1)
+        cfg.check_floors(N=4)
         bad = OuterConfig(eta_lambda=0.1, eta_theta=0.1, tol=1e-4,
                           c1_floor=10**9)
         with pytest.raises(ValueError):
-            bad.check_floors(N=4, M=1)
+            bad.check_floors(N=4)
 
     def test_positivity(self):
         with pytest.raises(ValueError):

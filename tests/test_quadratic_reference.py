@@ -2,14 +2,19 @@
 
 ``ref_eval`` and ``ref_grad`` are the per-level formulas the table replaced,
 kept here as an oracle: worker by worker, from the builder's own matrices
-rebuilt with ``_build_quadratic_data`` at the builder's seed.
+rebuilt with ``_build_quadratic_data`` at the builder's seed.  The objectives
+``run`` logs are checked against ``ref_eval`` too.
 """
 
 import numpy as np
 import pytest
 
 from fedtri.core import Dims
+from fedtri.harness import ScheduleConfig, run
+from fedtri.inner import InnerConfig
+from fedtri.outer import OuterConfig
 from fedtri.problems import _build_quadratic_data, _solve_oracle, build_quadratic_problem
+from oracle_rows import stack_rows
 
 SEED, DIMS, N = 7, (2, 3, 4), 3
 DD = Dims(*DIMS, N=N)
@@ -53,7 +58,7 @@ def built():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_eval_matches_the_written_out_levels(built, level):
     problem, data, v_star, X = built
-    F = problem.eval_all(level, *X)
+    F = problem.eval_all(level, stack_rows(DD, *X))
     ref = [ref_eval(data, v_star, level, *(Xi[j] for Xi in X), j) for j in range(N)]
     np.testing.assert_allclose(F, ref, rtol=1e-12, atol=1e-12)
 
@@ -62,6 +67,21 @@ def test_eval_matches_the_written_out_levels(built, level):
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_grad_matches_the_written_out_levels(built, level, block):
     problem, data, v_star, X = built
-    G = problem.grad_all(level, *X)[:, DD.columns(block)]
+    G = problem.grad_all(level, stack_rows(DD, *X))[:, DD.columns(block)]
     ref = [ref_grad(data, v_star, level, block, *(Xi[j] for Xi in X), j) for j in range(N)]
     np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_logged_objectives_are_the_written_out_levels_at_the_returned_state(built):
+    # f1 at every worker's point, f2 at (z1, x2_j, x3_j), f3 at (z1, z2, x3_j).
+    problem, data, v_star, _ = built
+    res = run(problem, InnerConfig(K=3), OuterConfig(T_pre=2, max_iters=5),
+              ScheduleConfig(N=N, S=2, seed=0))
+    assert res.log.status == "max_iters"
+    (x1, x2, x3), (z1, z2, _) = res.state.x, res.state.z
+    last = res.log.records[-1]
+    expect = [sum(ref_eval(data, v_star, level, *blocks(j), j) for j in range(N))
+              for level, blocks in ((1, lambda j: (x1[j], x2[j], x3[j])),
+                                    (2, lambda j: (z1, x2[j], x3[j])),
+                                    (3, lambda j: (z1, z2, x3[j])))]
+    np.testing.assert_allclose([last.f1, last.f2, last.f3], expect, rtol=1e-12, atol=1e-12)

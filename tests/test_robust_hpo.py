@@ -18,6 +18,7 @@ from fedtri.problems import (
     mlp_forward,
     mlp_loss_grads,
 )
+from oracle_rows import stack_rows
 
 
 def rel_err(g, g_ref):
@@ -74,14 +75,14 @@ def check_oracle_gradients(adversary, rows, N):
     rng = np.random.default_rng(2)
     point = [np.array([-1.0]), 0.3 * rng.standard_normal(3), hpo.shape.init(rng)]
     for level in (1, 2, 3):
-        G = problem.grad_all(level, *point)
+        G = problem.grad_all(level, stack_rows(problem.dims, *point))
         assert G.shape == (problem.dims.N, problem.dims.width)
         for j in range(problem.dims.N):
             for block in (1, 2, 3):  # every column, f_1's zero x1 and x2 columns too
                 def f(v):  # every worker at the shared point; row j is worker j's value
                     args = list(point)
                     args[block - 1] = v
-                    return problem.eval_all(level, *args)[j]
+                    return problem.eval_all(level, stack_rows(problem.dims, *args))[j]
 
                 g = G[j, problem.dims.columns(block)]
                 g_fd = finite_diff_grad(f, point[block - 1])
@@ -107,8 +108,9 @@ def test_padded_shards_give_each_workers_mean_loss():
     hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=5)
     rng = np.random.default_rng(3)
     w, noise = hpo.shape.init(rng), 0.3 * rng.standard_normal(3)
-    f1 = hpo.problem.eval_all(1, np.zeros(1), noise, w)
-    f3 = hpo.problem.eval_all(3, np.array([-50.0]), noise, w)  # exp(-50): no weight penalty
+    f1 = hpo.problem.eval_all(1, stack_rows(hpo.problem.dims, np.zeros(1), noise, w))
+    # exp(-50): no weight penalty
+    f3 = hpo.problem.eval_all(3, stack_rows(hpo.problem.dims, np.array([-50.0]), noise, w))
     for j, (val, train) in enumerate(zip(hpo.val_shards, hpo.train_shards)):
         mse_val = np.mean((mlp_forward(hpo.shape, w, data.X[val]) - data.y[val]) ** 2)
         mse_train = np.mean((mlp_forward(hpo.shape, w, data.X[train] + noise)

@@ -18,11 +18,13 @@ from fedtri.inner import (
     solve_level3,
 )
 from fedtri.problems import build_quadratic_problem
+from oracle_rows import stack_rows
 
 
 def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
     N = problem.dims.N
-    G = problem.grad_all(3, z1, z2p, np.array(x))[:, problem.dims.columns(3)]
+    G = problem.grad_all(3, stack_rows(problem.dims, z1, z2p, np.array(x)))[
+        :, problem.dims.columns(3)]
     gx = [G[j] + phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N)]
     gz = -sum(phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N))
     x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
@@ -34,7 +36,8 @@ def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
 def ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi, r0, a2s, cfg, eta_z, eta_gamma):
     N = problem.dims.N
     L = len(r0)
-    G = problem.grad_all(2, z1, np.array(x), np.array(x3))[:, problem.dims.columns(2)]
+    G = problem.grad_all(2, stack_rows(problem.dims, z1, np.array(x), np.array(x3)))[
+        :, problem.dims.columns(2)]
     gx = [G[j] + phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N)]
     gz2 = -sum(phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N))
     if L:
