@@ -7,20 +7,17 @@ from .core import (
     NonFiniteError,
     PrimalState,
     TrilevelProblem,
-    estimate_mu,
     finite_diff_grad,
     flat_point,
     project_ball_sq,
 )
 from .cuts import (
     Cut,
-    CutValidationReport,
     Polytope,
     add_cut,
     drop_inactive,
     generate_cut_I,
     generate_cut_II,
-    validate_cut,
 )
 from .data import RegressionDataset, generate_synthetic_csv, load_dataset, make_synthetic_dataset
 from .harness import (
@@ -39,7 +36,6 @@ from .inner import (
     InnerConfig,
     UnrollTrace,
     eval_h,
-    flat_h,
     grad_h,
     solve_level2,
     solve_level3,

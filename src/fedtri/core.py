@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -364,56 +364,3 @@ def project_ball_sq(v: Array, alpha, sizes: Optional[tuple[int, ...]] = None) ->
     scale = np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
     return v * np.repeat(scale, sizes, axis=-1)
 
-
-def estimate_mu(
-    h: Callable[[Array], float],
-    sample_points: Sequence[Array],
-    pair_samples: int,
-    grad: Optional[Callable[[Array], Array]] = None,
-    seed: int = 0,
-) -> float:
-    """Empirical weak-convexity modulus from the first-order condition.
-
-    Over sampled ordered pairs (x, x'), returns the smallest mu >= 0 with
-    ``h(x) >= h(x') + grad h(x')^T (x - x') - (mu/2) ||x - x'||^2``, i.e. the
-    max of ``2 (h(x') + grad h(x')^T (x - x') - h(x)) / ||x - x'||^2`` clamped
-    at zero.  Coincident pairs are skipped; if every pair is coincident an
-    error is raised.  ``grad`` defaults to central finite differences.  With
-    ``pair_samples`` at least n*(n-1) all ordered pairs are enumerated, which
-    makes the estimate monotone in the sample set.
-    """
-    points = [np.asarray(p, dtype=float) for p in sample_points]
-    n = len(points)
-    if n < 2:
-        raise ValueError("estimate_mu needs at least 2 sample points")
-    if pair_samples < 1:
-        raise ValueError("pair_samples must be positive")
-
-    if grad is None:
-        grad = lambda v: finite_diff_grad(h, v)
-
-    values = [float(h(p)) for p in points]
-    grads: dict[int, Array] = {}
-
-    if pair_samples >= n * (n - 1):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(pair_samples, 2))
-        pairs = [(int(i), int(j)) for i, j in idx]
-
-    best = -np.inf
-    used = 0
-    for i, j in pairs:  # x = points[i], anchor x' = points[j]
-        diff = points[i] - points[j]
-        dist_sq = float(diff @ diff)
-        if dist_sq == 0.0:
-            continue
-        if j not in grads:
-            grads[j] = np.asarray(grad(points[j]), dtype=float)
-        gap = values[j] + float(grads[j] @ diff) - values[i]
-        best = max(best, 2.0 * gap / dist_sq)
-        used += 1
-    if used == 0:
-        raise FedtriError("all sampled pairs are coincident")
-    return max(0.0, best)

@@ -1,4 +1,4 @@
-"""Generation, normalization, validity checking and pruning of the two cut layers.
+"""Generation, normalization and pruning of the two cut layers.
 
 A cut linearizes h at an anchor point, so it is one row ``w . p <= c`` over the
 flat point p, in the block order of ``core.point_shapes``.  ``Cut`` and
@@ -7,14 +7,14 @@ flat point p, in the block order of ``core.point_shapes``.  ``Cut`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, flat_point
-from .core import point_alphas, point_names, point_shapes
-from .inner import UnrollTrace, eval_h, grad_h, rerun
+from .core import point_alphas, point_shapes
+from .inner import UnrollTrace, eval_h, grad_h
 
 
 def normalize_cut(cut: Cut) -> Cut:
@@ -118,84 +118,3 @@ def generate_cut_II(
     """
     return _linearization_cut(trace, LAYER_II, point, mu, eps2, alphas, cut_id)
 
-
-@dataclass(frozen=True)
-class CutValidationReport:
-    violations: int
-    max_violation: float
-    samples_checked: int
-    draws: int
-    inconclusive: bool
-
-
-def _sample_ball(rng: np.random.Generator, dim: int, radius_sq: float) -> Array:
-    if dim == 0:
-        return np.zeros(0)
-    v = rng.standard_normal(dim)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return np.zeros(dim)
-    r = np.sqrt(radius_sq) * rng.random() ** (1.0 / dim)
-    return v * (r / nrm)
-
-
-def validate_cut(
-    cut: Cut,
-    trace: UnrollTrace,
-    eps: float,
-    n_samples: int,
-    seed: int,
-    alphas: tuple[float, float, float],
-    tol: float = 1e-9,
-    max_draws: int = 10**6,
-) -> CutValidationReport:
-    """Sample points with the trace's ``h <= eps`` inside the bound balls and count cut violations.
-
-    The same sampler serves both layers.  Each proposal first puts the
-    trace's frozen inputs uniformly in their balls, row by row, then its own
-    (x, z) blocks inside the sqrt(eps)-tube around the re-run estimate; every
-    proposal is still rejected unless it actually satisfies ``h <= eps`` and
-    the own blocks' bounds.  A valid cut admits zero violations.
-    """
-    rng = np.random.default_rng(seed)
-    poly = Polytope(cut.layer, trace.problem.dims, (cut,))
-    keys = point_names(trace.layer)
-    balls = dict(zip(keys, zip(point_shapes(trace.layer, trace.problem.dims),
-                               point_alphas(trace.layer, alphas))))
-    (x_shape, own_alpha), (z_shape, _) = balls["x"], balls["z"]
-    nx = int(np.prod(x_shape))
-
-    accepted = 0
-    draws = 0
-    violations = 0
-    max_violation = -np.inf
-    while accepted < n_samples and draws < max_draws:
-        draws += 1
-        point = {}
-        for key in trace.inputs:
-            shape, a = balls[key]
-            rows = [_sample_ball(rng, shape[-1], a) for _ in range(int(np.prod(shape[:-1])))]
-            point[key] = np.reshape(rows, shape)
-        sub = rerun(trace, **point)
-        x_hat, z_hat = sub.estimate
-        dev = _sample_ball(rng, nx + z_shape[0], eps)
-        point["x"] = x_hat + dev[:nx].reshape(x_shape)
-        point["z"] = z_hat + dev[nx:]
-        if any(float(r @ r) > own_alpha for r in (*point["x"], point["z"])):
-            continue
-        blocks = tuple(point[key] for key in keys)
-        if eval_h(sub, blocks) > eps:
-            continue
-        accepted += 1
-        resid = float(poly.residuals(*blocks)[0])
-        max_violation = max(max_violation, resid)
-        if resid > tol:
-            violations += 1
-
-    return CutValidationReport(
-        violations=violations,
-        max_violation=float(max_violation) if accepted else float("nan"),
-        samples_checked=accepted,
-        draws=draws,
-        inconclusive=accepted < n_samples,
-    )

@@ -46,6 +46,7 @@ class RegressionDataset:
 
 def _parse_csv(path) -> Array:
     rows: list[list[float]] = []
+    header_allowed = True  # until the first non-blank row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for r, row in enumerate(reader):
@@ -56,12 +57,13 @@ def _parse_csv(path) -> Array:
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    if r == 0 and not rows:
+                    if header_allowed:
                         parsed = None  # header row
                         break
                     raise DatasetError(
                         f"non-numeric cell at row {r}, column {c}: {cell!r}"
                     ) from None
+            header_allowed = False
             if parsed is not None:
                 rows.append(parsed)
     if not rows:

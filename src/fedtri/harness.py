@@ -189,6 +189,7 @@ def _objectives(problem: TrilevelProblem, state: PrimalState) -> tuple[float, fl
     return float(sum(f1)), float(sum(f2)), float(sum(problem.eval_all(3, V)))
 
 
+@np.errstate(all="ignore")
 def run(
     problem: TrilevelProblem,
     inner_cfg: InnerConfig,
@@ -220,7 +221,8 @@ def run(
 
     Non-finite numerics (``NonFiniteError``, ``InnerSolverError``) end the run
     with ``status="aborted"``, the log up to the last good iteration and the
-    reason and iteration in progress in ``log.abort``.  Any other
+    reason and iteration in progress in ``log.abort``, under any warning
+    filter: NumPy's floating-point warnings are off inside ``run``.  Any other
     ``FedtriError``, such as a broken staleness bound, propagates.
     """
     if problem.dims.N != sched_cfg.N:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem
-from .core import finite_diff_grad, flat_point, point_names, point_shapes, split_point
+from .core import finite_diff_grad, point_names, point_shapes
 
 
 class InnerSolverError(FedtriError):
@@ -172,6 +172,8 @@ def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
     """
     d = problem.dims
     buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, d.block(level), len(r0))
+    if init is not None and len(init) > 5:
+        raise ValueError(f"init has {len(init)} blocks, expected at most 5 (x, z, phi, s, gamma)")
     for path, value, what in zip((x, z, phi, s, gamma), init or (),
                                  ("x", "z", "phi", "slack", "gamma")):
         if value is None:
@@ -387,26 +389,3 @@ def grad_h(trace: UnrollTrace, point) -> tuple[Array, ...]:
         grads.update((key, _fd_through_unroll(trace, x, z, key)) for key in trace.inputs)
     return tuple(grads[key] for key in point_names(trace.layer))
 
-
-# ---------------------------------------------------------------------------
-# Flat-vector adapter (sampling, mu estimation)
-
-
-def flat_h(trace: UnrollTrace) -> tuple[Callable[[Array], float], Callable[[Array], Array]]:
-    """(h, grad h) over ``flat_point`` of the trace layer's point; each call re-runs the unroll."""
-    layer = trace.layer
-
-    def point_and_trace(v: Array) -> tuple[tuple, UnrollTrace]:
-        point = split_point(layer, trace.problem.dims, np.asarray(v, float))
-        return point, rerun(trace, **{k: b for k, b in zip(point_names(layer), point)
-                                      if k in trace.inputs})
-
-    def fn(v: Array) -> float:
-        point, sub = point_and_trace(v)
-        return eval_h(sub, point)
-
-    def grad(v: Array) -> Array:
-        point, sub = point_and_trace(v)
-        return flat_point(*grad_h(sub, point))
-
-    return fn, grad

@@ -15,7 +15,6 @@ from fedtri.core import (
     Polytope,
     PrimalState,
     TrilevelProblem,
-    estimate_mu,
     finite_diff_grad,
     flat_point,
     point_alphas,
@@ -24,6 +23,7 @@ from fedtri.core import (
 from fedtri.inner import InnerConfig, solve_level3
 from fedtri.data import make_synthetic_dataset
 from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
+from cut_checks import estimate_mu
 from oracle_rows import stack_rows
 
 
@@ -216,20 +216,18 @@ class TestEstimateMu:
 
     def test_convex_quadratic_zero(self):
         pts = self.sample()
-        mu = estimate_mu(lambda v: float(v @ v), pts, pair_samples=10**6,
-                         grad=lambda v: 2.0 * v)
+        mu = estimate_mu(lambda v: float(v @ v), pts, grad=lambda v: 2.0 * v)
         assert mu == 0.0
 
     def test_concave_quadratic_two(self):
         pts = self.sample(seed=3)
-        mu = estimate_mu(lambda v: -float(v @ v), pts, pair_samples=10**6,
-                         grad=lambda v: -2.0 * v)
+        mu = estimate_mu(lambda v: -float(v @ v), pts, grad=lambda v: -2.0 * v)
         assert abs(mu - 2.0) <= 1e-9
 
     def test_affine_zero(self):
         w = np.array([1.0, -2.0, 0.5])
         pts = self.sample(seed=4)
-        mu = estimate_mu(lambda v: float(w @ v) + 1.0, pts, pair_samples=10**6)
+        mu = estimate_mu(lambda v: float(w @ v) + 1.0, pts)
         assert mu <= 1e-9
 
     def test_monotone_in_sample_set(self):
@@ -238,18 +236,18 @@ class TestEstimateMu:
             return float(np.cos(v[0]) + 0.5 * v[1] ** 2)
 
         pts = self.sample(n=20, d=2, seed=5)
-        mu_small = estimate_mu(h, pts[:10], pair_samples=10**6)
-        mu_big = estimate_mu(h, pts, pair_samples=10**6)
+        mu_small = estimate_mu(h, pts[:10])
+        mu_big = estimate_mu(h, pts)
         assert mu_big >= mu_small - 1e-12
 
     def test_coincident_pairs(self):
         p = np.ones(2)
         with pytest.raises(FedtriError):
-            estimate_mu(lambda v: float(v @ v), [p, p.copy()], pair_samples=10)
+            estimate_mu(lambda v: float(v @ v), [p, p.copy()])
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            estimate_mu(lambda v: 0.0, [np.zeros(2)], pair_samples=10)
+            estimate_mu(lambda v: 0.0, [np.zeros(2)])
 
 
 class TestGradAll:

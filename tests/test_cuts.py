@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fedtri.core import (Dims, FedtriError, TrilevelProblem, estimate_mu, flat_point, point_shapes,
-                         split_point)
+from fedtri.core import Dims, FedtriError, TrilevelProblem, flat_point, point_shapes, split_point
 from fedtri.cuts import (
     Cut,
     Polytope,
@@ -11,11 +10,11 @@ from fedtri.cuts import (
     generate_cut_I,
     generate_cut_II,
     normalize_cut,
-    validate_cut,
 )
 from fedtri import inner
-from fedtri.inner import InnerConfig, eval_h, flat_h, solve_level2, solve_level3
+from fedtri.inner import InnerConfig, eval_h, grad_h, solve_level2, solve_level3
 from fedtri.problems import build_quadratic_problem
+from cut_checks import estimate_mu, flat_h, validate_cut
 
 
 def toy_cut(layer="I", d=2, N=2, c=1.0, cut_id=0, seed=0):
@@ -82,10 +81,9 @@ class TestGenerateCutI:
         point = (z1, z2, z3, x3)
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
                              alphas=problem.alphas)
-        fn, grad = flat_h(trace)
         v0 = flat_point(*point)
-        g = grad(v0)
-        h0 = fn(v0)
+        g = flat_point(*grad_h(trace, point))
+        h0 = eval_h(trace, point)
         c_classic = 1e-2 - h0 + float(g @ v0)
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
         assert cut.c == pytest.approx(c_classic, rel=1e-12)
@@ -118,11 +116,10 @@ class TestGenerateCutII:
         point = (z1, z2, z3, x3, x2)
         cut = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
                               alphas=problem.alphas)
-        fn, grad = flat_h(trace)
         v0 = flat_point(*point)
-        g = grad(v0)
+        g = flat_point(*grad_h(trace, point))
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
-        assert cut.c == pytest.approx(1e-2 - fn(v0) + float(g @ v0), rel=1e-12)
+        assert cut.c == pytest.approx(1e-2 - eval_h(trace, point) + float(g @ v0), rel=1e-12)
 
     def test_inflation_origin_n2(self, quad):
         # mu = 1, N = 2 workers, origin anchor: 7 with unit alphas, 1 + 3 (2 + 3) = 16 unequal.
@@ -403,7 +400,7 @@ class TestValidateCut:
         for _ in range(40):
             x3 = rng.uniform(-r3, r3)
             pts.append(np.array([0.0, rng.uniform(-1, 1), rng.uniform(-r3, r3), x3]))
-        mu_hat = estimate_mu(fn, pts, pair_samples=10**7, grad=grad)
+        mu_hat = estimate_mu(fn, pts, grad=grad)
         assert mu_hat > 1.0
         good = generate_cut_I(trace, anchor, mu=mu_hat, eps1=eps, alphas=alphas)
         rep_good = validate_cut(good, trace, eps=eps, n_samples=400, seed=1, alphas=alphas)

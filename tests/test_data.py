@@ -32,14 +32,17 @@ def write(path, text):
 
 
 def test_parse_csv_skips_header_and_blank_lines(tmp_path):
-    path = write(tmp_path / "a.csv", "x0,x1,y\n1,2,3\n\n4,5,6\n")
-    assert np.array_equal(_parse_csv(path), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    for name, text in (("a.csv", "x0,x1,y\n1,2,3\n\n4,5,6\n"),
+                       ("b.csv", "\nx0,x1,y\n1,2,3\n\n4,5,6\n")):
+        path = write(tmp_path / name, text)
+        assert np.array_equal(_parse_csv(path), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), text
 
 
 @pytest.mark.parametrize("text, match", [
     ("1,2,3\n4,5\n", "ragged"),
     ("1,2,3\n4,oops,6\n", "non-numeric"),
     ("x0,y\n1,2\nabc,3\n", "non-numeric"),
+    ("x0,y\nx1,y1\n1,2\n", "non-numeric"),
 ])
 def test_parse_csv_rejects_bad_rows(tmp_path, text, match):
     with pytest.raises(DatasetError, match=match):

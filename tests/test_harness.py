@@ -231,6 +231,7 @@ class TestRunBasics:
         assert footer["c2_total"] == comm_cost_cuts([0], 2, inner.K, problem.dims, sizes) > 0
         assert validate_runlog(res.log, problem.dims) == []
 
+    @pytest.mark.filterwarnings("error")
     def test_numeric_abort_is_returned_not_raised(self):
         problem, _, inner, outer = quad_setup(eta_x1=1e200, eta_x2=1e200, eta_x3=1e200,
                                               eta_z2=1e200, eta_z3=1e200, max_iters=50)
@@ -244,8 +245,7 @@ class TestRunBasics:
         problem, _, inner, outer = quad_setup(max_iters=5)
         inner = dataclasses.replace(inner, eta_x=1e200, eta_z=1e200)
         sched = ScheduleConfig(N=2, S=2, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = run(problem, inner, outer, sched)
+        res = run(problem, inner, outer, sched)
         assert res.log.status == "aborted"
         assert res.log.records == []
         assert res.log.abort["t"] == 0

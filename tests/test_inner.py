@@ -11,12 +11,12 @@ from fedtri.inner import (
     InnerConfig,
     InnerSolverError,
     eval_h,
-    flat_h,
     grad_h,
     solve_level2,
     solve_level3,
 )
 from fedtri.problems import build_quadratic_problem
+from cut_checks import flat_h
 from oracle_rows import stack_rows
 
 

@@ -164,3 +164,6 @@ def test_init_shape_is_checked(setup):
     short = ([np.zeros(d.d3)] * (d.N - 1), np.zeros(d.d3), [np.zeros(d.d3)] * d.N)
     with pytest.raises(ValueError, match="initial x"):
         solve_level3(problem, z1, z2, init=short, cfg=CFG)
+    long = (np.zeros((d.N, d.d3)), np.zeros(d.d3), None, None, None, "junk", 7)
+    with pytest.raises(ValueError, match="at most 5"):
+        solve_level3(problem, z1, z2, init=long, cfg=CFG)
