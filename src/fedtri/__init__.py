@@ -1,5 +1,7 @@
 """Asynchronous federated trilevel optimization with cutting-plane relaxation."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Dims,
     DualState,
@@ -58,4 +60,6 @@ from .problems import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every name imported above, but not the submodules the imports bind as attributes.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -353,7 +353,8 @@ def project_ball_sq(v: Array, alpha, sizes: Optional[tuple[int, ...]] = None) ->
     """
     v = np.asarray(v, dtype=float)
     sizes = (v.shape[-1],) if sizes is None else tuple(sizes)
-    pos, heads, alpha = _ball_layout(sizes, tuple(alpha) if np.ndim(alpha) else (alpha,))
+    alpha = alpha if isinstance(alpha, tuple) else tuple(np.atleast_1d(alpha))
+    pos, heads, alpha = _ball_layout(sizes, alpha)
     padded = np.zeros(v.shape[:-1] + (v.shape[-1] + len(sizes),))
     padded[..., pos] = v * v
     nrm_sq = np.add.reduceat(padded, heads, axis=-1)

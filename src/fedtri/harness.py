@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,7 +92,7 @@ def schedule_epoch(
     and waited for.
     """
     n = len(pending)
-    order = sorted(range(n), key=lambda j: (pending[j], j))
+    order = sorted(range(n), key=pending.__getitem__)  # stable: ties keep label order
     active = set(order[: cfg.S])
     active.update(j for j in range(n) if staleness[j] >= cfg.tau - 1)
     new_clock = max(clock, max(pending[j] for j in active))
@@ -186,7 +188,8 @@ def _objectives(problem: TrilevelProblem, state: PrimalState) -> tuple[float, fl
     V[:, c(1)] = state.Z[c(1)]
     f2 = problem.eval_all(2, V)
     V[:, c(2)] = state.Z[c(2)]
-    return float(sum(f1)), float(sum(f2)), float(sum(problem.eval_all(3, V)))
+    # Plain left-to-right adds of Python floats: from Python 3.12 ``sum`` compensates them.
+    return tuple(reduce(add, f.tolist(), 0.0) for f in (f1, f2, problem.eval_all(3, V)))
 
 
 @np.errstate(all="ignore")
@@ -241,7 +244,7 @@ def run(
     poly1 = Polytope("I", problem.dims)
     poly2 = Polytope("II", problem.dims)
     next_cut_id = 0
-    warm3 = warm2 = None  # (x, z, phi, s, gamma) inits, set only under warm_start
+    warm3 = warm2 = None  # (x, z) init prefixes, set only under warm_start
 
     log = RunLog(
         dims=problem.dims.sizes,

@@ -1,11 +1,11 @@
 """K-round distributed augmented-Lagrangian unrolls for the two lower levels.
 
-Each solver runs K master/worker exchange rounds in process and records the
-full update path.  The final round is the argmin estimate; the constraint
-functions measure squared deviation from it and are differentiated by one
-backward (adjoint) sweep over the recorded rounds when the problem has second
-derivatives, and otherwise by re-running the unroll at perturbed frozen inputs
-(finite differences).
+Each solver runs K master/worker exchange rounds in process, in one loop for
+both levels, and records the full update path.  The final round is the argmin
+estimate; the constraint functions measure squared deviation from it and are
+differentiated by one backward (adjoint) sweep over the recorded rounds when
+the problem has second derivatives, and otherwise by re-running the unroll at
+perturbed frozen inputs (finite differences).
 """
 
 from __future__ import annotations
@@ -113,34 +113,6 @@ def _path_buffer(K: int, N: int, d: int, L: int):
     return buf, x, z, phi, s, gamma
 
 
-def _round(grad, x, z, phi, s, gamma, k, steps, r0, a2s, cfg):
-    """One primal/slack/dual round of a lower level's consensus Lagrangian.
-
-    Reads row k of the recorded path arrays and writes row k + 1.  ``grad``
-    maps the stacked iterate to the stacked oracle gradient at the frozen
-    inputs.  The L layer-I cuts frozen into a level-2 unroll enter as
-    slack-equipped penalty terms: their residual at z2 is ``r0 + a2s @ z2``.
-    Level 3 runs the same round with L = 0.
-    """
-    kappa, eta_z, eta_gamma = steps
-    L = len(r0)
-    xk, zk, phik = x[k], z[k], phi[k]
-    pull = kappa * (xk - zk)
-    gx = (grad(xk) + phik) + pull
-    gz = -(phik + pull).sum(axis=0)
-    if L:
-        sk, gk = s[k], gamma[k]
-        resid = (r0 + a2s @ zk) + sk
-        gz = gz + a2s.T @ (gk + cfg.rho2 * resid)
-    x[k + 1] = x_new = xk - cfg.eta_x * gx
-    z[k + 1] = z_new = zk - eta_z * gz
-    if L:
-        r_new = r0 + a2s @ z_new
-        s[k + 1] = s_new = np.maximum(0.0, -r_new - gk / cfg.rho2)
-        gamma[k + 1] = np.maximum(0.0, gk + eta_gamma * (r_new + s_new))
-    phi[k + 1] = phik + cfg.eta_phi * (x_new - z_new)
-
-
 # What fills oracle blocks 1-3 at each unrolled level: the unrolled iterate
 # "x" or a frozen input.  z3 reaches the level-2 unroll only through the cuts.
 _ORACLE_ARGS = {3: ("z1", "z2p", "x"), 2: ("z1", "x", "x3")}
@@ -165,10 +137,12 @@ def _level_rows(oracle, level: int, inputs: dict, dims):
 
 
 def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
-    """Run K rounds of ``_round`` from ``init`` and record the path with its constants.
+    """Run K primal/slack/dual rounds from ``init`` and record the path with its constants.
 
     ``init`` is ``(x, z, phi, s, gamma)`` or a prefix of it; a missing or
-    None block starts at zero.
+    None block starts at zero.  The L layer-I cuts of a level-2 unroll are
+    slack-equipped penalties on z2 with residual ``r0 + A2 z2`` (L = 0 at level
+    3); each round hands that residual and its deviation ``x - z`` to the next.
     """
     d = problem.dims
     buf, x, z, phi, s, gamma = _path_buffer(cfg.K, d.N, d.block(level), len(r0))
@@ -183,8 +157,23 @@ def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
                              f"expected {path.shape[1:]}")
         path[0] = value
     grad, a2s = _level_rows(problem.grad_all, level, inputs, d), poly1.A2
+    (kappa, eta_z, eta_gamma), L, rho2 = steps, len(r0), cfg.rho2
+    dev, resid = x[0] - z[0], r0 + a2s @ z[0] if L else r0
     for k in range(cfg.K):
-        _round(grad, x, z, phi, s, gamma, k, steps, r0, a2s, cfg)
+        xk, phik, gk = x[k], phi[k], gamma[k]
+        pull = kappa * dev
+        gx = (grad(xk) + phik) + pull
+        gz = -(phik + pull).sum(axis=0)
+        if L:
+            gz += a2s.T @ (gk + rho2 * (resid + s[k]))
+        np.subtract(xk, cfg.eta_x * gx, out=x[k + 1])
+        np.subtract(z[k], eta_z * gz, out=z[k + 1])
+        if L:
+            resid = r0 + a2s @ z[k + 1]
+            np.maximum(0.0, -resid - gk / rho2, out=s[k + 1])
+            np.maximum(0.0, gk + eta_gamma * (resid + s[k + 1]), out=gamma[k + 1])
+        dev = x[k + 1] - z[k + 1]
+        np.add(phik, cfg.eta_phi * dev, out=phi[k + 1])
         if not np.isfinite(buf[k + 1]).all():
             raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
     return UnrollTrace("I" if level == 3 else "II", problem, cfg, inputs, poly1, r0, steps,
@@ -337,7 +326,7 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
     wbar = {key: np.zeros_like(v) for key, v in trace.inputs.items()}
     phibar = np.zeros_like(xbar)
     sbar = gbar = rbar = np.zeros(L)  # rbar: the cuts' constant residual r0
-    for k in reversed(range(cfg.K)):  # ``_round`` backwards, its last update first
+    for k in reversed(range(cfg.K)):  # a round backwards, its last update first
         xbar = xbar + cfg.eta_phi * phibar
         zbar = zbar - cfg.eta_phi * phibar.sum(axis=0)
         if L:  # the clamped dual, then the clamped slack

@@ -9,6 +9,7 @@ regularized Lagrangian; the stationarity gap uses the unregularized one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -115,11 +116,12 @@ def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: T
     ``||theta||_inf <= sqrt(alpha5) / d1``.
     """
     X, z = state.x, state.z
-    resid = poly2.residuals(*z, X[2], X[1])
-    lam = np.clip(duals.lam + cfg.eta_lambda * (resid - c1 * duals.lam), 0.0, np.sqrt(cfg.alpha4))
-    box = np.sqrt(cfg.alpha5) / problem.dims.d1
-    theta = np.clip(duals.theta + cfg.eta_theta * (X[0] - z[0] - c2 * duals.theta), -box, box)
-    return DualState(lam=lam, theta=theta)
+    lam = duals.lam + cfg.eta_lambda * (poly2.residuals(*z, X[2], X[1]) - c1 * duals.lam)
+    theta = duals.theta + cfg.eta_theta * (X[0] - z[0] - c2 * duals.theta)
+    box = math.sqrt(cfg.alpha5) / problem.dims.d1
+    # np.clip's values without its Python-level wrapper, which costs more than the arithmetic.
+    return DualState(lam=np.minimum(np.maximum(lam, 0.0), math.sqrt(cfg.alpha4)),
+                     theta=np.minimum(np.maximum(theta, -box), box))
 
 
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,

@@ -185,6 +185,16 @@ class TestBlockProjection:
         with pytest.raises(NonFiniteError):
             project_ball_sq(V, self.ALPHAS, self.SIZES)
 
+    def test_alpha_as_number_tuple_list_or_array_gives_the_same_bits(self):
+        V = self.rows()
+        P = project_ball_sq(V, self.ALPHAS, self.SIZES)
+        for alphas in (list(self.ALPHAS), np.array(self.ALPHAS)):
+            assert np.array_equal(project_ball_sq(V, alphas, self.SIZES), P)
+        P = project_ball_sq(V, 40.0)
+        assert not np.array_equal(P, V)  # some rows lie outside the ball
+        for alpha in ((40.0,), [40.0], np.array([40.0]), np.float64(40.0), 40):
+            assert np.array_equal(project_ball_sq(V, alpha), P)
+
 
 class TestPrimalState:
     def test_block_views_write_the_flat_arrays(self):
@@ -460,3 +470,16 @@ class TestPolytopeRows:
         # z_i and the rows of x_i share alpha_i, in the order of point_shapes.
         assert point_alphas(LAYER_I, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0)
         assert point_alphas(LAYER_II, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0, 2.0)
+
+
+def test_the_package_exports_only_its_api_objects():
+    import types
+
+    import fedtri
+
+    assert len(fedtri.__all__) == len(set(fedtri.__all__)) == 46
+    for name in fedtri.__all__:
+        assert not isinstance(getattr(fedtri, name), types.ModuleType), name
+    namespace = {}
+    exec("from fedtri import *", namespace)
+    assert not [v for v in namespace.values() if isinstance(v, types.ModuleType)]

@@ -107,6 +107,12 @@ class TestScheduleEpoch:
         active, _ = schedule_epoch([4.0, 4.0, 4.0], [0, 0, 0], cfg, clock=0.0)
         assert active == (0,)
 
+    def test_tie_below_the_top_rank_goes_to_the_lower_label(self):
+        cfg = ScheduleConfig(N=4, S=3, tau=10)
+        active, clock = schedule_epoch([3.0, 1.0, 3.0, 1.0], [0, 0, 0, 0], cfg, clock=0.0)
+        assert active == (0, 1, 3)
+        assert clock == 3.0
+
     def test_stale_worker_forced_and_waited_for(self):
         cfg = ScheduleConfig(N=3, S=1, tau=4)
         active, clock = schedule_epoch([1.0, 2.0, 9.0], [0, 0, 3], cfg, clock=0.5)

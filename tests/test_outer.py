@@ -13,6 +13,7 @@ from fedtri.core import (
 from fedtri.cuts import Cut, Polytope
 from fedtri.outer import (
     OuterConfig,
+    _dual_step,
     master_step,
     stationarity_gap,
     worker_step,
@@ -288,6 +289,42 @@ class TestMasterStep:
             lam_stale[l] = min(max(lam_stale[l] + cfg.eta_lambda * (r - c1 * lam_stale[l]), 0.0),
                                np.sqrt(cfg.alpha4))
         assert not np.allclose(nd.lam, lam_stale)
+
+
+class TestDualProjection:
+    def test_equals_clip_element_for_element(self, setting):
+        problem, state, duals, poly2, cfg = setting
+        d = problem.dims
+        cap, box = np.sqrt(cfg.alpha4), np.sqrt(cfg.alpha5) / d.d1
+        # Zero cut rows with c = 0 and x1 = z1 leave the unregularized step at
+        # the duals themselves, so they can sit exactly on each bound.
+        zero_cuts = Polytope("II", d, tuple(Cut(layer="II", w=np.zeros(poly2.W.shape[1]), c=0.0,
+                                                id=i) for i in range(5)))
+        consensus = PrimalState(d, state.X.copy(), state.Z.copy())
+        consensus.x[0][:] = consensus.z[0]
+        on_bounds = DualState(lam=np.array([-1.0, 0.0, 0.5 * cap, cap, 2.0 * cap]),
+                              theta=np.array([[-2 * box, -box], [0.0, box], [2 * box, 0.3]]))
+        rng = np.random.default_rng(4)
+        wide = DualState(lam=rng.uniform(-cap, 2 * cap, 2),
+                         theta=rng.uniform(-2 * box, 2 * box, (d.N, d.d1)))
+        cases = [(consensus, on_bounds, zero_cuts, 0.0, 0.0), (state, wide, poly2, 0.0, 0.0),
+                 (state, duals, poly2, *cfg.reg_coeffs(3))]
+        lam_steps, theta_steps = [], []
+        for point, start, poly, c1, c2 in cases:
+            got = _dual_step(point, start, poly, problem, cfg, c1, c2)
+            resid = poly.residuals(*point.z, point.x[2], point.x[1])
+            lam = start.lam + cfg.eta_lambda * (resid - c1 * start.lam)
+            theta = start.theta + cfg.eta_theta * (point.x[0] - point.z[0] - c2 * start.theta)
+            # array_equal counts -0.0 equal to 0.0.  Only a lambda step of -0.0 tells them
+            # apart, and that needs a -0.0 lambda, which a run never holds.
+            assert np.array_equal(got.lam, np.clip(lam, 0.0, cap))
+            assert np.array_equal(got.theta, np.clip(theta, -box, box))
+            lam_steps.append(lam)
+            theta_steps.append(theta.ravel())
+        lam, theta = np.concatenate(lam_steps), np.concatenate(theta_steps)
+        for v, bounds in ((lam, (0.0, cap)), (theta, (-box, box))):
+            for bound in bounds:
+                assert (v < bound).any() and (v == bound).any() and (v > bound).any()
 
 
 class TestStationarityGap:
