@@ -34,6 +34,7 @@ class Dims:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # plain ints, so a RunLog writes as JSON
         a, b = self.d1, self.d1 + self.d2  # block i's columns in a flat point, for ``columns``
         object.__setattr__(self, "_columns", (slice(0, a), slice(a, b), slice(b, b + self.d3)))
 

@@ -11,7 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from operator import add
 from typing import Optional, Sequence
@@ -122,9 +122,6 @@ class IterRecord:
     active: list[int]  # 1-based labels; empty for the initial record
     staleness: list[int]
     gap_sq: float
-    f1: float
-    f2: float
-    f3: float
     p1_size: int
     p2_size: int
     c1: int
@@ -150,13 +147,14 @@ class RunLog:
     c2_total: int = 0
     final_gap_sq: float = float("nan")
     abort: Optional[dict] = None  # {"reason": str, "t": iteration in progress}
+    objectives: Optional[tuple[float, float, float]] = None  # (f1, f2, f3) at the returned state
 
     def refinement_iters(self) -> list[int]:
         return [r.t for r in self.records if r.refined]
 
     def to_jsonl(self) -> str:
         lines = [
-            json.dumps(asdict(r), sort_keys=True, separators=(",", ":"))
+            json.dumps(vars(r), sort_keys=True, separators=(",", ":"))
             for r in self.records
         ]
         footer = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
@@ -226,7 +224,9 @@ def run(
     with ``status="aborted"``, the log up to the last good iteration and the
     reason and iteration in progress in ``log.abort``, under any warning
     filter: NumPy's floating-point warnings are off inside ``run``.  Any other
-    ``FedtriError``, such as a broken staleness bound, propagates.
+    ``FedtriError``, such as a broken staleness bound, propagates.  The objectives
+    (f1, f2, f3) are evaluated once, at the returned state, into ``log.objectives``;
+    an aborted run leaves it None, and a non-finite one aborts at the last record.
     """
     if problem.dims.N != sched_cfg.N:
         raise ValueError("problem and schedule disagree on the worker count")
@@ -310,7 +310,6 @@ def run(
         return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
     active: tuple[int, ...] = ()  # no worker is delivered at t = 0
-    status = "max_iters"
     try:
         for t in range(outer_cfg.max_iters + 1):
             if t:
@@ -331,24 +330,22 @@ def run(
 
             gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
             gap_sq = gap.sq_norm
-            f1v, f2v, f3v = _objectives(problem, state)
             c1_cost = comm_cost_iter(sched_cfg.S, problem.dims, poly2.size) if t else 0
             log.c1_total += c1_cost
             log.records.append(IterRecord(
-                t=t, sim_time=clock, active=[j + 1 for j in active],
-                staleness=list(staleness), gap_sq=gap_sq, f1=f1v, f2=f2v, f3=f3v,
-                p1_size=poly1.size, p2_size=poly2.size, c1=c1_cost,
+                t=t, sim_time=clock, active=[j + 1 for j in active], staleness=list(staleness),
+                gap_sq=gap_sq, p1_size=poly1.size, p2_size=poly2.size, c1=c1_cost,
                 refined=refined, cuts_added=added, cuts_dropped=dropped,
             ))
             if gap_sq <= outer_cfg.tol:
                 log.T_eps = t
-                status = "converged"
                 break
             dispatch(active if t else range(N), gap)
+        log.objectives = _objectives(problem, state)
     except (NonFiniteError, InnerSolverError) as exc:
         log.abort = {"reason": str(exc), "t": t}
         return finish("aborted")
-    return finish(status)
+    return finish("max_iters" if log.T_eps is None else "converged")
 
 
 def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[str]:

@@ -232,6 +232,7 @@ class TestRunBasics:
         # The footer says why and when, and counts the refinements that ran.
         footer = json.loads(res.log.to_jsonl().splitlines()[-1])
         assert footer["abort"]["reason"] and footer["abort"]["t"] == res.log.records[-1].t
+        assert res.log.objectives is None and footer["objectives"] is None
         assert res.log.refinement_iters() == [0]
         sizes = {r.t: r.p2_size for r in res.log.records}
         assert footer["c2_total"] == comm_cost_cuts([0], 2, inner.K, problem.dims, sizes) > 0
@@ -246,6 +247,20 @@ class TestRunBasics:
         assert log.status == "aborted"
         assert [r.t for r in log.records] == [0]
         assert log.abort["t"] == 0 and "non-finite" in log.abort["reason"]
+
+    def test_non_finite_objective_is_logged_abort_at_the_last_record(self):
+        problem, _, inner, outer = quad_setup(max_iters=12)
+        sched = ScheduleConfig(N=2, S=2, seed=0)
+        full = run(problem, inner, outer, sched).log
+        problem = dataclasses.replace(problem, eval_fn=lambda level, V: np.full(len(V), np.inf))
+        res = run(problem, inner, outer, sched)
+        assert res.log.status == "aborted"
+        assert res.log.abort == {"reason": "f_1,0 is non-finite", "t": res.log.records[-1].t}
+        # The loop never reads an objective: every record is the one the finite run wrote.
+        assert res.log.records == full.records
+        assert res.log.objectives is None
+        assert json.loads(res.log.to_jsonl().splitlines()[-1])["objectives"] is None
+        assert validate_runlog(res.log, problem.dims) == []
 
     def test_bootstrap_inner_failure_is_logged_abort(self):
         problem, _, inner, outer = quad_setup(max_iters=5)
@@ -487,11 +502,26 @@ class TestSerialization:
         res.log.write_jsonl(path)
         lines = path.read_text().strip().split("\n")
         *records, footer = [json.loads(line) for line in lines]
-        expected = {"t", "sim_time", "active", "staleness", "gap_sq", "f1", "f2",
-                    "f3", "p1_size", "p2_size", "c1", "refined", "cuts_added",
-                    "cuts_dropped"}
+        expected = {"t", "sim_time", "active", "staleness", "gap_sq", "p1_size", "p2_size",
+                    "c1", "refined", "cuts_added", "cuts_dropped"}
         for rec in records:
             assert set(rec) == expected
+        for line, r in zip(lines[:-1], res.log.records, strict=True):
+            assert line == json.dumps(dataclasses.asdict(r), sort_keys=True, separators=(",", ":"))
         assert footer["footer"] is True
-        assert {"status", "T_eps", "c1_total", "c2_total", "final_gap_sq", "abort"} <= set(footer)
+        assert {"status", "T_eps", "c1_total", "c2_total", "final_gap_sq", "abort",
+                "objectives"} <= set(footer)
         assert footer["abort"] is None
+        assert footer["objectives"] == list(res.log.objectives)
+        assert len(footer["objectives"]) == 3 and all(np.isfinite(footer["objectives"]))
+
+    def test_numpy_integer_dims_write_plain_json(self, tmp_path):
+        problem, _ = build_quadratic_problem(seed=1, dims=tuple(np.array([2, 2, 2])),
+                                             N=np.int64(2))
+        _, _, inner, outer = quad_setup(max_iters=5)
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2))
+        path = tmp_path / "log.jsonl"
+        res.log.write_jsonl(path)
+        footer = json.loads(path.read_text().splitlines()[-1])
+        assert footer["dims"] == [2, 2, 2] and footer["N"] == 2
+        assert all(type(v) is int for v in (*problem.dims.sizes, problem.dims.N))

@@ -79,9 +79,8 @@ def test_logged_objectives_are_the_written_out_levels_at_the_returned_state(buil
               ScheduleConfig(N=N, S=2, seed=0))
     assert res.log.status == "max_iters"
     (x1, x2, x3), (z1, z2, _) = res.state.x, res.state.z
-    last = res.log.records[-1]
     expect = [sum(ref_eval(data, v_star, level, *blocks(j), j) for j in range(N))
               for level, blocks in ((1, lambda j: (x1[j], x2[j], x3[j])),
                                     (2, lambda j: (z1, x2[j], x3[j])),
                                     (3, lambda j: (z1, z2, x3[j])))]
-    np.testing.assert_allclose([last.f1, last.f2, last.f3], expect, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(res.log.objectives, expect, rtol=1e-12, atol=1e-12)
