@@ -10,7 +10,6 @@ from .core import (
     PrimalState,
     TrilevelProblem,
     finite_diff_grad,
-    flat_point,
     project_ball_sq,
 )
 from .cuts import (

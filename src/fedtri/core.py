@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,6 +178,10 @@ class PrimalState:
     def copy(self) -> "PrimalState":
         return PrimalState(self.dims, self.X.copy(), self.Z.copy())
 
+    def row(self) -> Array:
+        """``[Z | X.ravel()]`` (D + N D,): the vector a cut row multiplies."""
+        return np.concatenate((self.Z, self.X.ravel()))
+
 
 @dataclass
 class DualState:
@@ -199,56 +202,18 @@ LAYER_I = "I"
 LAYER_II = "II"
 
 
-# Each layer's point, block by block: (name, level, one row per worker).  "z"
-# and "x" are the unrolled level's own blocks; the other names are the frozen
-# inputs of its unroll.  Layer I is (z1, z2', z3, x3), layer II (z1, z2, z3, x3, x2).
-POINT_BLOCKS = {
-    LAYER_I: (("z1", 1, False), ("z2p", 2, False), ("z", 3, False), ("x", 3, True)),
-    LAYER_II: (("z1", 1, False), ("z", 2, False), ("z3", 3, False), ("x3", 3, True),
-               ("x", 2, True)),
-}
-
-
-def point_names(layer: str) -> tuple[str, ...]:
-    """The block names of a layer's points, in ``point_shapes`` order."""
-    return tuple(name for name, _, _ in POINT_BLOCKS[layer])
-
-
-def point_shapes(layer: str, dims: Dims) -> tuple[tuple[int, ...], ...]:
-    """Block shapes of a layer's points, h-gradients and cut rows, in their one order."""
-    return tuple((dims.N, dims.block(i)) if rows else (dims.block(i),)
-                 for _, i, rows in POINT_BLOCKS[layer])
-
-
-def point_alphas(layer: str, alphas: tuple[float, float, float]) -> tuple[float, ...]:
-    """Each block's ball ``||row||^2 <= alpha`` in ``point_shapes`` order.
-
-    z_i and every worker's row of x_i share alpha_i.
-    """
-    return tuple(alphas[i - 1] for _, i, _ in POINT_BLOCKS[layer])
-
-
-def flat_point(*blocks) -> Array:
-    """A point or gradient, given block by block, as one flat vector."""
-    return np.concatenate(blocks, axis=None)
-
-
-def split_point(layer: str, dims: Dims, v: Array) -> tuple[Array, ...]:
-    """The blocks of the flat vectors ``v`` (..., width) in point order; undoes ``flat_point``."""
-    shapes = point_shapes(layer, dims)
-    ends = np.cumsum([prod(s) for s in shapes])[:-1]
-    return tuple(b.reshape(v.shape[:-1] + s) for b, s in zip(np.split(v, ends, axis=-1), shapes))
-
-
 @dataclass(frozen=True, eq=False)
 class Cut:
-    """One linear inequality ``w . p <= c`` over its layer's flat point p.
+    """One linear inequality ``w . [Z | X.ravel()] <= c`` over the outer state.
 
-    ``w`` is one row in the block order of ``point_shapes``; for a cut of h it
-    is ``flat_point`` of h's gradient at the anchor point.  ``run`` stores each
-    generated cut rescaled by ``normalize_cut`` to ``||w|| = 1``: the half-space
-    is the same, a residual is a signed distance along the unit normal, and the
-    cut's dual is measured per unit of that distance.
+    ``w`` has width D + N D, like ``PrimalState.row``, on both layers.  A
+    layer-I cut reads Z and the x3 columns of X, a layer-II cut Z and the x2
+    and x3 columns: the X columns a layer does not read hold exact zeros.  For
+    a cut of h, ``w`` is ``grad_h`` at the anchor state, laid out as a row.
+    ``run`` stores each generated cut rescaled by ``normalize_cut`` to
+    ``||w|| = 1``: the half-space is the same, a residual is a signed
+    distance along the unit normal, and the cut's dual is measured per unit
+    of that distance.
     """
 
     layer: str
@@ -268,10 +233,10 @@ class Cut:
 class Polytope:
     """An immutable, ordered set of same-layer cuts and their stacked rows.
 
-    ``W`` (L, width) stacks the cuts' rows in the order of ``point_shapes``;
-    ``A1``, ``A2``, ``A3`` (L, d_i) and ``B3``, ``B2`` (L, N, d_i) are views
-    into it (``B2`` is None for layer I), and ``c`` is (L,).  They are built
-    once; a refinement builds a new polytope.
+    ``W`` (L, D + N D) stacks the cuts' rows over ``[Z | X.ravel()]`` and
+    ``c`` is (L,).  ``A2`` (L, d2) is a contiguous copy of W's z2 columns,
+    which the level-2 unroll steps on.  They are built once; a refinement
+    builds a new polytope.
     """
 
     layer: str
@@ -284,15 +249,13 @@ class Polytope:
             raise ValueError("cut ids must be unique")
         if any(c.layer != self.layer for c in self.cuts):
             raise ValueError("all cuts must share the polytope's layer")
-        width = sum(prod(s) for s in point_shapes(self.layer, self.dims))
+        width = self.dims.width * (self.dims.N + 1)
         if any(c.w.shape != (width,) for c in self.cuts):
-            raise ValueError(f"a layer-{self.layer} cut row must have width {width}")
+            raise ValueError(f"a cut row must have width {width}")
         W = np.array([c.w for c in self.cuts]).reshape(len(self.cuts), width)
-        A1, A2, A3, B3, *B2 = split_point(self.layer, self.dims, W)
-        for name, value in (("W", W), ("A1", A1), ("A2", A2), ("A3", A3), ("B3", B3),
-                            ("B2", B2[0] if B2 else None),
-                            ("c", np.array([c.c for c in self.cuts], float))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "A2", np.ascontiguousarray(W[:, self.dims.columns(2)]))
+        object.__setattr__(self, "c", np.array([c.c for c in self.cuts], float))
 
     @property
     def size(self) -> int:
@@ -301,12 +264,9 @@ class Polytope:
     def ids(self) -> tuple[int, ...]:
         return tuple(c.id for c in self.cuts)
 
-    def residuals(self, *point) -> Array:
-        """Every cut's ``w . p - c`` (L,) at a point in its layer's block order; <= 0 if satisfied."""
-        n = len(POINT_BLOCKS[self.layer])
-        if len(point) != n:
-            raise ValueError(f"a layer-{self.layer} point has {n} blocks")
-        return self.W @ flat_point(*point) - self.c
+    def residuals(self, state: PrimalState) -> Array:
+        """Every cut's ``w . [Z | X.ravel()] - c`` (L,) at ``state``; <= 0 if satisfied."""
+        return self.W @ state.row() - self.c
 
 
 def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] = None) -> Array:

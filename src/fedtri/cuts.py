@@ -1,8 +1,10 @@
 """Generation, normalization and pruning of the two cut layers.
 
-A cut linearizes h at an anchor point, so it is one row ``w . p <= c`` over the
-flat point p, in the block order of ``core.point_shapes``.  ``Cut`` and
-``Polytope`` are defined in ``core``, where the unrolls can read them.
+A cut linearizes h at an anchor state, so it is one row ``w . [Z | X.ravel()] <= c``
+over the outer state, ``PrimalState.row``, on both layers.  A layer reads Z and
+X's columns from its unrolled block on (x3 for layer I, x2 and x3 for layer
+II); the others are zero in w.  ``Cut`` and ``Polytope`` are defined in
+``core``, where the unrolls can read them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, flat_point
-from .core import point_alphas, point_shapes
+from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, PrimalState
 from .inner import UnrollTrace, eval_h, grad_h
 
 
@@ -68,53 +69,58 @@ def drop_inactive(
     )
 
 
-def _linearization_cut(trace: UnrollTrace, layer: str, point, mu: float, eps: float,
-                       alphas: tuple[float, float, float], cut_id: int) -> Cut:
-    """First-order expansion of h at ``point``, relaxed by eps plus mu times the inflation.
+def _linearization_cut(trace: UnrollTrace, layer: str, state: PrimalState, mu: float,
+                       eps: float, alphas: tuple[float, float, float], cut_id: int) -> Cut:
+    """First-order expansion of h at ``state``, relaxed by eps plus mu times the inflation.
 
-    The inflation is the point's squared norm plus its alpha ball: every row
-    of every block brings that block's alpha (``point_alphas``).  The row is
-    ``grad_h`` at the point, in the point's order.
+    The inflation is the squared norm of the layer's point, Z and X's columns
+    from the unrolled block l on, plus its alpha ball: every row of every
+    block brings that block's alpha, so Z brings a1 + a2 + a3 and each worker
+    the alphas of blocks l..3.  The row is ``grad_h`` at the state, laid out
+    like ``PrimalState.row``.
     """
-    ball = sum(a * int(np.prod(shape[:-1])) for a, shape in
-               zip(point_alphas(layer, alphas), point_shapes(layer, trace.problem.dims)))
-    p = flat_point(*point)
-    w = flat_point(*grad_h(trace, point))
-    c = eps + mu * (ball + p @ p) - eval_h(trace, point) + w @ p
+    d, lv = trace.problem.dims, trace.level
+    X = state.X[:, d.columns(lv).start:]
+    ball = sum(alphas) + d.N * sum(alphas[lv - 1:])
+    gZ, gX = grad_h(trace, state)
+    w = np.concatenate((gZ, gX.ravel()))
+    c = (eps + mu * (ball + state.Z @ state.Z + np.vdot(X, X)) - eval_h(trace, state)
+         + w @ state.row())
     return Cut(layer=layer, w=w, c=float(c), id=cut_id)
 
 
 def generate_cut_I(
     trace: UnrollTrace,
-    point,
+    state: PrimalState,
     mu: float,
     eps1: float,
     alphas: tuple[float, float, float],
     cut_id: int = 0,
 ) -> Cut:
-    """Linearization cut of h_I at ``point = (z1, z2', z3, x3)``, x3 one row per worker.
+    """Linearization cut of h_I at the layer-I point of ``state``: Z = (z1, z2', z3) and x3.
 
-    The left side is the first-order expansion of h_I around the point; the
+    The left side is the first-order expansion of h_I around the state; the
     right side relaxes by eps1 plus the weak-convexity inflation
     ``mu (a1 + a2 + (N+1) a3 + ||z1||^2 + ||z2'||^2 + ||z3||^2 + sum_j ||x3_j||^2)``,
     one alpha for each row of each block (see ``_linearization_cut``).
-    Rearranged into ``w . p <= c`` form, w being ``grad_h`` at the point.
+    Rearranged into ``w . [Z | X.ravel()] <= c`` form, w being ``grad_h`` at
+    the state, zero on the x1 and x2 columns.
     """
-    return _linearization_cut(trace, LAYER_I, point, mu, eps1, alphas, cut_id)
+    return _linearization_cut(trace, LAYER_I, state, mu, eps1, alphas, cut_id)
 
 
 def generate_cut_II(
     trace: UnrollTrace,
-    point,
+    state: PrimalState,
     mu: float,
     eps2: float,
     alphas: tuple[float, float, float],
     cut_id: int = 0,
 ) -> Cut:
-    """Linearization cut of h_II at ``point = (z1, z2, z3, x3, x2)``, x3 and x2 one row per worker.
+    """Linearization cut of h_II at the layer-II point of ``state``: Z = (z1, z2, z3), x2 and x3.
 
     Same construction as the layer-I cut, whose alpha rule gives the inflation
     ``mu (a1 + (N+1)(a2 + a3) + sum_i ||z_i||^2 + sum_{i=2,3} sum_j ||x_ij||^2)``.
+    The row is zero on the x1 columns.
     """
-    return _linearization_cut(trace, LAYER_II, point, mu, eps2, alphas, cut_id)
-
+    return _linearization_cut(trace, LAYER_II, state, mu, eps2, alphas, cut_id)

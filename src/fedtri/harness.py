@@ -67,6 +67,8 @@ class ScheduleConfig:
     sync_mode: bool = False
 
     def __post_init__(self):
+        for name in ("N", "S", "tau", "seed"):  # plain ints, so a RunLog writes as JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.N < 1:
             raise ValueError("N must be positive")
         if self.sync_mode:
@@ -273,15 +275,15 @@ def run(
         its dual to the cap and the primal steps blow up.
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2
-        (_, x2, x3), (z1, z2, z3) = state.x, state.z
+        (_, x2, x3), (_, z2, z3) = state.x, state.z
         # No stored warm start: begin at the outer iterate (zeros are an MLP saddle).
-        trace1 = solve_level3(problem, z1, z2, init=warm3 or (x3, z3), cfg=inner_cfg)
-        cut1 = normalize_cut(generate_cut_I(trace1, (z1, z2, z3, x3), mu, inner_cfg.eps1,
+        trace1 = solve_level3(problem, state, init=warm3 or (x3, z3), cfg=inner_cfg)
+        cut1 = normalize_cut(generate_cut_I(trace1, state, mu, inner_cfg.eps1,
                                             problem.alphas, cut_id=next_cut_id))
         poly1 = add_cut(poly1, cut1)
 
-        trace2 = solve_level2(problem, z1, z3, x3, poly1, init=warm2 or (x2, z2), cfg=inner_cfg)
-        cut2 = normalize_cut(generate_cut_II(trace2, (z1, z2, z3, x3, x2), mu, inner_cfg.eps2,
+        trace2 = solve_level2(problem, state, poly1, init=warm2 or (x2, z2), cfg=inner_cfg)
+        cut2 = normalize_cut(generate_cut_II(trace2, state, mu, inner_cfg.eps2,
                                              problem.alphas, cut_id=next_cut_id + 1))
         next_cut_id += 2
         poly2 = add_cut(poly2, cut2)

@@ -16,8 +16,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import LAYER_I, Array, Cut, FedtriError, Polytope, TrilevelProblem
-from .core import finite_diff_grad, point_names, point_shapes
+from .core import LAYER_I, Array, Cut, FedtriError, Polytope, PrimalState, TrilevelProblem
+from .core import finite_diff_grad
 
 
 class InnerSolverError(FedtriError):
@@ -40,6 +40,7 @@ class InnerConfig:
     warm_start: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "K", int(self.K))  # a plain int, so a RunLog writes as JSON
         if self.K < 1:
             raise ValueError("K must be at least 1")
         # Step sizes may be zero (degenerate fixed-point mode); penalties and
@@ -57,18 +58,20 @@ class UnrollTrace:
     """Recorded K-round update path and the constants it ran with; immutable once returned.
 
     ``layer`` "I" traces estimate the third-level argmin (from solve_level3);
-    ``layer`` "II" traces estimate the second-level argmin.  The path is
+    ``layer`` "II" traces estimate the second-level argmin.  ``anchor`` is a
+    read-only copy of the outer state the unroll froze its inputs from: Z's
+    z1 and z2 at level 3; Z's z1 and z3 and X's x3 at level 2.  The path is
     stored round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d),
     and the slacks ``s`` and inner duals ``gamma`` of the layer-I cuts frozen
     into the unroll are (K+1, L).  ``poly1`` holds those cuts, ``r0`` (L,)
-    their residuals at a zero unrolled z, and ``steps`` the unroll's
+    their residuals at the anchor with a zero z2, and ``steps`` the unroll's
     ``(kappa, eta_z, eta_gamma)``.  A layer-I trace freezes no cuts: L = 0.
     """
 
     layer: str
     problem: TrilevelProblem
     cfg: InnerConfig
-    inputs: dict
+    anchor: PrimalState
     poly1: Polytope
     r0: Array
     steps: tuple[float, float, float]
@@ -113,21 +116,16 @@ def _path_buffer(K: int, N: int, d: int, L: int):
     return buf, x, z, phi, s, gamma
 
 
-# What fills oracle blocks 1-3 at each unrolled level: the unrolled iterate
-# "x" or a frozen input.  z3 reaches the level-2 unroll only through the cuts.
-_ORACLE_ARGS = {3: ("z1", "z2p", "x"), 2: ("z1", "x", "x3")}
-
-
-def _level_rows(oracle, level: int, inputs: dict, dims):
+def _level_rows(oracle, level: int, anchor: PrimalState):
     """The unrolled level's rows of ``oracle(level, V)`` as a function of the iterate alone.
 
-    The frozen inputs fill their columns of one (N, D) array once, as
-    ``_ORACLE_ARGS`` says; each call writes the iterate into a copy of it.
+    The frozen inputs fill one (N, D) array once: the anchor's X with the
+    columns before block ``level`` taken from its Z (z3 reaches the level-2
+    unroll only through the cuts); each call writes the iterate into a copy of it.
     """
-    base, own = np.zeros((dims.N, dims.width)), dims.columns(level)
-    for i, key in enumerate(_ORACLE_ARGS[level], 1):
-        if key != "x":
-            base[:, dims.columns(i)] = inputs[key]
+    own = anchor.dims.columns(level)
+    base = anchor.X.copy()
+    base[:, :own.start] = anchor.Z[:own.start]
 
     def rows(x):
         V = base.copy()
@@ -136,7 +134,7 @@ def _level_rows(oracle, level: int, inputs: dict, dims):
     return rows
 
 
-def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
+def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
     """Run K primal/slack/dual rounds from ``init`` and record the path with its constants.
 
     ``init`` is ``(x, z, phi, s, gamma)`` or a prefix of it; a missing or
@@ -156,7 +154,7 @@ def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
             raise ValueError(f"initial {what} has shape {np.shape(value)}, "
                              f"expected {path.shape[1:]}")
         path[0] = value
-    grad, a2s = _level_rows(problem.grad_all, level, inputs, d), poly1.A2
+    grad, a2s = _level_rows(problem.grad_all, level, anchor), poly1.A2
     (kappa, eta_z, eta_gamma), L, rho2 = steps, len(r0), cfg.rho2
     dev, resid = x[0] - z[0], r0 + a2s @ z[0] if L else r0
     for k in range(cfg.K):
@@ -176,7 +174,7 @@ def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
         np.add(phik, cfg.eta_phi * dev, out=phi[k + 1])
         if not np.isfinite(buf[k + 1]).all():
             raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
-    return UnrollTrace("I" if level == 3 else "II", problem, cfg, inputs, poly1, r0, steps,
+    return UnrollTrace("I" if level == 3 else "II", problem, cfg, anchor, poly1, r0, steps,
                        x, z, phi, s, gamma)
 
 
@@ -184,20 +182,30 @@ def _unroll(problem, level, inputs, poly1, r0, steps, init, cfg) -> UnrollTrace:
 _no_cuts = lru_cache(maxsize=None)(partial(Polytope, LAYER_I))
 
 
+def _checked(problem: TrilevelProblem, state: PrimalState) -> PrimalState:
+    """``state``, or ``ValueError`` if its X and Z are not (N, D) and (D,) for ``problem``."""
+    d = problem.dims
+    if np.shape(state.X) != (d.N, d.width) or np.shape(state.Z) != (d.width,):
+        raise ValueError("state dimensions do not match problem dims")
+    return state
+
+
+def _anchor(problem: TrilevelProblem, state: PrimalState) -> PrimalState:
+    """A read-only float copy of ``state``, the frozen inputs of an unroll."""
+    _checked(problem, state)
+    X, Z = np.array(state.X, float), np.array(state.Z, float)
+    X.flags.writeable = Z.flags.writeable = False
+    return PrimalState(problem.dims, X, Z)
+
+
 def solve_level3(
     problem: TrilevelProblem,
-    z1: Array,
-    z2p: Array,
+    state: PrimalState,
     init=None,
     cfg: InnerConfig = InnerConfig(),
 ) -> UnrollTrace:
-    """Unroll K rounds of the third-level consensus solve at frozen (z1, z2')."""
-    d = problem.dims
-    z1 = np.asarray(z1, float)
-    z2p = np.asarray(z2p, float)
-    if z1.shape != (d.d1,) or z2p.shape != (d.d2,):
-        raise ValueError("frozen input dimensions do not match problem dims")
-    return _unroll(problem, 3, {"z1": z1.copy(), "z2p": z2p.copy()}, _no_cuts(d),
+    """Unroll K rounds of the third-level consensus solve at the z1 and z2 of ``state.Z``."""
+    return _unroll(problem, 3, _anchor(problem, state), _no_cuts(problem.dims),
                    np.zeros(0), (cfg.kappa3, cfg.eta_z, 0.0), init, cfg)
 
 
@@ -219,30 +227,24 @@ def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, floa
 
 def solve_level2(
     problem: TrilevelProblem,
-    z1: Array,
-    z3: Array,
-    x3: Sequence[Array],
+    state: PrimalState,
     poly1: Union[Polytope, Sequence[Cut]],
     init=None,
     cfg: InnerConfig = InnerConfig(),
 ) -> UnrollTrace:
-    """Unroll K rounds of the second-level solve at frozen (z1, z3, {x3_j}).
+    """Unroll K rounds of the second-level solve at z1, z3 of ``state.Z`` and x3 of ``state.X``.
 
     The layer-I cuts enter through slack-equipped inequality penalty terms;
     their inner duals ``gamma`` are clamped nonnegative every round and the
     final values are reported for cut pruning.  A plain sequence of cuts is
     wrapped in a ``Polytope`` once; re-runs reuse the trace's polytope.
     """
-    d = problem.dims
-    z1 = np.asarray(z1, float)
-    z3 = np.asarray(z3, float)
-    x3 = np.array(x3, dtype=float)
-    if z1.shape != (d.d1,) or z3.shape != (d.d3,) or x3.shape != (d.N, d.d3):
-        raise ValueError("frozen input dimensions do not match problem dims")
+    d, anchor = problem.dims, _anchor(problem, state)
     if not isinstance(poly1, Polytope):
         poly1 = Polytope(LAYER_I, d, tuple(poly1))
-    return _unroll(problem, 2, {"z1": z1.copy(), "z3": z3.copy(), "x3": x3}, poly1,
-                   poly1.residuals(z1, np.zeros(d.d2), z3, x3),
+    at_zero = PrimalState(d, anchor.X, anchor.Z.copy())  # the cuts read the unrolled z2 as z2'
+    at_zero.Z[d.columns(2)] = 0.0
+    return _unroll(problem, 2, anchor, poly1, poly1.residuals(at_zero),
                    (cfg.kappa2, *level2_steps(cfg, poly1, d.N)), init, cfg)
 
 
@@ -252,78 +254,77 @@ def _sq_deviation(x, z, x_hat, z_hat) -> float:
     return float(np.vdot(dx, dx) + np.vdot(dz, dz))
 
 
-def _own_blocks(trace: UnrollTrace, point) -> tuple:
-    """The unrolled level's own blocks (x, z) of a point in its layer's block order."""
-    keys = point_names(trace.layer)
-    return point[keys.index("x")], point[keys.index("z")]
+def _own(trace: UnrollTrace, state: PrimalState) -> tuple[Array, Array]:
+    """The unrolled level's own blocks of ``state``: block ``trace.level`` of X and of Z."""
+    c = trace.problem.dims.columns(trace.level)
+    return state.X[:, c], state.Z[c]
 
 
-def eval_h(trace: UnrollTrace, point) -> float:
-    """Squared deviation of the point's own blocks from the trace's final estimate.
+def eval_h(trace: UnrollTrace, state: PrimalState) -> float:
+    """Squared deviation of the state's own blocks from the trace's final estimate.
 
-    ``point`` is ``(z1, z2', z3, x3)`` for a layer-I trace, whose own blocks are
-    (x3, z3), and ``(z1, z2, z3, x3, x2)`` for a layer-II trace, owning (x2, z2).
+    A layer-I trace owns the x3 and z3 columns of ``state``, a layer-II trace
+    the x2 and z2 columns.
     """
-    shapes = point_shapes(trace.layer, trace.problem.dims)
-    if len(point) != len(shapes):
-        raise FedtriError(f"a layer-{trace.layer} point has {len(shapes)} blocks")
-    if any(np.shape(b) != shape for b, shape in zip(point, shapes)):
-        raise ValueError(f"point blocks must have the shapes {shapes}")
-    return _sq_deviation(*_own_blocks(trace, point), *trace.estimate)
+    return _sq_deviation(*_own(trace, _checked(trace.problem, state)), *trace.estimate)
 
 
-def rerun(trace: UnrollTrace, **overrides) -> UnrollTrace:
-    """Re-run the trace's unroll with some frozen inputs replaced.
+def rerun(trace: UnrollTrace, state: PrimalState) -> UnrollTrace:
+    """Re-run the trace's unroll with its frozen inputs read from ``state``.
 
     The initialization, rounds and (for layer II) layer-I cuts are taken from
     the trace, so the new trace's estimate is the trace's own estimate map
     evaluated at the new inputs.
     """
-    inputs = {**trace.inputs, **overrides}
     init = [a[0] for a in (trace.x, trace.z, trace.phi, trace.s, trace.gamma)]
     if trace.layer == "I":
-        return solve_level3(trace.problem, inputs["z1"], inputs["z2p"], init=init, cfg=trace.cfg)
-    return solve_level2(trace.problem, inputs["z1"], inputs["z3"], inputs["x3"],
-                        trace.poly1, init=init, cfg=trace.cfg)
+        return solve_level3(trace.problem, state, init=init, cfg=trace.cfg)
+    return solve_level2(trace.problem, state, trace.poly1, init=init, cfg=trace.cfg)
 
 
 # ---------------------------------------------------------------------------
 # Gradients of h through the unroll
 
-def _fd_through_unroll(trace, x, z, key: str) -> Array:
-    """Central differences of h in one frozen input, re-running the unroll twice per coordinate.
+def _fd_through_unroll(trace, x, z) -> tuple[Array, Array]:
+    """Central differences of h in every frozen input, re-running the unroll twice per coordinate.
 
-    ``x`` and ``z`` are the point's own blocks; a per-worker input (N, d) steps row by row.
+    ``x`` and ``z`` are the state's own blocks.  The frozen inputs are Z's
+    blocks other than the unrolled level's and, at level 2, X's x3: a block of
+    Z steps as one row, a block of X row by row.  Returns (gZ, gX) in the
+    state's shapes, zero outside the frozen inputs.
     """
-    base = trace.inputs[key]
-    rows = base.reshape(-1, base.shape[-1])
+    d, lv, anchor = trace.problem.dims, trace.level, trace.anchor
+    blocks = [("Z", d.columns(i)) for i in (1, 2, 3) if i != lv]
+    blocks += [("X", (j, d.columns(i))) for i in range(lv + 1, 4) for j in range(d.N)]
+    g = PrimalState(d, np.zeros_like(anchor.X), np.zeros_like(anchor.Z))
+    for name, at in blocks:
+        def h_at(v):
+            pert = anchor.copy()
+            getattr(pert, name)[at] = v
+            return _sq_deviation(x, z, *rerun(trace, pert).estimate)
+        getattr(g, name)[at] = finite_diff_grad(h_at, getattr(anchor, name)[at])
+    return g.Z, g.X
 
-    def h_at(j: int, value) -> float:
-        pert = rows.copy()
-        pert[j] = value
-        return _sq_deviation(x, z, *rerun(trace, **{key: pert.reshape(base.shape)}).estimate)
 
-    g = [finite_diff_grad(lambda v: h_at(j, v), row) for j, row in enumerate(rows)]
-    return np.array(g).reshape(base.shape)
-
-
-def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
+def _adjoint(trace, xbar: Array, zbar: Array) -> tuple[Array, Array]:
     """Gradients in every frozen input from one backward sweep over the recorded rounds.
 
     ``xbar`` and ``zbar`` are the gradients of h in the final iterates.  Each
     round is run backwards through one stacked ``cross_hess`` call: worker j's
     row ``g_j`` times ``R_j``, the unrolled level's rows of its Hessian, gives
-    ``g_j^T R_j`` over its whole flat point, sliced by ``dims.columns`` into
-    the unrolled block and each frozen input.  At the slack/dual clamp kinks
-    the sweep follows the branch the forward pass took.  Returns one gradient
-    per key of ``trace.inputs``.
+    ``g_j^T R_j`` over its whole flat point.  Its unrolled block feeds the
+    next round back; the sweep sums all of it over the rounds in one (N, D)
+    array.  The columns before the unrolled block were read from Z, so their
+    sum over the workers goes to Z; the columns after it are X's own.  The
+    layer-I cuts' constant residual adds ``rbar @ W``.  At the slack/dual
+    clamp kinks the sweep follows the branch the forward pass took.  Returns
+    (gZ, gX) in the state's shapes; ``grad_h`` sets the unrolled block.
     """
     p, cfg, lv, poly1 = trace.problem, trace.cfg, trace.level, trace.poly1
-    N, L, A2, cols = p.dims.N, poly1.size, poly1.A2, p.dims.columns
+    N, D, L, A2, own = p.dims.N, p.dims.width, poly1.size, poly1.A2, p.dims.columns(lv)
     kappa, eta_z, eta_gamma = trace.steps
-    hess = _level_rows(p.cross_hess, lv, trace.inputs, p.dims)
-    frozen = [(key, cols(i)) for i, key in enumerate(_ORACLE_ARGS[lv], 1) if key != "x"]
-    wbar = {key: np.zeros_like(v) for key, v in trace.inputs.items()}
+    hess = _level_rows(p.cross_hess, lv, trace.anchor)
+    acc = np.zeros((N, D))  # the sum over rounds of every worker's g^T R
     phibar = np.zeros_like(xbar)
     sbar = gbar = rbar = np.zeros(L)  # rbar: the cuts' constant residual r0
     for k in reversed(range(cfg.K)):  # a round backwards, its last update first
@@ -348,33 +349,36 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> dict:
         phibar = phibar + gxbar - gzbar
         xbar = xbar + kappa * (gxbar - gzbar)
         w = (gxbar[:, None, :] @ hess(trace.x[k]))[:, 0]
-        xbar = xbar + w[:, cols(lv)]
-        for key, c in frozen:  # a per-worker input keeps its rows; a shared input sums them
-            wbar[key] += w[:, c] if wbar[key].ndim == 2 else w[:, c].sum(axis=0)
+        xbar = xbar + w[:, own]
+        acc += w
+    gZ, gX = np.zeros(D), np.zeros((N, D))
+    gZ[:own.start] = acc[:, :own.start].sum(axis=0)
+    gX[:, own.stop:] = acc[:, own.stop:]
     if L:
-        wbar["z1"] += poly1.A1.T @ rbar
-        wbar["z3"] += poly1.A3.T @ rbar
-        wbar["x3"] += np.einsum("l,lnd->nd", rbar, poly1.B3)
-    return wbar
+        rw = rbar @ poly1.W
+        gZ += rw[:D]
+        gX += rw[D:].reshape(N, D)
+    return gZ, gX
 
 
-def grad_h(trace: UnrollTrace, point) -> tuple[Array, ...]:
-    """Gradient of h at ``point``: one array per block, in the order and shapes of the point.
+def grad_h(trace: UnrollTrace, state: PrimalState) -> tuple[Array, Array]:
+    """Gradient of h at ``state`` as (gZ (D,), gX (N, D)), in the state's shapes.
 
-    Layer-I points are ``(z1, z2', z3, x3)``; layer-II points are
-    ``(z1, z2, z3, x3, x2)``.  Per-worker blocks come back as (N, d) arrays,
-    so ``flat_point(*grad_h(...))`` is a cut row.  The unrolled level's own
-    blocks differentiate directly to twice the deviation; the frozen inputs
-    go through the unroll by the path ``trace.problem`` picks: one backward
-    sweep over the recorded rounds when it has ``cross_hess_fn``, otherwise
-    central differences that re-run the unroll twice per coordinate.
+    ``np.concatenate((gZ, gX.ravel()))`` is a cut row over ``PrimalState.row``.
+    The unrolled level's own blocks differentiate directly to twice the
+    deviation; the frozen inputs go through the unroll by the path
+    ``trace.problem`` picks: one backward sweep over the recorded rounds when
+    it has ``cross_hess_fn``, otherwise central differences that re-run the
+    unroll twice per coordinate.  The X columns h does not read are exact
+    zeros: x1 on both layers and x2 on layer I.
     """
-    x, z = _own_blocks(trace, point)
+    own = trace.problem.dims.columns(trace.level)
+    x, z = _own(trace, state)
     x_hat, z_hat = trace.estimate
-    grads = {"x": 2.0 * (np.asarray(x, float) - x_hat), "z": 2.0 * (np.asarray(z, float) - z_hat)}
+    gx, gz = 2.0 * (x - x_hat), 2.0 * (z - z_hat)
     if trace.problem.cross_hess_fn is not None:
-        grads.update(_adjoint(trace, -grads["x"], -grads["z"]))
+        gZ, gX = _adjoint(trace, -gx, -gz)
     else:
-        grads.update((key, _fd_through_unroll(trace, x, z, key)) for key in trace.inputs)
-    return tuple(grads[key] for key in point_names(trace.layer))
-
+        gZ, gX = _fd_through_unroll(trace, x, z)
+    gZ[own], gX[:, own] = gz, gx
+    return gZ, gX

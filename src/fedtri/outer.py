@@ -49,6 +49,8 @@ class OuterConfig:
     max_iters: int = 1000
 
     def __post_init__(self):
+        for name in ("T_pre", "T1", "max_iters"):  # plain ints, so a RunLog writes as JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("eta_x1", "eta_x2", "eta_x3", "eta_z1", "eta_z2", "eta_z3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -115,9 +117,8 @@ def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: T
     theta steps on the x1 consensus residuals and is clipped to the box
     ``||theta||_inf <= sqrt(alpha5) / d1``.
     """
-    X, z = state.x, state.z
-    lam = duals.lam + cfg.eta_lambda * (poly2.residuals(*z, X[2], X[1]) - c1 * duals.lam)
-    theta = duals.theta + cfg.eta_theta * (X[0] - z[0] - c2 * duals.theta)
+    lam = duals.lam + cfg.eta_lambda * (poly2.residuals(state) - c1 * duals.lam)
+    theta = duals.theta + cfg.eta_theta * (state.x[0] - state.z[0] - c2 * duals.theta)
     box = math.sqrt(cfg.alpha5) / problem.dims.d1
     # np.clip's values without its Python-level wrapper, which costs more than the arithmetic.
     return DualState(lam=np.minimum(np.maximum(lam, 0.0), math.sqrt(cfg.alpha4)),
@@ -167,20 +168,16 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
     """The gradient of the unregularized L_p plus its projected dual residuals.
 
     This is the one place L_p's gradient is formed.  The cut duals pull on
-    the layer-II point ``[z1 z2 z3 | x3 rows | x2 rows]`` through one sum of
-    P_II's weighted rows, whose z part is ``gz`` but for theta.  The rows
-    ``gx`` are also the regularized Lagrangian's, which ``worker_step`` steps
-    on.  L_p is affine in z, so ``gz`` depends only on the duals and P_II,
+    the state's row ``[Z | X.ravel()]`` through one sum of P_II's weighted
+    rows: its Z part is ``gz`` but for theta, and its X part adds to ``gx``.
+    The rows ``gx`` are also the regularized Lagrangian's, which
+    ``worker_step`` steps on.  L_p is affine in z, so ``gz`` depends only on the duals and P_II,
     which lets ``master_step`` reuse it.
     """
-    d, lam = problem.dims, duals.lam
-    D, n3 = d.width, d.N * d.d3
+    d, lam, D = problem.dims, duals.lam, problem.dims.width
     pull = (lam[:, None] * poly2.W).sum(axis=0)  # not lam @ W: keep each column's sum order
-    gx = problem.grad_all(1, state.X).copy()  # the oracle's array is not ours to write
-    gx1, gx2, gx3 = d.split(gx)
-    gx1 += duals.theta
-    gx2 += pull[D + n3:].reshape(d.N, d.d2)
-    gx3 += pull[D:D + n3].reshape(d.N, d.d3)
+    gx = problem.grad_all(1, state.X) + pull[D:].reshape(d.N, D)  # a new array, not the oracle's
+    gx[:, d.columns(1)] += duals.theta
     gz = pull[:D]
     gz[d.columns(1)] -= duals.theta.sum(axis=0)
     proj = _dual_step(state, duals, poly2, problem, cfg)

@@ -1,6 +1,6 @@
 """The tests' instruments for the claim that mu-cuts stay valid for mu-weakly-convex h.
 
-``flat_h`` writes h over a layer's flat point, ``estimate_mu`` measures h's
+``flat_h`` writes h over the outer state's row ``[Z | X.ravel()]``, ``estimate_mu`` measures h's
 weak-convexity modulus on sample points, and ``validate_cut`` samples the
 relaxed set ``h <= eps`` and counts the points a cut wrongly excludes.
 """
@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedtri.core import FedtriError, Polytope, finite_diff_grad, flat_point
-from fedtri.core import point_alphas, point_names, point_shapes, split_point
+from fedtri.core import FedtriError, Polytope, PrimalState, finite_diff_grad
 from fedtri.inner import eval_h, grad_h, rerun
 
 VIOLATION_TOL = 1e-9  # a residual above this counts as a violation
@@ -18,21 +17,22 @@ MAX_DRAWS = 10**6  # proposals ``validate_cut`` makes before it reports inconclu
 
 
 def flat_h(trace):
-    """(h, grad h) over ``flat_point`` of the trace layer's point; each call re-runs the unroll."""
-    layer = trace.layer
+    """(h, grad h) over the state row ``[Z | X.ravel()]``; each call re-runs the unroll."""
+    dims = trace.problem.dims
 
-    def point_and_trace(v):
-        point = split_point(layer, trace.problem.dims, np.asarray(v, float))
-        return point, rerun(trace, **{k: b for k, b in zip(point_names(layer), point)
-                                      if k in trace.inputs})
+    def state_and_trace(v):
+        v = np.asarray(v, float)
+        state = PrimalState(dims, v[dims.width:].reshape(dims.N, dims.width), v[:dims.width])
+        return state, rerun(trace, state)
 
     def fn(v):
-        point, sub = point_and_trace(v)
-        return eval_h(sub, point)
+        state, sub = state_and_trace(v)
+        return eval_h(sub, state)
 
     def grad(v):
-        point, sub = point_and_trace(v)
-        return flat_point(*grad_h(sub, point))
+        state, sub = state_and_trace(v)
+        gZ, gX = grad_h(sub, state)
+        return np.concatenate((gZ, gX.ravel()))
 
     return fn, grad
 
@@ -93,19 +93,18 @@ def _sample_ball(rng, dim, radius_sq):
 def validate_cut(cut, trace, eps, n_samples, seed, alphas):
     """Sample points with the trace's ``h <= eps`` inside the bound balls and count cut violations.
 
-    The same sampler serves both layers.  Each proposal first puts the
-    trace's frozen inputs uniformly in their balls, row by row, then its own
-    (x, z) blocks inside the sqrt(eps)-tube around the re-run estimate; every
-    proposal is still rejected unless it actually satisfies ``h <= eps`` and
-    the own blocks' bounds.  A valid cut admits zero violations.
+    The same sampler serves both layers.  Each proposal is a state whose
+    unread X columns are zero.  It first puts the trace's frozen inputs
+    uniformly in their balls, each Z block and then each worker's row of
+    each X block in its level's alpha ball, then the unrolled level's own
+    (x, z) blocks inside the sqrt(eps)-tube around the re-run estimate;
+    every proposal is still rejected unless it actually satisfies
+    ``h <= eps`` and the own blocks' bounds.  A valid cut admits zero violations.
     """
     rng = np.random.default_rng(seed)
-    poly = Polytope(cut.layer, trace.problem.dims, (cut,))
-    keys = point_names(trace.layer)
-    balls = dict(zip(keys, zip(point_shapes(trace.layer, trace.problem.dims),
-                               point_alphas(trace.layer, alphas))))
-    (x_shape, own_alpha), (z_shape, _) = balls["x"], balls["z"]
-    nx = int(np.prod(x_shape))
+    d, lv = trace.problem.dims, trace.level
+    poly = Polytope(cut.layer, d, (cut,))
+    own, own_alpha, nx = d.columns(lv), alphas[lv - 1], d.N * d.block(lv)
 
     accepted = 0
     draws = 0
@@ -113,23 +112,24 @@ def validate_cut(cut, trace, eps, n_samples, seed, alphas):
     max_violation = -np.inf
     while accepted < n_samples and draws < MAX_DRAWS:
         draws += 1
-        point = {}
-        for key in trace.inputs:
-            shape, a = balls[key]
-            rows = [_sample_ball(rng, shape[-1], a) for _ in range(int(np.prod(shape[:-1])))]
-            point[key] = np.reshape(rows, shape)
-        sub = rerun(trace, **point)
+        state = PrimalState(d, np.zeros((d.N, d.width)), np.zeros(d.width))
+        for i in (1, 2, 3):  # the frozen blocks of Z: all but the unrolled level's
+            if i != lv:
+                state.Z[d.columns(i)] = _sample_ball(rng, d.block(i), alphas[i - 1])
+        for i in range(lv + 1, 4):  # the frozen blocks of X: those after the unrolled level's
+            for j in range(d.N):
+                state.X[j, d.columns(i)] = _sample_ball(rng, d.block(i), alphas[i - 1])
+        sub = rerun(trace, state)
         x_hat, z_hat = sub.estimate
-        dev = _sample_ball(rng, nx + z_shape[0], eps)
-        point["x"] = x_hat + dev[:nx].reshape(x_shape)
-        point["z"] = z_hat + dev[nx:]
-        if any(float(r @ r) > own_alpha for r in (*point["x"], point["z"])):
+        dev = _sample_ball(rng, nx + d.block(lv), eps)
+        state.X[:, own] = x_hat + dev[:nx].reshape(d.N, d.block(lv))
+        state.Z[own] = z_hat + dev[nx:]
+        if any(float(r @ r) > own_alpha for r in (*state.X[:, own], state.Z[own])):
             continue
-        blocks = tuple(point[key] for key in keys)
-        if eval_h(sub, blocks) > eps:
+        if eval_h(sub, state) > eps:
             continue
         accepted += 1
-        resid = float(poly.residuals(*blocks)[0])
+        resid = float(poly.residuals(state)[0])
         max_violation = max(max_violation, resid)
         if resid > VIOLATION_TOL:
             violations += 1

@@ -16,15 +16,13 @@ from fedtri.core import (
     PrimalState,
     TrilevelProblem,
     finite_diff_grad,
-    flat_point,
-    point_alphas,
     project_ball_sq,
 )
 from fedtri.inner import InnerConfig, solve_level3
 from fedtri.data import make_synthetic_dataset
 from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
 from cut_checks import estimate_mu
-from oracle_rows import stack_rows
+from oracle_rows import stack_rows, state_of
 
 
 class TestDims:
@@ -424,10 +422,10 @@ def test_cuts_polytopes_and_traces_compare_by_identity():
     problem, _ = build_quadratic_problem(seed=1, dims=(2, 2, 2), N=2)
 
     def cut():
-        return Cut(layer=LAYER_I, w=np.ones(10), c=1.0, id=0)
+        return Cut(layer=LAYER_I, w=np.ones(18), c=1.0, id=0)
 
     for build in (cut, lambda: Polytope(LAYER_I, problem.dims, (cut(),)),
-                  lambda: solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=2))):
+                  lambda: solve_level3(problem, state_of(problem.dims), cfg=InnerConfig(K=2))):
         a, b = build(), build()
         assert a != b and not a == b
         assert a == a and b == b
@@ -435,41 +433,34 @@ def test_cuts_polytopes_and_traces_compare_by_identity():
 
 
 class TestPolytopeRows:
-    DIMS = Dims(d1=1, d2=2, d3=3, N=2)  # layer-I rows are 12 wide, layer-II rows 16
+    DIMS = Dims(d1=1, d2=2, d3=3, N=2)  # rows over [Z | X.ravel()] are 6 + 2 * 6 = 18 wide
 
     def test_rejects_a_row_of_the_wrong_width(self):
-        for layer, width in ((LAYER_I, 16), (LAYER_II, 12), (LAYER_I, 11)):
+        for layer, width in ((LAYER_I, 16), (LAYER_II, 12), (LAYER_I, 17)):
             with pytest.raises(ValueError, match="width"):
                 Polytope(layer, self.DIMS, (Cut(layer=layer, w=np.ones(width), c=0.0, id=0),))
 
-    def test_views_split_the_rows_in_point_order(self):
+    def test_a2_is_the_rows_z2_columns(self):
         d = self.DIMS
-        blocks = (np.full(d.d1, 1.0), np.full(d.d2, 2.0), np.full(d.d3, 3.0),
-                  np.full((d.N, d.d3), 4.0), np.full((d.N, d.d2), 5.0))
-        poly = Polytope(LAYER_II, d, (Cut(layer=LAYER_II, w=flat_point(*blocks), c=0.0, id=0),))
-        views = (poly.A1, poly.A2, poly.A3, poly.B3, poly.B2)
-        for view, block in zip(views, blocks):
-            assert np.array_equal(view[0], block)
-        assert Polytope(LAYER_I, d).B2 is None and Polytope(LAYER_I, d).W.shape == (0, 12)
+        Z = np.concatenate((np.full(d.d1, 1.0), np.full(d.d2, 2.0), np.full(d.d3, 3.0)))
+        w = np.concatenate((Z, np.full(d.N * d.width, 4.0)))
+        poly = Polytope(LAYER_II, d, (Cut(layer=LAYER_II, w=w, c=0.0, id=0),))
+        assert np.array_equal(poly.W, [w]) and np.array_equal(poly.A2, [np.full(d.d2, 2.0)])
+        assert poly.A2.flags.c_contiguous
+        empty = Polytope(LAYER_I, d)
+        assert empty.W.shape == (0, 18) and empty.A2.shape == (0, d.d2)
 
-    def test_residuals_take_exactly_a_point_of_the_layer(self):
+    def test_residuals_take_exactly_a_state_of_the_dims(self):
         d = self.DIMS
-        blocks = (np.ones(d.d1), np.ones(d.d2), np.ones(d.d3), np.ones((d.N, d.d3)),
-                  np.ones((d.N, d.d2)))
-        for layer, n in ((LAYER_I, 4), (LAYER_II, 5)):
-            point = blocks[:n]
-            w = flat_point(*point)  # w . p = w . w, so the residual is 0.5
+        state = state_of(d, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        for layer in (LAYER_I, LAYER_II):
+            w = np.ones(18)  # w . row = w . w, so the residual is 0.5
             poly = Polytope(layer, d, (Cut(layer=layer, w=w, c=w @ w - 0.5, id=0),))
-            assert np.array_equal(poly.residuals(*point), [0.5])
-            for other in (blocks[:3], blocks[:9 - n]):  # too short, and the other layer's
+            assert np.array_equal(poly.residuals(state), [0.5])
+            for other in (Dims(d1=1, d2=2, d3=3, N=1), Dims(d1=1, d2=2, d3=2, N=2)):
                 for p in (poly, Polytope(layer, d)):
-                    with pytest.raises(ValueError, match="blocks"):
-                        p.residuals(*other)
-
-    def test_point_alphas_give_each_block_its_level_alpha(self):
-        # z_i and the rows of x_i share alpha_i, in the order of point_shapes.
-        assert point_alphas(LAYER_I, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0)
-        assert point_alphas(LAYER_II, (1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 3.0, 2.0)
+                    with pytest.raises(ValueError):
+                        p.residuals(state_of(other, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_the_package_exports_only_its_api_objects():
@@ -477,7 +468,7 @@ def test_the_package_exports_only_its_api_objects():
 
     import fedtri
 
-    assert len(fedtri.__all__) == len(set(fedtri.__all__)) == 46
+    assert len(fedtri.__all__) == len(set(fedtri.__all__)) == 45
     for name in fedtri.__all__:
         assert not isinstance(getattr(fedtri, name), types.ModuleType), name
     namespace = {}

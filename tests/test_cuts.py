@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem, flat_point, point_shapes, split_point
+from fedtri.core import Dims, FedtriError, TrilevelProblem
 from fedtri.cuts import (
     Cut,
     Polytope,
@@ -11,16 +11,31 @@ from fedtri.cuts import (
     generate_cut_II,
     normalize_cut,
 )
+import fedtri.harness
 from fedtri import inner
+from fedtri.data import make_synthetic_dataset
+from fedtri.harness import ScheduleConfig, run
 from fedtri.inner import InnerConfig, eval_h, grad_h, solve_level2, solve_level3
-from fedtri.problems import build_quadratic_problem
+from fedtri.outer import OuterConfig
+from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
 from cut_checks import estimate_mu, flat_h, validate_cut
+from oracle_rows import state_of
 
 
 def toy_cut(layer="I", d=2, N=2, c=1.0, cut_id=0, seed=0):
+    """A row over [Z | X.ravel()] drawn for Z, then x3's rows, then (layer II) x2's; x1's are 0."""
     rng = np.random.default_rng(seed)
-    width = 3 * d + N * d * (2 if layer == "II" else 1)
-    return Cut(layer=layer, w=rng.standard_normal(width), c=c, id=cut_id)
+    W = np.zeros((N + 1, 3 * d))
+    W[0] = rng.standard_normal(3 * d)
+    W[1:, 2 * d:] = rng.standard_normal((N, d))
+    if layer == "II":
+        W[1:, d:2 * d] = rng.standard_normal((N, d))
+    return Cut(layer=layer, w=W.ravel(), c=c, id=cut_id)
+
+
+def row_blocks(dims, w):
+    """A row's Z blocks (a1, a2, a3) and its X blocks (b1, b2, b3), each (N, d_i)."""
+    return dims.split(w[:dims.width]), dims.split(w[dims.width:].reshape(dims.N, dims.width))
 
 
 TOY_DIMS = Dims(d1=2, d2=2, d3=2, N=2)  # the dims of toy_cut's defaults
@@ -32,9 +47,8 @@ INFLATION_ALPHAS = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
 def inflation_ball(layer, dims, alphas):
     """The alpha part of a cut's inflation: each row of each block brings its block's alpha."""
     a1, a2, a3 = alphas
-    block_alphas = (a1, a2, a3, a3, a2)  # z1, z2, z3, x3 rows, x2 rows: point_shapes' order
-    return sum(a * int(np.prod(shape[:-1])) for a, shape in
-               zip(block_alphas, point_shapes(layer, dims)))
+    worker_blocks = (a3,) if layer == "I" else (a3, a2)  # x3 rows, then x2 rows for layer II
+    return a1 + a2 + a3 + sum(a * dims.N for a in worker_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +73,10 @@ class TestGenerateCutI:
         # at v = 1 with eps 0.1 must read 2 v <= 1.1.
         problem = scalar_problem()
         cfg = InnerConfig(K=1, eta_x=0.0, eta_z=0.0, eta_phi=0.0)
-        trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
-        point = (np.zeros(1), np.zeros(1), np.array([1.0]), [np.zeros(1)])
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(1)), cfg=cfg)
+        point = state_of(problem.dims, np.zeros(1), np.zeros(1), np.array([1.0]), x3=[np.zeros(1)])
         cut = generate_cut_I(trace, point, mu=0.0, eps1=0.1, alphas=problem.alphas)
-        a1, a2, a3, b3 = split_point("I", problem.dims, cut.w)
+        (a1, a2, a3), (_, _, b3) = row_blocks(problem.dims, cut.w)
         assert np.allclose(a3, [2.0], atol=1e-9)
         assert np.allclose(a1, [0.0], atol=1e-9)
         assert np.allclose(a2, [0.0], atol=1e-9)
@@ -77,12 +91,12 @@ class TestGenerateCutI:
         cfg = InnerConfig(K=3, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level3(problem, z1, z2, cfg=cfg)
-        point = (z1, z2, z3, x3)
+        trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
+        point = state_of(problem.dims, z1, z2, z3, x3=x3)
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
                              alphas=problem.alphas)
-        v0 = flat_point(*point)
-        g = flat_point(*grad_h(trace, point))
+        v0 = flat_row(point.Z, point.X)
+        g = flat_row(*grad_h(trace, point))
         h0 = eval_h(trace, point)
         c_classic = 1e-2 - h0 + float(g @ v0)
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
@@ -92,8 +106,9 @@ class TestGenerateCutI:
         # mu = 2, origin anchor: the inflation is its alpha part alone.
         problem, _ = quad
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
-        zero_pt = (np.zeros(2), np.zeros(2), np.zeros(2), [np.zeros(2)] * 2)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)), cfg=cfg)
+        zero_pt = state_of(problem.dims, np.zeros(2), np.zeros(2), np.zeros(2),
+                           x3=[np.zeros(2)] * 2)
         eps1, mu = 0.05, 2.0
         for alphas in INFLATION_ALPHAS:
             cut0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
@@ -112,12 +127,12 @@ class TestGenerateCutII:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
-        point = (z1, z2, z3, x3, x2)
+        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=cfg)
+        point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
         cut = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
                               alphas=problem.alphas)
-        v0 = flat_point(*point)
-        g = flat_point(*grad_h(trace, point))
+        v0 = flat_row(point.Z, point.X)
+        g = flat_row(*grad_h(trace, point))
         assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
         assert cut.c == pytest.approx(1e-2 - eval_h(trace, point) + float(g @ v0), rel=1e-12)
 
@@ -125,10 +140,10 @@ class TestGenerateCutII:
         # mu = 1, N = 2 workers, origin anchor: 7 with unit alphas, 1 + 3 (2 + 3) = 16 unequal.
         problem, _ = quad
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
-        trace = solve_level2(problem, np.zeros(2), np.zeros(2),
-                             [np.zeros(2)] * 2, (), cfg=cfg)
-        pt = (np.zeros(2), np.zeros(2), np.zeros(2),
-              [np.zeros(2)] * 2, [np.zeros(2)] * 2)
+        trace = solve_level2(problem, state_of(problem.dims, np.zeros(2), z3=np.zeros(2),
+                                               x3=[np.zeros(2)] * 2), (), cfg=cfg)
+        pt = state_of(problem.dims, np.zeros(2), np.zeros(2), np.zeros(2),
+                      x3=[np.zeros(2)] * 2, x2=[np.zeros(2)] * 2)
         eps2 = 0.3
         for alphas in INFLATION_ALPHAS:
             cut0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
@@ -147,13 +162,13 @@ class TestGenerateCutII:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
-        point = (z1, z2, z3, x3, x2)
+        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=cfg)
+        point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
         eps2, mu = 1e-2, 0.5
         cut = generate_cut_II(trace, point, mu=mu, eps2=eps2,
                               alphas=(1.0, 1.0, 1.0))
         h0 = eval_h(trace, point)
-        slack = -residual(cut, *point)
+        slack = -residual(cut, point)
         assert slack == pytest.approx(eps2 + mu * cut_inflation_ii(point) - h0, rel=1e-9)
         assert slack >= eps2 - h0
 
@@ -166,9 +181,9 @@ class TestNormalizeCut:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level2(problem, z1, z3, x3, (), cfg=cfg)
-        raw = generate_cut_II(trace, (z1, z2, z3, x3, x2), mu=0.5, eps2=1e-2,
-                              alphas=(1.0, 1.0, 1.0))
+        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=cfg)
+        raw = generate_cut_II(trace, state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3), mu=0.5,
+                              eps2=1e-2, alphas=(1.0, 1.0, 1.0))
         unit = normalize_cut(raw)
         assert np.linalg.norm(unit.w) == pytest.approx(1.0, rel=1e-12)
         assert (unit.id, unit.layer) == (raw.id, raw.layer)
@@ -180,25 +195,31 @@ class TestNormalizeCut:
             pz = [scale * rng.standard_normal(2) for _ in range(3)]
             px3 = [scale * rng.standard_normal(2) for _ in range(2)]
             px2 = [scale * rng.standard_normal(2) for _ in range(2)]
-            inside_raw = residual(raw, *pz, px3, px2) <= 0.0
-            inside_unit = residual(unit, *pz, px3, px2) <= 0.0
+            p = state_of(problem.dims, *pz, x2=px2, x3=px3)
+            inside_raw = residual(raw, p) <= 0.0
+            inside_unit = residual(unit, p) <= 0.0
             assert inside_raw == inside_unit
             accepted += inside_raw
             rejected += not inside_raw
         assert accepted and rejected
 
     def test_zero_norm_cut_unchanged(self):
-        cut = Cut(layer="II", w=np.zeros(14), c=0.5, id=3)
+        cut = Cut(layer="II", w=np.zeros(18), c=0.5, id=3)
         assert normalize_cut(cut) is cut
 
 
-def residual(cut, *point):
-    """A cut's ``w . p - c``, computed apart from ``Polytope.residuals``."""
-    return float(cut.w @ flat_point(*point) - cut.c)
+def flat_row(Z, X):
+    """``[Z | X.ravel()]``: the row of a state's (Z, X) or of a gradient's (gZ, gX)."""
+    return np.concatenate((Z, X.ravel()))
+
+
+def residual(cut, state):
+    """A cut's ``w . [Z | X.ravel()] - c``, computed apart from ``Polytope.residuals``."""
+    return float(cut.w @ flat_row(state.Z, state.X) - cut.c)
 
 
 def cut_inflation_ii(point, alphas=(1.0, 1.0, 1.0)):
-    z1, z2, z3, x3, x2 = point
+    (z1, z2, z3), (_, x2, x3) = point.z, point.x
     n = len(x2)
     a1, a2, a3 = alphas
     total = a1 + (n + 1) * (a2 + a3)
@@ -283,21 +304,22 @@ class TestCutViolation:
         cut = toy_cut("I", d=d, N=N, c=0.0, seed=7)
         rng = np.random.default_rng(8)
         # Construct a point on the hyperplane by solving for the last z3 coord.
-        a1, a2, a3, b3 = split_point("I", Dims(d1=d, d2=d, d3=d, N=N), cut.w)
+        (a1, a2, a3), (_, _, b3) = row_blocks(Dims(d1=d, d2=d, d3=d, N=N), cut.w)
         x3 = [rng.standard_normal(d) for _ in range(N)]
         z1, z2 = rng.standard_normal(d), rng.standard_normal(d)
         partial = (float(a1 @ z1) + float(a2 @ z2)
                    + sum(float(b @ x) for b, x in zip(b3, x3)))
         z3 = np.zeros(d)
         z3[-1] = -partial / a3[-1]
-        got = Polytope("I", Dims(d1=d, d2=d, d3=d, N=N), (cut,)).residuals(z1, z2, z3, x3)
+        dims = Dims(d1=d, d2=d, d3=d, N=N)
+        got = Polytope("I", dims, (cut,)).residuals(state_of(dims, z1, z2, z3, x3=x3))
         assert got[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_dot_products(self):
         rng = np.random.default_rng(9)
         cut = toy_cut("II", d=3, N=2, c=0.7, seed=10)
         dims = Dims(d1=3, d2=3, d3=3, N=2)
-        a1, a2, a3, b3, b2 = split_point("II", dims, cut.w)
+        (a1, a2, a3), (_, b2, b3) = row_blocks(dims, cut.w)
         poly = Polytope("II", dims, (cut,))
         for _ in range(20):
             x3 = [rng.standard_normal(3) for _ in range(2)]
@@ -306,7 +328,7 @@ class TestCutViolation:
             expected = (a1 @ z1 + a2 @ z2 + a3 @ z3
                         + sum(b @ x for b, x in zip(b3, x3))
                         + sum(b @ x for b, x in zip(b2, x2)) - cut.c)
-            got = poly.residuals(z1, z2, z3, x3, x2)
+            got = poly.residuals(state_of(dims, z1, z2, z3, x2=x2, x3=x3))
             assert got[0] == pytest.approx(float(expected), abs=1e-12)
 
     def test_polytope_residuals_are_the_cut_violations(self):
@@ -315,10 +337,11 @@ class TestCutViolation:
             poly = Polytope(layer, TOY_DIMS, tuple(toy_cut(layer, cut_id=i, seed=20 + i)
                                                    for i in range(3)))
             n_per_worker = 1 if layer == "I" else 2  # x3, then x2 for layer II
-            point = (*(rng.standard_normal(2) for _ in range(3)),
-                     *(rng.standard_normal((2, 2)) for _ in range(n_per_worker)))
-            got = poly.residuals(*point)
-            want = [residual(cut, *point) for cut in poly.cuts]
+            z = [rng.standard_normal(2) for _ in range(3)]
+            x = [rng.standard_normal((2, 2)) for _ in range(n_per_worker)]
+            point = state_of(TOY_DIMS, *z, **dict(zip(("x3", "x2"), x)))
+            got = poly.residuals(point)
+            want = [residual(cut, point) for cut in poly.cuts]
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_anchor_point_of_valid_cut_satisfied(self, quad):
@@ -326,13 +349,13 @@ class TestCutViolation:
         rng = np.random.default_rng(11)
         cfg = InnerConfig(K=3, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         z1, z2 = rng.standard_normal(2), rng.standard_normal(2)
-        trace = solve_level3(problem, z1, z2, cfg=cfg)
+        trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
         x_hat, z_hat = trace.estimate
         # Anchor with h(point) = 0 <= eps: the cut is satisfied there.
-        point = (z1, z2, z_hat, list(x_hat))
+        point = state_of(problem.dims, z1, z2, z_hat, x3=list(x_hat))
         cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
                              alphas=problem.alphas)
-        assert residual(cut, z1, z2, point[2], point[3]) <= 0.0
+        assert residual(cut, point) <= 0.0
 
 
 class TestValidateCut:
@@ -342,9 +365,9 @@ class TestValidateCut:
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level3(problem, z1, z2, cfg=cfg)
-        cut = generate_cut_I(trace, (z1, z2, z3, x3), mu=0.0, eps1=1e-2,
-                             alphas=(9.0, 9.0, 9.0))
+        trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
+        cut = generate_cut_I(trace, state_of(problem.dims, z1, z2, z3, x3=x3), mu=0.0,
+                             eps1=1e-2, alphas=(9.0, 9.0, 9.0))
         report = validate_cut(cut, trace, eps=1e-2, n_samples=1000, seed=0,
                               alphas=(9.0, 9.0, 9.0))
         assert not report.inconclusive
@@ -358,12 +381,14 @@ class TestValidateCut:
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3, x2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        trace = solve_level3(problem, z1, z2, cfg=cfg)
-        point, generate, solve = (z1, z2, z3, x3), generate_cut_I, "solve_level3"
+        trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
+        point = state_of(problem.dims, z1, z2, z3, x3=x3)
+        generate, solve = generate_cut_I, "solve_level3"
         if layer == "II":
-            trace = solve_level2(problem, z1, z3, x3, (generate_cut_I(trace, point, 0.0, 1e-2,
-                                                                     problem.alphas),), cfg=cfg)
-            point, generate, solve = (z1, z2, z3, x3, x2), generate_cut_II, "solve_level2"
+            trace = solve_level2(problem, point, (generate_cut_I(trace, point, 0.0, 1e-2,
+                                                                 problem.alphas),), cfg=cfg)
+            point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
+            generate, solve = generate_cut_II, "solve_level2"
         cut = generate(trace, point, 0.0, 1e-2, (9.0, 9.0, 9.0))
         calls, unroll = [], getattr(inner, solve)
         monkeypatch.setattr(inner, solve, lambda *a, **kw: calls.append(1) or unroll(*a, **kw))
@@ -386,20 +411,20 @@ class TestValidateCut:
                  amp * np.sin(freq * V[:, 1:2])], axis=1),
         )
         cfg = InnerConfig(K=1, eta_x=1.0, eta_z=1.0, eta_phi=0.1)
-        trace = solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
+        trace = solve_level3(problem, state_of(dims, np.zeros(1), np.zeros(1)), cfg=cfg)
         fn, grad = flat_h(trace)
         r3 = amp + np.sqrt(eps) + 0.05
         alphas = (1e-4, 1.0, r3 * r3)
-        anchor = (np.zeros(1), np.zeros(1), np.zeros(1), [np.array([amp])])
+        anchor = state_of(dims, np.zeros(1), np.zeros(1), np.zeros(1), x3=[np.array([amp])])
         rng = np.random.default_rng(13)
-        pts = [flat_point(*anchor)]
+        pts = [flat_row(anchor.Z, anchor.X)]  # rows [z1 z2 z3 | x1 x2 x3]: x1 = x2 = 0, unread by h_I
         for _ in range(80):  # tube samples along the estimate manifold
             z2 = rng.uniform(-1, 1)
             x3 = -amp * np.sin(freq * z2) + rng.uniform(-np.sqrt(eps), np.sqrt(eps))
-            pts.append(np.array([0.0, z2, rng.uniform(-0.1, 0.1), x3]))
+            pts.append(np.array([0.0, z2, rng.uniform(-0.1, 0.1), 0.0, 0.0, x3]))
         for _ in range(40):
             x3 = rng.uniform(-r3, r3)
-            pts.append(np.array([0.0, rng.uniform(-1, 1), rng.uniform(-r3, r3), x3]))
+            pts.append(np.array([0.0, rng.uniform(-1, 1), rng.uniform(-r3, r3), 0.0, 0.0, x3]))
         mu_hat = estimate_mu(fn, pts, grad=grad)
         assert mu_hat > 1.0
         good = generate_cut_I(trace, anchor, mu=mu_hat, eps1=eps, alphas=alphas)
@@ -413,17 +438,18 @@ class TestValidateCut:
         problem, _ = quad
         rng = np.random.default_rng(14)
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)), cfg=cfg)
         poly = Polytope("I", problem.dims)
 
         def draw_point():  # x3 is drawn first, then z1, z2, z3
             x3 = [rng.standard_normal(2) for _ in range(2)]
-            return (rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2), x3)
+            return state_of(problem.dims, rng.standard_normal(2), rng.standard_normal(2),
+                            rng.standard_normal(2), x3=x3)
 
         samples = [draw_point() for _ in range(400)]
 
         def membership(p):
-            return sum(bool((p.residuals(*pt) <= 0.0).all()) for pt in samples)
+            return sum(bool((p.residuals(pt) <= 0.0).all()) for pt in samples)
 
         counts = [membership(poly)]
         for k in range(4):
@@ -434,3 +460,46 @@ class TestValidateCut:
             poly = add_cut(poly, cut)
             counts.append(membership(poly))
         assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+def block_residual(cut, state):
+    """``w . [Z | X.ravel()] - c`` summed block by block over ``Dims.split`` of Z and X's rows."""
+    d = state.dims
+    wZ, wX = cut.w[:d.width], cut.w[d.width:].reshape(d.N, d.width)
+    total = sum(float(a @ z) for a, z in zip(d.split(wZ), d.split(state.Z)))
+    for j in range(d.N):
+        total += sum(float(b @ x) for b, x in zip(d.split(wX[j]), d.split(state.X[j])))
+    return total - cut.c
+
+
+# The quadratic has second derivatives (backward sweep), robust HPO does not (finite differences).
+@pytest.mark.parametrize("name", ["quadratic", "robust-hpo"])
+def test_run_stores_cuts_over_the_state_row(monkeypatch, name):
+    if name == "quadratic":
+        problem, _ = build_quadratic_problem(seed=3, dims=(2, 3, 4), N=3, coupling=0.3)
+        inner_cfg = InnerConfig(K=3)
+    else:
+        data = make_synthetic_dataset(seed=0, rows=80, features=3)
+        problem = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=2).problem
+        inner_cfg = InnerConfig(K=3, warm_start=True)
+    d = problem.dims
+    stored, add = [], fedtri.harness.add_cut
+    monkeypatch.setattr(fedtri.harness, "add_cut",
+                        lambda poly, cut: stored.append(cut) or add(poly, cut))
+    res = run(problem, inner_cfg, OuterConfig(T_pre=2, max_iters=4),
+              ScheduleConfig(N=d.N, S=d.N, seed=0))
+    assert res.log.status != "aborted" and len(stored) == 6
+    # Layer I reads X's x3 columns, layer II its x2 and x3 columns.
+    first_read = {"I": d.columns(3).start, "II": d.columns(2).start}
+    for cut in stored:
+        wX = cut.w[d.width:].reshape(d.N, d.width)
+        assert np.all(wX[:, :first_read[cut.layer]] == 0.0), (cut.layer, cut.id)
+        assert np.any(wX[:, first_read[cut.layer]:] != 0.0)
+    rng = np.random.default_rng(1)
+    states = [res.state, state_of(d, *(rng.standard_normal(k) for k in d.sizes),
+                                  *(rng.standard_normal((d.N, k)) for k in d.sizes))]
+    for layer in ("I", "II"):
+        poly = Polytope(layer, d, tuple(c for c in stored if c.layer == layer))
+        for state in states:
+            want = [block_residual(cut, state) for cut in poly.cuts]
+            assert np.allclose(poly.residuals(state), want, rtol=1e-12, atol=1e-12)

@@ -15,11 +15,19 @@ import fedtri.inner
 from fedtri.cuts import generate_cut_I, normalize_cut
 from fedtri.inner import InnerConfig, grad_h, level2_steps, solve_level2, solve_level3
 from fedtri.problems import build_quadratic_problem
-from oracle_rows import stack_rows
+from oracle_rows import stack_rows, state_of
 
 # The oracle block each frozen input occupies; z3 reaches the level-2 unroll
 # only through the layer-I cuts.
 ORACLE_BLOCK = {"z1": 1, "z2p": 2, "x3": 3, "z3": None}
+
+
+def cut_columns(poly1, key, worker=None):
+    """The layer-I rows' columns of one frozen input: a block of Z, or of worker's row of X."""
+    d = poly1.dims
+    if key == "x3":
+        return poly1.W[:, d.width * (worker + 1):d.width * (worker + 2)][:, d.columns(3)]
+    return poly1.W[:, d.columns(int(key[1]))]
 
 
 def ref_jacobians(trace, key, worker=None):
@@ -30,9 +38,8 @@ def ref_jacobians(trace, key, worker=None):
     N = d.N
     level = trace.level
     dl = d.block(level)
-    z1 = trace.inputs["z1"]
-    z2p = trace.inputs.get("z2p")
-    x3 = trace.inputs.get("x3")
+    z1, z2p, _ = trace.anchor.z  # z2' is read at level 3 only
+    x3 = trace.anchor.x[2]  # read at level 2 only
     wblock = ORACLE_BLOCK[key]
     dw = d.block(int(key[1]))
     poly1 = trace.poly1
@@ -43,7 +50,7 @@ def ref_jacobians(trace, key, worker=None):
         kappa = cfg.kappa2
         eta_z, eta_gamma = level2_steps(cfg, poly1, N)
     if L:
-        dconst = poly1.B3[:, worker] if key == "x3" else getattr(poly1, "A" + key[1])
+        dconst = cut_columns(poly1, key, worker)
         a2s = poly1.A2
 
     Dx = [np.zeros((dl, dw)) for _ in range(N)]
@@ -84,7 +91,7 @@ def ref_grad_h(trace, point, key, worker=None):
     """The gradient of h at ``point`` in one frozen input, from its forward Jacobians."""
     x_hat, z_hat = trace.estimate
     Dx, Dz = ref_jacobians(trace, key, worker)
-    own_x, own_z = (point[3], point[2]) if trace.layer == "I" else (point[4], point[1])
+    own_x, own_z = (point.x[2], point.z[2]) if trace.layer == "I" else (point.x[1], point.z[1])
     g = -2.0 * Dz.T @ (np.asarray(own_z, float) - z_hat)
     for xj, xh, Dj in zip(own_x, x_hat, Dx):
         g = g - 2.0 * Dj.T @ (np.asarray(xj, float) - xh)
@@ -95,8 +102,8 @@ CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
 
 
 def t1_cut(problem, t1, p2):
-    """The unit layer-I cut of ``t1`` at the layer-II point's z1, z2, z3, x3."""
-    return normalize_cut(generate_cut_I(t1, p2[:4], 0.0, 1e-2, problem.alphas))
+    """The unit layer-I cut of ``t1`` at the state's z1, z2, z3, x3."""
+    return normalize_cut(generate_cut_I(t1, p2, 0.0, 1e-2, problem.alphas))
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +115,15 @@ def setup():
     z1, z2, z3 = (rng.standard_normal(k) for k in (d.d1, d.d2, d.d3))
     x3 = rng.standard_normal((d.N, d.d3))
     x2 = rng.standard_normal((d.N, d.d2))
-    t1 = solve_level3(problem, z1, z2, cfg=CFG)
+    p1, p2 = state_of(d, z1, z2, z3, x3=x3), state_of(d, z1, z2, z3, x2=x2, x3=x3)
+    t1 = solve_level3(problem, p1, cfg=CFG)
     # One unit cut shifted three ways: slack clamp inactive on the first
     # (s > 0), dual clamp inactive on the other two (gamma > 0).
-    cut = t1_cut(problem, t1, (z1, z2, z3, x3, x2))
+    cut = t1_cut(problem, t1, p2)
     cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
                  for i, dc in enumerate((3.0, -0.5, 0.05)))
-    t2 = solve_level2(problem, z1, z3, x3, cuts, cfg=CFG)
-    return problem, t1, t2, (z1, z2, z3, x3), (z1, z2, z3, x3, x2)
+    t2 = solve_level2(problem, p1, cuts, cfg=CFG)
+    return problem, t1, t2, p1, p2
 
 
 def assert_close(g, ref):
@@ -125,17 +133,18 @@ def assert_close(g, ref):
 
 def test_layer_I_matches_forward_reference(setup):
     _, t1, _, p1, _ = setup
-    g = grad_h(t1, p1)
+    g = t1.problem.dims.split(grad_h(t1, p1)[0])  # gZ's blocks
     assert_close(g[0], ref_grad_h(t1, p1, "z1"))
     assert_close(g[1], ref_grad_h(t1, p1, "z2p"))
 
 
 def assert_matches_reference_on_every_frozen_input(problem, trace, point):
-    g = grad_h(trace, point)
+    gZ, gX = grad_h(trace, point)
+    g = problem.dims.split(gZ)
     assert_close(g[0], ref_grad_h(trace, point, "z1"))
     assert_close(g[2], ref_grad_h(trace, point, "z3"))
     ref_x3 = np.array([ref_grad_h(trace, point, "x3", j) for j in range(problem.dims.N)])
-    assert_close(g[3], ref_x3)
+    assert_close(problem.dims.split(gX)[2], ref_x3)
 
 
 def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
@@ -149,7 +158,7 @@ def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
 def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
     # With a dual step equal to rho2, a decaying gamma is clamped to zero, and a
     # warm gamma gives slack and dual positive in the same round.
-    problem, t1, _, (z1, _, z3, x3), p2 = setup
+    problem, t1, _, p1, p2 = setup
     d = problem.dims
     cut = t1_cut(problem, t1, p2)
     cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
@@ -157,7 +166,7 @@ def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
     cfg = dataclasses.replace(CFG, rho2=0.1)
     zeros = np.zeros((d.N, d.d2))
     init = (zeros, np.zeros(d.d2), zeros, None, np.full(2, 0.3))
-    trace = solve_level2(problem, z1, z3, x3, cuts, init=init, cfg=cfg)
+    trace = solve_level2(problem, p1, cuts, init=init, cfg=cfg)
     s, gamma = trace.s, trace.gamma
     assert ((s[1:] > 0.0) & (gamma[:-1] > 0.0)).any()
     assert ((gamma[:-1] > 0.0) & (gamma[1:] == 0.0)).any()
@@ -189,9 +198,8 @@ def test_finite_diff_reruns_twice_per_frozen_coordinate(setup, monkeypatch):
     problem, _, t2, p1, p2 = setup
     d = problem.dims
     fd = dataclasses.replace(problem, cross_hess_fn=None)  # no second derivatives
-    z1, z2, z3, x3 = p1
-    t1 = solve_level3(fd, z1, z2, cfg=CFG)
-    t2 = solve_level2(fd, z1, z3, x3, t2.poly1, cfg=CFG)
+    t1 = solve_level3(fd, p1, cfg=CFG)
+    t2 = solve_level2(fd, p1, t2.poly1, cfg=CFG)
     calls3 = count_calls(monkeypatch, fedtri.inner, "solve_level3")
     calls2 = count_calls(monkeypatch, fedtri.inner, "solve_level2")
     grad_h(t1, p1)

@@ -525,3 +525,20 @@ class TestSerialization:
         footer = json.loads(path.read_text().splitlines()[-1])
         assert footer["dims"] == [2, 2, 2] and footer["N"] == 2
         assert all(type(v) is int for v in (*problem.dims.sizes, problem.dims.N))
+
+    def test_numpy_integer_configs_write_the_same_jsonl(self):
+        # T_pre and T1 decide IterRecord.refined, which a NumPy integer made a np.bool_.
+        problem, _, inner, outer = quad_setup()
+        plain = dict(K=3, T_pre=2, T1=5, max_iters=8, N=2, S=1, tau=3, seed=4)
+
+        def jsonl(K, T_pre, T1, max_iters, N, S, tau, seed):
+            res = run(problem, dataclasses.replace(inner, K=K),
+                      dataclasses.replace(outer, T_pre=T_pre, T1=T1, max_iters=max_iters),
+                      ScheduleConfig(N=N, S=S, tau=tau, seed=seed))
+            return res.log.to_jsonl()
+
+        want = jsonl(**plain)
+        assert '"refined":true' in want and '"S":1' in want
+        for name in plain:  # one field at a time, then all at once
+            assert jsonl(**{**plain, name: np.int64(plain[name])}) == want, name
+        assert jsonl(**{k: np.int64(v) for k, v in plain.items()}) == want

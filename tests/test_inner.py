@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fedtri import inner
-from fedtri.core import (Dims, FedtriError, Polytope, TrilevelProblem, finite_diff_grad,
-                         flat_point, point_shapes, split_point)
+from fedtri.core import Dims, FedtriError, Polytope, TrilevelProblem, finite_diff_grad
 from fedtri.cuts import Cut, generate_cut_I
 from fedtri.inner import (
     InnerConfig,
@@ -17,7 +16,7 @@ from fedtri.inner import (
 )
 from fedtri.problems import build_quadratic_problem
 from cut_checks import flat_h
-from oracle_rows import stack_rows
+from oracle_rows import stack_rows, state_of
 
 
 def separable_problem(targets, d=(1, 1, None)):
@@ -82,7 +81,7 @@ class TestSolveLevel3:
         targets = [rng.standard_normal(3) for _ in range(2)]
         problem = separable_problem(targets)
         cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa3=1.0)
-        trace = solve_level3(problem, np.zeros(1), np.zeros(3), cfg=cfg)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(3)), cfg=cfg)
         x_hat, z_hat = trace.estimate
         mean_t = np.mean(targets, axis=0)
         for v in list(x_hat) + [z_hat]:
@@ -91,8 +90,8 @@ class TestSolveLevel3:
     def test_every_unroll_freezes_the_one_empty_polytope_of_its_dims(self):
         problem = separable_problem([np.array([1.0, 2.0])])
         cfg = InnerConfig(K=2)
-        a = solve_level3(problem, np.zeros(1), np.zeros(2), cfg=cfg)
-        b = solve_level3(problem, np.ones(1), np.ones(2), cfg=cfg)
+        a = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(2)), cfg=cfg)
+        b = solve_level3(problem, state_of(problem.dims, np.ones(1), np.ones(2)), cfg=cfg)
         assert a.poly1 is b.poly1 and a.poly1.size == 0 and a.poly1.dims == problem.dims
 
     def test_zero_step_returns_initialization(self):
@@ -100,7 +99,8 @@ class TestSolveLevel3:
         problem = separable_problem(targets)
         cfg = InnerConfig(K=1, eta_x=0.0, eta_z=0.0, eta_phi=0.0)
         init = ([np.array([0.3, -0.5])], np.array([0.1, 0.2]), [np.zeros(2)])
-        trace = solve_level3(problem, np.zeros(1), np.zeros(2), init=init, cfg=cfg)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(2)),
+                             init=init, cfg=cfg)
         x_hat, z_hat = trace.estimate
         assert np.array_equal(x_hat[0], init[0][0])
         assert np.array_equal(z_hat, init[1])
@@ -112,7 +112,8 @@ class TestSolveLevel3:
         problem = separable_problem([t, t])
         cfg = InnerConfig(K=5, eta_x=0.2, eta_z=0.2, eta_phi=0.2)
         init = ([t.copy(), t.copy()], t.copy(), [np.zeros(2), np.zeros(2)])
-        trace = solve_level3(problem, np.zeros(1), np.zeros(2), init=init, cfg=cfg)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(2)),
+                             init=init, cfg=cfg)
         for k in range(cfg.K + 1):
             assert np.array_equal(trace.z[k], t)
             for xj in trace.x[k]:
@@ -121,12 +122,13 @@ class TestSolveLevel3:
     def test_snapshot_count(self, quad):
         problem, _ = quad
         cfg = InnerConfig(K=7)
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=cfg)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)), cfg=cfg)
         assert len(trace.x) == len(trace.z) == len(trace.phi) == 8
 
     def test_a_layer_I_trace_records_empty_slack_and_dual_paths(self, quad):
         problem, _ = quad
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=3))
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)),
+                             cfg=InnerConfig(K=3))
         assert trace.s.shape == trace.gamma.shape == (4, 0)
         assert trace.gamma_K.shape == (0,) and trace.r0.shape == (0,)
 
@@ -139,29 +141,35 @@ class TestSolveLevel3:
         )
         cfg = InnerConfig(K=3, eta_x=1e200, eta_z=1.0, eta_phi=1.0)
         with pytest.raises((InnerSolverError, FedtriError), match="round"):
-            solve_level3(problem, np.zeros(1), np.zeros(1), cfg=cfg)
+            solve_level3(problem, state_of(dims, np.zeros(1), np.zeros(1)), cfg=cfg)
 
 
 def h1_point(trace, x3, z3):
-    """The layer-I point of ``trace``'s frozen (z1, z2') with own blocks (x3, z3)."""
-    return (trace.inputs["z1"], trace.inputs["z2p"], z3, x3)
+    """``trace``'s anchor, with its frozen z1 and z2', and own blocks (x3, z3)."""
+    point = trace.anchor.copy()
+    point.x[2][:], point.z[2][:] = x3, z3
+    return point
 
 
 def h2_point(trace, x2, z2):
-    """The layer-II point of ``trace``'s frozen (z1, z3, x3) with own blocks (x2, z2)."""
-    return (trace.inputs["z1"], z2, trace.inputs["z3"], trace.inputs["x3"], x2)
+    """``trace``'s anchor, with its frozen z1, z3 and x3, and own blocks (x2, z2)."""
+    point = trace.anchor.copy()
+    point.x[1][:], point.z[1][:] = x2, z2
+    return point
 
 
 class TestEvalH1:
     def test_zero_at_own_estimate(self, quad):
         problem, _ = quad
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=3))
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)),
+                             cfg=InnerConfig(K=3))
         x_hat, z_hat = trace.estimate
         assert eval_h(trace, h1_point(trace, list(x_hat), z_hat)) == 0.0
 
     def test_unit_perturbation_adds_one(self, quad):
         problem, _ = quad
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=3))
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)),
+                             cfg=InnerConfig(K=3))
         x_hat, z_hat = trace.estimate
         z3 = z_hat.copy()
         z3[0] += 1.0
@@ -170,8 +178,8 @@ class TestEvalH1:
     def test_matches_bruteforce_stack_norm(self, quad):
         problem, _ = quad
         rng = np.random.default_rng(5)
-        trace = solve_level3(problem, rng.standard_normal(2), rng.standard_normal(2),
-                             cfg=InnerConfig(K=4))
+        trace = solve_level3(problem, state_of(problem.dims, rng.standard_normal(2),
+                                               rng.standard_normal(2)), cfg=InnerConfig(K=4))
         x_hat, z_hat = trace.estimate
         offs = [rng.standard_normal(2) for _ in range(3)]
         val = eval_h(trace, h1_point(trace, [x_hat[0] + offs[0], x_hat[1] + offs[1]],
@@ -181,15 +189,17 @@ class TestEvalH1:
 
     def test_layer_check(self, quad):
         problem, _ = quad
-        trace = solve_level3(problem, np.zeros(2), np.zeros(2), cfg=InnerConfig(K=2))
-        with pytest.raises(FedtriError):  # a layer-II point
-            eval_h(trace, (np.zeros(2),) * 3 + ([np.zeros(2)] * 2,) * 2)
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)),
+                             cfg=InnerConfig(K=2))
+        with pytest.raises(ValueError):  # a state of other dims
+            eval_h(trace, state_of(Dims(d1=2, d2=2, d3=2, N=3)))
 
 
 def make_cut_for(problem, c_value):
     """The layer-I cut ``1 . z2 <= c_value``."""
     d = problem.dims
-    w = flat_point(np.zeros(d.d1), np.ones(d.d2), np.zeros(d.d3), np.zeros((d.N, d.d3)))
+    w = np.zeros(d.width * (d.N + 1))
+    w[d.columns(2)] = 1.0
     return Cut(layer="I", w=w, c=c_value, id=0)
 
 
@@ -200,7 +210,8 @@ class TestSolveLevel2:
         problem = separable_problem(targets)
         cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa2=1.0)
         x3 = [np.zeros(2)] * 3
-        trace = solve_level2(problem, np.zeros(1), np.zeros(2), x3, (), cfg=cfg)
+        trace = solve_level2(problem, state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3),
+                             (), cfg=cfg)
         mean_t = np.mean(targets, axis=0)
         x_hat, z_hat = trace.estimate
         for v in list(x_hat) + [z_hat]:
@@ -212,10 +223,11 @@ class TestSolveLevel2:
         problem = separable_problem(targets)
         cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         x3 = [np.zeros(2)] * 2
-        free = solve_level2(problem, np.zeros(1), np.zeros(2), x3, (), cfg=cfg)
+        anchor = state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3)
+        free = solve_level2(problem, anchor, (), cfg=cfg)
         # Cut far above any value the iterates reach: slack the whole way.
         cut = make_cut_for(problem, c_value=1e3)
-        constrained = solve_level2(problem, np.zeros(1), np.zeros(2), x3, (cut,), cfg=cfg)
+        constrained = solve_level2(problem, anchor, (cut,), cfg=cfg)
         assert constrained.gamma_K[0] == 0.0
         assert np.linalg.norm(constrained.estimate[1] - free.estimate[1]) <= 1e-3
 
@@ -225,7 +237,8 @@ class TestSolveLevel2:
         problem = separable_problem(targets)
         cfg = InnerConfig(K=300, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         x3 = [np.zeros(2)] * 2
-        free = solve_level2(problem, np.zeros(1), np.zeros(2), x3, (), cfg=cfg)
+        anchor = state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3)
+        free = solve_level2(problem, anchor, (), cfg=cfg)
         # Constrain a2 . z2 <= c below the unconstrained optimum value and
         # start the unroll at that optimum, where the cut is violated.
         x_free, z_free = free.estimate
@@ -233,8 +246,7 @@ class TestSolveLevel2:
         cut = make_cut_for(problem, c_value=opt_val - 1.0)
         init = ([x.copy() for x in x_free], z_free.copy(),
                 [np.zeros(2)] * 2, np.zeros(1), np.zeros(1))
-        trace = solve_level2(problem, np.zeros(1), np.zeros(2), x3, (cut,),
-                             init=init, cfg=cfg)
+        trace = solve_level2(problem, anchor, (cut,), init=init, cfg=cfg)
         viol0 = float(np.ones(2) @ trace.z[0]) - cut.c
         violK = float(np.ones(2) @ trace.z[-1]) - cut.c
         assert viol0 > 0.0
@@ -248,16 +260,17 @@ class TestSolveLevel2:
         # (1.5 / 22 for z2, 1.5 / 21 for the cut duals) do not.
         problem, _ = quad
         d = problem.dims
-        w = np.zeros(d.d1 + d.d2 + d.d3 + d.N * d.d3)
+        w = np.zeros(d.width * (d.N + 1))
         w[d.d1] = 1.0
         poly = Polytope("I", d, tuple(Cut("I", w, -1.0, i) for i in range(20)))
         cfg = InnerConfig(K=200, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
         z1, z3, x3 = np.zeros(2), np.zeros(2), np.zeros((2, 2))
-        assert np.all(poly.residuals(z1, np.zeros(2), z3, x3) == 1.0)
+        assert np.all(poly.residuals(state_of(d, z1, np.zeros(2), z3, x3=x3)) == 1.0)
 
         def final_residual_and_peak():
-            trace = solve_level2(problem, z1, z3, x3, poly, cfg=cfg)
-            return poly.residuals(z1, trace.z[-1], z3, x3)[0], np.abs(trace.z).max()
+            trace = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3), poly, cfg=cfg)
+            return (poly.residuals(state_of(d, z1, trace.z[-1], z3, x3=x3))[0],
+                    np.abs(trace.z).max())
 
         resid, peak = final_residual_and_peak()
         assert abs(resid) <= 6e-9 and peak < 1.5
@@ -278,7 +291,8 @@ class TestSolveLevel2:
         targets = [rng.standard_normal(2) for _ in range(2)]
         problem = separable_problem(targets)
         cfg = InnerConfig(K=200, eta_x=0.02, eta_z=0.02, eta_phi=0.02)
-        trace = solve_level2(problem, np.zeros(1), np.zeros(2), [np.zeros(2)] * 2, (), cfg=cfg)
+        trace = solve_level2(problem, state_of(problem.dims, np.zeros(1), z3=np.zeros(2),
+                                               x3=[np.zeros(2)] * 2), (), cfg=cfg)
         resid = [
             sum(float((x[j] - z) @ (x[j] - z)) for j in range(2))
             for x, z in zip(trace.x, trace.z)
@@ -290,8 +304,8 @@ class TestSolveLevel2:
 class TestEvalH2:
     def test_zero_and_unit_perturbation(self, quad):
         problem, _ = quad
-        trace = solve_level2(problem, np.zeros(2), np.zeros(2), [np.zeros(2)] * 2, (),
-                             cfg=InnerConfig(K=3))
+        trace = solve_level2(problem, state_of(problem.dims, np.zeros(2), z3=np.zeros(2),
+                                               x3=[np.zeros(2)] * 2), (), cfg=InnerConfig(K=3))
         x_hat, z_hat = trace.estimate
         assert eval_h(trace, h2_point(trace, list(x_hat), z_hat)) == 0.0
         x2 = [x_hat[0].copy(), x_hat[1].copy()]
@@ -301,9 +315,10 @@ class TestEvalH2:
     def test_matches_independent_recompute(self, quad):
         problem, _ = quad
         rng = np.random.default_rng(6)
-        trace = solve_level2(problem, rng.standard_normal(2), rng.standard_normal(2),
-                             [rng.standard_normal(2) for _ in range(2)], (),
-                             cfg=InnerConfig(K=4))
+        trace = solve_level2(problem, state_of(problem.dims, rng.standard_normal(2),
+                                               z3=rng.standard_normal(2),
+                                               x3=[rng.standard_normal(2) for _ in range(2)]),
+                             (), cfg=InnerConfig(K=4))
         x2 = [rng.standard_normal(2) for _ in range(2)]
         z2 = rng.standard_normal(2)
         x_hat, z_hat = trace.estimate
@@ -320,44 +335,45 @@ class TestGradH:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        t1 = solve_level3(problem, z1, z2, cfg=cfg)
+        d = problem.dims
+        t1 = solve_level3(problem, state_of(d, z1, z2), cfg=cfg)
         poly = ()
         if with_cut:
-            p1 = (z1, z2, z3, tuple(x3))
+            p1 = state_of(d, z1, z2, z3, x3=x3)
             poly = (generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas),)
-        t2 = solve_level2(problem, z1, z3, x3, poly, cfg=cfg)
-        return t1, t2, (z1, z2, z3, x3), (z1, z2, z3, x3, x2)
+        t2 = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3), poly, cfg=cfg)
+        return t1, t2, state_of(d, z1, z2, z3, x3=x3), state_of(d, z1, z2, z3, x2=x2, x3=x3)
 
     def test_direct_blocks_are_twice_deviation(self, quad):
         t1, _, p1, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
-        g = grad_h(t1, p1)
-        assert np.allclose(g[3][0], 2.0 * (p1[3][0] - x_hat[0]), atol=1e-12)
-        assert np.allclose(g[2], 2.0 * (p1[2] - z_hat), atol=1e-12)
+        gZ, gX = grad_h(t1, p1)
+        assert np.allclose(gX[0, 4:], 2.0 * (p1.x[2][0] - x_hat[0]), atol=1e-12)
+        assert np.allclose(gZ[4:], 2.0 * (p1.z[2] - z_hat), atol=1e-12)
 
     def test_zero_at_minimizer(self, quad):
         t1, _, _, _ = self.setup_traces(quad)
         x_hat, z_hat = t1.estimate
         point = h1_point(t1, list(x_hat), z_hat)
-        g = grad_h(t1, point)
-        for block in (g[3][0], g[3][1], g[2]):  # x3_0, x3_1, z3
+        gZ, gX = grad_h(t1, point)
+        for block in (gX[0, 4:], gX[1, 4:], gZ[4:]):  # x3_0, x3_1, z3
             assert np.linalg.norm(block) <= 1e-12
         # Deviation is zero, so the chain-rule terms vanish too.
-        for block in (g[0], g[1]):  # z1, z2
+        for block in (gZ[:2], gZ[2:4]):  # z1, z2
             assert np.linalg.norm(block) <= 1e-12
 
     def test_finite_diff_vs_analytic_cross_mode(self, quad):
         t1, t2, p1, p2 = self.setup_traces(quad)
-        # Each block is (position in the point, worker row or none).
+        # Each block is (0 for gZ or 1 for gX, its index there).
         for trace, point, blocks in (
-            (t1, p1, ((0,), (1,))),  # z1, z2
-            (t2, p2, ((0,), (2,), (3, 0), (3, 1))),  # z1, z3, x3_0, x3_1
-        ):
+            (t1, p1, ((0, np.s_[:2]), (0, np.s_[2:4]))),  # z1, z2
+            (t2, p2, ((0, np.s_[:2]), (0, np.s_[4:]), (1, np.s_[0, 4:]), (1, np.s_[1, 4:]))),
+        ):  # layer II: z1, z3, x3_0, x3_1
             fd = grad_h(finite_diff_trace(trace), point)
             an = grad_h(trace, point)
-            for i, *row in blocks:
-                g_fd = fd[i][tuple(row)]
-                g_an = an[i][tuple(row)]
+            for i, at in blocks:
+                g_fd = fd[i][at]
+                g_an = an[i][at]
                 denom = max(np.linalg.norm(g_an), 1e-9)
                 assert np.linalg.norm(g_fd - g_an) / denom <= 1e-4
 
@@ -371,8 +387,9 @@ class TestGradH:
     def test_analytic_requires_second_derivatives(self):
         # Without them grad_h takes finite differences; a direct call raises.
         problem = replace(separable_problem([np.zeros(2)]), cross_hess_fn=None)
-        trace = solve_level3(problem, np.zeros(1), np.zeros(2), cfg=InnerConfig(K=2))
-        point = (np.zeros(1), np.zeros(2), np.zeros(2), [np.zeros(2)])
+        trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(2)),
+                             cfg=InnerConfig(K=2))
+        point = state_of(problem.dims, np.zeros(1), np.zeros(2), np.zeros(2), x3=[np.zeros(2)])
         assert all(np.isfinite(g).all() for g in grad_h(trace, point))
         with pytest.raises(FedtriError, match="second derivatives"):
             problem.cross_hess(3, stack_rows(problem.dims, np.zeros(1), np.zeros(2),
@@ -410,10 +427,10 @@ class TestOracleRows:
         problem, calls = self.recording(base)
         d, rng = problem.dims, np.random.default_rng(0)
         z1, z2p, z3 = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(4)
-        trace = solve_level3(problem, z1, z2p, init=(rng.standard_normal((3, 4)),),
+        trace = solve_level3(problem, state_of(d, z1, z2p), init=(rng.standard_normal((3, 4)),),
                              cfg=InnerConfig(K=3))
         self.assert_rows(calls["grad"], 3, [(z1, z2p, x) for x in trace.x[:-1]], d)
-        grad_h(trace, (z1, z2p, z3, rng.standard_normal((3, 4))))
+        grad_h(trace, state_of(d, z1, z2p, z3, x3=rng.standard_normal((3, 4))))
         self.assert_rows(calls["hess"], 3, [(z1, z2p, x) for x in trace.x[-2::-1]], d)
 
     def test_level2_rows_hold_z1_the_iterate_and_each_workers_x3(self):
@@ -421,10 +438,10 @@ class TestOracleRows:
         problem, calls = self.recording(base)
         d, rng = problem.dims, np.random.default_rng(1)
         z1, z3, x3 = rng.standard_normal(2), rng.standard_normal(4), rng.standard_normal((3, 4))
-        trace = solve_level2(problem, z1, z3, x3, (), init=(rng.standard_normal((3, 3)),),
-                             cfg=InnerConfig(K=3))
+        trace = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3),
+                             (), init=(rng.standard_normal((3, 3)),), cfg=InnerConfig(K=3))
         self.assert_rows(calls["grad"], 2, [(z1, x, x3) for x in trace.x[:-1]], d)
-        point = (z1, rng.standard_normal(3), z3, x3, rng.standard_normal((3, 3)))
+        point = state_of(d, z1, rng.standard_normal(3), z3, x2=rng.standard_normal((3, 3)), x3=x3)
         grad_h(trace, point)
         self.assert_rows(calls["hess"], 2, [(z1, x, x3) for x in trace.x[-2::-1]], d)
 
@@ -433,39 +450,31 @@ class TestFlatAdapters:
     def test_h1_flat_consistency(self, quad):
         problem, _ = quad
         rng = np.random.default_rng(8)
-        trace = solve_level3(problem, rng.standard_normal(2), rng.standard_normal(2),
+        d = problem.dims
+        trace = solve_level3(problem, state_of(d, rng.standard_normal(2), rng.standard_normal(2)),
                              cfg=InnerConfig(K=3))
         fn, grad = flat_h(trace)
         x3 = [rng.standard_normal(2) for _ in range(2)]
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
-        v = flat_point(z1, z2, z3, x3)
-        assert v.size == sum(np.prod(shape) for shape in point_shapes("I", problem.dims))
+        point = state_of(d, z1, z2, z3, x3=x3)
+        v = np.concatenate((point.Z, point.X.ravel()))
+        assert v.size == d.width * (d.N + 1)
         # The flat function re-runs the unroll at the packed (z1, z2').
-        sub = solve_level3(problem, z1, z2, cfg=trace.cfg)
-        assert fn(v) == pytest.approx(eval_h(sub, (z1, z2, z3, x3)), rel=1e-12)
+        sub = solve_level3(problem, state_of(d, z1, z2), cfg=trace.cfg)
+        assert fn(v) == pytest.approx(eval_h(sub, point), rel=1e-12)
         g_num = finite_diff_grad(fn, v)
         g = grad(v)
         assert np.linalg.norm(g_num - g) / np.linalg.norm(g) <= 1e-6
 
-    def test_unpack_returns_the_packed_point_on_both_layers(self, quad):
-        problem, _ = quad
-        rng = np.random.default_rng(10)
-        z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
-        x3, x2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        for layer, point in (("I", (z1, z2, z3, x3)), ("II", (z1, z2, z3, x3, x2))):
-            got = split_point(layer, problem.dims, flat_point(*point))
-            assert len(got) == len(point)
-            for block, want in zip(got, point):
-                assert np.array_equal(block, want)
-
     def test_h2_flat_grad(self, quad):
         problem, _ = quad
         rng = np.random.default_rng(9)
-        trace = solve_level2(problem, rng.standard_normal(2), rng.standard_normal(2),
-                             [rng.standard_normal(2) for _ in range(2)], (),
-                             cfg=InnerConfig(K=3))
+        d = problem.dims
+        anchor = state_of(d, rng.standard_normal(2), z3=rng.standard_normal(2),
+                          x3=[rng.standard_normal(2) for _ in range(2)])
+        trace = solve_level2(problem, anchor, (), cfg=InnerConfig(K=3))
         fn, grad = flat_h(trace)
-        v = rng.standard_normal(sum(np.prod(shape) for shape in point_shapes("II", problem.dims)))
+        v = rng.standard_normal(d.width * (d.N + 1))
         g_num = finite_diff_grad(fn, v)
         g = grad(v)
         assert np.linalg.norm(g_num - g) / np.linalg.norm(g) <= 1e-6

@@ -6,9 +6,7 @@ from fedtri.core import (
     NonFiniteError,
     PrimalState,
     finite_diff_grad,
-    flat_point,
     project_ball_sq,
-    split_point,
 )
 from fedtri.cuts import Cut, Polytope
 from fedtri.outer import (
@@ -26,9 +24,9 @@ def project_box_inf(v, bound):
     return np.minimum(np.maximum(v, -bound), bound)
 
 
-def residual(cut, *point):
-    """A cut's ``w . p - c``, computed apart from ``Polytope.residuals``."""
-    return float(cut.w @ flat_point(*point) - cut.c)
+def residual(cut, state):
+    """A cut's ``w . [Z | X.ravel()] - c``, computed apart from ``Polytope.residuals``."""
+    return float(cut.w @ np.concatenate((state.Z, state.X.ravel())) - cut.c)
 
 
 def lagrangian(state, duals, poly2, problem):
@@ -36,7 +34,7 @@ def lagrangian(state, duals, poly2, problem):
     X1, X2, X3 = state.x
     total = sum(problem.eval_all(1, state.X))
     total += float((duals.theta * (X1 - state.z[0])).sum())
-    total += float(duals.lam @ poly2.residuals(*state.z, X3, X2))
+    total += float(duals.lam @ poly2.residuals(state))
     if not np.isfinite(total):
         raise NonFiniteError("non-finite Lagrangian value")
     return total
@@ -51,9 +49,13 @@ def regularized_lagrangian(state, duals, poly2, problem, t, cfg):
 
 
 def random_cut(rng, d, N, layer="II", cut_id=0):
-    width = sum(d) + N * d[2] + (N * d[1] if layer == "II" else 0)
-    w = rng.standard_normal(width)
-    return Cut(layer=layer, w=w, c=float(rng.standard_normal()), id=cut_id)
+    """A row over [Z | X.ravel()] drawn for Z, then x3's rows, then (layer II) x2's; x1's are 0."""
+    W = np.zeros((N + 1, sum(d)))
+    W[0] = rng.standard_normal(sum(d))
+    W[1:, d[0] + d[1]:] = rng.standard_normal((N, d[2]))
+    if layer == "II":
+        W[1:, d[0]:d[0] + d[1]] = rng.standard_normal((N, d[1]))
+    return Cut(layer=layer, w=W.ravel(), c=float(rng.standard_normal()), id=cut_id)
 
 
 @pytest.fixture()
@@ -100,8 +102,7 @@ class TestLagrangian:
             total += f1[j]
             total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
         for lam, cut in zip(duals.lam, poly2.cuts):
-            total += lam * residual(cut, state.z[0], state.z[1], state.z[2],
-                                    state.x[2], state.x[1])
+            total += lam * residual(cut, state)
         assert lagrangian(state, duals, poly2, problem) == pytest.approx(total, rel=1e-12)
 
 
@@ -222,7 +223,7 @@ def reference_master_step(state, duals, poly2, problem, cfg, t):
     c1, c2 = cfg.reg_coeffs(t)
     z = [zi.copy() for zi in state.z]
     th_sum = sum(duals.theta)
-    a = [split_point("II", problem.dims, c.w) for c in poly2.cuts]  # (a1, a2, a3, b3, b2) per cut
+    a = [problem.dims.split(c.w[:problem.dims.width]) for c in poly2.cuts]  # (a1, a2, a3) per cut
     gz1 = -th_sum + sum(l * c[0] for l, c in zip(duals.lam, a)) if poly2.size else -th_sum
     z[0] = project_ball_sq(z[0] - cfg.eta_z1 * gz1, problem.alphas[0])
     gz2 = sum((l * c[1] for l, c in zip(duals.lam, a)), np.zeros_like(z[1]))
@@ -231,7 +232,7 @@ def reference_master_step(state, duals, poly2, problem, cfg, t):
     z[2] = project_ball_sq(z[2] - cfg.eta_z3 * gz3, problem.alphas[2])
     lam = duals.lam.copy()
     for l, cut in enumerate(poly2.cuts):
-        r = residual(cut, z[0], z[1], z[2], state.x[2], state.x[1])
+        r = residual(cut, PrimalState(problem.dims, state.X, np.concatenate(z)))
         lam[l] = min(max(lam[l] + cfg.eta_lambda * (r - c1 * lam[l]), 0.0), np.sqrt(cfg.alpha4))
     box = np.sqrt(cfg.alpha5) / problem.dims.d1
     theta = [
@@ -285,7 +286,7 @@ class TestMasterStep:
         c1, _ = cfg.reg_coeffs(2)
         lam_stale = duals.lam.copy()
         for l, cut in enumerate(poly2.cuts):
-            r = residual(cut, state.z[0], state.z[1], state.z[2], state.x[2], state.x[1])
+            r = residual(cut, state)
             lam_stale[l] = min(max(lam_stale[l] + cfg.eta_lambda * (r - c1 * lam_stale[l]), 0.0),
                                np.sqrt(cfg.alpha4))
         assert not np.allclose(nd.lam, lam_stale)
@@ -312,7 +313,7 @@ class TestDualProjection:
         lam_steps, theta_steps = [], []
         for point, start, poly, c1, c2 in cases:
             got = _dual_step(point, start, poly, problem, cfg, c1, c2)
-            resid = poly.residuals(*point.z, point.x[2], point.x[1])
+            resid = poly.residuals(point)
             lam = start.lam + cfg.eta_lambda * (resid - c1 * start.lam)
             theta = start.theta + cfg.eta_theta * (point.x[0] - point.z[0] - c2 * start.theta)
             # array_equal counts -0.0 equal to 0.0.  Only a lambda step of -0.0 tells them
@@ -342,7 +343,7 @@ class TestStationarityGap:
         at_zero.lam = np.zeros(poly2.size)
         gap = stationarity_gap(state, at_zero, poly2, problem, cfg)
         for l, cut in enumerate(poly2.cuts):
-            r = residual(cut, state.z[0], state.z[1], state.z[2], state.x[2], state.x[1])
+            r = residual(cut, state)
             if r < 0:
                 assert gap.glam[l] == 0.0
 
@@ -351,7 +352,7 @@ class TestStationarityGap:
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         # lambda residuals recomputed directly from the projection form
         for l, cut in enumerate(poly2.cuts):
-            r = residual(cut, state.z[0], state.z[1], state.z[2], state.x[2], state.x[1])
+            r = residual(cut, state)
             proj = min(max(duals.lam[l] + cfg.eta_lambda * r, 0.0), np.sqrt(cfg.alpha4))
             assert gap.glam[l] == pytest.approx((duals.lam[l] - proj) / cfg.eta_lambda, rel=1e-12)
         box = np.sqrt(cfg.alpha5) / problem.dims.d1

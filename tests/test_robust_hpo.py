@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fedtri.harness
-from fedtri.core import LAYER_I, finite_diff_grad, split_point
+from fedtri.core import finite_diff_grad
 from fedtri.data import make_synthetic_dataset
 from fedtri.harness import ScheduleConfig, run, validate_runlog
 from fedtri.inner import InnerConfig
@@ -149,5 +149,5 @@ def test_layer_I_cuts_depend_on_the_level_2_block(monkeypatch):
     d = hpo.problem.dims
     assert len(cuts) == 2
     for cut in cuts:
-        a2 = split_point(LAYER_I, d, cut.w)[1]
+        a2 = cut.w[d.columns(2)]  # z2's columns of the row
         assert np.abs(a2).max() > 1e-8

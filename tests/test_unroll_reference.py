@@ -18,7 +18,7 @@ from fedtri.inner import (
     solve_level3,
 )
 from fedtri.problems import build_quadratic_problem
-from oracle_rows import stack_rows
+from oracle_rows import stack_rows, state_of
 
 
 def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
@@ -66,7 +66,7 @@ def ref_path_level3(problem, z1, z2p, x, z, phi, cfg):
 
 def ref_path_level2(problem, z1, z3, x3, poly1, x, z2, phi, s, gamma, cfg):
     poly = Polytope("I", problem.dims, poly1)
-    r0 = poly.residuals(z1, np.zeros(problem.dims.d2), z3, x3)  # the cuts' residuals at z2 = 0
+    r0 = poly.residuals(state_of(problem.dims, z1, 0.0, z3, x3=x3))  # the residuals at z2 = 0
     eta_z, eta_gamma = level2_steps(cfg, poly, problem.dims.N)
     path = [(x, z2, phi, s, gamma)]
     for _ in range(cfg.K):
@@ -102,7 +102,7 @@ def test_level3_matches_reference_from_warm_init(setup):
     x0 = [rng.standard_normal(d.d3) for _ in range(d.N)]
     z0 = rng.standard_normal(d.d3)
     phi0 = [rng.standard_normal(d.d3) for _ in range(d.N)]
-    trace = solve_level3(problem, z1, z2, init=(x0, z0, phi0), cfg=CFG)
+    trace = solve_level3(problem, state_of(d, z1, z2), init=(x0, z0, phi0), cfg=CFG)
     ref = ref_path_level3(problem, z1, z2, x0, z0, phi0, CFG)
     assert len(trace.x) == len(ref)
     for k, (x, z, phi) in enumerate(ref):
@@ -114,7 +114,7 @@ def test_level3_matches_reference_from_warm_init(setup):
 def test_level3_matches_reference_from_zero(setup):
     problem, _, z1, z2, _, _ = setup
     d = problem.dims
-    trace = solve_level3(problem, z1, z2, cfg=CFG)
+    trace = solve_level3(problem, state_of(d, z1, z2), cfg=CFG)
     zeros = [np.zeros(d.d3) for _ in range(d.N)]
     ref = ref_path_level3(problem, z1, z2, zeros, np.zeros(d.d3), zeros, CFG)
     assert_rows_equal(trace.x[-1], ref[-1][0])
@@ -125,9 +125,10 @@ def test_level3_matches_reference_from_zero(setup):
 def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     problem, rng, z1, z2, z3, x3 = setup
     d = problem.dims
-    t1 = solve_level3(problem, z1, z2, cfg=CFG)
+    t1 = solve_level3(problem, state_of(d, z1, z2), cfg=CFG)
     poly1 = tuple(
-        generate_cut_I(t1, (z1, z2 + shift, z3, tuple(x3)), 0.0, 1e-2, problem.alphas, cut_id=i)
+        generate_cut_I(t1, state_of(d, z1, z2 + shift, z3, x3=x3), 0.0, 1e-2, problem.alphas,
+                       cut_id=i)
         for i, shift in enumerate((0.0, 0.5))
     )
     x0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
@@ -135,7 +136,8 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     phi0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
     s0 = np.array([0.3, 1.2])
     g0 = np.array([0.7, 0.1])
-    trace = solve_level2(problem, z1, z3, x3, poly1, init=(x0, z0, phi0, s0, g0), cfg=CFG)
+    trace = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3), poly1,
+                         init=(x0, z0, phi0, s0, g0), cfg=CFG)
     ref = ref_path_level2(problem, z1, z3, x3, poly1, x0, z0, phi0, s0, g0, CFG)
     assert len(trace.x) == len(ref)
     for k, (x, z, phi, s, gamma) in enumerate(ref):
@@ -150,7 +152,7 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
 
 def test_snapshots_are_views_of_the_recorded_path(setup):
     problem, _, z1, z2, z3, x3 = setup
-    trace = solve_level2(problem, z1, z3, x3, (), cfg=CFG)
+    trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=CFG)
     assert trace.x.shape == (CFG.K + 1, problem.dims.N, problem.dims.d2)
     assert trace.z.shape == (CFG.K + 1, problem.dims.d2)
     assert trace.s.shape == trace.gamma.shape == (CFG.K + 1, 0)
@@ -163,7 +165,7 @@ def test_init_shape_is_checked(setup):
     d = problem.dims
     short = ([np.zeros(d.d3)] * (d.N - 1), np.zeros(d.d3), [np.zeros(d.d3)] * d.N)
     with pytest.raises(ValueError, match="initial x"):
-        solve_level3(problem, z1, z2, init=short, cfg=CFG)
+        solve_level3(problem, state_of(d, z1, z2), init=short, cfg=CFG)
     long = (np.zeros((d.N, d.d3)), np.zeros(d.d3), None, None, None, "junk", 7)
     with pytest.raises(ValueError, match="at most 5"):
-        solve_level3(problem, z1, z2, init=long, cfg=CFG)
+        solve_level3(problem, state_of(d, z1, z2), init=long, cfg=CFG)
