@@ -19,6 +19,16 @@ class NonFiniteError(FedtriError):
     """A function or gradient evaluation produced a non-finite value."""
 
 
+def store_ints(obj, *names: str) -> None:
+    """Store fields ``names`` of the frozen dataclass ``obj`` as plain ints, so a RunLog writes as
+    JSON; ``ValueError`` names a field that is no ``int`` or NumPy integer (a float, a bool)."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        object.__setattr__(obj, name, int(v))
+
+
 @dataclass(frozen=True)
 class Dims:
     """Block dimensions of the three variable levels plus the worker count."""
@@ -29,11 +39,9 @@ class Dims:
     N: int
 
     def __post_init__(self):
-        for name in ("d1", "d2", "d3", "N"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))  # plain ints, so a RunLog writes as JSON
+        store_ints(self, "d1", "d2", "d3", "N")
+        if min(self.sizes + (self.N,)) < 1:
+            raise ValueError(f"dims must be positive integers, got {self}")
         a, b = self.d1, self.d1 + self.d2  # block i's columns in a flat point, for ``columns``
         object.__setattr__(self, "_columns", (slice(0, a), slice(a, b), slice(b, b + self.d3)))
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
+from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem, store_ints
 from .cuts import Polytope, add_cut, drop_inactive, generate_cut_I, generate_cut_II, normalize_cut
 from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
 from .outer import OuterConfig, master_step, stationarity_gap, worker_step
@@ -67,8 +67,7 @@ class ScheduleConfig:
     sync_mode: bool = False
 
     def __post_init__(self):
-        for name in ("N", "S", "tau", "seed"):  # plain ints, so a RunLog writes as JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
+        store_ints(self, "N", "S", "tau", "seed")
         if self.N < 1:
             raise ValueError("N must be positive")
         if self.sync_mode:

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import LAYER_I, Array, Cut, FedtriError, Polytope, PrimalState, TrilevelProblem
-from .core import finite_diff_grad
+from .core import finite_diff_grad, store_ints
 
 
 class InnerSolverError(FedtriError):
@@ -40,7 +40,7 @@ class InnerConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "K", int(self.K))  # a plain int, so a RunLog writes as JSON
+        store_ints(self, "K")
         if self.K < 1:
             raise ValueError("K must be at least 1")
         # Step sizes may be zero (degenerate fixed-point mode); penalties and
@@ -154,8 +154,9 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
             raise ValueError(f"initial {what} has shape {np.shape(value)}, "
                              f"expected {path.shape[1:]}")
         path[0] = value
-    grad, a2s = _level_rows(problem.grad_all, level, anchor), poly1.A2
+    grad, a2s, a2t = _level_rows(problem.grad_all, level, anchor), poly1.A2, poly1.A2.T
     (kappa, eta_z, eta_gamma), L, rho2 = steps, len(r0), cfg.rho2
+    eta_x, eta_phi = cfg.eta_x, cfg.eta_phi  # the constants every round reads, bound once
     dev, resid = x[0] - z[0], r0 + a2s @ z[0] if L else r0
     for k in range(cfg.K):
         xk, phik, gk = x[k], phi[k], gamma[k]
@@ -163,15 +164,15 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
         gx = (grad(xk) + phik) + pull
         gz = -(phik + pull).sum(axis=0)
         if L:
-            gz += a2s.T @ (gk + rho2 * (resid + s[k]))
-        np.subtract(xk, cfg.eta_x * gx, out=x[k + 1])
+            gz += a2t @ (gk + rho2 * (resid + s[k]))
+        np.subtract(xk, eta_x * gx, out=x[k + 1])
         np.subtract(z[k], eta_z * gz, out=z[k + 1])
         if L:
             resid = r0 + a2s @ z[k + 1]
             np.maximum(0.0, -resid - gk / rho2, out=s[k + 1])
             np.maximum(0.0, gk + eta_gamma * (resid + s[k + 1]), out=gamma[k + 1])
         dev = x[k + 1] - z[k + 1]
-        np.add(phik, cfg.eta_phi * dev, out=phi[k + 1])
+        np.add(phik, eta_phi * dev, out=phi[k + 1])
         if not np.isfinite(buf[k + 1]).all():
             raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
     return UnrollTrace("I" if level == 3 else "II", problem, cfg, anchor, poly1, r0, steps,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Array, Dims, DualState, NonFiniteError, PrimalState, TrilevelProblem
-from .core import project_ball_sq
+from .core import project_ball_sq, store_ints
 from .cuts import Polytope
 
 
@@ -49,8 +49,7 @@ class OuterConfig:
     max_iters: int = 1000
 
     def __post_init__(self):
-        for name in ("T_pre", "T1", "max_iters"):  # plain ints, so a RunLog writes as JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
+        store_ints(self, "T_pre", "T1", "max_iters")
         for name in ("eta_x1", "eta_x2", "eta_x3", "eta_z1", "eta_z2", "eta_z3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

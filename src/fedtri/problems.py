@@ -178,42 +178,29 @@ def build_quadratic_problem(
 class MlpShape:
     layer_sizes: tuple[int, ...]  # (features, hidden..., 1)
 
+    def __post_init__(self):  # each layer's W and b columns in a weight vector, found once
+        params, off = [], 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            b = off + fan_out * fan_in
+            params.append((slice(off, b), slice(b, b + fan_out), (fan_out, fan_in)))
+            off = b + fan_out
+        object.__setattr__(self, "_params", tuple(params))
+
     @property
     def n_params(self) -> int:
-        total = 0
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            total += fan_out * fan_in + fan_out
-        return total
+        return self._params[-1][1].stop
 
     def unpack(self, w: Array) -> list[tuple[Array, Array]]:
         """Each layer's (W, b) as views of ``w`` (..., P): W is (..., fan_out, fan_in)."""
         lead = w.shape[:-1]
-        params = []
-        off = 0
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            W = w[..., off:off + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
-            off += fan_out * fan_in
-            b = w[..., off:off + fan_out]
-            off += fan_out
-            params.append((W, b))
-        return params
+        return [(w[..., cw].reshape(lead + fo_fi), w[..., cb]) for cw, cb, fo_fi in self._params]
 
     def init(self, rng: np.random.Generator) -> Array:
         chunks = []
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+        for _, _, (fan_out, fan_in) in self._params:
             chunks.append(rng.standard_normal(fan_out * fan_in) / np.sqrt(fan_in))
             chunks.append(np.zeros(fan_out))
         return np.concatenate(chunks)
-
-
-def _T(M: Array) -> Array:
-    """Transpose of the last two axes."""
-    return np.swapaxes(M, -1, -2)
-
-
-def _layer(h: Array, W: Array, b: Array) -> Array:
-    """``h @ W.T + b`` for rows h (..., m, fan_in) and a layer's (W, b) with h's leading axes."""
-    return h @ _T(W) + b[..., None, :]
 
 
 def _weighted_sq_error(pred: Array, y: Array, weights: Array) -> Array:
@@ -222,48 +209,50 @@ def _weighted_sq_error(pred: Array, y: Array, weights: Array) -> Array:
     return (weights * err * err).sum(axis=-1)
 
 
+def _forward(shape: MlpShape, w: Array, X: Array):
+    """Each layer's (W, b), and ``X`` then each layer's output: tanh ones, the last (..., m, 1)."""
+    params, acts = shape.unpack(w), [X]
+    for W, b in params:
+        a = acts[-1] @ W.swapaxes(-1, -2)
+        a += b[..., None, :]
+        acts.append(np.tanh(a, out=a) if len(acts) < len(params) else a)
+    return params, acts
+
+
 def mlp_forward(shape: MlpShape, w: Array, X: Array) -> Array:
     """tanh hidden layers, linear scalar output: weights (..., P), inputs (..., m, f) -> (..., m).
 
     Leading axes batch independent models, each with its own weights and rows.
     """
-    h = X
-    params = shape.unpack(w)
-    for W, b in params[:-1]:
-        h = np.tanh(_layer(h, W, b))
-    return _layer(h, *params[-1])[..., 0]
+    return _forward(shape, w, X)[1][-1][..., 0]
 
 
-def mlp_loss_grads(shape: MlpShape, w: Array, X: Array, y: Array,
-                   weights: Optional[Array] = None):
-    """Weighted squared error with gradients w.r.t. the weights and the inputs.
+def mlp_grads(shape: MlpShape, w: Array, X: Array, y: Array, two_weights: Array,
+              dw: Array) -> Array:
+    """Backprop of ``sum_i weights_i (pred_i - y_i)^2``: weight gradient into ``dw``, dX returned.
 
-    Shapes as in ``mlp_forward``; ``y`` and the row ``weights`` are (..., m),
-    and the weights default to 1/m, the mean squared error.  Returns the loss
-    (...), ``dw`` (..., P) and ``dX`` (..., m, f).  Each model along the
-    leading axes gets the numbers a call on that model alone would give.
+    Shapes as in ``mlp_forward``; ``y`` and ``two_weights``, twice the row
+    weights, are (..., m).  Each layer's gradient is written straight into its
+    columns of ``dw`` (..., P), which may be a view such as an oracle result's
+    x3 columns; dX is (..., m, f).  No loss is formed, and ``X`` is only read.
+    Each model along the leading axes gets the numbers a call on that model
+    alone would give.
     """
-    if weights is None:
-        weights = np.full(y.shape, 1.0 / y.shape[-1])
-    params = shape.unpack(w)
-    acts = [X]
-    for W, b in params[:-1]:
-        acts.append(np.tanh(_layer(acts[-1], W, b)))
-    W_out, b_out = params[-1]
-    pred = _layer(acts[-1], W_out, b_out)[..., 0]
-    loss = _weighted_sq_error(pred, y, weights)
-
-    dpred = (2.0 * weights) * (pred - y)
-    grads = [None] * len(params)
-    grads[-1] = (dpred[..., None, :] @ acts[-1], dpred.sum(axis=-1, keepdims=True))
-    dh = dpred[..., :, None] @ W_out  # (..., m, last_hidden)
-    for li in range(len(params) - 2, -1, -1):
-        dz = dh * (1.0 - acts[li + 1] ** 2)
-        grads[li] = (_T(dz) @ acts[li], dz.sum(axis=-2))
-        dh = dz @ params[li][0]
-    lead = w.shape[:-1]
-    dw = np.concatenate([g for gW, gb in grads for g in (gW.reshape(lead + (-1,)), gb)], axis=-1)
-    return loss, dw, dh
+    params, acts = _forward(shape, w, X)
+    dz = acts.pop()  # the output, then its gradient: twice the weighted error
+    dz -= y[..., None]
+    dz *= two_weights[..., None]
+    grads = shape.unpack(dw)
+    for i in reversed(range(len(params))):
+        a, (gW, gb) = acts[i], grads[i]
+        np.matmul(dz.swapaxes(-1, -2), a, out=gW)
+        dz.sum(axis=-2, out=gb)
+        dz = dz @ params[i][0]  # the gradient in a
+        if i:  # through a = tanh(.), whose derivative is 1 - a^2: a is this pass's own
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            dz *= a
+    return dz
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +336,10 @@ def build_robust_hpo_problem(
     vector added to every local training row), x3 = MLP weights.
 
     The shards are stacked once (``_stack_shards``), so each oracle call runs
-    one batched forward (and backward) pass of all N workers' models; ragged
-    shards take the same path through their zero-weighted padding rows.
+    one batched forward pass of all N workers' models, and ``grad_fn`` one
+    backward pass (``mlp_grads``) that writes its result's x3 columns in
+    place; ragged shards take the same path through their zero-weighted
+    padding rows.
     """
     shape = MlpShape(layer_sizes=(data.n_features, *spec.mlp_layers, 1))
     train_shards = shard_indices(data.train_idx, N)
@@ -374,23 +365,25 @@ def build_robust_hpo_problem(
         return train + np.exp(X1[:, 0]) * smoothed_l1(X3, delta)
 
     c1, c2, c3 = (dims.columns(i) for i in (1, 2, 3))
+    two_wtr, two_wval = 2.0 * wtr, 2.0 * wval
 
-    def grad_fn(level, V):  # one backward pass; the columns f_level ignores stay 0
+    def grad_fn(level, V):  # one backward pass, into G's x3 columns; ignored columns stay 0
         X1, X2, X3 = dims.split(V)
         G = np.zeros((N, dims.width))
+        g3 = G[:, c3]
         if level == 1:
-            G[:, c3] = mlp_loss_grads(shape, X3, Xval, yval, wval)[1]
+            mlp_grads(shape, X3, Xval, yval, two_wval, g3)
         elif level == 2 and not spec.adversary:
             G[:, c2] = 2.0 * c_pen * X2
         else:
-            _, dw, dX = mlp_loss_grads(shape, X3, noisy(X2), ytr, wtr)
-            dp = dX.sum(axis=-2)
+            dp = mlp_grads(shape, X3, noisy(X2), ytr, two_wtr, g3).sum(axis=-2)
             if level == 2:
-                G[:, c2], G[:, c3] = -(dp - 2.0 * c_pen * X2), -dw
+                G[:, c2] = -(dp - 2.0 * c_pen * X2)
+                np.negative(g3, out=g3)
             else:
                 pen = np.exp(X1)
-                G[:, c1] = pen * smoothed_l1(X3, delta)[:, None]
-                G[:, c2], G[:, c3] = dp, dw + pen * smoothed_l1_grad(X3, delta)
+                G[:, c1], G[:, c2] = pen * smoothed_l1(X3, delta)[:, None], dp
+                g3 += pen * smoothed_l1_grad(X3, delta)
         return G
 
     def initial_point_fn(rng):

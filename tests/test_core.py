@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -300,13 +301,21 @@ class TestGradAll:
             problem.grad_all(3, stack_rows(dims, np.zeros(1), np.zeros(1), np.zeros((3, 2))))
 
 
-def _robust_hpo_problem():
+def _robust_hpo_problem(mlp_layers=(4,), adversary=True):
     data = make_synthetic_dataset(seed=1, rows=80, features=3)
-    return build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=5).problem
+    spec = RobustHpoSpec(mlp_layers=mlp_layers, adversary=adversary)
+    return build_robust_hpo_problem(data, spec, N=5).problem
 
 
 def _quadratic_problem():
     return build_quadratic_problem(seed=2, dims=(2, 3, 4), N=3)[0]
+
+
+# Both builders; robust HPO with the adversary on and off, at three depths.
+ORACLE_BUILDS = {"quadratic": _quadratic_problem, **{
+    f"robust_hpo-{adversary}-{tag}": partial(_robust_hpo_problem, layers, adversary)
+    for adversary in (True, False)
+    for tag, layers in (("linear", ()), ("4", (4,)), ("4-3", (4, 3)))}}
 
 
 class TestStackedContract:
@@ -325,6 +334,21 @@ class TestStackedContract:
             for j in range(d.N):
                 row = problem.grad_all(level, np.tile(V[j], (d.N, 1)))[j]
                 assert np.array_equal(G[j], row), (level, j)
+
+    @pytest.mark.parametrize("build", ORACLE_BUILDS.values(), ids=ORACLE_BUILDS.keys())
+    def test_no_oracle_writes_its_input(self, build):
+        # V may be the live PrimalState.X: each oracle gives the same array from a
+        # read-only V as from a writable copy, and leaves V as it was.
+        problem = build()
+        d = problem.dims
+        V = np.random.default_rng(4).standard_normal((d.N, d.width))
+        V.flags.writeable = False
+        before = V.copy()
+        for level in (1, 2, 3):
+            for fn in (problem.eval_fn, problem.grad_fn, problem.cross_hess_fn):
+                if fn is not None:
+                    assert np.array_equal(fn(level, V), fn(level, V.copy())), (level, fn)
+        assert np.array_equal(V, before)
 
     def test_quadratic_grad_matches_central_differences_of_its_values(self):
         # Each block is one finite_diff_grad over all N rows: row j steps only

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fedtri.core import DualState, FedtriError, NonFiniteError, PrimalState
+from fedtri.core import Dims, DualState, FedtriError, NonFiniteError, PrimalState
 from fedtri.cuts import Polytope
 import fedtri.harness as harness
 from fedtri.harness import (
@@ -542,3 +542,15 @@ class TestSerialization:
         for name in plain:  # one field at a time, then all at once
             assert jsonl(**{**plain, name: np.int64(plain[name])}) == want, name
         assert jsonl(**{k: np.int64(v) for k, v in plain.items()}) == want
+
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    @pytest.mark.parametrize("cls, name", [
+        (InnerConfig, "K"), (OuterConfig, "T_pre"), (OuterConfig, "T1"),
+        (OuterConfig, "max_iters"), (ScheduleConfig, "N"), (ScheduleConfig, "S"),
+        (ScheduleConfig, "tau"), (ScheduleConfig, "seed"),
+        (Dims, "d1"), (Dims, "d2"), (Dims, "d3"), (Dims, "N")])
+    def test_a_count_that_is_not_an_integer_raises(self, cls, name, value):
+        # 2.5 was truncated to 2, "3" parsed to 3 and True taken as 1; the error names the field.
+        required = {ScheduleConfig: dict(N=2, S=2), Dims: dict(d1=1, d2=1, d3=1, N=1)}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            cls(**{**required.get(cls, {}), name: value})

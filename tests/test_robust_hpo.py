@@ -14,15 +14,28 @@ from fedtri.problems import (
     MlpShape,
     RobustHpoSpec,
     build_robust_hpo_problem,
+    _weighted_sq_error,
     evaluate_model,
     mlp_forward,
-    mlp_loss_grads,
+    mlp_grads,
 )
 from oracle_rows import stack_rows
 
 
 def rel_err(g, g_ref):
     return np.linalg.norm(g - g_ref) / max(np.linalg.norm(g_ref), 1e-300)
+
+
+def mse(shape, w, X, y):
+    """The mean squared error ``mlp_grads`` differentiates at row weights 1/m."""
+    return _weighted_sq_error(mlp_forward(shape, w, X), y, np.full(y.shape, 1.0 / y.shape[-1]))
+
+
+def grads(shape, w, X, y):
+    """``mlp_grads`` of the mean squared error: (dw, dX); dw starts as NaN, so the pass fills it."""
+    dw = np.full(w.shape, np.nan)
+    dX = mlp_grads(shape, w, X, y, 2.0 * np.full(y.shape, 1.0 / y.shape[-1]), dw)
+    return dw, dX
 
 
 class TestMlpLossGrads:
@@ -37,40 +50,39 @@ class TestMlpLossGrads:
 
     def test_weight_gradient_matches_finite_differences(self, setup):
         shape, w, X, y = setup
-        _, dw, _ = mlp_loss_grads(shape, w, X, y)
-        g_fd = finite_diff_grad(lambda v: mlp_loss_grads(shape, v, X, y)[0], w)
+        dw, _ = grads(shape, w, X, y)
+        g_fd = finite_diff_grad(lambda v: mse(shape, v, X, y), w)
         assert dw.shape == (shape.n_params,)
         assert np.abs(dw - g_fd).max() <= 1e-8
 
     def test_input_gradient_matches_finite_differences(self, setup):
         shape, w, X, y = setup
-        _, _, dX = mlp_loss_grads(shape, w, X, y)
-        g_fd = finite_diff_grad(
-            lambda v: mlp_loss_grads(shape, w, v.reshape(X.shape), y)[0], X.ravel()
-        )
+        _, dX = grads(shape, w, X, y)
+        g_fd = finite_diff_grad(lambda v: mse(shape, w, v.reshape(X.shape), y), X.ravel())
         assert dX.shape == X.shape
         assert np.abs(dX.ravel() - g_fd).max() <= 1e-8
 
-    def test_stacked_models_equal_single_model_calls(self, setup):
-        shape, _, _, _ = setup
+    @pytest.mark.parametrize("mlp_layers", [(), (4,), (4, 3)], ids=["linear", "4", "4-3"])
+    def test_stacked_models_equal_single_model_calls(self, mlp_layers):
+        shape = MlpShape(layer_sizes=(3, *mlp_layers, 1))
         rng = np.random.default_rng(1)
         N = 3
         W = np.array([shape.init(rng) for _ in range(N)])
         X = rng.standard_normal((N, 6, 3))
         y = rng.standard_normal((N, 6))
-        loss, dw, dX = mlp_loss_grads(shape, W, X, y)
+        loss, (dw, dX) = mse(shape, W, X, y), grads(shape, W, X, y)
         assert loss.shape == (N,) and dw.shape == (N, shape.n_params) and dX.shape == X.shape
         for j in range(N):
-            loss_j, dw_j, dX_j = mlp_loss_grads(shape, W[j], X[j], y[j])
+            loss_j, (dw_j, dX_j) = mse(shape, W[j], X[j], y[j]), grads(shape, W[j], X[j], y[j])
             assert loss[j] == loss_j
             assert np.array_equal(dw[j], dw_j) and np.array_equal(dX[j], dX_j)
             assert np.array_equal(mlp_forward(shape, W, X)[j], mlp_forward(shape, W[j], X[j]))
 
 
-def check_oracle_gradients(adversary, rows, N):
+def check_oracle_gradients(adversary, mlp_layers, rows, N):
     data = make_synthetic_dataset(seed=1, rows=rows, features=3)
-    hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,), adversary=adversary),
-                                   N=N)
+    hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=mlp_layers,
+                                                       adversary=adversary), N=N)
     problem = hpo.problem
     rng = np.random.default_rng(2)
     point = [np.array([-1.0]), 0.3 * rng.standard_normal(3), hpo.shape.init(rng)]
@@ -91,16 +103,22 @@ def check_oracle_gradients(adversary, rows, N):
                     level, j, block)
 
 
-@pytest.mark.parametrize("adversary", [True, False])
-def test_oracle_gradients_match_finite_differences(adversary):
-    check_oracle_gradients(adversary, rows=40, N=2)  # train shards 12+12, val 4+4
+# Every (adversary, hidden widths) pair; an id names the widths unless they are (4,).
+DEPTHS = [pytest.param(adversary, layers, id=f"{adversary}{tag}")
+          for tag, layers in (("", (4,)), ("-linear", ()), ("-4-3", (4, 3)))
+          for adversary in (True, False)]
 
 
-@pytest.mark.parametrize("adversary", [True, False])
-def test_oracle_gradients_match_finite_differences_on_ragged_shards(adversary):
+@pytest.mark.parametrize("adversary, mlp_layers", DEPTHS)
+def test_oracle_gradients_match_finite_differences(adversary, mlp_layers):
+    check_oracle_gradients(adversary, mlp_layers, rows=40, N=2)  # train shards 12+12, val 4+4
+
+
+@pytest.mark.parametrize("adversary, mlp_layers", DEPTHS)
+def test_oracle_gradients_match_finite_differences_on_ragged_shards(adversary, mlp_layers):
     # Train shards 10, 10, 10, 9, 9 and val shards 4, 3, 3, 3, 3: the oracle
     # pads the shorter ones with zero-weighted rows.
-    check_oracle_gradients(adversary, rows=80, N=5)
+    check_oracle_gradients(adversary, mlp_layers, rows=80, N=5)
 
 
 def test_padded_shards_give_each_workers_mean_loss():
