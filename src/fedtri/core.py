@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -27,6 +28,15 @@ def store_ints(obj, *names: str) -> None:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {v!r}")
         object.__setattr__(obj, name, int(v))
+
+
+def check_real(name: str, value, low: float = 0.0, strict: bool = False) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a finite real ``>= low`` (``> low`` if
+    ``strict``), no bool.  A bare ``value < low`` lets NaN pass, and the run then aborts."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or value < low or (strict and value == low)):
+        raise ValueError(f"{name} must be a finite real {'>' if strict else '>='} {low}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +109,9 @@ class TrilevelProblem:
     initial_point_fn: Optional[Callable[[np.random.Generator], tuple[Array, Array, Array]]] = None
 
     def __post_init__(self):
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be strictly positive")
-        if self.weak_convexity_mu < 0:
-            raise ValueError("weak_convexity_mu must be nonnegative")
+        for a in self.alphas:
+            check_real("alphas", a, strict=True)
+        check_real("weak_convexity_mu", self.weak_convexity_mu)
 
     def _rows(self, V) -> Array:
         """The (N, D) flat points an oracle takes; any other shape raises ``ValueError``."""

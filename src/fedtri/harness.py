@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem, store_ints
+from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
+from .core import check_real, store_ints
 from .cuts import Polytope, add_cut, drop_inactive, generate_cut_I, generate_cut_II, normalize_cut
 from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
 from .outer import OuterConfig, master_step, stationarity_gap, worker_step
@@ -42,12 +43,9 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("constant", "uniform"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        if self.kind == "constant" and self.value < 0:
-            raise ValueError("constant delay must be nonnegative")
-        if self.kind == "uniform" and not (0 <= self.lo <= self.hi):
-            raise ValueError("uniform delay needs 0 <= lo <= hi")
-        if self.straggler_factor <= 0:
-            raise ValueError("straggler factor must be positive")
+        for name, low in (("value", 0.0), ("lo", 0.0), ("hi", self.lo)):
+            check_real(name, getattr(self, name), low)
+        check_real("straggler_factor", self.straggler_factor, strict=True)
 
     def draw(self, rng: np.random.Generator, workers: Sequence[int]) -> np.ndarray:
         """The delays of ``workers`` (0-based), in their order; uniform ones from one draw."""

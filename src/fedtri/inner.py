@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import LAYER_I, Array, Cut, FedtriError, Polytope, PrimalState, TrilevelProblem
-from .core import finite_diff_grad, store_ints
+from .core import check_real, finite_diff_grad, store_ints
 
 
 class InnerSolverError(FedtriError):
@@ -46,11 +46,9 @@ class InnerConfig:
         # Step sizes may be zero (degenerate fixed-point mode); penalties and
         # relaxation tolerances must be strictly positive.
         for name in ("eta_x", "eta_z", "eta_phi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            check_real(name, getattr(self, name))
         for name in ("kappa2", "kappa3", "rho2", "eps1", "eps2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            check_real(name, getattr(self, name), strict=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Array, Dims, DualState, NonFiniteError, PrimalState, TrilevelProblem
-from .core import project_ball_sq, store_ints
+from .core import check_real, project_ball_sq, store_ints
 from .cuts import Polytope
 
 
@@ -51,12 +51,10 @@ class OuterConfig:
     def __post_init__(self):
         store_ints(self, "T_pre", "T1", "max_iters")
         for name in ("eta_x1", "eta_x2", "eta_x3", "eta_z1", "eta_z2", "eta_z3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            check_real(name, getattr(self, name))
         for name in ("eta_lambda", "eta_theta", "alpha4", "alpha5", "c1_floor",
                      "c2_floor", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            check_real(name, getattr(self, name), strict=True)
         if self.T_pre < 1 or self.T1 < 0 or self.max_iters < 1:
             raise ValueError("T_pre >= 1, T1 >= 0 and max_iters >= 1 required")
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Dims, FedtriError, TrilevelProblem
+from .core import Array, Dims, FedtriError, TrilevelProblem, check_real
 from .data import RegressionDataset, shard_indices
 
 logger = logging.getLogger(__name__)
@@ -27,34 +27,35 @@ class QuadraticOracle:
     y3: Array
 
 
-def _random_spd(rng: np.random.Generator, d: int, conditioning: float) -> Array:
-    """SPD matrix with eigenvalues log-spaced in [1/conditioning, 1]."""
+def _random_spd(rng: np.random.Generator, n: int, d: int, conditioning: float) -> Array:
+    """n SPD matrices (n, d, d) from one draw, eigenvalues log-spaced in [1/conditioning, 1]."""
     if d == 1:
-        return np.array([[1.0]])
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return np.ones((n, 1, 1))
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
     eigs = np.logspace(-np.log10(conditioning), 0.0, d)
-    return (q * eigs) @ q.T
+    return (q * eigs) @ q.swapaxes(-1, -2)
 
 
 def _build_quadratic_data(rng, dims: Dims, conditioning: float, coupling: float,
                           center_scale: float):
-    """Every worker's matrices and centres, stacked once: (N, a, b) and (N, a) arrays."""
+    """Every worker's matrices and centres: (N, a, b) and (N, a) arrays, one draw per family."""
     d1, d2, d3, N = dims.d1, dims.d2, dims.d3, dims.N
     cscale = coupling / np.sqrt(max(d1, d2, d3))
-    data = {
-        "A": [_random_spd(rng, d3, conditioning) for _ in range(N)],
-        "B": [cscale * rng.standard_normal((d3, d1)) for _ in range(N)],
-        "C": [cscale * rng.standard_normal((d3, d2)) for _ in range(N)],
-        "g": [center_scale * rng.standard_normal(d3) for _ in range(N)],
-        "D": [_random_spd(rng, d2, conditioning) for _ in range(N)],
-        "E": [cscale * rng.standard_normal((d2, d1)) for _ in range(N)],
-        "F": [cscale * rng.standard_normal((d2, d3)) for _ in range(N)],
-        "h": [center_scale * rng.standard_normal(d2) for _ in range(N)],
-        "Q1": [_random_spd(rng, d1 + d2 + d3, conditioning) for _ in range(N)],
+
+    def spd(d):
+        return _random_spd(rng, N, d, conditioning)
+
+    def normal(scale, *shape):
+        return scale * rng.standard_normal((N, *shape))
+
+    return {  # one draw per family, in this order: it fixes the random stream
+        "A": spd(d3), "B": normal(cscale, d3, d1), "C": normal(cscale, d3, d2),
+        "g": normal(center_scale, d3),
+        "D": spd(d2), "E": normal(cscale, d2, d1), "F": normal(cscale, d2, d3),
+        "h": normal(center_scale, d2),
+        "Q1": spd(d1 + d2 + d3),
+        "y1": center_scale * rng.standard_normal(d1),
     }
-    data = {key: np.array(blocks) for key, blocks in data.items()}
-    data["y1"] = center_scale * rng.standard_normal(d1)
-    return data
 
 
 def _mv(M: Array, x: Array) -> Array:
@@ -106,8 +107,9 @@ def build_quadratic_problem(
 
     Levels 2 and 3 are random SPD quadratics with cross-level couplings; the
     level-1 objective is an SPD quadratic centered at the nested argmin, so
-    the oracle is also the trilevel optimum.  A singular level-2 reduction
-    triggers regeneration under a derived seed.
+    the oracle is also the trilevel optimum.  Each family (A, B, C, g, D, E,
+    F, h, Q1, y1) is one stacked draw for all N workers, in that fixed order.
+    A singular level-2 reduction triggers regeneration under a derived seed.
 
     Every level is one quadratic form over a worker's flat point
     v = [x1 | x2 | x3], ``f_l(v) = 1/2 (v - m_l)^T H_l (v - m_l) + b_l^T (v - m_l)``,
@@ -118,8 +120,7 @@ def build_quadratic_problem(
     """
     if any(d > 20 for d in dims) or any(d < 1 for d in dims):
         raise ValueError("quadratic builder is desk-scale: dims must be in 1..20")
-    if conditioning < 1:
-        raise ValueError("conditioning must be >= 1")
+    check_real("conditioning", conditioning, low=1.0)
     dd = Dims(d1=dims[0], d2=dims[1], d3=dims[2], N=N)
 
     oracle: Optional[QuadraticOracle] = None
@@ -269,21 +270,16 @@ class RobustHpoSpec:
     adversary: bool = True  # False pins the optimal noise at zero (baseline)
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("adversarial penalty c must be positive")
-        if self.smoothing <= 0:
-            raise ValueError("smoothing must be positive")
+        check_real("c", self.c, strict=True)
+        check_real("smoothing", self.smoothing, strict=True)
         if any(width < 1 for width in self.mlp_layers):
             raise ValueError("hidden widths must be positive")
 
 
-def smoothed_l1(w: Array, delta: float) -> Array:
-    """``sum_k sqrt(w_k^2 + delta^2) - delta`` over the last axis."""
-    return np.sum(np.sqrt(w * w + delta * delta) - delta, axis=-1)
-
-
-def smoothed_l1_grad(w: Array, delta: float) -> Array:
-    return w / np.sqrt(w * w + delta * delta)
+def smoothed_l1(w: Array, delta: float) -> tuple[Array, Array]:
+    """``sum_k sqrt(w_k^2 + delta^2) - delta`` over the last axis, and its gradient in ``w``."""
+    root = np.sqrt(w * w + delta * delta)
+    return np.sum(root - delta, axis=-1), w / root
 
 
 def _stack_shards(data: RegressionDataset, shards: list[Array]) -> tuple[Array, Array, Array]:
@@ -362,7 +358,7 @@ def build_robust_hpo_problem(
         train = _weighted_sq_error(mlp_forward(shape, X3, noisy(X2)), ytr, wtr)
         if level == 2:
             return -(train - c_pen * _dot(X2, X2))
-        return train + np.exp(X1[:, 0]) * smoothed_l1(X3, delta)
+        return train + np.exp(X1[:, 0]) * smoothed_l1(X3, delta)[0]
 
     c1, c2, c3 = (dims.columns(i) for i in (1, 2, 3))
     two_wtr, two_wval = 2.0 * wtr, 2.0 * wval
@@ -381,9 +377,9 @@ def build_robust_hpo_problem(
                 G[:, c2] = -(dp - 2.0 * c_pen * X2)
                 np.negative(g3, out=g3)
             else:
-                pen = np.exp(X1)
-                G[:, c1], G[:, c2] = pen * smoothed_l1(X3, delta)[:, None], dp
-                g3 += pen * smoothed_l1_grad(X3, delta)
+                (l1, l1_grad), pen = smoothed_l1(X3, delta), np.exp(X1)
+                G[:, c1], G[:, c2] = pen * l1[:, None], dp
+                g3 += pen * l1_grad
         return G
 
     def initial_point_fn(rng):

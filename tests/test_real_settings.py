@@ -1,0 +1,83 @@
+"""Every real-valued setting rejects NaN and ±inf when it is built.
+
+A bound written ``x < 0`` or ``x <= 0`` lets NaN through, and the run then
+ends in a numeric abort that looks like a property of the problem.  Each
+real field is found from its annotation, so a field added later is covered.
+"""
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from fedtri.core import Dims, TrilevelProblem
+from fedtri.harness import DelayModel
+from fedtri.inner import InnerConfig
+from fedtri.outer import OuterConfig
+from fedtri.problems import RobustHpoSpec, build_quadratic_problem
+
+BAD = [np.nan, np.inf, -np.inf]
+
+
+def real_fields(cls):
+    return [f.name for f in fields(cls) if f.type == "float"]
+
+
+CONFIGS = [InnerConfig(), OuterConfig(), DelayModel(), RobustHpoSpec()]
+CASES = [(cfg, name) for cfg in CONFIGS for name in real_fields(type(cfg))]
+
+
+def test_every_config_has_its_real_fields_found():
+    assert {type(cfg).__name__: len(real_fields(type(cfg))) for cfg in CONFIGS} == {
+        "InnerConfig": 8, "OuterConfig": 13, "DelayModel": 4, "RobustHpoSpec": 2}
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("cfg, name", CASES, ids=[f"{type(c).__name__}.{n}" for c, n in CASES])
+def test_a_non_finite_config_field_raises_naming_it(cfg, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        replace(cfg, **{name: bad})
+
+
+def problem(**kw):
+    def oracle(level, V):
+        return V
+    return TrilevelProblem(dims=Dims(1, 1, 1, N=1), eval_fn=oracle, grad_fn=oracle, **kw)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_a_non_finite_alpha_raises(block, bad):
+    alphas = [1.0, 1.0, 1.0]
+    alphas[block] = bad
+    with pytest.raises(ValueError, match="^alphas must be"):
+        problem(alphas=tuple(alphas))
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_a_non_finite_weak_convexity_modulus_raises(bad):
+    with pytest.raises(ValueError, match="^weak_convexity_mu must be"):
+        problem(weak_convexity_mu=bad)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_a_non_finite_conditioning_raises(bad):
+    with pytest.raises(ValueError, match="^conditioning must be"):
+        build_quadratic_problem(0, (2, 2, 2), 2, conditioning=bad)
+
+
+@pytest.mark.parametrize("bad", [True, "1.0", None])
+def test_a_setting_that_is_no_real_number_raises(bad):
+    with pytest.raises(ValueError, match="^eta_x must be"):
+        InnerConfig(eta_x=bad)
+
+
+def test_finite_values_on_each_bound_are_kept():
+    assert InnerConfig(eta_x=0, eta_z=0.0, eta_phi=np.float32(0.5)).eta_phi == np.float32(0.5)
+    assert DelayModel(kind="uniform", lo=0.0, hi=0.0).hi == 0.0
+    assert problem(alphas=(1, 2.0, np.float64(3.0)), weak_convexity_mu=0).alphas[2] == 3.0
+    build_quadratic_problem(0, (2, 2, 2), 2, conditioning=1)
+    for cfg, name in [(InnerConfig(), "kappa2"), (OuterConfig(), "tol"), (RobustHpoSpec(), "c"),
+                      (DelayModel(), "straggler_factor")]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            replace(cfg, **{name: 0.0})

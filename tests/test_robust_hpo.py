@@ -18,6 +18,7 @@ from fedtri.problems import (
     evaluate_model,
     mlp_forward,
     mlp_grads,
+    smoothed_l1,
 )
 from oracle_rows import stack_rows
 
@@ -36,6 +37,14 @@ def grads(shape, w, X, y):
     dw = np.full(w.shape, np.nan)
     dX = mlp_grads(shape, w, X, y, 2.0 * np.full(y.shape, 1.0 / y.shape[-1]), dw)
     return dw, dX
+
+
+def test_smoothed_l1_value_and_gradient_are_the_written_out_formulas_bit_for_bit():
+    # One square root serves both; each must keep the bits of its own formula.
+    w, delta = np.random.default_rng(0).standard_normal((4, 57)), 1e-3
+    value, grad = smoothed_l1(w, delta)
+    assert np.array_equal(value, np.sum(np.sqrt(w * w + delta * delta) - delta, axis=-1))
+    assert np.array_equal(grad, w / np.sqrt(w * w + delta * delta))
 
 
 class TestMlpLossGrads:
