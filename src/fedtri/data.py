@@ -44,36 +44,31 @@ class RegressionDataset:
         return self.X[idx], self.y[idx]
 
 
+def _read(lines: list[str], **kw) -> Array | None:
+    """``lines`` through NumPy's C CSV reader, or None if a cell does not read as a number."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, **kw)
+    except ValueError:
+        return None
+
+
 def _parse_csv(path) -> Array:
-    rows: list[list[float]] = []
-    header_allowed = True  # until the first non-blank row
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for r, row in enumerate(reader):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            parsed = []
-            for c, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    if header_allowed:
-                        parsed = None  # header row
-                        break
-                    raise DatasetError(
-                        f"non-numeric cell at row {r}, column {c}: {cell!r}"
-                    ) from None
-            header_allowed = False
-            if parsed is not None:
-                rows.append(parsed)
+    with open(path) as fh:  # universal newlines: a CRLF line ends like an LF one
+        rows = [(r, line) for r, line in enumerate(fh) if line.strip()]
+    if rows and _read([rows[0][1]]) is None:
+        rows = rows[1:]  # only the first non-blank row may be a header
     if not rows:
         raise DatasetError(f"no data rows in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    data = _read([line for _, line in rows])
+    if data is None:  # the first cell NumPy cannot read; else the rows are ragged
+        for r, line in rows:
+            for c, cell in enumerate(_read([line], dtype=str)[0]):
+                if _read([line], usecols=c) is None:
+                    raise DatasetError(f"non-numeric cell at row {r}, column {c}: {str(cell)!r}")
         raise DatasetError("ragged rows in CSV")
-    if width < 2:
+    if data.shape[1] < 2:
         raise DatasetError("need at least one feature column plus the target")
-    return np.asarray(rows, dtype=float)
+    return data
 
 
 def _split_standardize(X: Array, y: Array, split_ratios, perm_seed: int,
@@ -90,8 +85,8 @@ def _split_standardize(X: Array, y: Array, split_ratios, perm_seed: int,
     train_idx = perm[:n_tr]
     val_idx = perm[n_tr:n_tr + n_val]
     test_idx = perm[n_tr + n_val:]
-    mean = X[train_idx].mean(axis=0)
-    std = X[train_idx].std(axis=0)
+    train = X[train_idx]
+    mean, std = train.mean(axis=0), train.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     return RegressionDataset(
         X=(X - mean) / std, y=y, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx,
@@ -107,8 +102,10 @@ def load_dataset(
 ) -> RegressionDataset:
     """Load a CSV (last column target, optional header) into a standardized dataset.
 
-    Rows are shuffled with the seed, split by the ratios, and features are
-    standardized to zero mean and unit variance using train statistics only.
+    NumPy's C reader (``np.loadtxt``) parses the cells, each bit for bit as ``float`` would.
+    Blank lines are skipped; only the first non-blank row may be a header.  A ``DatasetError``
+    names a bad cell by 0-based line (blank lines counted) and column.  Rows are shuffled with
+    the seed, split by the ratios, and features standardized on train statistics only.
     """
     data = _parse_csv(path)
     return _split_standardize(data[:, :-1].copy(), data[:, -1].copy(), split_ratios, seed,

@@ -120,7 +120,9 @@ def build_quadratic_problem(
     """
     if any(d > 20 for d in dims) or any(d < 1 for d in dims):
         raise ValueError("quadratic builder is desk-scale: dims must be in 1..20")
-    check_real("conditioning", conditioning, low=1.0)
+    for name, value, low in (("conditioning", conditioning, 1.0), ("coupling", coupling, -np.inf),
+                             ("center_scale", center_scale, 0.0), ("init_scale", init_scale, 0.0)):
+        check_real(name, value, low)
     dd = Dims(d1=dims[0], d2=dims[1], d3=dims[2], N=N)
 
     oracle: Optional[QuadraticOracle] = None
@@ -337,6 +339,7 @@ def build_robust_hpo_problem(
     place; ragged shards take the same path through their zero-weighted
     padding rows.
     """
+    check_real("phi_init", phi_init, low=-np.inf)
     shape = MlpShape(layer_sizes=(data.n_features, *spec.mlp_layers, 1))
     train_shards = shard_indices(data.train_idx, N)
     val_shards = shard_indices(data.val_idx, N)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from fedtri.core import Dims, TrilevelProblem
+from fedtri.data import make_synthetic_dataset
 from fedtri.harness import DelayModel
 from fedtri.inner import InnerConfig
 from fedtri.outer import OuterConfig
-from fedtri.problems import RobustHpoSpec, build_quadratic_problem
+from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
 
 BAD = [np.nan, np.inf, -np.inf]
 
@@ -66,6 +67,20 @@ def test_a_non_finite_conditioning_raises(bad):
         build_quadratic_problem(0, (2, 2, 2), 2, conditioning=bad)
 
 
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", ["coupling", "center_scale", "init_scale"])
+def test_a_non_finite_quadratic_builder_real_raises(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build_quadratic_problem(0, (2, 2, 2), 2, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_a_non_finite_initial_phi_raises(bad):
+    with pytest.raises(ValueError, match="^phi_init must be"):
+        build_robust_hpo_problem(make_synthetic_dataset(rows=40), RobustHpoSpec(), 2,
+                                 phi_init=bad)
+
+
 @pytest.mark.parametrize("bad", [True, "1.0", None])
 def test_a_setting_that_is_no_real_number_raises(bad):
     with pytest.raises(ValueError, match="^eta_x must be"):
@@ -77,6 +92,11 @@ def test_finite_values_on_each_bound_are_kept():
     assert DelayModel(kind="uniform", lo=0.0, hi=0.0).hi == 0.0
     assert problem(alphas=(1, 2.0, np.float64(3.0)), weak_convexity_mu=0).alphas[2] == 3.0
     build_quadratic_problem(0, (2, 2, 2), 2, conditioning=1)
+    build_quadratic_problem(0, (2, 2, 2), 2, coupling=-0.5, center_scale=0, init_scale=0.0)
+    build_robust_hpo_problem(make_synthetic_dataset(rows=40), RobustHpoSpec(), 2, phi_init=-30)
+    for name in ("center_scale", "init_scale"):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_quadratic_problem(0, (2, 2, 2), 2, **{name: -1e-9})
     for cfg, name in [(InnerConfig(), "kappa2"), (OuterConfig(), "tol"), (RobustHpoSpec(), "c"),
                       (DelayModel(), "straggler_factor")]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
