@@ -13,9 +13,7 @@ from .core import (
     project_ball_sq,
 )
 from .cuts import (
-    Cut,
     Polytope,
-    add_cut,
     drop_inactive,
     generate_cut_I,
     generate_cut_II,

@@ -35,8 +35,8 @@ def check_real(name: str, value, low: float = 0.0, strict: bool = False) -> None
     ``strict``), no bool.  A bare ``value < low`` lets NaN pass, and the run then aborts."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not math.isfinite(value) or value < low or (strict and value == low)):
-        raise ValueError(f"{name} must be a finite real {'>' if strict else '>='} {low}, "
-                         f"got {value!r}")
+        bound = f" {'>' if strict else '>='} {low}" if low > -np.inf else ""
+        raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -215,71 +215,52 @@ class DualState:
         return DualState(lam=self.lam.copy(), theta=self.theta.copy())
 
 
-LAYER_I = "I"
-LAYER_II = "II"
-
-
-@dataclass(frozen=True, eq=False)
-class Cut:
-    """One linear inequality ``w . [Z | X.ravel()] <= c`` over the outer state.
-
-    ``w`` has width D + N D, like ``PrimalState.row``, on both layers.  A
-    layer-I cut reads Z and the x3 columns of X, a layer-II cut Z and the x2
-    and x3 columns: the X columns a layer does not read hold exact zeros.  For
-    a cut of h, ``w`` is ``grad_h`` at the anchor state, laid out as a row.
-    ``run`` stores each generated cut rescaled by ``normalize_cut`` to
-    ``||w|| = 1``: the half-space is the same, a residual is a signed
-    distance along the unit normal, and the cut's dual is measured per unit
-    of that distance.
-    """
-
-    layer: str
-    w: Array
-    c: float
-    id: int
-
-    def __post_init__(self):
-        if self.layer not in (LAYER_I, LAYER_II):
-            raise ValueError(f"unknown layer {self.layer!r}")
-        object.__setattr__(self, "w", np.asarray(self.w, float))
-        if not np.isfinite(self.w).all() or not np.isfinite(self.c):
-            raise NonFiniteError("cut coefficients must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """An immutable, ordered set of same-layer cuts and their stacked rows.
+    """An immutable, ordered set of cuts ``w . [Z | X.ravel()] <= c``, each stored once, as a row.
 
-    ``W`` (L, D + N D) stacks the cuts' rows over ``[Z | X.ravel()]`` and
-    ``c`` is (L,).  ``A2`` (L, d2) is a contiguous copy of W's z2 columns,
-    which the level-2 unroll steps on.  They are built once; a refinement
-    builds a new polytope.
+    ``W`` (L, D + N D) stacks the rows over ``PrimalState.row``, ``c`` (L,) the
+    offsets and ``ids`` the cuts' unique ids; ``Polytope(dims)`` has no cuts.
+    A layer-I cut reads Z and the x3 columns of X, a layer-II cut Z and the
+    x2 and x3 columns: the X columns a layer does not read hold exact zeros.
+    ``A2`` (L, d2) is a contiguous copy of W's z2 columns, which the level-2
+    unroll steps on.  ``add`` and ``keep`` return new polytopes.
     """
 
-    layer: str
     dims: Dims
-    cuts: tuple[Cut, ...] = ()
+    W: Optional[Array] = None
+    c: Optional[Array] = None
+    ids: tuple[int, ...] = ()
 
     def __post_init__(self):
-        ids = [c.id for c in self.cuts]
-        if len(set(ids)) != len(ids):
+        L, width = len(self.ids), self.dims.width * (self.dims.N + 1)
+        W = np.zeros((0, width)) if self.W is None else np.array(self.W, float)
+        c = np.zeros(0) if self.c is None else np.array(self.c, float)
+        if W.shape != (L, width) or c.shape != (L,):
+            raise ValueError(f"{L} cuts need ({L}, {width}) rows and ({L},) offsets, "
+                             f"got {W.shape} and {c.shape}")
+        if len(set(self.ids)) != L:
             raise ValueError("cut ids must be unique")
-        if any(c.layer != self.layer for c in self.cuts):
-            raise ValueError("all cuts must share the polytope's layer")
-        width = self.dims.width * (self.dims.N + 1)
-        if any(c.w.shape != (width,) for c in self.cuts):
-            raise ValueError(f"a cut row must have width {width}")
-        W = np.array([c.w for c in self.cuts]).reshape(len(self.cuts), width)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "A2", np.ascontiguousarray(W[:, self.dims.columns(2)]))
-        object.__setattr__(self, "c", np.array([c.c for c in self.cuts], float))
+        if not (np.isfinite(W).all() and np.isfinite(c).all()):
+            raise NonFiniteError("cut coefficients must be finite")
+        for name, value in (("W", W), ("c", c), ("ids", tuple(self.ids)),
+                            ("A2", np.ascontiguousarray(W[:, self.dims.columns(2)]))):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
-        return len(self.cuts)
+        return len(self.ids)
 
-    def ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.cuts)
+    def add(self, w: Array, c: float, cut_id: int) -> "Polytope":
+        """These cuts and then ``w . [Z | X.ravel()] <= c`` under the id ``cut_id``."""
+        return Polytope(self.dims, np.vstack((self.W, w)), np.append(self.c, c),
+                        self.ids + (cut_id,))
+
+    def keep(self, mask) -> "Polytope":
+        """The cuts where the (L,) bool ``mask`` is true, in their order."""
+        mask = np.asarray(mask, bool)
+        return Polytope(self.dims, self.W[mask], self.c[mask],
+                        tuple(i for i, kept in zip(self.ids, mask) if kept))
 
     def residuals(self, state: PrimalState) -> Array:
         """Every cut's ``w . [Z | X.ravel()] - c`` (L,) at ``state``; <= 0 if satisfied."""
@@ -296,7 +277,7 @@ def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] =
     v = np.asarray(v, dtype=float)
     if h is None:
         h = 1e-5 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))
-    if np.any(h <= 0):
+    if not np.all(h > 0):  # NaN fails it too
         raise ValueError("finite-difference step must be positive")
     g = np.empty_like(v)
     for k in range(v.shape[-1]):
@@ -314,7 +295,7 @@ def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] =
 @lru_cache(maxsize=None)
 def _ball_layout(sizes: tuple[int, ...], alphas: tuple[float, ...]):
     """A row's columns once a zero precedes each block, those zeros' columns, and the alphas."""
-    if any(a < 0 for a in alphas):
+    if not all(a >= 0 for a in alphas):
         raise ValueError("alpha must be nonnegative")
     pos = np.arange(sum(sizes)) + np.repeat(np.arange(1, len(sizes) + 1), sizes)
     heads = np.cumsum((0, *sizes[:-1])) + np.arange(len(sizes))

@@ -1,40 +1,31 @@
 """Generation, normalization and pruning of the two cut layers.
 
 A cut linearizes h at an anchor state, so it is one row ``w . [Z | X.ravel()] <= c``
-over the outer state, ``PrimalState.row``, on both layers.  A layer reads Z and
-X's columns from its unrolled block on (x3 for layer I, x2 and x3 for layer
-II); the others are zero in w.  ``Cut`` and ``Polytope`` are defined in
-``core``, where the unrolls can read them.
+over the outer state, ``PrimalState.row``, on both layers: the generators
+return ``(w, c)`` and a ``Polytope`` (defined in ``core``, where the unrolls
+read it) stacks the rows.  A layer reads Z and X's columns from its unrolled
+block on (x3 for layer I, x2 and x3 for layer II); the others are zero in w.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import LAYER_I, LAYER_II, Array, Cut, FedtriError, Polytope, PrimalState
+from .core import Array, Polytope, PrimalState
 from .inner import UnrollTrace, eval_h, grad_h
 
 
-def normalize_cut(cut: Cut) -> Cut:
-    """The same half-space written with ``||w|| = 1``.
+def normalize_cut(w: Array, c: float) -> tuple[Array, float]:
+    """The same half-space ``w . row <= c`` written with ``||w|| = 1``.
 
     Dividing both sides by the row's norm leaves the feasible set as it is and
     only rescales the cut's dual: a residual becomes a distance along the unit
-    normal.  A cut with an all-zero row is returned unchanged.
+    normal.  An all-zero row is returned unchanged.
     """
-    nrm = np.sqrt(cut.w @ cut.w)
-    if nrm == 0.0:
-        return cut
-    return replace(cut, w=cut.w / nrm, c=cut.c / nrm)
-
-
-def add_cut(poly: Polytope, cut: Cut) -> Polytope:
-    if cut.layer != poly.layer:
-        raise FedtriError(f"cannot add a layer-{cut.layer} cut to a layer-{poly.layer} polytope")
-    return Polytope(poly.layer, poly.dims, poly.cuts + (cut,))
+    nrm = np.sqrt(w @ w)
+    return (w, c) if nrm == 0.0 else (w / nrm, c / nrm)
 
 
 def drop_inactive(
@@ -44,13 +35,13 @@ def drop_inactive(
     lambdas: Array,
     tol: float = 1e-10,
     protect2: Sequence[int] = (),
-) -> tuple[Polytope, Polytope]:
-    """Keep the cuts whose associated duals are not (numerically) zero.
+) -> tuple[Array, Array]:
+    """The (L,) keep masks of both polytopes: the cuts whose duals are not (numerically) zero.
 
     Layer-I cuts are judged by the final inner duals of the latest level-2
     unroll, layer-II cuts by the current outer duals.  ``protect2`` lists
     layer-II cut ids exempt from pruning (a cut added in the current
-    refinement has no outer dual yet).  Retained cuts keep their order.
+    refinement has no outer dual yet).  ``Polytope.keep`` applies a mask.
     ``tol`` is in the duals' own units: for the unit-normalized cuts ``run``
     stores, a dual is the objective's rate of change per unit distance along
     the cut normal.
@@ -61,16 +52,11 @@ def drop_inactive(
         raise ValueError("gamma_K length must match the layer-I polytope")
     if lambdas.shape != (poly2.size,):
         raise ValueError("lambdas length must match the layer-II polytope")
-    keep1 = np.abs(gamma_K) > tol
-    keep2 = (np.abs(lambdas) > tol) | np.isin(poly2.ids(), protect2)
-    return tuple(
-        Polytope(poly.layer, poly.dims, tuple(c for c, kept in zip(poly.cuts, keep) if kept))
-        for poly, keep in ((poly1, keep1), (poly2, keep2))
-    )
+    return np.abs(gamma_K) > tol, (np.abs(lambdas) > tol) | np.isin(poly2.ids, protect2)
 
 
-def _linearization_cut(trace: UnrollTrace, layer: str, state: PrimalState, mu: float,
-                       eps: float, alphas: tuple[float, float, float], cut_id: int) -> Cut:
+def _linearization_cut(trace: UnrollTrace, state: PrimalState, mu: float, eps: float,
+                       alphas: tuple[float, float, float]) -> tuple[Array, float]:
     """First-order expansion of h at ``state``, relaxed by eps plus mu times the inflation.
 
     The inflation is the squared norm of the layer's point, Z and X's columns
@@ -86,7 +72,7 @@ def _linearization_cut(trace: UnrollTrace, layer: str, state: PrimalState, mu: f
     w = np.concatenate((gZ, gX.ravel()))
     c = (eps + mu * (ball + state.Z @ state.Z + np.vdot(X, X)) - eval_h(trace, state)
          + w @ state.row())
-    return Cut(layer=layer, w=w, c=float(c), id=cut_id)
+    return w, float(c)
 
 
 def generate_cut_I(
@@ -95,8 +81,7 @@ def generate_cut_I(
     mu: float,
     eps1: float,
     alphas: tuple[float, float, float],
-    cut_id: int = 0,
-) -> Cut:
+) -> tuple[Array, float]:
     """Linearization cut of h_I at the layer-I point of ``state``: Z = (z1, z2', z3) and x3.
 
     The left side is the first-order expansion of h_I around the state; the
@@ -106,7 +91,7 @@ def generate_cut_I(
     Rearranged into ``w . [Z | X.ravel()] <= c`` form, w being ``grad_h`` at
     the state, zero on the x1 and x2 columns.
     """
-    return _linearization_cut(trace, LAYER_I, state, mu, eps1, alphas, cut_id)
+    return _linearization_cut(trace, state, mu, eps1, alphas)
 
 
 def generate_cut_II(
@@ -115,12 +100,11 @@ def generate_cut_II(
     mu: float,
     eps2: float,
     alphas: tuple[float, float, float],
-    cut_id: int = 0,
-) -> Cut:
+) -> tuple[Array, float]:
     """Linearization cut of h_II at the layer-II point of ``state``: Z = (z1, z2, z3), x2 and x3.
 
     Same construction as the layer-I cut, whose alpha rule gives the inflation
     ``mu (a1 + (N+1)(a2 + a3) + sum_i ||z_i||^2 + sum_{i=2,3} sum_j ||x_ij||^2)``.
     The row is zero on the x1 columns.
     """
-    return _linearization_cut(trace, LAYER_II, state, mu, eps2, alphas, cut_id)
+    return _linearization_cut(trace, state, mu, eps2, alphas)

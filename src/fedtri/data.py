@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Array, FedtriError
+from .core import Array, FedtriError, check_real
 
 
 class DatasetError(FedtriError):
@@ -74,8 +74,9 @@ def _parse_csv(path) -> Array:
 def _split_standardize(X: Array, y: Array, split_ratios, perm_seed: int,
                        noise_sigma: float) -> RegressionDataset:
     """Shuffle rows with ``perm_seed``, split by the ratios, standardize on train stats."""
-    if abs(sum(split_ratios) - 1.0) > 1e-9 or any(r < 0 for r in split_ratios):
+    if abs(sum(split_ratios) - 1.0) > 1e-9 or not all(r >= 0 for r in split_ratios):
         raise DatasetError("split ratios must be nonnegative and sum to 1")
+    check_real("noise_sigma", noise_sigma)
     n = X.shape[0]
     n_tr = int(n * split_ratios[0])
     n_val = int(n * split_ratios[1])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
 from .core import check_real, store_ints
-from .cuts import Polytope, add_cut, drop_inactive, generate_cut_I, generate_cut_II, normalize_cut
+from .cuts import Polytope, drop_inactive, generate_cut_I, generate_cut_II, normalize_cut
 from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
 from .outer import OuterConfig, master_step, stationarity_gap, worker_step
 
@@ -203,8 +203,9 @@ def run(
     delivers the active workers' updates and takes the master step.  Every
     T_pre iterations, from t = 0 and while the refinement horizon T1 is open,
     the two inner unrolls run, one cut per layer is generated at the current
-    point, and inactive cuts are pruned.  Both layers' cuts are stored at unit
-    coefficient norm (``normalize_cut``), so the cut duals, their cap
+    point, and inactive cuts are pruned.  Each cut is stored once, as a row of
+    ``poly1`` or ``poly2`` under the next id, and at unit coefficient norm
+    (``normalize_cut``) on both layers, so the cut duals, their cap
     sqrt(alpha4) and the pruning tolerance are per unit distance along a cut
     normal rather than in the raw linearization's units.  The cuts' weak-
     convexity modulus is ``problem.weak_convexity_mu``.
@@ -240,8 +241,7 @@ def run(
     rng = np.random.default_rng(sched_cfg.seed)
     state = PrimalState.from_point(problem.dims, *problem.initial_point(rng))
     duals = DualState.zeros(problem.dims)
-    poly1 = Polytope("I", problem.dims)
-    poly2 = Polytope("II", problem.dims)
+    poly1 = poly2 = Polytope(problem.dims)
     next_cut_id = 0
     warm3 = warm2 = None  # (x, z) init prefixes, set only under warm_start
 
@@ -272,33 +272,32 @@ def run(
         its dual to the cap and the primal steps blow up.
         """
         nonlocal poly1, poly2, next_cut_id, warm3, warm2
+        added = [next_cut_id, next_cut_id + 1]
+        next_cut_id += 2
         (_, x2, x3), (_, z2, z3) = state.x, state.z
         # No stored warm start: begin at the outer iterate (zeros are an MLP saddle).
         trace1 = solve_level3(problem, state, init=warm3 or (x3, z3), cfg=inner_cfg)
-        cut1 = normalize_cut(generate_cut_I(trace1, state, mu, inner_cfg.eps1,
-                                            problem.alphas, cut_id=next_cut_id))
-        poly1 = add_cut(poly1, cut1)
+        cut1 = generate_cut_I(trace1, state, mu, inner_cfg.eps1, problem.alphas)
+        poly1 = poly1.add(*normalize_cut(*cut1), added[0])
 
         trace2 = solve_level2(problem, state, poly1, init=warm2 or (x2, z2), cfg=inner_cfg)
-        cut2 = normalize_cut(generate_cut_II(trace2, state, mu, inner_cfg.eps2,
-                                             problem.alphas, cut_id=next_cut_id + 1))
-        next_cut_id += 2
-        poly2 = add_cut(poly2, cut2)
+        cut2 = generate_cut_II(trace2, state, mu, inner_cfg.eps2, problem.alphas)
+        poly2 = poly2.add(*normalize_cut(*cut2), added[1])
         lam = np.append(duals.lam, 0.0)
 
-        kept1, kept2 = drop_inactive(poly1, trace2.gamma_K, poly2, lam, protect2=(cut2.id,))
-        duals.lam = lam[np.isin(poly2.ids(), kept2.ids())]
-        dropped = sorted(set(poly1.ids()) - set(kept1.ids())) + sorted(
-            set(poly2.ids()) - set(kept2.ids())
-        )
-        poly1, poly2 = kept1, kept2
+        keep1, keep2 = drop_inactive(poly1, trace2.gamma_K, poly2, lam, protect2=added[1:])
+        duals.lam = lam[keep2]
+        # Ids grow with every add and a polytope keeps its order, so these come out sorted.
+        dropped = [i for p, keep in ((poly1, keep1), (poly2, keep2))
+                   for i, kept in zip(p.ids, keep) if not kept]
+        poly1, poly2 = poly1.keep(keep1), poly2.keep(keep2)
         if inner_cfg.warm_start:
             # Warm-start only the inner primal blocks; inner duals, slacks
             # and cut duals restart at zero every refinement (persisting them
             # integrates the drag of any still-violated cut across events
             # without bound).
             warm3, warm2 = ((t.x[-1].copy(), t.z[-1].copy()) for t in (trace1, trace2))
-        return [cut1.id, cut2.id], dropped
+        return added, dropped
 
     def finish(status: str) -> RunResult:
         log.status = status

@@ -11,12 +11,11 @@ perturbed frozen inputs (finite differences).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Sequence, Union
+from functools import lru_cache
 
 import numpy as np
 
-from .core import LAYER_I, Array, Cut, FedtriError, Polytope, PrimalState, TrilevelProblem
+from .core import Array, FedtriError, Polytope, PrimalState, TrilevelProblem
 from .core import check_real, finite_diff_grad, store_ints
 
 
@@ -55,8 +54,8 @@ class InnerConfig:
 class UnrollTrace:
     """Recorded K-round update path and the constants it ran with; immutable once returned.
 
-    ``layer`` "I" traces estimate the third-level argmin (from solve_level3);
-    ``layer`` "II" traces estimate the second-level argmin.  ``anchor`` is a
+    ``level`` is the unrolled level: 3 for a layer-I trace (from
+    solve_level3), 2 for a layer-II one (from solve_level2).  ``anchor`` is a
     read-only copy of the outer state the unroll froze its inputs from: Z's
     z1 and z2 at level 3; Z's z1 and z3 and X's x3 at level 2.  The path is
     stored round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d),
@@ -66,7 +65,7 @@ class UnrollTrace:
     ``(kappa, eta_z, eta_gamma)``.  A layer-I trace freezes no cuts: L = 0.
     """
 
-    layer: str
+    level: int
     problem: TrilevelProblem
     cfg: InnerConfig
     anchor: PrimalState
@@ -82,11 +81,6 @@ class UnrollTrace:
     def __post_init__(self):
         if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi, self.s, self.gamma)):
             raise ValueError("trace must hold exactly K+1 rounds")
-
-    @property
-    def level(self) -> int:
-        """The unrolled level: 3 for layer I, 2 for layer II."""
-        return 3 if self.layer == "I" else 2
 
     @property
     def estimate(self) -> tuple[Array, Array]:
@@ -173,12 +167,11 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
         np.add(phik, eta_phi * dev, out=phi[k + 1])
         if not np.isfinite(buf[k + 1]).all():
             raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
-    return UnrollTrace("I" if level == 3 else "II", problem, cfg, anchor, poly1, r0, steps,
-                       x, z, phi, s, gamma)
+    return UnrollTrace(level, problem, cfg, anchor, poly1, r0, steps, x, z, phi, s, gamma)
 
 
 # The empty layer-I polytope a level-3 unroll freezes, built once per ``Dims``.
-_no_cuts = lru_cache(maxsize=None)(partial(Polytope, LAYER_I))
+_no_cuts = lru_cache(Polytope)
 
 
 def _checked(problem: TrilevelProblem, state: PrimalState) -> PrimalState:
@@ -227,7 +220,7 @@ def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, floa
 def solve_level2(
     problem: TrilevelProblem,
     state: PrimalState,
-    poly1: Union[Polytope, Sequence[Cut]],
+    poly1: Polytope,
     init=None,
     cfg: InnerConfig = InnerConfig(),
 ) -> UnrollTrace:
@@ -235,12 +228,9 @@ def solve_level2(
 
     The layer-I cuts enter through slack-equipped inequality penalty terms;
     their inner duals ``gamma`` are clamped nonnegative every round and the
-    final values are reported for cut pruning.  A plain sequence of cuts is
-    wrapped in a ``Polytope`` once; re-runs reuse the trace's polytope.
+    final values are reported for cut pruning.  Re-runs reuse the trace's polytope.
     """
     d, anchor = problem.dims, _anchor(problem, state)
-    if not isinstance(poly1, Polytope):
-        poly1 = Polytope(LAYER_I, d, tuple(poly1))
     at_zero = PrimalState(d, anchor.X, anchor.Z.copy())  # the cuts read the unrolled z2 as z2'
     at_zero.Z[d.columns(2)] = 0.0
     return _unroll(problem, 2, anchor, poly1, poly1.residuals(at_zero),
@@ -276,7 +266,7 @@ def rerun(trace: UnrollTrace, state: PrimalState) -> UnrollTrace:
     evaluated at the new inputs.
     """
     init = [a[0] for a in (trace.x, trace.z, trace.phi, trace.s, trace.gamma)]
-    if trace.layer == "I":
+    if trace.level == 3:
         return solve_level3(trace.problem, state, init=init, cfg=trace.cfg)
     return solve_level2(trace.problem, state, trace.poly1, init=init, cfg=trace.cfg)
 

@@ -91,7 +91,8 @@ def _sample_ball(rng, dim, radius_sq):
 
 
 def validate_cut(cut, trace, eps, n_samples, seed, alphas):
-    """Sample points with the trace's ``h <= eps`` inside the bound balls and count cut violations.
+    """Sample points with the trace's ``h <= eps`` inside the bound balls and count the violations
+    of the cut ``(w, c)``.
 
     The same sampler serves both layers.  Each proposal is a state whose
     unread X columns are zero.  It first puts the trace's frozen inputs
@@ -103,7 +104,7 @@ def validate_cut(cut, trace, eps, n_samples, seed, alphas):
     """
     rng = np.random.default_rng(seed)
     d, lv = trace.problem.dims, trace.level
-    poly = Polytope(cut.layer, d, (cut,))
+    poly = Polytope(d).add(*cut, 0)
     own, own_alpha, nx = d.columns(lv), alphas[lv - 1], d.N * d.block(lv)
 
     accepted = 0

@@ -7,9 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtri.core import (
-    LAYER_I,
-    LAYER_II,
-    Cut,
     Dims,
     FedtriError,
     NonFiniteError,
@@ -81,9 +78,11 @@ class TestFiniteDiffGrad:
         with pytest.raises(NonFiniteError, match="coordinate 1"):
             finite_diff_grad(f, np.array([0.0, 1.0]), h=0.5)
 
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda v: 0.0, np.zeros(2), h=0.0)
+    # A NaN step must raise too, not return a NaN gradient for a flat f.
+    @pytest.mark.parametrize("h", [0.0, np.nan, np.array([1e-5, np.nan])])
+    def test_bad_step(self, h):
+        with pytest.raises(ValueError, match="step must be positive"):
+            finite_diff_grad(lambda v: np.zeros(v.shape[:-1]), np.zeros((2, 3)), h=h)
 
 
 class TestProjectBallSq:
@@ -118,6 +117,12 @@ class TestProjectBallSq:
             warnings.simplefilter("error")
             P = project_ball_sq(V, 0.0)
         assert np.array_equal(P, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, (1.0, np.nan)])
+    def test_a_negative_or_nan_radius_raises_instead_of_skipping_the_projection(self, alpha):
+        sizes = (2, 2) if isinstance(alpha, tuple) else None
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            project_ball_sq(np.full((2, 4), 3.0), alpha, sizes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_one_non_finite_row_raises(self, bad):
@@ -441,14 +446,10 @@ class TestStackedContract:
         assert seen[0] is V
 
 
-def test_cuts_polytopes_and_traces_compare_by_identity():
+def test_polytopes_and_traces_compare_by_identity():
     # Their ndarray fields make field-wise == ambiguous and hash() impossible.
     problem, _ = build_quadratic_problem(seed=1, dims=(2, 2, 2), N=2)
-
-    def cut():
-        return Cut(layer=LAYER_I, w=np.ones(18), c=1.0, id=0)
-
-    for build in (cut, lambda: Polytope(LAYER_I, problem.dims, (cut(),)),
+    for build in (lambda: Polytope(problem.dims, np.ones((1, 18)), [1.0], (0,)),
                   lambda: solve_level3(problem, state_of(problem.dims), cfg=InnerConfig(K=2))):
         a, b = build(), build()
         assert a != b and not a == b
@@ -459,32 +460,98 @@ def test_cuts_polytopes_and_traces_compare_by_identity():
 class TestPolytopeRows:
     DIMS = Dims(d1=1, d2=2, d3=3, N=2)  # rows over [Z | X.ravel()] are 6 + 2 * 6 = 18 wide
 
+    def rows(self, L, seed=0):
+        return np.random.default_rng(seed).standard_normal((L, 18))
+
     def test_rejects_a_row_of_the_wrong_width(self):
-        for layer, width in ((LAYER_I, 16), (LAYER_II, 12), (LAYER_I, 17)):
-            with pytest.raises(ValueError, match="width"):
-                Polytope(layer, self.DIMS, (Cut(layer=layer, w=np.ones(width), c=0.0, id=0),))
+        for width in (16, 12, 17, 19):
+            with pytest.raises(ValueError, match=r"\(1, 18\) rows"):
+                Polytope(self.DIMS, np.ones((1, width)), [0.0], (0,))
+            with pytest.raises(ValueError):
+                Polytope(self.DIMS).add(np.ones(width), 0.0, 0)
+
+    def test_rejects_an_offset_or_id_count_other_than_the_row_count(self):
+        W = self.rows(2)
+        for c, ids in (([0.0], (0, 1)), ([0.0, 1.0, 2.0], (0, 1)), ([0.0, 1.0], (0,)),
+                       ([[0.0, 1.0]], (0, 1))):
+            with pytest.raises(ValueError, match="offsets"):
+                Polytope(self.DIMS, W, c, ids)
+        with pytest.raises(ValueError, match="offsets"):
+            Polytope(self.DIMS, W[0], [0.0], (0,))  # one row, but not stacked
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_row_or_offset(self, bad):
+        W, c = self.rows(2), np.array([0.5, -0.5])
+        W[1, 7] = bad
+        with pytest.raises(NonFiniteError, match="must be finite"):
+            Polytope(self.DIMS, W, c, (0, 1))
+        c[0] = bad
+        for rows in (self.rows(2), W):
+            with pytest.raises(NonFiniteError, match="must be finite"):
+                Polytope(self.DIMS, rows, c, (0, 1))
+        with pytest.raises(NonFiniteError):
+            Polytope(self.DIMS).add(W[1], 0.0, 0)
+        with pytest.raises(NonFiniteError):
+            Polytope(self.DIMS).add(W[0], bad, 0)
+
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(ValueError, match="unique"):
+            Polytope(self.DIMS, self.rows(3), np.zeros(3), (4, 7, 4))
+        poly = Polytope(self.DIMS, self.rows(2), np.zeros(2), (4, 7))
+        with pytest.raises(ValueError, match="unique"):
+            poly.add(np.ones(18), 0.0, 7)
+
+    def test_add_appends_one_row_and_keeps_the_others_bits(self):
+        W, c = self.rows(3, seed=1), np.array([0.1, 0.2, 0.3])
+        poly = Polytope(self.DIMS)
+        for k, cut_id in enumerate((5, 2, 9)):
+            before = poly
+            poly = poly.add(W[k], c[k], cut_id)
+            assert before.size == k and poly.size == k + 1  # the old polytope is unchanged
+        assert poly.ids == (5, 2, 9)
+        assert np.array_equal(poly.W, W) and np.array_equal(poly.c, c)
+        assert np.array_equal(poly.A2, W[:, self.DIMS.columns(2)])
+        assert np.array_equal(Polytope(self.DIMS, W, c, (5, 2, 9)).W, poly.W)
+
+    def test_keep_takes_the_masked_cuts_in_their_order(self):
+        W, c, ids = self.rows(4, seed=2), np.array([1.0, 2.0, 3.0, 4.0]), (3, 8, 1, 6)
+        poly = Polytope(self.DIMS, W, c, ids)
+        for mask in ([True, False, True, True], [False] * 4, [True] * 4, [0, 1, 0, 1]):
+            kept = poly.keep(mask)
+            m = np.asarray(mask, bool)
+            assert kept.ids == tuple(np.array(ids)[m].tolist())
+            assert np.array_equal(kept.W, W[m]) and np.array_equal(kept.c, c[m])
+            assert np.array_equal(kept.A2, W[m][:, self.DIMS.columns(2)])
+            assert kept.W.shape == (m.sum(), 18)
+        assert poly.ids == ids and np.array_equal(poly.W, W)  # keep returns a new polytope
+
+    def test_the_rows_are_the_polytopes_own_copy(self):
+        W, c = self.rows(1), np.array([0.5])
+        poly = Polytope(self.DIMS, W, c, (0,))
+        W[0, 0], c[0] = 9.0, 9.0
+        assert np.array_equal(poly.W, self.rows(1)) and np.array_equal(poly.c, [0.5])
 
     def test_a2_is_the_rows_z2_columns(self):
         d = self.DIMS
         Z = np.concatenate((np.full(d.d1, 1.0), np.full(d.d2, 2.0), np.full(d.d3, 3.0)))
         w = np.concatenate((Z, np.full(d.N * d.width, 4.0)))
-        poly = Polytope(LAYER_II, d, (Cut(layer=LAYER_II, w=w, c=0.0, id=0),))
+        poly = Polytope(d).add(w, 0.0, 0)
         assert np.array_equal(poly.W, [w]) and np.array_equal(poly.A2, [np.full(d.d2, 2.0)])
         assert poly.A2.flags.c_contiguous
-        empty = Polytope(LAYER_I, d)
+        empty = Polytope(d)
         assert empty.W.shape == (0, 18) and empty.A2.shape == (0, d.d2)
+        assert empty.c.shape == (0,) and empty.ids == () and empty.size == 0
 
     def test_residuals_take_exactly_a_state_of_the_dims(self):
         d = self.DIMS
         state = state_of(d, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        for layer in (LAYER_I, LAYER_II):
-            w = np.ones(18)  # w . row = w . w, so the residual is 0.5
-            poly = Polytope(layer, d, (Cut(layer=layer, w=w, c=w @ w - 0.5, id=0),))
-            assert np.array_equal(poly.residuals(state), [0.5])
-            for other in (Dims(d1=1, d2=2, d3=3, N=1), Dims(d1=1, d2=2, d3=2, N=2)):
-                for p in (poly, Polytope(layer, d)):
-                    with pytest.raises(ValueError):
-                        p.residuals(state_of(other, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+        w = np.ones(18)  # w . row = w . w, so the residual is 0.5
+        poly = Polytope(d).add(w, w @ w - 0.5, 0)
+        assert np.array_equal(poly.residuals(state), [0.5])
+        for other in (Dims(d1=1, d2=2, d3=3, N=1), Dims(d1=1, d2=2, d3=2, N=2)):
+            for p in (poly, Polytope(d)):
+                with pytest.raises(ValueError):
+                    p.residuals(state_of(other, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_the_package_exports_only_its_api_objects():
@@ -492,7 +559,7 @@ def test_the_package_exports_only_its_api_objects():
 
     import fedtri
 
-    assert len(fedtri.__all__) == len(set(fedtri.__all__)) == 45
+    assert len(fedtri.__all__) == len(set(fedtri.__all__)) == 43
     for name in fedtri.__all__:
         assert not isinstance(getattr(fedtri, name), types.ModuleType), name
     namespace = {}

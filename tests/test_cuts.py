@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from fedtri.core import Dims, FedtriError, TrilevelProblem
+from fedtri.core import Dims, TrilevelProblem
 from fedtri.cuts import (
-    Cut,
     Polytope,
-    add_cut,
     drop_inactive,
     generate_cut_I,
     generate_cut_II,
     normalize_cut,
 )
-import fedtri.harness
 from fedtri import inner
 from fedtri.data import make_synthetic_dataset
 from fedtri.harness import ScheduleConfig, run
@@ -22,15 +19,24 @@ from cut_checks import estimate_mu, flat_h, validate_cut
 from oracle_rows import state_of
 
 
-def toy_cut(layer="I", d=2, N=2, c=1.0, cut_id=0, seed=0):
-    """A row over [Z | X.ravel()] drawn for Z, then x3's rows, then (layer II) x2's; x1's are 0."""
+def toy_cut(layer="I", d=2, N=2, c=1.0, seed=0):
+    """A cut ``(w, c)``, its row over [Z | X.ravel()] drawn for Z, then x3's rows, then (layer
+    II) x2's; x1's are 0."""
     rng = np.random.default_rng(seed)
     W = np.zeros((N + 1, 3 * d))
     W[0] = rng.standard_normal(3 * d)
     W[1:, 2 * d:] = rng.standard_normal((N, d))
     if layer == "II":
         W[1:, d:2 * d] = rng.standard_normal((N, d))
-    return Cut(layer=layer, w=W.ravel(), c=c, id=cut_id)
+    return W.ravel(), c
+
+
+def polytope_of(dims, cuts, ids=None):
+    """The polytope of ``cuts``, a sequence of ``(w, c)``, added in order under ``ids``."""
+    poly = Polytope(dims)
+    for (w, c), cut_id in zip(cuts, range(len(cuts)) if ids is None else ids):
+        poly = poly.add(w, c, cut_id)
+    return poly
 
 
 def row_blocks(dims, w):
@@ -75,13 +81,13 @@ class TestGenerateCutI:
         cfg = InnerConfig(K=1, eta_x=0.0, eta_z=0.0, eta_phi=0.0)
         trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(1)), cfg=cfg)
         point = state_of(problem.dims, np.zeros(1), np.zeros(1), np.array([1.0]), x3=[np.zeros(1)])
-        cut = generate_cut_I(trace, point, mu=0.0, eps1=0.1, alphas=problem.alphas)
-        (a1, a2, a3), (_, _, b3) = row_blocks(problem.dims, cut.w)
+        w, c = generate_cut_I(trace, point, mu=0.0, eps1=0.1, alphas=problem.alphas)
+        (a1, a2, a3), (_, _, b3) = row_blocks(problem.dims, w)
         assert np.allclose(a3, [2.0], atol=1e-9)
         assert np.allclose(a1, [0.0], atol=1e-9)
         assert np.allclose(a2, [0.0], atol=1e-9)
         assert np.allclose(b3[0], [0.0], atol=1e-9)
-        assert cut.c == pytest.approx(1.1, abs=1e-9)
+        assert c == pytest.approx(1.1, abs=1e-9)
 
     def test_mu_zero_matches_classic_convex_cut(self, quad):
         # Independent construction of the classic first-order cut:
@@ -93,14 +99,14 @@ class TestGenerateCutI:
         x3 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
         point = state_of(problem.dims, z1, z2, z3, x3=x3)
-        cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
-                             alphas=problem.alphas)
+        w, c = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
+                              alphas=problem.alphas)
         v0 = flat_row(point.Z, point.X)
         g = flat_row(*grad_h(trace, point))
         h0 = eval_h(trace, point)
         c_classic = 1e-2 - h0 + float(g @ v0)
-        assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
-        assert cut.c == pytest.approx(c_classic, rel=1e-12)
+        assert np.allclose(w, g, rtol=1e-12, atol=1e-12)
+        assert c == pytest.approx(c_classic, rel=1e-12)
 
     def test_rhs_inflation_term_by_term(self, quad):
         # mu = 2, origin anchor: the inflation is its alpha part alone.
@@ -111,12 +117,12 @@ class TestGenerateCutI:
                            x3=[np.zeros(2)] * 2)
         eps1, mu = 0.05, 2.0
         for alphas in INFLATION_ALPHAS:
-            cut0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
+            _, c0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
+                                   alphas=alphas)
+            _, c = generate_cut_I(trace, zero_pt, mu=mu, eps1=eps1,
                                   alphas=alphas)
-            cut = generate_cut_I(trace, zero_pt, mu=mu, eps1=eps1,
-                                 alphas=alphas)
             inflation = inflation_ball("I", problem.dims, alphas)
-            assert cut.c - cut0.c == pytest.approx(mu * inflation, rel=1e-12), alphas
+            assert c - c0 == pytest.approx(mu * inflation, rel=1e-12), alphas
 
 
 class TestGenerateCutII:
@@ -127,31 +133,33 @@ class TestGenerateCutII:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=cfg)
+        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3),
+                             Polytope(problem.dims), cfg=cfg)
         point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
-        cut = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
-                              alphas=problem.alphas)
+        w, c = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
+                               alphas=problem.alphas)
         v0 = flat_row(point.Z, point.X)
         g = flat_row(*grad_h(trace, point))
-        assert np.allclose(cut.w, g, rtol=1e-12, atol=1e-12)
-        assert cut.c == pytest.approx(1e-2 - eval_h(trace, point) + float(g @ v0), rel=1e-12)
+        assert np.allclose(w, g, rtol=1e-12, atol=1e-12)
+        assert c == pytest.approx(1e-2 - eval_h(trace, point) + float(g @ v0), rel=1e-12)
 
     def test_inflation_origin_n2(self, quad):
         # mu = 1, N = 2 workers, origin anchor: 7 with unit alphas, 1 + 3 (2 + 3) = 16 unequal.
         problem, _ = quad
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level2(problem, state_of(problem.dims, np.zeros(2), z3=np.zeros(2),
-                                               x3=[np.zeros(2)] * 2), (), cfg=cfg)
+                                               x3=[np.zeros(2)] * 2),
+                             Polytope(problem.dims), cfg=cfg)
         pt = state_of(problem.dims, np.zeros(2), np.zeros(2), np.zeros(2),
                       x3=[np.zeros(2)] * 2, x2=[np.zeros(2)] * 2)
         eps2 = 0.3
         for alphas in INFLATION_ALPHAS:
-            cut0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
+            _, c0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
+                                    alphas=alphas)
+            _, c = generate_cut_II(trace, pt, mu=1.0, eps2=eps2,
                                    alphas=alphas)
-            cut = generate_cut_II(trace, pt, mu=1.0, eps2=eps2,
-                                  alphas=alphas)
             inflation = inflation_ball("II", problem.dims, alphas)
-            assert cut.c - cut0.c == pytest.approx(inflation, rel=1e-12), alphas
+            assert c - c0 == pytest.approx(inflation, rel=1e-12), alphas
 
     def test_slack_at_own_anchor(self, quad):
         # Substituting the anchor kills the linear term: slack = c - lhs
@@ -162,7 +170,8 @@ class TestGenerateCutII:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=cfg)
+        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3),
+                             Polytope(problem.dims), cfg=cfg)
         point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
         eps2, mu = 1e-2, 0.5
         cut = generate_cut_II(trace, point, mu=mu, eps2=eps2,
@@ -181,15 +190,17 @@ class TestNormalizeCut:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         x2 = [rng.standard_normal(2) for _ in range(2)]
-        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=cfg)
+        trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3),
+                             Polytope(problem.dims), cfg=cfg)
         raw = generate_cut_II(trace, state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3), mu=0.5,
                               eps2=1e-2, alphas=(1.0, 1.0, 1.0))
-        unit = normalize_cut(raw)
-        assert np.linalg.norm(unit.w) == pytest.approx(1.0, rel=1e-12)
-        assert (unit.id, unit.layer) == (raw.id, raw.layer)
+        unit = normalize_cut(*raw)
+        assert np.linalg.norm(unit[0]) == pytest.approx(1.0, rel=1e-12)
+        nrm = np.sqrt(raw[0] @ raw[0])
+        assert np.array_equal(unit[0], raw[0] / nrm) and unit[1] == raw[1] / nrm
 
         # Points spread around the cut's boundary land on both sides of it.
-        scale = abs(raw.c) / np.linalg.norm(raw.w)
+        scale = abs(raw[1]) / np.linalg.norm(raw[0])
         accepted = rejected = 0
         for _ in range(400):
             pz = [scale * rng.standard_normal(2) for _ in range(3)]
@@ -204,8 +215,9 @@ class TestNormalizeCut:
         assert accepted and rejected
 
     def test_zero_norm_cut_unchanged(self):
-        cut = Cut(layer="II", w=np.zeros(18), c=0.5, id=3)
-        assert normalize_cut(cut) is cut
+        w = np.zeros(18)
+        got_w, got_c = normalize_cut(w, 0.5)
+        assert got_w is w and got_c == 0.5
 
 
 def flat_row(Z, X):
@@ -214,8 +226,9 @@ def flat_row(Z, X):
 
 
 def residual(cut, state):
-    """A cut's ``w . [Z | X.ravel()] - c``, computed apart from ``Polytope.residuals``."""
-    return float(cut.w @ flat_row(state.Z, state.X) - cut.c)
+    """A cut ``(w, c)``'s ``w . [Z | X.ravel()] - c``, apart from ``Polytope.residuals``."""
+    w, c = cut
+    return float(w @ flat_row(state.Z, state.X) - c)
 
 
 def cut_inflation_ii(point, alphas=(1.0, 1.0, 1.0)):
@@ -230,57 +243,51 @@ def cut_inflation_ii(point, alphas=(1.0, 1.0, 1.0)):
 
 class TestPolytopeOps:
     def test_add_increments(self):
-        poly = Polytope("I", TOY_DIMS)
-        poly = add_cut(poly, toy_cut(cut_id=0))
+        poly = Polytope(TOY_DIMS).add(*toy_cut(), 0)
         assert poly.size == 1
 
     def test_duplicate_coefficients_allowed(self):
-        poly = Polytope("I", TOY_DIMS)
-        poly = add_cut(poly, toy_cut(cut_id=0, seed=9))
-        poly = add_cut(poly, toy_cut(cut_id=1, seed=9))
+        poly = polytope_of(TOY_DIMS, [toy_cut(seed=9), toy_cut(seed=9)])
         assert poly.size == 2
-
-    def test_layer_mismatch(self):
-        poly = Polytope("I", TOY_DIMS)
-        with pytest.raises(FedtriError):
-            add_cut(poly, toy_cut(layer="II", cut_id=0))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            Polytope("I", TOY_DIMS, (toy_cut(cut_id=0), toy_cut(cut_id=0, seed=1)))
+            polytope_of(TOY_DIMS, [toy_cut(), toy_cut(seed=1)], ids=(0, 0))
 
 
 class TestDropInactive:
     def make_polys(self, n1=3, n2=2):
-        p1 = Polytope("I", TOY_DIMS, tuple(toy_cut("I", cut_id=i, seed=i) for i in range(n1)))
-        p2 = Polytope("II", TOY_DIMS, tuple(toy_cut("II", cut_id=10 + i, seed=i) for i in range(n2)))
+        p1 = polytope_of(TOY_DIMS, [toy_cut("I", seed=i) for i in range(n1)])
+        p2 = polytope_of(TOY_DIMS, [toy_cut("II", seed=i) for i in range(n2)],
+                         ids=range(10, 10 + n2))
         return p1, p2
 
     def test_all_positive_keeps_everything(self):
         p1, p2 = self.make_polys()
-        q1, q2 = drop_inactive(p1, np.array([0.1, 0.2, 0.3]), p2, np.array([0.5, 0.5]))
-        assert q1.ids() == p1.ids() and q2.ids() == p2.ids()
+        k1, k2 = drop_inactive(p1, np.array([0.1, 0.2, 0.3]), p2, np.array([0.5, 0.5]))
+        assert k1.dtype == k2.dtype == bool and (k1.shape, k2.shape) == ((3,), (2,))
+        assert k1.all() and k2.all()
 
     def test_all_zero_empties(self):
         p1, p2 = self.make_polys()
-        q1, q2 = drop_inactive(p1, np.zeros(3), p2, np.zeros(2))
-        assert q1.size == 0 and q2.size == 0
+        k1, k2 = drop_inactive(p1, np.zeros(3), p2, np.zeros(2))
+        assert p1.keep(k1).size == 0 and p2.keep(k2).size == 0
 
     def test_selective_rule(self):
         p1, p2 = self.make_polys(n1=3, n2=2)
-        q1, q2 = drop_inactive(p1, np.array([0.0, 0.3, 0.0]), p2, np.array([0.1, 0.0]))
-        assert q1.ids() == (1,)
-        assert q2.ids() == (10,)
+        k1, k2 = drop_inactive(p1, np.array([0.0, 0.3, 0.0]), p2, np.array([0.1, 0.0]))
+        assert p1.keep(k1).ids == (1,)
+        assert p2.keep(k2).ids == (10,)
 
     def test_protected_id_survives(self):
         p1, p2 = self.make_polys()
-        _, q2 = drop_inactive(p1, np.ones(3), p2, np.zeros(2), protect2=(11,))
-        assert q2.ids() == (11,)
+        _, k2 = drop_inactive(p1, np.ones(3), p2, np.zeros(2), protect2=(11,))
+        assert p2.keep(k2).ids == (11,)
 
     def test_numerical_zero_tolerance(self):
         p1, p2 = self.make_polys()
-        q1, _ = drop_inactive(p1, np.array([1e-12, 1e-9, 1.0]), p2, np.ones(2))
-        assert q1.ids() == (1, 2)
+        k1, _ = drop_inactive(p1, np.array([1e-12, 1e-9, 1.0]), p2, np.ones(2))
+        assert p1.keep(k1).ids == (1, 2)
 
     def test_length_mismatch(self):
         p1, p2 = self.make_polys()
@@ -289,12 +296,11 @@ class TestDropInactive:
 
     def test_drop_then_add_reproduces_equivalent(self):
         p1, p2 = self.make_polys()
-        cut = p1.cuts[0]
-        q1, _ = drop_inactive(p1, np.array([0.0, 1.0, 1.0]), p2, np.ones(2))
-        readded = add_cut(q1, Cut(layer="I", w=cut.w, c=cut.c, id=99))
+        k1, _ = drop_inactive(p1, np.array([0.0, 1.0, 1.0]), p2, np.ones(2))
+        readded = p1.keep(k1).add(p1.W[0], p1.c[0], 99)
         assert readded.size == p1.size
-        got = sorted((tuple(c.w), c.c) for c in readded.cuts)
-        want = sorted((tuple(c.w), c.c) for c in p1.cuts)
+        got = sorted((tuple(w), c) for w, c in zip(readded.W, readded.c))
+        want = sorted((tuple(w), c) for w, c in zip(p1.W, p1.c))
         assert got == want
 
 
@@ -304,7 +310,7 @@ class TestCutViolation:
         cut = toy_cut("I", d=d, N=N, c=0.0, seed=7)
         rng = np.random.default_rng(8)
         # Construct a point on the hyperplane by solving for the last z3 coord.
-        (a1, a2, a3), (_, _, b3) = row_blocks(Dims(d1=d, d2=d, d3=d, N=N), cut.w)
+        (a1, a2, a3), (_, _, b3) = row_blocks(Dims(d1=d, d2=d, d3=d, N=N), cut[0])
         x3 = [rng.standard_normal(d) for _ in range(N)]
         z1, z2 = rng.standard_normal(d), rng.standard_normal(d)
         partial = (float(a1 @ z1) + float(a2 @ z2)
@@ -312,36 +318,36 @@ class TestCutViolation:
         z3 = np.zeros(d)
         z3[-1] = -partial / a3[-1]
         dims = Dims(d1=d, d2=d, d3=d, N=N)
-        got = Polytope("I", dims, (cut,)).residuals(state_of(dims, z1, z2, z3, x3=x3))
+        got = Polytope(dims).add(*cut, 0).residuals(state_of(dims, z1, z2, z3, x3=x3))
         assert got[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_dot_products(self):
         rng = np.random.default_rng(9)
-        cut = toy_cut("II", d=3, N=2, c=0.7, seed=10)
+        w, c = toy_cut("II", d=3, N=2, c=0.7, seed=10)
         dims = Dims(d1=3, d2=3, d3=3, N=2)
-        (a1, a2, a3), (_, b2, b3) = row_blocks(dims, cut.w)
-        poly = Polytope("II", dims, (cut,))
+        (a1, a2, a3), (_, b2, b3) = row_blocks(dims, w)
+        poly = Polytope(dims).add(w, c, 0)
         for _ in range(20):
             x3 = [rng.standard_normal(3) for _ in range(2)]
             x2 = [rng.standard_normal(3) for _ in range(2)]
             z1, z2, z3 = (rng.standard_normal(3) for _ in range(3))
             expected = (a1 @ z1 + a2 @ z2 + a3 @ z3
                         + sum(b @ x for b, x in zip(b3, x3))
-                        + sum(b @ x for b, x in zip(b2, x2)) - cut.c)
+                        + sum(b @ x for b, x in zip(b2, x2)) - c)
             got = poly.residuals(state_of(dims, z1, z2, z3, x2=x2, x3=x3))
             assert got[0] == pytest.approx(float(expected), abs=1e-12)
 
     def test_polytope_residuals_are_the_cut_violations(self):
         rng = np.random.default_rng(15)
         for layer in ("I", "II"):
-            poly = Polytope(layer, TOY_DIMS, tuple(toy_cut(layer, cut_id=i, seed=20 + i)
-                                                   for i in range(3)))
+            cuts = [toy_cut(layer, seed=20 + i) for i in range(3)]
+            poly = polytope_of(TOY_DIMS, cuts)
             n_per_worker = 1 if layer == "I" else 2  # x3, then x2 for layer II
             z = [rng.standard_normal(2) for _ in range(3)]
             x = [rng.standard_normal((2, 2)) for _ in range(n_per_worker)]
             point = state_of(TOY_DIMS, *z, **dict(zip(("x3", "x2"), x)))
             got = poly.residuals(point)
-            want = [residual(cut, point) for cut in poly.cuts]
+            want = [residual(cut, point) for cut in cuts]
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_anchor_point_of_valid_cut_satisfied(self, quad):
@@ -385,8 +391,9 @@ class TestValidateCut:
         point = state_of(problem.dims, z1, z2, z3, x3=x3)
         generate, solve = generate_cut_I, "solve_level3"
         if layer == "II":
-            trace = solve_level2(problem, point, (generate_cut_I(trace, point, 0.0, 1e-2,
-                                                                 problem.alphas),), cfg=cfg)
+            poly1 = Polytope(problem.dims).add(*generate_cut_I(trace, point, 0.0, 1e-2,
+                                                               problem.alphas), 0)
+            trace = solve_level2(problem, point, poly1, cfg=cfg)
             point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
             generate, solve = generate_cut_II, "solve_level2"
         cut = generate(trace, point, 0.0, 1e-2, (9.0, 9.0, 9.0))
@@ -439,7 +446,7 @@ class TestValidateCut:
         rng = np.random.default_rng(14)
         cfg = InnerConfig(K=2, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         trace = solve_level3(problem, state_of(problem.dims, np.zeros(2), np.zeros(2)), cfg=cfg)
-        poly = Polytope("I", problem.dims)
+        poly = Polytope(problem.dims)
 
         def draw_point():  # x3 is drawn first, then z1, z2, z3
             x3 = [rng.standard_normal(2) for _ in range(2)]
@@ -455,21 +462,21 @@ class TestValidateCut:
         for k in range(4):
             anchor = draw_point()
             cut = generate_cut_I(trace, anchor, mu=0.0, eps1=1e-2,
-                                 alphas=problem.alphas,
-                                 cut_id=k)
-            poly = add_cut(poly, cut)
+                                 alphas=problem.alphas)
+            poly = poly.add(*cut, k)
             counts.append(membership(poly))
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
 def block_residual(cut, state):
-    """``w . [Z | X.ravel()] - c`` summed block by block over ``Dims.split`` of Z and X's rows."""
-    d = state.dims
-    wZ, wX = cut.w[:d.width], cut.w[d.width:].reshape(d.N, d.width)
+    """``w . [Z | X.ravel()] - c`` of a cut ``(w, c)``, summed block by block over ``Dims.split``
+    of Z and X's rows."""
+    (w, c), d = cut, state.dims
+    wZ, wX = w[:d.width], w[d.width:].reshape(d.N, d.width)
     total = sum(float(a @ z) for a, z in zip(d.split(wZ), d.split(state.Z)))
     for j in range(d.N):
         total += sum(float(b @ x) for b, x in zip(d.split(wX[j]), d.split(state.X[j])))
-    return total - cut.c
+    return total - c
 
 
 # The quadratic has second derivatives (backward sweep), robust HPO does not (finite differences).
@@ -483,23 +490,35 @@ def test_run_stores_cuts_over_the_state_row(monkeypatch, name):
         problem = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=2).problem
         inner_cfg = InnerConfig(K=3, warm_start=True)
     d = problem.dims
-    stored, add = [], fedtri.harness.add_cut
-    monkeypatch.setattr(fedtri.harness, "add_cut",
-                        lambda poly, cut: stored.append(cut) or add(poly, cut))
+    # Every cut run stores goes through Polytope.add, layer I's first in each refinement.
+    stored, add = [], Polytope.add
+    monkeypatch.setattr(Polytope, "add", lambda poly, w, c, cut_id:
+                        stored.append((w, c, cut_id)) or add(poly, w, c, cut_id))
     res = run(problem, inner_cfg, OuterConfig(T_pre=2, max_iters=4),
               ScheduleConfig(N=d.N, S=d.N, seed=0))
     assert res.log.status != "aborted" and len(stored) == 6
+    layers = {"I": stored[0::2], "II": stored[1::2]}
+    added = [r.cuts_added for r in res.log.records if r.refined]
+    assert [[i for _, _, i in pair] for pair in zip(*layers.values())] == added
+    # The returned polytopes hold the stored rows, bit for bit, under their ids.
+    for layer, poly in (("I", res.poly1), ("II", res.poly2)):
+        by_id = {i: (w, c) for w, c, i in layers[layer]}
+        assert set(poly.ids) <= set(by_id)
+        for w, c, i in zip(poly.W, poly.c, poly.ids):
+            assert np.array_equal(w, by_id[i][0]) and c == by_id[i][1]
     # Layer I reads X's x3 columns, layer II its x2 and x3 columns.
     first_read = {"I": d.columns(3).start, "II": d.columns(2).start}
-    for cut in stored:
-        wX = cut.w[d.width:].reshape(d.N, d.width)
-        assert np.all(wX[:, :first_read[cut.layer]] == 0.0), (cut.layer, cut.id)
-        assert np.any(wX[:, first_read[cut.layer]:] != 0.0)
+    for layer, cuts in layers.items():
+        for w, _, cut_id in cuts:
+            wX = w[d.width:].reshape(d.N, d.width)
+            assert np.all(wX[:, :first_read[layer]] == 0.0), (layer, cut_id)
+            assert np.any(wX[:, first_read[layer]:] != 0.0)
     rng = np.random.default_rng(1)
     states = [res.state, state_of(d, *(rng.standard_normal(k) for k in d.sizes),
                                   *(rng.standard_normal((d.N, k)) for k in d.sizes))]
-    for layer in ("I", "II"):
-        poly = Polytope(layer, d, tuple(c for c in stored if c.layer == layer))
+    for cuts in layers.values():
+        poly = Polytope(d, [w for w, _, _ in cuts], [c for _, c, _ in cuts],
+                        tuple(i for _, _, i in cuts))
         for state in states:
-            want = [block_residual(cut, state) for cut in poly.cuts]
+            want = [block_residual((w, c), state) for w, c, _ in cuts]
             assert np.allclose(poly.residuals(state), want, rtol=1e-12, atol=1e-12)

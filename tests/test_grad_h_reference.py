@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fedtri.inner
-from fedtri.cuts import generate_cut_I, normalize_cut
+from fedtri.cuts import Polytope, generate_cut_I, normalize_cut
 from fedtri.inner import InnerConfig, grad_h, level2_steps, solve_level2, solve_level3
 from fedtri.problems import build_quadratic_problem
 from oracle_rows import stack_rows, state_of
@@ -91,7 +91,7 @@ def ref_grad_h(trace, point, key, worker=None):
     """The gradient of h at ``point`` in one frozen input, from its forward Jacobians."""
     x_hat, z_hat = trace.estimate
     Dx, Dz = ref_jacobians(trace, key, worker)
-    own_x, own_z = (point.x[2], point.z[2]) if trace.layer == "I" else (point.x[1], point.z[1])
+    own_x, own_z = point.x[trace.level - 1], point.z[trace.level - 1]
     g = -2.0 * Dz.T @ (np.asarray(own_z, float) - z_hat)
     for xj, xh, Dj in zip(own_x, x_hat, Dx):
         g = g - 2.0 * Dj.T @ (np.asarray(xj, float) - xh)
@@ -101,9 +101,12 @@ def ref_grad_h(trace, point, key, worker=None):
 CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
 
 
-def t1_cut(problem, t1, p2):
-    """The unit layer-I cut of ``t1`` at the state's z1, z2, z3, x3."""
-    return normalize_cut(generate_cut_I(t1, p2, 0.0, 1e-2, problem.alphas))
+def t1_cuts(problem, t1, p2, shifts):
+    """The unit layer-I cut of ``t1`` at the state's z1, z2, z3, x3, its offset shifted by each
+    of ``shifts`` in turn, as one polytope."""
+    w, c = normalize_cut(*generate_cut_I(t1, p2, 0.0, 1e-2, problem.alphas))
+    return Polytope(problem.dims, [w] * len(shifts), [c + dc for dc in shifts],
+                    tuple(range(len(shifts))))
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +122,7 @@ def setup():
     t1 = solve_level3(problem, p1, cfg=CFG)
     # One unit cut shifted three ways: slack clamp inactive on the first
     # (s > 0), dual clamp inactive on the other two (gamma > 0).
-    cut = t1_cut(problem, t1, p2)
-    cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
-                 for i, dc in enumerate((3.0, -0.5, 0.05)))
-    t2 = solve_level2(problem, p1, cuts, cfg=CFG)
+    t2 = solve_level2(problem, p1, t1_cuts(problem, t1, p2, (3.0, -0.5, 0.05)), cfg=CFG)
     return problem, t1, t2, p1, p2
 
 
@@ -160,9 +160,7 @@ def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
     # warm gamma gives slack and dual positive in the same round.
     problem, t1, _, p1, p2 = setup
     d = problem.dims
-    cut = t1_cut(problem, t1, p2)
-    cuts = tuple(dataclasses.replace(cut, c=cut.c + dc, id=i)
-                 for i, dc in enumerate((2.5, 3.5)))
+    cuts = t1_cuts(problem, t1, p2, (2.5, 3.5))
     cfg = dataclasses.replace(CFG, rho2=0.1)
     zeros = np.zeros((d.N, d.d2))
     init = (zeros, np.zeros(d.d2), zeros, None, np.full(2, 0.3))

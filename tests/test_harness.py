@@ -393,7 +393,7 @@ class TestSyncEquivalence:
         x1, x2, x3 = problem.initial_point(rng)
         state = PrimalState.from_point(problem.dims, x1, x2, x3)
         duals = DualState.zeros(problem.dims)
-        poly2 = Polytope("II", problem.dims)
+        poly2 = Polytope(problem.dims)
         for t_new in range(1, 26):
             gap = stationarity_gap(state, duals, poly2, problem, outer)
             state.X = worker_step(problem, state, gap, outer, range(2))
@@ -412,9 +412,9 @@ class TestRefinement:
 
         def drop_oldest(poly1, gamma_K, poly2, lambdas, **kwargs):
             seen.append(lambdas.copy())
-            if poly2.size < 2:
-                return poly1, poly2
-            return poly1, Polytope("II", poly2.dims, poly2.cuts[1:])
+            keep2 = np.ones(poly2.size, bool)
+            keep2[0] = poly2.size < 2
+            return np.ones(poly1.size, bool), keep2
 
         monkeypatch.setattr(harness, "drop_inactive", drop_oldest)
         problem, _, inner, outer = quad_setup(T_pre=5, max_iters=10)

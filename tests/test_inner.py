@@ -5,7 +5,7 @@ import pytest
 
 from fedtri import inner
 from fedtri.core import Dims, FedtriError, Polytope, TrilevelProblem, finite_diff_grad
-from fedtri.cuts import Cut, generate_cut_I
+from fedtri.cuts import generate_cut_I
 from fedtri.inner import (
     InnerConfig,
     InnerSolverError,
@@ -196,11 +196,11 @@ class TestEvalH1:
 
 
 def make_cut_for(problem, c_value):
-    """The layer-I cut ``1 . z2 <= c_value``."""
+    """The layer-I cut ``1 . z2 <= c_value`` as ``(w, c)``."""
     d = problem.dims
     w = np.zeros(d.width * (d.N + 1))
     w[d.columns(2)] = 1.0
-    return Cut(layer="I", w=w, c=c_value, id=0)
+    return w, c_value
 
 
 class TestSolveLevel2:
@@ -211,7 +211,7 @@ class TestSolveLevel2:
         cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa2=1.0)
         x3 = [np.zeros(2)] * 3
         trace = solve_level2(problem, state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3),
-                             (), cfg=cfg)
+                             Polytope(problem.dims), cfg=cfg)
         mean_t = np.mean(targets, axis=0)
         x_hat, z_hat = trace.estimate
         for v in list(x_hat) + [z_hat]:
@@ -224,10 +224,10 @@ class TestSolveLevel2:
         cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         x3 = [np.zeros(2)] * 2
         anchor = state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3)
-        free = solve_level2(problem, anchor, (), cfg=cfg)
+        free = solve_level2(problem, anchor, Polytope(problem.dims), cfg=cfg)
         # Cut far above any value the iterates reach: slack the whole way.
         cut = make_cut_for(problem, c_value=1e3)
-        constrained = solve_level2(problem, anchor, (cut,), cfg=cfg)
+        constrained = solve_level2(problem, anchor, Polytope(problem.dims).add(*cut, 0), cfg=cfg)
         assert constrained.gamma_K[0] == 0.0
         assert np.linalg.norm(constrained.estimate[1] - free.estimate[1]) <= 1e-3
 
@@ -238,7 +238,7 @@ class TestSolveLevel2:
         cfg = InnerConfig(K=300, eta_x=0.1, eta_z=0.1, eta_phi=0.1)
         x3 = [np.zeros(2)] * 2
         anchor = state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3)
-        free = solve_level2(problem, anchor, (), cfg=cfg)
+        free = solve_level2(problem, anchor, Polytope(problem.dims), cfg=cfg)
         # Constrain a2 . z2 <= c below the unconstrained optimum value and
         # start the unroll at that optimum, where the cut is violated.
         x_free, z_free = free.estimate
@@ -246,9 +246,10 @@ class TestSolveLevel2:
         cut = make_cut_for(problem, c_value=opt_val - 1.0)
         init = ([x.copy() for x in x_free], z_free.copy(),
                 [np.zeros(2)] * 2, np.zeros(1), np.zeros(1))
-        trace = solve_level2(problem, anchor, (cut,), init=init, cfg=cfg)
-        viol0 = float(np.ones(2) @ trace.z[0]) - cut.c
-        violK = float(np.ones(2) @ trace.z[-1]) - cut.c
+        trace = solve_level2(problem, anchor, Polytope(problem.dims).add(*cut, 0), init=init,
+                             cfg=cfg)
+        viol0 = float(np.ones(2) @ trace.z[0]) - cut[1]
+        violK = float(np.ones(2) @ trace.z[-1]) - cut[1]
         assert viol0 > 0.0
         assert violK < viol0
         assert trace.gamma_K[0] > 0.0
@@ -262,7 +263,7 @@ class TestSolveLevel2:
         d = problem.dims
         w = np.zeros(d.width * (d.N + 1))
         w[d.d1] = 1.0
-        poly = Polytope("I", d, tuple(Cut("I", w, -1.0, i) for i in range(20)))
+        poly = Polytope(d, [w] * 20, [-1.0] * 20, tuple(range(20)))
         cfg = InnerConfig(K=200, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
         z1, z3, x3 = np.zeros(2), np.zeros(2), np.zeros((2, 2))
         assert np.all(poly.residuals(state_of(d, z1, np.zeros(2), z3, x3=x3)) == 1.0)
@@ -283,7 +284,7 @@ class TestSolveLevel2:
         # overshoots a decaying dual below zero before the clamp.
         problem, _ = quad
         cfg = InnerConfig(eta_phi=0.15, rho2=0.1)
-        _, eta_gamma = inner.level2_steps(cfg, Polytope("I", problem.dims), problem.dims.N)
+        _, eta_gamma = inner.level2_steps(cfg, Polytope(problem.dims), problem.dims.N)
         assert eta_gamma <= 0.1
 
     def test_consensus_residual_nonincreasing_late(self):
@@ -292,7 +293,8 @@ class TestSolveLevel2:
         problem = separable_problem(targets)
         cfg = InnerConfig(K=200, eta_x=0.02, eta_z=0.02, eta_phi=0.02)
         trace = solve_level2(problem, state_of(problem.dims, np.zeros(1), z3=np.zeros(2),
-                                               x3=[np.zeros(2)] * 2), (), cfg=cfg)
+                                               x3=[np.zeros(2)] * 2),
+                             Polytope(problem.dims), cfg=cfg)
         resid = [
             sum(float((x[j] - z) @ (x[j] - z)) for j in range(2))
             for x, z in zip(trace.x, trace.z)
@@ -305,7 +307,8 @@ class TestEvalH2:
     def test_zero_and_unit_perturbation(self, quad):
         problem, _ = quad
         trace = solve_level2(problem, state_of(problem.dims, np.zeros(2), z3=np.zeros(2),
-                                               x3=[np.zeros(2)] * 2), (), cfg=InnerConfig(K=3))
+                                               x3=[np.zeros(2)] * 2),
+                             Polytope(problem.dims), cfg=InnerConfig(K=3))
         x_hat, z_hat = trace.estimate
         assert eval_h(trace, h2_point(trace, list(x_hat), z_hat)) == 0.0
         x2 = [x_hat[0].copy(), x_hat[1].copy()]
@@ -318,7 +321,7 @@ class TestEvalH2:
         trace = solve_level2(problem, state_of(problem.dims, rng.standard_normal(2),
                                                z3=rng.standard_normal(2),
                                                x3=[rng.standard_normal(2) for _ in range(2)]),
-                             (), cfg=InnerConfig(K=4))
+                             Polytope(problem.dims), cfg=InnerConfig(K=4))
         x2 = [rng.standard_normal(2) for _ in range(2)]
         z2 = rng.standard_normal(2)
         x_hat, z_hat = trace.estimate
@@ -337,10 +340,10 @@ class TestGradH:
         x2 = [rng.standard_normal(2) for _ in range(2)]
         d = problem.dims
         t1 = solve_level3(problem, state_of(d, z1, z2), cfg=cfg)
-        poly = ()
+        poly = Polytope(d)
         if with_cut:
             p1 = state_of(d, z1, z2, z3, x3=x3)
-            poly = (generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas),)
+            poly = poly.add(*generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas), 0)
         t2 = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3), poly, cfg=cfg)
         return t1, t2, state_of(d, z1, z2, z3, x3=x3), state_of(d, z1, z2, z3, x2=x2, x3=x3)
 
@@ -439,7 +442,8 @@ class TestOracleRows:
         d, rng = problem.dims, np.random.default_rng(1)
         z1, z3, x3 = rng.standard_normal(2), rng.standard_normal(4), rng.standard_normal((3, 4))
         trace = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3),
-                             (), init=(rng.standard_normal((3, 3)),), cfg=InnerConfig(K=3))
+                             Polytope(d), init=(rng.standard_normal((3, 3)),),
+                             cfg=InnerConfig(K=3))
         self.assert_rows(calls["grad"], 2, [(z1, x, x3) for x in trace.x[:-1]], d)
         point = state_of(d, z1, rng.standard_normal(3), z3, x2=rng.standard_normal((3, 3)), x3=x3)
         grad_h(trace, point)
@@ -472,7 +476,7 @@ class TestFlatAdapters:
         d = problem.dims
         anchor = state_of(d, rng.standard_normal(2), z3=rng.standard_normal(2),
                           x3=[rng.standard_normal(2) for _ in range(2)])
-        trace = solve_level2(problem, anchor, (), cfg=InnerConfig(K=3))
+        trace = solve_level2(problem, anchor, Polytope(problem.dims), cfg=InnerConfig(K=3))
         fn, grad = flat_h(trace)
         v = rng.standard_normal(d.width * (d.N + 1))
         g_num = finite_diff_grad(fn, v)

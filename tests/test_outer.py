@@ -8,7 +8,7 @@ from fedtri.core import (
     finite_diff_grad,
     project_ball_sq,
 )
-from fedtri.cuts import Cut, Polytope
+from fedtri.cuts import Polytope
 from fedtri.outer import (
     OuterConfig,
     _dual_step,
@@ -25,8 +25,9 @@ def project_box_inf(v, bound):
 
 
 def residual(cut, state):
-    """A cut's ``w . [Z | X.ravel()] - c``, computed apart from ``Polytope.residuals``."""
-    return float(cut.w @ np.concatenate((state.Z, state.X.ravel())) - cut.c)
+    """A cut ``(w, c)``'s ``w . [Z | X.ravel()] - c``, apart from ``Polytope.residuals``."""
+    w, c = cut
+    return float(w @ np.concatenate((state.Z, state.X.ravel())) - c)
 
 
 def lagrangian(state, duals, poly2, problem):
@@ -48,14 +49,15 @@ def regularized_lagrangian(state, duals, poly2, problem, t, cfg):
     return val
 
 
-def random_cut(rng, d, N, layer="II", cut_id=0):
-    """A row over [Z | X.ravel()] drawn for Z, then x3's rows, then (layer II) x2's; x1's are 0."""
+def random_cut(rng, d, N, layer="II"):
+    """A cut ``(w, c)``, its row over [Z | X.ravel()] drawn for Z, then x3's rows, then (layer
+    II) x2's; x1's are 0."""
     W = np.zeros((N + 1, sum(d)))
     W[0] = rng.standard_normal(sum(d))
     W[1:, d[0] + d[1]:] = rng.standard_normal((N, d[2]))
     if layer == "II":
         W[1:, d[0]:d[0] + d[1]] = rng.standard_normal((N, d[1]))
-    return Cut(layer=layer, w=W.ravel(), c=float(rng.standard_normal()), id=cut_id)
+    return W.ravel(), float(rng.standard_normal())
 
 
 @pytest.fixture()
@@ -66,7 +68,9 @@ def setting():
     x = [np.array([rng.standard_normal(d.block(i + 1)) for _ in range(d.N)]) for i in range(3)]
     z = [rng.standard_normal(d.block(i + 1)) for i in range(3)]
     state = PrimalState(d, np.hstack(x), np.concatenate(z))
-    poly2 = Polytope("II", d, tuple(random_cut(rng, (2, 3, 2), 3, cut_id=i) for i in range(2)))
+    poly2 = Polytope(d)
+    for i in range(2):
+        poly2 = poly2.add(*random_cut(rng, (2, 3, 2), 3), i)
     duals = DualState(
         lam=np.array([0.4, 1.1]),
         theta=np.array([rng.standard_normal(2) for _ in range(3)]),
@@ -101,7 +105,7 @@ class TestLagrangian:
         for j in range(problem.dims.N):
             total += f1[j]
             total += float(duals.theta[j] @ (state.x[0][j] - state.z[0]))
-        for lam, cut in zip(duals.lam, poly2.cuts):
+        for lam, cut in zip(duals.lam, zip(poly2.W, poly2.c)):
             total += lam * residual(cut, state)
         assert lagrangian(state, duals, poly2, problem) == pytest.approx(total, rel=1e-12)
 
@@ -179,7 +183,7 @@ class TestWorkerStep:
             problem.dims, oracle.y1, oracle.y2, oracle.y3
         )
         zero = DualState.zeros(problem.dims)
-        gap = stationarity_gap(st, zero, Polytope("II", problem.dims), problem, cfg)
+        gap = stationarity_gap(st, zero, Polytope(problem.dims), problem, cfg)
         step = worker_step(problem, st, gap, cfg, [0])
         x1, x2, x3 = (step[:, problem.dims.columns(i)] for i in (1, 2, 3))
         assert np.allclose(x1[0], st.x[0][0], atol=1e-12)
@@ -205,7 +209,7 @@ class TestWorkerStep:
         rng = np.random.default_rng(3)
         state = PrimalState.from_point(problem.dims, *(rng.standard_normal(2) for _ in range(3)))
         duals = DualState.zeros(problem.dims)
-        poly2 = Polytope("II", problem.dims)
+        poly2 = Polytope(problem.dims)
         cfg = OuterConfig(eta_x1=0.01, eta_x2=0.01, eta_x3=0.01)
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         before = regularized_lagrangian(state, duals, poly2, problem, 0, cfg)
@@ -223,7 +227,7 @@ def reference_master_step(state, duals, poly2, problem, cfg, t):
     c1, c2 = cfg.reg_coeffs(t)
     z = [zi.copy() for zi in state.z]
     th_sum = sum(duals.theta)
-    a = [problem.dims.split(c.w[:problem.dims.width]) for c in poly2.cuts]  # (a1, a2, a3) per cut
+    a = [problem.dims.split(w[:problem.dims.width]) for w in poly2.W]  # (a1, a2, a3) per cut
     gz1 = -th_sum + sum(l * c[0] for l, c in zip(duals.lam, a)) if poly2.size else -th_sum
     z[0] = project_ball_sq(z[0] - cfg.eta_z1 * gz1, problem.alphas[0])
     gz2 = sum((l * c[1] for l, c in zip(duals.lam, a)), np.zeros_like(z[1]))
@@ -231,7 +235,7 @@ def reference_master_step(state, duals, poly2, problem, cfg, t):
     gz3 = sum((l * c[2] for l, c in zip(duals.lam, a)), np.zeros_like(z[2]))
     z[2] = project_ball_sq(z[2] - cfg.eta_z3 * gz3, problem.alphas[2])
     lam = duals.lam.copy()
-    for l, cut in enumerate(poly2.cuts):
+    for l, cut in enumerate(zip(poly2.W, poly2.c)):
         r = residual(cut, PrimalState(problem.dims, state.X, np.concatenate(z)))
         lam[l] = min(max(lam[l] + cfg.eta_lambda * (r - c1 * lam[l]), 0.0), np.sqrt(cfg.alpha4))
     box = np.sqrt(cfg.alpha5) / problem.dims.d1
@@ -285,7 +289,7 @@ class TestMasterStep:
         _, nd = master_step(state, duals, poly2, problem, cfg, gap, t=2)
         c1, _ = cfg.reg_coeffs(2)
         lam_stale = duals.lam.copy()
-        for l, cut in enumerate(poly2.cuts):
+        for l, cut in enumerate(zip(poly2.W, poly2.c)):
             r = residual(cut, state)
             lam_stale[l] = min(max(lam_stale[l] + cfg.eta_lambda * (r - c1 * lam_stale[l]), 0.0),
                                np.sqrt(cfg.alpha4))
@@ -299,8 +303,7 @@ class TestDualProjection:
         cap, box = np.sqrt(cfg.alpha4), np.sqrt(cfg.alpha5) / d.d1
         # Zero cut rows with c = 0 and x1 = z1 leave the unregularized step at
         # the duals themselves, so they can sit exactly on each bound.
-        zero_cuts = Polytope("II", d, tuple(Cut(layer="II", w=np.zeros(poly2.W.shape[1]), c=0.0,
-                                                id=i) for i in range(5)))
+        zero_cuts = Polytope(d, np.zeros((5, poly2.W.shape[1])), np.zeros(5), tuple(range(5)))
         consensus = PrimalState(d, state.X.copy(), state.Z.copy())
         consensus.x[0][:] = consensus.z[0]
         on_bounds = DualState(lam=np.array([-1.0, 0.0, 0.5 * cap, cap, 2.0 * cap]),
@@ -334,7 +337,7 @@ class TestStationarityGap:
         state = PrimalState.from_point(problem.dims, oracle.y1, oracle.y2, oracle.y3)
         duals = DualState.zeros(problem.dims)
         cfg = OuterConfig()
-        gap = stationarity_gap(state, duals, Polytope("II", problem.dims), problem, cfg)
+        gap = stationarity_gap(state, duals, Polytope(problem.dims), problem, cfg)
         assert gap.sq_norm <= 1e-12
 
     def test_lambda_boundary_absorbs_negative_gradient(self, setting):
@@ -342,7 +345,7 @@ class TestStationarityGap:
         at_zero = duals.copy()
         at_zero.lam = np.zeros(poly2.size)
         gap = stationarity_gap(state, at_zero, poly2, problem, cfg)
-        for l, cut in enumerate(poly2.cuts):
+        for l, cut in enumerate(zip(poly2.W, poly2.c)):
             r = residual(cut, state)
             if r < 0:
                 assert gap.glam[l] == 0.0
@@ -351,7 +354,7 @@ class TestStationarityGap:
         problem, state, duals, poly2, cfg = setting
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
         # lambda residuals recomputed directly from the projection form
-        for l, cut in enumerate(poly2.cuts):
+        for l, cut in enumerate(zip(poly2.W, poly2.c)):
             r = residual(cut, state)
             proj = min(max(duals.lam[l] + cfg.eta_lambda * r, 0.0), np.sqrt(cfg.alpha4))
             assert gap.glam[l] == pytest.approx((duals.lam[l] - proj) / cfg.eta_lambda, rel=1e-12)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedtri.core import Dims, TrilevelProblem
-from fedtri.data import make_synthetic_dataset
+from fedtri.data import DatasetError, generate_synthetic_csv, load_dataset, make_synthetic_dataset
 from fedtri.harness import DelayModel
 from fedtri.inner import InnerConfig
 from fedtri.outer import OuterConfig
@@ -79,6 +79,55 @@ def test_a_non_finite_initial_phi_raises(bad):
     with pytest.raises(ValueError, match="^phi_init must be"):
         build_robust_hpo_problem(make_synthetic_dataset(rows=40), RobustHpoSpec(), 2,
                                  phi_init=bad)
+
+
+UNBOUNDED = {  # the builder reals that may take any finite value
+    "coupling": lambda v: build_quadratic_problem(0, (2, 2, 2), 2, coupling=v),
+    "phi_init": lambda v: build_robust_hpo_problem(make_synthetic_dataset(rows=40),
+                                                   RobustHpoSpec(), 2, phi_init=v),
+}
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", UNBOUNDED)
+def test_an_unbounded_real_is_asked_for_as_a_finite_real_with_no_bound(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real, got {bad!r}$"):
+        UNBOUNDED[name](bad)
+
+
+def test_a_bounded_real_is_asked_for_with_its_bound():
+    with pytest.raises(ValueError, match=r"^init_scale must be a finite real >= 0.0, got nan$"):
+        build_quadratic_problem(0, (2, 2, 2), 2, init_scale=np.nan)
+    with pytest.raises(ValueError, match=r"^kappa2 must be a finite real > 0.0, got nan$"):
+        InnerConfig(kappa2=np.nan)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return generate_synthetic_csv(tmp_path_factory.mktemp("data") / "d.csv", rows=40)
+
+
+@pytest.mark.parametrize("bad", [*BAD, -0.1])
+def test_a_non_finite_or_negative_noise_sigma_raises(csv_path, bad):
+    for build in (make_synthetic_dataset, lambda **kw: load_dataset(csv_path, **kw)):
+        with pytest.raises(ValueError, match="^noise_sigma must be a finite real >= 0.0"):
+            build(noise_sigma=bad)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_non_finite_split_ratio_raises_a_dataset_error(csv_path, position, bad):
+    ratios = [0.6, 0.2, 0.2]
+    ratios[position] = bad
+    for build in (make_synthetic_dataset, lambda **kw: load_dataset(csv_path, **kw)):
+        with pytest.raises(DatasetError, match="split ratios must be nonnegative and sum to 1"):
+            build(split_ratios=tuple(ratios))
+
+
+def test_dataset_reals_on_their_bounds_are_kept(csv_path):
+    kw = dict(noise_sigma=0.0, split_ratios=(0.5, 0.25, 0.25))
+    for data in (make_synthetic_dataset(rows=40, **kw), load_dataset(csv_path, **kw)):
+        assert data.noise_sigma == 0.0 and len(data.train_idx) == 20
 
 
 @pytest.mark.parametrize("bad", [True, "1.0", None])

@@ -176,5 +176,5 @@ def test_layer_I_cuts_depend_on_the_level_2_block(monkeypatch):
     d = hpo.problem.dims
     assert len(cuts) == 2
     for cut in cuts:
-        a2 = cut.w[d.columns(2)]  # z2's columns of the row
+        a2 = cut[0][d.columns(2)]  # z2's columns of the row w
         assert np.abs(a2).max() > 1e-8

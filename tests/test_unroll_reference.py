@@ -64,8 +64,7 @@ def ref_path_level3(problem, z1, z2p, x, z, phi, cfg):
     return path
 
 
-def ref_path_level2(problem, z1, z3, x3, poly1, x, z2, phi, s, gamma, cfg):
-    poly = Polytope("I", problem.dims, poly1)
+def ref_path_level2(problem, z1, z3, x3, poly, x, z2, phi, s, gamma, cfg):
     r0 = poly.residuals(state_of(problem.dims, z1, 0.0, z3, x3=x3))  # the residuals at z2 = 0
     eta_z, eta_gamma = level2_steps(cfg, poly, problem.dims.N)
     path = [(x, z2, phi, s, gamma)]
@@ -126,11 +125,10 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     problem, rng, z1, z2, z3, x3 = setup
     d = problem.dims
     t1 = solve_level3(problem, state_of(d, z1, z2), cfg=CFG)
-    poly1 = tuple(
-        generate_cut_I(t1, state_of(d, z1, z2 + shift, z3, x3=x3), 0.0, 1e-2, problem.alphas,
-                       cut_id=i)
-        for i, shift in enumerate((0.0, 0.5))
-    )
+    poly1 = Polytope(d)
+    for i, shift in enumerate((0.0, 0.5)):
+        poly1 = poly1.add(*generate_cut_I(t1, state_of(d, z1, z2 + shift, z3, x3=x3), 0.0, 1e-2,
+                                          problem.alphas), i)
     x0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
     z0 = rng.standard_normal(d.d2)
     phi0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
@@ -152,7 +150,8 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
 
 def test_snapshots_are_views_of_the_recorded_path(setup):
     problem, _, z1, z2, z3, x3 = setup
-    trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), (), cfg=CFG)
+    trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3), Polytope(problem.dims),
+                         cfg=CFG)
     assert trace.x.shape == (CFG.K + 1, problem.dims.N, problem.dims.d2)
     assert trace.z.shape == (CFG.K + 1, problem.dims.d2)
     assert trace.s.shape == trace.gamma.shape == (CFG.K + 1, 0)
