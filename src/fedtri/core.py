@@ -130,7 +130,7 @@ class TrilevelProblem:
         A = np.asarray(value, dtype=float)
         if A.shape != shape:
             raise ValueError(f"f_{level} {what} shape {A.shape}, expected {shape}")
-        if not np.isfinite(A).all():
+        if not np.logical_and.reduce(np.isfinite(A), axis=None):
             j = int(np.argmin(np.isfinite(A.reshape(len(A), -1)).all(axis=1)))
             raise NonFiniteError(f"{prefix}f_{level},{j} is non-finite")
         return A
@@ -294,33 +294,35 @@ def finite_diff_grad(f: Callable[[Array], Array], v: Array, h: Optional[float] =
 
 @lru_cache(maxsize=None)
 def _ball_layout(sizes: tuple[int, ...], alphas: tuple[float, ...]):
-    """A row's columns once a zero precedes each block, those zeros' columns, and the alphas."""
-    if not all(a >= 0 for a in alphas):
-        raise ValueError("alpha must be nonnegative")
+    """Padded columns (a zero before each block), the zeros' columns, alphas, max(sizes), limit."""
+    if not all(0 <= a < math.inf for a in alphas):
+        raise ValueError("alpha must be nonnegative and finite")
     pos = np.arange(sum(sizes)) + np.repeat(np.arange(1, len(sizes) + 1), sizes)
     heads = np.cumsum((0, *sizes[:-1])) + np.arange(len(sizes))
-    return pos, heads, np.array(alphas, float)
+    limit = min(alphas) * (1.0 - 1e-12 - 2 * max(sizes) * np.finfo(float).eps)
+    return pos, heads, np.array(alphas, float), max(sizes), limit
 
 
 def project_ball_sq(v: Array, alpha, sizes: Optional[tuple[int, ...]] = None) -> Array:
     """Project each block of each row of ``v`` (..., D) onto its ball ``||block||^2 <= alpha_b``.
 
     The blocks are consecutive columns of widths ``sizes`` (default: one of
-    width D), with one ``alpha`` each (a number for one block).  A block
+    width D), with one finite ``alpha >= 0`` each (a number for one block).  A block
     outside its ball is scaled radially onto it; the others come back as
-    they are.  Each block's sum of squares starts at a zero, as ``sum``'s does.
+    they are.  Each block's sum of squares starts at a zero, as ``sum``'s does.  First, one pass
+    tries ``max |v|^2 max(sizes) <= min(alpha) (1 - 1e-12 - 2 max(sizes) eps)``, whose margin
+    exceeds any block sum's rounding: if it holds, the same copy comes back without the sums.
     """
     v = np.asarray(v, dtype=float)
     sizes = (v.shape[-1],) if sizes is None else tuple(sizes)
     alpha = alpha if isinstance(alpha, tuple) else tuple(np.atleast_1d(alpha))
-    pos, heads, alpha = _ball_layout(sizes, alpha)
+    pos, heads, alpha, n, limit = _ball_layout(sizes, alpha)
+    if np.maximum.reduce(v * v, axis=None, initial=0.0) * n <= limit:  # NaN fails it
+        return v.copy()
     padded = np.zeros(v.shape[:-1] + (v.shape[-1] + len(sizes),))
     padded[..., pos] = v * v
     nrm_sq = np.add.reduceat(padded, heads, axis=-1)
-    if (nrm_sq <= alpha).all():
-        return v.copy()
     if not np.isfinite(nrm_sq).all():
         raise NonFiniteError("cannot project a non-finite vector")
     scale = np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
     return v * np.repeat(scale, sizes, axis=-1)
-

@@ -52,7 +52,8 @@ def drop_inactive(
         raise ValueError("gamma_K length must match the layer-I polytope")
     if lambdas.shape != (poly2.size,):
         raise ValueError("lambdas length must match the layer-II polytope")
-    return np.abs(gamma_K) > tol, (np.abs(lambdas) > tol) | np.isin(poly2.ids, protect2)
+    protected = np.array([i in protect2 for i in poly2.ids], bool)
+    return np.abs(gamma_K) > tol, (np.abs(lambdas) > tol) | protected
 
 
 def _linearization_cut(trace: UnrollTrace, state: PrimalState, mu: float, eps: float,

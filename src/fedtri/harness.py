@@ -48,11 +48,12 @@ class DelayModel:
         check_real("straggler_factor", self.straggler_factor, strict=True)
 
     def draw(self, rng: np.random.Generator, workers: Sequence[int]) -> np.ndarray:
-        """The delays of ``workers`` (0-based), in their order; uniform ones from one draw."""
-        factor = [self.straggler_factor if j + 1 in self.straggler_ids else 1.0 for j in workers]
+        """Delays of ``workers`` (0-based ints or an index array), in order; uniform in one draw."""
+        rows = np.asarray(workers, np.intp).tolist()
+        factor = [self.straggler_factor if j + 1 in self.straggler_ids else 1.0 for j in rows]
         if self.kind == "constant":
-            return np.full(len(factor), float(self.value)) * factor
-        return rng.uniform(self.lo, self.hi, size=len(factor)) * factor
+            return np.full(len(rows), float(self.value)) * factor
+        return rng.uniform(self.lo, self.hi, size=len(rows)) * factor
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,10 @@ def schedule_epoch(
     worker whose staleness would otherwise exceed tau - 1 is force-included
     and waited for.
     """
-    n = len(pending)
-    order = sorted(range(n), key=pending.__getitem__)  # stable: ties keep label order
-    active = set(order[: cfg.S])
-    active.update(j for j in range(n) if staleness[j] >= cfg.tau - 1)
-    new_clock = max(clock, max(pending[j] for j in active))
-    return tuple(sorted(active)), new_clock
+    order = sorted(range(len(pending)), key=pending.__getitem__)  # stable: ties keep label order
+    forced = [j for j, s in enumerate(staleness) if s >= cfg.tau - 1]
+    active = tuple(sorted({*order[:cfg.S], *forced}))
+    return active, max(clock, *[pending[j] for j in active])
 
 
 def comm_cost_iter(S: int, dims, poly2_size: int) -> int:
@@ -257,13 +256,6 @@ def run(
     results = np.zeros_like(state.X)  # row j: worker j's in-flight flat point
     pending = [0.0] * N
 
-    def dispatch(workers, gap):
-        """Start the workers' next updates from ``gap``, taken at the current state."""
-        rows = list(workers)
-        results[rows] = worker_step(problem, state, gap, outer_cfg, rows)
-        for j, delay in zip(rows, sched_cfg.delay.draw(rng, rows).tolist()):
-            pending[j] = clock + delay
-
     def refine() -> tuple[list[int], list[int]]:
         """Generate one unit-normalized cut per layer at the current point, then prune.
 
@@ -307,7 +299,7 @@ def run(
                                       problem.dims, sizes)
         return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
-    active: tuple[int, ...] = ()  # no worker is delivered at t = 0
+    active, rows = (), np.arange(N)  # t = 0 delivers no worker and dispatches all N
     try:
         for t in range(outer_cfg.max_iters + 1):
             if t:
@@ -315,11 +307,12 @@ def run(
                 # Every snapshot, delivered now or still waiting, is one iteration older.
                 if max(staleness) + 1 > sched_cfg.tau:
                     raise FedtriError("staleness bound violated")
-                rows = list(active)
+                rows = np.array(active, np.intp)
                 state.X[rows] = results[rows]
                 state, duals = master_step(state, duals, poly2, problem, outer_cfg, gap, t=t - 1)
-                for j in range(N):
-                    staleness[j] = 0 if j in active else staleness[j] + 1
+                staleness = [s + 1 for s in staleness]
+                for j in active:
+                    staleness[j] = 0
 
             # At t = 0 this is the bootstrap refinement: while the horizon is
             # open the master never steps on empty polytopes.
@@ -338,7 +331,10 @@ def run(
             if gap_sq <= outer_cfg.tol:
                 log.T_eps = t
                 break
-            dispatch(active if t else range(N), gap)
+            # The event's workers start their next updates from this gap.
+            results[rows] = worker_step(problem, state, gap, outer_cfg, rows)
+            for j, delay in zip(rows.tolist(), sched_cfg.delay.draw(rng, rows).tolist()):
+                pending[j] = clock + delay
         log.objectives = _objectives(problem, state)
     except (NonFiniteError, InnerSolverError) as exc:
         log.abort = {"reason": str(exc), "t": t}

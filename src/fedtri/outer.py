@@ -97,12 +97,12 @@ def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
                 cfg: OuterConfig, workers: Sequence[int]) -> Array:
     """The dispatched workers' new rows of ``state.X``, in their order: (len(workers), D).
 
-    ``gap`` must be ``stationarity_gap`` at ``state`` and at the duals and
-    P_II the workers compute against, so that ``gap.gx`` holds the gradients
-    of the (regularized) Lagrangian there.  Each row takes one step, block i
-    by ``eta_xi``, and one projection, which raises ``NonFiniteError`` if not finite.
+    ``gap`` must be ``stationarity_gap`` at ``state`` and at the duals and P_II the workers
+    compute against, so that ``gap.gx`` holds the gradients of the (regularized) Lagrangian
+    there.  ``workers`` is any integer sequence or index array, maybe empty.  Each row takes one
+    step, block i by ``eta_xi``, and one projection; a non-finite one raises ``NonFiniteError``.
     """
-    rows = list(workers)
+    rows = np.asarray(workers, np.intp)
     return _step(state.X[rows], (cfg.eta_x1, cfg.eta_x2, cfg.eta_x3), gap.gx[rows], problem)
 
 
@@ -114,8 +114,9 @@ def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: T
     theta steps on the x1 consensus residuals and is clipped to the box
     ``||theta||_inf <= sqrt(alpha5) / d1``.
     """
+    x1 = problem.dims.columns(1)
     lam = duals.lam + cfg.eta_lambda * (poly2.residuals(state) - c1 * duals.lam)
-    theta = duals.theta + cfg.eta_theta * (state.x[0] - state.z[0] - c2 * duals.theta)
+    theta = duals.theta + cfg.eta_theta * (state.X[:, x1] - state.Z[x1] - c2 * duals.theta)
     box = math.sqrt(cfg.alpha5) / problem.dims.d1
     # np.clip's values without its Python-level wrapper, which costs more than the arithmetic.
     return DualState(lam=np.minimum(np.maximum(lam, 0.0), math.sqrt(cfg.alpha4)),
@@ -135,7 +136,7 @@ def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
     Z = _step(state.Z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz, problem)
     new_state = PrimalState(state.dims, state.X.copy(), Z)
     new_duals = _dual_step(new_state, duals, poly2, problem, cfg, *cfg.reg_coeffs(t))
-    if not (np.isfinite(new_state.X).all() and np.isfinite(Z).all()):
+    if not np.logical_and.reduce(np.isfinite(new_state.X), axis=None):  # Z is projected, so finite
         raise NonFiniteError("non-finite master update")
     return new_state, new_duals
 
@@ -156,8 +157,8 @@ class GapVector:
 
     @property
     def sq_norm(self) -> float:
-        blocks = (*self.dims.split(self.gx), *self.dims.split(self.gz), self.glam, self.gtheta)
-        return float(sum(np.vdot(g, g) for g in blocks))
+        g = [*self.dims.split(self.gx), *self.dims.split(self.gz), self.glam, self.gtheta]
+        return float(sum(map(np.vdot, g, g)))
 
 
 def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
@@ -172,11 +173,11 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
     which lets ``master_step`` reuse it.
     """
     d, lam, D = problem.dims, duals.lam, problem.dims.width
-    pull = (lam[:, None] * poly2.W).sum(axis=0)  # not lam @ W: keep each column's sum order
+    pull = np.add.reduce(lam[:, None] * poly2.W, axis=0)  # not lam @ W: each column's sum order
     gx = problem.grad_all(1, state.X) + pull[D:].reshape(d.N, D)  # a new array, not the oracle's
     gx[:, d.columns(1)] += duals.theta
     gz = pull[:D]
-    gz[d.columns(1)] -= duals.theta.sum(axis=0)
+    gz[d.columns(1)] -= np.add.reduce(duals.theta, axis=0)
     proj = _dual_step(state, duals, poly2, problem, cfg)
     return GapVector(d, gx, gz, glam=(lam - proj.lam) / cfg.eta_lambda,
                      gtheta=(duals.theta - proj.theta) / cfg.eta_theta)

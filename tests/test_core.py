@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedtri.core import (
     Dims,
@@ -85,6 +86,67 @@ class TestFiniteDiffGrad:
             finite_diff_grad(lambda v: np.zeros(v.shape[:-1]), np.zeros((2, 3)), h=h)
 
 
+def padded_reduceat_reference(v, alpha, sizes=None):
+    """The block projection without the one-pass bound: every call forms the padded block sums.
+
+    This is ``project_ball_sq`` as it was before the bound, so the bound's path
+    can be checked against it bit for bit; only its alpha check is the new one.
+    """
+    v = np.asarray(v, dtype=float)
+    sizes = (v.shape[-1],) if sizes is None else tuple(sizes)
+    alpha = np.array(np.atleast_1d(alpha), float)
+    if not all(0 <= a < np.inf for a in alpha):
+        raise ValueError("alpha must be nonnegative and finite")
+    pos = np.arange(sum(sizes)) + np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    heads = np.cumsum((0, *sizes[:-1])) + np.arange(len(sizes))
+    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + len(sizes),))
+    padded[..., pos] = v * v
+    nrm_sq = np.add.reduceat(padded, heads, axis=-1)
+    if (nrm_sq <= alpha).all():
+        return v.copy()
+    if not np.isfinite(nrm_sq).all():
+        raise NonFiniteError("cannot project a non-finite vector")
+    scale = np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
+    return v * np.repeat(scale, sizes, axis=-1)
+
+
+def outcome(fn, *args):
+    """``fn``'s result as (shape, bytes), or the type of what it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # compared by type against the reference's
+        return type(exc)
+    return out.shape, out.tobytes()
+
+
+@st.composite
+def projection_cases(draw):
+    """Rows, block sizes and alphas, the alphas often at the bound's or a block's own edge."""
+    sizes = tuple(draw(st.lists(st.integers(1, 17), min_size=1, max_size=4)))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    scale = draw(st.sampled_from([1e-160, 1e-3, 1.0, 1e3, 1e150]))
+    v = scale * draw(arrays(float, lead + (sum(sizes),), elements=st.floats(-4, 4)))
+    if v.size and draw(st.booleans()):  # every square equal: the block sums round the most
+        v = np.where(v < 0, -1.0, 1.0) * max(abs(v.flat[0]), scale)
+    starts = np.cumsum((0,) + sizes)
+    blocks = np.array([(v[..., a:b] ** 2).sum(axis=-1).max(initial=0.0)
+                       for a, b in zip(starts, starts[1:])])
+    edge = draw(st.sampled_from(["free", "bound", "block"]))
+    if edge == "free":
+        alphas = np.array(draw(st.lists(st.floats(0, 1e4), min_size=len(sizes),
+                                        max_size=len(sizes))))
+    elif edge == "bound":  # at max |v|^2 max(sizes), where the one-pass bound decides
+        alphas = np.full(len(sizes), (v * v).max(initial=0.0) * max(sizes))
+    else:  # at each block's largest sum of squares, where the exact sums decide
+        alphas = blocks
+    factor = draw(st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-15, 1 + 1e-15, 0.5, 2.0]))
+    alphas = alphas * factor
+    if draw(st.booleans()):
+        alphas = np.nextafter(alphas, draw(st.sampled_from([0.0, np.inf])))
+    one = len(sizes) == 1 and draw(st.booleans())  # one block, as a number and no sizes
+    return v, (float(alphas[0]) if one else tuple(alphas.tolist())), (None if one else sizes)
+
+
 class TestProjectBallSq:
     def test_inside_unchanged(self):
         v = np.array([3.0, 4.0])
@@ -118,18 +180,22 @@ class TestProjectBallSq:
             P = project_ball_sq(V, 0.0)
         assert np.array_equal(P, np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("alpha", [-1.0, np.nan, (1.0, np.nan)])
-    def test_a_negative_or_nan_radius_raises_instead_of_skipping_the_projection(self, alpha):
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf, (1.0, np.nan), (1.0, np.inf)])
+    def test_a_negative_nan_or_infinite_radius_raises_instead_of_skipping_the_projection(
+            self, alpha):
         sizes = (2, 2) if isinstance(alpha, tuple) else None
-        with pytest.raises(ValueError, match="alpha must be nonnegative"):
-            project_ball_sq(np.full((2, 4), 3.0), alpha, sizes)
+        for fn in (project_ball_sq, padded_reduceat_reference):
+            with pytest.raises(ValueError, match="alpha must be nonnegative"):
+                fn(np.full((2, 4), 3.0), alpha, sizes)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_one_non_finite_row_raises(self, bad):
+    @pytest.mark.parametrize("alpha", [1.0, 1e300])  # the exact path, and the bound's
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_row_raises(self, bad, alpha):
         V = np.ones((3, 2))
         V[1, 0] = bad
-        with pytest.raises(NonFiniteError):
-            project_ball_sq(V, 1.0)
+        for fn in (project_ball_sq, padded_reduceat_reference):
+            with pytest.raises(NonFiniteError):
+                fn(V, alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),
@@ -147,6 +213,29 @@ def one_ball_reference(v, alpha):
     if float(nrm_sq.max(initial=0.0)) <= alpha:
         return v.copy()
     return v * np.sqrt(np.divide(alpha, nrm_sq, out=np.ones_like(nrm_sq), where=nrm_sq > alpha))
+
+
+class TestProjectionAgainstPaddedSums:
+    @settings(max_examples=400, deadline=None)
+    @given(projection_cases())
+    def test_same_bits_or_same_exception_as_the_padded_block_sums(self, case):
+        v, alpha, sizes = case
+        assert outcome(project_ball_sq, v, alpha, sizes) == outcome(
+            padded_reduceat_reference, v, alpha, sizes)
+
+    @pytest.mark.parametrize("alpha", [np.nextafter(25.0, 0.0), 25.0, np.nextafter(25.0, 30.0),
+                                       1e300, 0.0])
+    @pytest.mark.parametrize("v", [(3.0, 4.0), (-3.0, 4.0), (0.0, 0.0), (5.0, 0.0)])
+    def test_points_on_just_inside_and_just_outside_a_ball(self, v, alpha):
+        v = np.array(v)
+        got = project_ball_sq(v, alpha)
+        assert got.tobytes() == padded_reduceat_reference(v, alpha).tobytes()
+        assert (got.tobytes() == v.tobytes()) == (v @ v <= alpha)
+
+    def test_zero_radius_with_a_zero_vector_and_a_huge_radius_return_copies(self):
+        for v, alpha in ((np.zeros((2, 3)), 0.0), (np.full((2, 3), 1e100), 1e300)):
+            got = project_ball_sq(v, alpha, (1, 2))
+            assert got is not v and got.tobytes() == v.tobytes()
 
 
 class TestBlockProjection:

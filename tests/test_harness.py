@@ -66,6 +66,18 @@ class TestDelayModel:
                       for j in workers]
             assert dm.draw(batched, workers).tolist() == expect
 
+    @pytest.mark.parametrize("kind", ["constant", "uniform"])
+    def test_rows_as_list_tuple_range_or_index_array_give_the_same_delays(self, kind):
+        dm = DelayModel(kind=kind, value=2.0, straggler_ids=(2, 4), straggler_factor=5.0)
+        for rows, as_range in (([0, 1, 2, 3], range(4)), ([3, 1], None), ([1], range(1, 2)),
+                               ([], range(0))):
+            want = dm.draw(np.random.default_rng(3), rows)
+            assert want.shape == (len(rows),) and want.dtype == float
+            forms = [tuple(rows), np.array(rows, np.intp)] + [as_range] * (as_range is not None)
+            for form in forms:
+                got = dm.draw(np.random.default_rng(3), form)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DelayModel(kind="exponential")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,22 @@ class TestWorkerStep:
                                                       problem.alphas[1]), atol=1e-14)
         assert np.allclose(got[2][0], project_ball_sq(state.x[2][1] - cfg.eta_x3 * g3,
                                                       problem.alphas[2]), atol=1e-14)
+
+    # Each selection as a list, with the other forms it takes: a tuple, an index array, a range.
+    SELECTIONS = (([0, 1, 2], range(3)), ([2, 0], None), ([1], range(1, 2)), ([], range(0)))
+
+    @pytest.mark.parametrize("alphas", [(1e6, 1e6, 1e6), (0.5, 2.0, 0.5)])  # inside / projected
+    def test_rows_as_list_tuple_range_or_index_array_give_the_same_bits(self, setting, alphas):
+        problem, state, duals, poly2, cfg = setting
+        problem = replace(problem, alphas=alphas)
+        gap = stationarity_gap(state, duals, poly2, problem, cfg)
+        for rows, as_range in self.SELECTIONS:
+            want = worker_step(problem, state, gap, cfg, rows)
+            assert want.shape == (len(rows), problem.dims.width)
+            forms = [tuple(rows), np.array(rows, np.intp)] + [as_range] * (as_range is not None)
+            for form in forms:
+                got = worker_step(problem, state, gap, cfg, form)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_small_step_decreases_regularized_lagrangian(self):
         problem, _ = build_quadratic_problem(seed=9, dims=(2, 2, 2), N=1, coupling=0.1)
