@@ -11,6 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from operator import add
@@ -29,12 +30,11 @@ from .outer import OuterConfig, master_step, stationarity_gap, worker_step
 class DelayModel:
     """Per-worker round-trip delay: compute plus two link legs, in sim units.
 
-    ``constant`` uses ``value`` for every dispatch; ``uniform`` draws from
+    ``constant`` takes one unit for every dispatch; ``uniform`` draws from
     [lo, hi].  Stragglers (1-based labels) get a multiplicative factor.
     """
 
     kind: str = "constant"
-    value: float = 1.0
     lo: float = 0.5
     hi: float = 1.5
     straggler_ids: tuple[int, ...] = ()
@@ -43,7 +43,7 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("constant", "uniform"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        for name, low in (("value", 0.0), ("lo", 0.0), ("hi", self.lo)):
+        for name, low in (("lo", 0.0), ("hi", self.lo)):
             check_real(name, getattr(self, name), low)
         check_real("straggler_factor", self.straggler_factor, strict=True)
 
@@ -52,7 +52,7 @@ class DelayModel:
         rows = np.asarray(workers, np.intp).tolist()
         factor = [self.straggler_factor if j + 1 in self.straggler_ids else 1.0 for j in rows]
         if self.kind == "constant":
-            return np.full(len(rows), float(self.value)) * factor
+            return np.ones(len(rows)) * factor
         return rng.uniform(self.lo, self.hi, size=len(rows)) * factor
 
 
@@ -75,8 +75,9 @@ class ScheduleConfig:
             raise ValueError("need 1 <= S <= N")
         if self.tau < 1:
             raise ValueError("tau must be at least 1")
-        if any(not 1 <= i <= self.N for i in self.delay.straggler_ids):
-            raise ValueError("straggler ids must be within 1..N")
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 1 <= i <= self.N
+               for i in self.delay.straggler_ids):  # as store_ints: no float, no bool
+            raise ValueError("straggler_ids must be integers within 1..N")
 
 
 def schedule_epoch(
@@ -321,6 +322,8 @@ def run(
 
             gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
             gap_sq = gap.sq_norm
+            if not math.isfinite(gap_sq):
+                raise NonFiniteError("non-finite stationarity gap")
             c1_cost = comm_cost_iter(sched_cfg.S, problem.dims, poly2.size) if t else 0
             log.c1_total += c1_cost
             log.records.append(IterRecord(

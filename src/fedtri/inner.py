@@ -25,15 +25,13 @@ class InnerSolverError(FedtriError):
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Rounds, step sizes, penalties and relaxation tolerances of the unrolls."""
+    """Rounds, step sizes, consensus penalty ``kappa`` and relaxation tolerances of both unrolls."""
 
     K: int = 20
     eta_x: float = 0.05
     eta_z: float = 0.05
     eta_phi: float = 0.05
-    kappa2: float = 1.0
-    kappa3: float = 1.0
-    rho2: float = 1.0
+    kappa: float = 1.0
     eps1: float = 1e-2
     eps2: float = 1e-2
     warm_start: bool = False
@@ -42,11 +40,11 @@ class InnerConfig:
         store_ints(self, "K")
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        # Step sizes may be zero (degenerate fixed-point mode); penalties and
+        # Step sizes may be zero (degenerate fixed-point mode); the penalty and
         # relaxation tolerances must be strictly positive.
         for name in ("eta_x", "eta_z", "eta_phi"):
             check_real(name, getattr(self, name))
-        for name in ("kappa2", "kappa3", "rho2", "eps1", "eps2"):
+        for name in ("kappa", "eps1", "eps2"):
             check_real(name, getattr(self, name), strict=True)
 
 
@@ -131,7 +129,7 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
 
     ``init`` is ``(x, z, phi, s, gamma)`` or a prefix of it; a missing or
     None block starts at zero.  The L layer-I cuts of a level-2 unroll are
-    slack-equipped penalties on z2 with residual ``r0 + A2 z2`` (L = 0 at level
+    slack-equipped unit penalties on z2 with residual ``r0 + A2 z2`` (L = 0 at level
     3); each round hands that residual and its deviation ``x - z`` to the next.
     """
     d = problem.dims
@@ -147,7 +145,7 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
                              f"expected {path.shape[1:]}")
         path[0] = value
     grad, a2s, a2t = _level_rows(problem.grad_all, level, anchor), poly1.A2, poly1.A2.T
-    (kappa, eta_z, eta_gamma), L, rho2 = steps, len(r0), cfg.rho2
+    (kappa, eta_z, eta_gamma), L = steps, len(r0)
     eta_x, eta_phi = cfg.eta_x, cfg.eta_phi  # the constants every round reads, bound once
     dev, resid = x[0] - z[0], r0 + a2s @ z[0] if L else r0
     for k in range(cfg.K):
@@ -156,12 +154,12 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
         gx = (grad(xk) + phik) + pull
         gz = -(phik + pull).sum(axis=0)
         if L:
-            gz += a2t @ (gk + rho2 * (resid + s[k]))
+            gz += a2t @ (gk + (resid + s[k]))  # the shifted residual first, as in the dual step
         np.subtract(xk, eta_x * gx, out=x[k + 1])
         np.subtract(z[k], eta_z * gz, out=z[k + 1])
         if L:
             resid = r0 + a2s @ z[k + 1]
-            np.maximum(0.0, -resid - gk / rho2, out=s[k + 1])
+            np.maximum(0.0, -resid - gk, out=s[k + 1])
             np.maximum(0.0, gk + eta_gamma * (resid + s[k + 1]), out=gamma[k + 1])
         dev = x[k + 1] - z[k + 1]
         np.add(phik, eta_phi * dev, out=phi[k + 1])
@@ -198,22 +196,21 @@ def solve_level3(
 ) -> UnrollTrace:
     """Unroll K rounds of the third-level consensus solve at the z1 and z2 of ``state.Z``."""
     return _unroll(problem, 3, _anchor(problem, state), _no_cuts(problem.dims),
-                   np.zeros(0), (cfg.kappa3, cfg.eta_z, 0.0), init, cfg)
+                   np.zeros(0), (cfg.kappa, cfg.eta_z, 0.0), init, cfg)
 
 
 def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, float]:
     """Effective (eta_z, gamma step) for the level-2 unroll.
 
-    The z2-curvature of the penalized Lagrangian grows with the cut
-    steepness ``rho2 * sum_l ||a2_l||^2``; the configured steps are damped
-    so the unroll stays stable for any polytope.  The gamma step is at most
-    rho2, the method-of-multipliers step, so a dual cannot overshoot below
-    zero.  Both values are a pure function of (cfg, poly1).
+    The cuts enter at unit penalty, so the z2-curvature of the penalized
+    Lagrangian is ``N * kappa`` plus the cut steepness ``sum_l ||a2_l||^2``;
+    the configured steps are damped so the unroll stays stable for any
+    polytope.  The gamma step is at most 1, the method-of-multipliers step, so
+    a dual cannot overshoot below zero.  Both are a pure function of (cfg, poly1).
     """
     steep = float((poly1.A2 * poly1.A2).sum())
-    curv_z = N * cfg.kappa2 + cfg.rho2 * steep
-    eta_z = min(cfg.eta_z, 1.5 / curv_z) if curv_z > 0 else cfg.eta_z
-    eta_gamma = min(cfg.eta_phi, cfg.rho2, 1.5 / (1.0 + cfg.rho2 * steep))
+    eta_z = min(cfg.eta_z, 1.5 / (N * cfg.kappa + steep))
+    eta_gamma = min(cfg.eta_phi, 1.0, 1.5 / (1.0 + steep))
     return eta_z, eta_gamma
 
 
@@ -234,7 +231,7 @@ def solve_level2(
     at_zero = PrimalState(d, anchor.X, anchor.Z.copy())  # the cuts read the unrolled z2 as z2'
     at_zero.Z[d.columns(2)] = 0.0
     return _unroll(problem, 2, anchor, poly1, poly1.residuals(at_zero),
-                   (cfg.kappa2, *level2_steps(cfg, poly1, d.N)), init, cfg)
+                   (cfg.kappa, *level2_steps(cfg, poly1, d.N)), init, cfg)
 
 
 def _sq_deviation(x, z, x_hat, z_hat) -> float:
@@ -323,16 +320,15 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> tuple[Array, Array]:
             u = (trace.gamma[k + 1] > 0.0) * gbar
             v = (trace.s[k + 1] > 0.0) * (sbar + eta_gamma * u)
             rnew = eta_gamma * u - v
-            gbar = u - v / cfg.rho2
+            gbar = u - v
             rbar = rbar + rnew
             zbar = zbar + A2.T @ rnew
         gxbar = -cfg.eta_x * xbar  # through x[k+1] = x[k] - eta_x gx
         gzbar = -eta_z * zbar
         zbar = zbar + N * kappa * gzbar - kappa * gxbar.sum(axis=0)
         if L:
-            q = A2 @ gzbar
-            gbar = gbar + q
-            sbar = cfg.rho2 * q
+            sbar = A2 @ gzbar
+            gbar = gbar + sbar
             rbar = rbar + sbar
             zbar = zbar + A2.T @ sbar
         phibar = phibar + gxbar - gzbar

@@ -654,3 +654,16 @@ def test_the_package_exports_only_its_api_objects():
     namespace = {}
     exec("from fedtri import *", namespace)
     assert not [v for v in namespace.values() if isinstance(v, types.ModuleType)]
+
+
+def test_run_and_its_configs_have_36_settable_values():
+    # Each value is one a caller sets; a new knob takes a deliberate edit here.
+    import dataclasses
+    import inspect
+
+    from fedtri import DelayModel, InnerConfig, OuterConfig, ScheduleConfig, run
+
+    fields = sum(len(dataclasses.fields(c))
+                 for c in (InnerConfig, OuterConfig, DelayModel, ScheduleConfig))
+    keywords = [p for p in inspect.signature(run).parameters.values() if p.default is not p.empty]
+    assert fields + len(keywords) == 36

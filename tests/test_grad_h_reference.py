@@ -45,9 +45,9 @@ def ref_jacobians(trace, key, worker=None):
     poly1 = trace.poly1
     L = poly1.size
     if level == 3:
-        kappa, eta_z, eta_gamma = cfg.kappa3, cfg.eta_z, 0.0
+        kappa, eta_z, eta_gamma = cfg.kappa, cfg.eta_z, 0.0
     else:
-        kappa = cfg.kappa2
+        kappa = cfg.kappa
         eta_z, eta_gamma = level2_steps(cfg, poly1, N)
     if L:
         dconst = cut_columns(poly1, key, worker)
@@ -75,12 +75,12 @@ def ref_jacobians(trace, key, worker=None):
         Dgz = -sum(Dphi[j] + kappa * (Dx[j] - Dz) for j in range(N))
         if L:
             Dr = dconst + a2s @ Dz + Ds
-            Dgz = Dgz + a2s.T @ (Dgam + cfg.rho2 * Dr)
+            Dgz = Dgz + a2s.T @ (Dgam + Dr)
         Dx = [Dx[j] - cfg.eta_x * Dgx[j] for j in range(N)]
         Dz = Dz - eta_z * Dgz
         if L:
             s_active = (trace.s[k + 1] > 0.0).astype(float)[:, None]
-            Ds = s_active * (-(dconst + a2s @ Dz) - Dgam / cfg.rho2)
+            Ds = s_active * (-(dconst + a2s @ Dz) - Dgam)
             g_active = (trace.gamma[k + 1] > 0.0).astype(float)[:, None]
             Dgam = g_active * (Dgam + eta_gamma * (dconst + a2s @ Dz + Ds))
         Dphi = [Dphi[j] + cfg.eta_phi * (Dx[j] - Dz) for j in range(N)]
@@ -156,12 +156,14 @@ def test_layer_II_matches_forward_reference_across_clamp_branches(setup):
 
 
 def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
-    # With a dual step equal to rho2, a decaying gamma is clamped to zero, and a
-    # warm gamma gives slack and dual positive in the same round.
+    # With a dual step equal to the unit cut penalty, a decaying gamma is clamped
+    # to zero, and a warm gamma gives slack and dual positive in the same round.
+    # The step is 1 for eta_phi >= 1 and shallow cuts (sum ||a2||^2 <= 0.5).
     problem, t1, _, p1, p2 = setup
     d = problem.dims
     cuts = t1_cuts(problem, t1, p2, (2.5, 3.5))
-    cfg = dataclasses.replace(CFG, rho2=0.1)
+    cfg = dataclasses.replace(CFG, eta_phi=1.0)
+    assert level2_steps(cfg, cuts, d.N)[1] == 1.0
     zeros = np.zeros((d.N, d.d2))
     init = (zeros, np.zeros(d.d2), zeros, None, np.full(2, 0.3))
     trace = solve_level2(problem, p1, cuts, init=init, cfg=cfg)

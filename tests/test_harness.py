@@ -36,18 +36,25 @@ def quad_setup(seed=7, N=2, dims=(2, 2, 2), **outer_kw):
     return problem, oracle, inner, outer
 
 
+def strict_json(line):
+    """``json.loads`` that rejects NaN and +-Infinity, as a strict JSON parser does."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
 class TestDelayModel:
     def test_constant(self):
-        dm = DelayModel(kind="constant", value=2.0)
+        dm = DelayModel(kind="constant")
         rng = np.random.default_rng(0)
-        assert dm.draw(rng, [0]).tolist() == [2.0]
+        assert dm.draw(rng, [0]).tolist() == [1.0]
 
     def test_straggler_factor(self):
-        dm = DelayModel(kind="constant", value=2.0, straggler_ids=(2,), straggler_factor=5.0)
+        dm = DelayModel(kind="constant", straggler_ids=(2,), straggler_factor=5.0)
         rng = np.random.default_rng(0)
-        assert dm.draw(rng, [0]).tolist() == [2.0]
-        assert dm.draw(rng, [1]).tolist() == [10.0]  # worker label 2 is index 1
-        assert dm.draw(rng, [1, 0]).tolist() == [10.0, 2.0]
+        assert dm.draw(rng, [0]).tolist() == [1.0]
+        assert dm.draw(rng, [1]).tolist() == [5.0]  # worker label 2 is index 1
+        assert dm.draw(rng, [1, 0]).tolist() == [5.0, 1.0]
 
     def test_uniform_range(self):
         dm = DelayModel(kind="uniform", lo=1.0, hi=3.0)
@@ -68,7 +75,7 @@ class TestDelayModel:
 
     @pytest.mark.parametrize("kind", ["constant", "uniform"])
     def test_rows_as_list_tuple_range_or_index_array_give_the_same_delays(self, kind):
-        dm = DelayModel(kind=kind, value=2.0, straggler_ids=(2, 4), straggler_factor=5.0)
+        dm = DelayModel(kind=kind, straggler_ids=(2, 4), straggler_factor=5.0)
         for rows, as_range in (([0, 1, 2, 3], range(4)), ([3, 1], None), ([1], range(1, 2)),
                                ([], range(0))):
             want = dm.draw(np.random.default_rng(3), rows)
@@ -99,6 +106,18 @@ class TestScheduleConfig:
             ScheduleConfig(N=4, S=2, tau=0)
         with pytest.raises(ValueError):
             ScheduleConfig(N=4, S=2, delay=DelayModel(straggler_ids=(5,)))
+
+    @pytest.mark.parametrize("label", [1.5, True, 2.0])
+    def test_a_straggler_id_that_is_no_integer_raises(self, label):
+        # 1.5 slowed no worker and True slowed worker 1; the error names the field.
+        with pytest.raises(ValueError, match="^straggler_ids must be integers"):
+            ScheduleConfig(N=4, S=2, delay=DelayModel(straggler_ids=(label,),
+                                                      straggler_factor=5.0))
+
+    def test_a_numpy_integer_straggler_id_slows_its_worker(self):
+        cfg = ScheduleConfig(N=4, S=2, delay=DelayModel(straggler_ids=(np.int64(2),),
+                                                        straggler_factor=5.0))
+        assert cfg.delay.draw(np.random.default_rng(0), [0, 1]).tolist() == [1.0, 5.0]
 
 
 class TestScheduleEpoch:
@@ -135,8 +154,8 @@ class TestScheduleEpoch:
         # Constant delays with worker 4 five times slower, tau = 10: simulate
         # 100 epochs of the bookkeeping and track staleness.
         cfg = ScheduleConfig(N=4, S=3, tau=10,
-                             delay=DelayModel(kind="constant", value=1.0,
-                                              straggler_ids=(4,), straggler_factor=5.0))
+                             delay=DelayModel(kind="constant", straggler_ids=(4,),
+                                              straggler_factor=5.0))
         rng = np.random.default_rng(0)
         pending = cfg.delay.draw(rng, range(4)).tolist()
         staleness = [0, 0, 0, 0]
@@ -211,8 +230,8 @@ class TestRunBasics:
     def test_staleness_bound_holds(self):
         problem, _, inner, outer = quad_setup(max_iters=80)
         sched = ScheduleConfig(N=2, S=1, tau=3, seed=3,
-                               delay=DelayModel(kind="constant", value=1.0,
-                                                straggler_ids=(2,), straggler_factor=7.0))
+                               delay=DelayModel(kind="constant", straggler_ids=(2,),
+                                                straggler_factor=7.0))
         res = run(problem, inner, outer, sched)
         assert all(max(r.staleness) <= 3 for r in res.log.records)
 
@@ -285,13 +304,27 @@ class TestRunBasics:
         assert "non-finite level-3 iterate at round" in res.log.abort["reason"]
         assert res.log.c2_total == 0
         assert validate_runlog(res.log, problem.dims) == []
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        lines = res.log.to_jsonl().splitlines()
-        footer = [json.loads(line, parse_constant=reject) for line in lines][-1]
+        footer = [strict_json(line) for line in res.log.to_jsonl().splitlines()][-1]
         assert footer["final_gap_sq"] is None
+
+    def test_non_finite_gap_is_logged_abort_with_strict_json(self):
+        # Every gradient entry is finite, but x1's squares overflow the gap to inf.
+        problem, _, inner, outer = quad_setup(dims=(1, 1, 1), max_iters=5)
+        exact = problem.grad_fn
+
+        def grad_fn(level, V):
+            G = exact(level, V).copy()
+            if level == 1:
+                G[:, problem.dims.columns(1)] = 5e154
+            return G
+
+        problem = dataclasses.replace(problem, grad_fn=grad_fn)
+        res = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0))
+        assert res.log.status == "aborted"
+        assert res.log.abort == {"reason": "non-finite stationarity gap", "t": 0}
+        assert res.log.records == []
+        for line in res.log.to_jsonl().splitlines():
+            strict_json(line)
 
     def test_abort_inside_the_loop_names_its_iteration(self, monkeypatch):
         problem, _, inner, outer = quad_setup(max_iters=20)
@@ -396,8 +429,7 @@ class TestStopping:
 class TestSyncEquivalence:
     def test_matches_handrolled_synchronous_loop(self):
         problem, _, inner, outer = quad_setup(max_iters=25, T_pre=7, T1=0)
-        sched = ScheduleConfig(N=2, S=2, sync_mode=True, seed=11,
-                               delay=DelayModel(kind="constant", value=0.0))
+        sched = ScheduleConfig(N=2, S=2, sync_mode=True, seed=11)
         res = run(problem, inner, outer, sched)
 
         # Independent synchronous reference: every worker steps on the fresh state.
@@ -493,8 +525,7 @@ class TestAsyncBehavior:
         for mode, horizon in (("sync", 600), ("async", 3600)):
             problem, _, inner, outer = quad_setup(max_iters=horizon, tol=target, T_pre=15,
                                                   T1=400, dims=(2, 2, 2))
-            delay = DelayModel(kind="constant", value=1.0, straggler_ids=(2,),
-                               straggler_factor=5.0)
+            delay = DelayModel(kind="constant", straggler_ids=(2,), straggler_factor=5.0)
             sched = ScheduleConfig(N=2, S=2 if mode == "sync" else 1, tau=10,
                                    seed=4, delay=delay,
                                    sync_mode=(mode == "sync"))

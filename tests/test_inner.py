@@ -70,7 +70,7 @@ class TestInnerConfig:
 
     def test_negative_penalty(self):
         with pytest.raises(ValueError):
-            InnerConfig(kappa3=0.0)
+            InnerConfig(kappa=0.0)
 
 
 class TestSolveLevel3:
@@ -80,7 +80,7 @@ class TestSolveLevel3:
         rng = np.random.default_rng(0)
         targets = [rng.standard_normal(3) for _ in range(2)]
         problem = separable_problem(targets)
-        cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa3=1.0)
+        cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa=1.0)
         trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(3)), cfg=cfg)
         x_hat, z_hat = trace.estimate
         mean_t = np.mean(targets, axis=0)
@@ -208,7 +208,7 @@ class TestSolveLevel2:
         rng = np.random.default_rng(1)
         targets = [rng.standard_normal(2) for _ in range(3)]
         problem = separable_problem(targets)
-        cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa2=1.0)
+        cfg = InnerConfig(K=4000, eta_x=0.1, eta_z=0.1, eta_phi=0.1, kappa=1.0)
         x3 = [np.zeros(2)] * 3
         trace = solve_level2(problem, state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=x3),
                              Polytope(problem.dims), cfg=cfg)
@@ -256,7 +256,7 @@ class TestSolveLevel2:
 
     def test_steepness_damping_settles_many_parallel_cuts(self, quad, monkeypatch):
         # 20 identical unit-norm layer-I cuts along z2's first axis, violated
-        # by 1 at the start: the z2-curvature is N kappa2 + rho2 * 20 = 22, so
+        # by 1 at the start: the z2-curvature is N kappa + 20 = 22, so
         # the configured step 0.15 overshoots, and the damped steps
         # (1.5 / 22 for z2, 1.5 / 21 for the cut duals) do not.
         problem, _ = quad
@@ -279,13 +279,13 @@ class TestSolveLevel2:
         resid, peak = final_residual_and_peak()
         assert resid > 0.09 and peak > 2.9
 
-    def test_the_cut_dual_step_is_at_most_rho2(self, quad):
-        # gamma + rho2 * r is the method-of-multipliers step; a larger one
-        # overshoots a decaying dual below zero before the clamp.
+    def test_the_cut_dual_step_is_at_most_the_unit_penalty(self, quad):
+        # gamma + r is the method-of-multipliers step at the unit cut penalty;
+        # a larger one overshoots a decaying dual below zero before the clamp.
         problem, _ = quad
-        cfg = InnerConfig(eta_phi=0.15, rho2=0.1)
+        cfg = InnerConfig(eta_phi=2.0)
         _, eta_gamma = inner.level2_steps(cfg, Polytope(problem.dims), problem.dims.N)
-        assert eta_gamma <= 0.1
+        assert eta_gamma == 1.0
 
     def test_consensus_residual_nonincreasing_late(self):
         rng = np.random.default_rng(4)

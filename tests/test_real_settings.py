@@ -30,7 +30,7 @@ CASES = [(cfg, name) for cfg in CONFIGS for name in real_fields(type(cfg))]
 
 def test_every_config_has_its_real_fields_found():
     assert {type(cfg).__name__: len(real_fields(type(cfg))) for cfg in CONFIGS} == {
-        "InnerConfig": 8, "OuterConfig": 13, "DelayModel": 4, "RobustHpoSpec": 2}
+        "InnerConfig": 6, "OuterConfig": 13, "DelayModel": 3, "RobustHpoSpec": 2}
 
 
 @pytest.mark.parametrize("bad", BAD)
@@ -98,8 +98,8 @@ def test_an_unbounded_real_is_asked_for_as_a_finite_real_with_no_bound(name, bad
 def test_a_bounded_real_is_asked_for_with_its_bound():
     with pytest.raises(ValueError, match=r"^init_scale must be a finite real >= 0.0, got nan$"):
         build_quadratic_problem(0, (2, 2, 2), 2, init_scale=np.nan)
-    with pytest.raises(ValueError, match=r"^kappa2 must be a finite real > 0.0, got nan$"):
-        InnerConfig(kappa2=np.nan)
+    with pytest.raises(ValueError, match=r"^kappa must be a finite real > 0.0, got nan$"):
+        InnerConfig(kappa=np.nan)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,7 @@ def test_finite_values_on_each_bound_are_kept():
     for name in ("center_scale", "init_scale"):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             build_quadratic_problem(0, (2, 2, 2), 2, **{name: -1e-9})
-    for cfg, name in [(InnerConfig(), "kappa2"), (OuterConfig(), "tol"), (RobustHpoSpec(), "c"),
+    for cfg, name in [(InnerConfig(), "kappa"), (OuterConfig(), "tol"), (RobustHpoSpec(), "c"),
                       (DelayModel(), "straggler_factor")]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             replace(cfg, **{name: 0.0})

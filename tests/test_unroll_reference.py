@@ -25,8 +25,8 @@ def ref_level3_round(problem, z1, z2p, x, z, phi, cfg):
     N = problem.dims.N
     G = problem.grad_all(3, stack_rows(problem.dims, z1, z2p, np.array(x)))[
         :, problem.dims.columns(3)]
-    gx = [G[j] + phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N)]
-    gz = -sum(phi[j] + cfg.kappa3 * (x[j] - z) for j in range(N))
+    gx = [G[j] + phi[j] + cfg.kappa * (x[j] - z) for j in range(N)]
+    gz = -sum(phi[j] + cfg.kappa * (x[j] - z) for j in range(N))
     x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
     z_new = z - cfg.eta_z * gz
     phi_new = [phi[j] + cfg.eta_phi * (x_new[j] - z_new) for j in range(N)]
@@ -38,16 +38,16 @@ def ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi, r0, a2s, cfg, eta_z,
     L = len(r0)
     G = problem.grad_all(2, stack_rows(problem.dims, z1, np.array(x), np.array(x3)))[
         :, problem.dims.columns(2)]
-    gx = [G[j] + phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N)]
-    gz2 = -sum(phi[j] + cfg.kappa2 * (x[j] - z2) for j in range(N))
+    gx = [G[j] + phi[j] + cfg.kappa * (x[j] - z2) for j in range(N)]
+    gz2 = -sum(phi[j] + cfg.kappa * (x[j] - z2) for j in range(N))
     if L:
         resid = (r0 + a2s @ z2) + s
-        gz2 = gz2 + a2s.T @ (gamma + cfg.rho2 * resid)
+        gz2 = gz2 + a2s.T @ (gamma + resid)
     x_new = [x[j] - cfg.eta_x * gx[j] for j in range(N)]
     z2_new = z2 - eta_z * gz2
     if L:
         r_new = r0 + a2s @ z2_new
-        s_new = np.maximum(0.0, -r_new - gamma / cfg.rho2)
+        s_new = np.maximum(0.0, -r_new - gamma)
         gamma_new = np.maximum(0.0, gamma + eta_gamma * (r_new + s_new))
     else:
         s_new = s
