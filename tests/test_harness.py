@@ -49,6 +49,11 @@ class TestDelayModel:
         rng = np.random.default_rng(0)
         assert dm.draw(rng, [0]).tolist() == [1.0]
 
+    def test_a_constant_delay_is_one_unit_and_draws_nothing_from_the_rng(self):
+        rng = np.random.default_rng(0)
+        assert DelayModel().draw(rng, range(4)).tolist() == [1.0] * 4
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_straggler_factor(self):
         dm = DelayModel(kind="constant", straggler_ids=(2,), straggler_factor=5.0)
         rng = np.random.default_rng(0)

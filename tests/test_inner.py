@@ -287,6 +287,22 @@ class TestSolveLevel2:
         _, eta_gamma = inner.level2_steps(cfg, Polytope(problem.dims), problem.dims.N)
         assert eta_gamma == 1.0
 
+    @pytest.mark.parametrize("kappa, n_cuts, want", [
+        (1.0, 0, (0.5, 0.5)),             # curvature N kappa = 2: the configured steps stand
+        (4.0, 0, (1.5 / 8, 0.5)),         # curvature 8 damps the z2 step only
+        (1.0, 20, (1.5 / 22, 1.5 / 21)),  # 20 unit cuts: curvature 22, dual curvature 21
+    ])
+    def test_level2_steps_damp_by_n_kappa_plus_the_cut_steepness(self, quad, kappa, n_cuts,
+                                                                 want):
+        problem, _ = quad
+        d = problem.dims
+        w = np.zeros(d.width * (d.N + 1))
+        w[d.d1] = 1.0
+        poly = (Polytope(d, [w] * n_cuts, [-1.0] * n_cuts, tuple(range(n_cuts))) if n_cuts
+                else Polytope(d))
+        cfg = InnerConfig(eta_z=0.5, eta_phi=0.5, kappa=kappa)
+        assert inner.level2_steps(cfg, poly, d.N) == want
+
     def test_consensus_residual_nonincreasing_late(self):
         rng = np.random.default_rng(4)
         targets = [rng.standard_normal(2) for _ in range(2)]
@@ -301,6 +317,28 @@ class TestSolveLevel2:
         ]
         tail = resid[len(resid) // 2:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_the_one_kappa_scales_the_first_consensus_step_of_each_unroll(level):
+    # From z = 0 with zero duals, the first z step is eta_z kappa sum_j (x_j - z),
+    # so doubling kappa doubles it exactly, at either level.
+    problem = separable_problem([np.array([1.0, -2.0]), np.array([0.5, 3.0])])
+    anchor = state_of(problem.dims, np.zeros(1), z3=np.zeros(2), x3=[np.zeros(2)] * 2)
+    init = ([np.array([0.3, -0.5]), np.array([-0.1, 0.7])], np.zeros(2))
+
+    def first_z_step(kappa):
+        cfg = InnerConfig(K=1, kappa=kappa)
+        if level == 3:
+            trace = solve_level3(problem, anchor, init=init, cfg=cfg)
+        else:
+            trace = solve_level2(problem, anchor, Polytope(problem.dims), init=init, cfg=cfg)
+        assert trace.steps[0] == kappa
+        return trace.z[1]
+
+    step = first_z_step(1.0)
+    np.testing.assert_allclose(step, 0.05 * np.array([0.2, 0.2]), rtol=1e-15)
+    assert np.array_equal(first_z_step(2.0), 2.0 * step)
 
 
 class TestEvalH2:
