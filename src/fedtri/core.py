@@ -41,7 +41,11 @@ def check_real(name: str, value, low: float = 0.0, strict: bool = False) -> None
 
 @dataclass(frozen=True)
 class Dims:
-    """Block dimensions of the three variable levels plus the worker count."""
+    """Block dimensions of the three variable levels plus the worker count.
+
+    ``sizes`` = (d1, d2, d3) and ``width`` = D = d1 + d2 + d3, the width of a worker's flat
+    point ``[x1 | x2 | x3]``, are stored once and take no part in equality or hashing.
+    """
 
     d1: int
     d2: int
@@ -50,22 +54,16 @@ class Dims:
 
     def __post_init__(self):
         store_ints(self, "d1", "d2", "d3", "N")
-        if min(self.sizes + (self.N,)) < 1:
+        sizes = (self.d1, self.d2, self.d3)
+        if min(sizes + (self.N,)) < 1:
             raise ValueError(f"dims must be positive integers, got {self}")
         a, b = self.d1, self.d1 + self.d2  # block i's columns in a flat point, for ``columns``
-        object.__setattr__(self, "_columns", (slice(0, a), slice(a, b), slice(b, b + self.d3)))
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return (self.d1, self.d2, self.d3)
+        for name, value in (("sizes", sizes), ("width", b + self.d3),
+                            ("_columns", (slice(0, a), slice(a, b), slice(b, b + self.d3)))):
+            object.__setattr__(self, name, value)
 
     def block(self, i: int) -> int:
         return self.sizes[i - 1]
-
-    @property
-    def width(self) -> int:
-        """D = d1 + d2 + d3, the width of a worker's flat point ``[x1 | x2 | x3]``."""
-        return self.d1 + self.d2 + self.d3
 
     def columns(self, i: int) -> slice:
         """Block i's columns in a worker's flat point."""
@@ -155,14 +153,11 @@ class TrilevelProblem:
     def cross_hess(self, level: int, V: Array) -> Array:
         """The Jacobian of ``grad_all(level, ...)``, checked like it: (N, D, D)."""
         if self.cross_hess_fn is None:
-            raise FedtriError(
-                "analytic unrolled gradients need second derivatives, "
-                f"but problem {self.name!r} does not expose them"
-            )
-        H = self.cross_hess_fn(level, self._rows(V))
+            raise FedtriError("analytic unrolled gradients need second derivatives, "
+                              f"but problem {self.name!r} does not expose them")
         D = self.dims.width
-        return self._checked(level, "cross Hessian has", "cross Hessian of ", H,
-                             (self.dims.N, D, D))
+        return self._checked(level, "cross Hessian has", "cross Hessian of ",
+                             self.cross_hess_fn(level, self._rows(V)), (self.dims.N, D, D))
 
     def initial_point(self, rng: np.random.Generator) -> tuple[Array, Array, Array]:
         if self.initial_point_fn is None:

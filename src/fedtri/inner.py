@@ -147,24 +147,29 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
     grad, a2s, a2t = _level_rows(problem.grad_all, level, anchor), poly1.A2, poly1.A2.T
     (kappa, eta_z, eta_gamma), L = steps, len(r0)
     eta_x, eta_phi = cfg.eta_x, cfg.eta_phi  # the constants every round reads, bound once
-    dev, resid = x[0] - z[0], r0 + a2s @ z[0] if L else r0
-    for k in range(cfg.K):
-        xk, phik, gk = x[k], phi[k], gamma[k]
+    rows = zip(x, z, phi, s, gamma, buf)  # every round's row views, in order
+    xk, zk, pk, sk, gk, _ = next(rows)
+    dev = xk - zk
+    if L:  # the shifted residual r0 + A2 z2 + s, which the dual step forms for the next round
+        shifted = (r0 + a2s @ zk) + sk
+    for k, (x1, z1, p1, s1, g1, b1) in zip(range(cfg.K), rows):
         pull = kappa * dev
-        gx = (grad(xk) + phik) + pull
-        gz = -(phik + pull).sum(axis=0)
+        gx = (grad(xk) + pk) + pull
+        gz = -np.add.reduce(pk + pull, axis=0)
         if L:
-            gz += a2t @ (gk + (resid + s[k]))  # the shifted residual first, as in the dual step
-        np.subtract(xk, eta_x * gx, out=x[k + 1])
-        np.subtract(z[k], eta_z * gz, out=z[k + 1])
+            gz += a2t @ (gk + shifted)
+        np.subtract(xk, eta_x * gx, out=x1)
+        np.subtract(zk, eta_z * gz, out=z1)
         if L:
-            resid = r0 + a2s @ z[k + 1]
-            np.maximum(0.0, -resid - gk, out=s[k + 1])
-            np.maximum(0.0, gk + eta_gamma * (resid + s[k + 1]), out=gamma[k + 1])
-        dev = x[k + 1] - z[k + 1]
-        np.add(phik, eta_phi * dev, out=phi[k + 1])
-        if not np.isfinite(buf[k + 1]).all():
+            resid = r0 + a2s @ z1
+            np.maximum(0.0, -resid - gk, out=s1)
+            shifted = resid + s1
+            np.maximum(0.0, gk + eta_gamma * shifted, out=g1)
+        dev = x1 - z1
+        np.add(pk, eta_phi * dev, out=p1)
+        if not np.logical_and.reduce(np.isfinite(b1)):
             raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
+        xk, zk, pk, gk = x1, z1, p1, g1
     return UnrollTrace(level, problem, cfg, anchor, poly1, r0, steps, x, z, phi, s, gamma)
 
 
@@ -188,12 +193,8 @@ def _anchor(problem: TrilevelProblem, state: PrimalState) -> PrimalState:
     return PrimalState(problem.dims, X, Z)
 
 
-def solve_level3(
-    problem: TrilevelProblem,
-    state: PrimalState,
-    init=None,
-    cfg: InnerConfig = InnerConfig(),
-) -> UnrollTrace:
+def solve_level3(problem: TrilevelProblem, state: PrimalState, init=None,
+                 cfg: InnerConfig = InnerConfig()) -> UnrollTrace:
     """Unroll K rounds of the third-level consensus solve at the z1 and z2 of ``state.Z``."""
     return _unroll(problem, 3, _anchor(problem, state), _no_cuts(problem.dims),
                    np.zeros(0), (cfg.kappa, cfg.eta_z, 0.0), init, cfg)
@@ -214,13 +215,8 @@ def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, floa
     return eta_z, eta_gamma
 
 
-def solve_level2(
-    problem: TrilevelProblem,
-    state: PrimalState,
-    poly1: Polytope,
-    init=None,
-    cfg: InnerConfig = InnerConfig(),
-) -> UnrollTrace:
+def solve_level2(problem: TrilevelProblem, state: PrimalState, poly1: Polytope, init=None,
+                 cfg: InnerConfig = InnerConfig()) -> UnrollTrace:
     """Unroll K rounds of the second-level solve at z1, z3 of ``state.Z`` and x3 of ``state.X``.
 
     The layer-I cuts enter through slack-equipped inequality penalty terms;
@@ -276,19 +272,22 @@ def _fd_through_unroll(trace, x, z) -> tuple[Array, Array]:
 
     ``x`` and ``z`` are the state's own blocks.  The frozen inputs are Z's
     blocks other than the unrolled level's and, at level 2, X's x3: a block of
-    Z steps as one row, a block of X row by row.  Returns (gZ, gX) in the
-    state's shapes, zero outside the frozen inputs.
+    Z steps as one row, a block of X row by row, in one working copy of the
+    anchor that gets each block back after its differences.  Returns (gZ, gX)
+    in the state's shapes, zero outside the frozen inputs.
     """
     d, lv, anchor = trace.problem.dims, trace.level, trace.anchor
     blocks = [("Z", d.columns(i)) for i in (1, 2, 3) if i != lv]
     blocks += [("X", (j, d.columns(i))) for i in range(lv + 1, 4) for j in range(d.N)]
-    g = PrimalState(d, np.zeros_like(anchor.X), np.zeros_like(anchor.Z))
+    g, pert = PrimalState(d, np.zeros_like(anchor.X), np.zeros_like(anchor.Z)), anchor.copy()
+
+    def h_at(v):  # h with the current block of the working copy at v
+        live[at] = v
+        return _sq_deviation(x, z, *rerun(trace, pert).estimate)
     for name, at in blocks:
-        def h_at(v):
-            pert = anchor.copy()
-            getattr(pert, name)[at] = v
-            return _sq_deviation(x, z, *rerun(trace, pert).estimate)
-        getattr(g, name)[at] = finite_diff_grad(h_at, getattr(anchor, name)[at])
+        live, frozen = getattr(pert, name), getattr(anchor, name)[at]
+        getattr(g, name)[at] = finite_diff_grad(h_at, frozen)
+        live[at] = frozen
     return g.Z, g.X
 
 

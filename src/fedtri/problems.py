@@ -139,23 +139,27 @@ def build_quadratic_problem(
     # Stored as G_l = [[H_l, b_l], [b_l^T, 0]] over u = [v - m_l, 1]: f_l = u^T G_l u / 2,
     # and the gradient is one mat-vec, G_l's first D rows times u.
     D, cols = dd.width, (None, *(dd.columns(i) for i in (1, 2, 3)))
-    G, m, one = np.zeros((3, N, D + 1, D + 1)), np.zeros((3, D + 1)), np.ones((N, 1))
-    G[0, :, :D, :D], m[0, :D] = data["Q1"], np.concatenate([oracle.y1, oracle.y2, oracle.y3])
+    G, m = np.zeros((3, N, D + 1, D + 1)), np.zeros((3, D))
+    G[0, :, :D, :D], m[0] = data["Q1"], np.concatenate([oracle.y1, oracle.y2, oracle.y3])
     for level, blocks, lin in ((2, "EDF", "h"), (3, "BCA", "g")):
         for i, key in enumerate(blocks, start=1):  # transpose first: the own block stays as given
             G[level - 1][:, cols[i], cols[level]] = data[key].transpose(0, 2, 1)
             G[level - 1][:, cols[level], cols[i]] = data[key]
         G[level - 1][:, cols[level], D] = G[level - 1][:, D, cols[level]] = data[lin]
+    full, rows, shift = tuple(G), tuple(G[:, :, :D]), tuple(m)  # per-level views, built once
+    u = np.ones((N, D + 1))  # every call's u, its last column always one: no result is a view of it
+    head = u[:, :D]
 
     def deviation(level, V):
-        return np.concatenate([V, one], axis=1) - m[level - 1]
+        np.subtract(V, shift[level - 1], out=head)
+        return u
 
     def eval_fn(level, V):
         u = deviation(level, V)
-        return 0.5 * _dot(u, _mv(G[level - 1], u))
+        return 0.5 * _dot(u, _mv(full[level - 1], u))
 
     def grad_fn(level, V):
-        return _mv(G[level - 1, :, :D], deviation(level, V))
+        return _mv(rows[level - 1], deviation(level, V))
 
     def cross_hess_fn(level, V):
         return G[level - 1, :, :D, :D]

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from functools import partial
 
@@ -32,6 +33,20 @@ class TestDims:
     def test_columns_tile_the_flat_worker_point_in_block_order(self):
         d = Dims(d1=2, d2=3, d3=5, N=4)
         assert [d.columns(i) for i in (1, 2, 3)] == [slice(0, 2), slice(2, 5), slice(5, 10)]
+
+    def test_stored_width_and_sizes_leave_equality_and_hashing_to_the_fields(self):
+        # inner._no_cuts and outer._per_column key caches on Dims and its sizes.
+        d = Dims(d1=2, d2=3, d3=5, N=4)
+        assert type(d.width) is int and d.width == 10
+        assert type(d.sizes) is tuple and d.sizes == (2, 3, 5)
+        same = Dims(d1=2, d2=3, d3=5, N=4)
+        assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+        assert d != Dims(d1=2, d2=3, d3=5, N=3)
+        assert hash(d) == hash((2, 3, 5, 4)) and repr(d) == "Dims(d1=2, d2=3, d3=5, N=4)"
+        wider = dataclasses.replace(d, d2=5)
+        assert (wider.width, wider.sizes, wider.columns(3)) == (12, (2, 5, 5), slice(7, 12))
+        assert type(wider.width) is int and type(wider.sizes) is tuple
+        assert (d.width, d.sizes) == (10, (2, 3, 5))
 
     @pytest.mark.parametrize("bad", [dict(d1=0), dict(d2=-1), dict(N=0), dict(d3=0)])
     def test_invalid(self, bad):
@@ -443,6 +458,23 @@ class TestStackedContract:
                 if fn is not None:
                     assert np.array_equal(fn(level, V), fn(level, V.copy())), (level, fn)
         assert np.array_equal(V, before)
+
+    @pytest.mark.parametrize("build", ORACLE_BUILDS.values(), ids=ORACLE_BUILDS.keys())
+    def test_no_result_changes_with_later_calls(self, build):
+        # An oracle may reuse buffers between calls, but no result may be a view of one:
+        # every result keeps its values through later calls at another V and level.
+        problem = build()
+        d = problem.dims
+        V, W = np.random.default_rng(6).standard_normal((2, d.N, d.width))
+        fns = [fn for fn in (problem.eval_fn, problem.grad_fn, problem.cross_hess_fn) if fn]
+        for fn in fns:
+            for level in (1, 2, 3):
+                result = fn(level, V)
+                kept = np.array(result, copy=True)
+                for later in fns:
+                    for other in (1, 2, 3):
+                        later(other, W)
+                assert np.array_equal(result, kept), (fn, level)
 
     def test_quadratic_grad_matches_central_differences_of_its_values(self):
         # Each block is one finite_diff_grad over all N rows: row j steps only

@@ -57,6 +57,27 @@ def finite_diff_trace(trace):
     return replace(trace, problem=replace(trace.problem, cross_hess_fn=None))
 
 
+def fresh_copy_fd_grad_h(trace, state):
+    """Finite-difference ``grad_h`` re-running the unroll at a new copy of the anchor each time."""
+    d, lv, anchor = trace.problem.dims, trace.level, trace.anchor
+    own = d.columns(lv)
+    x, z = state.X[:, own], state.Z[own]
+    g = {"Z": np.zeros(d.width), "X": np.zeros((d.N, d.width))}
+    blocks = [("Z", d.columns(i)) for i in (1, 2, 3) if i != lv]
+    blocks += [("X", (j, d.columns(i))) for i in range(lv + 1, 4) for j in range(d.N)]
+    for name, at in blocks:
+        def h_at(v, name=name, at=at):
+            pert = anchor.copy()
+            getattr(pert, name)[at] = v
+            x_hat, z_hat = inner.rerun(trace, pert).estimate
+            dx, dz = x - x_hat, z - z_hat
+            return float(np.vdot(dx, dx) + np.vdot(dz, dz))
+        g[name][at] = finite_diff_grad(h_at, getattr(anchor, name)[at])
+    x_hat, z_hat = trace.estimate
+    g["Z"][own], g["X"][:, own] = 2.0 * (z - z_hat), 2.0 * (x - x_hat)
+    return g["Z"], g["X"]
+
+
 @pytest.fixture(scope="module")
 def quad():
     problem, oracle = build_quadratic_problem(seed=3, dims=(2, 2, 2), N=2, coupling=0.3)
@@ -417,6 +438,24 @@ class TestGradH:
                 g_an = an[i][at]
                 denom = max(np.linalg.norm(g_an), 1e-9)
                 assert np.linalg.norm(g_fd - g_an) / denom <= 1e-4
+
+    def test_finite_differences_match_a_fresh_anchor_copy_per_evaluation(self, quad):
+        # grad_h perturbs one working copy and restores each block after its differences;
+        # the reference copies the anchor for every evaluation.  Equal bits show the
+        # working copy holds the anchor wherever a block is not being perturbed.
+        problem, _ = quad
+        t1, t2, p1, p2 = self.setup_traces(quad)
+        d, rng = problem.dims, np.random.default_rng(11)
+        at = state_of(d, *rng.standard_normal((3, 2)), x3=list(rng.standard_normal((2, 2))))
+        poly = t2.poly1.add(*generate_cut_I(t1, at, 0.0, 1e-2, problem.alphas), 1)
+        t2 = solve_level2(problem, t2.anchor, poly, cfg=t2.cfg)
+        assert t2.poly1.size == 2
+        for trace, point in ((t1, p1), (t2, p2)):
+            trace = finite_diff_trace(trace)
+            ref = fresh_copy_fd_grad_h(trace, point)
+            first, second = grad_h(trace, point), grad_h(trace, point)
+            for got, again, want in zip(first, second, ref):
+                assert np.array_equal(got, want) and np.array_equal(again, want), trace.level
 
     def test_the_analytic_gradient_reads_its_steps_from_the_trace(self, quad, monkeypatch):
         _, t2, _, p2 = self.setup_traces(quad)
