@@ -204,11 +204,10 @@ def run(
     T_pre iterations, from t = 0 and while the refinement horizon T1 is open,
     the two inner unrolls run, one cut per layer is generated at the current
     point, and inactive cuts are pruned.  Each cut is stored once, as a row of
-    ``poly1`` or ``poly2`` under the next id, and at unit coefficient norm
-    (``normalize_cut``) on both layers, so the cut duals, their cap
-    sqrt(alpha4) and the pruning tolerance are per unit distance along a cut
-    normal rather than in the raw linearization's units.  The cuts' weak-
-    convexity modulus is ``problem.weak_convexity_mu``.
+    ``poly1`` or ``poly2`` under the next id, at unit coefficient norm
+    (``normalize_cut``), so the cut duals, their cap and the pruning tolerance
+    are per unit distance along a cut normal.  The cuts' weak-convexity
+    modulus is ``problem.weak_convexity_mu``.
 
     ``inner.grad_h`` takes the backward sweep through the unrolls when
     ``problem.cross_hess_fn`` is set and finite differences otherwise.
@@ -218,7 +217,8 @@ def run(
     Each iteration's stationarity gap is the one gradient sweep of L_p: it
     decides the stopping rule, its primal rows are the projected steps of the
     workers dispatched after it (all N at t = 0), and its z rows are the next
-    master step's.
+    master step's.  Its dual rows reuse the master step's dual residuals, except
+    at t = 0 and after a refinement.
 
     Non-finite numerics (``NonFiniteError``, ``InnerSolverError``) end the run
     with ``status="aborted"``, the log up to the last good iteration and the
@@ -285,22 +285,19 @@ def run(
                    for i, kept in zip(p.ids, keep) if not kept]
         poly1, poly2 = poly1.keep(keep1), poly2.keep(keep2)
         if inner_cfg.warm_start:
-            # Warm-start only the inner primal blocks; inner duals, slacks
-            # and cut duals restart at zero every refinement (persisting them
-            # integrates the drag of any still-violated cut across events
-            # without bound).
+            # Only the inner primal blocks: inner duals, slacks and cut duals restart at
+            # zero (carried over, they integrate a still-violated cut's drag without bound).
             warm3, warm2 = ((t.x[-1].copy(), t.z[-1].copy()) for t in (trace1, trace2))
         return added, dropped
 
     def finish(status: str) -> RunResult:
         log.status = status
         log.final_gap_sq = log.records[-1].gap_sq if log.records else float("nan")
-        sizes = {r.t: r.p2_size for r in log.records}
-        log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K,
-                                      problem.dims, sizes)
+        log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K, problem.dims,
+                                      {r.t: r.p2_size for r in log.records})
         return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
-    active, rows = (), np.arange(N)  # t = 0 delivers no worker and dispatches all N
+    active, rows, res = (), np.arange(N), None  # t = 0 delivers none and dispatches all N
     try:
         for t in range(outer_cfg.max_iters + 1):
             if t:
@@ -310,17 +307,16 @@ def run(
                     raise FedtriError("staleness bound violated")
                 rows = np.array(active, np.intp)
                 state.X[rows] = results[rows]
-                state, duals = master_step(state, duals, poly2, problem, outer_cfg, gap, t=t - 1)
-                staleness = [s + 1 for s in staleness]
-                for j in active:
-                    staleness[j] = 0
+                state, duals, res = master_step(state, duals, poly2, problem, outer_cfg, gap,
+                                                t=t - 1)
+                staleness = [0 if j in active else s + 1 for j, s in enumerate(staleness)]
 
-            # At t = 0 this is the bootstrap refinement: while the horizon is
-            # open the master never steps on empty polytopes.
+            # t = 0 refines too, so while T1 is open the master never steps on empty polytopes.
             refined = t % outer_cfg.T_pre == 0 and max(t - 1, 0) < outer_cfg.T1
             added, dropped = refine() if refined else ([], [])
 
-            gap = stationarity_gap(state, duals, poly2, problem, outer_cfg)
+            gap = stationarity_gap(state, duals, poly2, problem, outer_cfg,
+                                   None if refined else res)
             gap_sq = gap.sq_norm
             if not math.isfinite(gap_sq):
                 raise NonFiniteError("non-finite stationarity gap")

@@ -1,10 +1,11 @@
 """The outer Lagrangian's gradient and gap, primal/dual updates and dual projections.
 
-The master's point and duals follow the printed update order: z = (z1, z2,
-z3) in one step with the previous duals, then the cut duals (projected onto
-[0, sqrt(alpha4)]) using the fresh primals, then the consensus duals
-(projected onto the infinity-norm box).  Dual updates differentiate the
-regularized Lagrangian; the stationarity gap uses the unregularized one.
+The master's point and duals follow the printed update order: z = (z1, z2, z3) in one
+step with the previous duals, then the cut duals (projected onto [0, sqrt(alpha4)]) using
+the fresh primals, then the consensus duals (projected onto the infinity-norm box).  Dual
+updates differentiate the regularized Lagrangian; the stationarity gap uses the
+unregularized one.  ``master_step`` forms the dual residuals at its new state and the gap
+there reuses them; the gap forms its own only at t = 0 and after a refinement.
 """
 
 from __future__ import annotations
@@ -107,38 +108,41 @@ def worker_step(problem: TrilevelProblem, state: PrimalState, gap: GapVector,
 
 
 def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: TrilevelProblem,
-               cfg: OuterConfig, c1: float = 0.0, c2: float = 0.0) -> DualState:
+               cfg: OuterConfig, c1: float = 0.0, c2: float = 0.0, res=None) -> tuple:
     """One projected ascent step on the duals at ``state``, regularized by (c1, c2).
 
-    lambda steps on the cut residuals and is projected onto [0, sqrt(alpha4)];
-    theta steps on the x1 consensus residuals and is clipped to the box
-    ``||theta||_inf <= sqrt(alpha5) / d1``.
+    lambda steps on the cut residuals and is projected onto [0, sqrt(alpha4)]; theta steps on
+    the x1 consensus residuals and is clipped to the box ``||theta||_inf <= sqrt(alpha5) / d1``.
+    Returns the new duals and that residual pair, formed here unless ``res`` passes it in.  A
+    zero c adds no ``- 0 dual`` term, which on finite duals changes at most a zero's sign.
     """
     x1 = problem.dims.columns(1)
-    lam = duals.lam + cfg.eta_lambda * (poly2.residuals(state) - c1 * duals.lam)
-    theta = duals.theta + cfg.eta_theta * (state.X[:, x1] - state.Z[x1] - c2 * duals.theta)
+    r, s = (poly2.residuals(state), state.X[:, x1] - state.Z[x1]) if res is None else res
+    lam = duals.lam + cfg.eta_lambda * (r - c1 * duals.lam if c1 else r)
+    theta = duals.theta + cfg.eta_theta * (s - c2 * duals.theta if c2 else s)
     box = math.sqrt(cfg.alpha5) / problem.dims.d1
     # np.clip's values without its Python-level wrapper, which costs more than the arithmetic.
     return DualState(lam=np.minimum(np.maximum(lam, 0.0), math.sqrt(cfg.alpha4)),
-                     theta=np.minimum(np.maximum(theta, -box), box))
+                     theta=np.minimum(np.maximum(theta, -box), box)), (r, s)
 
 
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
                 problem: TrilevelProblem, cfg: OuterConfig, gap: GapVector,
-                t: int) -> tuple[PrimalState, DualState]:
+                t: int) -> tuple[PrimalState, DualState, tuple[Array, Array]]:
     """Consensus and dual updates in the printed order; the inputs are not modified.
 
     ``state.X`` must already hold the freshly applied worker rows.  ``gap``
     must be ``stationarity_gap`` at ``duals`` and ``poly2``, taken at any
     primal point: L_p is affine in z, so ``gap.gz`` is the same everywhere.
-    ``Z`` takes one step, block i by ``eta_zi``, and one projection.
+    ``Z`` takes one step, block i by ``eta_zi``, and one projection.  Returns the
+    new state, duals and the dual residual pair at the new state, for the gap there.
     """
     Z = _step(state.Z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz, problem)
     new_state = PrimalState(state.dims, state.X.copy(), Z)
-    new_duals = _dual_step(new_state, duals, poly2, problem, cfg, *cfg.reg_coeffs(t))
+    new_duals, res = _dual_step(new_state, duals, poly2, problem, cfg, *cfg.reg_coeffs(t))
     if not np.logical_and.reduce(np.isfinite(new_state.X), axis=None):  # Z is projected, so finite
         raise NonFiniteError("non-finite master update")
-    return new_state, new_duals
+    return new_state, new_duals, res
 
 
 @dataclass
@@ -162,15 +166,15 @@ class GapVector:
 
 
 def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
-                     problem: TrilevelProblem, cfg: OuterConfig) -> GapVector:
+                     problem: TrilevelProblem, cfg: OuterConfig, res=None) -> GapVector:
     """The gradient of the unregularized L_p plus its projected dual residuals.
 
     This is the one place L_p's gradient is formed.  The cut duals pull on
     the state's row ``[Z | X.ravel()]`` through one sum of P_II's weighted
     rows: its Z part is ``gz`` but for theta, and its X part adds to ``gx``.
-    The rows ``gx`` are also the regularized Lagrangian's, which
-    ``worker_step`` steps on.  L_p is affine in z, so ``gz`` depends only on the duals and P_II,
-    which lets ``master_step`` reuse it.
+    The rows ``gx`` are also the regularized Lagrangian's, which ``worker_step`` steps on, and
+    ``gz`` is the next ``master_step``'s.  The dual rows step on ``res``, ``master_step``'s residual
+    pair at ``state``; at t = 0 and after a refinement (new P_II and lambda) the gap forms its own.
     """
     d, lam, D = problem.dims, duals.lam, problem.dims.width
     pull = np.add.reduce(lam[:, None] * poly2.W, axis=0)  # not lam @ W: each column's sum order
@@ -178,6 +182,6 @@ def stationarity_gap(state: PrimalState, duals: DualState, poly2: Polytope,
     gx[:, d.columns(1)] += duals.theta
     gz = pull[:D]
     gz[d.columns(1)] -= np.add.reduce(duals.theta, axis=0)
-    proj = _dual_step(state, duals, poly2, problem, cfg)
+    proj, _ = _dual_step(state, duals, poly2, problem, cfg, res=res)
     return GapVector(d, gx, gz, glam=(lam - proj.lam) / cfg.eta_lambda,
                      gtheta=(duals.theta - proj.theta) / cfg.eta_theta)

@@ -446,7 +446,7 @@ class TestSyncEquivalence:
         for t_new in range(1, 26):
             gap = stationarity_gap(state, duals, poly2, problem, outer)
             state.X = worker_step(problem, state, gap, outer, range(2))
-            state, duals = master_step(state, duals, poly2, problem, outer, gap, t=t_new - 1)
+            state, duals, _ = master_step(state, duals, poly2, problem, outer, gap, t=t_new - 1)
         for i in range(3):
             assert np.array_equal(res.state.z[i], state.z[i])
             for j in range(2):
@@ -495,6 +495,28 @@ class TestGradientSweep:
         res = run(problem, inner, outer, sched)
         assert res.log.status == "max_iters" and len(res.log.records) == T + 1
         assert levels.count(1) == T + 1
+
+    def test_every_gap_equals_one_formed_from_scratch_at_its_state(self, monkeypatch):
+        # The loop's gap steps its duals on the master step's residuals.  At t = 0 and
+        # after each refinement, which replaces P_II and lambda, it must form its own.
+        fresh = []
+
+        def checked_gap(state, duals, poly2, problem, cfg, *res):
+            got = stationarity_gap(state, duals, poly2, problem, cfg, *res)
+            ref = stationarity_gap(state, duals, poly2, problem, cfg)
+            for name in ("gx", "gz", "glam", "gtheta"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            fresh.append(res in ((), (None,)))
+            return got
+
+        monkeypatch.setattr(harness, "stationarity_gap", checked_gap)
+        problem, _, inner, outer = quad_setup(N=3, T_pre=4, max_iters=24)
+        log = run(problem, inner, outer, ScheduleConfig(N=3, S=2, seed=2)).log
+        assert log.status == "max_iters" and len(fresh) == len(log.records) == 25
+        # Refinements land mid-run; at t = 12 one keeps P_II's size but not its cuts.
+        assert log.refinement_iters() == [0, 4, 8, 12, 16, 20, 24]
+        assert log.records[11].p2_size == log.records[12].p2_size and log.records[12].cuts_dropped
+        assert [r.t for r, own in zip(log.records, fresh) if own] == log.refinement_iters()
 
 
 class TestOracleRegression:

@@ -272,7 +272,7 @@ class TestMasterStep:
         # One plain update from a state with huge +/- residual pressure: the
         # projection clamps into [0, sqrt(alpha4)].
         gap = stationarity_gap(state, big, poly2, problem, cfg)
-        _, nd = master_step(state, big, poly2, problem, cfg, gap, t=0)
+        _, nd, _ = master_step(state, big, poly2, problem, cfg, gap, t=0)
         assert np.all(nd.lam >= 0.0)
         assert np.all(nd.lam <= np.sqrt(cfg.alpha4) + 1e-12)
 
@@ -282,14 +282,14 @@ class TestMasterStep:
         spiked = duals.copy()
         spiked.theta = np.array([[3.0 * box, 0.1] for _ in range(3)])
         gap = stationarity_gap(state, spiked, poly2, problem, cfg)
-        _, nd = master_step(state, spiked, poly2, problem, cfg, gap, t=0)
+        _, nd, _ = master_step(state, spiked, poly2, problem, cfg, gap, t=0)
         for th in nd.theta:
             assert np.abs(th).max() <= box + 1e-12
 
     def test_matches_handrolled_reference(self, setting):
         problem, state, duals, poly2, cfg = setting
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
-        ns, nd = master_step(state, duals, poly2, problem, cfg, gap, t=2)
+        ns, nd, _ = master_step(state, duals, poly2, problem, cfg, gap, t=2)
         z_ref, lam_ref, theta_ref = reference_master_step(state, duals, poly2, problem, cfg, 2)
         for i in range(3):
             assert np.allclose(ns.z[i], z_ref[i], atol=1e-12)
@@ -304,7 +304,7 @@ class TestMasterStep:
         # primal-then-dual.)
         problem, state, duals, poly2, cfg = setting
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
-        _, nd = master_step(state, duals, poly2, problem, cfg, gap, t=2)
+        _, nd, _ = master_step(state, duals, poly2, problem, cfg, gap, t=2)
         c1, _ = cfg.reg_coeffs(2)
         lam_stale = duals.lam.copy()
         for l, cut in enumerate(zip(poly2.W, poly2.c)):
@@ -333,8 +333,12 @@ class TestDualProjection:
                  (state, duals, poly2, *cfg.reg_coeffs(3))]
         lam_steps, theta_steps = [], []
         for point, start, poly, c1, c2 in cases:
-            got = _dual_step(point, start, poly, problem, cfg, c1, c2)
+            got, (r, s) = _dual_step(point, start, poly, problem, cfg, c1, c2)
             resid = poly.residuals(point)
+            # The step returns the residual pair it stepped on, and steps alike on it passed in.
+            assert np.array_equal(r, resid) and np.array_equal(s, point.x[0] - point.z[0])
+            again, _ = _dual_step(point, start, poly, problem, cfg, c1, c2, (r, s))
+            assert np.array_equal(again.lam, got.lam) and np.array_equal(again.theta, got.theta)
             lam = start.lam + cfg.eta_lambda * (resid - c1 * start.lam)
             theta = start.theta + cfg.eta_theta * (point.x[0] - point.z[0] - c2 * start.theta)
             # array_equal counts -0.0 equal to 0.0.  Only a lambda step of -0.0 tells them
