@@ -190,6 +190,13 @@ class PrimalState:
     def copy(self) -> "PrimalState":
         return PrimalState(self.dims, self.X.copy(), self.Z.copy())
 
+    def oracle_point(self, level: int) -> Array:
+        """Level ``level``'s oracle rows (N, D), a new array: X with the columns before block
+        ``level`` taken from Z, so level 2 reads ``(z1, x2, x3)`` and level 3 ``(z1, z2, x3)``."""
+        V, head = self.X.copy(), self.dims.columns(level).start
+        V[:, :head] = self.Z[:head]
+        return V
+
     def row(self) -> Array:
         """``[Z | X.ravel()]`` (D + N D,): the vector a cut row multiplies."""
         return np.concatenate((self.Z, self.X.ravel()))

@@ -178,15 +178,11 @@ class RunResult:
 def _objectives(problem: TrilevelProblem, state: PrimalState) -> tuple[float, float, float]:
     """The three levels' objectives summed over the workers, in worker order.
 
-    f1 is taken at the workers' points, f2 at (z1, x2, x3) and f3 at (z1, z2, x3).
+    f_l is taken at ``state.oracle_point(l)``: f1 at X, f2 at (z1, x2, x3), f3 at (z1, z2, x3).
     """
-    c, V = problem.dims.columns, state.X.copy()
-    f1 = problem.eval_all(1, state.X)
-    V[:, c(1)] = state.Z[c(1)]
-    f2 = problem.eval_all(2, V)
-    V[:, c(2)] = state.Z[c(2)]
+    f = (problem.eval_all(level, state.oracle_point(level)) for level in (1, 2, 3))
     # Plain left-to-right adds of Python floats: from Python 3.12 ``sum`` compensates them.
-    return tuple(reduce(add, f.tolist(), 0.0) for f in (f1, f2, problem.eval_all(3, V)))
+    return tuple(reduce(add, v.tolist(), 0.0) for v in f)
 
 
 @np.errstate(all="ignore")
@@ -199,8 +195,9 @@ def run(
 ) -> RunResult:
     """Execute the asynchronous loop until the gap target or max_iters.
 
-    Iteration 0 starts from the initial point; every later iteration t first
-    delivers the active workers' updates and takes the master step.  Every
+    Iteration 0 starts from the initial point, the one ``PrimalState`` of the
+    run; every later iteration t first writes the active workers' updates into
+    its X and the master step's new point into its Z.  Every
     T_pre iterations, from t = 0 and while the refinement horizon T1 is open,
     the two inner unrolls run, one cut per layer is generated at the current
     point, and inactive cuts are pruned.  Each cut is stored once, as a row of
@@ -307,8 +304,8 @@ def run(
                     raise FedtriError("staleness bound violated")
                 rows = np.array(active, np.intp)
                 state.X[rows] = results[rows]
-                state, duals, res = master_step(state, duals, poly2, problem, outer_cfg, gap,
-                                                t=t - 1)
+                state.Z, duals, res = master_step(state, duals, poly2, problem, outer_cfg, gap,
+                                                  t=t - 1)
                 staleness = [0 if j in active else s + 1 for j, s in enumerate(staleness)]
 
             # t = 0 refines too, so while T1 is open the master never steps on empty polytopes.

@@ -109,13 +109,11 @@ def _path_buffer(K: int, N: int, d: int, L: int):
 def _level_rows(oracle, level: int, anchor: PrimalState):
     """The unrolled level's rows of ``oracle(level, V)`` as a function of the iterate alone.
 
-    The frozen inputs fill one (N, D) array once: the anchor's X with the
-    columns before block ``level`` taken from its Z (z3 reaches the level-2
-    unroll only through the cuts); each call writes the iterate into a copy of it.
+    The frozen inputs fill one (N, D) array once, ``anchor.oracle_point(level)`` (z3
+    reaches the level-2 unroll only through the cuts); each call writes the iterate into a
+    copy of it.
     """
-    own = anchor.dims.columns(level)
-    base = anchor.X.copy()
-    base[:, :own.start] = anchor.Z[:own.start]
+    own, base = anchor.dims.columns(level), anchor.oracle_point(level)
 
     def rows(x):
         V = base.copy()

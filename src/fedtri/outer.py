@@ -4,8 +4,9 @@ The master's point and duals follow the printed update order: z = (z1, z2, z3) i
 step with the previous duals, then the cut duals (projected onto [0, sqrt(alpha4)]) using
 the fresh primals, then the consensus duals (projected onto the infinity-norm box).  Dual
 updates differentiate the regularized Lagrangian; the stationarity gap uses the
-unregularized one.  ``master_step`` forms the dual residuals at its new state and the gap
-there reuses them; the gap forms its own only at t = 0 and after a refinement.
+unregularized one.  ``master_step`` returns only the master's new point, duals and the
+dual residuals there, and the gap reuses them; the gap forms its own only at t = 0 and
+after a refinement.  The workers' rows X are ``run``'s, written in place as they arrive.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Array, Dims, DualState, NonFiniteError, PrimalState, TrilevelProblem
+from .core import Array, Dims, DualState, PrimalState, TrilevelProblem
 from .core import check_real, project_ball_sq, store_ints
 from .cuts import Polytope
 
@@ -128,21 +129,20 @@ def _dual_step(state: PrimalState, duals: DualState, poly2: Polytope, problem: T
 
 def master_step(state: PrimalState, duals: DualState, poly2: Polytope,
                 problem: TrilevelProblem, cfg: OuterConfig, gap: GapVector,
-                t: int) -> tuple[PrimalState, DualState, tuple[Array, Array]]:
+                t: int) -> tuple[Array, DualState, tuple[Array, Array]]:
     """Consensus and dual updates in the printed order; the inputs are not modified.
 
     ``state.X`` must already hold the freshly applied worker rows.  ``gap``
     must be ``stationarity_gap`` at ``duals`` and ``poly2``, taken at any
     primal point: L_p is affine in z, so ``gap.gz`` is the same everywhere.
     ``Z`` takes one step, block i by ``eta_zi``, and one projection.  Returns the
-    new state, duals and the dual residual pair at the new state, for the gap there.
+    new Z (a new array), the new duals and the dual residual pair at ``(state.X, Z)``,
+    for the gap there.
     """
     Z = _step(state.Z, (cfg.eta_z1, cfg.eta_z2, cfg.eta_z3), gap.gz, problem)
-    new_state = PrimalState(state.dims, state.X.copy(), Z)
-    new_duals, res = _dual_step(new_state, duals, poly2, problem, cfg, *cfg.reg_coeffs(t))
-    if not np.logical_and.reduce(np.isfinite(new_state.X), axis=None):  # Z is projected, so finite
-        raise NonFiniteError("non-finite master update")
-    return new_state, new_duals, res
+    new_duals, res = _dual_step(PrimalState(state.dims, state.X, Z), duals, poly2, problem, cfg,
+                                *cfg.reg_coeffs(t))
+    return Z, new_duals, res
 
 
 @dataclass

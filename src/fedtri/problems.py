@@ -316,9 +316,6 @@ class RobustHpo:
     train_shards: list[Array]
     val_shards: list[Array]
 
-    def predict(self, w: Array, X: Array) -> Array:
-        return mlp_forward(self.shape, w, X)
-
 
 def build_robust_hpo_problem(
     data: RegressionDataset,
@@ -406,12 +403,12 @@ def evaluate_model(hpo: RobustHpo, w: Array, noise_seed: int = 0) -> dict[str, f
     X, y = hpo.data.split("test")
     if w.shape != (hpo.shape.n_params,):
         raise ValueError("weight vector does not match the MLP shape")
-    pred = hpo.predict(w, X)
+    pred = mlp_forward(hpo.shape, w, X)
     mse_clean = float(np.mean((pred - y) ** 2))
     sigma = hpo.data.noise_sigma
     if sigma == 0.0:
         return {"mse_clean": mse_clean, "mse_noisy": mse_clean}
     rng = np.random.default_rng(noise_seed)
     Xn = X + sigma * rng.standard_normal(X.shape)
-    mse_noisy = float(np.mean((hpo.predict(w, Xn) - y) ** 2))
+    mse_noisy = float(np.mean((mlp_forward(hpo.shape, w, Xn) - y) ** 2))
     return {"mse_clean": mse_clean, "mse_noisy": mse_noisy}

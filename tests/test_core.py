@@ -326,6 +326,16 @@ class TestPrimalState:
         assert twin.X[0, 3] == 7.0 and twin.Z[0] == 8.0
         assert not state.X.any() and not state.Z.any()
 
+    def test_oracle_point_takes_the_columns_before_its_block_from_z(self):
+        d = Dims(d1=1, d2=2, d3=1, N=2)
+        state = PrimalState(d, np.arange(8.0).reshape(2, 4), -np.arange(1.0, 5.0))
+        X = state.X.copy()
+        want = {1: X, 2: [[-1, 1, 2, 3], [-1, 5, 6, 7]], 3: [[-1, -2, -3, 3], [-1, -2, -3, 7]]}
+        for level, rows in want.items():
+            V = state.oracle_point(level)
+            assert np.array_equal(V, rows) and not np.shares_memory(V, state.X)
+        assert np.array_equal(state.X, X)
+
 
 class TestEstimateMu:
     def sample(self, n=30, d=3, seed=0, scale=2.0):

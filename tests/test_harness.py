@@ -446,7 +446,7 @@ class TestSyncEquivalence:
         for t_new in range(1, 26):
             gap = stationarity_gap(state, duals, poly2, problem, outer)
             state.X = worker_step(problem, state, gap, outer, range(2))
-            state, duals, _ = master_step(state, duals, poly2, problem, outer, gap, t=t_new - 1)
+            state.Z, duals, _ = master_step(state, duals, poly2, problem, outer, gap, t=t_new - 1)
         for i in range(3):
             assert np.array_equal(res.state.z[i], state.z[i])
             for j in range(2):

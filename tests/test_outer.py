@@ -289,13 +289,27 @@ class TestMasterStep:
     def test_matches_handrolled_reference(self, setting):
         problem, state, duals, poly2, cfg = setting
         gap = stationarity_gap(state, duals, poly2, problem, cfg)
-        ns, nd, _ = master_step(state, duals, poly2, problem, cfg, gap, t=2)
+        Z, nd, _ = master_step(state, duals, poly2, problem, cfg, gap, t=2)
         z_ref, lam_ref, theta_ref = reference_master_step(state, duals, poly2, problem, cfg, 2)
         for i in range(3):
-            assert np.allclose(ns.z[i], z_ref[i], atol=1e-12)
+            assert np.allclose(problem.dims.split(Z)[i], z_ref[i], atol=1e-12)
         assert np.allclose(nd.lam, lam_ref, atol=1e-12)
         for a, b in zip(nd.theta, theta_ref):
             assert np.allclose(a, b, atol=1e-12)
+
+    def test_leaves_its_inputs_bit_identical_and_returns_fresh_arrays(self, setting):
+        # run writes the returned Z into its one state with no copy in between, so the
+        # step must neither write its inputs nor return a view of them.
+        problem, state, duals, poly2, cfg = setting
+        gap = stationarity_gap(state, duals, poly2, problem, cfg)
+        inputs = (state.X, state.Z, duals.lam, duals.theta)
+        before = [a.copy() for a in inputs]
+        Z, nd, _ = master_step(state, duals, poly2, problem, cfg, gap, t=2)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(Z, state.Z)
+        for new in (Z, nd.lam, nd.theta):
+            assert not any(np.shares_memory(new, held) for held in inputs)
 
     def test_primal_before_dual_order_matters(self, setting):
         # The cut duals must see the fresh z blocks; feeding them the stale z

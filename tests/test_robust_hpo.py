@@ -1,5 +1,7 @@
 """The robust-HPO workload: MLP backprop, the trilevel oracle and a short run."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,32 @@ def test_short_run_refines_and_logs_cleanly():
     assert res.log.refinement_iters() == [0, 2, 4]
     mse = evaluate_model(hpo, res.state.z[2])
     assert np.isfinite(mse["mse_clean"]) and np.isfinite(mse["mse_noisy"])
+
+
+@pytest.mark.parametrize("T1, reason, logged", [
+    (0, "cannot project a non-finite vector", [0]),
+    (None, "grad f_3,0 is non-finite", []),
+], ids=["no_refinement", "default_T1"])
+def test_non_finite_initial_point_aborts_at_iteration_0(T1, reason, logged):
+    # f1 does not read x2, so NaN there leaves the t = 0 gap finite.  Without a refinement
+    # the first worker step's projection catches it; with one, the level-3 unroll's gradient.
+    data = make_synthetic_dataset(seed=0, rows=80, features=3)
+    hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=2)
+    start = hpo.problem.initial_point_fn
+
+    def nan_in_x2(rng):
+        x1, x2, x3 = start(rng)
+        x2 = x2.copy()
+        x2[0] = np.nan
+        return x1, x2, x3
+
+    problem = replace(hpo.problem, initial_point_fn=nan_in_x2)
+    outer = OuterConfig(T_pre=2, max_iters=4, **({} if T1 is None else {"T1": T1}))
+    res = run(problem, InnerConfig(K=3), outer, ScheduleConfig(N=2, S=2, seed=0))
+    assert res.log.status == "aborted"
+    assert res.log.abort == {"reason": reason, "t": 0}
+    assert [r.t for r in res.log.records] == logged
+    assert validate_runlog(res.log, problem.dims, 3) == []
 
 
 def test_layer_I_cuts_depend_on_the_level_2_block(monkeypatch):
