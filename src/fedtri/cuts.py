@@ -56,17 +56,17 @@ def drop_inactive(
     return np.abs(gamma_K) > tol, (np.abs(lambdas) > tol) | protected
 
 
-def _linearization_cut(trace: UnrollTrace, state: PrimalState, mu: float, eps: float,
-                       alphas: tuple[float, float, float]) -> tuple[Array, float]:
+def _linearization_cut(trace: UnrollTrace, state: PrimalState, eps: float) -> tuple[Array, float]:
     """First-order expansion of h at ``state``, relaxed by eps plus mu times the inflation.
 
     The inflation is the squared norm of the layer's point, Z and X's columns
     from the unrolled block l on, plus its alpha ball: every row of every
     block brings that block's alpha, so Z brings a1 + a2 + a3 and each worker
-    the alphas of blocks l..3.  The row is ``grad_h`` at the state, laid out
-    like ``PrimalState.row``.
+    the alphas of blocks l..3.  mu and the alphas are the trace's problem's.
+    The row is ``grad_h`` at the state, laid out like ``PrimalState.row``.
     """
-    d, lv = trace.problem.dims, trace.level
+    p, lv = trace.problem, trace.level
+    d, mu, alphas = p.dims, p.weak_convexity_mu, p.alphas
     X = state.X[:, d.columns(lv).start:]
     ball = sum(alphas) + d.N * sum(alphas[lv - 1:])
     gZ, gX = grad_h(trace, state)
@@ -76,36 +76,25 @@ def _linearization_cut(trace: UnrollTrace, state: PrimalState, mu: float, eps: f
     return w, float(c)
 
 
-def generate_cut_I(
-    trace: UnrollTrace,
-    state: PrimalState,
-    mu: float,
-    eps1: float,
-    alphas: tuple[float, float, float],
-) -> tuple[Array, float]:
+def generate_cut_I(trace: UnrollTrace, state: PrimalState) -> tuple[Array, float]:
     """Linearization cut of h_I at the layer-I point of ``state``: Z = (z1, z2', z3) and x3.
 
     The left side is the first-order expansion of h_I around the state; the
-    right side relaxes by eps1 plus the weak-convexity inflation
+    right side relaxes by the trace's ``cfg.eps1`` plus the weak-convexity inflation
     ``mu (a1 + a2 + (N+1) a3 + ||z1||^2 + ||z2'||^2 + ||z3||^2 + sum_j ||x3_j||^2)``,
-    one alpha for each row of each block (see ``_linearization_cut``).
+    one alpha for each row of each block, mu and the alphas being the trace's
+    problem's (see ``_linearization_cut``).
     Rearranged into ``w . [Z | X.ravel()] <= c`` form, w being ``grad_h`` at
     the state, zero on the x1 and x2 columns.
     """
-    return _linearization_cut(trace, state, mu, eps1, alphas)
+    return _linearization_cut(trace, state, trace.cfg.eps1)
 
 
-def generate_cut_II(
-    trace: UnrollTrace,
-    state: PrimalState,
-    mu: float,
-    eps2: float,
-    alphas: tuple[float, float, float],
-) -> tuple[Array, float]:
+def generate_cut_II(trace: UnrollTrace, state: PrimalState) -> tuple[Array, float]:
     """Linearization cut of h_II at the layer-II point of ``state``: Z = (z1, z2, z3), x2 and x3.
 
-    Same construction as the layer-I cut, whose alpha rule gives the inflation
+    Same construction at the trace's ``cfg.eps2``; the layer-I alpha rule gives the inflation
     ``mu (a1 + (N+1)(a2 + a3) + sum_i ||z_i||^2 + sum_{i=2,3} sum_j ||x_ij||^2)``.
     The row is zero on the x1 columns.
     """
-    return _linearization_cut(trace, state, mu, eps2, alphas)
+    return _linearization_cut(trace, state, trace.cfg.eps2)

@@ -22,7 +22,7 @@ import numpy as np
 from .core import DualState, FedtriError, NonFiniteError, PrimalState, TrilevelProblem
 from .core import check_real, store_ints
 from .cuts import Polytope, drop_inactive, generate_cut_I, generate_cut_II, normalize_cut
-from .inner import InnerConfig, InnerSolverError, solve_level2, solve_level3
+from .inner import InnerConfig, solve_level2, solve_level3
 from .outer import OuterConfig, master_step, stationarity_gap, worker_step
 
 
@@ -106,12 +106,13 @@ def comm_cost_iter(S: int, dims, poly2_size: int) -> int:
     return 32 * S * (2 * d_sum + dims.d1 + poly2_size)
 
 
-def comm_cost_cuts(refinement_iters: Sequence[int], N: int, K: int, dims,
-                   poly2_sizes: dict[int, int]) -> int:
-    """Refinement traffic summed over the refinement iterations."""
+def comm_cost_cuts(N: int, K: int, dims, poly2_size: int) -> int:
+    """One refinement's traffic: 32 N (K (3 d23 + 2 |P_II|) + |P_II| (2 d23 + d1 + 1)).
+
+    d23 is d2 + d3, |P_II| the layer-II cuts held after it; exact integers throughout.
+    """
     d23 = dims.d2 + dims.d3
-    return 32 * sum(N * K * (3 * d23 + 2 * poly2_sizes[t])
-                    + N * poly2_sizes[t] * (2 * d23 + dims.d1 + 1) for t in refinement_iters)
+    return 32 * N * (K * (3 * d23 + 2 * poly2_size) + poly2_size * (2 * d23 + dims.d1 + 1))
 
 
 @dataclass
@@ -203,8 +204,8 @@ def run(
     point, and inactive cuts are pruned.  Each cut is stored once, as a row of
     ``poly1`` or ``poly2`` under the next id, at unit coefficient norm
     (``normalize_cut``), so the cut duals, their cap and the pruning tolerance
-    are per unit distance along a cut normal.  The cuts' weak-convexity
-    modulus is ``problem.weak_convexity_mu``.
+    are per unit distance along a cut normal.  A cut reads mu, eps and the
+    alphas from its trace (``generate_cut_I``, ``generate_cut_II``).
 
     ``inner.grad_h`` takes the backward sweep through the unrolls when
     ``problem.cross_hess_fn`` is set and finite differences otherwise.
@@ -217,7 +218,7 @@ def run(
     master step's.  Its dual rows reuse the master step's dual residuals, except
     at t = 0 and after a refinement.
 
-    Non-finite numerics (``NonFiniteError``, ``InnerSolverError``) end the run
+    Non-finite numerics (``NonFiniteError``, from the outer steps or an unroll) end the run
     with ``status="aborted"``, the log up to the last good iteration and the
     reason and iteration in progress in ``log.abort``, under any warning
     filter: NumPy's floating-point warnings are off inside ``run``.  Any other
@@ -231,7 +232,6 @@ def run(
         problem = replace(problem, cross_hess_fn=None)
     elif grad_mode != "auto":
         raise ValueError(f"unknown grad_mode {grad_mode!r}")
-    mu = problem.weak_convexity_mu
     outer_cfg.check_floors(N=sched_cfg.N)
 
     N = problem.dims.N
@@ -267,11 +267,11 @@ def run(
         (_, x2, x3), (_, z2, z3) = state.x, state.z
         # No stored warm start: begin at the outer iterate (zeros are an MLP saddle).
         trace1 = solve_level3(problem, state, init=warm3 or (x3, z3), cfg=inner_cfg)
-        cut1 = generate_cut_I(trace1, state, mu, inner_cfg.eps1, problem.alphas)
+        cut1 = generate_cut_I(trace1, state)
         poly1 = poly1.add(*normalize_cut(*cut1), added[0])
 
         trace2 = solve_level2(problem, state, poly1, init=warm2 or (x2, z2), cfg=inner_cfg)
-        cut2 = generate_cut_II(trace2, state, mu, inner_cfg.eps2, problem.alphas)
+        cut2 = generate_cut_II(trace2, state)
         poly2 = poly2.add(*normalize_cut(*cut2), added[1])
         lam = np.append(duals.lam, 0.0)
 
@@ -290,8 +290,6 @@ def run(
     def finish(status: str) -> RunResult:
         log.status = status
         log.final_gap_sq = log.records[-1].gap_sq if log.records else float("nan")
-        log.c2_total = comm_cost_cuts(log.refinement_iters(), N, inner_cfg.K, problem.dims,
-                                      {r.t: r.p2_size for r in log.records})
         return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
     active, rows, res = (), np.arange(N), None  # t = 0 delivers none and dispatches all N
@@ -319,6 +317,8 @@ def run(
                 raise NonFiniteError("non-finite stationarity gap")
             c1_cost = comm_cost_iter(sched_cfg.S, problem.dims, poly2.size) if t else 0
             log.c1_total += c1_cost
+            if refined:
+                log.c2_total += comm_cost_cuts(N, inner_cfg.K, problem.dims, poly2.size)
             log.records.append(IterRecord(
                 t=t, sim_time=clock, active=[j + 1 for j in active], staleness=list(staleness),
                 gap_sq=gap_sq, p1_size=poly1.size, p2_size=poly2.size, c1=c1_cost,
@@ -332,7 +332,7 @@ def run(
             for j, delay in zip(rows.tolist(), sched_cfg.delay.draw(rng, rows).tolist()):
                 pending[j] = clock + delay
         log.objectives = _objectives(problem, state)
-    except (NonFiniteError, InnerSolverError) as exc:
+    except NonFiniteError as exc:
         log.abort = {"reason": str(exc), "t": t}
         return finish("aborted")
     return finish("max_iters" if log.T_eps is None else "converged")
@@ -364,8 +364,7 @@ def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[st
     if c1_sum != log.c1_total:
         problems.append("C1 total mismatch")
     K = log.K if inner_K is None else inner_K
-    sizes = {r.t: r.p2_size for r in log.records}
-    c2 = comm_cost_cuts([r.t for r in log.records if r.refined], log.N, K, dims, sizes)
+    c2 = sum(comm_cost_cuts(log.N, K, dims, r.p2_size) for r in log.records if r.refined)
     if c2 != log.c2_total:
         problems.append("C2 total mismatch")
     return problems

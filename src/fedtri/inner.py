@@ -15,12 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Array, FedtriError, Polytope, PrimalState, TrilevelProblem
+from .core import Array, NonFiniteError, Polytope, PrimalState, TrilevelProblem
 from .core import check_real, finite_diff_grad, store_ints
-
-
-class InnerSolverError(FedtriError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
         dev = x1 - z1
         np.add(pk, eta_phi * dev, out=p1)
         if not np.logical_and.reduce(np.isfinite(b1)):
-            raise InnerSolverError(f"non-finite level-{level} iterate at round {k}")
+            raise NonFiniteError(f"non-finite level-{level} iterate at round {k}")
         xk, zk, pk, gk = x1, z1, p1, g1
     return UnrollTrace(level, problem, cfg, anchor, poly1, r0, steps, x, z, phi, s, gamma)
 
@@ -198,17 +194,18 @@ def solve_level3(problem: TrilevelProblem, state: PrimalState, init=None,
                    np.zeros(0), (cfg.kappa, cfg.eta_z, 0.0), init, cfg)
 
 
-def level2_steps(cfg: InnerConfig, poly1: Polytope, N: int) -> tuple[float, float]:
+def level2_steps(cfg: InnerConfig, poly1: Polytope) -> tuple[float, float]:
     """Effective (eta_z, gamma step) for the level-2 unroll.
 
     The cuts enter at unit penalty, so the z2-curvature of the penalized
-    Lagrangian is ``N * kappa`` plus the cut steepness ``sum_l ||a2_l||^2``;
-    the configured steps are damped so the unroll stays stable for any
-    polytope.  The gamma step is at most 1, the method-of-multipliers step, so
-    a dual cannot overshoot below zero.  Both are a pure function of (cfg, poly1).
+    Lagrangian is ``N * kappa`` (N from ``poly1.dims``) plus the cut steepness
+    ``sum_l ||a2_l||^2``; the configured steps are damped so the unroll stays
+    stable for any polytope.  The gamma step is at most 1, the
+    method-of-multipliers step, so a dual cannot overshoot below zero.  Both
+    are a pure function of (cfg, poly1).
     """
     steep = float((poly1.A2 * poly1.A2).sum())
-    eta_z = min(cfg.eta_z, 1.5 / (N * cfg.kappa + steep))
+    eta_z = min(cfg.eta_z, 1.5 / (poly1.dims.N * cfg.kappa + steep))
     eta_gamma = min(cfg.eta_phi, 1.0, 1.5 / (1.0 + steep))
     return eta_z, eta_gamma
 
@@ -225,7 +222,7 @@ def solve_level2(problem: TrilevelProblem, state: PrimalState, poly1: Polytope, 
     at_zero = PrimalState(d, anchor.X, anchor.Z.copy())  # the cuts read the unrolled z2 as z2'
     at_zero.Z[d.columns(2)] = 0.0
     return _unroll(problem, 2, anchor, poly1, poly1.residuals(at_zero),
-                   (cfg.kappa, *level2_steps(cfg, poly1, d.N)), init, cfg)
+                   (cfg.kappa, *level2_steps(cfg, poly1)), init, cfg)
 
 
 def _sq_deviation(x, z, x_hat, z_hat) -> float:

@@ -1,11 +1,12 @@
 """The tests' instruments for the claim that mu-cuts stay valid for mu-weakly-convex h.
 
 ``flat_h`` writes h over the outer state's row ``[Z | X.ravel()]``, ``estimate_mu`` measures h's
-weak-convexity modulus on sample points, and ``validate_cut`` samples the
-relaxed set ``h <= eps`` and counts the points a cut wrongly excludes.
+weak-convexity modulus on sample points, ``validate_cut`` samples the
+relaxed set ``h <= eps`` and counts the points a cut wrongly excludes, and
+``with_cut_params`` sets the mu, eps and alphas a trace's cuts are built with.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,6 +15,23 @@ from fedtri.inner import eval_h, grad_h, rerun
 
 VIOLATION_TOL = 1e-9  # a residual above this counts as a violation
 MAX_DRAWS = 10**6  # proposals ``validate_cut`` makes before it reports inconclusive
+
+
+def with_cut_params(trace, mu=None, eps=None, alphas=None):
+    """A copy of ``trace`` whose cuts use ``mu``, ``eps`` and ``alphas``; None keeps the trace's.
+
+    mu and alphas go into the trace's problem (``weak_convexity_mu``, ``alphas``), eps into its
+    config (``eps1`` for a layer-I trace, ``eps2`` for a layer-II one).  The unroll reads none of
+    them, so the copy's recorded path is the trace's own.
+    """
+    problem, cfg = trace.problem, trace.cfg
+    if mu is not None:
+        problem = replace(problem, weak_convexity_mu=mu)
+    if alphas is not None:
+        problem = replace(problem, alphas=alphas)
+    if eps is not None:
+        cfg = replace(cfg, **{"eps1" if trace.level == 3 else "eps2": eps})
+    return replace(trace, problem=problem, cfg=cfg)
 
 
 def flat_h(trace):

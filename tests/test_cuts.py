@@ -15,7 +15,7 @@ from fedtri.harness import ScheduleConfig, run
 from fedtri.inner import InnerConfig, eval_h, grad_h, solve_level2, solve_level3
 from fedtri.outer import OuterConfig
 from fedtri.problems import RobustHpoSpec, build_quadratic_problem, build_robust_hpo_problem
-from cut_checks import estimate_mu, flat_h, validate_cut
+from cut_checks import estimate_mu, flat_h, validate_cut, with_cut_params
 from oracle_rows import state_of
 
 
@@ -81,7 +81,7 @@ class TestGenerateCutI:
         cfg = InnerConfig(K=1, eta_x=0.0, eta_z=0.0, eta_phi=0.0)
         trace = solve_level3(problem, state_of(problem.dims, np.zeros(1), np.zeros(1)), cfg=cfg)
         point = state_of(problem.dims, np.zeros(1), np.zeros(1), np.array([1.0]), x3=[np.zeros(1)])
-        w, c = generate_cut_I(trace, point, mu=0.0, eps1=0.1, alphas=problem.alphas)
+        w, c = generate_cut_I(with_cut_params(trace, eps=0.1), point)
         (a1, a2, a3), (_, _, b3) = row_blocks(problem.dims, w)
         assert np.allclose(a3, [2.0], atol=1e-9)
         assert np.allclose(a1, [0.0], atol=1e-9)
@@ -99,8 +99,7 @@ class TestGenerateCutI:
         x3 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
         point = state_of(problem.dims, z1, z2, z3, x3=x3)
-        w, c = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
-                              alphas=problem.alphas)
+        w, c = generate_cut_I(trace, point)
         v0 = flat_row(point.Z, point.X)
         g = flat_row(*grad_h(trace, point))
         h0 = eval_h(trace, point)
@@ -117,10 +116,8 @@ class TestGenerateCutI:
                            x3=[np.zeros(2)] * 2)
         eps1, mu = 0.05, 2.0
         for alphas in INFLATION_ALPHAS:
-            _, c0 = generate_cut_I(trace, zero_pt, mu=0.0, eps1=eps1,
-                                   alphas=alphas)
-            _, c = generate_cut_I(trace, zero_pt, mu=mu, eps1=eps1,
-                                  alphas=alphas)
+            _, c0 = generate_cut_I(with_cut_params(trace, eps=eps1, alphas=alphas), zero_pt)
+            _, c = generate_cut_I(with_cut_params(trace, mu=mu, eps=eps1, alphas=alphas), zero_pt)
             inflation = inflation_ball("I", problem.dims, alphas)
             assert c - c0 == pytest.approx(mu * inflation, rel=1e-12), alphas
 
@@ -136,8 +133,7 @@ class TestGenerateCutII:
         trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3),
                              Polytope(problem.dims), cfg=cfg)
         point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
-        w, c = generate_cut_II(trace, point, mu=0.0, eps2=1e-2,
-                               alphas=problem.alphas)
+        w, c = generate_cut_II(trace, point)
         v0 = flat_row(point.Z, point.X)
         g = flat_row(*grad_h(trace, point))
         assert np.allclose(w, g, rtol=1e-12, atol=1e-12)
@@ -154,12 +150,25 @@ class TestGenerateCutII:
                       x3=[np.zeros(2)] * 2, x2=[np.zeros(2)] * 2)
         eps2 = 0.3
         for alphas in INFLATION_ALPHAS:
-            _, c0 = generate_cut_II(trace, pt, mu=0.0, eps2=eps2,
-                                    alphas=alphas)
-            _, c = generate_cut_II(trace, pt, mu=1.0, eps2=eps2,
-                                   alphas=alphas)
+            _, c0 = generate_cut_II(with_cut_params(trace, eps=eps2, alphas=alphas), pt)
+            _, c = generate_cut_II(with_cut_params(trace, mu=1.0, eps=eps2, alphas=alphas), pt)
             inflation = inflation_ball("II", problem.dims, alphas)
             assert c - c0 == pytest.approx(inflation, rel=1e-12), alphas
+
+    def test_each_layer_relaxes_by_its_own_eps(self, quad):
+        # eps1 = 0.1 and eps2 = 0.3 in one config: a layer that read the other's eps shows.
+        problem, _ = quad
+        rng = np.random.default_rng(9)
+        cfg = InnerConfig(K=3, eta_x=0.1, eta_z=0.1, eta_phi=0.1, eps1=0.1, eps2=0.3)
+        z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
+        x3 = [rng.standard_normal(2) for _ in range(2)]
+        x2 = [rng.standard_normal(2) for _ in range(2)]
+        point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
+        t1 = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
+        t2 = solve_level2(problem, point, Polytope(problem.dims), cfg=cfg)
+        for generate, trace, eps in ((generate_cut_I, t1, 0.1), (generate_cut_II, t2, 0.3)):
+            w, c = generate(trace, point)
+            assert c == pytest.approx(eps - eval_h(trace, point) + w @ point.row(), rel=1e-12)
 
     def test_slack_at_own_anchor(self, quad):
         # Substituting the anchor kills the linear term: slack = c - lhs
@@ -174,8 +183,7 @@ class TestGenerateCutII:
                              Polytope(problem.dims), cfg=cfg)
         point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
         eps2, mu = 1e-2, 0.5
-        cut = generate_cut_II(trace, point, mu=mu, eps2=eps2,
-                              alphas=(1.0, 1.0, 1.0))
+        cut = generate_cut_II(with_cut_params(trace, mu=mu, alphas=(1.0, 1.0, 1.0)), point)
         h0 = eval_h(trace, point)
         slack = -residual(cut, point)
         assert slack == pytest.approx(eps2 + mu * cut_inflation_ii(point) - h0, rel=1e-9)
@@ -192,8 +200,8 @@ class TestNormalizeCut:
         x2 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level2(problem, state_of(problem.dims, z1, z3=z3, x3=x3),
                              Polytope(problem.dims), cfg=cfg)
-        raw = generate_cut_II(trace, state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3), mu=0.5,
-                              eps2=1e-2, alphas=(1.0, 1.0, 1.0))
+        raw = generate_cut_II(with_cut_params(trace, mu=0.5, alphas=(1.0, 1.0, 1.0)),
+                              state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3))
         unit = normalize_cut(*raw)
         assert np.linalg.norm(unit[0]) == pytest.approx(1.0, rel=1e-12)
         nrm = np.sqrt(raw[0] @ raw[0])
@@ -359,8 +367,7 @@ class TestCutViolation:
         x_hat, z_hat = trace.estimate
         # Anchor with h(point) = 0 <= eps: the cut is satisfied there.
         point = state_of(problem.dims, z1, z2, z_hat, x3=list(x_hat))
-        cut = generate_cut_I(trace, point, mu=0.0, eps1=1e-2,
-                             alphas=problem.alphas)
+        cut = generate_cut_I(trace, point)
         assert residual(cut, point) <= 0.0
 
 
@@ -372,8 +379,8 @@ class TestValidateCut:
         z1, z2, z3 = (rng.standard_normal(2) for _ in range(3))
         x3 = [rng.standard_normal(2) for _ in range(2)]
         trace = solve_level3(problem, state_of(problem.dims, z1, z2), cfg=cfg)
-        cut = generate_cut_I(trace, state_of(problem.dims, z1, z2, z3, x3=x3), mu=0.0,
-                             eps1=1e-2, alphas=(9.0, 9.0, 9.0))
+        cut = generate_cut_I(with_cut_params(trace, alphas=(9.0, 9.0, 9.0)),
+                             state_of(problem.dims, z1, z2, z3, x3=x3))
         report = validate_cut(cut, trace, eps=1e-2, n_samples=1000, seed=0,
                               alphas=(9.0, 9.0, 9.0))
         assert not report.inconclusive
@@ -391,12 +398,11 @@ class TestValidateCut:
         point = state_of(problem.dims, z1, z2, z3, x3=x3)
         generate, solve = generate_cut_I, "solve_level3"
         if layer == "II":
-            poly1 = Polytope(problem.dims).add(*generate_cut_I(trace, point, 0.0, 1e-2,
-                                                               problem.alphas), 0)
+            poly1 = Polytope(problem.dims).add(*generate_cut_I(trace, point), 0)
             trace = solve_level2(problem, point, poly1, cfg=cfg)
             point = state_of(problem.dims, z1, z2, z3, x2=x2, x3=x3)
             generate, solve = generate_cut_II, "solve_level2"
-        cut = generate(trace, point, 0.0, 1e-2, (9.0, 9.0, 9.0))
+        cut = generate(with_cut_params(trace, alphas=(9.0, 9.0, 9.0)), point)
         calls, unroll = [], getattr(inner, solve)
         monkeypatch.setattr(inner, solve, lambda *a, **kw: calls.append(1) or unroll(*a, **kw))
         report = validate_cut(cut, trace, eps=1e-2, n_samples=20, seed=0,
@@ -434,10 +440,11 @@ class TestValidateCut:
             pts.append(np.array([0.0, rng.uniform(-1, 1), rng.uniform(-r3, r3), 0.0, 0.0, x3]))
         mu_hat = estimate_mu(fn, pts, grad=grad)
         assert mu_hat > 1.0
-        good = generate_cut_I(trace, anchor, mu=mu_hat, eps1=eps, alphas=alphas)
+        good = generate_cut_I(with_cut_params(trace, mu=mu_hat, eps=eps, alphas=alphas), anchor)
         rep_good = validate_cut(good, trace, eps=eps, n_samples=400, seed=1, alphas=alphas)
         assert rep_good.violations == 0
-        bad = generate_cut_I(trace, anchor, mu=mu_hat / 10.0, eps1=eps, alphas=alphas)
+        bad = generate_cut_I(with_cut_params(trace, mu=mu_hat / 10.0, eps=eps, alphas=alphas),
+                             anchor)
         rep_bad = validate_cut(bad, trace, eps=eps, n_samples=400, seed=1, alphas=alphas)
         assert rep_bad.violations > 0
 
@@ -461,8 +468,7 @@ class TestValidateCut:
         counts = [membership(poly)]
         for k in range(4):
             anchor = draw_point()
-            cut = generate_cut_I(trace, anchor, mu=0.0, eps1=1e-2,
-                                 alphas=problem.alphas)
+            cut = generate_cut_I(trace, anchor)
             poly = poly.add(*cut, k)
             counts.append(membership(poly))
         assert all(b <= a for a, b in zip(counts, counts[1:]))

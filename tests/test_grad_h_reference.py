@@ -48,7 +48,7 @@ def ref_jacobians(trace, key, worker=None):
         kappa, eta_z, eta_gamma = cfg.kappa, cfg.eta_z, 0.0
     else:
         kappa = cfg.kappa
-        eta_z, eta_gamma = level2_steps(cfg, poly1, N)
+        eta_z, eta_gamma = level2_steps(cfg, poly1)
     if L:
         dconst = cut_columns(poly1, key, worker)
         a2s = poly1.A2
@@ -104,7 +104,7 @@ CFG = InnerConfig(K=8, eta_x=0.15, eta_z=0.15, eta_phi=0.15)
 def t1_cuts(problem, t1, p2, shifts):
     """The unit layer-I cut of ``t1`` at the state's z1, z2, z3, x3, its offset shifted by each
     of ``shifts`` in turn, as one polytope."""
-    w, c = normalize_cut(*generate_cut_I(t1, p2, 0.0, 1e-2, problem.alphas))
+    w, c = normalize_cut(*generate_cut_I(t1, p2))
     return Polytope(problem.dims, [w] * len(shifts), [c + dc for dc in shifts],
                     tuple(range(len(shifts))))
 
@@ -163,7 +163,7 @@ def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
     d = problem.dims
     cuts = t1_cuts(problem, t1, p2, (2.5, 3.5))
     cfg = dataclasses.replace(CFG, eta_phi=1.0)
-    assert level2_steps(cfg, cuts, d.N)[1] == 1.0
+    assert level2_steps(cfg, cuts)[1] == 1.0
     zeros = np.zeros((d.N, d.d2))
     init = (zeros, np.zeros(d.d2), zeros, None, np.full(2, 0.3))
     trace = solve_level2(problem, p1, cuts, init=init, cfg=cfg)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedtri.core import Dims, DualState, FedtriError, NonFiniteError, PrimalState
-from fedtri.cuts import Polytope
+from fedtri.cuts import Polytope, generate_cut_I, generate_cut_II
 import fedtri.harness as harness
 from fedtri.harness import (
     DelayModel,
@@ -20,6 +20,7 @@ from fedtri.harness import (
 from fedtri.inner import InnerConfig
 from fedtri.outer import OuterConfig, master_step, stationarity_gap, worker_step
 from fedtri.problems import build_quadratic_problem
+from cut_checks import with_cut_params
 
 
 def quad_setup(seed=7, N=2, dims=(2, 2, 2), **outer_kw):
@@ -188,17 +189,17 @@ class TestCommCosts:
         assert comm_cost_iter(0, self.Dims(2, 2, 2), 5) == 0
 
     def test_cuts_empty(self):
-        assert comm_cost_cuts([], 2, 3, self.Dims(1, 1, 1), {}) == 0
+        # No rounds and no layer-II cuts: the refinement sends nothing.
+        assert comm_cost_cuts(2, 0, self.Dims(1, 1, 1), 0) == 0
 
     def test_cuts_single_event_golden(self):
         # Hand evaluation: 32 (2*3*(6+2) + 2*1*(4+1+1)) = 1920.
-        got = comm_cost_cuts([4], 2, 3, self.Dims(1, 1, 1), {4: 1})
+        got = comm_cost_cuts(2, 3, self.Dims(1, 1, 1), 1)
         assert got == 1920
 
     def test_cuts_linear_in_n(self):
         d = self.Dims(2, 3, 4)
-        sizes = {10: 3}
-        assert comm_cost_cuts([10], 4, 5, d, sizes) == 2 * comm_cost_cuts([10], 2, 5, d, sizes)
+        assert comm_cost_cuts(4, 5, d, 3) == 2 * comm_cost_cuts(2, 5, d, 3)
 
 
 class TestRunBasics:
@@ -248,9 +249,8 @@ class TestRunBasics:
         for r in log.records:
             if r.t:
                 assert r.c1 == comm_cost_iter(log.S, problem.dims, r.p2_size)
-        sizes = {r.t: r.p2_size for r in log.records}
-        assert log.c2_total == comm_cost_cuts(log.refinement_iters(), log.N,
-                                              inner.K, problem.dims, sizes)
+        assert log.c2_total == sum(comm_cost_cuts(log.N, inner.K, problem.dims, r.p2_size)
+                                   for r in log.records if r.refined)
 
     def test_active_set_size_at_least_s(self):
         problem, _, inner, outer = quad_setup(max_iters=50)
@@ -270,8 +270,8 @@ class TestRunBasics:
         assert footer["abort"]["reason"] and footer["abort"]["t"] == res.log.records[-1].t
         assert res.log.objectives is None and footer["objectives"] is None
         assert res.log.refinement_iters() == [0]
-        sizes = {r.t: r.p2_size for r in res.log.records}
-        assert footer["c2_total"] == comm_cost_cuts([0], 2, inner.K, problem.dims, sizes) > 0
+        p2_size = res.log.records[0].p2_size
+        assert footer["c2_total"] == comm_cost_cuts(2, inner.K, problem.dims, p2_size) > 0
         assert validate_runlog(res.log, problem.dims) == []
 
     @pytest.mark.filterwarnings("error")
@@ -473,6 +473,49 @@ class TestRefinement:
         assert lam.size == 2 and lam[0] > 0.0
         assert np.array_equal(res.duals.lam, lam[1:])
         assert res.poly2.size == 1
+
+    def test_a_weakly_convex_problem_inflates_its_cuts_by_mu(self, monkeypatch):
+        # At t = 0 both runs unroll level 3 at the same point, so their layer-I cuts
+        # differ only in the offset, by mu times the inflation.  The level-2 unroll
+        # reads the layer-I cut, whose offset carries that inflation, so the layer-II
+        # cut is compared with the mu = 0 cut of its own trace.
+        mu = 0.5
+
+        def runs(weak_convexity_mu, repeats):
+            """The logs of ``repeats`` same-seed runs and every (trace, state, cut) they built."""
+            cuts = []
+
+            def recorded(generate):
+                def build(trace, state):
+                    cuts.append((trace, state.copy(), generate(trace, state)))
+                    return cuts[-1][2]
+                return build
+            monkeypatch.setattr(harness, "generate_cut_I", recorded(generate_cut_I))
+            monkeypatch.setattr(harness, "generate_cut_II", recorded(generate_cut_II))
+            problem, _, inner, outer = quad_setup(T_pre=5, max_iters=12)
+            problem = dataclasses.replace(problem, weak_convexity_mu=weak_convexity_mu)
+            sched = ScheduleConfig(N=2, S=1, tau=5, seed=3)
+            return problem, [run(problem, inner, outer, sched).log for _ in range(repeats)], cuts
+
+        def inflation(level, state, alphas):
+            """Each row of each block's alpha plus the squared norm of the layer's point."""
+            (a1, a2, a3), (_, x2, x3), N = alphas, state.x, state.dims.N
+            own = state.Z @ state.Z + np.vdot(x3, x3)
+            if level == 3:
+                return a1 + a2 + (N + 1) * a3 + own
+            return a1 + (N + 1) * (a2 + a3) + own + np.vdot(x2, x2)
+
+        problem, logs, cuts = runs(mu, 2)
+        _, _, cuts0 = runs(0.0, 1)
+        (_, state1, (w1, c1)), (trace2, state2, (w2, c2)) = cuts[:2]
+        _, _, (w1_0, c1_0) = cuts0[0]
+        assert np.array_equal(w1, w1_0)
+        assert c1 - c1_0 == pytest.approx(mu * inflation(3, state1, problem.alphas), rel=1e-12)
+        w2_0, c2_0 = generate_cut_II(with_cut_params(trace2, mu=0.0), state2)
+        assert np.array_equal(w2, w2_0)
+        assert c2 - c2_0 == pytest.approx(mu * inflation(2, state2, problem.alphas), rel=1e-12)
+        assert logs[0].abort is None and validate_runlog(logs[0], problem.dims) == []
+        assert logs[0].to_jsonl() == logs[1].to_jsonl()
 
 
 class TestGradientSweep:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fedtri import inner
-from fedtri.core import Dims, FedtriError, Polytope, TrilevelProblem, finite_diff_grad
+from fedtri.core import Dims, FedtriError, NonFiniteError, Polytope, TrilevelProblem
+from fedtri.core import finite_diff_grad
 from fedtri.cuts import generate_cut_I
 from fedtri.inner import (
     InnerConfig,
-    InnerSolverError,
     eval_h,
     grad_h,
     solve_level2,
@@ -161,7 +161,7 @@ class TestSolveLevel3:
             grad_fn=lambda level, V: np.full((1, 3), 1e200),
         )
         cfg = InnerConfig(K=3, eta_x=1e200, eta_z=1.0, eta_phi=1.0)
-        with pytest.raises((InnerSolverError, FedtriError), match="round"):
+        with pytest.raises(NonFiniteError, match="round"):
             solve_level3(problem, state_of(dims, np.zeros(1), np.zeros(1)), cfg=cfg)
 
 
@@ -296,7 +296,7 @@ class TestSolveLevel2:
 
         resid, peak = final_residual_and_peak()
         assert abs(resid) <= 6e-9 and peak < 1.5
-        monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1, N: (cfg.eta_z, cfg.eta_phi))
+        monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1: (cfg.eta_z, cfg.eta_phi))
         resid, peak = final_residual_and_peak()
         assert resid > 0.09 and peak > 2.9
 
@@ -305,7 +305,7 @@ class TestSolveLevel2:
         # a larger one overshoots a decaying dual below zero before the clamp.
         problem, _ = quad
         cfg = InnerConfig(eta_phi=2.0)
-        _, eta_gamma = inner.level2_steps(cfg, Polytope(problem.dims), problem.dims.N)
+        _, eta_gamma = inner.level2_steps(cfg, Polytope(problem.dims))
         assert eta_gamma == 1.0
 
     @pytest.mark.parametrize("kappa, n_cuts, want", [
@@ -322,7 +322,7 @@ class TestSolveLevel2:
         poly = (Polytope(d, [w] * n_cuts, [-1.0] * n_cuts, tuple(range(n_cuts))) if n_cuts
                 else Polytope(d))
         cfg = InnerConfig(eta_z=0.5, eta_phi=0.5, kappa=kappa)
-        assert inner.level2_steps(cfg, poly, d.N) == want
+        assert inner.level2_steps(cfg, poly) == want
 
     def test_consensus_residual_nonincreasing_late(self):
         rng = np.random.default_rng(4)
@@ -402,7 +402,7 @@ class TestGradH:
         poly = Polytope(d)
         if with_cut:
             p1 = state_of(d, z1, z2, z3, x3=x3)
-            poly = poly.add(*generate_cut_I(t1, p1, 0.0, 1e-2, problem.alphas), 0)
+            poly = poly.add(*generate_cut_I(t1, p1), 0)
         t2 = solve_level2(problem, state_of(d, z1, z3=z3, x3=x3), poly, cfg=cfg)
         return t1, t2, state_of(d, z1, z2, z3, x3=x3), state_of(d, z1, z2, z3, x2=x2, x3=x3)
 
@@ -447,7 +447,7 @@ class TestGradH:
         t1, t2, p1, p2 = self.setup_traces(quad)
         d, rng = problem.dims, np.random.default_rng(11)
         at = state_of(d, *rng.standard_normal((3, 2)), x3=list(rng.standard_normal((2, 2))))
-        poly = t2.poly1.add(*generate_cut_I(t1, at, 0.0, 1e-2, problem.alphas), 1)
+        poly = t2.poly1.add(*generate_cut_I(t1, at), 1)
         t2 = solve_level2(problem, t2.anchor, poly, cfg=t2.cfg)
         assert t2.poly1.size == 2
         for trace, point in ((t1, p1), (t2, p2)):
@@ -460,7 +460,7 @@ class TestGradH:
     def test_the_analytic_gradient_reads_its_steps_from_the_trace(self, quad, monkeypatch):
         _, t2, _, p2 = self.setup_traces(quad)
         before = grad_h(t2, p2)
-        monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1, N: (0.5 * cfg.eta_z, 0.0))
+        monkeypatch.setattr(inner, "level2_steps", lambda cfg, poly1: (0.5 * cfg.eta_z, 0.0))
         for a, b in zip(before, grad_h(t2, p2)):
             assert np.array_equal(a, b)
 

@@ -66,7 +66,7 @@ def ref_path_level3(problem, z1, z2p, x, z, phi, cfg):
 
 def ref_path_level2(problem, z1, z3, x3, poly, x, z2, phi, s, gamma, cfg):
     r0 = poly.residuals(state_of(problem.dims, z1, 0.0, z3, x3=x3))  # the residuals at z2 = 0
-    eta_z, eta_gamma = level2_steps(cfg, poly, problem.dims.N)
+    eta_z, eta_gamma = level2_steps(cfg, poly)
     path = [(x, z2, phi, s, gamma)]
     for _ in range(cfg.K):
         x, z2, s, gamma, phi = ref_level2_round(problem, z1, x3, x, z2, s, gamma, phi,
@@ -127,8 +127,7 @@ def test_level2_matches_reference_with_cuts_and_warm_duals(setup):
     t1 = solve_level3(problem, state_of(d, z1, z2), cfg=CFG)
     poly1 = Polytope(d)
     for i, shift in enumerate((0.0, 0.5)):
-        poly1 = poly1.add(*generate_cut_I(t1, state_of(d, z1, z2 + shift, z3, x3=x3), 0.0, 1e-2,
-                                          problem.alphas), i)
+        poly1 = poly1.add(*generate_cut_I(t1, state_of(d, z1, z2 + shift, z3, x3=x3)), i)
     x0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
     z0 = rng.standard_normal(d.d2)
     phi0 = [rng.standard_normal(d.d2) for _ in range(d.N)]
