@@ -132,6 +132,8 @@ class IterRecord:
 
 @dataclass
 class RunLog:
+    """A run's records and totals, from which its ``status`` and ``final_gap_sq`` are read."""
+
     dims: tuple[int, int, int]
     N: int
     S: int
@@ -141,13 +143,19 @@ class RunLog:
     T1: int
     seed: int
     records: list[IterRecord] = field(default_factory=list)
-    status: str = "running"
     T_eps: Optional[int] = None
     c1_total: int = 0
     c2_total: int = 0
-    final_gap_sq: float = float("nan")
     abort: Optional[dict] = None  # {"reason": str, "t": iteration in progress}
     objectives: Optional[tuple[float, float, float]] = None  # (f1, f2, f3) at the returned state
+
+    @property
+    def status(self) -> str:  # an abort outranks a crossing
+        return "aborted" if self.abort else "max_iters" if self.T_eps is None else "converged"
+
+    @property
+    def final_gap_sq(self) -> float:  # NaN without records, null in the JSONL footer
+        return self.records[-1].gap_sq if self.records else float("nan")
 
     def refinement_iters(self) -> list[int]:
         return [r.t for r in self.records if r.refined]
@@ -158,13 +166,10 @@ class RunLog:
             for r in self.records
         ]
         footer = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
-        footer.update(footer=True, final_gap_sq=self.final_gap_sq if self.records else None)
+        footer.update(footer=True, status=self.status,
+                      final_gap_sq=self.final_gap_sq if self.records else None)
         lines.append(json.dumps(footer, sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
 
 
 @dataclass
@@ -196,16 +201,15 @@ def run(
 ) -> RunResult:
     """Execute the asynchronous loop until the gap target or max_iters.
 
-    Iteration 0 starts from the initial point, the one ``PrimalState`` of the
-    run; every later iteration t first writes the active workers' updates into
-    its X and the master step's new point into its Z.  Every
-    T_pre iterations, from t = 0 and while the refinement horizon T1 is open,
-    the two inner unrolls run, one cut per layer is generated at the current
-    point, and inactive cuts are pruned.  Each cut is stored once, as a row of
-    ``poly1`` or ``poly2`` under the next id, at unit coefficient norm
-    (``normalize_cut``), so the cut duals, their cap and the pruning tolerance
-    are per unit distance along a cut normal.  A cut reads mu, eps and the
-    alphas from its trace (``generate_cut_I``, ``generate_cut_II``).
+    Iteration 0 starts from the initial point, the one ``PrimalState`` of the run; every
+    later iteration t first writes the active workers' updates into its X and the master
+    step's new point into its Z.  Every T_pre iterations, from t = 0 and while the
+    refinement horizon T1 is open, the two inner unrolls run, one cut per layer is
+    generated at the current point, and inactive cuts are pruned.  Each cut is stored
+    once, as a row of ``poly1`` or ``poly2`` under the next id, at unit coefficient norm
+    (``normalize_cut``), so the cut duals, their cap and the pruning tolerance are per
+    unit distance along a cut normal.  A cut reads mu, eps and the alphas from its trace
+    (``generate_cut_I``, ``generate_cut_II``).
 
     ``inner.grad_h`` takes the backward sweep through the unrolls when
     ``problem.cross_hess_fn`` is set and finite differences otherwise.
@@ -219,9 +223,9 @@ def run(
     at t = 0 and after a refinement.
 
     Non-finite numerics (``NonFiniteError``, from the outer steps or an unroll) end the run
-    with ``status="aborted"``, the log up to the last good iteration and the
-    reason and iteration in progress in ``log.abort``, under any warning
-    filter: NumPy's floating-point warnings are off inside ``run``.  Any other
+    under any warning filter (NumPy's floating-point warnings are off inside ``run``), with
+    the log up to the last good iteration and the reason and iteration in progress in
+    ``log.abort``, which makes the log's status ``"aborted"``.  Any other
     ``FedtriError``, such as a broken staleness bound, propagates.  The objectives
     (f1, f2, f3) are evaluated once, at the returned state, into ``log.objectives``;
     an aborted run leaves it None, and a non-finite one aborts at the last record.
@@ -284,13 +288,8 @@ def run(
         if inner_cfg.warm_start:
             # Only the inner primal blocks: inner duals, slacks and cut duals restart at
             # zero (carried over, they integrate a still-violated cut's drag without bound).
-            warm3, warm2 = ((t.x[-1].copy(), t.z[-1].copy()) for t in (trace1, trace2))
+            warm3, warm2 = trace1.estimate, trace2.estimate
         return added, dropped
-
-    def finish(status: str) -> RunResult:
-        log.status = status
-        log.final_gap_sq = log.records[-1].gap_sq if log.records else float("nan")
-        return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
     active, rows, res = (), np.arange(N), None  # t = 0 delivers none and dispatches all N
     try:
@@ -334,8 +333,7 @@ def run(
         log.objectives = _objectives(problem, state)
     except NonFiniteError as exc:
         log.abort = {"reason": str(exc), "t": t}
-        return finish("aborted")
-    return finish("max_iters" if log.T_eps is None else "converged")
+    return RunResult(log=log, state=state, duals=duals, poly1=poly1, poly2=poly2)
 
 
 def validate_runlog(log: RunLog, dims, inner_K: Optional[int] = None) -> list[str]:

@@ -48,15 +48,14 @@ class InnerConfig:
 class UnrollTrace:
     """Recorded K-round update path and the constants it ran with; immutable once returned.
 
-    ``level`` is the unrolled level: 3 for a layer-I trace (from
-    solve_level3), 2 for a layer-II one (from solve_level2).  ``anchor`` is a
-    read-only copy of the outer state the unroll froze its inputs from: Z's
-    z1 and z2 at level 3; Z's z1 and z3 and X's x3 at level 2.  The path is
-    stored round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is (K+1, d),
-    and the slacks ``s`` and inner duals ``gamma`` of the layer-I cuts frozen
-    into the unroll are (K+1, L).  ``poly1`` holds those cuts, ``r0`` (L,)
-    their residuals at the anchor with a zero z2, and ``steps`` the unroll's
-    ``(kappa, eta_z, eta_gamma)``.  A layer-I trace freezes no cuts: L = 0.
+    ``level`` is the unrolled level: 3 for a layer-I trace (from solve_level3), 2 for a
+    layer-II one (from solve_level2).  ``anchor`` is a read-only copy of the outer state the
+    unroll froze its inputs from: Z's z1 and z2 at level 3; Z's z1 and z3 and X's x3 at
+    level 2.  The path is stored round-major: ``x`` and ``phi`` are (K+1, N, d), ``z`` is
+    (K+1, d), and the slacks ``s`` and inner duals ``gamma`` of the layer-I cuts frozen into
+    the unroll are (K+1, L).  ``poly1`` holds those cuts, ``r0`` (L,) their residuals at the
+    anchor with a zero z2, and ``steps`` the unroll's ``(eta_z, eta_gamma)``; kappa and the
+    other constants are ``cfg``'s.  A layer-I trace freezes no cuts: L = 0.
     """
 
     level: int
@@ -65,16 +64,12 @@ class UnrollTrace:
     anchor: PrimalState
     poly1: Polytope
     r0: Array
-    steps: tuple[float, float, float]
+    steps: tuple[float, float]
     x: Array
     z: Array
     phi: Array
     s: Array
     gamma: Array
-
-    def __post_init__(self):
-        if any(len(a) != self.cfg.K + 1 for a in (self.x, self.z, self.phi, self.s, self.gamma)):
-            raise ValueError("trace must hold exactly K+1 rounds")
 
     @property
     def estimate(self) -> tuple[Array, Array]:
@@ -139,8 +134,8 @@ def _unroll(problem, level, anchor, poly1, r0, steps, init, cfg) -> UnrollTrace:
                              f"expected {path.shape[1:]}")
         path[0] = value
     grad, a2s, a2t = _level_rows(problem.grad_all, level, anchor), poly1.A2, poly1.A2.T
-    (kappa, eta_z, eta_gamma), L = steps, len(r0)
-    eta_x, eta_phi = cfg.eta_x, cfg.eta_phi  # the constants every round reads, bound once
+    (eta_z, eta_gamma), L = steps, len(r0)
+    eta_x, eta_phi, kappa = cfg.eta_x, cfg.eta_phi, cfg.kappa  # every round reads them: bound once
     rows = zip(x, z, phi, s, gamma, buf)  # every round's row views, in order
     xk, zk, pk, sk, gk, _ = next(rows)
     dev = xk - zk
@@ -191,7 +186,7 @@ def solve_level3(problem: TrilevelProblem, state: PrimalState, init=None,
                  cfg: InnerConfig = InnerConfig()) -> UnrollTrace:
     """Unroll K rounds of the third-level consensus solve at the z1 and z2 of ``state.Z``."""
     return _unroll(problem, 3, _anchor(problem, state), _no_cuts(problem.dims),
-                   np.zeros(0), (cfg.kappa, cfg.eta_z, 0.0), init, cfg)
+                   np.zeros(0), (cfg.eta_z, 0.0), init, cfg)
 
 
 def level2_steps(cfg: InnerConfig, poly1: Polytope) -> tuple[float, float]:
@@ -222,7 +217,7 @@ def solve_level2(problem: TrilevelProblem, state: PrimalState, poly1: Polytope, 
     at_zero = PrimalState(d, anchor.X, anchor.Z.copy())  # the cuts read the unrolled z2 as z2'
     at_zero.Z[d.columns(2)] = 0.0
     return _unroll(problem, 2, anchor, poly1, poly1.residuals(at_zero),
-                   (cfg.kappa, *level2_steps(cfg, poly1)), init, cfg)
+                   level2_steps(cfg, poly1), init, cfg)
 
 
 def _sq_deviation(x, z, x_hat, z_hat) -> float:
@@ -302,7 +297,7 @@ def _adjoint(trace, xbar: Array, zbar: Array) -> tuple[Array, Array]:
     """
     p, cfg, lv, poly1 = trace.problem, trace.cfg, trace.level, trace.poly1
     N, D, L, A2, own = p.dims.N, p.dims.width, poly1.size, poly1.A2, p.dims.columns(lv)
-    kappa, eta_z, eta_gamma = trace.steps
+    kappa, (eta_z, eta_gamma) = cfg.kappa, trace.steps
     hess = _level_rows(p.cross_hess, lv, trace.anchor)
     acc = np.zeros((N, D))  # the sum over rounds of every worker's g^T R
     phibar = np.zeros_like(xbar)

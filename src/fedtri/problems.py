@@ -399,16 +399,13 @@ def build_robust_hpo_problem(
 
 
 def evaluate_model(hpo: RobustHpo, w: Array, noise_seed: int = 0) -> dict[str, float]:
-    """Test MSE on the clean test split and on a seeded Gaussian-noised copy."""
+    """Test MSE on the clean test split and on a seeded Gaussian-noised copy (alike at sigma 0)."""
     X, y = hpo.data.split("test")
     if w.shape != (hpo.shape.n_params,):
         raise ValueError("weight vector does not match the MLP shape")
     pred = mlp_forward(hpo.shape, w, X)
     mse_clean = float(np.mean((pred - y) ** 2))
-    sigma = hpo.data.noise_sigma
-    if sigma == 0.0:
-        return {"mse_clean": mse_clean, "mse_noisy": mse_clean}
     rng = np.random.default_rng(noise_seed)
-    Xn = X + sigma * rng.standard_normal(X.shape)
+    Xn = X + hpo.data.noise_sigma * rng.standard_normal(X.shape)
     mse_noisy = float(np.mean((mlp_forward(hpo.shape, w, Xn) - y) ** 2))
     return {"mse_clean": mse_clean, "mse_noisy": mse_noisy}

@@ -317,6 +317,13 @@ class TestPrimalState:
         assert np.array_equal(state.X[0], np.arange(1.0, 7.0))
         assert state.Z[5] == 9.0 and state.X[0, 5] == 6.0
 
+    def test_a_point_needs_one_block_of_each_size(self):
+        d = Dims(d1=1, d2=2, d3=1, N=2)
+        for blocks in ((np.zeros(1), np.zeros(1), np.zeros(1)),
+                       (np.zeros(1), np.zeros((1, 2)), np.zeros(1))):
+            with pytest.raises(ValueError, match=r"^blocks must have the shapes \[\(1,\), \(2,\)"):
+                PrimalState.from_point(d, *blocks)
+
     def test_a_copy_has_its_own_arrays_behind_its_views(self):
         d = Dims(d1=1, d2=1, d3=2, N=3)
         state = PrimalState.from_point(d, np.zeros(1), np.zeros(1), np.zeros(2))
@@ -376,6 +383,17 @@ class TestEstimateMu:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             estimate_mu(lambda v: 0.0, [np.zeros(2)])
+
+
+def test_a_problem_without_a_start_begins_at_zeros_of_its_block_shapes():
+    problem = TrilevelProblem(dims=Dims(d1=2, d2=1, d3=3, N=2),
+                              eval_fn=lambda level, V: np.zeros(2),
+                              grad_fn=lambda level, V: np.zeros((2, 6)))
+    rng = np.random.default_rng(0)
+    blocks = problem.initial_point(rng)
+    assert [b.shape for b in blocks] == [(2,), (1,), (3,)]
+    assert not any(b.any() for b in blocks)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestGradAll:

@@ -301,6 +301,8 @@ class TestDropInactive:
         p1, p2 = self.make_polys()
         with pytest.raises(ValueError):
             drop_inactive(p1, np.zeros(2), p2, np.zeros(2))
+        with pytest.raises(ValueError, match="^lambdas length must match the layer-II polytope$"):
+            drop_inactive(p1, np.zeros(3), p2, np.zeros(3))
 
     def test_drop_then_add_reproduces_equivalent(self):
         p1, p2 = self.make_polys()

@@ -152,6 +152,12 @@ def test_shards_need_a_row_per_worker():
         shard_indices(np.arange(2), 0)
 
 
+def test_too_few_rows_for_the_splits_are_refused():
+    # 0.6 and 0.2 of 4 rows leave no validation row.
+    with pytest.raises(DatasetError, match=r"^too few rows \(4\) for the requested splits$"):
+        make_synthetic_dataset(rows=4)
+
+
 def test_synthetic_training_features_are_standardized():
     data = make_synthetic_dataset(seed=3, rows=100, features=4)
     X_train, _ = data.split("train")
@@ -171,4 +177,14 @@ def test_splits_must_be_a_permutation_of_the_rows(train, val, test):
     with pytest.raises(DatasetError, match="exactly once"):
         RegressionDataset(X=X, y=y, train_idx=np.array(train), val_idx=np.array(val),
                           test_idx=np.array(test, dtype=int), noise_sigma=0.0,
+                          feature_mean=np.zeros(2), feature_std=np.ones(2))
+
+
+@pytest.mark.parametrize("column", ["X", "y"])
+def test_a_non_finite_entry_is_refused(column):
+    arrays = dict(X=np.zeros((3, 2)), y=np.zeros(3))
+    arrays[column].flat[1] = np.nan
+    with pytest.raises(DatasetError, match="^dataset contains non-finite entries$"):
+        RegressionDataset(**arrays, train_idx=np.array([0]), val_idx=np.array([1]),
+                          test_idx=np.array([2]), noise_sigma=0.0,
                           feature_mean=np.zeros(2), feature_std=np.ones(2))

@@ -109,20 +109,22 @@ def t1_cuts(problem, t1, p2, shifts):
                     tuple(range(len(shifts))))
 
 
-@pytest.fixture(scope="module")
-def setup():
-    # Distinct block sizes, so a mixed-up block shows as a shape error.
+@pytest.fixture(scope="module", params=[1.0, 0.5], ids=["kappa=1", "kappa=0.5"])
+def setup(request):
+    # Distinct block sizes, so a mixed-up block shows as a shape error.  A sweep that takes
+    # the consensus penalty as 1 passes at kappa = 1 and fails at kappa = 0.5.
     problem, _ = build_quadratic_problem(seed=11, dims=(2, 3, 4), N=3, coupling=0.2)
+    cfg = dataclasses.replace(CFG, kappa=request.param)
     rng = np.random.default_rng(12)
     d = problem.dims
     z1, z2, z3 = (rng.standard_normal(k) for k in (d.d1, d.d2, d.d3))
     x3 = rng.standard_normal((d.N, d.d3))
     x2 = rng.standard_normal((d.N, d.d2))
     p1, p2 = state_of(d, z1, z2, z3, x3=x3), state_of(d, z1, z2, z3, x2=x2, x3=x3)
-    t1 = solve_level3(problem, p1, cfg=CFG)
+    t1 = solve_level3(problem, p1, cfg=cfg)
     # One unit cut shifted three ways: slack clamp inactive on the first
     # (s > 0), dual clamp inactive on the other two (gamma > 0).
-    t2 = solve_level2(problem, p1, t1_cuts(problem, t1, p2, (3.0, -0.5, 0.05)), cfg=CFG)
+    t2 = solve_level2(problem, p1, t1_cuts(problem, t1, p2, (3.0, -0.5, 0.05)), cfg=cfg)
     return problem, t1, t2, p1, p2
 
 
@@ -162,7 +164,7 @@ def test_layer_II_matches_forward_reference_where_the_dual_clamp_bites(setup):
     problem, t1, _, p1, p2 = setup
     d = problem.dims
     cuts = t1_cuts(problem, t1, p2, (2.5, 3.5))
-    cfg = dataclasses.replace(CFG, eta_phi=1.0)
+    cfg = dataclasses.replace(t1.cfg, eta_phi=1.0)
     assert level2_steps(cfg, cuts)[1] == 1.0
     zeros = np.zeros((d.N, d.d2))
     init = (zeros, np.zeros(d.d2), zeros, None, np.full(2, 0.3))
@@ -198,8 +200,8 @@ def test_finite_diff_reruns_twice_per_frozen_coordinate(setup, monkeypatch):
     problem, _, t2, p1, p2 = setup
     d = problem.dims
     fd = dataclasses.replace(problem, cross_hess_fn=None)  # no second derivatives
-    t1 = solve_level3(fd, p1, cfg=CFG)
-    t2 = solve_level2(fd, p1, t2.poly1, cfg=CFG)
+    t1 = solve_level3(fd, p1, cfg=t2.cfg)
+    t2 = solve_level2(fd, p1, t2.poly1, cfg=t2.cfg)
     calls3 = count_calls(monkeypatch, fedtri.inner, "solve_level3")
     calls2 = count_calls(monkeypatch, fedtri.inner, "solve_level2")
     grad_h(t1, p1)

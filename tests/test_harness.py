@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -112,6 +113,8 @@ class TestScheduleConfig:
             ScheduleConfig(N=4, S=2, tau=0)
         with pytest.raises(ValueError):
             ScheduleConfig(N=4, S=2, delay=DelayModel(straggler_ids=(5,)))
+        with pytest.raises(ValueError, match="^N must be positive$"):
+            ScheduleConfig(N=0, S=1)
 
     @pytest.mark.parametrize("label", [1.5, True, 2.0])
     def test_a_straggler_id_that_is_no_integer_raises(self, label):
@@ -187,6 +190,9 @@ class TestCommCosts:
 
     def test_iter_zero_s(self):
         assert comm_cost_iter(0, self.Dims(2, 2, 2), 5) == 0
+        for S, size in ((-1, 5), (3, -1)):
+            with pytest.raises(ValueError, match="^inputs must be nonnegative$"):
+                comm_cost_iter(S, self.Dims(2, 2, 2), size)
 
     def test_cuts_empty(self):
         # No rounds and no layer-II cuts: the refinement sends nothing.
@@ -217,6 +223,36 @@ class TestRunBasics:
         sched = ScheduleConfig(N=2, S=1, tau=5, seed=1)
         res = run(problem, inner, outer, sched)
         assert validate_runlog(res.log, problem.dims) == []
+
+    def test_each_broken_invariant_is_found_with_its_own_message(self):
+        problem, _, inner, outer = quad_setup(max_iters=6)
+        clean = run(problem, inner, outer, ScheduleConfig(N=2, S=2, tau=3, seed=0)).log
+        assert validate_runlog(clean, problem.dims) == []
+        c1 = clean.records[3].c1
+        assert [r.sim_time for r in clean.records[:4]] == [0.0, 1.0, 2.0, 3.0] and c1 > 0
+
+        def active(log): log.records[3].active.pop()
+        def stale(log): log.records[3].staleness[0] = log.tau + 1
+        def backwards(log): log.records[3].sim_time = 1.5
+        def c1_record(log): log.records[3].c1 += 1
+        def c1_total(log): log.c1_total += 1
+        def c2_total(log): log.c2_total += 1
+        for tamper, want in [
+            (active, ["t=3: active set smaller than S"]),
+            (stale, ["t=3: staleness exceeds tau"]),
+            (backwards, ["t=3: simulated time went backwards"]),
+            (c1_record, [f"t=3: C1 mismatch ({c1 + 1} != {c1})", "C1 total mismatch"]),
+            (c1_total, ["C1 total mismatch"]),
+            (c2_total, ["C2 total mismatch"]),
+        ]:
+            log = copy.deepcopy(clean)
+            tamper(log)
+            assert validate_runlog(log, problem.dims) == want, tamper.__name__
+
+    def test_a_schedule_for_another_worker_count_raises(self):
+        problem, _, inner, outer = quad_setup(max_iters=5)
+        with pytest.raises(ValueError, match="^problem and schedule disagree on the worker count$"):
+            run(problem, inner, outer, ScheduleConfig(N=3, S=3))
 
     def test_t1_zero_means_no_cuts(self):
         problem, _, inner, outer = quad_setup(T1=0, max_iters=30)
@@ -422,6 +458,18 @@ class TestStopping:
         assert len(res.log.records) == 1
         assert validate_runlog(res.log, problem.dims) == []
 
+    def test_an_abort_after_the_crossing_outranks_it(self):
+        # Iteration 0 meets the target; the objectives at the returned state are then inf.
+        problem, oracle, inner, outer = quad_setup(T1=0, tol=1e-12)
+        problem = dataclasses.replace(
+            problem, initial_point_fn=lambda rng: (oracle.y1, oracle.y2, oracle.y3),
+            eval_fn=lambda level, V: np.full(len(V), np.inf))
+        log = run(problem, inner, outer, ScheduleConfig(N=2, S=2, seed=0)).log
+        assert log.status == "aborted" and log.T_eps == 0
+        assert log.abort == {"reason": "f_1,0 is non-finite", "t": 0}
+        footer = json.loads(log.to_jsonl().splitlines()[-1])
+        assert footer["status"] == "aborted" and footer["T_eps"] == 0
+
     def test_converged_run_stops_at_its_first_crossing(self):
         problem, _, inner, outer = quad_setup(max_iters=3600, tol=1e-3, T_pre=15, T1=400)
         res = run(problem, inner, outer, ScheduleConfig(N=2, S=1, seed=4))
@@ -556,9 +604,11 @@ class TestGradientSweep:
         problem, _, inner, outer = quad_setup(N=3, T_pre=4, max_iters=24)
         log = run(problem, inner, outer, ScheduleConfig(N=3, S=2, seed=2)).log
         assert log.status == "max_iters" and len(fresh) == len(log.records) == 25
-        # Refinements land mid-run; at t = 12 one keeps P_II's size but not its cuts.
+        # Refinements land mid-run, and one keeps P_II's size while it drops a layer-II
+        # cut (the odd ids), so a fresh P_II of the old size still forms its own gap.
         assert log.refinement_iters() == [0, 4, 8, 12, 16, 20, 24]
-        assert log.records[11].p2_size == log.records[12].p2_size and log.records[12].cuts_dropped
+        assert any(r.p2_size == prev.p2_size and any(i % 2 for i in r.cuts_dropped)
+                   for prev, r in zip(log.records, log.records[1:]) if r.refined)
         assert [r.t for r, own in zip(log.records, fresh) if own] == log.refinement_iters()
 
 
@@ -607,13 +657,11 @@ class TestAsyncBehavior:
 
 
 class TestSerialization:
-    def test_jsonl_schema(self, tmp_path):
+    def test_jsonl_schema(self):
         problem, _, inner, outer = quad_setup(max_iters=12)
         sched = ScheduleConfig(N=2, S=2, seed=0)
         res = run(problem, inner, outer, sched)
-        path = tmp_path / "log.jsonl"
-        res.log.write_jsonl(path)
-        lines = path.read_text().strip().split("\n")
+        lines = res.log.to_jsonl().strip().split("\n")
         *records, footer = [json.loads(line) for line in lines]
         expected = {"t", "sim_time", "active", "staleness", "gap_sq", "p1_size", "p2_size",
                     "c1", "refined", "cuts_added", "cuts_dropped"}
@@ -628,14 +676,12 @@ class TestSerialization:
         assert footer["objectives"] == list(res.log.objectives)
         assert len(footer["objectives"]) == 3 and all(np.isfinite(footer["objectives"]))
 
-    def test_numpy_integer_dims_write_plain_json(self, tmp_path):
+    def test_numpy_integer_dims_write_plain_json(self):
         problem, _ = build_quadratic_problem(seed=1, dims=tuple(np.array([2, 2, 2])),
                                              N=np.int64(2))
         _, _, inner, outer = quad_setup(max_iters=5)
         res = run(problem, inner, outer, ScheduleConfig(N=2, S=2))
-        path = tmp_path / "log.jsonl"
-        res.log.write_jsonl(path)
-        footer = json.loads(path.read_text().splitlines()[-1])
+        footer = json.loads(res.log.to_jsonl().splitlines()[-1])
         assert footer["dims"] == [2, 2, 2] and footer["N"] == 2
         assert all(type(v) is int for v in (*problem.dims.sizes, problem.dims.N))
 

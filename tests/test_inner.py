@@ -161,7 +161,7 @@ class TestSolveLevel3:
             grad_fn=lambda level, V: np.full((1, 3), 1e200),
         )
         cfg = InnerConfig(K=3, eta_x=1e200, eta_z=1.0, eta_phi=1.0)
-        with pytest.raises(NonFiniteError, match="round"):
+        with pytest.raises(NonFiniteError, match="round"), np.errstate(over="ignore"):
             solve_level3(problem, state_of(dims, np.zeros(1), np.zeros(1)), cfg=cfg)
 
 
@@ -354,7 +354,6 @@ def test_the_one_kappa_scales_the_first_consensus_step_of_each_unroll(level):
             trace = solve_level3(problem, anchor, init=init, cfg=cfg)
         else:
             trace = solve_level2(problem, anchor, Polytope(problem.dims), init=init, cfg=cfg)
-        assert trace.steps[0] == kappa
         return trace.z[1]
 
     step = first_z_step(1.0)

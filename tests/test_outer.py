@@ -131,6 +131,8 @@ class TestRegularizedLagrangian:
         c1, c2 = cfg.reg_coeffs(0)
         assert c1 == pytest.approx(10.0)
         assert c2 == pytest.approx(4.0)
+        with pytest.raises(ValueError, match="^t must be nonnegative$"):
+            cfg.reg_coeffs(-1)
 
     def test_regularizer_value(self, setting):
         problem, state, duals, poly2, cfg = setting
@@ -425,13 +427,16 @@ class TestConfigValidation:
     def test_floor_range_check(self):
         cfg = OuterConfig(eta_lambda=0.1, eta_theta=0.1, tol=1e-4)
         cfg.check_floors(N=4)
-        bad = OuterConfig(eta_lambda=0.1, eta_theta=0.1, tol=1e-4,
-                          c1_floor=10**9)
-        with pytest.raises(ValueError):
-            bad.check_floors(N=4)
+        for name in ("c1_floor", "c2_floor"):
+            bad = OuterConfig(eta_lambda=0.1, eta_theta=0.1, tol=1e-4, **{name: 10**9})
+            with pytest.raises(ValueError, match=f"^{name} outside the admissible range"):
+                bad.check_floors(N=4)
 
     def test_positivity(self):
         with pytest.raises(ValueError):
             OuterConfig(eta_lambda=0.0)
         with pytest.raises(ValueError):
             OuterConfig(tol=-1.0)
+        for bad in (dict(T_pre=0), dict(T1=-1), dict(max_iters=0)):
+            with pytest.raises(ValueError, match="^T_pre >= 1, T1 >= 0 and max_iters >= 1"):
+                OuterConfig(**bad)

@@ -147,6 +147,12 @@ def test_stacked_spd_matrices_are_symmetric_with_the_log_spaced_spectrum(d, cond
         np.testing.assert_allclose(np.linalg.eigvalsh(M), want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(0, 2, 2), (2, 21, 2), (2, 2, -1)])
+def test_the_builder_takes_blocks_of_1_to_20(dims):
+    with pytest.raises(ValueError, match="^quadratic builder is desk-scale: dims must be in 1..20$"):
+        build_quadratic_problem(seed=0, dims=dims, N=2)
+
+
 def test_a_one_dimensional_family_is_all_ones_and_draws_nothing():
     rng = np.random.default_rng(0)
     assert np.array_equal(_random_spd(rng, 4, 1, 10.0), np.ones((4, 1, 1)))

@@ -159,6 +159,22 @@ def test_short_run_refines_and_logs_cleanly():
     assert res.log.refinement_iters() == [0, 2, 4]
     mse = evaluate_model(hpo, res.state.z[2])
     assert np.isfinite(mse["mse_clean"]) and np.isfinite(mse["mse_noisy"])
+    with pytest.raises(ValueError, match="^weight vector does not match the MLP shape$"):
+        evaluate_model(hpo, res.state.z[2][:-1])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_noise_free_data_give_equal_clean_and_noisy_mse_bit_for_bit(seed):
+    # Adding 0 times a normal draw changes at most the sign of a zero.
+    data = make_synthetic_dataset(seed=seed, rows=80, features=3, noise_sigma=0.0)
+    hpo = build_robust_hpo_problem(data, RobustHpoSpec(mlp_layers=(4,)), N=2)
+    mse = evaluate_model(hpo, hpo.shape.init(np.random.default_rng(seed)), noise_seed=seed)
+    assert mse["mse_noisy"] == mse["mse_clean"] > 0.0
+
+
+def test_a_hidden_layer_needs_a_positive_width():
+    with pytest.raises(ValueError, match="^hidden widths must be positive$"):
+        RobustHpoSpec(mlp_layers=(0,))
 
 
 @pytest.mark.parametrize("T1, reason, logged", [
